@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.cluster import serialize_after_image, serialize_query
 from repro.core.config import InvaliDBConfig
-from repro.core.notifications import deserialize_change
+from repro.core.notifications import unpack_changes
 from repro.core.sorting import SlackAdvisor
 from repro.core.subscriptions import SubscriptionRecord, SubscriptionTable
 from repro.errors import (
@@ -351,6 +351,9 @@ class InvaliDBClient:
         self.writes_resubmitted = 0
         self.writes_abandoned = 0
         self.refreshes_received = 0
+        #: User ``on_change``/``on_error`` callbacks that raised (each
+        #: costs only its own handle's delivery, never the envelope).
+        self.callback_errors = 0
         #: call_later handles for retry-after resubmits in flight.
         self._pending_resubmits: List[Any] = []
         self._notification_subscription = broker.subscribe(
@@ -637,44 +640,59 @@ class InvaliDBClient:
         if kind == "refresh":
             self._on_refresh(payload)
             return
-        change = deserialize_change(payload)
+        self._on_changes(payload)
+
+    def _on_changes(self, payload: Dict[str, Any]) -> None:
+        """Unpack one notification envelope: every row, in row order,
+        goes to every live handle of its query.
+
+        Failures stay inside their row.  A raising user callback costs
+        only its own handle's delivery (counted in ``callback_errors``);
+        anything else failing in a row — a renewal that cannot reach
+        the event layer — is re-raised once the rest of the envelope
+        was delivered, so the broker still counts the listener error
+        the per-message path used to report.
+        """
         tel = self.telemetry
-        trace = trace_of(payload) if tel.enabled else None
-        if trace is not None:
-            tnow = tel.now()
-            end_span(trace, DELIVER, tnow)
-            begin_span(trace, MATERIALIZE, tnow)
-        if change.is_error:
-            if change.suggested_slack is not None:
-                with self._lock:
-                    self._slack_hints[change.query_id] = (
-                        change.suggested_slack
+        failure: Optional[Exception] = None
+        for fields in unpack_changes(payload):
+            try:
+                trace = trace_of(fields) if tel.enabled else None
+                fields["trace"] = trace
+                if trace is not None:
+                    tnow = tel.now()
+                    end_span(trace, DELIVER, tnow)
+                    begin_span(trace, MATERIALIZE, tnow)
+                query_id = fields["query_id"]
+                if fields["match_type"] is MatchType.ERROR:
+                    suggested_slack = fields.get("suggested_slack")
+                    if suggested_slack is not None:
+                        with self._lock:
+                            self._slack_hints[query_id] = suggested_slack
+                    self._handle_maintenance_error(query_id)
+                elif self._slack_advisor is not None:
+                    self._slack_advisor.observe(
+                        query_id, fields["match_type"]
                     )
-            self._handle_maintenance_error(change.query_id)
-        elif self._slack_advisor is not None:
-            self._slack_advisor.observe(change.query_id, change.match_type)
-        with self._lock:
-            handles = list(self._handles.get(change.query_id, ()))
-        for subscription in handles:
-            notification = ChangeNotification(
-                subscription_id=subscription.subscription_id,
-                query_id=change.query_id,
-                match_type=change.match_type,
-                key=change.key,
-                document=change.document,
-                index=change.index,
-                old_index=change.old_index,
-                error=change.error,
-                timestamp=change.timestamp,
-                version=change.version,
-                suggested_slack=change.suggested_slack,
-                trace=trace,
-            )
-            subscription._deliver(notification)
-        if trace is not None:
-            tnow = tel.now()
-            end_span(trace, MATERIALIZE, tnow)
-            tel.tracer.complete(trace, tnow)
+                with self._lock:
+                    handles = list(self._handles.get(query_id, ()))
+                for subscription in handles:
+                    try:
+                        subscription._deliver(ChangeNotification(
+                            subscription_id=subscription.subscription_id,
+                            **fields,
+                        ))
+                    except Exception:  # noqa: BLE001 - user callback
+                        self.callback_errors += 1
+                if trace is not None:
+                    tnow = tel.now()
+                    end_span(trace, MATERIALIZE, tnow)
+                    tel.tracer.complete(trace, tnow)
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                if failure is None:
+                    failure = exc
+        if failure is not None:
+            raise failure
 
     # ------------------------------------------------------------------
     # Overload responses (admission rejections & snapshot refreshes)
@@ -1018,5 +1036,6 @@ class InvaliDBClient:
             "writes_resubmitted": self.writes_resubmitted,
             "writes_abandoned": self.writes_abandoned,
             "refreshes_received": self.refreshes_received,
+            "callback_errors": self.callback_errors,
             "cluster_health": self.cluster_health,
         }

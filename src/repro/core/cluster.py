@@ -33,11 +33,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.config import InvaliDBConfig
 from repro.core.filtering import FilteringNode, MatchEvent
 from repro.core.notifications import (
+    ChangeEnvelope,
     QueryChange,
     change_from_match_event,
     deserialize_change,
     resolve_coalesced_type,
-    serialize_change,
 )
 from repro.core.overload import (
     SEVERITY as HEALTH_SEVERITY,
@@ -274,6 +274,7 @@ class _MatchingBolt(Bolt):
         tel = self.cluster.telemetry
         if self.cluster.config.notification_coalescing and len(pairs) > 1:
             pairs = self._coalesce(pairs)
+        changes: List[Tuple[QueryChange, Optional[Dict[str, Any]]]] = []
         for event, trace, deadline in pairs:
             if event.needs_sorting:
                 message: Dict[str, Any] = {
@@ -289,9 +290,9 @@ class _MatchingBolt(Bolt):
                     message["trace"] = branch
                 self.emit(message)
             else:
-                self.cluster._publish_change(
-                    change_from_match_event(event), fork(trace)
-                )
+                changes.append((change_from_match_event(event), fork(trace)))
+        if changes:
+            self.cluster._publish_changes(changes)
 
     def _coalesce(
         self,
@@ -430,8 +431,10 @@ class _SortingBolt(Bolt):
             return
         else:
             return
-        for change in changes:
-            self.cluster._publish_change(change, fork(trace))
+        if changes:
+            self.cluster._publish_changes(
+                [(change, fork(trace)) for change in changes]
+            )
 
 
 class _ProcessGridBolt(Bolt):
@@ -503,15 +506,18 @@ class _ProcessGridBolt(Bolt):
         coalesced = reply.get("coalesced", 0)
         if coalesced:
             self.cluster.notifications_coalesced += coalesced
+        changes: List[Tuple[QueryChange, Optional[Dict[str, Any]]]] = []
         for emit in reply["emits"]:
             if emit["kind"] == "match-event":
                 # The worker already opened the sort span; the emit
                 # (trace included) flows to the sorting grid as-is.
                 self.emit(emit)
             else:
-                self.cluster._publish_change(
-                    deserialize_change(emit["change"]), trace_of(emit)
+                changes.append(
+                    (deserialize_change(emit["change"]), trace_of(emit))
                 )
+        if changes:
+            self.cluster._publish_changes(changes)
 
 
 class _NotificationStager:
@@ -593,17 +599,18 @@ class _NotificationStager:
             staged, self._staged = self._staged, {}
             self._flush_scheduled = False
             self.flushes += 1
-        delivered = 0
-        for (_, _key), (first, change, trace) in staged.items():
+        survivors: List[Tuple[QueryChange, Optional[Dict[str, Any]]]] = []
+        for first, change, trace in staged.values():
             final = resolve_coalesced_type(first, change.match_type)
             if final is None:
                 self._note()
                 continue
             if final is not change.match_type:
                 change = replace(change, match_type=final)
-            self.cluster._deliver_change(change, trace)
-            delivered += 1
-        return delivered
+            survivors.append((change, trace))
+        if survivors:
+            self.cluster._deliver_changes(survivors)
+        return len(survivors)
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:
@@ -1071,57 +1078,73 @@ class InvaliDBCluster:
     # Notification fan-out
     # ------------------------------------------------------------------
 
-    def _publish_change(
+    def _publish_changes(
         self,
-        change: QueryChange,
-        trace: Optional[Dict[str, Any]] = None,
+        entries: List[Tuple[QueryChange, Optional[Dict[str, Any]]]],
     ) -> None:
+        """Fan one dispatch batch's ``(change, owned trace fork)`` list
+        out: stage what the shed / coalescing stagers take, deliver the
+        rest in one envelope per app server."""
+        stagers = []
         overload = self.overload
         if (
             overload is not None
             and overload.shed_stager is not None
             and overload.shedding_active()
-            and overload.shed_stager.offer(change, trace)
         ):
             # Degraded mode: per-event delivery collapses to coalesced
             # latest-value through the pressure-widened window.
-            return
-        stager = self.stager
-        if stager is not None and stager.offer(change, trace):
-            return
-        self._deliver_change(change, trace)
+            stagers.append(overload.shed_stager)
+        if self.stager is not None:
+            stagers.append(self.stager)
+        if stagers:
+            entries = [
+                entry for entry in entries
+                if not any(stager.offer(*entry) for stager in stagers)
+            ]
+        if entries:
+            self._deliver_changes(entries)
 
-    def _deliver_change(
+    def _deliver_changes(
         self,
-        change: QueryChange,
-        trace: Optional[Dict[str, Any]] = None,
+        entries: List[Tuple[QueryChange, Optional[Dict[str, Any]]]],
     ) -> None:
+        """Publish *entries* as one :class:`ChangeEnvelope` per
+        subscribed app server, rows in entry order."""
         slo = self.slo
         if slo is not None:
-            slo.observe(change)
-        with self._registration_lock:
-            registration = self._registrations.get(change.query_id)
-            app_servers = [] if registration is None else registration.app_servers
-        payload = serialize_change(change)
+            for change, _ in entries:
+                slo.observe(change)
         tel = self.telemetry
-        if trace is not None and app_servers:
-            # One branch per subscriber: each delivery is its own span
-            # (and its own completed trace at the client).  Callers
-            # always pass an owned fork, so the common single-subscriber
-            # case reuses it without re-forking; extra branches must be
-            # forked *before* the first branch is mutated below.
-            branches = [trace]
-            branches += [fork(trace) for _ in app_servers[1:]]
-        else:
-            branches = [None] * len(app_servers)
-        for app_server, branch in zip(app_servers, branches):
-            message = payload
-            if branch is not None:
-                begin_span(branch, DELIVER, tel.now())
-                message = dict(payload)
-                message["trace"] = branch
-            self.broker.publish(notification_channel(app_server), message)
-            self.notifications_sent += 1
+        envelopes: Dict[str, ChangeEnvelope] = {}
+        with self._registration_lock:
+            registrations = self._registrations
+            for change, trace in entries:
+                registration = registrations.get(change.query_id)
+                if registration is None:
+                    continue
+                if trace is not None:
+                    begin_span(trace, DELIVER, tel.now())
+                branch = trace
+                for position, app_server in enumerate(
+                    registration.app_servers
+                ):
+                    if position and trace is not None:
+                        # One branch per subscriber: each delivery is
+                        # its own span (and its own completed trace at
+                        # the client).  Callers pass an owned fork, so
+                        # the first subscriber reuses it.
+                        branch = fork(trace)
+                    envelope = envelopes.get(app_server)
+                    if envelope is None:
+                        envelope = envelopes[app_server] = ChangeEnvelope()
+                    envelope.add(change, branch)
+        for app_server, envelope in envelopes.items():
+            self.broker.publish(
+                notification_channel(app_server), envelope.payload()
+            )
+            # Counts notifications (rows per subscriber), not envelopes.
+            self.notifications_sent += len(envelope.rows)
 
     def _deliver_refresh(self, query_id: str, documents: List[Any]) -> None:
         """Fan one wholesale sorted-window snapshot out to the query's

@@ -1,16 +1,30 @@
-"""Change-notification construction and fan-out helpers.
+"""Change-notification construction, fan-out helpers and wire forms.
 
 The cluster works in terms of :class:`QueryChange` — a result
 transition of one *query*.  Application servers fan a query change out
 to every local subscription of that query, tagging each copy with the
 client-generated subscription ID (footnote 2 of the paper); that tagged
 form is :class:`~repro.types.ChangeNotification`.
+
+Two wire forms live here:
+
+* the **notification envelope** (:class:`ChangeEnvelope` /
+  :func:`unpack_changes`) — the only form that crosses the event layer
+  towards application servers.  One envelope carries every change one
+  dispatch batch produced for one app server: each distinct after-image
+  document is listed once in ``documents`` and the per-change ``rows``
+  point at it by slot, so a write matching N queries is encoded, moved
+  and decoded once instead of N times (the "(de-)serializing and
+  parsing after-images" overhead of Section 6.3);
+* the flat per-change dict (:func:`serialize_change` /
+  :func:`deserialize_change`) — used only for the REPLY emits of
+  worker-hosted grid cells crossing the process boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.core.filtering import MatchEvent
 from repro.types import ChangeNotification, Document, MatchType
@@ -89,8 +103,95 @@ def bind_to_subscription(
     )
 
 
+class ChangeEnvelope:
+    """One app server's share of a dispatch batch, in wire form.
+
+    .. code-block:: python
+
+        {"kind": "changes",
+         "documents": [doc, ...],
+         "rows": [[query_id, match_type, key, slot, timestamp, version],
+                  [..., {"index": 3, "old_index": 5}], ...]}
+
+    ``slot`` indexes ``documents`` (``None`` for a change without a
+    document).  Documents are slotted by *identity*: the changes one
+    after-image produced share its document object, so it is listed
+    once however many queries it matched.  The rare fields — ``index``,
+    ``old_index``, ``error``, ``suggested_slack`` and a sampled
+    ``trace`` — ride in an optional trailing dict whose keys are the
+    :class:`~repro.types.ChangeNotification` field names.  Rows keep
+    the order changes were added in, which is what per-subscription
+    delivery order rests on.
+    """
+
+    __slots__ = ("documents", "rows", "_slots")
+
+    def __init__(self) -> None:
+        self.documents: List[Document] = []
+        self.rows: List[List[Any]] = []
+        self._slots: Dict[int, int] = {}
+
+    def add(
+        self, change: QueryChange, trace: Optional[Dict[str, Any]] = None
+    ) -> None:
+        document = change.document
+        slot = None
+        if document is not None:
+            # Keyed by id(): every slotted document stays referenced by
+            # ``documents`` for the envelope's life, so ids are unique.
+            slot = self._slots.get(id(document))
+            if slot is None:
+                slot = self._slots[id(document)] = len(self.documents)
+                self.documents.append(document)
+        row = [
+            change.query_id, change.match_type.value, change.key, slot,
+            change.timestamp, change.version,
+        ]
+        extras = {}
+        if change.index is not None:
+            extras["index"] = change.index
+        if change.old_index is not None:
+            extras["old_index"] = change.old_index
+        if change.error is not None:
+            extras["error"] = change.error
+        if change.suggested_slack is not None:
+            extras["suggested_slack"] = change.suggested_slack
+        if trace is not None:
+            extras["trace"] = trace
+        if extras:
+            row.append(extras)
+        self.rows.append(row)
+
+    def payload(self) -> Dict[str, Any]:
+        return {
+            "kind": "changes",
+            "documents": self.documents,
+            "rows": self.rows,
+        }
+
+
+def unpack_changes(payload: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
+    """Rows of a decoded envelope, in order, as the keyword fields of
+    their :class:`~repro.types.ChangeNotification` — everything but the
+    subscription ID, which only the receiving client knows."""
+    documents = payload["documents"]
+    for row in payload["rows"]:
+        query_id, match_type, key, slot, timestamp, version = row[:6]
+        fields = {
+            "query_id": query_id,
+            "match_type": MatchType(match_type),
+            "key": key,
+            "document": None if slot is None else documents[slot],
+            "timestamp": timestamp,
+            "version": version,
+        }
+        if len(row) > 6:
+            fields.update(row[6])
+        yield fields
+
+
 def serialize_change(change: QueryChange) -> Dict[str, Any]:
-    """Wire representation of a change (event-layer payloads are JSON)."""
+    """Flat wire form of one change (process-boundary REPLY emits)."""
     return {
         "query_id": change.query_id,
         "match_type": change.match_type.value,

@@ -247,7 +247,9 @@ class OverloadController:
       notification fan-out: while degraded or worse, unsorted changes
       are staged through a pressure-window
       :class:`~repro.core.cluster._NotificationStager` (same
-      latest-value rewrite rules, separate counters).
+      latest-value rewrite rules, separate counters) whose flush
+      hands the survivors to the cluster as one batch, i.e. one
+      notification envelope per app server.
     * :meth:`defer_sorted` — consulted by the sorting bolts: while
       shedding, per-event sorted diffs are swallowed and the query is
       marked dirty; :meth:`flush_refresh` later publishes one wholesale

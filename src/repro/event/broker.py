@@ -86,6 +86,7 @@ class Broker:
         self._closed = False
         self._published = 0
         self._delivered = 0
+        self._listener_errors = 0
         self._execution, self._owns_execution = resolve_execution_model(
             execution
         )
@@ -98,6 +99,7 @@ class Broker:
         self._tel_identity: Any = None
         self._tel_published = NULL_COUNTER
         self._tel_delivered = NULL_COUNTER
+        self._tel_listener_errors = NULL_COUNTER
 
     def _tel_counters(self) -> Tuple[Any, Any]:
         telemetry = self._execution.telemetry
@@ -108,6 +110,9 @@ class Broker:
             )
             self._tel_delivered = telemetry.counter(
                 "broker.delivered", broker=self.name
+            )
+            self._tel_listener_errors = telemetry.counter(
+                "broker.listener_errors", broker=self.name
             )
         return self._tel_published, self._tel_delivered
 
@@ -200,7 +205,7 @@ class Broker:
 
     def _dispatch_batch(self, batch: List[Tuple[str, bytes]]) -> None:
         _, delivered = self._tel_counters()
-        count = 0
+        count = errors = 0
         for channel, wire in batch:
             payload = self._codec.decode(wire)
             for subscription in self._subscribers_for(channel):
@@ -208,17 +213,20 @@ class Broker:
                     subscription.listener(channel, payload)
                 except Exception:  # noqa: BLE001 - a bad subscriber must
                     # never take down the dispatcher (isolated failure
-                    # domains are the point of the event layer).
-                    pass
+                    # domains are the point of the event layer); it is
+                    # counted, never silent.
+                    errors += 1
                 else:
                     count += 1
-        if count:
+        if count or errors:
             # One lock acquisition and one counter bump per batch, not
             # per delivery — this sits under every message in the
             # system.
             with self._lock:
                 self._delivered += count
+                self._listener_errors += errors
             delivered.inc(count)
+            self._tel_listener_errors.inc(errors)
 
     def _subscribers_for(self, channel: str) -> List[Subscription]:
         with self._lock:
@@ -247,6 +255,7 @@ class Broker:
             snapshot: Dict[str, Any] = {
                 "published": self._published,
                 "delivered": self._delivered,
+                "listener_errors": self._listener_errors,
             }
         queue = self._mailbox.stats()
         snapshot["queue_depth"] = queue["depth"]

@@ -5,7 +5,11 @@ Python structures and wire bytes.  :class:`JsonCodec` is the default —
 it makes (de)serialization cost real and measurable, which matters
 because the paper explains the lower matching performance under
 write-heavy load by "the overhead for (de-)serializing and parsing
-after-images" (Section 6.3).  :class:`NoopCodec` bypasses encoding for
+after-images" (Section 6.3).  That cost is per *message*, which is why
+the cluster hands the codec one notification envelope per dispatch
+batch and app server (each after-image document listed once, see
+:class:`repro.core.notifications.ChangeEnvelope`) instead of one
+message per matching query.  :class:`NoopCodec` bypasses encoding for
 tests that need to assert on object identity.
 """
 

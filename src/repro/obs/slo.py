@@ -4,7 +4,7 @@ InvaliDB's product promise is *fresh* query results: every delivered
 notification implicitly answers "how stale was the client's view when
 this change arrived?".  The :class:`SLOAccountant` turns that into
 first-class accounting at the single choke point every notification
-passes through (``InvaliDBCluster._deliver_change``):
+passes through (``InvaliDBCluster._deliver_changes``):
 
 * **lag** — delivery time minus the originating write's client-edge
   timestamp (both read from ``config.clock``, so inline-model runs

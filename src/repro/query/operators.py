@@ -56,15 +56,32 @@ class Operator:
     def canonical(self) -> Tuple[Any, ...]:
         raise NotImplementedError
 
+    def _identity(self) -> Tuple[Tuple[Any, ...], int]:
+        """Canonical form and its hash, computed on first use.
+
+        Operators are immutable after construction and key every
+        ``PredicateMemo`` probe and the shared DAG's hash-consing, so
+        rebuilding the canonical form per ``hash``/``==`` would put a
+        recursive ``freeze`` (and a sort for ``$in``/``$all``) on the
+        per-write matching path.
+        """
+        try:
+            return self._cached_identity
+        except AttributeError:
+            canonical = self.canonical()
+            self._cached_identity = (canonical, hash(canonical))
+            return self._cached_identity
+
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Operator)
-            and type(self) is type(other)
-            and self.canonical() == other.canonical()
-        )
+        if self is other:
+            return True
+        if type(self) is not type(other):
+            return False
+        mine, theirs = self._identity(), other._identity()
+        return mine[1] == theirs[1] and mine[0] == theirs[0]
 
     def __hash__(self) -> int:
-        return hash(self.canonical())
+        return self._identity()[1]
 
     def __repr__(self) -> str:
         return f"{self.name}{self.canonical()[1:]}"

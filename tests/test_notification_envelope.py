@@ -1,0 +1,454 @@
+"""The notification envelope: one message per (dispatch batch, app server).
+
+Three layers of evidence that batching notifications changed nothing a
+subscriber can observe:
+
+* **pack/unpack properties** — for arbitrary change lists, an envelope
+  that went through the JSON codec unpacks to exactly the
+  ``ChangeNotification`` sequence the per-change wire form yields;
+* **cluster equivalence** — the same seeded inline scenario run with
+  batch envelopes and with a test-local one-change-per-message
+  reference gives every subscription the same notification list;
+* **fault granularity** — ``duplicate``/``drop`` on the notification
+  channel now hit whole envelopes, and clients still converge.
+
+Plus the failure-isolation contract that carrying N notifications in
+one message needs: a raising listener or user callback is counted and
+costs only itself.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from repro.core.cluster import InvaliDBCluster
+from repro.core.config import InvaliDBConfig
+from repro.core.notifications import (
+    ChangeEnvelope,
+    QueryChange,
+    bind_to_subscription,
+    deserialize_change,
+    serialize_change,
+    unpack_changes,
+)
+from repro.core.server import AppServer
+from repro.event.broker import Broker
+from repro.event.channels import notification_channel
+from repro.obs.telemetry import Telemetry
+from repro.obs.tracing import trace_of
+from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
+from repro.runtime.faults import FaultPlan
+from repro.types import ChangeNotification, MatchType
+
+from tests.test_chaos import SteppingClock
+from tests.test_wire_serialization import json_roundtrip
+
+
+# ----------------------------------------------------------------------
+# Pack / unpack properties
+# ----------------------------------------------------------------------
+
+APP_SERVERS = ["app-a", "app-b", "app-c"]
+QUERY_IDS = [f"q{i}" for i in range(5)]
+
+keys = st.one_of(st.integers(-50, 50), st.text(max_size=6))
+documents = st.dictionaries(
+    st.text(min_size=1, max_size=6),
+    st.one_of(st.none(), st.integers(-9, 9), st.text(max_size=6),
+              st.lists(st.integers(-9, 9), max_size=3)),
+    max_size=4,
+)
+positions = st.one_of(st.none(), st.integers(0, 40))
+
+
+@st.composite
+def change_batches(draw):
+    """(changes, subscribers): changes draw their documents from a
+    small pool *by identity* (one after-image matching several
+    queries), covering unsorted changes, sorted diffs with positions,
+    document-less removes and maintenance errors with a slack hint."""
+    pool = draw(st.lists(documents, min_size=1, max_size=4))
+    subscribers = {
+        query_id: draw(st.lists(st.sampled_from(APP_SERVERS),
+                                unique=True, max_size=3))
+        for query_id in QUERY_IDS
+    }
+    changes = []
+    for _ in range(draw(st.integers(0, 12))):
+        query_id = draw(st.sampled_from(QUERY_IDS))
+        timestamp = draw(st.floats(0, 2e9, allow_nan=False))
+        if draw(st.integers(0, 9)) == 0:
+            changes.append(QueryChange(
+                query_id=query_id,
+                match_type=MatchType.ERROR,
+                error=draw(st.text(max_size=12)),
+                timestamp=timestamp,
+                suggested_slack=draw(st.one_of(st.none(),
+                                               st.integers(1, 64))),
+            ))
+            continue
+        match_type = draw(st.sampled_from([
+            MatchType.ADD, MatchType.CHANGE, MatchType.CHANGE_INDEX,
+            MatchType.REMOVE,
+        ]))
+        document = pool[draw(st.integers(0, len(pool) - 1))]
+        if match_type is MatchType.REMOVE and draw(st.booleans()):
+            document = None
+        changes.append(QueryChange(
+            query_id=query_id,
+            match_type=match_type,
+            key=draw(keys),
+            document=document,
+            index=draw(positions),
+            old_index=draw(positions),
+            timestamp=timestamp,
+            version=draw(st.integers(0, 2 ** 31)),
+        ))
+    return changes, subscribers
+
+
+def per_change_reference(changes, subscribers):
+    """The per-change wire path: every change is its own flat message
+    to every subscribed app server, bound on arrival."""
+    received = {app_server: [] for app_server in APP_SERVERS}
+    for change in changes:
+        for app_server in subscribers[change.query_id]:
+            arrived = deserialize_change(
+                json_roundtrip(serialize_change(change))
+            )
+            received[app_server].append(
+                bind_to_subscription(arrived, f"sub-{app_server}")
+            )
+    return received
+
+
+def pack(changes, subscribers):
+    envelopes = {}
+    for change in changes:
+        for app_server in subscribers[change.query_id]:
+            envelopes.setdefault(app_server, ChangeEnvelope()).add(change)
+    return envelopes
+
+
+def unpack(payload, subscription_id):
+    return [
+        ChangeNotification(subscription_id=subscription_id, **fields)
+        for fields in unpack_changes(payload)
+    ]
+
+
+class TestEnvelopeProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(change_batches())
+    def test_unpacks_to_the_per_change_sequence(self, batch):
+        changes, subscribers = batch
+        expected = per_change_reference(changes, subscribers)
+        envelopes = pack(changes, subscribers)
+        for app_server in APP_SERVERS:
+            envelope = envelopes.get(app_server)
+            if envelope is None:
+                assert expected[app_server] == []
+                continue
+            received = unpack(json_roundtrip(envelope.payload()),
+                              f"sub-{app_server}")
+            assert received == expected[app_server]
+
+    @settings(max_examples=100, deadline=None)
+    @given(change_batches())
+    def test_each_document_object_is_listed_once(self, batch):
+        changes, subscribers = batch
+        for app_server, envelope in pack(changes, subscribers).items():
+            distinct = {
+                id(change.document) for change in changes
+                if change.document is not None
+                and app_server in subscribers[change.query_id]
+            }
+            assert len(envelope.documents) == len(distinct)
+            assert len(envelope.rows) == sum(
+                app_server in subscribers[change.query_id]
+                for change in changes
+            )
+
+    def test_plain_rows_carry_no_extras(self):
+        envelope = ChangeEnvelope()
+        document = {"_id": 1, "v": 2}
+        envelope.add(QueryChange("q", MatchType.ADD, key=1,
+                                 document=document, timestamp=5.0,
+                                 version=3))
+        envelope.add(QueryChange("p", MatchType.CHANGE, key=1,
+                                 document=document, timestamp=5.0,
+                                 version=3))
+        assert envelope.payload() == {
+            "kind": "changes",
+            "documents": [document],
+            "rows": [["q", "add", 1, 0, 5.0, 3],
+                     ["p", "change", 1, 0, 5.0, 3]],
+        }
+
+    def test_trace_rides_in_the_row_extras(self):
+        trace = {"id": "t-1", "kind": "write", "key": 1, "start": 0.0,
+                 "spans": ["publish", 0.0, 1.0, "deliver", 1.0, None]}
+        envelope = ChangeEnvelope()
+        envelope.add(QueryChange("q", MatchType.REMOVE, key=1), trace)
+        (fields,) = unpack_changes(json_roundtrip(envelope.payload()))
+        assert trace_of(fields) == trace
+        assert fields["document"] is None
+
+
+# ----------------------------------------------------------------------
+# Cluster equivalence and fault granularity (deterministic inline model)
+# ----------------------------------------------------------------------
+
+
+def deliver_per_change(cluster):
+    """Test-local reference: every change is published on its own (an
+    envelope of one row), as the per-change path did."""
+    batched = cluster._deliver_changes
+
+    def deliver(entries):
+        for entry in entries:
+            batched([entry])
+
+    cluster._deliver_changes = deliver
+
+
+def transcript(subscription):
+    return [
+        (n.match_type, n.key, n.version, n.document, n.index)
+        for n in subscription.notifications
+    ]
+
+
+def run_scenario(seed, plan=None, per_change=False, resubscribe=False):
+    """Two app servers on a 1x1 grid (every query shares one dispatch
+    batch): overlapping unsorted queries, one query both app servers
+    subscribe to, and a sorted top-5 whose diffs carry positions."""
+    model = InlineExecutionModel(
+        ExecutionConfig(mode="inline", seed=seed, fault_plan=plan)
+    )
+    broker = Broker(execution=model)
+    config = InvaliDBConfig(
+        query_partitions=1, write_partitions=1,
+        retention_seconds=300.0, clock=SteppingClock(),
+    )
+    cluster = InvaliDBCluster(broker, config).start()
+    if per_change:
+        deliver_per_change(cluster)
+    writer = AppServer("writer", broker, config=config)
+    reader = AppServer("reader", broker, config=config)
+    try:
+        subscriptions = {
+            "low": writer.subscribe("items", {"v": {"$gte": 0}}),
+            "mid": writer.subscribe("items", {"v": {"$gte": 20}}),
+            "even": writer.subscribe("items", {"v": {"$mod": [2, 0]}}),
+            "top": writer.subscribe("items", {}, sort=[("v", -1)],
+                                    limit=5),
+            "shared": reader.subscribe("items", {"v": {"$gte": 0}}),
+        }
+        assert broker.drain()
+        for i in range(30):
+            writer.insert("items", {"_id": i, "v": i})
+        for i in range(0, 30, 2):
+            writer.update("items", i, {"$set": {"v": i + 50}})
+        for i in range(0, 30, 5):
+            writer.delete("items", i)
+        assert broker.drain()
+        if model.fault_injector is not None:
+            model.fault_injector.disarm()
+            assert broker.drain()
+        if resubscribe:
+            writer.client.resubscribe_all()
+            assert broker.drain()
+        return {
+            "transcripts": {name: transcript(subscription)
+                            for name, subscription in subscriptions.items()},
+            "results": {name: subscription.result()
+                        for name, subscription in subscriptions.items()},
+            "find": {
+                "low": writer.find("items", {"v": {"$gte": 0}}),
+                "mid": writer.find("items", {"v": {"$gte": 20}}),
+                "even": writer.find("items", {"v": {"$mod": [2, 0]}}),
+                "top": writer.find("items", {}, sort=[("v", -1)],
+                                   limit=5),
+            },
+            "notifications_sent": cluster.notifications_sent,
+            "messages": sum(
+                stats.get("enqueued", 0)
+                for name, stats in model.stats()["mailboxes"].items()
+                if name.endswith("-dispatch")
+            ),
+            "faults": cluster.stats()["faults"],
+        }
+    finally:
+        writer.close()
+        reader.close()
+        cluster.stop()
+        broker.close()
+        model.shutdown()
+
+
+def by_id(documents):
+    return sorted(documents, key=lambda document: document["_id"])
+
+
+class TestClusterEquivalence:
+    def test_same_notifications_as_the_per_change_reference(self):
+        batched = run_scenario(11)
+        reference = run_scenario(11, per_change=True)
+        assert batched["transcripts"] == reference["transcripts"]
+        assert batched["results"] == reference["results"]
+        # Rows per subscriber are what is counted, not envelopes ...
+        assert (batched["notifications_sent"]
+                == reference["notifications_sent"])
+        # ... and the batched run really moved fewer messages.
+        assert batched["messages"] < reference["messages"]
+
+    def test_sorted_positions_and_both_subscribers_are_covered(self):
+        run = run_scenario(11)
+        assert any(index is not None
+                   for *_, index in run["transcripts"]["top"])
+        assert run["transcripts"]["shared"] == run["transcripts"]["low"]
+
+
+class TestEnvelopeFaults:
+    def test_duplicated_and_dropped_envelopes_still_converge(self):
+        plan = (
+            FaultPlan(seed=3)
+            .rule("channel", "invalidb:notify*", "duplicate",
+                  probability=0.2)
+            .rule("channel", "invalidb:notify*", "drop", probability=0.2)
+        )
+        run = run_scenario(3, plan=plan, resubscribe=True)
+        assert run["faults"]["duplicated"] > 0
+        assert run["faults"]["dropped"] > 0
+        for name in ("low", "mid", "even"):
+            assert by_id(run["results"][name]) == by_id(run["find"][name])
+        assert run["results"]["top"] == run["find"]["top"]
+
+
+# ----------------------------------------------------------------------
+# Failure isolation
+# ----------------------------------------------------------------------
+
+
+class TestListenerIsolation:
+    def test_broker_counts_raising_listeners(self):
+        model = InlineExecutionModel(ExecutionConfig(mode="inline"))
+        telemetry = Telemetry()
+        model.set_telemetry(telemetry)
+        broker = Broker(name="b", execution=model)
+        received = []
+
+        def broken(channel, payload):
+            raise RuntimeError("bad subscriber")
+
+        broker.subscribe("ch", broken)
+        broker.subscribe("ch", lambda channel, payload:
+                         received.append(payload))
+        for value in range(3):
+            broker.publish("ch", value)
+        assert broker.drain()
+        assert received == [0, 1, 2]
+        assert broker.stats["listener_errors"] == 3
+        assert broker.stats["delivered"] == 3
+        counter = telemetry.counter("broker.listener_errors", broker="b")
+        assert counter.value == 3
+        broker.close()
+        model.shutdown()
+
+
+class TestCallbackIsolation:
+    def build(self):
+        model = InlineExecutionModel(ExecutionConfig(mode="inline"))
+        broker = Broker(execution=model)
+        config = InvaliDBConfig(query_partitions=1, write_partitions=1)
+        cluster = InvaliDBCluster(broker, config).start()
+        app = AppServer("app", broker, config=config)
+        return model, broker, cluster, app
+
+    def teardown(self, model, broker, cluster, app):
+        app.close()
+        cluster.stop()
+        broker.close()
+        model.shutdown()
+
+    def test_raising_on_change_costs_only_its_own_handle(self):
+        model, broker, cluster, app = self.build()
+        try:
+            def boom(notification):
+                raise RuntimeError("user bug")
+
+            first = app.subscribe("items", {"v": {"$gte": 0}},
+                                  on_change=boom)
+            twin = app.subscribe("items", {"v": {"$gte": 0}})
+            other = app.subscribe("items", {"v": {"$gte": 1}})
+            assert broker.drain()
+            # One write, one dispatch batch, one envelope: a row for
+            # the twins' query and a row for the other query.
+            app.insert("items", {"_id": 1, "v": 5})
+            assert broker.drain()
+            assert [n.key for n in first.notifications] == [1]
+            assert [n.key for n in twin.notifications] == [1]
+            assert [n.key for n in other.notifications] == [1]
+            assert app.client.stats()["callback_errors"] == 1
+            assert broker.stats["listener_errors"] == 0
+        finally:
+            self.teardown(model, broker, cluster, app)
+
+    def test_raising_on_error_keeps_the_rest_of_the_envelope(self):
+        model, broker, cluster, app = self.build()
+        try:
+            def boom(message):
+                raise RuntimeError("user bug")
+
+            failing = app.subscribe("items", {"v": {"$gte": 0}},
+                                    on_error=boom)
+            healthy = app.subscribe("items", {"v": {"$gte": 1}})
+            assert broker.drain()
+            envelope = ChangeEnvelope()
+            envelope.add(QueryChange(
+                failing.query.query_id, MatchType.ERROR,
+                error="window exhausted",
+            ))
+            envelope.add(QueryChange(
+                healthy.query.query_id, MatchType.ADD, key=9,
+                document={"_id": 9, "v": 9}, version=1,
+            ))
+            broker.publish(notification_channel("app"), envelope.payload())
+            assert broker.drain()
+            assert failing.errors == ["window exhausted"]
+            assert healthy.result() == [{"_id": 9, "v": 9}]
+            assert app.client.stats()["callback_errors"] == 1
+            assert app.client.stats()["renewals_sent"] == 1
+        finally:
+            self.teardown(model, broker, cluster, app)
+
+    def test_failed_renewal_is_reported_after_the_remaining_rows(
+        self, monkeypatch
+    ):
+        model, broker, cluster, app = self.build()
+        try:
+            failing = app.subscribe("items", {"v": {"$gte": 0}})
+            healthy = app.subscribe("items", {"v": {"$gte": 1}})
+            assert broker.drain()
+
+            def unreachable(query_id):
+                raise RuntimeError("event layer unreachable")
+
+            monkeypatch.setattr(
+                app.client, "_handle_maintenance_error", unreachable
+            )
+            envelope = ChangeEnvelope()
+            envelope.add(QueryChange(
+                failing.query.query_id, MatchType.ERROR, error="renew me",
+            ))
+            envelope.add(QueryChange(
+                healthy.query.query_id, MatchType.ADD, key=9,
+                document={"_id": 9, "v": 9}, version=1,
+            ))
+            broker.publish(notification_channel("app"), envelope.payload())
+            assert broker.drain()
+            assert healthy.result() == [{"_id": 9, "v": 9}]
+            assert broker.stats["listener_errors"] == 1
+            assert app.client.stats()["callback_errors"] == 0
+        finally:
+            self.teardown(model, broker, cluster, app)
+

@@ -198,3 +198,64 @@ class TestCanonicalForms:
         frozen = ops.freeze({"a": [1, {"b": 2}]})
         assert isinstance(frozen, tuple)
         hash(frozen)  # must be hashable
+
+
+class TestCachedIdentity:
+    """``hash``/``==`` read a canonical form computed once per operator
+    (they key every PredicateMemo probe and the DAG's hash-consing)."""
+
+    # Factories, not instances: every test starts from operators whose
+    # identity has not been computed yet.
+    PAIRS = [
+        (lambda: ops.Eq({"a": [1, {"b": 2}]}), lambda: ops.Eq({"a": [1, {"b": 2}]})),
+        (lambda: ops.Gte(3), lambda: ops.Gte(3)),
+        (lambda: ops.In([1, "x", 2.5]), lambda: ops.In([2.5, 1, "x"])),
+        (lambda: ops.All([1, 2, 3]), lambda: ops.All([3, 2, 1])),
+        (lambda: ops.nin(["a", "b"]), lambda: ops.nin(["b", "a"])),
+        (lambda: ops.Regex("^a", "mi"), lambda: ops.Regex("^a", "im")),
+        (lambda: ops.Mod([4, 1]), lambda: ops.Mod([4.0, 1])),
+    ]
+
+    @pytest.mark.parametrize("left, right", PAIRS)
+    def test_equal_canonical_form_means_equal_hash_and_eq(self, left, right):
+        a, b = left(), right()
+        assert a is not b
+        assert a.canonical() == b.canonical()
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("left, right", PAIRS)
+    def test_hash_is_stable_and_canonical_is_built_once(
+        self, left, right, monkeypatch
+    ):
+        operator = left()
+        first = hash(operator)
+        calls = []
+        original = type(operator).canonical
+        monkeypatch.setattr(
+            type(operator), "canonical",
+            lambda self: calls.append(1) or original(self),
+        )
+        assert hash(operator) == first
+        assert operator == right()
+        assert operator == operator
+        # Only the fresh right-hand operator had to canonicalize.
+        assert len(calls) == 1
+
+    def test_different_operands_or_types_stay_unequal(self):
+        assert ops.In([1, 2]) != ops.In([1, 2, 3])
+        assert ops.In([1, 2]) != ops.All([1, 2])
+        assert ops.Gt(3) != ops.Gte(3)
+        assert ops.Eq(1) != 1
+
+    def test_field_predicates_key_the_memo_by_value(self):
+        from repro.query.ast import FieldPredicate
+        from repro.query.matcher import PredicateMemo
+
+        memo = PredicateMemo()
+        memo.cache[FieldPredicate("lang", ops.In(["en", "de"]))] = True
+        probe = FieldPredicate("lang", ops.In(["de", "en"]))
+        assert memo.cache[probe] is True
+        assert FieldPredicate("lang", ops.In(["de"])) not in memo.cache
+        assert FieldPredicate("tags", ops.In(["en", "de"])) not in memo.cache
