@@ -93,8 +93,7 @@ QUERY_COUNTS = [10, 100, 1_000, 10_000]
 
 def _scaling_node(query_count: int, use_index: bool) -> FilteringNode:
     """A filtering node loaded with the paper's unit-interval queries."""
-    node = FilteringNode(NodeCoordinates(0, 0), use_index=use_index,
-                         memoize=use_index)
+    node = FilteringNode(NodeCoordinates(0, 0), use_index=use_index)
     for slot in range(query_count):
         node.register_query(Query(generate_range_query(slot, slot + 1)),
                             [], {}, now=0.0)

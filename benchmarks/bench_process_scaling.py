@@ -45,7 +45,6 @@ def measure_throughput(**config_kwargs) -> float:
     config = InvaliDBConfig(
         query_partitions=2, write_partitions=2,
         query_index=False,
-        shared_predicate_memo=False,
         **config_kwargs,
     )
     cluster = InvaliDBCluster(broker, config).start()

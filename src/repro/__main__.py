@@ -125,9 +125,8 @@ def inspect(args: argparse.Namespace) -> int:
         # Trace every write: the inspector exists to show the write
         # path, so it overrides the production sampling default.
         telemetry=TelemetryConfig(trace_sample_rate=1.0),
-        # Sharing layers on, so the DAG share-ratio and window-group
-        # columns carry live numbers.
-        shared_query_dag=True,
+        # Shared windows on, so the window-group columns carry live
+        # numbers.
         shared_sorted_windows=True,
         **model_knobs,
         **overload_knobs,

@@ -34,8 +34,10 @@ from repro.core.config import InvaliDBConfig
 from repro.core.filtering import FilteringNode, MatchEvent
 from repro.core.notifications import (
     ChangeEnvelope,
+    EventEntry,
     QueryChange,
     change_from_match_event,
+    coalesce_events,
     deserialize_change,
     resolve_coalesced_type,
 )
@@ -47,7 +49,6 @@ from repro.core.overload import (
 from repro.core.partitioning import PartitioningScheme
 from repro.core.retention import RetentionBuffer
 from repro.core.sorting import SortingNode
-from repro.core.stages import build_filtering_node
 from repro.core.subscriptions import QueryRegistration
 from repro.core.supervisor import NodeSupervisor
 from repro.errors import WorkerDiedError
@@ -68,11 +69,12 @@ from repro.obs.tracing import (
     trace_of,
 )
 from repro.query.engine import MongoQueryEngine, Query
+from repro.query.shared import share_ratio
 from repro.runtime.execution import ExecutionModel, build_execution_model
 from repro.runtime.process import ProcessExecutionModel
 from repro.stream.topology import Bolt, CustomGrouping, FieldsGrouping, TopologyBuilder
 from repro.stream.runtime import LocalRuntime
-from repro.types import AfterImage, MatchType, WriteKind
+from repro.types import AfterImage, WriteKind
 
 
 def serialize_query(query: Query) -> Dict[str, Any]:
@@ -185,13 +187,11 @@ class _MatchingBolt(Bolt):
     def prepare(self, task_index: int, parallelism: int, emit: Any) -> None:
         super().prepare(task_index, parallelism, emit)
         coordinates = self.cluster.scheme.coordinates(task_index)
-        self.node = build_filtering_node(
+        self.node = FilteringNode(
             coordinates,
             retention_seconds=self.cluster.config.retention_seconds,
             engine=self.cluster.engine,
             use_index=self.cluster.config.query_index,
-            memoize=self.cluster.config.shared_predicate_memo,
-            shared_dag=self.cluster.config.shared_query_dag,
             spatial_index=self.cluster.config.spatial_index,
             text_index=self.cluster.config.text_index,
             spatial_grid_cells=self.cluster.config.spatial_grid_cells,
@@ -228,9 +228,7 @@ class _MatchingBolt(Bolt):
         """
         assert self.node is not None
         tel = self.cluster.telemetry
-        pairs: List[
-            Tuple[MatchEvent, Optional[Dict[str, Any]], Optional[float]]
-        ] = []
+        pairs: List[EventEntry] = []
         now = self.cluster.config.clock()
         for tuple_ in tuples:
             kind = tuple_["kind"]
@@ -265,15 +263,11 @@ class _MatchingBolt(Bolt):
             pairs.extend((event, trace, deadline) for event in events)
         self._dispatch(pairs)
 
-    def _dispatch(
-        self,
-        pairs: List[
-            Tuple[MatchEvent, Optional[Dict[str, Any]], Optional[float]]
-        ],
-    ) -> None:
+    def _dispatch(self, pairs: List[EventEntry]) -> None:
         tel = self.cluster.telemetry
         if self.cluster.config.notification_coalescing and len(pairs) > 1:
-            pairs = self._coalesce(pairs)
+            pairs, dropped = coalesce_events(pairs)
+            self.cluster.notifications_coalesced += dropped
         changes: List[Tuple[QueryChange, Optional[Dict[str, Any]]]] = []
         for event, trace, deadline in pairs:
             if event.needs_sorting:
@@ -294,65 +288,6 @@ class _MatchingBolt(Bolt):
         if changes:
             self.cluster._publish_changes(changes)
 
-    def _coalesce(
-        self,
-        pairs: List[
-            Tuple[MatchEvent, Optional[Dict[str, Any]], Optional[float]]
-        ],
-    ) -> List[
-        Tuple[MatchEvent, Optional[Dict[str, Any]], Optional[float]]
-    ]:
-        """Collapse redundant per-(query, key) notifications in a batch.
-
-        Within one dispatch batch, events for the same (query, key) are
-        superseded by the last one — the filtering stage drops stale
-        versions, so arrival order IS version order and the latest
-        version wins.  Only the unsorted fast path coalesces: sorting
-        windows need every transition to stay positionally correct.
-
-        The surviving event's match type is rewritten against the
-        client's pre-batch state, which the FIRST batched event for the
-        key encodes (``add`` ⇔ the key was absent); the rewrite rules
-        live in :func:`~repro.core.notifications.resolve_coalesced_type`
-        (shared with the process-model remote cells and the cross-batch
-        stager).  Client materialization therefore stays idempotent and
-        identical to replaying the full stream.
-        """
-        last_index: Dict[Tuple[str, Any], int] = {}
-        first_type: Dict[Tuple[str, Any], MatchType] = {}
-        for index, (event, _, _) in enumerate(pairs):
-            if event.needs_sorting:
-                continue
-            group = (event.query_id, event.key)
-            if group not in first_type:
-                first_type[group] = event.match_type
-            last_index[group] = index
-        coalesced: List[
-            Tuple[MatchEvent, Optional[Dict[str, Any]], Optional[float]]
-        ] = []
-        dropped = 0
-        for index, (event, trace, deadline) in enumerate(pairs):
-            if event.needs_sorting:
-                coalesced.append((event, trace, deadline))
-                continue
-            group = (event.query_id, event.key)
-            if last_index[group] != index:
-                dropped += 1
-                continue
-            final = resolve_coalesced_type(
-                first_type[group], event.match_type
-            )
-            if final is None:
-                # add → … → remove: the client never saw the key.
-                dropped += 1
-                continue
-            if final is not event.match_type:
-                event = replace(event, match_type=final)
-            coalesced.append((event, trace, deadline))
-        if dropped:
-            self.cluster.notifications_coalesced += dropped
-        return coalesced
-
 
 class _SortingBolt(Bolt):
     """Sorting-stage task: owns one :class:`SortingNode`."""
@@ -370,7 +305,6 @@ class _SortingBolt(Bolt):
             task_index,
             engine=self.cluster.engine,
             telemetry=self.cluster.telemetry,
-            incremental=self.cluster.config.incremental_sorting,
             shared_windows=self.cluster.config.shared_sorted_windows,
             adaptive_slack=self.cluster.config.adaptive_slack,
         )
@@ -636,15 +570,16 @@ class InvaliDBCluster:
         self.config = config if config is not None else InvaliDBConfig()
         self.tenant = tenant
         # Execution substrate for the matching grid.  Precedence:
-        # explicit argument > config.execution > the broker's own model.
+        # explicit argument > the config's > the broker's own model.
         # The default (sharing the broker's model) puts event layer and
         # grid on ONE substrate, so a single drain() spans the whole
         # broker -> ingestion -> matching -> broker pipeline.
         self._owns_execution = False
+        configured = self.config.execution_config()
         if execution is not None:
             self._execution = execution
-        elif self.config.execution is not None:
-            self._execution = build_execution_model(self.config.execution)
+        elif configured is not None:
+            self._execution = build_execution_model(configured)
             self._owns_execution = True
         else:
             self._execution = broker.execution
@@ -792,8 +727,6 @@ class InvaliDBCluster:
                 write_partitions=self.scheme.write_partitions,
                 retention_seconds=config.retention_seconds,
                 query_index=config.query_index,
-                shared_predicate_memo=config.shared_predicate_memo,
-                shared_query_dag=config.shared_query_dag,
                 spatial_index=config.spatial_index,
                 text_index=config.text_index,
                 spatial_grid_cells=config.spatial_grid_cells,
@@ -808,7 +741,6 @@ class InvaliDBCluster:
             return spec, slot
         spec = SortingCellSpec(
             task_index=task_index,
-            incremental=config.incremental_sorting,
             shared_windows=config.shared_sorted_windows,
             adaptive_slack=config.adaptive_slack,
             default_slack=config.default_slack,
@@ -1264,20 +1196,14 @@ class InvaliDBCluster:
             "cluster.matched_operations": sum(
                 node.matched_operations for node in nodes
             ),
-            # PredicateMemo work-sharing totals (ISSUE 7: the bench
-            # reports memo-vs-DAG sharing side by side from one
-            # registry snapshot).
-            "cluster.memo_hits": sum(node.memo_hits for node in nodes),
-            "cluster.memo_misses": sum(
-                node.memo_misses for node in nodes
-            ),
             "cluster.dag_nodes_evaluated": sum(
-                node.dag.nodes_evaluated
-                for node in nodes if node.dag is not None
+                node.dag.nodes_evaluated for node in nodes
+            ),
+            "cluster.dag_node_hits": sum(
+                node.dag.node_hits for node in nodes
             ),
             "cluster.dag_queries_served": sum(
-                node.dag.queries_served
-                for node in nodes if node.dag is not None
+                node.dag.queries_served for node in nodes
             ),
         }
 
@@ -1307,20 +1233,8 @@ class InvaliDBCluster:
         matching_rows: List[Dict[str, Any]] = []
         sorting_rows: List[Dict[str, Any]] = []
         workers: Optional[Dict[str, Any]] = None
-        considered = pruned = memo_hits = memo_misses = matched = 0
-        dag_nodes_evaluated = dag_queries_served = 0
         if self._process_mode:
             matching_rows, sorting_rows, workers = self._remote_rows()
-            for row in matching_rows:
-                considered += row.get("candidates_considered", 0)
-                pruned += row.get("candidates_pruned", 0)
-                memo_hits += row.get("memo_hits", 0)
-                memo_misses += row.get("memo_misses", 0)
-                matched += row.get("matched_operations", 0)
-                dag = row.get("dag")
-                if dag:
-                    dag_nodes_evaluated += dag.get("nodes_evaluated", 0)
-                    dag_queries_served += dag.get("queries_served", 0)
         else:
             for index in sorted(self._filtering_nodes):
                 node = self._filtering_nodes[index]
@@ -1330,15 +1244,18 @@ class InvaliDBCluster:
                 row["query_partition"] = node.coordinates.query_partition
                 row["write_partition"] = node.coordinates.write_partition
                 matching_rows.append(row)
-                considered += row["candidates_considered"]
-                pruned += row["candidates_pruned"]
-                memo_hits += row["memo_hits"]
-                memo_misses += row["memo_misses"]
-                matched += row["matched_operations"]
-                dag = row.get("dag")
-                if dag:
-                    dag_nodes_evaluated += dag.get("nodes_evaluated", 0)
-                    dag_queries_served += dag.get("queries_served", 0)
+        # Inline and process rows have the same shape; an
+        # ``unreachable`` process row carries no counters.
+        considered = pruned = matched = 0
+        dag_nodes_evaluated = dag_node_hits = dag_queries_served = 0
+        for row in matching_rows:
+            considered += row.get("candidates_considered", 0)
+            pruned += row.get("candidates_pruned", 0)
+            matched += row.get("matched_operations", 0)
+            dag = row.get("dag", {})
+            dag_nodes_evaluated += dag.get("nodes_evaluated", 0)
+            dag_node_hits += dag.get("node_hits", 0)
+            dag_queries_served += dag.get("queries_served", 0)
         access_paths: Dict[str, Any] = {
             "queries": 0,
             "residual_queries": 0,
@@ -1377,16 +1294,12 @@ class InvaliDBCluster:
             "pruning_ratio": round(
                 pruned / (considered + pruned), 4
             ) if considered + pruned else 0.0,
-            "memo_hit_rate": round(
-                memo_hits / (memo_hits + memo_misses), 4
-            ) if memo_hits + memo_misses else 0.0,
-            "memo_hits": memo_hits,
-            "memo_misses": memo_misses,
             "dag_nodes_evaluated": dag_nodes_evaluated,
+            "dag_node_hits": dag_node_hits,
             "dag_queries_served": dag_queries_served,
             "dag_share_ratio": round(
-                max(0.0, 1.0 - dag_nodes_evaluated / dag_queries_served), 4
-            ) if dag_queries_served else 0.0,
+                share_ratio(dag_node_hits, dag_nodes_evaluated), 4
+            ),
         }
         if not self._process_mode:
             sorting_rows = [

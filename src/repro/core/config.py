@@ -69,21 +69,11 @@ class InvaliDBConfig:
     #: of rows over latitude).  Finer grids prune more per query at
     #: more cells per shape.
     spatial_grid_cells: int = 64
-    #: Share sub-predicate evaluations across queries per after-image
-    #: (SharedDB-style memoization in the matching nodes).
-    shared_predicate_memo: bool = True
-    #: Shared predicate DAG in the matching nodes: canonicalize every
-    #: registered query's AST into one hash-consed DAG so structurally
-    #: identical subtrees are evaluated once per after-image and fanned
-    #: out to all subscribed queries (SharedDB whole-plan sharing; the
-    #: memo above only shares leaves).  Notification streams are
-    #: identical either way.
-    shared_query_dag: bool = False
     #: Shared sorted windows in the sorting stage: sorted queries with
     #: the same canonical (collection, filter, sort, capacity) share
     #: ONE maintained window, with cheap per-query offset/limit views
-    #: projecting their notifications out of it.  Requires
-    #: ``incremental_sorting``; streams are identical either way.
+    #: projecting their notifications out of it.  Streams are
+    #: identical either way.
     shared_sorted_windows: bool = False
     #: Adaptive slack (footnote 5): derive per-query slack from the
     #: observed churn — grow preemptively for delete-heavy queries when
@@ -91,11 +81,6 @@ class InvaliDBConfig:
     #: ``suggested_slack``), shrink at resubscribe for stable ones —
     #: instead of the blind ``renewal_slack_factor``.
     adaptive_slack: bool = False
-    #: Incremental sorted-window maintenance: O(log W) positioning plus
-    #: positional diffing instead of the legacy snapshot-diff path.
-    #: Disable only for A/B measurements and the equivalence suite —
-    #: notification streams are identical either way.
-    incremental_sorting: bool = True
     #: Coalesce redundant per-(query, key) notifications within one
     #: dispatch batch of the matching stage (latest version wins, match
     #: types rewritten so client materialization stays correct).  Only
@@ -116,7 +101,8 @@ class InvaliDBConfig:
     execution: Optional[ExecutionConfig] = None
     #: Shorthand execution gates: ``execution_model`` (``"threaded"``,
     #: ``"inline"`` or ``"process"``) synthesizes an
-    #: :class:`ExecutionConfig` when ``execution`` is unset.  Under the
+    #: :class:`ExecutionConfig` (see :meth:`execution_config`) when
+    #: ``execution`` is unset.  Under the
     #: process model, grid cells live in ``process_workers`` forked
     #: worker processes (``None`` = one per cell) and tuple batches
     #: cross the process boundary through ``wire_codec`` (``"binary"``
@@ -264,21 +250,10 @@ class InvaliDBConfig:
                 raise ClusterConfigError(
                     "set either execution or execution_model, not both"
                 )
-            try:
-                self.execution = ExecutionConfig(
-                    mode=self.execution_model,
-                    worker_processes=self.process_workers,
-                    wire_codec=self.wire_codec,
-                )
-            except Exception as exc:
-                raise ClusterConfigError(str(exc)) from exc
+            self.execution_config()  # reject a bad shorthand eagerly
         elif self.process_workers is not None:
             raise ClusterConfigError(
                 "process_workers requires execution_model='process'"
-            )
-        if self.shared_sorted_windows and not self.incremental_sorting:
-            raise ClusterConfigError(
-                "shared_sorted_windows requires incremental_sorting"
             )
         if self.coalescing_window_seconds < 0:
             raise ClusterConfigError(
@@ -418,6 +393,24 @@ class InvaliDBConfig:
                 "telemetry must be None, a bool, a TelemetryConfig or a "
                 "Telemetry instance"
             )
+
+    def execution_config(self) -> Optional[ExecutionConfig]:
+        """``execution``, or what the shorthand gates synthesize.
+
+        Synthesized on demand instead of being written back into
+        ``execution``, so ``dataclasses.replace`` on a config built
+        with ``execution_model=`` does not trip the either/or check.
+        """
+        if self.execution_model is None:
+            return self.execution
+        try:
+            return ExecutionConfig(
+                mode=self.execution_model,
+                worker_processes=self.process_workers,
+                wire_codec=self.wire_codec,
+            )
+        except Exception as exc:
+            raise ClusterConfigError(str(exc)) from exc
 
     @property
     def matching_node_count(self) -> int:

@@ -28,15 +28,13 @@ invariants keep the pruning loss-free:
   engine filters them) but never false negatives for a matching
   document.
 
-Identical sub-predicates across candidate queries are evaluated once
-per after-image through a shared :class:`~repro.query.matcher.
-PredicateMemo` (SharedDB-style work sharing).  With ``shared_dag``
-enabled the sharing goes whole-plan: all registered queries are
-canonicalized into one hash-consed predicate DAG
-(:class:`~repro.query.shared.SharedPredicateDAG`) and a single pass per
-after-image serves every candidate's match/unmatch decision — the event
-stream stays byte-identical because decisions are consumed in the same
-per-candidate registration order either way.
+There is one matching path.  All registered queries are canonicalized
+into one hash-consed predicate DAG
+(:class:`~repro.query.shared.SharedPredicateDAG`, SharedDB-style
+whole-plan sharing) and a single lazy pass per after-image serves every
+candidate's match/unmatch decision, consumed in registration order.  A
+query the DAG cannot intern (unhashable canonical form) is decided by
+plain ``engine.matches(query, document)`` instead.
 
 The node also implements write stream retention: retained after-images
 are replayed against newly registered queries, closing the
@@ -54,7 +52,6 @@ from repro.core.retention import RetentionBuffer
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.query.engine import MongoQueryEngine, PluggableQueryEngine, Query
 from repro.query.index import QueryIndex
-from repro.query.matcher import PredicateMemo
 from repro.query.shared import DagEvaluation, SharedPredicateDAG
 from repro.types import AfterImage, Document, MatchType
 
@@ -115,8 +112,6 @@ class FilteringNode:
         retention_seconds: float = 5.0,
         engine: Optional[PluggableQueryEngine] = None,
         use_index: bool = True,
-        memoize: bool = True,
-        shared_dag: bool = False,
         spatial_index: bool = True,
         text_index: bool = True,
         spatial_grid_cells: int = 64,
@@ -134,13 +129,9 @@ class FilteringNode:
             )
             if use_index else None
         )
-        self._memoize = memoize
         #: Shared multi-query execution: one hash-consed predicate DAG
-        #: over all registered queries, evaluated once per after-image
-        #: (SharedDB-style whole-plan sharing, beyond the per-leaf memo).
-        self.dag: Optional[SharedPredicateDAG] = (
-            SharedPredicateDAG() if shared_dag else None
-        )
+        #: over all registered queries, evaluated once per after-image.
+        self.dag = SharedPredicateDAG()
         #: Reverse map: entity key -> ids of queries currently matching
         #: it.  The removal-correctness backbone of indexed matching.
         self._matching_keys: Dict[Any, Set[str]] = {}
@@ -159,9 +150,6 @@ class FilteringNode:
         self.candidates_considered = 0
         #: After-images processed (post staleness check).
         self.writes_processed = 0
-        #: Shared sub-predicate memoization outcome counts.
-        self.memo_hits = 0
-        self.memo_misses = 0
         #: Writes dropped because their latency budget expired before
         #: matching (deadline shedding, overload control).
         self.deadline_shed = 0
@@ -207,8 +195,7 @@ class FilteringNode:
             self._next_order += 1
             if self.index is not None:
                 self.index.add(query)
-            if self.dag is not None:
-                self.dag.add(query)
+            self.dag.add(query)
         state = _ActiveQuery(
             query=query,
             matching={doc["_id"]: versions.get(doc["_id"], 0) for doc in bootstrap},
@@ -235,8 +222,7 @@ class FilteringNode:
         self._order.pop(query_id, None)
         if self.index is not None:
             self.index.remove(query_id)
-        if self.dag is not None:
-            self.dag.remove(query_id)
+        self.dag.remove(query_id)
         return True
 
     def _forget_matches(self, query_id: str, state: _ActiveQuery) -> None:
@@ -285,20 +271,15 @@ class FilteringNode:
         if (self.writes_processed & 15) == 1:
             self._examined_hist.record(len(candidate_ids))
             self._pruned_hist.record(pruned)
-        memo = PredicateMemo() if self._memoize else None
-        # One shared DAG pass serves every candidate's decision; queries
-        # outside the DAG (interning fallback) use the engine + memo.
+        # One shared DAG pass serves every candidate's decision.
         evaluation: Optional[DagEvaluation] = None
-        if self.dag is not None and candidate_ids and not after.is_delete:
+        if candidate_ids and not after.is_delete:
             evaluation = self.dag.begin(after.document)  # type: ignore[arg-type]
         events: List[MatchEvent] = []
         for query_id in candidate_ids:
             state = self._queries.get(query_id)
             if state is not None:
-                events.extend(self._evaluate(state, after, memo, evaluation))
-        if memo is not None:
-            self.memo_hits += memo.hits
-            self.memo_misses += memo.misses
+                events.extend(self._evaluate(state, after, evaluation))
         return events
 
     def _materialize(self, after: AfterImage) -> AfterImage:
@@ -345,7 +326,6 @@ class FilteringNode:
         self,
         state: _ActiveQuery,
         after: AfterImage,
-        memo: Optional[PredicateMemo] = None,
         evaluation: Optional[DagEvaluation] = None,
     ) -> List[MatchEvent]:
         query = state.query
@@ -357,8 +337,10 @@ class FilteringNode:
             if evaluation is not None:
                 matches_now = evaluation.matches(query.query_id)
             if matches_now is None:
+                # The query is not interned (unhashable canonical form),
+                # or this is registration replay: one query, no pass.
                 matches_now = self.engine.matches(
-                    query, after.document, memo  # type: ignore[arg-type]
+                    query, after.document  # type: ignore[arg-type]
                 )
         was_matching = after.key in state.matching
         if matches_now:
@@ -413,11 +395,6 @@ class FilteringNode:
         total = self.candidates_considered + self.candidates_pruned
         return self.candidates_pruned / total if total else 0.0
 
-    @property
-    def memo_hit_rate(self) -> float:
-        total = self.memo_hits + self.memo_misses
-        return self.memo_hits / total if total else 0.0
-
     def stats(self) -> Dict[str, Any]:
         """Operational snapshot of this node's matching work."""
         snapshot: Dict[str, Any] = {
@@ -427,16 +404,12 @@ class FilteringNode:
             "candidates_considered": self.candidates_considered,
             "candidates_pruned": self.candidates_pruned,
             "pruning_ratio": round(self.pruning_ratio, 4),
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-            "memo_hit_rate": round(self.memo_hit_rate, 4),
             "deadline_shed": self.deadline_shed,
             "retained_after_images": len(self.retention),
         }
         if self.index is not None:
             snapshot["index"] = self.index.stats()
-        if self.dag is not None:
-            snapshot["dag"] = self.dag.stats()
+        snapshot["dag"] = self.dag.stats()
         return snapshot
 
     def __repr__(self) -> str:

@@ -23,8 +23,8 @@ Two wire forms live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.filtering import MatchEvent
 from repro.types import ChangeNotification, Document, MatchType
@@ -74,14 +74,67 @@ def resolve_coalesced_type(
     (it encodes the client's pre-batch state: ``add`` ⇔ the key was
     absent), *last* the type of the surviving event.  Returns ``None``
     when the group nets out to nothing (``add … remove``: the client
-    never saw the key).  Shared by the in-process matching bolt, the
-    process-model remote cells and the cross-batch notification stager,
-    so every coalescing path rewrites types identically.
+    never saw the key).  Shared by :func:`coalesce_events` and the
+    cross-batch notification stager, so every coalescing path rewrites
+    types identically.
     """
     was_known = first is not MatchType.ADD
     if last is MatchType.REMOVE:
         return MatchType.REMOVE if was_known else None
     return MatchType.CHANGE if was_known else MatchType.ADD
+
+
+#: One produced match event plus the context riding with it: the trace
+#: fork it inherits from the originating tuple and the write's deadline.
+EventEntry = Tuple[MatchEvent, Optional[Dict[str, Any]], Optional[float]]
+
+
+def coalesce_events(
+    entries: List[EventEntry],
+) -> Tuple[List[EventEntry], int]:
+    """Collapse redundant per-(query, key) events within one batch.
+
+    The one implementation of within-batch coalescing, called by the
+    inline matching bolt and the worker-hosted matching cell alike.
+    Events for the same (query, key) are superseded by the last one —
+    the filtering stage drops stale versions, so arrival order IS
+    version order and the latest version wins (keeping its
+    trace/deadline).  The survivor's match type is rewritten against
+    the client's pre-batch state, which the FIRST batched event for the
+    key encodes (see :func:`resolve_coalesced_type`), so client
+    materialization stays idempotent and identical to replaying the
+    full stream.  Sorting events pass through untouched — ordered
+    windows need every transition.  Returns ``(surviving entries,
+    dropped count)``.
+    """
+    last_index: Dict[Tuple[str, Any], int] = {}
+    first_type: Dict[Tuple[str, Any], MatchType] = {}
+    for index, (event, _, _) in enumerate(entries):
+        if event.needs_sorting:
+            continue
+        group = (event.query_id, event.key)
+        if group not in first_type:
+            first_type[group] = event.match_type
+        last_index[group] = index
+    coalesced: List[EventEntry] = []
+    dropped = 0
+    for index, (event, trace, deadline) in enumerate(entries):
+        if event.needs_sorting:
+            coalesced.append((event, trace, deadline))
+            continue
+        group = (event.query_id, event.key)
+        if last_index[group] != index:
+            dropped += 1
+            continue
+        final = resolve_coalesced_type(first_type[group], event.match_type)
+        if final is None:
+            # add → … → remove: the client never saw the key.
+            dropped += 1
+            continue
+        if final is not event.match_type:
+            event = replace(event, match_type=final)
+        coalesced.append((event, trace, deadline))
+    return coalesced, dropped
 
 
 def bind_to_subscription(

@@ -32,17 +32,18 @@ and index-pruned writes never pay the after-image decode.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.filtering import MatchEvent
+from repro.core.filtering import FilteringNode, MatchEvent
 from repro.core.notifications import (
+    EventEntry,
     change_from_match_event,
-    resolve_coalesced_type,
+    coalesce_events,
     serialize_change,
 )
 from repro.core.partitioning import PartitioningScheme
-from repro.core.stages import build_filtering_node, build_stage
+from repro.core.stages import build_stage
 from repro.event.wire import materialize
 from repro.obs.telemetry import build_telemetry
 from repro.obs.tracing import (
@@ -105,52 +106,6 @@ def deserialize_match_event(payload: Dict[str, Any]) -> MatchEvent:
     )
 
 
-#: One produced match event plus the context riding with it: the trace
-#: fork it inherits from the originating tuple and the write's deadline.
-_EventEntry = Tuple[MatchEvent, Optional[Trace], Optional[float]]
-
-
-def coalesce_events(
-    entries: List[_EventEntry],
-) -> Tuple[List[_EventEntry], int]:
-    """Collapse redundant per-(query, key) events within one batch.
-
-    The worker-side twin of the matching bolt's in-process coalescing:
-    the last entry per group survives (keeping its trace/deadline), its
-    match type rewritten against the client's pre-batch state via
-    :func:`~repro.core.notifications.resolve_coalesced_type`.  Sorting
-    events pass through untouched — ordered windows need every
-    transition.  Returns ``(surviving entries, dropped count)``.
-    """
-    last_index: Dict[Tuple[str, Any], int] = {}
-    first_type: Dict[Tuple[str, Any], MatchType] = {}
-    for index, (event, _, _) in enumerate(entries):
-        if event.needs_sorting:
-            continue
-        group = (event.query_id, event.key)
-        if group not in first_type:
-            first_type[group] = event.match_type
-        last_index[group] = index
-    coalesced: List[_EventEntry] = []
-    dropped = 0
-    for index, (event, trace, deadline) in enumerate(entries):
-        if event.needs_sorting:
-            coalesced.append((event, trace, deadline))
-            continue
-        group = (event.query_id, event.key)
-        if last_index[group] != index:
-            dropped += 1
-            continue
-        final = resolve_coalesced_type(first_type[group], event.match_type)
-        if final is None:
-            dropped += 1
-            continue
-        if final is not event.match_type:
-            event = replace(event, match_type=final)
-        coalesced.append((event, trace, deadline))
-    return coalesced, dropped
-
-
 # ---------------------------------------------------------------------------
 # Matching cell
 # ---------------------------------------------------------------------------
@@ -165,8 +120,6 @@ class MatchingCellSpec:
     write_partitions: int
     retention_seconds: float = 5.0
     query_index: bool = True
-    shared_predicate_memo: bool = True
-    shared_query_dag: bool = False
     spatial_index: bool = True
     text_index: bool = True
     spatial_grid_cells: int = 64
@@ -188,12 +141,10 @@ class RemoteMatchingCell:
         self.telemetry = _bind_worker_clock(
             build_telemetry(spec.telemetry or None)
         )
-        self.node = build_filtering_node(
+        self.node = FilteringNode(
             self.scheme.coordinates(spec.task_index),
             retention_seconds=spec.retention_seconds,
             use_index=spec.query_index,
-            memoize=spec.shared_predicate_memo,
-            shared_dag=spec.shared_query_dag,
             spatial_index=spec.spatial_index,
             text_index=spec.text_index,
             spatial_grid_cells=spec.spatial_grid_cells,
@@ -219,7 +170,7 @@ class RemoteMatchingCell:
         node = self.node
         tel = self.telemetry
         now = time.time()
-        entries: List[_EventEntry] = []
+        entries: List[EventEntry] = []
         for tuple_ in tuples:
             kind = tuple_.get("kind")
             # Mirror of _MatchingBolt tracing: traces ride the wire
@@ -322,7 +273,6 @@ class SortingCellSpec:
     """Picklable description of one sorting-stage task."""
 
     task_index: int
-    incremental: bool = True
     shared_windows: bool = False
     adaptive_slack: bool = False
     default_slack: int = 5
@@ -345,7 +295,6 @@ class RemoteSortingCell:
             spec.stage,
             spec.task_index,
             telemetry=self.telemetry,
-            incremental=spec.incremental,
             shared_windows=spec.shared_windows,
             adaptive_slack=spec.adaptive_slack,
         )

@@ -78,46 +78,7 @@ def build_stage(
             task_index,
             engine=engine,
             telemetry=telemetry,
-            incremental=options.get("incremental", True),
             shared_windows=options.get("shared_windows", False),
             adaptive_slack=options.get("adaptive_slack", False),
         )
     raise ValueError(f"unknown processing stage: {kind!r}")
-
-
-def build_filtering_node(
-    coordinates: Any,
-    *,
-    retention_seconds: float = 5.0,
-    engine: Any = None,
-    use_index: bool = True,
-    memoize: bool = True,
-    shared_dag: bool = False,
-    spatial_index: bool = True,
-    text_index: bool = True,
-    spatial_grid_cells: int = 64,
-    telemetry: Any = None,
-):
-    """Construct a filtering node with its access-path gates applied.
-
-    The matching-grid cell is built in two places — inline by the
-    cluster's matching bolt and out-of-process by
-    :class:`~repro.core.remote.RemoteMatchingCell` — so the gate
-    plumbing (query index on/off, predicate memoization, shared DAG,
-    spatial grid, inverted text index, grid resolution) lives in one
-    factory both go through.
-    """
-    from repro.core.filtering import FilteringNode
-
-    return FilteringNode(
-        coordinates,
-        retention_seconds=retention_seconds,
-        engine=engine,
-        use_index=use_index,
-        memoize=memoize,
-        shared_dag=shared_dag,
-        spatial_index=spatial_index,
-        text_index=text_index,
-        spatial_grid_cells=spatial_grid_cells,
-        telemetry=telemetry,
-    )

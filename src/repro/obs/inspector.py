@@ -230,8 +230,6 @@ def render(snapshot: Dict[str, Any]) -> str:
         for node in matching:
             considered = node.get("candidates_considered", 0)
             pruned = node.get("candidates_pruned", 0)
-            memo_hits = node.get("memo_hits", 0)
-            memo_total = memo_hits + node.get("memo_misses", 0)
             dag = node.get("dag") or {}
             rows.append([
                 node.get("node", "?"),
@@ -241,21 +239,20 @@ def render(snapshot: Dict[str, Any]) -> str:
                 node.get("writes_processed"),
                 node.get("matched_operations"),
                 _pct(pruned, considered + pruned),
-                _pct(memo_hits, memo_total),
                 _pct(dag["share_ratio"], 1.0) if dag else None,
             ])
         sections.append("matching grid\n" + _table(
             ["node", "qp", "wp", "queries", "writes", "matched",
-             "pruned%", "memo%", "dag share%"],
+             "pruned%", "dag share%"],
             rows,
         ))
         totals = snapshot.get("matching_totals") or {}
         if totals.get("dag_queries_served"):
             sections[-1] += (
                 f"\nshared DAG: {totals['dag_queries_served']:,} "
-                f"decisions from {totals['dag_nodes_evaluated']:,} node "
-                f"evaluations "
-                f"(share ratio {totals['dag_share_ratio']:.3f})"
+                f"decisions, {totals.get('dag_node_hits', 0):,} cached "
+                f"node lookups vs {totals['dag_nodes_evaluated']:,} "
+                f"evaluated (share ratio {totals['dag_share_ratio']:.3f})"
             )
 
     access = (snapshot.get("matching_totals") or {}).get("access_paths")

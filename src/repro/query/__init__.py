@@ -25,7 +25,7 @@ from repro.query.ast import (
 )
 from repro.query.engine import MongoQueryEngine, PluggableQueryEngine, Query
 from repro.query.index import QueryIndex
-from repro.query.matcher import PredicateMemo, matches, matches_node
+from repro.query.matcher import matches, matches_node
 from repro.query.normalize import normalize_filter, query_hash
 from repro.query.parser import parse_query
 from repro.query.sortspec import SortSpec, compare_documents, document_sort_key
@@ -39,7 +39,6 @@ __all__ = [
     "NoneOf",
     "Not",
     "PluggableQueryEngine",
-    "PredicateMemo",
     "Query",
     "QueryIndex",
     "SortSpec",

@@ -21,7 +21,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import QueryParseError
 from repro.query.ast import Node, referenced_paths
-from repro.query.matcher import PredicateMemo, matches_node
+from repro.query.matcher import matches_node
 from repro.query.normalize import canonical_query_form, query_hash
 from repro.query.parser import parse_query
 from repro.query.sortspec import SortInput, SortSpec
@@ -90,16 +90,9 @@ class Query:
 
     # -- behaviour ----------------------------------------------------------
 
-    def matches(
-        self, document: Document, memo: Optional[PredicateMemo] = None
-    ) -> bool:
-        """Does *document* satisfy the filter predicate?
-
-        *memo* optionally shares leaf-predicate outcomes across queries
-        evaluated against the same document (see
-        :class:`~repro.query.matcher.PredicateMemo`).
-        """
-        return matches_node(document, self.node, memo)
+    def matches(self, document: Document) -> bool:
+        """Does *document* satisfy the filter predicate?"""
+        return matches_node(document, self.node)
 
     def referenced_paths(self) -> Tuple[str, ...]:
         """Field paths the filter references (useful for index planning)."""
@@ -173,19 +166,8 @@ class PluggableQueryEngine(abc.ABC):
         """Decode an after-image payload into a document."""
 
     @abc.abstractmethod
-    def matches(
-        self,
-        query: Query,
-        document: Document,
-        memo: Optional[PredicateMemo] = None,
-    ) -> bool:
-        """Compute the matching decision for one document.
-
-        Implementations may ignore *memo*; engines that support it
-        share sub-predicate evaluations across queries matched against
-        the same document (the filtering stage passes one memo per
-        after-image).
-        """
+    def matches(self, query: Query, document: Document) -> bool:
+        """Compute the matching decision for one document."""
 
     @abc.abstractmethod
     def sort(self, query: Query, documents: Iterable[Document]) -> List[Document]:
@@ -212,13 +194,8 @@ class MongoQueryEngine(PluggableQueryEngine):
             )
         return payload
 
-    def matches(
-        self,
-        query: Query,
-        document: Document,
-        memo: Optional[PredicateMemo] = None,
-    ) -> bool:
-        return query.matches(document, memo)
+    def matches(self, query: Query, document: Document) -> bool:
+        return query.matches(document)
 
     def sort(self, query: Query, documents: Iterable[Document]) -> List[Document]:
         if query.sort is None:

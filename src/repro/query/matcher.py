@@ -17,39 +17,12 @@ reproduced here:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.query.ast import AllOf, Always, AnyOf, FieldPredicate, Node, NoneOf, Not
 from repro.query.operators import Eq, Exists, In, Negated, Operator
 from repro.query.text import TextSearch
 from repro.types import Document
-
-_UNSET = object()
-
-
-class PredicateMemo:
-    """Per-document cache of leaf-predicate outcomes.
-
-    When one after-image is matched against many queries, identical
-    field predicates recur across their ASTs (SharedDB-style work
-    sharing: one evaluation serves every query that contains the
-    predicate).  AST leaves are immutable and hashable, so they key the
-    cache directly.  A memo is only valid for ONE document — create a
-    fresh one per after-image.
-    """
-
-    __slots__ = ("cache", "hits", "misses")
-
-    def __init__(self) -> None:
-        self.cache: Dict[Node, bool] = {}
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 def resolve_path(document: Document, path: str) -> Tuple[List[Any], bool]:
     """Resolve dotted *path* in *document* with array fan-out.
@@ -129,45 +102,29 @@ def _evaluate_field(document: Document, predicate: FieldPredicate) -> bool:
     return any(operator.evaluate(value) for value in candidates)
 
 
-def matches_node(
-    document: Document, node: Node, memo: Optional[PredicateMemo] = None
-) -> bool:
+def matches_node(document: Document, node: Node) -> bool:
     """Evaluate AST *node* against *document*.
 
-    With a :class:`PredicateMemo`, leaf predicate outcomes are shared
-    across repeated calls for the SAME document (e.g. one after-image
-    matched against many queries).
+    This is the per-query walk — the pull store's own matcher and the
+    reference the matching stage is tested against.  The filtering
+    stage shares work across queries one level up, in
+    :class:`~repro.query.shared.SharedPredicateDAG`, which calls this
+    only for leaves.
     """
     if isinstance(node, Always):
         return True
     if isinstance(node, FieldPredicate):
-        if memo is None:
-            return _evaluate_field(document, node)
-        try:
-            cached = memo.cache.get(node, _UNSET)
-        except TypeError:  # unhashable exotic operator payload
-            return _evaluate_field(document, node)
-        if cached is not _UNSET:
-            memo.hits += 1
-            return cached  # type: ignore[return-value]
-        outcome = _evaluate_field(document, node)
-        memo.cache[node] = outcome
-        memo.misses += 1
-        return outcome
+        return _evaluate_field(document, node)
     if isinstance(node, AllOf):
-        return all(
-            matches_node(document, branch, memo) for branch in node.branches
-        )
+        return all(matches_node(document, branch) for branch in node.branches)
     if isinstance(node, AnyOf):
-        return any(
-            matches_node(document, branch, memo) for branch in node.branches
-        )
+        return any(matches_node(document, branch) for branch in node.branches)
     if isinstance(node, NoneOf):
         return not any(
-            matches_node(document, branch, memo) for branch in node.branches
+            matches_node(document, branch) for branch in node.branches
         )
     if isinstance(node, Not):
-        return not matches_node(document, node.branch, memo)
+        return not matches_node(document, node.branch)
     if isinstance(node, TextSearch):
         return node.matches_document(document)
     raise TypeError(f"unknown AST node: {node!r}")

@@ -59,11 +59,9 @@ class Operator:
     def _identity(self) -> Tuple[Tuple[Any, ...], int]:
         """Canonical form and its hash, computed on first use.
 
-        Operators are immutable after construction and key every
-        ``PredicateMemo`` probe and the shared DAG's hash-consing, so
-        rebuilding the canonical form per ``hash``/``==`` would put a
-        recursive ``freeze`` (and a sort for ``$in``/``$all``) on the
-        per-write matching path.
+        Operators are immutable after construction, so the canonical
+        form is built once instead of paying a recursive ``freeze``
+        (and a sort for ``$in``/``$all``) per ``hash``/``==``.
         """
         try:
             return self._cached_identity

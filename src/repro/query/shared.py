@@ -1,11 +1,10 @@
 """SharedDB-style shared multi-query execution: the predicate DAG.
 
-PR 2's :class:`~repro.query.matcher.PredicateMemo` shares *leaf*
-evaluations across the candidate queries of one after-image, but every
-query still walks its own AST per write.  Following "SharedDB: Killing
-One Thousand Queries With One Stone" (arXiv:1203.0056), this module
-shares the *whole plan*: every registered query's AST is canonicalized
-(via :func:`~repro.query.normalize.normalize_node`) into one global
+This is the filtering stage's only evaluation path.  Following
+"SharedDB: Killing One Thousand Queries With One Stone"
+(arXiv:1203.0056), the shared plan is *the* plan: every registered
+query's AST is canonicalized (via
+:func:`~repro.query.normalize.normalize_node`) into one global
 hash-consed DAG in which structurally identical subtrees — leaves AND
 interior ``$and``/``$or``/``$nor``/``$not`` combinations — are a single
 node.  One pass over an after-image evaluates each distinct subtree at
@@ -21,8 +20,7 @@ Design notes:
   interning is bottom-up, canonical-equal subtrees always resolve to
   the same node id, so the sorted-id key is a sound structural key.
   Any representative AST node can evaluate a leaf: canonical equality
-  implies behavioural equality (the same assumption `PredicateMemo`
-  already makes when it shares leaf outcomes across queries).
+  implies behavioural equality.
 * **Refcounting, no rebuilds.**  Each node counts its parents plus the
   query roots pointing at it.  ``add``/``remove`` are incremental:
   deregistering a query releases its root, cascading frees through
@@ -30,12 +28,13 @@ Design notes:
 * **Lazy short-circuit evaluation.**  A :class:`DagEvaluation` caches
   outcomes per node id and evaluates on demand — ``all``/``any``
   generators short-circuit, and roots the caller never asks about
-  (e.g. queries pruned by the PR 2 predicate index) leave their
-  exclusive subtrees entirely untouched.
-* **Graceful fallback.**  A query whose canonical form is unhashable
-  (an exotic operator payload) simply stays outside the DAG; the
-  filtering node keeps evaluating it through the per-query engine
-  path.  Correctness never depends on DAG membership.
+  (e.g. queries pruned by the predicate index) leave their exclusive
+  subtrees entirely untouched.
+* **Fallback.**  A query whose canonical form is unhashable (an exotic
+  operator payload) stays outside the DAG; :meth:`DagEvaluation.matches`
+  answers ``None`` for it and the filtering node decides it with plain
+  ``engine.matches(query, document)``.  Correctness never depends on
+  DAG membership.
 """
 
 from __future__ import annotations
@@ -97,12 +96,14 @@ class DagEvaluation:
         # decision is a cache hit — skip the recursive entry.
         cached = self._cache.get(root.node_id)
         if cached is not None:
+            self._dag.node_hits += 1
             return cached
         return self._evaluate(root)
 
     def _evaluate(self, node: _DagNode) -> bool:
         cached = self._cache.get(node.node_id)
         if cached is not None:
+            self._dag.node_hits += 1
             return cached
         self._dag.nodes_evaluated += 1
         label = node.label
@@ -119,9 +120,11 @@ class DagEvaluation:
         self._cache[node.node_id] = value
         return value
 
-    @property
-    def nodes_evaluated(self) -> int:
-        return len(self._cache)
+
+def share_ratio(node_hits: int, nodes_evaluated: int) -> float:
+    """Cache-hit share of DAG node lookups (0.0 before any lookup)."""
+    lookups = node_hits + nodes_evaluated
+    return node_hits / lookups if lookups else 0.0
 
 
 class SharedPredicateDAG:
@@ -138,6 +141,8 @@ class SharedPredicateDAG:
         self.evaluations = 0
         #: Distinct DAG nodes computed across all passes.
         self.nodes_evaluated = 0
+        #: Node lookups answered from a pass's outcome cache instead.
+        self.node_hits = 0
         #: Match/unmatch decisions served to queries.
         self.queries_served = 0
         #: Queries that could not be interned (per-query fallback).
@@ -183,8 +188,9 @@ class SharedPredicateDAG:
             key: Any = (label, tuple(sorted(c.node_id for c in children)))
             leaf: Optional[Node] = None
         elif isinstance(ast, Not):
+            label = "not"
             children = (self._intern(ast.branch, created),)
-            key = ("not", children[0].node_id)
+            key = (label, children[0].node_id)
             leaf = None
         else:
             children = ()
@@ -233,15 +239,14 @@ class SharedPredicateDAG:
 
     @property
     def share_ratio(self) -> float:
-        """Fraction of per-query evaluation work the DAG elided.
+        """Fraction of node lookups another query's work already paid for.
 
-        1 - nodes evaluated / decisions served: 0 when every decision
-        required its own node computation, approaching 1 when thousands
-        of overlapping queries ride one evaluated subtree.
+        ``node_hits / (node_hits + nodes_evaluated)``: 0 when no two
+        candidate queries of a write share a subtree, (N-1)/N when N
+        queries ride one filter, approaching 1 when thousands of
+        overlapping queries ride one evaluated subtree.
         """
-        if not self.queries_served:
-            return 0.0
-        return max(0.0, 1.0 - self.nodes_evaluated / self.queries_served)
+        return share_ratio(self.node_hits, self.nodes_evaluated)
 
     def stats(self) -> Dict[str, Any]:
         return {
@@ -249,6 +254,7 @@ class SharedPredicateDAG:
             "roots": len(self._roots),
             "evaluations": self.evaluations,
             "nodes_evaluated": self.nodes_evaluated,
+            "node_hits": self.node_hits,
             "queries_served": self.queries_served,
             "share_ratio": round(self.share_ratio, 4),
             "fallbacks": self.fallbacks,

@@ -40,7 +40,7 @@ def fold(text: str) -> str:
 
 @lru_cache(maxsize=4096)
 def _cached_tokens(text: str) -> Tuple[str, ...]:
-    """Folded word tokens of *text*, memoized.
+    """Folded word tokens of *text*, cached.
 
     Text probing runs per write against every string field, and real
     workloads repeat field values heavily (status strings, tags, the

@@ -813,6 +813,8 @@ class InlineExecutionModel(ExecutionModel):
         self._rng = (None if self.config.seed is None
                      else random.Random(self.config.seed))
         self.handled_items = 0
+        #: ``call_later`` callbacks that raised when they came due.
+        self.callback_errors = 0
 
     @property
     def virtual_now(self) -> float:
@@ -967,6 +969,19 @@ class InlineExecutionModel(ExecutionModel):
 
     # -- quiescence: advance virtual time ---------------------------------
 
+    def _release(self, kind: str, target: Any, payload: Any) -> None:
+        """Hand over one due delayed entry: enqueue a scheduled item or
+        run a ``call_later`` callback.  A raising callback is counted
+        (like a mailbox's ``handler_errors``) and never stops the pump.
+        """
+        if kind == "item":
+            target._enqueue(payload)
+            return
+        try:
+            payload()
+        except Exception:  # noqa: BLE001 - timers must keep firing
+            self.callback_errors += 1
+
     def drain(self, timeout: float = 5.0) -> bool:
         deadline = time.monotonic() + timeout
         with self._lock:
@@ -983,15 +998,8 @@ class InlineExecutionModel(ExecutionModel):
                         self._delayed
                     )
                     self._vnow = max(self._vnow, due)
-                    if cancelled[0]:
-                        continue
-                    if kind == "item":
-                        target._enqueue(payload)
-                    else:
-                        try:
-                            payload()
-                        except Exception:  # noqa: BLE001
-                            pass
+                    if not cancelled[0]:
+                        self._release(kind, target, payload)
                     continue
                 return True
 
@@ -1006,13 +1014,7 @@ class InlineExecutionModel(ExecutionModel):
                 self._vnow = max(self._vnow, due)
                 if cancelled[0]:
                     continue
-                if kind == "item":
-                    target._enqueue(payload)
-                else:
-                    try:
-                        payload()
-                    except Exception:  # noqa: BLE001
-                        pass
+                self._release(kind, target, payload)
                 self._pump()
             self._vnow = max(self._vnow, horizon)
 
@@ -1034,6 +1036,7 @@ class InlineExecutionModel(ExecutionModel):
                 "delayed": len(self._delayed),
                 "virtual_now": self._vnow,
                 "max_batch": self.config.max_batch,
+                "callback_errors": self.callback_errors,
                 "mailboxes": {box.name: box.stats()
                               for box in self._mailboxes},
             }

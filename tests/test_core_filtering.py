@@ -288,43 +288,6 @@ class TestReverseMapInvariant:
         assert n.process_write(delete(1, version=2), now=0.0) == []
 
 
-class TestSharedPredicateMemo:
-    def test_shared_sub_predicates_hit_the_memo(self):
-        # Scan every query (no index) so all three evaluations share
-        # one memo: the second and third lookup of v >= 10 are hits.
-        n = FilteringNode(NodeCoordinates(0, 0), use_index=False,
-                          memoize=True)
-        n.register_query(Query({"v": {"$gte": 10}}), [], {}, now=0.0)
-        n.register_query(Query({"v": {"$gte": 10}, "tag": 1}), [], {},
-                         now=0.0)
-        n.register_query(Query({"v": {"$gte": 10}, "tag": 2}), [], {},
-                         now=0.0)
-        n.process_write(insert(1, {"v": 50, "tag": 1}), now=0.0)
-        assert n.memo_hits == 2
-        assert n.memo_hit_rate > 0
-
-    def test_memo_composes_with_candidate_pruning(self):
-        n = node()
-        n.register_query(Query({"v": {"$gte": 10}}), [], {}, now=0.0)
-        n.register_query(Query({"v": {"$gte": 10}, "tag": 1}), [], {},
-                         now=0.0)
-        n.register_query(Query({"v": {"$gte": 10}, "tag": 2}), [], {},
-                         now=0.0)
-        n.process_write(insert(1, {"v": 50, "tag": 1}), now=0.0)
-        # The tag:2 query is pruned (its equality bucket never fires);
-        # the two evaluated queries still share the v>=10 predicate.
-        assert n.candidates_pruned == 1
-        assert n.memo_hits == 1
-
-    def test_memo_disabled(self):
-        n = FilteringNode(NodeCoordinates(0, 0), memoize=False)
-        n.register_query(Query({"v": {"$gte": 10}}), [], {}, now=0.0)
-        n.register_query(Query({"v": {"$gte": 10}, "tag": 1}), [], {},
-                         now=0.0)
-        n.process_write(insert(1, {"v": 50, "tag": 1}), now=0.0)
-        assert n.memo_hits == 0 and n.memo_misses == 0
-
-
 class TestStats:
     def test_stats_snapshot(self):
         n = node()
@@ -336,7 +299,8 @@ class TestStats:
         assert stats["matched_operations"] == 1
         assert stats["index"]["queries"] == 1
         assert 0.0 <= stats["pruning_ratio"] <= 1.0
-        assert 0.0 <= stats["memo_hit_rate"] <= 1.0
+        assert stats["dag"]["roots"] == 1
+        assert stats["dag"]["evaluations"] == 1
 
     def test_naive_stats_have_no_index_section(self):
         n = FilteringNode(NodeCoordinates(0, 0), use_index=False)

@@ -1,7 +1,7 @@
 """Indexed-vs-naive equivalence: the property test behind the index.
 
-Two :class:`FilteringNode` instances — one with the predicate index and
-shared memoization, one scanning every query — are driven with the SAME
+Two :class:`FilteringNode` instances — one with the predicate index,
+one scanning every query — are driven with the SAME
 randomized sequence of query registrations, deactivations, writes and
 deletes (including mid-stream subscriptions that exercise retention
 replay).  The indexed node must produce the *identical* MatchEvent
@@ -75,12 +75,8 @@ class Driver:
     """Replays one op sequence against an indexed and a naive node."""
 
     def __init__(self) -> None:
-        self.indexed = FilteringNode(
-            NodeCoordinates(0, 0), use_index=True, memoize=True
-        )
-        self.naive = FilteringNode(
-            NodeCoordinates(0, 0), use_index=False, memoize=False
-        )
+        self.indexed = FilteringNode(NodeCoordinates(0, 0), use_index=True)
+        self.naive = FilteringNode(NodeCoordinates(0, 0), use_index=False)
         self.engine = MongoQueryEngine()
         self.versions: Dict[Any, int] = {key: 0 for key in KEYS}
         self.alive: Dict[Any, Dict[str, Any]] = {}

@@ -392,7 +392,7 @@ class TestInspector:
                 "node": "matching[0]", "query_partition": 0,
                 "write_partition": 0, "queries": 3, "writes_processed": 10,
                 "matched_operations": 4, "candidates_considered": 8,
-                "candidates_pruned": 16, "memo_hits": 1, "memo_misses": 3,
+                "candidates_pruned": 16,
             }],
             "sorting": [{
                 "node": "sorting[0]", "query_partition": 0, "queries": 1,

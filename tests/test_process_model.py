@@ -153,6 +153,9 @@ class TestProcessModelBasics:
                 lambda: sub.notifications[-1].match_type is MatchType.REMOVE
             )
             assert sub.result() == []
+            # Default config: every worker-hosted cell matched via its DAG.
+            assert sum(row["dag"]["roots"]
+                       for row in cluster.snapshot()["matching"]) == 2
         finally:
             app.close()
             cluster.stop()

@@ -202,7 +202,7 @@ class TestCanonicalForms:
 
 class TestCachedIdentity:
     """``hash``/``==`` read a canonical form computed once per operator
-    (they key every PredicateMemo probe and the DAG's hash-consing)."""
+    (operators are hashed and compared by canonical form)."""
 
     # Factories, not instances: every test starts from operators whose
     # identity has not been computed yet.
@@ -248,14 +248,3 @@ class TestCachedIdentity:
         assert ops.In([1, 2]) != ops.All([1, 2])
         assert ops.Gt(3) != ops.Gte(3)
         assert ops.Eq(1) != 1
-
-    def test_field_predicates_key_the_memo_by_value(self):
-        from repro.query.ast import FieldPredicate
-        from repro.query.matcher import PredicateMemo
-
-        memo = PredicateMemo()
-        memo.cache[FieldPredicate("lang", ops.In(["en", "de"]))] = True
-        probe = FieldPredicate("lang", ops.In(["de", "en"]))
-        assert memo.cache[probe] is True
-        assert FieldPredicate("lang", ops.In(["de"])) not in memo.cache
-        assert FieldPredicate("tags", ops.In(["en", "de"])) not in memo.cache

@@ -296,6 +296,20 @@ class TestInlineModel:
         assert model.drain()
         assert fired == ["a"]
 
+    def test_raising_call_later_callback_is_counted_not_swallowed(self):
+        model = InlineExecutionModel()
+        seen = []
+        box = model.mailbox("late", seen.extend)
+        model.call_later(1.0, lambda: 1 / 0)
+        model.call_later(2.0, lambda: seen.append("callback"))
+        model.schedule(box, "item", delay=3.0)
+        model.advance(1.5)
+        assert model.stats()["callback_errors"] == 1
+        model.call_later(0.1, lambda: 1 / 0)
+        assert model.drain()
+        assert model.stats()["callback_errors"] == 2
+        assert seen == ["callback", "item"]
+
     def test_delay_ordering_is_by_virtual_due_time(self):
         model = InlineExecutionModel()
         seen = []

@@ -1,31 +1,29 @@
 """Equivalence suite: incremental vs legacy sorted-window maintenance.
 
-The incremental O(log W) path (PR 5) must be indistinguishable from the
-legacy snapshot-diff path at every observable boundary:
-
-* node level — identical notification streams (including maintenance
-  errors and renewal deltas) for arbitrary add/change/remove/churn
-  workloads over arbitrary offset/limit/slack geometry;
-* cluster level — identical client-visible streams under the
-  deterministic inline execution model, and identical converged results
-  under the threaded model, for both values of the
-  ``incremental_sorting`` gate;
+* node level — the incremental O(log W) path (PR 5) emits the same
+  notification streams as the legacy snapshot-diff reference
+  (``SortingNode(incremental=False)``, which no cluster configuration
+  selects), including maintenance errors and renewal deltas, for
+  arbitrary add/change/remove/churn workloads over arbitrary
+  offset/limit/slack geometry;
 * coalescing — the ``notification_coalescing`` batch optimization must
   leave client materialization unchanged: replaying the coalesced
-  stream yields the same visible result as replaying the full stream.
+  stream yields the same visible result as replaying the full stream;
+  at cluster level the inline model (per-tuple dispatch) emits
+  identical client-visible streams and the threaded model converges to
+  the database truth for both values of the gate.
 """
 
 from __future__ import annotations
 
 import json
-from types import SimpleNamespace
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cluster import InvaliDBCluster, _MatchingBolt
+from repro.core.cluster import InvaliDBCluster
 from repro.core.config import InvaliDBConfig
 from repro.core.filtering import MatchEvent
+from repro.core.notifications import coalesce_events
 from repro.core.server import AppServer
 from repro.core.sorting import SortingNode
 from repro.event.broker import Broker
@@ -152,19 +150,19 @@ def _notification_fingerprint(subscription):
     ]
 
 
-def _run_inline_cluster(ops, incremental):
+def _run_inline_cluster(ops, coalescing):
     model = InlineExecutionModel(ExecutionConfig(mode="inline", seed=13))
     broker = Broker(execution=model)
     config = InvaliDBConfig(
         query_partitions=2, write_partitions=2,
         retention_seconds=3600.0, default_slack=2,
-        incremental_sorting=incremental,
+        notification_coalescing=coalescing,
     )
     cluster = InvaliDBCluster(broker, config).start()
     app = AppServer("equiv-app", broker, config=config)
     try:
         # Pre-populate, then subscribe: the bootstrap + retention-replay
-        # registration path runs under both gates.
+        # registration path runs under both gate values.
         live = set()
         half = len(ops) // 2
         for key, op, value in ops[:half]:
@@ -197,35 +195,39 @@ def _run_inline_cluster(ops, incremental):
 def test_inline_cluster_streams_identical_across_gates(ops):
     """Under the deterministic inline model the full client-visible
     notification streams (sorted and unsorted subscriptions, renewal
-    counts included) are identical with incremental sorting on or off."""
+    counts included) are identical with batch coalescing on or off: the
+    inline model dispatches per tuple, so there is nothing to collapse."""
     assert _run_inline_cluster(ops, True) == _run_inline_cluster(ops, False)
 
 
-def _run_threaded_cluster(ops, incremental, coalescing):
+def _run_threaded_cluster(ops, gates):
     broker = Broker()
     config = InvaliDBConfig(
         query_partitions=2, write_partitions=2,
         retention_seconds=3600.0, default_slack=3,
-        incremental_sorting=incremental,
-        notification_coalescing=coalescing,
+        **gates,
     )
     cluster = InvaliDBCluster(broker, config).start()
     app = AppServer("equiv-app", broker, config=config)
     try:
         top = app.subscribe("items", {}, sort=[("v", -1)], limit=3)
+        paged = app.subscribe("items", {}, sort=[("v", -1)], limit=2,
+                              offset=1)
         flat = app.subscribe("items", {"v": {"$gte": 10}})
         live = set()
         for key, op, value in ops:
             _apply_cluster_op(app, live, key, op, value)
         settle(cluster, broker, rounds=5)
-        truth_top = [
-            d["_id"]
-            for d in app.find("items", {}, sort=[("v", -1)], limit=3)
-        ]
+        truth_top = [d["_id"] for d in
+                     app.find("items", {}, sort=[("v", -1)], limit=3)]
+        truth_paged = [d["_id"] for d in
+                       app.find("items", {}, sort=[("v", -1)],
+                                limit=3)][1:3]
         truth_flat = {d["_id"] for d in app.find("items",
                                                  {"v": {"$gte": 10}})}
         return (
             [d["_id"] for d in top.result()], truth_top,
+            [d["_id"] for d in paged.result()], truth_paged,
             {d["_id"] for d in flat.result()}, truth_flat,
         )
     finally:
@@ -237,16 +239,15 @@ def _run_threaded_cluster(ops, incremental, coalescing):
 @settings(max_examples=8, deadline=None)
 @given(ops=cluster_operations)
 def test_threaded_cluster_converges_identically_across_gates(ops):
-    """Under the threaded (batched) model all four gate combinations
-    converge to the database truth — the coalescer and the incremental
-    differ change no converged result."""
-    for incremental in (True, False):
-        for coalescing in (True, False):
-            top, truth_top, flat, truth_flat = _run_threaded_cluster(
-                ops, incremental, coalescing
-            )
-            assert top == truth_top, (incremental, coalescing)
-            assert flat == truth_flat, (incremental, coalescing)
+    """Under the threaded (batched) model both values of the coalescing
+    gate converge to the database truth."""
+    for coalescing in (True, False):
+        top, truth_top, paged, truth_paged, flat, truth_flat = (
+            _run_threaded_cluster(
+                ops, {"notification_coalescing": coalescing}))
+        assert top == truth_top, coalescing
+        assert paged == truth_paged, coalescing
+        assert flat == truth_flat, coalescing
 
 
 # ----------------------------------------------------------------------
@@ -308,16 +309,12 @@ def _materialize(initial, events):
 @given(batch=legal_batches())
 def test_coalesced_batch_materializes_identically(batch):
     initial, events = batch
-    stub = SimpleNamespace(
-        config=SimpleNamespace(notification_coalescing=True),
-        notifications_coalesced=0,
-        telemetry=SimpleNamespace(enabled=False),
+    entries, dropped = coalesce_events(
+        [(event, None, None) for event in events]
     )
-    bolt = _MatchingBolt(stub)
-    pairs = [(event, None, None) for event in events]
-    coalesced = [event for event, _, _ in bolt._coalesce(pairs)]
+    coalesced = [event for event, _, _ in entries]
     assert _materialize(initial, coalesced) == _materialize(initial, events)
     # At most one surviving notification per key.
     keys = [event.key for event in coalesced]
     assert len(keys) == len(set(keys))
-    assert stub.notifications_coalesced == len(events) - len(coalesced)
+    assert dropped == len(events) - len(coalesced)

@@ -122,12 +122,10 @@ class Driver:
 
     def __init__(self) -> None:
         self.indexed = FilteringNode(
-            NodeCoordinates(0, 0), use_index=True, memoize=True,
+            NodeCoordinates(0, 0), use_index=True,
             spatial_index=True, text_index=True, spatial_grid_cells=16,
         )
-        self.naive = FilteringNode(
-            NodeCoordinates(0, 0), use_index=False, memoize=False
-        )
+        self.naive = FilteringNode(NodeCoordinates(0, 0), use_index=False)
         self.engine = MongoQueryEngine()
         self.versions: Dict[Any, int] = {key: 0 for key in KEYS}
         self.alive: Dict[Any, Dict[str, Any]] = {}

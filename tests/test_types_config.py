@@ -1,9 +1,12 @@
 """Tests for shared value types and cluster configuration."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.core.config import InvaliDBConfig
 from repro.errors import ClusterConfigError
+from repro.runtime.execution import ExecutionConfig
 from repro.types import (
     AfterImage,
     ChangeNotification,
@@ -102,3 +105,27 @@ class TestConfigValidation:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ClusterConfigError):
             InvaliDBConfig(**kwargs)
+
+    @pytest.mark.parametrize("model", ["inline", "threaded", "process"])
+    def test_replace_keeps_an_execution_model_shorthand(self, model):
+        """Regression: the synthesized ExecutionConfig used to be stored
+        in ``execution``, so ``replace`` tripped the either/or check."""
+        config = replace(
+            InvaliDBConfig(execution_model=model), query_partitions=2
+        )
+        assert config.query_partitions == 2
+        assert config.execution_config().mode == model
+
+    def test_execution_and_execution_model_still_conflict(self):
+        with pytest.raises(ClusterConfigError, match="not both"):
+            InvaliDBConfig(execution=ExecutionConfig(mode="inline"),
+                           execution_model="inline")
+        with pytest.raises(ClusterConfigError):
+            InvaliDBConfig(execution_model="fibers")
+
+    def test_removed_matching_gates_are_not_options(self):
+        assert len(fields(InvaliDBConfig)) == 66
+        for gate in ("shared_predicate_memo", "shared_query_dag",
+                     "incremental_sorting"):
+            with pytest.raises(TypeError):
+                InvaliDBConfig(**{gate: True})
