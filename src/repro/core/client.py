@@ -28,9 +28,9 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.cluster import serialize_after_image, serialize_query
 from repro.core.config import InvaliDBConfig
 from repro.core.notifications import unpack_changes
+from repro.core.remote import serialize_after_image, serialize_query
 from repro.core.sorting import SlackAdvisor
 from repro.core.subscriptions import SubscriptionRecord, SubscriptionTable
 from repro.errors import (

@@ -12,11 +12,16 @@ Wires the filtering and sorting stages onto the Storm-like substrate
 * **write ingestion** (stateless): receives after-images, resolves the
   write partition from the primary key, and delivers the after-image to
   every matching node of that write partition;
-* **matching** (filtering stage): one :class:`FilteringNode` per grid
-  cell; unsorted-query changes go straight to the event layer, sorted
-  queries forward their match events to the sorting stage;
+* **matching** (filtering stage): one
+  :class:`~repro.core.remote.MatchingCell` per grid cell; unsorted-query
+  changes go straight to the event layer, sorted queries forward their
+  match events to the sorting stage;
 * **sorting**: sorted queries partitioned by query ID across
-  :class:`SortingNode` tasks.
+  :class:`~repro.core.remote.SortingCell` tasks.
+
+Both grid roles run behind one :class:`_GridBolt`; the stage loop lives
+in the cell, which the bolt hosts in its own thread or leases from the
+worker pool under the process execution model.
 
 The cluster is multi-tenant: it tracks which application servers
 subscribed to which query and fans change notifications out to each of
@@ -31,14 +36,10 @@ from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import InvaliDBConfig
-from repro.core.filtering import FilteringNode, MatchEvent
+from repro.core.filtering import FilteringNode
 from repro.core.notifications import (
     ChangeEnvelope,
-    EventEntry,
     QueryChange,
-    change_from_match_event,
-    coalesce_events,
-    deserialize_change,
     resolve_coalesced_type,
 )
 from repro.core.overload import (
@@ -47,8 +48,17 @@ from repro.core.overload import (
     serialize_refresh,
 )
 from repro.core.partitioning import PartitioningScheme
+from repro.core.remote import (  # wire forms re-exported for callers
+    LeasedCell,
+    MatchingCellSpec,
+    QueryResolver,
+    SortingCellSpec,
+    deserialize_after_image,
+    deserialize_query,  # noqa: F401
+    serialize_after_image,
+    serialize_query,  # noqa: F401
+)
 from repro.core.retention import RetentionBuffer
-from repro.core.sorting import SortingNode
 from repro.core.subscriptions import QueryRegistration
 from repro.core.supervisor import NodeSupervisor
 from repro.errors import WorkerDiedError
@@ -58,68 +68,12 @@ from repro.event.wire import WireStats
 from repro.obs.flight import FlightRecorder
 from repro.obs.slo import SLOAccountant
 from repro.obs.telemetry import build_telemetry
-from repro.obs.tracing import (
-    DELIVER,
-    FILTER,
-    PUBLISH,
-    SORT,
-    begin_span,
-    end_span,
-    fork,
-    trace_of,
-)
-from repro.query.engine import MongoQueryEngine, Query
+from repro.obs.tracing import DELIVER, begin_span, fork
 from repro.query.shared import share_ratio
 from repro.runtime.execution import ExecutionModel, build_execution_model
 from repro.runtime.process import ProcessExecutionModel
 from repro.stream.topology import Bolt, CustomGrouping, FieldsGrouping, TopologyBuilder
 from repro.stream.runtime import LocalRuntime
-from repro.types import AfterImage, WriteKind
-
-
-def serialize_query(query: Query) -> Dict[str, Any]:
-    """Wire form of a query (the 'representation of the query itself')."""
-    return {
-        "filter": query.filter_doc,
-        "collection": query.collection,
-        "sort": None if query.sort is None else [list(f) for f in query.sort.fields],
-        "limit": query.limit,
-        "offset": query.offset,
-    }
-
-
-def deserialize_query(payload: Dict[str, Any]) -> Query:
-    sort = payload.get("sort")
-    return Query(
-        payload["filter"],
-        collection=payload.get("collection", "default"),
-        sort=None if sort is None else [tuple(f) for f in sort],
-        limit=payload.get("limit"),
-        offset=payload.get("offset", 0),
-    )
-
-
-def serialize_after_image(after: AfterImage) -> Dict[str, Any]:
-    return {
-        "kind": "write",
-        "key": after.key,
-        "version": after.version,
-        "op": after.kind.value,
-        "document": after.document,
-        "collection": after.collection,
-        "timestamp": after.timestamp,
-    }
-
-
-def deserialize_after_image(payload: Dict[str, Any]) -> AfterImage:
-    return AfterImage(
-        key=payload["key"],
-        version=payload["version"],
-        kind=WriteKind(payload["op"]),
-        document=payload.get("document"),
-        collection=payload.get("collection", "default"),
-        timestamp=payload.get("timestamp", 0.0),
-    )
 
 
 class _QueryIngestionBolt(Bolt):
@@ -174,262 +128,38 @@ class _WriteIngestionBolt(Bolt):
         self.emit(forwarded)
 
 
-class _MatchingBolt(Bolt):
-    """Filtering-stage task: owns one :class:`FilteringNode`."""
+class _GridBolt(Bolt):
+    """One grid task: hosts a matching or sorting cell
+    (:mod:`repro.core.remote`), in this thread or leased from the
+    worker pool, and routes what each batch produced — match events to
+    the sorting grid, changes to the notification fan-out.
 
-    def __init__(self, cluster: "InvaliDBCluster"):
-        self.cluster = cluster
-        self.node: Optional[FilteringNode] = None
-
-    def clone(self) -> "_MatchingBolt":
-        return _MatchingBolt(self.cluster)
-
-    def prepare(self, task_index: int, parallelism: int, emit: Any) -> None:
-        super().prepare(task_index, parallelism, emit)
-        coordinates = self.cluster.scheme.coordinates(task_index)
-        self.node = FilteringNode(
-            coordinates,
-            retention_seconds=self.cluster.config.retention_seconds,
-            engine=self.cluster.engine,
-            use_index=self.cluster.config.query_index,
-            spatial_index=self.cluster.config.spatial_index,
-            text_index=self.cluster.config.text_index,
-            spatial_grid_cells=self.cluster.config.spatial_grid_cells,
-            telemetry=self.cluster.telemetry,
-        )
-        self.cluster._filtering_nodes[task_index] = self.node
-
-    def process(self, tuple_: Dict[str, Any]) -> None:
-        self.process_batch([tuple_])
-
-    def _register(self, tuple_: Dict[str, Any], now: float) -> List[MatchEvent]:
-        assert self.node is not None
-        query = self.cluster._query_from_wire(tuple_)
-        wp = self.node.coordinates.write_partition
-        scheme = self.cluster.scheme
-        bootstrap = [
-            doc
-            for doc in tuple_["bootstrap"]
-            if scheme.write_partition_of(doc["_id"]) == wp
-        ]
-        versions = {key: version for key, version in tuple_["versions"]}
-        return self.node.register_query(query, bootstrap, versions, now)
-
-    def process_batch(self, tuples: List[Dict[str, Any]]) -> None:
-        """Process a chunk of after-images / requests in arrival order,
-        accumulating match events so the downstream emission (sorting
-        stage + notification fan-out) happens in one pass per chunk
-        instead of one broker/queue round-trip per tuple.
-
-        Tracing: each tuple's riding trace is forked (grid tuples are
-        shared across edges), its ``publish`` span closed and a
-        ``filter`` span wrapped around the matching work; every
-        resulting match event inherits a fork of that trace.
-        """
-        assert self.node is not None
-        tel = self.cluster.telemetry
-        pairs: List[EventEntry] = []
-        now = self.cluster.config.clock()
-        for tuple_ in tuples:
-            kind = tuple_["kind"]
-            trace = fork(trace_of(tuple_)) if tel.enabled else None
-            if trace is not None:
-                tnow = tel.now()
-                end_span(trace, PUBLISH, tnow)
-                begin_span(trace, FILTER, tnow)
-            deadline = tuple_.get("deadline") if kind == "write" else None
-            if kind == "write":
-                if (
-                    deadline is not None
-                    and self.cluster._deadline_now() > deadline
-                ):
-                    # Budget already spent: computing matches no client
-                    # can receive in time is pure wasted work.
-                    self.node.deadline_shed += 1
-                    if trace is not None:
-                        end_span(trace, FILTER, tel.now())
-                    continue
-                after = deserialize_after_image(tuple_)
-                events = self.node.process_write(after, now)
-            elif kind == "subscribe":
-                events = self._register(tuple_, now)
-            elif kind == "cancel":
-                self.node.deactivate_query(tuple_["query_id"])
-                events = []
-            else:
-                events = []
-            if trace is not None:
-                end_span(trace, FILTER, tel.now())
-            pairs.extend((event, trace, deadline) for event in events)
-        self._dispatch(pairs)
-
-    def _dispatch(self, pairs: List[EventEntry]) -> None:
-        tel = self.cluster.telemetry
-        if self.cluster.config.notification_coalescing and len(pairs) > 1:
-            pairs, dropped = coalesce_events(pairs)
-            self.cluster.notifications_coalesced += dropped
-        changes: List[Tuple[QueryChange, Optional[Dict[str, Any]]]] = []
-        for event, trace, deadline in pairs:
-            if event.needs_sorting:
-                message: Dict[str, Any] = {
-                    "kind": "match-event",
-                    "query_id": event.query_id,
-                    "event": event,
-                }
-                if deadline is not None:
-                    message["deadline"] = deadline
-                branch = fork(trace)
-                if branch is not None:
-                    begin_span(branch, SORT, tel.now())
-                    message["trace"] = branch
-                self.emit(message)
-            else:
-                changes.append((change_from_match_event(event), fork(trace)))
-        if changes:
-            self.cluster._publish_changes(changes)
-
-
-class _SortingBolt(Bolt):
-    """Sorting-stage task: owns one :class:`SortingNode`."""
-
-    def __init__(self, cluster: "InvaliDBCluster"):
-        self.cluster = cluster
-        self.node: Optional[SortingNode] = None
-
-    def clone(self) -> "_SortingBolt":
-        return _SortingBolt(self.cluster)
-
-    def prepare(self, task_index: int, parallelism: int, emit: Any) -> None:
-        super().prepare(task_index, parallelism, emit)
-        self.node = SortingNode(
-            task_index,
-            engine=self.cluster.engine,
-            telemetry=self.cluster.telemetry,
-            shared_windows=self.cluster.config.shared_sorted_windows,
-            adaptive_slack=self.cluster.config.adaptive_slack,
-        )
-        self.cluster._sorting_nodes[task_index] = self.node
-
-    def process(self, tuple_: Dict[str, Any]) -> None:
-        assert self.node is not None
-        kind = tuple_["kind"]
-        tel = self.cluster.telemetry
-        trace = fork(trace_of(tuple_)) if tel.enabled else None
-        if kind == "match-event":
-            deadline = tuple_.get("deadline")
-            if (
-                deadline is not None
-                and self.cluster._deadline_now() > deadline
-            ):
-                # The write's latency budget expired in flight: skipping
-                # window maintenance here is safe because the sorting
-                # stage resolves any resulting staleness through its
-                # renewal path (exactly as it does for dropped events).
-                self.node.deadline_shed += 1
-                return
-            # The ``sort`` span was opened by the matching bolt when it
-            # routed the event here; close it around the maintenance.
-            changes = self.node.handle_event(tuple_["event"])
-            if trace is not None:
-                end_span(trace, SORT, tel.now())
-            overload = self.cluster.overload
-            if (
-                changes
-                and overload is not None
-                and overload.shedding_active()
-                and overload.defer_sorted(self.node, changes)
-            ):
-                # Diffs swallowed; a periodic snapshot refresh of the
-                # dirty window replaces them (convergence-safe).
-                return
-        elif kind == "subscribe":
-            query = self.cluster._query_from_wire(tuple_)
-            if not query.needs_sorting_stage:
-                return
-            if trace is not None:
-                tnow = tel.now()
-                end_span(trace, PUBLISH, tnow)
-                begin_span(trace, SORT, tnow)
-            versions = {key: version for key, version in tuple_["versions"]}
-            changes = self.node.register_query(
-                query,
-                tuple_["bootstrap"],
-                versions,
-                slack=tuple_.get("slack", self.cluster.config.default_slack),
-                timestamp=self.cluster.config.clock(),
-            )
-            if trace is not None:
-                end_span(trace, SORT, tel.now())
-        elif kind == "cancel":
-            self.node.deactivate_query(tuple_["query_id"])
-            return
-        else:
-            return
-        if changes:
-            self.cluster._publish_changes(
-                [(change, fork(trace)) for change in changes]
-            )
-
-
-class _ProcessGridBolt(Bolt):
-    """Grid-task proxy under the process execution model.
-
-    Owns no matching/sorting state of its own: ``prepare`` leases a
-    worker-hosted cell from the pool (the lease ships a picklable spec
-    over the control channel), and each batch becomes one framed
-    round-trip.  The reply envelope's serialized emits are routed
-    exactly like the in-process bolts route theirs: match events flow
-    to the sorting grid, changes to the notification fan-out.
-
-    Crash semantics: a request failing with
+    Crash semantics under the process model: a request failing with
     :class:`~repro.errors.WorkerDiedError` (and, independently, the
     pool's death listener) reports THIS task crashed, so the
     :class:`NodeSupervisor` restarts it exactly like an in-process
     crash — a fresh ``prepare`` re-leases the cell into a respawned
     worker, and re-registration + retained-write replay rebuild it.
-
-    Tracing: sampled traces RIDE the wire envelopes (only the routing-
-    internal ``__task__`` key is stripped).  The worker stamps its
-    filter/sort spans with a clock calibrated into the parent's
-    ``perf_counter`` domain at fork, and the extended trace forks ride
-    back piggybacked on the same REPLY emits — no extra round-trip —
-    where this proxy routes them into the notification fan-out so the
-    parent tracer sees the complete chain.
     """
 
     def __init__(self, cluster: "InvaliDBCluster", role: str):
         self.cluster = cluster
         self.role = role
-        self.cell: Optional[Any] = None
+        self.cell: Any = None
 
-    def clone(self) -> "_ProcessGridBolt":
-        return _ProcessGridBolt(self.cluster, self.role)
+    def clone(self) -> "_GridBolt":
+        return _GridBolt(self.cluster, self.role)
 
     def prepare(self, task_index: int, parallelism: int, emit: Any) -> None:
         super().prepare(task_index, parallelism, emit)
-        cluster = self.cluster
-        pool = cluster._execution.worker_pool
-        spec, slot = cluster._cell_spec(self.role, task_index)
-        self.cell = pool.lease(f"{self.role}-{task_index}", spec, slot=slot)
-        cluster._remote_cells[(self.role, task_index)] = self.cell
+        self.cell = self.cluster._host_cell(self.role, task_index)
 
     def process(self, tuple_: Dict[str, Any]) -> None:
         self.process_batch([tuple_])
 
     def process_batch(self, tuples: List[Dict[str, Any]]) -> None:
-        cell = self.cell
-        if cell is None:
-            return
-        outbound = [
-            {
-                key: value for key, value in tuple_.items()
-                if key != "__task__"
-            }
-            if "__task__" in tuple_ else tuple_
-            for tuple_ in tuples
-        ]
         try:
-            reply = cell.request_batch(outbound)
+            messages, changes, coalesced = self.cell.handle_batch(tuples)
         except WorkerDiedError as exc:
             # The pool's death listener fires too; crash_task is
             # idempotent, so double reporting is harmless.
@@ -437,19 +167,10 @@ class _ProcessGridBolt(Bolt):
                 self.role, self.task_index, str(exc)
             )
             return
-        coalesced = reply.get("coalesced", 0)
         if coalesced:
             self.cluster.notifications_coalesced += coalesced
-        changes: List[Tuple[QueryChange, Optional[Dict[str, Any]]]] = []
-        for emit in reply["emits"]:
-            if emit["kind"] == "match-event":
-                # The worker already opened the sort span; the emit
-                # (trace included) flows to the sorting grid as-is.
-                self.emit(emit)
-            else:
-                changes.append(
-                    (deserialize_change(emit["change"]), trace_of(emit))
-                )
+        for message in messages:
+            self.emit(message)
         if changes:
             self.cluster._publish_changes(changes)
 
@@ -457,7 +178,8 @@ class _ProcessGridBolt(Bolt):
 class _NotificationStager:
     """Cross-batch notification coalescing (time-window staging).
 
-    In-batch coalescing (:meth:`_MatchingBolt._coalesce`) cannot elide
+    In-batch coalescing (:func:`~repro.core.notifications.coalesce_events`,
+    run by the matching cell) cannot elide
     redundancy that spans dispatch batches — a hot key rewritten every
     few milliseconds still produces one notification per batch.  The
     stager holds unsorted-query changes for a configurable window
@@ -597,7 +319,6 @@ class InvaliDBCluster:
             self.telemetry = self._execution.telemetry
         if self.telemetry.enabled:
             self.telemetry.registry.register_collector(self._collect_metrics)
-        self.engine = MongoQueryEngine()
         self.scheme = PartitioningScheme(
             self.config.query_partitions, self.config.write_partitions
         )
@@ -625,10 +346,10 @@ class InvaliDBCluster:
             clock=self.config.clock,
         )
         self._dumped_worker_pids: set = set()
-        self._filtering_nodes: Dict[int, FilteringNode] = {}
-        self._sorting_nodes: Dict[int, SortingNode] = {}
-        #: Process model: (role, task_index) -> RemoteCell handle.
-        self._remote_cells: Dict[Tuple[str, int], Any] = {}
+        #: (role, task_index) -> the grid task's cell: a local
+        #: MatchingCell / SortingCell, or a LeasedCell when the cells
+        #: live in worker processes.
+        self._cells: Dict[Tuple[str, int], Any] = {}
         self._process_mode = isinstance(self._execution, ProcessExecutionModel)
         #: Cross-batch notification staging (None = disabled).
         self.stager: Optional[_NotificationStager] = None
@@ -643,7 +364,9 @@ class InvaliDBCluster:
             self.overload = OverloadController(self)
         self._registrations: Dict[str, QueryRegistration] = {}
         self._registration_lock = threading.Lock()
-        self._query_cache: Dict[str, Query] = {}
+        #: One parse per subscribed query, shared by ingestion and every
+        #: locally hosted cell.
+        self._query_from_wire = QueryResolver()
         self._subscriptions: List[Any] = []
         self._heartbeat_thread: Optional[threading.Thread] = None
         self._stopping = threading.Event()
@@ -714,10 +437,9 @@ class InvaliDBCluster:
     # ------------------------------------------------------------------
 
     def _cell_spec(self, role: str, task_index: int) -> Tuple[Any, Optional[int]]:
-        """Picklable cell description + worker-slot pin for one grid
-        task (process model)."""
-        from repro.core.remote import MatchingCellSpec, SortingCellSpec
-
+        """The frozen description of one grid task's cell — the single
+        construction site for both hostings — plus its worker-slot pin
+        (process model only)."""
         config = self.config
         telemetry = bool(self.telemetry.enabled)
         if role == "matching":
@@ -733,7 +455,10 @@ class InvaliDBCluster:
                 notification_coalescing=config.notification_coalescing,
                 telemetry=telemetry,
             )
-            workers = self._execution.worker_pool.worker_processes
+            workers = (
+                self._execution.worker_pool.worker_processes
+                if self._process_mode else None
+            )
             slot = (
                 self.scheme.worker_slot(task_index, workers)
                 if workers else None
@@ -747,6 +472,27 @@ class InvaliDBCluster:
             telemetry=telemetry,
         )
         return spec, None
+
+    def _host_cell(self, role: str, task_index: int) -> Any:
+        """Build one grid task's cell here, or lease it from the worker
+        pool.  A local cell is handed what cannot cross a fork."""
+        spec, slot = self._cell_spec(role, task_index)
+        if self._process_mode:
+            cell: Any = LeasedCell(self._execution.worker_pool.lease(
+                f"{role}-{task_index}", spec, slot=slot
+            ))
+        else:
+            local: Dict[str, Any] = {
+                "telemetry": self.telemetry,
+                "clock": self.config.clock,
+                "deadline_now": self._deadline_now,
+                "resolve_query": self._query_from_wire,
+            }
+            if role == "sorting" and self.overload is not None:
+                local["defer"] = self.overload.defer_sorted
+            cell = spec.cell(**local)
+        self._cells[(role, task_index)] = cell
+        return cell
 
     def _on_worker_death(self, cell_name: str, pid: int, reason: str) -> None:
         """Pool death listener: a worker process died — report every
@@ -798,17 +544,13 @@ class InvaliDBCluster:
             _WriteIngestionBolt(self),
             parallelism=self.config.write_ingestion_nodes,
         )
-        if self._process_mode:
-            matching_bolt: Bolt = _ProcessGridBolt(self, "matching")
-            sorting_bolt: Bolt = _ProcessGridBolt(self, "sorting")
-        else:
-            matching_bolt = _MatchingBolt(self)
-            sorting_bolt = _SortingBolt(self)
         builder.add_bolt(
-            "matching", matching_bolt, parallelism=scheme.node_count
+            "matching", _GridBolt(self, "matching"),
+            parallelism=scheme.node_count,
         )
         builder.add_bolt(
-            "sorting", sorting_bolt, parallelism=self.config.sorting_nodes
+            "sorting", _GridBolt(self, "sorting"),
+            parallelism=self.config.sorting_nodes,
         )
         builder.connect("query-ingestion", "matching", CustomGrouping(route_query))
         builder.connect("query-ingestion", "sorting", FieldsGrouping("query_id"))
@@ -903,15 +645,6 @@ class InvaliDBCluster:
     # Registration bookkeeping (thread-safe, called from ingestion bolts)
     # ------------------------------------------------------------------
 
-    def _query_from_wire(self, tuple_: Dict[str, Any]) -> Query:
-        query_id = tuple_["query_id"]
-        cached = self._query_cache.get(query_id)
-        if cached is not None:
-            return cached
-        query = deserialize_query(tuple_["query"])
-        self._query_cache[query_id] = query
-        return query
-
     def _register(self, tuple_: Dict[str, Any]) -> None:
         now = self.config.clock()
         query = self._query_from_wire(tuple_)
@@ -944,7 +677,7 @@ class InvaliDBCluster:
             if registration.active:
                 return False
             del self._registrations[tuple_["query_id"]]
-            self._query_cache.pop(tuple_["query_id"], None)
+            self._query_from_wire.forget(tuple_["query_id"])
             self._wires.pop(tuple_["query_id"], None)
             return True
 
@@ -972,7 +705,7 @@ class InvaliDBCluster:
                 registration.expire(now)
                 if not registration.active:
                     del self._registrations[query_id]
-                    self._query_cache.pop(query_id, None)
+                    self._query_from_wire.forget(query_id)
                     self._wires.pop(query_id, None)
                     deactivated.append((query_id, registration.query.hash))
         for query_id, query_hash in deactivated:
@@ -1104,17 +837,6 @@ class InvaliDBCluster:
             return self._execution.virtual_now
         return self.config.clock()
 
-    def _deadline_shed_total(self) -> int:
-        """Writes/events shed across the grid because their latency
-        budget expired before the stage reached them."""
-        total = sum(
-            node.deadline_shed for node in self._filtering_nodes.values()
-        )
-        total += sum(
-            node.deadline_shed for node in self._sorting_nodes.values()
-        )
-        return total
-
     # ------------------------------------------------------------------
     # Heartbeats
     # ------------------------------------------------------------------
@@ -1166,30 +888,31 @@ class InvaliDBCluster:
         inside its own snapshot)."""
         with self._registration_lock:
             active = len(self._registrations)
-        # Under the process model the cells live in workers and these
-        # sums stay 0 here; per-cell counters come back through the
-        # control channel in :meth:`snapshot` instead (a registry
-        # collector must not block on worker round-trips).
-        nodes = list(self._filtering_nodes.values())
-        overload_keys: Dict[str, Any] = {}
+        metrics: Dict[str, Any] = {
+            "cluster.active_queries": active,
+            "cluster.notifications_sent": self.notifications_sent,
+            "cluster.notifications_coalesced": self.notifications_coalesced,
+            "cluster.queries_renewed": self.queries_renewed,
+        }
         if self.overload is not None:
             ov = self.overload
-            overload_keys = {
+            metrics.update({
                 "cluster.health_state": float(HEALTH_SEVERITY[ov.state]),
                 "cluster.writes_rejected": ov.writes_rejected,
                 "cluster.writes_dropped": ov.writes_dropped,
                 "cluster.notifications_shed": ov.notifications_shed,
                 "cluster.sorted_changes_shed": ov.sorted_changes_shed,
                 "cluster.refreshes_sent": ov.refreshes_sent,
-                "cluster.deadline_shed": self._deadline_shed_total(),
                 "cluster.admission_rate": ov.governor.rate,
-            }
-        return {
-            **overload_keys,
-            "cluster.active_queries": active,
-            "cluster.notifications_sent": self.notifications_sent,
-            "cluster.notifications_coalesced": self.notifications_coalesced,
-            "cluster.queries_renewed": self.queries_renewed,
+            })
+        if self._process_mode:
+            # The grid counters live in the workers and a collector must
+            # not block on a worker round-trip: the sums are absent
+            # here (not a wrong 0); :meth:`snapshot` reports them.
+            return metrics
+        cells = list(self._cells.items())
+        nodes = [cell.node for (role, _), cell in cells if role == "matching"]
+        metrics.update({
             "cluster.writes_processed": sum(
                 node.writes_processed for node in nodes
             ),
@@ -1205,7 +928,12 @@ class InvaliDBCluster:
             "cluster.dag_queries_served": sum(
                 node.dag.queries_served for node in nodes
             ),
-        }
+        })
+        if self.overload is not None:
+            metrics["cluster.deadline_shed"] = sum(
+                cell.node.deadline_shed for _, cell in cells
+            )
+        return metrics
 
     def snapshot(self) -> Dict[str, Any]:
         """The unified observability view: one pass over the grid.
@@ -1230,21 +958,8 @@ class InvaliDBCluster:
                 for registration in self._registrations.values()
                 for server in registration.app_servers
             })
-        matching_rows: List[Dict[str, Any]] = []
-        sorting_rows: List[Dict[str, Any]] = []
-        workers: Optional[Dict[str, Any]] = None
-        if self._process_mode:
-            matching_rows, sorting_rows, workers = self._remote_rows()
-        else:
-            for index in sorted(self._filtering_nodes):
-                node = self._filtering_nodes[index]
-                row = node.stats()
-                row["node"] = f"matching[{index}]"
-                row["coordinates"] = str(node.coordinates)
-                row["query_partition"] = node.coordinates.query_partition
-                row["write_partition"] = node.coordinates.write_partition
-                matching_rows.append(row)
-        # Inline and process rows have the same shape; an
+        matching_rows, sorting_rows, workers = self._grid_rows()
+        # Local and worker-hosted rows have the same shape; an
         # ``unreachable`` process row carries no counters.
         considered = pruned = matched = 0
         dag_nodes_evaluated = dag_node_hits = dag_queries_served = 0
@@ -1301,29 +1016,6 @@ class InvaliDBCluster:
                 share_ratio(dag_node_hits, dag_nodes_evaluated), 4
             ),
         }
-        if not self._process_mode:
-            sorting_rows = [
-                {
-                    "node": f"sorting[{index}]",
-                    "query_partition": index,
-                    "queries": self._sorting_nodes[index].query_count,
-                    "events_processed":
-                        self._sorting_nodes[index].events_processed,
-                    "renewals_requested":
-                        self._sorting_nodes[index].renewals_requested,
-                    "window_comparisons":
-                        self._sorting_nodes[index].window_comparisons,
-                    "shared_groups":
-                        self._sorting_nodes[index].shared_group_count,
-                    "shared_attach":
-                        self._sorting_nodes[index].shared_attach,
-                    "shared_miss":
-                        self._sorting_nodes[index].shared_miss,
-                    "deadline_shed":
-                        self._sorting_nodes[index].deadline_shed,
-                }
-                for index in sorted(self._sorting_nodes)
-            ]
         execution_stats = self._execution.stats()
         mailboxes = [
             {
@@ -1384,56 +1076,51 @@ class InvaliDBCluster:
             snap["coalescing"] = self.stager.stats()
         if self.overload is not None:
             snap["health"] = self.overload.snapshot()
+            # Shed across the grid because the write's latency budget
+            # expired before the stage reached it; from the same rows,
+            # so rows and total agree whichever side hosts the cells.
+            snap["health"]["deadline_shed"] = sum(
+                row.get("deadline_shed", 0)
+                for row in matching_rows + sorting_rows
+            )
         return snap
 
-    def _remote_rows(
+    def _grid_rows(
         self,
-    ) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]], Dict[str, Any]]:
-        """Process-mode grid rows: one control-channel snapshot per cell.
+    ) -> Tuple[
+        List[Dict[str, Any]], List[Dict[str, Any]], Optional[Dict[str, Any]]
+    ]:
+        """One ``cell.snapshot()`` row per grid task, plus the process
+        model's ``workers`` section.
 
-        Each reply carries the worker's pid, the cell's stats row (the
-        same shape the in-process nodes report) and that worker's wire
-        counters; wire counters are deduplicated by pid (several cells
-        share one worker) and merged with the parent side's encode
-        counters into a single ``wire`` aggregate.  A cell whose worker
-        died between crash and supervised restart is reported as an
-        ``unreachable`` row instead of failing the whole snapshot.
+        A leased cell's row comes back through the control channel with
+        its worker's pid and wire counters; those are deduplicated by
+        pid (several cells share one worker) and merged with the parent
+        side's encode counters into a single ``wire`` aggregate.  A cell
+        whose worker died between crash and supervised restart is
+        reported as an ``unreachable`` row instead of failing the whole
+        snapshot.
         """
-        pool = self._execution.worker_pool
-        matching_rows: List[Dict[str, Any]] = []
-        sorting_rows: List[Dict[str, Any]] = []
-        wire = WireStats()
-        wire.merge(pool.stats.snapshot())
-        seen_pids: set = set()
-        for role, index in sorted(self._remote_cells):
-            cell = self._remote_cells[(role, index)]
+        rows: Dict[str, List[Dict[str, Any]]] = {"matching": [], "sorting": []}
+        worker_wire: Dict[int, Dict[str, Any]] = {}
+        for (role, index), cell in sorted(self._cells.items()):
             try:
-                reply = cell.snapshot()
+                row = cell.snapshot()
             except Exception as exc:  # noqa: BLE001 - worker may be dead
-                row = {
-                    "node": f"{role}[{index}]",
-                    "unreachable": str(exc),
-                }
-                (matching_rows if role == "matching"
-                 else sorting_rows).append(row)
-                continue
-            row = reply.get("cell") or {}
+                row = {"unreachable": str(exc)}
+            if "wire" in row:
+                worker_wire.setdefault(row["pid"], row.pop("wire"))
             row["node"] = f"{role}[{index}]"
-            row["pid"] = reply.get("pid")
-            if role == "matching":
-                matching_rows.append(row)
-            else:
-                row.setdefault("query_partition", index)
-                sorting_rows.append(row)
-            pid = reply.get("pid")
-            if pid is not None and pid not in seen_pids:
-                seen_pids.add(pid)
-                wire.merge(reply.get("wire", {}))
-        workers = {
-            "pool": pool.snapshot(),
-            "wire": wire.snapshot(),
-        }
-        return matching_rows, sorting_rows, workers
+            rows[role].append(row)
+        workers: Optional[Dict[str, Any]] = None
+        if self._process_mode:
+            pool = self._execution.worker_pool
+            wire = WireStats()
+            wire.merge(pool.stats.snapshot())
+            for counters in worker_wire.values():
+                wire.merge(counters)
+            workers = {"pool": pool.snapshot(), "wire": wire.snapshot()}
+        return rows["matching"], rows["sorting"], workers
 
     def stats(self) -> Dict[str, Any]:
         """Operational snapshot: grid shape, load, notification volume.
@@ -1462,7 +1149,8 @@ class InvaliDBCluster:
 
     def filtering_node(self, qp: int, wp: int) -> Optional[FilteringNode]:
         index = qp * self.scheme.write_partitions + wp
-        return self._filtering_nodes.get(index)
+        cell = self._cells.get(("matching", index))
+        return None if cell is None else cell.node
 
     @property
     def matching_node_count(self) -> int:

@@ -95,7 +95,7 @@ def coalesce_events(
     """Collapse redundant per-(query, key) events within one batch.
 
     The one implementation of within-batch coalescing, called by the
-    inline matching bolt and the worker-hosted matching cell alike.
+    matching cell (:class:`~repro.core.remote.MatchingCell`).
     Events for the same (query, key) are superseded by the last one —
     the filtering stage drops stale versions, so arrival order IS
     version order and the latest version wins (keeping its

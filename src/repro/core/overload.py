@@ -250,10 +250,10 @@ class OverloadController:
       latest-value rewrite rules, separate counters) whose flush
       hands the survivors to the cluster as one batch, i.e. one
       notification envelope per app server.
-    * :meth:`defer_sorted` — consulted by the sorting bolts: while
-      shedding, per-event sorted diffs are swallowed and the query is
-      marked dirty; :meth:`flush_refresh` later publishes one wholesale
-      ``refresh`` snapshot of each dirty window instead.  Convergence
+    * :meth:`defer_sorted` — the per-event hook of locally hosted
+      sorting cells: while shedding, per-event sorted diffs are
+      swallowed and the query is marked dirty; :meth:`flush_refresh`
+      later publishes one wholesale ``refresh`` snapshot of each dirty window instead.  Convergence
       is preserved — the final materialized client state is
       byte-identical to the unshedded run (the property suite proves
       it across seeds).
@@ -496,11 +496,13 @@ class OverloadController:
     # ------------------------------------------------------------------
 
     def defer_sorted(self, node: Any, changes: List[Any]) -> bool:
-        """Swallow a sorted query's per-event diffs for a later
-        snapshot refresh.  Returns False when the changes must go out
-        live — maintenance errors carry renewal semantics the client
-        must see immediately."""
-        if any(change.is_error for change in changes):
+        """While shedding, swallow a sorted query's per-event diffs for
+        a later snapshot refresh.  Returns False when the changes must
+        go out live — not shedding, or maintenance errors, which carry
+        renewal semantics the client must see immediately."""
+        if not self.shedding_active() or any(
+            change.is_error for change in changes
+        ):
             return False
         schedule = False
         with self._lock:
@@ -558,7 +560,6 @@ class OverloadController:
             "sorted_changes_shed": self.sorted_changes_shed,
             "refreshes_sent": self.refreshes_sent,
             "pending_refresh": pending_refresh,
-            "deadline_shed": self.cluster._deadline_shed_total(),
             "evaluations": self.evaluations,
         }
         if self.shed_stager is not None:

@@ -1,26 +1,34 @@
-"""Worker-hosted grid cells for the process execution model.
+"""The grid cell: one stage loop, hosted two ways.
 
-Under :class:`~repro.runtime.process.ProcessExecutionModel` the grid's
-matching and sorting cells do not run inside the bolt threads — each
-bolt is a thin proxy that round-trips its tuple batches to a cell
-hosted in a forked worker process.  This module is both sides of that
-seam:
+A matching node is defined by its coordinates (one query partition x
+one write partition, Section 5.1), not by where it runs.
+:class:`MatchingCell` and :class:`SortingCell` are the only
+implementation of the per-batch stage loop; the cluster's grid bolt
+hosts one either in its own thread (inline / threaded execution) or in
+a forked worker (:class:`~repro.runtime.process.ProcessExecutionModel`).
 
 * **Specs** (:class:`MatchingCellSpec`, :class:`SortingCellSpec`) are
-  small picklable descriptions of one cell.  The parent ships a spec
-  over the control channel; the worker calls ``build()`` exactly once
-  to construct the live cell.  A supervised restart ships a fresh spec
-  — cell state is reconstructed by re-registration and retained-write
-  replay, never carried across processes.
-* **Remote cells** (:class:`RemoteMatchingCell`,
-  :class:`RemoteSortingCell`) wrap the ordinary
-  :class:`~repro.core.filtering.FilteringNode` / processing stage and
-  speak the batch protocol: ``handle_batch(tuples)`` consumes decoded
-  wire envelopes and returns a reply envelope ``{"emits": [...],
-  "coalesced": n}``.  Emits are fully serialized (match events and
-  query changes as plain dicts, documents materialized) so the reply
-  survives any wire codec and can feed straight into the JSON event
-  layer on the parent side.
+  small frozen, picklable descriptions of one cell, built at a single
+  site (``InvaliDBCluster._cell_spec``) for both hostings.
+  ``spec.cell(**injected)`` constructs the live cell; a supervised
+  restart builds a fresh one — cell state is reconstructed by
+  re-registration and retained-write replay, never carried over.
+* **Cells** speak the batch protocol: ``handle_batch(tuples)`` returns
+  live objects — the match-event messages bound for the sorting grid,
+  the ``(QueryChange, trace fork)`` pairs bound for the notification
+  fan-out, and how many events in-batch coalescing elided.  What cannot
+  cross a fork is injected by a local host (shared telemetry, the
+  config clock, the deadline clock, the cluster-wide query resolver,
+  the overload controller's sorted-shedding hook); a worker-hosted cell
+  falls back to its own registry on the fork-calibrated clock, wall
+  time and a private resolver.
+* **The process seam** is the only place anything is serialised:
+  ``spec.build()`` returns a :class:`WorkerCell` that decodes match
+  events in and encodes emits out around that same ``handle_batch``,
+  and the parent's :class:`LeasedCell` decodes the reply back into the
+  shape the local cell returns.  Sampled traces ride the wire envelopes
+  both ways; worker spans are stamped in the parent's ``perf_counter``
+  domain, so the parent tracer sees complete chains.
 
 Documents inside write envelopes may arrive as
 :class:`~repro.event.wire.LazyDocument` blobs; they flow untouched into
@@ -33,17 +41,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.filtering import FilteringNode, MatchEvent
 from repro.core.notifications import (
     EventEntry,
+    QueryChange,
     change_from_match_event,
     coalesce_events,
+    deserialize_change,
     serialize_change,
 )
 from repro.core.partitioning import PartitioningScheme
-from repro.core.stages import build_stage
+from repro.core.sorting import SortingNode
 from repro.event.wire import materialize
 from repro.obs.telemetry import build_telemetry
 from repro.obs.tracing import (
@@ -57,28 +67,63 @@ from repro.obs.tracing import (
     trace_of,
 )
 from repro.query.engine import Query
-from repro.types import MatchType
+from repro.types import AfterImage, MatchType, WriteKind
 
-
-def _bind_worker_clock(telemetry: Any) -> Any:
-    """Attach the fork-calibrated worker clock to a cell's telemetry.
-
-    Worker-side spans must land in the *parent's* ``perf_counter``
-    domain so merged chains compare; the pool handshakes the offset at
-    spawn (see :class:`repro.runtime.process._WorkerClock`) and the
-    clock instance picks up later recalibrations because the cells hold
-    the callable, not a reading.
-    """
-    if telemetry.enabled:
-        from repro.runtime.process import worker_clock
-
-        telemetry.bind_clock(worker_clock)
-    return telemetry
+#: What one batch produced: match-event messages for the sorting grid,
+#: (change, owned trace fork) pairs for the fan-out, coalesced count.
+CellResult = Tuple[
+    List[Dict[str, Any]], List[Tuple[QueryChange, Optional[Trace]]], int
+]
 
 
 # ---------------------------------------------------------------------------
-# Match-event wire form
+# Wire forms
 # ---------------------------------------------------------------------------
+
+
+def serialize_query(query: Query) -> Dict[str, Any]:
+    """Wire form of a query (the 'representation of the query itself')."""
+    return {
+        "filter": query.filter_doc,
+        "collection": query.collection,
+        "sort": None if query.sort is None else [list(f) for f in query.sort.fields],
+        "limit": query.limit,
+        "offset": query.offset,
+    }
+
+
+def deserialize_query(payload: Dict[str, Any]) -> Query:
+    sort = payload.get("sort")
+    return Query(
+        payload["filter"],
+        collection=payload.get("collection", "default"),
+        sort=None if sort is None else [tuple(f) for f in sort],
+        limit=payload.get("limit"),
+        offset=payload.get("offset", 0),
+    )
+
+
+def serialize_after_image(after: AfterImage) -> Dict[str, Any]:
+    return {
+        "kind": "write",
+        "key": after.key,
+        "version": after.version,
+        "op": after.kind.value,
+        "document": after.document,
+        "collection": after.collection,
+        "timestamp": after.timestamp,
+    }
+
+
+def deserialize_after_image(payload: Dict[str, Any]) -> AfterImage:
+    return AfterImage(
+        key=payload["key"],
+        version=payload["version"],
+        kind=WriteKind(payload["op"]),
+        document=payload.get("document"),
+        collection=payload.get("collection", "default"),
+        timestamp=payload.get("timestamp", 0.0),
+    )
 
 
 def serialize_match_event(event: MatchEvent) -> Dict[str, Any]:
@@ -106,9 +151,78 @@ def deserialize_match_event(payload: Dict[str, Any]) -> MatchEvent:
     )
 
 
+class QueryResolver:
+    """Subscribe wire -> parsed :class:`Query`, parsed once per query id.
+
+    The cluster owns one and hands it to every locally hosted cell, so
+    a subscribe fanned out to several cells is still parsed once per
+    cluster; a worker-hosted cell owns a private one.
+    """
+
+    def __init__(self) -> None:
+        self._queries: Dict[str, Query] = {}
+
+    def __call__(self, tuple_: Dict[str, Any]) -> Query:
+        query_id = tuple_["query_id"]
+        query = self._queries.get(query_id)
+        if query is None:
+            query = self._queries[query_id] = deserialize_query(
+                tuple_["query"]
+            )
+        return query
+
+    def forget(self, query_id: str) -> None:
+        self._queries.pop(query_id, None)
+
+
 # ---------------------------------------------------------------------------
-# Matching cell
+# The cells
 # ---------------------------------------------------------------------------
+
+
+def _bind_worker_clock(telemetry: Any) -> Any:
+    """Attach the fork-calibrated worker clock to a cell's telemetry.
+
+    Worker-side spans must land in the *parent's* ``perf_counter``
+    domain so merged chains compare; the pool handshakes the offset at
+    spawn (see :class:`repro.runtime.process._WorkerClock`) and the
+    clock instance picks up later recalibrations because the cells hold
+    the callable, not a reading.
+    """
+    if telemetry.enabled:
+        from repro.runtime.process import worker_clock
+
+        telemetry.bind_clock(worker_clock)
+    return telemetry
+
+
+class _Cell:
+    """What both roles share: the spec and the host's injections."""
+
+    def __init__(
+        self,
+        spec: Any,
+        telemetry: Any = None,
+        clock: Callable[[], float] = time.time,
+        deadline_now: Callable[[], float] = time.time,
+        resolve_query: Optional[QueryResolver] = None,
+    ):
+        self.spec = spec
+        if telemetry is None:
+            # Worker-hosted: a registry of its own (a collector cannot
+            # cross the fork) on the calibrated clock.
+            telemetry = _bind_worker_clock(
+                build_telemetry(spec.telemetry or None)
+            )
+        self.telemetry = telemetry
+        self.clock = clock
+        #: Called per tuple that carries a deadline: virtual time under
+        #: the inline model, the config clock under the threaded one,
+        #: wall time in a worker (custom clocks do not cross the fork).
+        self.deadline_now = deadline_now
+        self.resolve_query = (
+            resolve_query if resolve_query is not None else QueryResolver()
+        )
 
 
 @dataclass(frozen=True)
@@ -126,20 +240,20 @@ class MatchingCellSpec:
     notification_coalescing: bool = True
     telemetry: bool = False
 
-    def build(self) -> "RemoteMatchingCell":
-        return RemoteMatchingCell(self)
+    def cell(self, **injected: Any) -> "MatchingCell":
+        return MatchingCell(self, **injected)
+
+    def build(self) -> "WorkerCell":
+        return WorkerCell(self.cell())
 
 
-class RemoteMatchingCell:
-    """One worker-hosted :class:`FilteringNode` behind the batch seam."""
+class MatchingCell(_Cell):
+    """One :class:`FilteringNode` behind the batch protocol."""
 
-    def __init__(self, spec: MatchingCellSpec):
-        self.spec = spec
+    def __init__(self, spec: MatchingCellSpec, **injected: Any):
+        super().__init__(spec, **injected)
         self.scheme = PartitioningScheme(
             spec.query_partitions, spec.write_partitions
-        )
-        self.telemetry = _bind_worker_clock(
-            build_telemetry(spec.telemetry or None)
         )
         self.node = FilteringNode(
             self.scheme.coordinates(spec.task_index),
@@ -150,33 +264,24 @@ class RemoteMatchingCell:
             spatial_grid_cells=spec.spatial_grid_cells,
             telemetry=self.telemetry,
         )
-        self._queries: Dict[str, Query] = {}
 
-    def _query(self, tuple_: Dict[str, Any]) -> Query:
-        query_id = tuple_["query_id"]
-        cached = self._queries.get(query_id)
-        if cached is not None:
-            return cached
-        # Deferred import: repro.core.cluster imports this module.
-        from repro.core.cluster import deserialize_query
+    def handle_batch(self, tuples: List[Dict[str, Any]]) -> CellResult:
+        """Match a chunk of after-images / requests in arrival order.
 
-        query = deserialize_query(tuple_["query"])
-        self._queries[query_id] = query
-        return query
-
-    def handle_batch(self, tuples: List[Dict[str, Any]]) -> Dict[str, Any]:
-        from repro.core.cluster import deserialize_after_image
-
+        Each tuple's riding trace is forked (grid tuples are shared
+        across edges), its ``publish`` span closed and a ``filter`` span
+        wrapped around the matching work; every produced event inherits
+        a fork of that trace.  Events are coalesced per (query, key)
+        and routed in one pass per chunk: sorted queries' events become
+        messages for the sorting grid (their ``sort`` span opens here),
+        the rest become changes.
+        """
         node = self.node
         tel = self.telemetry
-        now = time.time()
+        now = self.clock()
         entries: List[EventEntry] = []
         for tuple_ in tuples:
-            kind = tuple_.get("kind")
-            # Mirror of _MatchingBolt tracing: traces ride the wire
-            # envelopes in, spans are stamped here with the calibrated
-            # worker clock (parent perf_counter domain), and the forks
-            # ride the reply emits back out.
+            kind = tuple_["kind"]
             trace = fork(trace_of(tuple_)) if tel.enabled else None
             if trace is not None:
                 tnow = tel.now()
@@ -184,88 +289,68 @@ class RemoteMatchingCell:
                 begin_span(trace, FILTER, tnow)
             deadline = tuple_.get("deadline") if kind == "write" else None
             if kind == "write":
-                if deadline is not None and now > deadline:
-                    # Workers compare against wall clock: the process
-                    # model never runs deterministically, and custom
-                    # clocks do not cross the fork.
+                if deadline is not None and self.deadline_now() > deadline:
+                    # Budget already spent: computing matches no client
+                    # can receive in time is pure wasted work.
                     node.deadline_shed += 1
                     if trace is not None:
                         end_span(trace, FILTER, tel.now())
                     continue
-                after = deserialize_after_image(tuple_)
-                produced = node.process_write(after, now)
+                events = node.process_write(
+                    deserialize_after_image(tuple_), now
+                )
             elif kind == "subscribe":
-                query = self._query(tuple_)
+                # Each cell keeps only its write-partition slice of the
+                # bootstrap result.
                 wp = node.coordinates.write_partition
                 partition_of = self.scheme.write_partition_of
-                bootstrap = [
-                    doc
-                    for doc in tuple_["bootstrap"]
-                    if partition_of(doc["_id"]) == wp
-                ]
-                versions = {
-                    key: version for key, version in tuple_["versions"]
-                }
-                produced = node.register_query(
-                    query, bootstrap, versions, now
+                events = node.register_query(
+                    self.resolve_query(tuple_),
+                    [
+                        doc for doc in tuple_["bootstrap"]
+                        if partition_of(doc["_id"]) == wp
+                    ],
+                    dict(tuple_["versions"]),
+                    now,
                 )
-            elif kind == "cancel":
-                node.deactivate_query(tuple_["query_id"])
-                self._queries.pop(tuple_["query_id"], None)
-                produced = []
             else:
-                produced = []
+                if kind == "cancel":
+                    node.deactivate_query(tuple_["query_id"])
+                    self.resolve_query.forget(tuple_["query_id"])
+                events = []
             if trace is not None:
                 end_span(trace, FILTER, tel.now())
-            entries.extend(
-                (event, trace, deadline) for event in produced
-            )
-        dropped = 0
+            entries.extend((event, trace, deadline) for event in events)
+        coalesced = 0
         if self.spec.notification_coalescing and len(entries) > 1:
-            entries, dropped = coalesce_events(entries)
-        emits: List[Dict[str, Any]] = []
+            entries, coalesced = coalesce_events(entries)
+        messages: List[Dict[str, Any]] = []
+        changes: List[Tuple[QueryChange, Optional[Trace]]] = []
         for event, trace, deadline in entries:
-            if event.needs_sorting:
-                emit = {
-                    "kind": "match-event",
-                    "query_id": event.query_id,
-                    "event": serialize_match_event(event),
-                }
-                if deadline is not None:
-                    emit["deadline"] = deadline
-                branch = fork(trace)
-                if branch is not None:
-                    begin_span(branch, SORT, tel.now())
-                    emit["trace"] = branch
-                emits.append(emit)
-            else:
-                emit = {
-                    "kind": "change",
-                    "change": serialize_change(
-                        change_from_match_event(event)
-                    ),
-                }
-                branch = fork(trace)
-                if branch is not None:
-                    emit["trace"] = branch
-                emits.append(emit)
-        return {"emits": emits, "coalesced": dropped}
+            if not event.needs_sorting:
+                changes.append((change_from_match_event(event), fork(trace)))
+                continue
+            message: Dict[str, Any] = {
+                "kind": "match-event",
+                "query_id": event.query_id,
+                "event": event,
+            }
+            if deadline is not None:
+                message["deadline"] = deadline
+            branch = fork(trace)
+            if branch is not None:
+                begin_span(branch, SORT, tel.now())
+                message["trace"] = branch
+            messages.append(message)
+        return messages, changes, coalesced
 
     def snapshot(self) -> Dict[str, Any]:
-        """The same stats row an in-process filtering node reports."""
         row = self.node.stats()
         coordinates = self.node.coordinates
         row["coordinates"] = str(coordinates)
         row["query_partition"] = coordinates.query_partition
         row["write_partition"] = coordinates.write_partition
-        if self.telemetry.enabled:
-            row["telemetry"] = self.telemetry.snapshot()
         return row
-
-
-# ---------------------------------------------------------------------------
-# Sorting (processing-stage) cell
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -276,116 +361,176 @@ class SortingCellSpec:
     shared_windows: bool = False
     adaptive_slack: bool = False
     default_slack: int = 5
-    stage: str = "sorting"
     telemetry: bool = False
 
-    def build(self) -> "RemoteSortingCell":
-        return RemoteSortingCell(self)
+    def cell(self, **injected: Any) -> "SortingCell":
+        return SortingCell(self, **injected)
+
+    def build(self) -> "WorkerCell":
+        return WorkerCell(self.cell())
 
 
-class RemoteSortingCell:
-    """One worker-hosted processing stage behind the batch seam."""
+class SortingCell(_Cell):
+    """One :class:`SortingNode` behind the batch protocol."""
 
-    def __init__(self, spec: SortingCellSpec):
-        self.spec = spec
-        self.telemetry = _bind_worker_clock(
-            build_telemetry(spec.telemetry or None)
-        )
-        self.node = build_stage(
-            spec.stage,
+    def __init__(
+        self,
+        spec: SortingCellSpec,
+        defer: Optional[Callable[[SortingNode, List[QueryChange]], bool]] = None,
+        **injected: Any,
+    ):
+        super().__init__(spec, **injected)
+        #: Per-event shedding hook (``OverloadController.defer_sorted``):
+        #: True = the diffs were swallowed, a snapshot refresh of the
+        #: dirty window replaces them.  Reads the node's live window, so
+        #: only a local host can supply it.
+        self.defer = defer
+        self.node = SortingNode(
             spec.task_index,
             telemetry=self.telemetry,
             shared_windows=spec.shared_windows,
             adaptive_slack=spec.adaptive_slack,
         )
-        self._queries: Dict[str, Query] = {}
 
-    def _query(self, tuple_: Dict[str, Any]) -> Query:
-        query_id = tuple_["query_id"]
-        cached = self._queries.get(query_id)
-        if cached is not None:
-            return cached
-        from repro.core.cluster import deserialize_query
-
-        query = deserialize_query(tuple_["query"])
-        self._queries[query_id] = query
-        return query
-
-    def handle_batch(self, tuples: List[Dict[str, Any]]) -> Dict[str, Any]:
+    def handle_batch(self, tuples: List[Dict[str, Any]]) -> CellResult:
+        """Maintain the sorted windows for a chunk of match events /
+        requests; the batch's changes go out together, in production
+        order (per-query notification order is the event order)."""
         node = self.node
         tel = self.telemetry
-        now = time.time()
-        #: (change, trace fork) pairs, in production order.
-        produced: List[Tuple[Any, Optional[Trace]]] = []
+        produced: List[Tuple[QueryChange, Optional[Trace]]] = []
         for tuple_ in tuples:
-            kind = tuple_.get("kind")
+            kind = tuple_["kind"]
             trace = fork(trace_of(tuple_)) if tel.enabled else None
             if kind == "match-event":
                 deadline = tuple_.get("deadline")
-                if deadline is not None and now > deadline:
-                    # Defensive getattr: build_stage may host stages
-                    # without the counter (future aggregation stage).
-                    node.deadline_shed = getattr(
-                        node, "deadline_shed", 0
-                    ) + 1
+                if deadline is not None and self.deadline_now() > deadline:
+                    # The write's latency budget expired in flight:
+                    # skipping window maintenance is safe because the
+                    # sorting stage resolves any resulting staleness
+                    # through its renewal path (as for dropped events).
+                    node.deadline_shed += 1
                     continue
-                # The ``sort`` span was opened by the matching cell
-                # when it routed the event here; close it around the
+                # The ``sort`` span was opened by the matching cell when
+                # it routed the event here; close it around the
                 # window maintenance.
-                event = deserialize_match_event(tuple_["event"])
-                changes = node.handle_event(event)
+                changes = node.handle_event(tuple_["event"])
                 if trace is not None:
                     end_span(trace, SORT, tel.now())
+                if (
+                    changes
+                    and self.defer is not None
+                    and self.defer(node, changes)
+                ):
+                    continue
             elif kind == "subscribe":
-                query = self._query(tuple_)
+                query = self.resolve_query(tuple_)
                 if not query.needs_sorting_stage:
                     continue
                 if trace is not None:
                     tnow = tel.now()
                     end_span(trace, PUBLISH, tnow)
                     begin_span(trace, SORT, tnow)
-                versions = {
-                    key: version for key, version in tuple_["versions"]
-                }
                 changes = node.register_query(
                     query,
                     tuple_["bootstrap"],
-                    versions,
+                    dict(tuple_["versions"]),
                     slack=tuple_.get("slack", self.spec.default_slack),
-                    timestamp=now,
+                    timestamp=self.clock(),
                 )
                 if trace is not None:
                     end_span(trace, SORT, tel.now())
-            elif kind == "cancel":
-                node.deactivate_query(tuple_["query_id"])
-                self._queries.pop(tuple_["query_id"], None)
-                continue
             else:
+                if kind == "cancel":
+                    node.deactivate_query(tuple_["query_id"])
+                    self.resolve_query.forget(tuple_["query_id"])
                 continue
             produced.extend((change, fork(trace)) for change in changes)
-        emits: List[Dict[str, Any]] = []
-        for change, branch in produced:
-            emit: Dict[str, Any] = {
-                "kind": "change",
-                "change": serialize_change(change),
-            }
-            if branch is not None:
-                emit["trace"] = branch
-            emits.append(emit)
-        return {"emits": emits, "coalesced": 0}
+        return [], produced, 0
 
     def snapshot(self) -> Dict[str, Any]:
-        node = self.node
-        row = {
-            "queries": node.query_count,
-            "events_processed": node.events_processed,
-            "renewals_requested": node.renewals_requested,
-            "window_comparisons": node.window_comparisons,
-            "shared_groups": getattr(node, "shared_group_count", 0),
-            "shared_attach": getattr(node, "shared_attach", 0),
-            "shared_miss": getattr(node, "shared_miss", 0),
-            "deadline_shed": getattr(node, "deadline_shed", 0),
-        }
-        if self.telemetry.enabled:
-            row["telemetry"] = self.telemetry.snapshot()
+        row = self.node.stats()
+        row["query_partition"] = self.spec.task_index
+        return row
+
+
+# ---------------------------------------------------------------------------
+# The process seam
+# ---------------------------------------------------------------------------
+
+
+class WorkerCell:
+    """Worker side of the seam: wire tuples in, a wire reply out, around
+    the cell's own ``handle_batch``.  The reply is fully serialised
+    (match events and changes as plain dicts, documents materialized)
+    so it survives any wire codec and feeds straight into the JSON
+    event layer on the parent side."""
+
+    def __init__(self, cell: Any):
+        self.cell = cell
+
+    def handle_batch(self, tuples: List[Dict[str, Any]]) -> Dict[str, Any]:
+        for tuple_ in tuples:
+            if tuple_.get("kind") == "match-event":
+                tuple_["event"] = deserialize_match_event(tuple_["event"])
+        messages, changes, coalesced = self.cell.handle_batch(tuples)
+        emits = [
+            dict(message, event=serialize_match_event(message["event"]))
+            for message in messages
+        ]
+        for change, trace in changes:
+            emit = {"kind": "change", "change": serialize_change(change)}
+            if trace is not None:
+                emit["trace"] = trace
+            emits.append(emit)
+        return {"emits": emits, "coalesced": coalesced}
+
+    def snapshot(self) -> Dict[str, Any]:
+        row = self.cell.snapshot()
+        telemetry = self.cell.telemetry
+        if telemetry.enabled:
+            row["telemetry"] = telemetry.snapshot()
+        return row
+
+
+class LeasedCell:
+    """Parent side of the seam: a worker-hosted cell behind the same
+    ``handle_batch`` / ``snapshot`` contract as a local one."""
+
+    #: The node lives in the worker; nothing to reach from here.
+    node = None
+
+    def __init__(self, handle: Any):
+        self.handle = handle
+
+    @property
+    def pid(self) -> int:
+        return self.handle.pid
+
+    def handle_batch(self, tuples: List[Dict[str, Any]]) -> CellResult:
+        reply = self.handle.request_batch([
+            {key: value for key, value in tuple_.items() if key != "__task__"}
+            if "__task__" in tuple_ else tuple_
+            for tuple_ in tuples
+        ])
+        messages: List[Dict[str, Any]] = []
+        changes: List[Tuple[QueryChange, Optional[Trace]]] = []
+        for emit in reply["emits"]:
+            if emit["kind"] == "match-event":
+                # Stays in wire form: its next stop is the sorting
+                # cell's worker (sort span already opened over there).
+                messages.append(emit)
+            else:
+                changes.append(
+                    (deserialize_change(emit["change"]), trace_of(emit))
+                )
+        return messages, changes, reply.get("coalesced", 0)
+
+    def snapshot(self) -> Dict[str, Any]:
+        """The worker-side row plus the hosting worker's ``pid`` and
+        ``wire`` counters."""
+        reply = self.handle.snapshot()
+        row = reply.get("cell") or {}
+        row["pid"] = reply.get("pid")
+        row["wire"] = reply.get("wire", {})
         return row

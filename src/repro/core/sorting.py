@@ -1388,3 +1388,16 @@ class SortingNode:
     @property
     def query_count(self) -> int:
         return len(self._states)
+
+    def stats(self) -> Dict[str, Any]:
+        """Operational snapshot of this node's window maintenance."""
+        return {
+            "queries": self.query_count,
+            "events_processed": self.events_processed,
+            "renewals_requested": self.renewals_requested,
+            "window_comparisons": self.window_comparisons,
+            "shared_groups": self.shared_group_count,
+            "shared_attach": self.shared_attach,
+            "shared_miss": self.shared_miss,
+            "deadline_shed": self.deadline_shed,
+        }

@@ -7,7 +7,9 @@ only stage to ingest after-images; every subsequent stage consumes the
 upstream stage's events.  :class:`ProcessingStage` is the contract a
 stage must satisfy; :class:`~repro.core.sorting.SortingNode` implements
 it, and :mod:`repro.core.aggregation` adds the aggregation stage the
-paper names as future work (Section 8.1).
+paper names as future work (Section 8.1).  Hosting a stage on the grid
+is not this module's business: :class:`~repro.core.remote.SortingCell`
+wraps the sorting node in the batch protocol, locally or in a worker.
 """
 
 from __future__ import annotations
@@ -54,31 +56,3 @@ def pipe(stage: ProcessingStage, events: List[MatchEvent]) -> List[QueryChange]:
         changes.extend(stage.handle_event(event))
     return changes
 
-
-def build_stage(
-    kind: str,
-    task_index: int,
-    engine: Any = None,
-    telemetry: Any = None,
-    **options: Any,
-):
-    """Construct a post-filtering processing stage by name.
-
-    The single construction seam the process execution model's cell
-    specs go through (:mod:`repro.core.remote`): any stage registered
-    here can be hosted in a worker process without the worker knowing
-    its concrete class.  ``sorting`` is the only stage the paper's
-    production system runs; the aggregation stage (Section 8.1) can be
-    added to the table when it grows a node wrapper.
-    """
-    if kind == "sorting":
-        from repro.core.sorting import SortingNode
-
-        return SortingNode(
-            task_index,
-            engine=engine,
-            telemetry=telemetry,
-            shared_windows=options.get("shared_windows", False),
-            adaptive_slack=options.get("adaptive_slack", False),
-        )
-    raise ValueError(f"unknown processing stage: {kind!r}")

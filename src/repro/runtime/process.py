@@ -231,6 +231,10 @@ class WorkerPool:
         self._monitor: Optional[threading.Thread] = None
         self._spawned = 0
         self._deaths = 0
+        #: Death listeners that raised.  The listener is the only route
+        #: from a dead cell to the supervisor, so a failure is counted,
+        #: never swallowed silently.
+        self._death_listener_errors = 0
 
     # -- leasing ----------------------------------------------------------
 
@@ -390,8 +394,9 @@ class WorkerPool:
                 try:
                     listener(name, pid, reason)
                 except Exception:  # noqa: BLE001 - a listener must not
-                    # take the monitor down with it.
-                    pass
+                    # take the monitor down with it, nor keep the
+                    # remaining listeners from hearing of the death.
+                    self._death_listener_errors += 1
 
     def _monitor_loop(self) -> None:
         while True:
@@ -454,6 +459,7 @@ class WorkerPool:
                 "wire_codec": self.codec_name,
                 "spawned": self._spawned,
                 "deaths": self._deaths,
+                "death_listener_errors": self._death_listener_errors,
                 "workers": [
                     worker.stats() for worker in self._workers.values()
                 ],

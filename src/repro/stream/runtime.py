@@ -231,6 +231,9 @@ class LocalRuntime:
         #: poisoned and crashed (None/0 disables — seed behavior).
         self.error_threshold = error_threshold
         self._crash_listener: Optional[Any] = None
+        #: Crash listener calls that raised (the crash stays recorded;
+        #: the supervisor never heard of it).
+        self._crash_listener_errors = 0
         self._tasks: Dict[str, List[_Task]] = {}
         self._started = False
         self._stopped = False
@@ -356,7 +359,7 @@ class LocalRuntime:
                 listener(task.spec.name, task.task_index, reason)
             except Exception:  # noqa: BLE001 - a broken supervisor must
                 # not take the worker down with it.
-                pass
+                self._crash_listener_errors += 1
 
     def crash_task(self, component: str, task_index: int,
                    reason: str = "killed") -> None:
@@ -468,6 +471,7 @@ class LocalRuntime:
         return {
             "components": components,
             "failures": sum(failure_counts.values()),
+            "crash_listener_errors": self._crash_listener_errors,
             "execution": self._execution.stats(),
         }
 

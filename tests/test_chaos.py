@@ -117,7 +117,7 @@ def run_inline_scenario(seed: int, plan=None, resubscribe: bool = False):
         stats = cluster.stats()
         crashed_versions = {}
         for index in range(cluster.matching_node_count):
-            node = cluster._filtering_nodes[index]
+            node = cluster._cells[("matching", index)].node
             crashed_versions[index] = dict(node.retention._versions)
         return {
             "flat_result": json.dumps(

@@ -268,7 +268,7 @@ def test_worker_kill9_writes_flight_dump(tmp_path):
             app.insert("items", {"_id": i, "v": i})
         broker.drain(10.0)
         cluster.drain(10.0)
-        victim = cluster._remote_cells[("matching", 0)].pid
+        victim = cluster._cells[("matching", 0)].pid
         os.kill(victim, signal.SIGKILL)
         deadline = time.monotonic() + 8.0
         dumps = []

@@ -1,0 +1,370 @@
+"""One grid cell, hosted two ways (no fork needed).
+
+The stage loop lives in :class:`MatchingCell` / :class:`SortingCell`;
+the process model only adds a serialisation seam around it.  This suite
+drives the same tuple batches through a local cell and through the seam
+— parent-side :class:`LeasedCell` -> ``BinaryCodec`` batch encode ->
+worker-side lazy decode -> :class:`WorkerCell` -> reply encode ->
+parent decode — and requires the two results to be equal, batch by
+batch, for both roles chained the way the topology chains them.
+"""
+
+import itertools
+import pickle
+
+from hypothesis import given, settings, strategies as st
+
+from repro.core.partitioning import PartitioningScheme
+from repro.core.remote import (
+    LeasedCell,
+    MatchingCellSpec,
+    QueryResolver,
+    SortingCellSpec,
+    WorkerCell,
+    serialize_after_image,
+    serialize_match_event,
+    serialize_query,
+)
+from repro.event.wire import build_codec, decode_batch, encode_batch
+from repro.obs.telemetry import build_telemetry
+from repro.obs.tracing import PUBLISH, begin_span, new_trace, spans_of
+from repro.query.engine import MongoQueryEngine, Query
+from repro.types import AfterImage, MatchType, WriteKind
+
+ENGINE = MongoQueryEngine()
+SCHEME = PartitioningScheme(1, 2)
+SLACK = 2
+#: The instant each stage's deadline clock reads: a budget of 50 is
+#: spent before matching, one of 150 between the stages, 250 survives.
+MATCHING_NOW, SORTING_NOW = 100.0, 200.0
+#: Primary keys of the cell under test (write partition 0), plus two
+#: the write ingestion would route to the other partition's cell.
+OWN_KEYS = [k for k in range(64) if SCHEME.write_partition_of(k) == 0][:8]
+FOREIGN_KEYS = [k for k in range(64) if SCHEME.write_partition_of(k) == 1][:2]
+KEYS = OWN_KEYS + FOREIGN_KEYS
+
+QUERIES = [
+    Query({"v": {"$gte": 10}}, collection="items"),
+    Query({"t": "x"}, collection="items"),
+    Query({}, collection="items", sort=[("v", -1)], limit=3),
+    Query({"v": {"$gte": 0}}, collection="items", sort=[("v", 1)],
+          limit=2, offset=1),
+]
+
+
+class LoopbackHandle:
+    """Stands in for ``RemoteCell``: the exact codec steps of
+    ``RemoteCell.request_batch`` and ``_worker_main``, in one process."""
+
+    pid = 0
+
+    def __init__(self, worker_cell):
+        self.worker_cell = worker_cell
+        self.parent_codec = build_codec("binary", lazy_documents=False)
+        self.worker_codec = build_codec("binary", lazy_documents=True)
+
+    def request_batch(self, items):
+        wire = encode_batch(self.parent_codec, items)
+        batch = decode_batch(self.worker_codec, wire)
+        reply = self.worker_codec.encode(self.worker_cell.handle_batch(batch))
+        return self.parent_codec.decode(reply)
+
+    def snapshot(self):
+        return pickle.loads(pickle.dumps({
+            "pid": self.pid, "cell": self.worker_cell.snapshot(), "wire": {},
+        }))
+
+
+def injected(traced, deadline_now):
+    """What a local host hands a cell — the same values on both sides
+    so the two hostings are comparable.  Span stamps come from a
+    counting clock: equal results imply an equal sequence of clock
+    reads, i.e. the same tracing work."""
+    telemetry = build_telemetry(True if traced else None)
+    ticks = itertools.count()
+    telemetry.bind_clock(lambda: float(next(ticks)))
+    return {
+        "telemetry": telemetry,
+        "clock": lambda: 10.0,
+        "deadline_now": lambda: deadline_now,
+    }
+
+
+class Grid:
+    """A matching cell feeding a sorting cell, local and behind the
+    seam, kept in lock-step."""
+
+    def __init__(self, coalescing, traced, defer=None):
+        mspec = MatchingCellSpec(
+            task_index=0, query_partitions=1, write_partitions=2,
+            retention_seconds=3600.0, notification_coalescing=coalescing,
+        )
+        sspec = SortingCellSpec(task_index=0, default_slack=SLACK)
+        self.matching = mspec.cell(**injected(traced, MATCHING_NOW))
+        self.sorting = sspec.cell(
+            defer=defer, **injected(traced, SORTING_NOW))
+        self.leased_matching = LeasedCell(LoopbackHandle(
+            WorkerCell(mspec.cell(**injected(traced, MATCHING_NOW)))))
+        self.leased_sorting = LeasedCell(LoopbackHandle(WorkerCell(
+            sspec.cell(defer=defer, **injected(traced, SORTING_NOW)))))
+
+    def step(self, batch):
+        """One dispatch batch through both stages; asserts the two
+        hostings agree and returns the local result."""
+        messages, changes, coalesced = self.matching.handle_batch(batch)
+        wire_messages, wire_changes, wire_coalesced = \
+            self.leased_matching.handle_batch(batch)
+        assert [
+            dict(message, event=serialize_match_event(message["event"]))
+            for message in messages
+        ] == wire_messages
+        assert changes == wire_changes
+        assert coalesced == wire_coalesced
+        # The sorting grid hears the query requests too (second edge
+        # out of query ingestion), then this batch's match events.
+        requests = [t for t in batch if t["kind"] != "write"]
+        sorted_result = self.sorting.handle_batch(requests + messages)
+        assert sorted_result == \
+            self.leased_sorting.handle_batch(requests + wire_messages)
+        assert sorted_result[0] == [] and sorted_result[2] == 0
+        return messages, changes, coalesced, sorted_result[1]
+
+
+def subscribe_tuple(query, db, versions):
+    rewritten = query.rewritten_for_subscription(SLACK)
+    bootstrap = ENGINE.sort(
+        rewritten, [doc for doc in db.values() if rewritten.matches(doc)]
+    )
+    if rewritten.limit is not None:
+        bootstrap = bootstrap[: rewritten.limit]
+    return {
+        "kind": "subscribe",
+        "app_server": "app",
+        "query_id": query.query_id,
+        "query_hash": query.hash,
+        "query": serialize_query(query),
+        "bootstrap": [dict(doc) for doc in bootstrap],
+        "versions": [[doc["_id"], versions[doc["_id"]]] for doc in bootstrap],
+        "slack": SLACK,
+    }
+
+
+def with_trace(tuple_, kind, key):
+    trace = new_trace("t-1", kind, key, 0.0)
+    begin_span(trace, PUBLISH, 0.0)
+    tuple_["trace"] = trace
+    return tuple_
+
+
+#: (op, key, value, stale, deadline, traced)
+write_ops = st.tuples(
+    st.sampled_from(["insert", "update", "delete"]),
+    st.sampled_from(KEYS), st.integers(-5, 30), st.booleans(),
+    st.sampled_from([None, None, None, 50.0, 150.0, 250.0]),
+    st.sampled_from([True, True, True, False]),
+)
+query_ops = st.tuples(
+    st.sampled_from(["subscribe", "cancel"]),
+    st.integers(0, len(QUERIES) - 1), st.just(0), st.just(False),
+    st.just(None), st.booleans(),
+)
+batches = st.lists(
+    st.lists(st.one_of(write_ops, write_ops, query_ops),
+             min_size=2, max_size=10),
+    min_size=2, max_size=8,
+)
+
+
+def materialize_batches(plan):
+    """Turn the drawn plan into wire tuples against a model database
+    (so bootstraps and versions are what a pull query would return)."""
+    db, versions = {}, {}
+    for ops in plan:
+        batch = []
+        for op, key, value, stale, deadline, traced in ops:
+            if op in ("subscribe", "cancel"):
+                query = QUERIES[key]
+                if op == "subscribe":
+                    tuple_ = subscribe_tuple(query, db, versions)
+                else:
+                    tuple_ = {"kind": "cancel", "query_id": query.query_id,
+                              "query_hash": query.hash, "app_server": "app"}
+                if traced:
+                    with_trace(tuple_, op, query.query_id)
+                batch.append(tuple_)
+                continue
+            version = versions.get(key, 0) + 1
+            stale = stale and version > 2
+            if stale:
+                version -= 2  # an after-image overtaken in flight
+            else:
+                versions[key] = version
+            if op == "delete":
+                document, kind = None, WriteKind.DELETE
+                if not stale:
+                    db.pop(key, None)
+            else:
+                document = {"_id": key, "v": value,
+                            "t": "x" if value % 2 else "y"}
+                kind = WriteKind.INSERT if op == "insert" else WriteKind.UPDATE
+                if not stale:
+                    db[key] = document
+            tuple_ = serialize_after_image(AfterImage(
+                key=key, version=version, kind=kind, document=document,
+                collection="items", timestamp=float(version),
+            ))
+            if deadline is not None:
+                tuple_["deadline"] = deadline
+            if traced:
+                with_trace(tuple_, "write", key)
+            if key in OWN_KEYS:  # else: the database has it, this cell not
+                batch.append(tuple_)
+        if batch:
+            yield batch
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan=batches, coalescing=st.booleans(), traced=st.booleans())
+def test_local_cell_equals_the_seam(plan, coalescing, traced):
+    grid = Grid(coalescing, traced)
+    saw_coalesced = 0
+    for batch in materialize_batches(plan):
+        _, _, coalesced, _ = grid.step(batch)
+        saw_coalesced += coalesced
+    if not coalescing:
+        assert saw_coalesced == 0
+    # Same counters wherever the cell runs, same row shape.
+    for local, leased in ((grid.matching, grid.leased_matching),
+                          (grid.sorting, grid.leased_sorting)):
+        row = leased.snapshot()
+        assert row.pop("pid") == 0 and row.pop("wire") == {}
+        if traced:
+            assert "telemetry" in row  # added at the seam, not by the cell
+            del row["telemetry"]
+        assert row == local.snapshot()
+
+
+def test_sorted_and_unsorted_routing_with_traces():
+    """Pinned walk-through: unsorted events become changes, sorted ones
+    become messages whose sort span the matching cell opens and the
+    sorting cell closes; expired deadlines are shed per stage."""
+    grid = Grid(coalescing=True, traced=True)
+    db, versions = {}, {}
+    flat, top = QUERIES[0], QUERIES[2]
+    grid.step([subscribe_tuple(flat, db, versions),
+               subscribe_tuple(top, db, versions)])
+    keys = OWN_KEYS[:3]
+
+    def write(key, value, version, **extra):
+        tuple_ = serialize_after_image(AfterImage(
+            key=key, version=version, kind=WriteKind.INSERT,
+            document={"_id": key, "v": value}, collection="items",
+            timestamp=1.0,
+        ))
+        tuple_.update(extra)
+        return with_trace(tuple_, "write", key)
+
+    messages, changes, coalesced, sorted_changes = grid.step([
+        write(keys[0], 20, 1),
+        write(keys[1], 5, 1),
+        write(keys[2], 30, 1, deadline=50.0),     # expired at matching
+    ])
+    assert coalesced == 0
+    assert [(c.match_type, c.key) for c, _ in changes] == \
+        [(MatchType.ADD, keys[0])]
+    assert [m["event"].key for m in messages] == [keys[0], keys[1]]
+    assert [(c.key, c.index) for c, _ in sorted_changes] == \
+        [(keys[0], 0), (keys[1], 1)]
+    assert grid.matching.node.deadline_shed == 1
+    for message in messages:
+        assert [name for name, _, _ in spans_of(message["trace"])] == \
+            ["publish", "filter", "sort"]
+    for _, trace in sorted_changes:
+        assert all(end is not None for _, _, end in spans_of(trace))
+    # A deadline that expires between the stages is shed by sorting.
+    late = dict(messages[0], deadline=150.0)
+    assert grid.sorting.handle_batch([late]) == ([], [], 0)
+    assert grid.sorting.node.deadline_shed == 1
+    assert grid.sorting.snapshot()["deadline_shed"] == 1
+
+
+def test_coalescing_elides_within_a_batch_only_when_enabled():
+    def run(coalescing):
+        grid = Grid(coalescing, traced=False)
+        grid.step([subscribe_tuple(QUERIES[0], {}, {})])
+        key = OWN_KEYS[0]
+        batch = [
+            serialize_after_image(AfterImage(
+                key=key, version=version, kind=WriteKind.UPDATE,
+                document={"_id": key, "v": 10 + version},
+                collection="items", timestamp=0.0,
+            ))
+            for version in (1, 2, 3)
+        ]
+        _, changes, coalesced, _ = grid.step(batch)
+        return [(c.match_type, c.version) for c, _ in changes], coalesced
+
+    assert run(True) == ([(MatchType.ADD, 3)], 2)
+    assert run(False) == (
+        [(MatchType.ADD, 1), (MatchType.CHANGE, 2), (MatchType.CHANGE, 3)], 0
+    )
+
+
+def test_defer_hook_swallows_sorted_diffs_but_not_errors():
+    """The per-event shedding hook: True = the diffs are swallowed, but
+    the window is still maintained (a later refresh reads it)."""
+    seen = []
+
+    def defer(node, changes):
+        seen.append([change.key for change in changes])
+        return True
+
+    grid = Grid(coalescing=True, traced=False, defer=defer)
+    grid.step([subscribe_tuple(QUERIES[2], {}, {})])
+    key = OWN_KEYS[0]
+    _, _, _, sorted_changes = grid.step([serialize_after_image(AfterImage(
+        key=key, version=1, kind=WriteKind.INSERT,
+        document={"_id": key, "v": 1}, collection="items", timestamp=0.0,
+    ))])
+    assert sorted_changes == []
+    assert seen == [[key], [key]]  # once per hosting
+    assert grid.sorting.node.visible_window(QUERIES[2].query_id) == \
+        [{"_id": key, "v": 1}]
+
+
+def test_spec_build_is_the_worker_hosting():
+    """``spec.build()`` (what a worker calls) wraps the same cell class
+    with nothing injected: own registry, wall clocks, private resolver."""
+    worker = MatchingCellSpec(
+        task_index=1, query_partitions=1, write_partitions=2, telemetry=True,
+    ).build()
+    assert isinstance(worker, WorkerCell)
+    cell = worker.cell
+    assert cell.telemetry.enabled
+    assert cell.node.coordinates.write_partition == 1
+    assert "telemetry" in worker.snapshot()
+    assert "telemetry" not in cell.snapshot()
+    sorting = SortingCellSpec(task_index=3).build()
+    assert sorting.snapshot()["query_partition"] == 3
+    assert sorting.cell.defer is None
+    assert not sorting.cell.telemetry.enabled
+
+
+def test_shared_resolver_parses_once_per_cluster():
+    resolver = QueryResolver()
+    spec = MatchingCellSpec(task_index=0, query_partitions=1,
+                            write_partitions=2)
+    cells = [spec.cell(resolve_query=resolver),
+             MatchingCellSpec(task_index=1, query_partitions=1,
+                              write_partitions=2).cell(resolve_query=resolver)]
+    request = subscribe_tuple(QUERIES[0], {}, {})
+    parsed = resolver(request)
+    for cell in cells:
+        cell.handle_batch([request])
+    assert resolver(request) is parsed
+    # A cancel reaching a cell forgets the entry (idempotent on a shared
+    # resolver; what bounds a worker's private one).
+    cells[0].handle_batch([{"kind": "cancel",
+                            "query_id": QUERIES[0].query_id}])
+    assert resolver(request) is not parsed
+

@@ -334,7 +334,10 @@ def run_workload(writes, seed=0, plan=None, resubscribe=False,
             ],
             "health": snapshot.get("health"),
             "client": app.client.stats(),
-            "deadline_shed": cluster._deadline_shed_total(),
+            "deadline_shed": sum(
+                row["deadline_shed"]
+                for row in snapshot["matching"] + snapshot["sorting"]
+            ),
         }
     finally:
         app.close()
@@ -556,6 +559,7 @@ class TestDeadlineBudgets:
         # 7 delayed writes, each shed on both query-partition rows of
         # the 2x2 grid it fans out to.
         assert run["deadline_shed"] == 14
+        assert run["health"]["deadline_shed"] == 14  # total == rows
         assert len(json.loads(run["flat"])) == 3
 
     def test_deadline_shedding_is_deterministic(self):
@@ -711,15 +715,16 @@ class TestVisibleWindow:
         cluster.drain()
         broker.drain()
         query_id = next(iter(app.client._queries))
-        windows = [node.visible_window(query_id)
-                   for node in cluster._sorting_nodes.values()]
+        windows = [cell.node.visible_window(query_id)
+                   for (role, _), cell in cluster._cells.items()
+                   if role == "sorting"]
         windows = [w for w in windows if w is not None]
         assert len(windows) == 1
         assert windows[0] == sub.result()
 
     def test_unknown_query_yields_none(self, cluster_factory):
         cluster = cluster_factory()
-        node = next(iter(cluster._sorting_nodes.values()))
+        node = cluster._cells[("sorting", 0)].node
         assert node.visible_window("nope") is None
 
 

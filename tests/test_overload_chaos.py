@@ -78,7 +78,7 @@ class TestOverloadedWorkerKill:
                 app.insert("items", {"_id": i, "v": (i * seed) % 41})
             settle(cluster, broker)
 
-            victim = cluster._remote_cells[("matching", 0)].pid
+            victim = cluster._cells[("matching", 0)].pid
             os.kill(victim, signal.SIGKILL)
             # Keep the pressure on straight through the outage.
             for i in range(60, 100):

@@ -23,7 +23,9 @@ from repro.core.config import InvaliDBConfig
 from repro.core.server import AppServer
 from repro.errors import ClusterConfigError
 from repro.event.broker import Broker
+from repro.obs.export import to_json, to_prometheus
 from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
+from repro.runtime.process import WorkerPool
 from repro.types import MatchType
 
 pytestmark = pytest.mark.skipif(
@@ -68,6 +70,15 @@ def transcript(subscription):
     ]
 
 
+def row_keys(snapshot):
+    """Key set of every grid row, per role.  ``pid`` is the one key a
+    worker-hosted row adds (it names the hosting process)."""
+    return {
+        role: [sorted(set(row) - {"pid"}) for row in snapshot[role]]
+        for role in ("matching", "sorting")
+    }
+
+
 def run_scenario(**config_kwargs):
     """One seeded workload under the given execution configuration.
 
@@ -99,7 +110,9 @@ def run_scenario(**config_kwargs):
         settle(cluster, broker)
         apply_workload(app)
         settle(cluster, broker, rounds=6)
+        snapshot = cluster.snapshot()
         return {
+            "row_keys": row_keys(snapshot),
             "flat_result": json.dumps(
                 sorted(flat.result(), key=lambda d: d["_id"]),
                 sort_keys=True,
@@ -219,8 +232,17 @@ class TestProcessModelBasics:
             # One row per grid cell, same shape as the in-process rows.
             assert len(snap["matching"]) == 4
             assert len(snap["sorting"]) == 1
-            for row in snap["matching"]:
-                assert "coordinates" in row and "pid" in row
+            for row in snap["matching"] + snap["sorting"]:
+                assert "pid" in row and "wire" not in row
+            inline_broker = Broker(execution=InlineExecutionModel(
+                ExecutionConfig(mode="inline", seed=5)))
+            inline = InvaliDBCluster(inline_broker, InvaliDBConfig(
+                query_partitions=2, write_partitions=2)).start()
+            try:
+                assert row_keys(inline.snapshot()) == row_keys(snap)
+            finally:
+                inline.stop()
+                inline_broker.close()
             assert sum(
                 r["writes_processed"] for r in snap["matching"]
             ) > 0
@@ -280,6 +302,13 @@ class TestTranscriptEquivalence:
             sorted(threaded["flat_transcript"])
         assert sorted(inline["flat_transcript"]) == \
             sorted(process["flat_transcript"])
+        # One cell, hosted two ways: the snapshot rows have the same
+        # keys wherever the cell runs.
+        assert inline["row_keys"] == threaded["row_keys"]
+        assert inline["row_keys"] == process["row_keys"]
+        assert all("deadline_shed" in keys and "node" in keys
+                   for rows in process["row_keys"].values()
+                   for keys in rows)
 
     def test_per_key_order_is_versioned(self):
         process = run_scenario(
@@ -292,8 +321,44 @@ class TestTranscriptEquivalence:
             assert versions == sorted(versions)
 
 
+class EchoCellSpec:
+    """Minimal picklable cell spec for pool-level tests."""
+
+    def build(self):
+        return self
+
+    def handle_batch(self, tuples):
+        return {"echo": len(tuples)}
+
+
 class TestProcessChaos:
     """kill -9 a worker mid-stream; supervised recovery must converge."""
+
+    def test_raising_death_listener_is_counted_and_monitor_survives(self):
+        """The death listener is the only route from a dead worker's
+        cells to the supervisor: one that raises is counted, later
+        listeners still hear of the death, and the monitor thread keeps
+        watching the respawned worker."""
+        pool = WorkerPool(worker_processes=1)
+        heard = []
+
+        def broken(name, pid, reason):
+            raise RuntimeError("listener is broken")
+
+        pool.add_death_listener(broken)
+        pool.add_death_listener(lambda name, pid, reason: heard.append(name))
+        try:
+            for round_ in (1, 2):
+                cell = pool.lease("echo", EchoCellSpec())
+                assert cell.request_batch([{"n": 1}]) == {"echo": 1}
+                os.kill(cell.pid, signal.SIGKILL)
+                assert wait_for(lambda: len(heard) == round_)
+                assert pool.snapshot()["death_listener_errors"] == round_
+                assert pool._monitor.is_alive()
+            assert heard == ["echo", "echo"]
+            assert pool.snapshot()["deaths"] == 2
+        finally:
+            pool.shutdown()
 
     def test_hard_worker_kill_recovers(self):
         broker = Broker()
@@ -313,7 +378,7 @@ class TestProcessChaos:
                 app.insert("items", {"_id": i, "v": i * 3 % 17})
             settle(cluster, broker)
 
-            victim = cluster._remote_cells[("matching", 0)].pid
+            victim = cluster._cells[("matching", 0)].pid
             os.kill(victim, signal.SIGKILL)
             # Keep writing through the outage.
             for i in range(20, 35):
@@ -348,3 +413,77 @@ class TestProcessChaos:
             app.close()
             cluster.stop()
             broker.close()
+
+
+GRID_SUMS = (
+    "cluster.writes_processed", "cluster.matched_operations",
+    "cluster.dag_nodes_evaluated", "cluster.dag_node_hits",
+    "cluster.dag_queries_served",
+)
+
+
+class TestProcessGridCounters:
+    """Grid counters live in the workers: the snapshot totals come from
+    the fetched rows, and the registry collector — which must never
+    round-trip to a worker — leaves the sums out instead of exporting a
+    wrong 0."""
+
+    def run(self, **config_kwargs):
+        broker = Broker()
+        config = InvaliDBConfig(
+            query_partitions=2, write_partitions=2, telemetry=True,
+            **config_kwargs,
+        )
+        cluster = InvaliDBCluster(broker, config).start()
+        app = AppServer("counter-app", broker, config=config)
+        try:
+            app.subscribe("items", {"v": {"$gte": 0}})
+            app.subscribe("items", {}, sort=[("v", -1)], limit=3)
+            settle(cluster, broker)
+            for i in range(12):
+                app.insert("items", {"_id": i, "v": i})
+            settle(cluster, broker)
+            return (
+                cluster.snapshot(),
+                json.loads(to_json(cluster.telemetry)),
+                to_prometheus(cluster.telemetry),
+            )
+        finally:
+            app.close()
+            cluster.stop()
+            broker.close()
+
+    def test_deadline_shed_rows_and_health_agree(self):
+        snap, exported, _ = self.run(
+            execution_model="process", process_workers=2,
+            overload_control=True, deadline_budget_seconds=1e-9,
+        )
+        shed = sum(row["deadline_shed"]
+                   for row in snap["matching"] + snap["sorting"])
+        # Every write's budget is spent before a worker dequeues it, on
+        # both query-partition rows of the grid it fans out to.
+        assert shed == 24
+        assert snap["health"]["deadline_shed"] == shed
+        assert snap["matching_totals"]["matched_operations"] == 0
+        assert "cluster.deadline_shed" not in exported
+        assert "cluster.health_state" in exported
+
+    def test_collector_omits_grid_sums_when_cells_are_remote(self):
+        snap, exported, prometheus = self.run(
+            execution_model="process", process_workers=2,
+        )
+        assert snap["matching_totals"]["matched_operations"] > 0
+        assert sum(r["writes_processed"] for r in snap["matching"]) == 24
+        for name in GRID_SUMS:
+            assert name not in exported, name
+        assert "cluster_writes_processed" not in prometheus
+        assert exported["cluster.notifications_sent"] > 0
+
+    def test_collector_exports_grid_sums_when_cells_are_local(self):
+        snap, exported, _ = self.run(execution_model="threaded")
+        assert exported["cluster.writes_processed"] == 24 == sum(
+            r["writes_processed"] for r in snap["matching"])
+        assert exported["cluster.matched_operations"] == \
+            snap["matching_totals"]["matched_operations"] > 0
+        assert exported["cluster.dag_queries_served"] == \
+            snap["matching_totals"]["dag_queries_served"]

@@ -223,6 +223,38 @@ class TestRuntime:
             assert runtime.failure_counts()["b"] == 1
             assert runtime.stats()["components"]["b"]["failed"] == 1
 
+    def test_raising_crash_listener_is_counted_and_worker_survives(self):
+        """The crash listener is the only route from a poisoned task to
+        the supervisor: one that raises is counted, the crash stays
+        recorded, and the task's worker keeps serving after a restart."""
+        class ExplodingBolt(Bolt):
+            def clone(self):
+                return ExplodingBolt()
+
+            def process(self, tuple_):
+                if tuple_.get("bad"):
+                    raise ValueError("bad tuple")
+
+        def broken_supervisor(component, task_index, reason):
+            raise RuntimeError("supervisor is broken")
+
+        topology = (
+            TopologyBuilder().add_bolt("b", ExplodingBolt()).build()
+        )
+        with LocalRuntime(topology, error_threshold=2) as runtime:
+            runtime.set_crash_listener(broken_supervisor)
+            for _ in range(2):
+                runtime.inject("b", {"bad": True})
+            runtime.drain()
+            assert [c[:2] for c in runtime.crashed_tasks()] == [("b", 0)]
+            assert runtime.stats()["crash_listener_errors"] == 1
+            runtime.restart_task("b", 0)
+            runtime.inject("b", {"bad": False})
+            runtime.drain()
+            assert runtime.crashed_tasks() == []
+            assert runtime.processed_counts()["b"] == 3
+            assert runtime.stats()["crash_listener_errors"] == 1
+
     def test_unknown_component_injection(self):
         topology = TopologyBuilder().add_bolt("b", CollectorBolt()).build()
         with LocalRuntime(topology) as runtime:

@@ -367,7 +367,7 @@ def test_process_worker_kill9_replay_keeps_traces():
         for i in range(20):
             app.insert("items", {"_id": i, "v": i})
         settle(cluster, broker)
-        victim = cluster._remote_cells[("matching", 0)].pid
+        victim = cluster._cells[("matching", 0)].pid
         os.kill(victim, signal.SIGKILL)
         deadline = time.monotonic() + 8.0
         while time.monotonic() < deadline:
