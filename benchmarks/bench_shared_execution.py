@@ -1,6 +1,6 @@
 """Shared multi-query execution benchmarks (PR 7).
 
-Measures the two SharedDB-style sharing layers against deciding each
+Measures the SharedDB-style shared predicate DAG against deciding each
 query on its own:
 
 * filtering — the filtering node (shared predicate DAG, its only
@@ -8,8 +8,6 @@ query on its own:
   index candidates, swept across query-population overlap (0%..100% of
   the population being pagination variants of one hot filter) at 1k
   and 10k registered queries;
-* sorting — shared window cores vs solo per-query window maintenance
-  for same-capacity offset/limit variants of one sorted query;
 * the cluster's DAG counters and ``dag_share_ratio`` as the snapshot
   reports them.
 
@@ -27,13 +25,10 @@ from repro.core.config import InvaliDBConfig
 from repro.core.filtering import FilteringNode
 from repro.core.partitioning import NodeCoordinates
 from repro.core.server import AppServer
-from repro.core.sorting import SortingNode
 from repro.event.broker import Broker
 from repro.query.engine import Query
 from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
-from repro.types import AfterImage, MatchType, WriteKind
-
-from repro.core.filtering import MatchEvent
+from repro.types import AfterImage, WriteKind
 
 # A deep production-shaped feed filter: an $or of three conjunctions
 # plus a top-level guard.  Roughly 17% of the write stream below
@@ -179,86 +174,6 @@ def test_shared_dag_speedup_gate():
     )
     assert dag_node.dag.fallbacks == 0
     assert dag_node.dag.share_ratio > 0.99
-
-
-# ---------------------------------------------------------------------------
-# Shared sorted windows
-# ---------------------------------------------------------------------------
-
-
-def _sorted_population(views: int):
-    """Same-capacity offset/limit variants of one sorted query."""
-    total = 10
-    return [
-        Query({"score": {"$gte": 0}}, collection="feed",
-              sort=[("score", 1)], limit=total - off, offset=off)
-        for off in range(min(views, total - 1))
-    ]
-
-
-def _drive_sorted(shared: bool, views: int, events: int):
-    node = SortingNode(shared_windows=shared)
-    documents = [{"_id": f"k{i}", "score": i * 3} for i in range(30)]
-    queries = _sorted_population(views)
-    slack = 3
-    for query in queries:
-        rewritten = query.rewritten_for_subscription(slack)
-        bootstrap = sorted(documents, key=query.sort.key)
-        bootstrap = bootstrap[: rewritten.limit]
-        versions = {doc["_id"]: 1 for doc in bootstrap}
-        node.register_query(query, [dict(d) for d in bootstrap],
-                            versions, slack=slack)
-    versions = {f"k{i}": 1 for i in range(200)}
-    started = time.perf_counter()
-    for step in range(events):
-        key = f"k{step % 60}"
-        versions[key] = versions.get(key, 0) + 1
-        document = {"_id": key, "score": (step * 13) % 90}
-        for query in queries:
-            if node.state_of(query.query_id) is None:
-                continue  # renewed out after an error; skip for the bench
-            node.handle_event(MatchEvent(
-                query.query_id, MatchType.ADD, key, dict(document),
-                versions[key], float(step), True))
-    elapsed = time.perf_counter() - started
-    return elapsed, node
-
-
-def test_shared_window_maintenance(emit):
-    """One maintained core vs N solo windows for pagination variants."""
-    emit("Shared sorted-window cores vs solo per-query maintenance")
-    emit("population: same-capacity offset/limit variants of one "
-         "sorted feed query")
-    emit()
-    emit(f"{'views':>6} | {'solo ev/s':>10} | {'shared ev/s':>11} | "
-         f"{'speedup':>8} | {'cmp ratio':>9}")
-    emit("-" * 56)
-    for views in (2, 4, 8):
-        events = 2_000
-        solo_elapsed, solo_node = _drive_sorted(False, views, events)
-        shared_elapsed, shared_node = _drive_sorted(True, views, events)
-        assert shared_node.shared_attach >= views - 1
-        ratio = (shared_node.window_comparisons
-                 / max(1, solo_node.window_comparisons))
-        emit(f"{views:>6} | {events / solo_elapsed:>10,.0f} | "
-             f"{events / shared_elapsed:>11,.0f} | "
-             f"{solo_elapsed / shared_elapsed:>7.1f}x | {ratio:>9.2f}")
-    emit()
-    emit("comparisons collapse to ~1/views: the group's window is")
-    emit("maintained once and every view reads its slice")
-
-
-def test_shared_window_comparison_collapse():
-    """Functional floor for CI: 8 same-capacity views must do the
-    sorted-insert comparison work roughly once, not 8 times."""
-    events = 1_000
-    _, solo = _drive_sorted(False, 8, events)
-    _, shared = _drive_sorted(True, 8, events)
-    # All 8 same-capacity views bootstrapped into one core ...
-    assert shared.shared_attach == 7
-    assert shared.shared_miss == 0
-    # ... and the shared path did a fraction of the comparison work.
-    assert shared.window_comparisons * 4 < solo.window_comparisons
 
 
 # ---------------------------------------------------------------------------

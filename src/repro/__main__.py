@@ -125,9 +125,6 @@ def inspect(args: argparse.Namespace) -> int:
         # Trace every write: the inspector exists to show the write
         # path, so it overrides the production sampling default.
         telemetry=TelemetryConfig(trace_sample_rate=1.0),
-        # Shared windows on, so the window-group columns carry live
-        # numbers.
-        shared_sorted_windows=True,
         **model_knobs,
         **overload_knobs,
     )
@@ -144,8 +141,7 @@ def inspect(args: argparse.Namespace) -> int:
     try:
         app.subscribe("items", {"v": {"$gte": 0}})
         app.subscribe("items", {}, sort=[("v", -1)], limit=5)
-        # Pagination variants of the sorted query: same capacity, so
-        # they share one maintained window core.
+        # Pagination variants of the sorted query.
         app.subscribe("items", {}, sort=[("v", -1)], limit=4, offset=1)
         app.subscribe("items", {}, sort=[("v", -1)], limit=3, offset=2)
         # Spatio-textual access paths: a geo box, a radius and a token

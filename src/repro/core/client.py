@@ -31,7 +31,6 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.core.config import InvaliDBConfig
 from repro.core.notifications import unpack_changes
 from repro.core.remote import serialize_after_image, serialize_query
-from repro.core.sorting import SlackAdvisor
 from repro.core.subscriptions import SubscriptionRecord, SubscriptionTable
 from repro.errors import (
     BrokerClosedError,
@@ -310,13 +309,6 @@ class InvaliDBClient:
         self._table = SubscriptionTable()
         self._queries: Dict[str, Query] = {}
         self._slacks: Dict[str, int] = {}
-        #: Adaptive slack (footnote 5): grow hints arriving on
-        #: maintenance errors, plus a local churn advisor deciding when
-        #: a resubscribe may hand slack back.
-        self._slack_hints: Dict[str, int] = {}
-        self._slack_advisor: Optional[SlackAdvisor] = (
-            SlackAdvisor() if self.config.adaptive_slack else None
-        )
         self._renewals = _RenewalLimiter(self.config.renewal_min_interval)
         self._pending_renewals: Dict[str, Any] = {}
         self._ids = IdGenerator(f"sub-{app_server_id}")
@@ -606,10 +598,7 @@ class InvaliDBClient:
             if not still_used:
                 self._queries.pop(query.query_id, None)
                 self._slacks.pop(query.query_id, None)
-                self._slack_hints.pop(query.query_id, None)
                 self._handles.pop(query.query_id, None)
-                if self._slack_advisor is not None:
-                    self._slack_advisor.forget(query.query_id)
         if not still_used:
             self._publish(
                 query_channel(self.tenant),
@@ -665,15 +654,7 @@ class InvaliDBClient:
                     begin_span(trace, MATERIALIZE, tnow)
                 query_id = fields["query_id"]
                 if fields["match_type"] is MatchType.ERROR:
-                    suggested_slack = fields.get("suggested_slack")
-                    if suggested_slack is not None:
-                        with self._lock:
-                            self._slack_hints[query_id] = suggested_slack
                     self._handle_maintenance_error(query_id)
-                elif self._slack_advisor is not None:
-                    self._slack_advisor.observe(
-                        query_id, fields["match_type"]
-                    )
                 with self._lock:
                     handles = list(self._handles.get(query_id, ()))
                 for subscription in handles:
@@ -743,8 +724,10 @@ class InvaliDBClient:
         self.writes_resubmitted += 1
         try:
             self._publish(write_channel(self.tenant), envelope, "write")
-        except Exception:  # noqa: BLE001 - _publish already counted it
-            pass
+        except Exception:  # noqa: BLE001 - timer callback, nobody to raise to
+            # _publish counted the failed publish; the write itself is
+            # lost to the cluster, which is what abandoned means.
+            self.writes_abandoned += 1
 
     def _on_refresh(self, payload: Dict[str, Any]) -> None:
         """A sorted query's diff stream was shed: adopt the wholesale
@@ -820,13 +803,6 @@ class InvaliDBClient:
                 for query in self._queries.values()
             ]
         for query, slack in queries:
-            if self._slack_advisor is not None:
-                # A healthy, stable query may hand slack back on this
-                # fresh bootstrap (the advisor keeps it otherwise).
-                slack = self._slack_advisor.shrink(query.query_id, slack)
-                self._slack_advisor.reset(query.query_id)
-                with self._lock:
-                    self._slacks[query.query_id] = slack
             bootstrap = self._activate(query, slack, renewal=True)
             self.resubscribes += 1
             visible = self._visible_window(query, bootstrap)
@@ -882,16 +858,10 @@ class InvaliDBClient:
             if query is None:
                 return False
             old_slack = self._slacks.get(query_id, self.config.default_slack)
-            hint = self._slack_hints.pop(query_id, None)
-            if self.config.adaptive_slack and hint is not None:
-                # The sorting stage sized the growth to observed churn
-                # (footnote 5) — trust it over the blind factor.
-                new_slack = max(old_slack + 1, hint)
-            else:
-                new_slack = max(
-                    old_slack + 1,
-                    int(old_slack * self.config.renewal_slack_factor),
-                )
+            new_slack = max(
+                old_slack + 1,
+                int(old_slack * self.config.renewal_slack_factor),
+            )
             self._slacks[query_id] = new_slack
         self._activate(query, new_slack, renewal=True)
         self.renewals_sent += 1

@@ -466,8 +466,6 @@ class InvaliDBCluster:
             return spec, slot
         spec = SortingCellSpec(
             task_index=task_index,
-            shared_windows=config.shared_sorted_windows,
-            adaptive_slack=config.adaptive_slack,
             default_slack=config.default_slack,
             telemetry=telemetry,
         )

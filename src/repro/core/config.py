@@ -69,18 +69,6 @@ class InvaliDBConfig:
     #: of rows over latitude).  Finer grids prune more per query at
     #: more cells per shape.
     spatial_grid_cells: int = 64
-    #: Shared sorted windows in the sorting stage: sorted queries with
-    #: the same canonical (collection, filter, sort, capacity) share
-    #: ONE maintained window, with cheap per-query offset/limit views
-    #: projecting their notifications out of it.  Streams are
-    #: identical either way.
-    shared_sorted_windows: bool = False
-    #: Adaptive slack (footnote 5): derive per-query slack from the
-    #: observed churn — grow preemptively for delete-heavy queries when
-    #: a maintenance error forces a renewal (the error change carries a
-    #: ``suggested_slack``), shrink at resubscribe for stable ones —
-    #: instead of the blind ``renewal_slack_factor``.
-    adaptive_slack: bool = False
     #: Coalesce redundant per-(query, key) notifications within one
     #: dispatch batch of the matching stage (latest version wins, match
     #: types rewritten so client materialization stays correct).  Only

@@ -44,9 +44,6 @@ class QueryChange:
     timestamp: float = 0.0
     #: Version of the underlying write (0 = unknown/sorted-window diff).
     version: int = 0
-    #: Adaptive-slack hint riding a maintenance error: the slack the
-    #: sorting stage recommends for the renewal (None = no advice).
-    suggested_slack: Optional[int] = None
 
     @property
     def is_error(self) -> bool:
@@ -152,7 +149,6 @@ def bind_to_subscription(
         error=change.error,
         timestamp=change.timestamp,
         version=change.version,
-        suggested_slack=change.suggested_slack,
     )
 
 
@@ -170,8 +166,8 @@ class ChangeEnvelope:
     document).  Documents are slotted by *identity*: the changes one
     after-image produced share its document object, so it is listed
     once however many queries it matched.  The rare fields — ``index``,
-    ``old_index``, ``error``, ``suggested_slack`` and a sampled
-    ``trace`` — ride in an optional trailing dict whose keys are the
+    ``old_index``, ``error`` and a sampled ``trace`` — ride in an
+    optional trailing dict whose keys are the
     :class:`~repro.types.ChangeNotification` field names.  Rows keep
     the order changes were added in, which is what per-subscription
     delivery order rests on.
@@ -207,8 +203,6 @@ class ChangeEnvelope:
             extras["old_index"] = change.old_index
         if change.error is not None:
             extras["error"] = change.error
-        if change.suggested_slack is not None:
-            extras["suggested_slack"] = change.suggested_slack
         if trace is not None:
             extras["trace"] = trace
         if extras:
@@ -255,7 +249,6 @@ def serialize_change(change: QueryChange) -> Dict[str, Any]:
         "error": change.error,
         "timestamp": change.timestamp,
         "version": change.version,
-        "suggested_slack": change.suggested_slack,
     }
 
 
@@ -270,5 +263,4 @@ def deserialize_change(payload: Dict[str, Any]) -> QueryChange:
         error=payload.get("error"),
         timestamp=payload.get("timestamp", 0.0),
         version=payload.get("version", 0),
-        suggested_slack=payload.get("suggested_slack"),
     )

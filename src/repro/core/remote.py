@@ -358,8 +358,6 @@ class SortingCellSpec:
     """Picklable description of one sorting-stage task."""
 
     task_index: int
-    shared_windows: bool = False
-    adaptive_slack: bool = False
     default_slack: int = 5
     telemetry: bool = False
 
@@ -385,12 +383,7 @@ class SortingCell(_Cell):
         #: dirty window replaces them.  Reads the node's live window, so
         #: only a local host can supply it.
         self.defer = defer
-        self.node = SortingNode(
-            spec.task_index,
-            telemetry=self.telemetry,
-            shared_windows=spec.shared_windows,
-            adaptive_slack=spec.adaptive_slack,
-        )
+        self.node = SortingNode(spec.task_index, telemetry=self.telemetry)
 
     def handle_batch(self, tuples: List[Dict[str, Any]]) -> CellResult:
         """Maintain the sorted windows for a chunk of match events /

@@ -285,13 +285,11 @@ def render(snapshot: Dict[str, Any]) -> str:
             [node.get("node", "?"), node.get("query_partition"),
              node.get("queries"), node.get("events_processed"),
              node.get("renewals_requested"),
-             node.get("window_comparisons"),
-             node.get("shared_groups")]
+             node.get("window_comparisons")]
             for node in sorting
         ]
         sections.append("sorting stage\n" + _table(
-            ["node", "qp", "queries", "events", "renewals", "cmps",
-             "groups"], rows,
+            ["node", "qp", "queries", "events", "renewals", "cmps"], rows,
         ))
 
     mailboxes = snapshot.get("mailboxes", [])

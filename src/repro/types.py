@@ -106,9 +106,6 @@ class ChangeNotification:
     #: queries diff whole windows, so only unsorted changes carry one).
     #: Lets clients drop stale re-deliveries after recovery replay.
     version: int = 0
-    #: Adaptive-slack hint on maintenance errors: the sorting stage's
-    #: recommended slack for the renewal (None = no advice).
-    suggested_slack: Optional[int] = None
     #: Write-path trace (telemetry only; ``None`` when tracing is off).
     #: Excluded from equality/repr so transcript comparisons and wire
     #: round-trip checks see identical notifications whether or not a

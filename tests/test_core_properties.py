@@ -9,13 +9,16 @@ Driven deterministically (no threads) so hypothesis shrinking works.
 
 from typing import Any, Dict, List
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.client import RealTimeSubscription
 from repro.core.filtering import FilteringNode, MatchEvent
+from repro.core.notifications import bind_to_subscription
 from repro.core.partitioning import NodeCoordinates, PartitioningScheme
 from repro.core.sorting import SortingNode
 from repro.query.engine import Query
-from repro.types import AfterImage, MatchType, WriteKind
+from repro.types import AfterImage, InitialResult, MatchType, WriteKind
 
 # -- operation generator ------------------------------------------------------
 
@@ -182,71 +185,187 @@ class TestGridInvariant:
 
 # -- sorting stage ------------------------------------------------------------
 
+SORTED_KEYS = list(range(12))
 
-def drive_sorted_query(ops, limit, offset, slack):
-    """Feed a filtering node + sorting node pipeline; renew on errors.
+#: Values of the documents that exist before the query is subscribed
+#: (key i holds seeds[i]): windows start full and beyond capacity, so
+#: removals can actually exhaust the slack.
+sorted_seeds = st.lists(st.integers(0, 30), min_size=8,
+                        max_size=len(SORTED_KEYS))
 
-    Returns (visible_window_ids, expected_ids_from_recomputation).
+# Writes, plus the two disturbances the sorting stage must absorb:
+# "replay" re-delivers an earlier match event of the key (a duplicate or
+# a stale version, as at-least-once delivery and writes racing a
+# bootstrap produce); "reregister" is a mid-stream deactivate_query ->
+# one write the deactivated query misses -> register_query.
+sorted_operations = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "update", "update", "delete", "delete",
+                         "replay", "reregister"]),
+        st.sampled_from(SORTED_KEYS),
+        st.integers(min_value=0, max_value=30),
+    ),
+    min_size=15,
+    max_size=50,
+)
+
+
+def drive_sorted_query(seeds, ops, limit, offset, slack):
+    """The sorting stage's oracle: one sorted query, checked per write.
+
+    Feeds a filtering node + sorting node pipeline, renewing on
+    maintenance errors.  After EVERY operation it checks the paper's
+    contract two ways against a recomputation from the test's own
+    document dict:
+
+    * the node's visible window equals the recomputed window;
+    * a real :class:`RealTimeSubscription` that got the initial result
+      and from then on only the emitted changes (after a maintenance
+      error or a deactivation: the delta ``register_query`` returns for
+      the fresh bootstrap) materializes that same window through the
+      client's own ``changeIndex`` application.
+
+    Returns the sorting node.
     """
-    query = Query({"tag": {"$lte": 2}}, sort=[("v", -1)], limit=limit,
+    query = Query({"tag": {"$lte": 1}}, sort=[("v", -1)], limit=limit,
                   offset=offset)
     filtering = FilteringNode(NodeCoordinates(0, 0))
     sorting = SortingNode()
-    current: Dict[Any, Dict[str, Any]] = {}
-    latest_version: Dict[Any, int] = {}
+    current: Dict[Any, Dict[str, Any]] = {
+        key: {"_id": key, "v": value, "tag": value % 3}
+        for key, value in enumerate(seeds)
+    }
+    latest_version: Dict[Any, int] = {key: 1 for key in current}
+    history: Dict[Any, List[MatchEvent]] = {}
+    subscription = RealTimeSubscription("sub-oracle", query)
+
+    def matching() -> List[Dict[str, Any]]:
+        return sorted(
+            (doc for doc in current.values() if doc["tag"] <= 1),
+            key=query.sort.key,
+        )
+
+    def deliver(changes) -> bool:
+        for change in changes:
+            subscription._deliver(
+                bind_to_subscription(change, subscription.subscription_id)
+            )
+        return any(change.is_error for change in changes)
 
     def bootstrap() -> None:
-        matching = [doc for doc in current.values() if doc["tag"] <= 2]
-        rewritten = query.rewritten_for_subscription(slack)
-        ordered = sorted(matching, key=query.sort.key)
-        if rewritten.limit is not None:
-            ordered = ordered[: rewritten.limit]
-        versions = {
-            doc["_id"]: latest_version.get(doc["_id"], 0) for doc in ordered
-        }
+        ordered = matching()[: query.rewritten_for_subscription(slack).limit]
+        versions = {doc["_id"]: latest_version[doc["_id"]] for doc in ordered}
         filtering.register_query(query, ordered, versions, now=0.0)
-        sorting.register_query(query, ordered, versions, slack=slack)
+        assert not deliver(
+            sorting.register_query(query, ordered, versions, slack=slack)
+        )
+
+    def write(kind, key, value) -> List[MatchEvent]:
+        if kind == "delete":
+            if key not in current:
+                return []
+            del current[key]
+            document = None
+        else:
+            document = {"_id": key, "v": value, "tag": value % 3}
+            current[key] = document
+        latest_version[key] = latest_version.get(key, 0) + 1
+        write_kind = {"insert": WriteKind.INSERT, "update": WriteKind.UPDATE,
+                      "delete": WriteKind.DELETE}[kind]
+        events = filtering.process_write(
+            AfterImage(key, latest_version[key], write_kind, document),
+            now=0.0,
+        )
+        for event in events:
+            history.setdefault(event.key, []).append(event)
+        return events
+
+    def check() -> None:
+        expected = matching()[offset:]
+        if limit is not None:
+            expected = expected[:limit]
+        state = sorting.state_of(query.query_id)
+        assert state is not None and state.active
+        assert [document for _, document in state.visible()] == expected
+        assert subscription.result() == expected
 
     bootstrap()
-    for image in apply_operations(ops):
-        latest_version[image.key] = image.version
-        if image.is_delete:
-            current.pop(image.key, None)
+    subscription._deliver_initial(InitialResult(
+        subscription.subscription_id, query.query_id,
+        documents=[document for _, document in
+                   sorting.state_of(query.query_id).visible()],
+    ))
+    check()
+    for kind, key, value in ops:
+        if kind == "reregister":
+            assert sorting.deactivate_query(query.query_id)
+            assert sorting.state_of(query.query_id) is None
+            # The deactivated query emits nothing for the write it
+            # misses; the delta of the next register_query closes the
+            # gap from the window kept at deactivation.
+            for event in write("update", key, value):
+                assert sorting.handle_event(event) == []
+            bootstrap()
+            check()
+            continue
+        if kind == "replay":
+            # A re-delivery is a no-op only while the node holds the
+            # key's newer entry.  It must hold every key ranking inside
+            # offset + limit of the recomputation, so the test's own
+            # model (not the node's state) licenses the replay.
+            held = matching()
+            if limit is not None:
+                held = held[: offset + limit]
+            if key not in history or current.get(key) not in held:
+                continue
+            events = [history[key][value % len(history[key])]]
         else:
-            current[image.key] = image.document
-        events = filtering.process_write(image, now=0.0)
+            events = write(kind, key, value)
         renew = False
         for event in events:
-            for change in sorting.handle_event(event):
-                if change.is_error:
-                    renew = True
+            renew |= deliver(sorting.handle_event(event))
         if renew:
             bootstrap()
-    state = sorting.state_of(query.query_id)
-    visible = [] if state is None else [key for key, _ in state.visible()]
-    matching = sorted(
-        (doc for doc in current.values() if doc["tag"] <= 2),
-        key=query.sort.key,
-    )
-    window = matching[offset:]
-    if limit is not None:
-        window = window[:limit]
-    expected = [doc["_id"] for doc in window]
-    return visible, expected
+        check()
+    return sorting
 
 
 class TestSortingStageInvariant:
-    @given(operations, st.integers(1, 5), st.integers(0, 3),
-           st.integers(1, 6))
-    @settings(max_examples=80, deadline=None)
-    def test_visible_window_equals_recomputation(self, ops, limit, offset,
-                                                 slack):
-        visible, expected = drive_sorted_query(ops, limit, offset, slack)
-        assert visible == expected
+    @given(sorted_seeds, sorted_operations, st.integers(1, 5),
+           st.integers(0, 3), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_visible_window_equals_recomputation(self, seeds, ops, limit,
+                                                 offset, slack):
+        drive_sorted_query(seeds, ops, limit, offset, slack)
 
-    @given(operations)
-    @settings(max_examples=40, deadline=None)
-    def test_unlimited_sorted_query_tracks_full_order(self, ops):
-        visible, expected = drive_sorted_query(ops, limit=None, offset=0,
-                                               slack=1)
-        assert visible == expected
+    @given(sorted_seeds, sorted_operations)
+    @settings(max_examples=60, deadline=None)
+    def test_unlimited_sorted_query_tracks_full_order(self, seeds, ops):
+        node = drive_sorted_query(seeds, ops, limit=None, offset=0, slack=1)
+        # Without a limit there is no slack to exhaust.
+        assert node.renewals_requested == 0
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "open defect found by this oracle: SortingNode._diff emits "
+        "changeIndex only for survivors whose own index moved, so a "
+        "renewal delta spanning several writes can leave an unmoved "
+        "survivor displaced in the client's list"
+    ))
+    def test_renewal_delta_spanning_several_writes_converges(self):
+        query = Query({}, sort=[("v", -1)])
+        before = [{"_id": "a", "v": 4}, {"_id": "b", "v": 3},
+                  {"_id": "c", "v": 2}, {"_id": "d", "v": 1}]
+        # While the query is deactivated: c rises to the top, a drops to
+        # the bottom; b keeps index 1 and d moves 3 -> 2.
+        after = [{"_id": "c", "v": 5}, {"_id": "b", "v": 3},
+                 {"_id": "d", "v": 1}, {"_id": "a", "v": 0}]
+        node = SortingNode()
+        node.register_query(query, before, {}, slack=1)
+        subscription = RealTimeSubscription("sub-oracle", query)
+        subscription._deliver_initial(
+            InitialResult("sub-oracle", query.query_id, documents=before)
+        )
+        node.deactivate_query(query.query_id)
+        for change in node.register_query(query, after, {}, slack=1):
+            subscription._deliver(bind_to_subscription(change, "sub-oracle"))
+        assert subscription.result() == after

@@ -4,32 +4,21 @@ Recreates the paper's Figure 3 scenario: articles sorted by year
 descending with OFFSET 2 LIMIT 3, maintained incrementally with
 auxiliary data (offset items + slack beyond limit).
 
-Every test in this module runs twice — once against the incremental
-O(log W) path and once against the legacy snapshot-diff path — via the
-autouse ``sorting_mode`` fixture, asserting both implementations honor
-the same window semantics.
+The autouse ``sorting_mode`` fixture is a single-valued parametrization:
+it only keeps the ``[incremental]`` test ids stable now that the window
+has one maintenance path.
 """
 
 import pytest
 
-from repro.core import sorting
 from repro.core.filtering import MatchEvent
 from repro.core.sorting import SortingNode
 from repro.query.engine import Query
 from repro.types import MatchType
 
 
-@pytest.fixture(autouse=True, params=["incremental", "legacy"])
-def sorting_mode(request, monkeypatch):
-    """Run the module's tests under both window-maintenance paths."""
-    if request.param == "legacy":
-        original = sorting.SortingNode.__init__
-
-        def legacy_init(self, *args, **kwargs):
-            kwargs.setdefault("incremental", False)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(sorting.SortingNode, "__init__", legacy_init)
+@pytest.fixture(autouse=True, params=["incremental"])
+def sorting_mode(request):
     return request.param
 
 

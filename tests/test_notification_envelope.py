@@ -81,8 +81,6 @@ def change_batches(draw):
                 match_type=MatchType.ERROR,
                 error=draw(st.text(max_size=12)),
                 timestamp=timestamp,
-                suggested_slack=draw(st.one_of(st.none(),
-                                               st.integers(1, 64))),
             ))
             continue
         match_type = draw(st.sampled_from([

@@ -25,6 +25,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.client import InvaliDBClient
 from repro.core.cluster import InvaliDBCluster, _NotificationStager
 from repro.core.config import InvaliDBConfig
 from repro.core.overload import (
@@ -38,6 +39,7 @@ from repro.core.overload import (
 from repro.core.server import AppServer
 from repro.errors import ClusterConfigError
 from repro.event.broker import Broker
+from repro.event.channels import write_channel
 from repro.event.wire import BinaryCodec
 from repro.runtime.execution import (
     ExecutionConfig,
@@ -509,6 +511,43 @@ class TestAdmissionControl:
         assert client["writes_abandoned"] > 0
         # Each write is resubmitted at most the configured cap.
         assert client["writes_resubmitted"] <= 2 * 95  # writes in mix
+
+    def test_failed_resubmit_is_abandoned_and_later_ones_still_fire(self):
+        """A resubmission runs as a timer callback: when its publish
+        fails for good the write is lost, which must be visible as an
+        abandoned write — and must not cost the next resubmission."""
+        model = InlineExecutionModel(ExecutionConfig(mode="inline", seed=3))
+        broker = Broker(execution=model)
+        config = InvaliDBConfig(circuit_breaker_threshold=100)
+        client = InvaliDBClient("app-1", broker, None, config=config)
+        arrived = []
+        broker.subscribe(write_channel(),
+                         lambda channel, payload: arrived.append(payload))
+        rejection = {"kind": "overload-rejected", "retry_after": 0.01,
+                     "write": {"key": 1, "version": 2}}
+
+        def event_layer_down(channel, payload):
+            raise ConnectionError("event layer down")
+
+        publish, broker.publish = broker.publish, event_layer_down
+        try:
+            client._on_notification("notifications", rejection)
+            assert broker.drain()
+            stats = client.stats()
+            assert stats["writes_resubmitted"] == 1
+            assert stats["writes_abandoned"] == 1
+            assert stats["publish_failures"] == config.publish_max_retries + 1
+            broker.publish = publish
+            client._on_notification("notifications", rejection)
+            assert broker.drain()
+            stats = client.stats()
+            assert stats["writes_resubmitted"] == 2
+            assert stats["writes_abandoned"] == 1
+            assert arrived == [{"key": 1, "version": 2, "resubmits": 1}]
+        finally:
+            client.close()
+            broker.close()
+            model.shutdown()
 
     def test_resubscription_reconciles_after_rejection_loss(self):
         """Abandoned writes are real, *attributed* loss — and the

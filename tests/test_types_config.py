@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import pytest
 
 from repro.core.config import InvaliDBConfig
+from repro.core.sorting import SortingNode
 from repro.errors import ClusterConfigError
 from repro.runtime.execution import ExecutionConfig
 from repro.types import (
@@ -124,8 +125,17 @@ class TestConfigValidation:
             InvaliDBConfig(execution_model="fibers")
 
     def test_removed_matching_gates_are_not_options(self):
-        assert len(fields(InvaliDBConfig)) == 66
+        assert len(fields(InvaliDBConfig)) == 64
         for gate in ("shared_predicate_memo", "shared_query_dag",
                      "incremental_sorting"):
             with pytest.raises(TypeError):
                 InvaliDBConfig(**{gate: True})
+
+    def test_removed_sorting_paths_are_not_options(self):
+        """The sorting stage has one window-maintenance path; nothing
+        selects another, at the config or at the node."""
+        for gate in ("shared_sorted_windows", "adaptive_slack"):
+            with pytest.raises(TypeError):
+                InvaliDBConfig(**{gate: False})
+        with pytest.raises(TypeError):
+            SortingNode(incremental=True)
