@@ -14,9 +14,11 @@ the InvaliDB cluster" (Section 5).  Responsibilities implemented here:
 * **query renewal** — on a maintenance-error notification, re-execute
   the rewritten query (with grown slack, footnote 5) and re-subscribe,
   throttled by the poll-frequency rate limit;
-* **TTL extension** and **heartbeat supervision** — periodically extend
-  active queries and terminate subscriptions with an error when the
-  cluster goes silent;
+* **TTL extension** and **heartbeat supervision** — extend active
+  queries every ``ttl_extension_interval`` (a daemon thread under the
+  threaded models, ``extend_ttls()`` from the caller under the inline
+  model) and, when the caller runs ``check_heartbeat()``, terminate
+  subscriptions with an error once the cluster has gone silent;
 * **write forwarding** — push versioned after-images to the cluster on
   every database write.
 """
@@ -64,6 +66,10 @@ InitialCallback = Callable[[InitialResult], None]
 ErrorCallback = Callable[[str], None]
 
 _WIRE_SCALARS = (str, int, float, bool, type(None))
+
+#: Retry and resubmit delays get up to this fraction of themselves
+#: added as seeded random jitter, so synchronized clients spread out.
+_BACKOFF_JITTER = 0.5
 
 
 def _require_wire_safe(value: Any, path: str = "filter") -> None:
@@ -352,6 +358,21 @@ class InvaliDBClient:
             notification_channel(app_server_id), self._on_notification
         )
         self._closed = False
+        # TTL extension mirrors the cluster's heartbeat thread: the
+        # threaded cluster sweeps expired queries on its own, so a
+        # threaded client must extend on its own.  The deterministic
+        # inline model runs no background thread on either side — tests
+        # call extend_ttls() as they call publish_heartbeat() (a
+        # self-rescheduling call_later would keep drain() from ever
+        # returning).
+        self._stopping = threading.Event()
+        self._ttl_thread: Optional[threading.Thread] = None
+        if not broker.execution.deterministic:
+            self._ttl_thread = threading.Thread(
+                target=self._ttl_loop, name=f"invalidb-ttl-{app_server_id}",
+                daemon=True,
+            )
+            self._ttl_thread.start()
 
     @property
     def degraded(self) -> bool:
@@ -440,10 +461,6 @@ class InvaliDBClient:
         the threaded model; the deterministic inline model records it
         as virtual waiting instead (sleeping there orders nothing).
         """
-        if not self.config.client_retry:
-            self.broker.publish(channel, message)
-            self.publishes += 1
-            return
         if not self._breaker.allow(self.config.clock()):
             raise CircuitOpenError(self._breaker.consecutive_failures)
         config = self.config
@@ -473,8 +490,7 @@ class InvaliDBClient:
                     config.publish_backoff_base * (2 ** attempt),
                     config.publish_backoff_max,
                 )
-                delay += (self._retry_rng.random()
-                          * config.publish_backoff_jitter * delay)
+                delay += self._retry_rng.random() * _BACKOFF_JITTER * delay
                 self.backoff_waited += delay
                 tel = self.telemetry
                 if tel.enabled:
@@ -703,8 +719,7 @@ class InvaliDBClient:
         envelope.pop("trace", None)
         envelope["resubmits"] = resubmits + 1
         delay = max(float(payload.get("retry_after", 0.0)), 0.001)
-        delay += (self._retry_rng.random()
-                  * self.config.publish_backoff_jitter * delay)
+        delay += self._retry_rng.random() * _BACKOFF_JITTER * delay
         self.backoff_waited += delay
         handle = self.broker.execution.call_later(
             delay, lambda: self._resubmit_write(envelope)
@@ -888,6 +903,16 @@ class InvaliDBClient:
             )
         return len(queries)
 
+    def _ttl_loop(self) -> None:
+        while not self._stopping.wait(self.config.ttl_extension_interval):
+            try:
+                self.extend_ttls()
+            except BrokerClosedError:
+                return
+            except Exception:  # noqa: BLE001 - _publish counted the
+                # failure; the next round extends again.
+                continue
+
     def check_heartbeat(self, now: Optional[float] = None) -> bool:
         """Terminate all subscriptions when the cluster is unreachable.
 
@@ -972,6 +997,9 @@ class InvaliDBClient:
             self._pending_resubmits = []
         for handle in handles:
             handle.cancel()
+        self._stopping.set()
+        if self._ttl_thread is not None:
+            self._ttl_thread.join(timeout=2.0)
         self._notification_subscription.close()
 
     def __enter__(self) -> "InvaliDBClient":

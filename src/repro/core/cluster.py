@@ -70,10 +70,16 @@ from repro.obs.slo import SLOAccountant
 from repro.obs.telemetry import build_telemetry
 from repro.obs.tracing import DELIVER, begin_span, fork
 from repro.query.shared import share_ratio
-from repro.runtime.execution import ExecutionModel, build_execution_model
+from repro.runtime.execution import build_execution_model
 from repro.runtime.process import ProcessExecutionModel
 from repro.stream.topology import Bolt, CustomGrouping, FieldsGrouping, TopologyBuilder
 from repro.stream.runtime import LocalRuntime
+
+
+#: Fraction of notifications that must arrive within
+#: ``slo_latency_target``; the error budget burn rates divide by is
+#: ``1 - _SLO_OBJECTIVE``.
+_SLO_OBJECTIVE = 0.99
 
 
 class _QueryIngestionBolt(Bolt):
@@ -286,23 +292,19 @@ class InvaliDBCluster:
         broker: Broker,
         config: Optional[InvaliDBConfig] = None,
         tenant: str = "default",
-        execution: Optional[ExecutionModel] = None,
     ):
         self.broker = broker
         self.config = config if config is not None else InvaliDBConfig()
         self.tenant = tenant
-        # Execution substrate for the matching grid.  Precedence:
-        # explicit argument > the config's > the broker's own model.
-        # The default (sharing the broker's model) puts event layer and
-        # grid on ONE substrate, so a single drain() spans the whole
-        # broker -> ingestion -> matching -> broker pipeline.
-        self._owns_execution = False
+        # Execution substrate for the matching grid: the config's, else
+        # the broker's own model.  The default (sharing the broker's
+        # model) puts event layer and grid on ONE substrate, so a
+        # single drain() spans the whole broker -> ingestion ->
+        # matching -> broker pipeline.
         configured = self.config.execution_config()
-        if execution is not None:
-            self._execution = execution
-        elif configured is not None:
+        self._owns_execution = configured is not None
+        if configured is not None:
             self._execution = build_execution_model(configured)
-            self._owns_execution = True
         else:
             self._execution = broker.execution
         # Observability.  A configured spec is built and attached to the
@@ -331,7 +333,7 @@ class InvaliDBCluster:
                 self.telemetry,
                 self.scheme,
                 latency_target=self.config.slo_latency_target,
-                objective=self.config.slo_objective,
+                objective=_SLO_OBJECTIVE,
                 clock=self.config.clock,
             )
         #: Flight recorder: always recording (ring appends are cheap);
@@ -341,7 +343,6 @@ class InvaliDBCluster:
         #: provider may round-trip to a worker.
         self.flight = FlightRecorder(
             node=tenant,
-            capacity=self.config.flight_recorder_capacity,
             directory=self.config.flight_recorder_dir,
             clock=self.config.clock,
         )
@@ -393,9 +394,10 @@ class InvaliDBCluster:
             self._execution.worker_pool.add_death_listener(
                 self._on_worker_death
             )
-        self.supervisor: Optional[NodeSupervisor] = None
-        if self.config.supervision:
-            self.supervisor = NodeSupervisor(self).attach()
+        #: Supervised recovery: restarts crashed matching/sorting tasks
+        #: and rebuilds their state from retained streams (Section 5's
+        #: isolated failure domains).
+        self.supervisor = NodeSupervisor(self).attach()
         self._install_flight_context()
 
     def _install_flight_context(self) -> None:
@@ -411,9 +413,7 @@ class InvaliDBCluster:
                       else "threaded")
             ),
         })
-        flight.add_context("supervisor", lambda: (
-            self.supervisor.stats() if self.supervisor is not None else {}
-        ))
+        flight.add_context("supervisor", self.supervisor.stats)
         flight.add_context("faults", lambda: (
             self._execution.fault_injector.stats()
             if self._execution.fault_injector is not None else {}
@@ -938,11 +938,9 @@ class InvaliDBCluster:
 
         Registration state is captured under a single lock
         acquisition; each filtering node's counters are read exactly
-        once and totals are derived from those same rows (the old
-        ``stats()`` walked every node five times).  The shape is the
-        contract of :func:`repro.obs.inspector.render` and the
-        exporters; :meth:`stats` remains as a compatibility shim over
-        this view.
+        once and totals are derived from those same rows.  The shape
+        is the contract of :func:`repro.obs.inspector.render` and the
+        exporters.
 
         Thread-safety: node counters are plain attributes written by
         their owning grid task; reading them here without a lock can
@@ -1036,13 +1034,6 @@ class InvaliDBCluster:
                 "corrupted": 0, "crashes": 0, "errors": 0, "rules": [],
             }
         )
-        supervisor = (
-            self.supervisor.stats() if self.supervisor is not None
-            else {
-                "crashes_seen": 0, "restarts": 0, "replayed_writes": 0,
-                "reregistered_queries": 0, "gave_up": 0, "pending": 0,
-            }
-        )
         snap: Dict[str, Any] = {
             "config": {
                 "query_partitions": self.scheme.query_partitions,
@@ -1062,7 +1053,7 @@ class InvaliDBCluster:
             "mailboxes": mailboxes,
             "telemetry": self.telemetry.snapshot(),
             "faults": faults,
-            "supervisor": supervisor,
+            "supervisor": self.supervisor.stats(),
             "runtime": self._runtime.stats(),
         }
         snap["flight"] = self.flight.snapshot()
@@ -1119,31 +1110,6 @@ class InvaliDBCluster:
                 wire.merge(counters)
             workers = {"pool": pool.snapshot(), "wire": wire.snapshot()}
         return rows["matching"], rows["sorting"], workers
-
-    def stats(self) -> Dict[str, Any]:
-        """Operational snapshot: grid shape, load, notification volume.
-
-        Compatibility shim over :meth:`snapshot` preserving the legacy
-        key layout (``matching`` = grid totals, ``matching_nodes`` =
-        per-coordinates dicts)."""
-        snap = self.snapshot()
-        return {
-            "grid": f"{self.scheme.query_partitions}x"
-                    f"{self.scheme.write_partitions}",
-            "active_queries": snap["active_queries"],
-            "app_servers": snap["app_servers"],
-            "notifications_sent": snap["notifications_sent"],
-            "notifications_coalesced": snap["notifications_coalesced"],
-            "queries_renewed": snap["queries_renewed"],
-            "matching": snap["matching_totals"],
-            "matching_nodes": {
-                row.get("coordinates", row["node"]): row
-                for row in snap["matching"]
-            },
-            "faults": snap["faults"],
-            "supervisor": snap["supervisor"],
-            "runtime": snap["runtime"],
-        }
 
     def filtering_node(self, qp: int, wp: int) -> Optional[FilteringNode]:
         index = qp * self.scheme.write_partitions + wp

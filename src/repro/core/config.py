@@ -5,6 +5,11 @@ documented: a retention time of "few seconds", a configurable heartbeat
 interval bounding data freshness, four write-ingestion and one
 query-ingestion node in the evaluation, and a slack that can be adapted
 on re-execution (Section 5.2, footnote 5).
+
+A field exists where some caller, benchmark or example sets it; values
+nothing ever set (restart backoff growth, retry jitter, the SLO
+objective, the flight ring size) are constants next to their reader,
+and supervised recovery and client retry are not switchable.
 """
 
 from __future__ import annotations
@@ -93,37 +98,26 @@ class InvaliDBConfig:
     #: ``execution`` is unset.  Under the
     #: process model, grid cells live in ``process_workers`` forked
     #: worker processes (``None`` = one per cell) and tuple batches
-    #: cross the process boundary through ``wire_codec`` (``"binary"``
-    #: — the compact interned/lazy format — ``"json"`` or ``"noop"``).
+    #: cross the process boundary in the binary wire format.
     execution_model: Optional[str] = None
     process_workers: Optional[int] = None
-    wire_codec: str = "binary"
-    #: Supervised recovery: restart crashed matching/sorting tasks and
-    #: rebuild their state from retained streams (Section 5's isolated
-    #: failure domains).  Disable to reproduce the unsupervised seed.
-    supervision: bool = True
-    #: Exponential restart backoff: first restart after ``base``
-    #: seconds, then ``base * factor**n`` capped at ``max`` (virtual
-    #: seconds under the inline model).
+    #: Supervised recovery (restart crashed matching/sorting tasks and
+    #: rebuild their state from retained streams) backs off
+    #: exponentially: the first restart comes after this many seconds
+    #: (virtual seconds under the inline model); growth, cap and
+    #: attempt budget are constants of :mod:`repro.core.supervisor`.
     supervisor_backoff_base: float = 0.05
-    supervisor_backoff_factor: float = 2.0
-    supervisor_backoff_max: float = 2.0
-    #: Give up restarting one task after this many attempts.
-    supervisor_max_restarts: int = 8
     #: Consecutive handler errors after which a task counts as poisoned
     #: and is crashed (0 disables — errors are recorded and skipped).
     crash_error_threshold: int = 0
-    #: Client-side resilience: retry failed publishes with exponential
-    #: backoff + jitter and guard the broker with a circuit breaker.
-    #: Disable to surface broker errors directly (seed behavior).
-    client_retry: bool = True
-    #: Retries after the first failed publish attempt.
+    #: Client-side resilience: failed publishes are retried with
+    #: exponential backoff + jitter behind a circuit breaker.  Retries
+    #: after the first failed attempt (0 = fail fast).
     publish_max_retries: int = 4
     #: Backoff curve: ``base * 2**attempt`` seconds, capped at ``max``,
-    #: plus up to ``jitter`` * delay of random extra.
+    #: plus seeded random jitter.
     publish_backoff_base: float = 0.05
     publish_backoff_max: float = 1.0
-    publish_backoff_jitter: float = 0.5
     #: Per-operation budget: a publish (including retries) exceeding
     #: this raises OperationTimeoutError (0 disables).
     publish_timeout: float = 0.0
@@ -202,12 +196,11 @@ class InvaliDBConfig:
     #: a delivered notification whose lag — delivery time minus the
     #: originating write's client-edge timestamp — exceeds
     #: ``slo_latency_target`` seconds counts as a breach against the
-    #: ``slo_objective`` fraction of in-target notifications; burn rate
-    #: is the observed breach fraction divided by the error budget
+    #: objective of :mod:`repro.obs.slo` (99% in target); burn rate is
+    #: the observed breach fraction divided by the error budget
     #: (1 - objective), so > 1.0 means the budget is being consumed
     #: faster than allowed.
     slo_latency_target: float = 0.25
-    slo_objective: float = 0.99
     #: Feed the SLO lag signal into the overload HealthMonitor: the
     #: interval p99 of notification lag is observed as a synthetic
     #: ``slo`` partition against ``overload_dwell_p99``.  Requires
@@ -219,7 +212,6 @@ class InvaliDBConfig:
     #: restart or overload escalation when ``flight_recorder_dir`` is
     #: set (defaults to the ``REPRO_FLIGHT_DIR`` environment variable,
     #: so CI can collect dumps without config plumbing).
-    flight_recorder_capacity: int = 256
     flight_recorder_dir: Optional[str] = field(
         default_factory=lambda: os.environ.get("REPRO_FLIGHT_DIR")
     )
@@ -275,30 +267,20 @@ class InvaliDBConfig:
             )
         if self.subscription_ttl <= 0:
             raise ClusterConfigError("subscription_ttl must be positive")
+        if self.ttl_extension_interval <= 0:
+            raise ClusterConfigError(
+                "ttl_extension_interval must be positive"
+            )
         if self.renewal_min_interval < 0:
             raise ClusterConfigError("renewal_min_interval must be >= 0")
         if self.supervisor_backoff_base <= 0:
             raise ClusterConfigError("supervisor_backoff_base must be > 0")
-        if self.supervisor_backoff_factor < 1.0:
-            raise ClusterConfigError(
-                "supervisor_backoff_factor must be >= 1.0"
-            )
-        if self.supervisor_backoff_max < self.supervisor_backoff_base:
-            raise ClusterConfigError(
-                "supervisor_backoff_max must be >= supervisor_backoff_base"
-            )
-        if self.supervisor_max_restarts < 1:
-            raise ClusterConfigError("supervisor_max_restarts must be >= 1")
         if self.crash_error_threshold < 0:
             raise ClusterConfigError("crash_error_threshold must be >= 0")
         if self.publish_max_retries < 0:
             raise ClusterConfigError("publish_max_retries must be >= 0")
         if self.publish_backoff_base <= 0 or self.publish_backoff_max <= 0:
             raise ClusterConfigError("publish backoff bounds must be > 0")
-        if not 0.0 <= self.publish_backoff_jitter <= 1.0:
-            raise ClusterConfigError(
-                "publish_backoff_jitter must be in [0, 1]"
-            )
         if self.publish_timeout < 0:
             raise ClusterConfigError("publish_timeout must be >= 0")
         if self.circuit_breaker_threshold < 1:
@@ -358,15 +340,9 @@ class InvaliDBConfig:
             raise ClusterConfigError("health_recovery_ticks must be >= 1")
         if self.slo_latency_target <= 0:
             raise ClusterConfigError("slo_latency_target must be > 0")
-        if not 0.0 < self.slo_objective < 1.0:
-            raise ClusterConfigError("slo_objective must be in (0, 1)")
         if self.slo_health_feed and not self.overload_control:
             raise ClusterConfigError(
                 "slo_health_feed requires overload_control"
-            )
-        if self.flight_recorder_capacity < 1:
-            raise ClusterConfigError(
-                "flight_recorder_capacity must be >= 1"
             )
         if self.flight_recorder_dir is not None and not isinstance(
             self.flight_recorder_dir, str
@@ -395,7 +371,6 @@ class InvaliDBConfig:
             return ExecutionConfig(
                 mode=self.execution_model,
                 worker_processes=self.process_workers,
-                wire_codec=self.wire_codec,
             )
         except Exception as exc:
             raise ClusterConfigError(str(exc)) from exc

@@ -637,6 +637,32 @@ class SortingNode:
                             timestamp=timestamp,
                         )
                     )
+        # A delta spanning several writes can leave a survivor whose own
+        # index did not move displaced by the moves around it.  Replay
+        # the delta the way the client applies it (ADD / CHANGE_INDEX =
+        # remove + insert at ``index``) and reposition what is still
+        # out of place.
+        order = [key for key, _ in before if key in after_index]
+        for change in changes:
+            if change.match_type in (MatchType.ADD, MatchType.CHANGE_INDEX):
+                if change.key in order:
+                    order.remove(change.key)
+                order.insert(change.index, change.key)
+        for index, (key, document) in enumerate(after):
+            if order[index] != key:
+                old_index = order.index(key)
+                order.insert(index, order.pop(old_index))
+                changes.append(
+                    QueryChange(
+                        query_id=query.query_id,
+                        match_type=MatchType.CHANGE_INDEX,
+                        key=key,
+                        document=document,
+                        index=index,
+                        old_index=old_index,
+                        timestamp=timestamp,
+                    )
+                )
         return changes
 
     @property

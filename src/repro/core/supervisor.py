@@ -39,6 +39,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Components the supervisor knows how to rebuild.
 _RECOVERABLE = ("matching", "sorting")
 
+#: Restart backoff: ``supervisor_backoff_base * _BACKOFF_FACTOR**n``
+#: seconds before attempt *n*, capped at ``_BACKOFF_MAX``; one task is
+#: given up on after ``_MAX_RESTARTS`` attempts without a recovery.
+_BACKOFF_FACTOR = 2.0
+_BACKOFF_MAX = 2.0
+_MAX_RESTARTS = 8
+
 
 class NodeSupervisor:
     """Detect, restart and re-hydrate crashed grid tasks."""
@@ -71,7 +78,6 @@ class NodeSupervisor:
     def on_crash(self, component: str, task_index: int, reason: str) -> None:
         """Crash listener: schedule a backed-off restart."""
         key = (component, task_index)
-        config = self.cluster.config
         self.cluster.flight.record(
             "crash", component=component, task=task_index, reason=reason
         )
@@ -82,7 +88,7 @@ class NodeSupervisor:
             if key in self._pending:
                 return
             attempt = self._attempts.get(key, 0)
-            if attempt >= config.supervisor_max_restarts:
+            if attempt >= _MAX_RESTARTS:
                 self.gave_up += 1
                 return
             self._attempts[key] = attempt + 1
@@ -90,9 +96,9 @@ class NodeSupervisor:
             if telemetry.enabled:
                 self._crash_times.setdefault(key, telemetry.now())
             delay = min(
-                config.supervisor_backoff_base
-                * config.supervisor_backoff_factor ** attempt,
-                config.supervisor_backoff_max,
+                self.cluster.config.supervisor_backoff_base
+                * _BACKOFF_FACTOR ** attempt,
+                _BACKOFF_MAX,
             )
             self._pending[key] = self.cluster._execution.call_later(
                 delay, lambda: self._restart(component, task_index)

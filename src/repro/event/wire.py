@@ -42,7 +42,7 @@ import struct
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import CodecError, EventLayerError
-from repro.event.codec import Codec, JsonCodec, NoopCodec
+from repro.event.codec import Codec
 
 # ---------------------------------------------------------------------------
 # Frame transport
@@ -519,27 +519,8 @@ class BinaryCodec(Codec):
 
 
 # ---------------------------------------------------------------------------
-# Codec registry
+# Batch helpers
 # ---------------------------------------------------------------------------
-
-WIRE_CODECS = ("binary", "json", "noop")
-
-
-def build_codec(
-    name: str,
-    lazy_documents: bool = False,
-    stats: Optional[WireStats] = None,
-) -> Codec:
-    """Build a codec by config name (``wire_codec=`` gate)."""
-    if name == "binary":
-        return BinaryCodec(lazy_documents=lazy_documents, stats=stats)
-    if name == "json":
-        return JsonCodec()
-    if name == "noop":
-        return NoopCodec()
-    raise CodecError(
-        f"unknown wire codec {name!r} (expected one of {WIRE_CODECS})"
-    )
 
 
 def encode_batch(codec: Codec, payloads: List[Any]) -> bytes:

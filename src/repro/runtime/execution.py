@@ -26,9 +26,13 @@ with two implementations:
   ``time.sleep``.
 
 Terminology: a **mailbox** is a named FIFO plus a batch handler (a
-broker dispatcher, one bolt task); a **source** is a pull loop (a spout
-task).  ``schedule(mailbox, item, delay)`` is the only way work enters
-a model, which is what makes the in-flight accounting exact.
+broker dispatcher, one bolt task).  Both models keep that FIFO in the
+same :class:`~repro.runtime.queues.BoundedQueue` — capacity, overflow
+policy, counters and telemetry sampling exist once; the models differ
+only in who services it.  Work is *pushed*, as the paper's event layer
+pushes into its ingestion nodes: ``put`` / ``schedule(mailbox, item,
+delay)`` is the only way work enters a model, which is what makes the
+in-flight accounting exact.
 """
 
 from __future__ import annotations
@@ -48,18 +52,10 @@ from repro.runtime.faults import MAILBOX, FaultInjector, FaultPlan
 from repro.runtime.queues import BackpressurePolicy, BoundedQueue
 
 BatchHandler = Callable[[List[Any]], None]
-#: Source pump protocol: returns True when it produced work, False when
-#: idle (nothing right now), None when exhausted (never call again).
-SourcePump = Callable[[], Optional[bool]]
 
 THREADED = "threaded"
 INLINE = "inline"
 PROCESS = "process"
-
-#: Codec names accepted for ``ExecutionConfig.wire_codec`` (mirrors
-#: :data:`repro.event.wire.WIRE_CODECS`; kept literal to avoid pulling
-#: the wire module into every import of this one).
-_WIRE_CODEC_NAMES = ("binary", "json", "noop")
 
 
 @dataclass
@@ -88,9 +84,6 @@ class ExecutionConfig:
     #: Process mode only: number of worker processes grid cells are
     #: multiplexed onto.  ``None`` = one process per grid cell.
     worker_processes: Optional[int] = None
-    #: Process mode only: codec for the parent<->worker channels
-    #: (``binary`` | ``json`` | ``noop``).
-    wire_codec: str = "binary"
 
     def __post_init__(self) -> None:
         if self.mode not in (THREADED, INLINE, PROCESS):
@@ -100,11 +93,6 @@ class ExecutionConfig:
         if self.worker_processes is not None and self.worker_processes < 1:
             raise ExecutionConfigError(
                 "worker_processes must be >= 1 or None"
-            )
-        if self.wire_codec not in _WIRE_CODEC_NAMES:
-            raise ExecutionConfigError(
-                f"unknown wire codec: {self.wire_codec!r} "
-                f"(expected one of {_WIRE_CODEC_NAMES})"
             )
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise ExecutionConfigError(
@@ -161,10 +149,6 @@ class Mailbox(abc.ABC):
         ...
 
     @abc.abstractmethod
-    def depth(self) -> int:
-        ...
-
-    @abc.abstractmethod
     def stats(self) -> Dict[str, Any]:
         ...
 
@@ -174,7 +158,7 @@ class Mailbox(abc.ABC):
 
 
 class ExecutionModel(abc.ABC):
-    """Factory and scheduler for mailboxes, sources and timers."""
+    """Factory and scheduler for mailboxes and timers."""
 
     #: True when the model runs synchronously with reproducible order.
     deterministic = False
@@ -226,10 +210,6 @@ class ExecutionModel(abc.ABC):
         policy: Optional[BackpressurePolicy] = None,
     ) -> Mailbox:
         """Create a mailbox whose handler receives item *batches*."""
-
-    @abc.abstractmethod
-    def add_source(self, name: str, pump: SourcePump) -> None:
-        """Register a pull loop (spout)."""
 
     @abc.abstractmethod
     def schedule(self, mailbox: Mailbox, item: Any,
@@ -296,7 +276,7 @@ def _mailbox_labels(name: str) -> Tuple[str, str]:
     """Split a mailbox name into ``(stage, partition)`` labels.
 
     Grid mailboxes encode their owner as ``stage[partition]``
-    (``"matching[3]"``); anything else (broker dispatchers, spouts) is
+    (``"matching[3]"``); anything else (broker dispatchers) is
     its own stage with no partition.  Attributing queue drops this way
     turns "something, somewhere, was shed" into "matching partition 3
     is the one losing writes".
@@ -350,15 +330,13 @@ def _eviction_logger(telemetry, name: str):
     return log
 
 
-# ---------------------------------------------------------------------------
-# Threaded model
-# ---------------------------------------------------------------------------
+class _QueueMailbox(Mailbox):
+    """What both models' mailboxes share: the one FIFO
+    (:class:`BoundedQueue` — capacity, overflow policy, counters,
+    telemetry sampling) and the handler bookkeeping around it."""
 
-
-class _ThreadedMailbox(Mailbox):
-    def __init__(self, model: "ThreadedExecutionModel", name: str,
-                 handler: BatchHandler, capacity: Optional[int],
-                 policy: BackpressurePolicy):
+    def __init__(self, model: Any, name: str, handler: BatchHandler,
+                 capacity: Optional[int], policy: BackpressurePolicy):
         self.name = name
         self._model = model
         self._handler = handler
@@ -366,6 +344,42 @@ class _ThreadedMailbox(Mailbox):
                                    name=name)
         self.handled = 0
         self.handler_errors = 0
+        self._drop_counter: Any = None
+
+    def bind_telemetry(self, telemetry) -> None:
+        if not telemetry.enabled:
+            return
+        stage, partition = _mailbox_labels(self.name)
+        self._drop_counter = telemetry.counter(
+            "mailbox.dropped", mailbox=self.name,
+            stage=stage, partition=partition,
+        )
+        self._queue.instrument(
+            telemetry.now,
+            telemetry.histogram("mailbox.dwell_seconds", mailbox=self.name),
+            telemetry.histogram("mailbox.batch_size", mailbox=self.name),
+            telemetry.gauge("mailbox.depth", mailbox=self.name),
+            self._drop_counter,
+            evict_log=_eviction_logger(telemetry, self.name),
+        )
+
+    def stats(self) -> Dict[str, Any]:
+        snapshot = self._queue.stats()
+        snapshot["handled"] = self.handled
+        snapshot["handler_errors"] = self.handler_errors
+        return snapshot
+
+
+# ---------------------------------------------------------------------------
+# Threaded model
+# ---------------------------------------------------------------------------
+
+
+class _ThreadedMailbox(_QueueMailbox):
+    def __init__(self, model: "ThreadedExecutionModel", name: str,
+                 handler: BatchHandler, capacity: Optional[int],
+                 policy: BackpressurePolicy):
+        super().__init__(model, name, handler, capacity, policy)
         self._worker = threading.Thread(
             target=self._run, name=f"{name}-worker", daemon=True
         )
@@ -381,20 +395,6 @@ class _ThreadedMailbox(Mailbox):
 
     def put_direct(self, item: Any) -> None:
         self._model._track_put(self._queue, (item,))
-
-    def bind_telemetry(self, telemetry) -> None:
-        if not telemetry.enabled:
-            return
-        stage, partition = _mailbox_labels(self.name)
-        self._queue.instrument(
-            telemetry.now,
-            telemetry.histogram("mailbox.dwell_seconds", mailbox=self.name),
-            telemetry.histogram("mailbox.batch_size", mailbox=self.name),
-            telemetry.gauge("mailbox.depth", mailbox=self.name),
-            telemetry.counter("mailbox.dropped", mailbox=self.name,
-                              stage=stage, partition=partition),
-            evict_log=_eviction_logger(telemetry, self.name),
-        )
 
     # -- consumer ---------------------------------------------------------
 
@@ -426,15 +426,6 @@ class _ThreadedMailbox(Mailbox):
     def join(self, timeout: Optional[float] = None) -> None:
         self._worker.join(timeout=timeout)
 
-    def depth(self) -> int:
-        return len(self._queue)
-
-    def stats(self) -> Dict[str, Any]:
-        snapshot = self._queue.stats()
-        snapshot["handled"] = self.handled
-        snapshot["handler_errors"] = self.handler_errors
-        return snapshot
-
 
 class ThreadedExecutionModel(ExecutionModel):
     """Per-mailbox worker threads with exact in-flight accounting.
@@ -450,7 +441,6 @@ class ThreadedExecutionModel(ExecutionModel):
     def __init__(self, config: Optional[ExecutionConfig] = None):
         super().__init__(config)
         self._mailboxes: List[_ThreadedMailbox] = []
-        self._sources: List[Tuple[str, SourcePump, threading.Thread]] = []
         self._pending = 0
         self._quiet = threading.Condition()
         self._sequence = itertools.count()
@@ -504,7 +494,7 @@ class ThreadedExecutionModel(ExecutionModel):
             if self._pending <= 0:
                 self._quiet.notify_all()
 
-    # -- factory ----------------------------------------------------------
+    # -- mailboxes --------------------------------------------------------
 
     def mailbox(self, name, handler, capacity=None, policy=None):
         box = _ThreadedMailbox(
@@ -517,20 +507,6 @@ class ThreadedExecutionModel(ExecutionModel):
         box.bind_telemetry(self.telemetry)
         self._mailboxes.append(box)
         return box
-
-    def add_source(self, name: str, pump: SourcePump) -> None:
-        def loop() -> None:
-            while not self._stopping.is_set():
-                produced = pump()
-                if produced is None:
-                    return
-                if not produced:
-                    time.sleep(0.001)
-
-        thread = threading.Thread(target=loop, name=f"{name}-source",
-                                  daemon=True)
-        self._sources.append((name, pump, thread))
-        thread.start()
 
     # -- scheduling -------------------------------------------------------
 
@@ -627,8 +603,6 @@ class ThreadedExecutionModel(ExecutionModel):
         deadline = time.monotonic() + timeout
         for box in self._mailboxes:
             box.join(timeout=max(0.0, deadline - time.monotonic()))
-        for _, _, thread in self._sources:
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
         if self._timer_thread is not None:
             self._timer_thread.join(
                 timeout=max(0.0, deadline - time.monotonic())
@@ -653,36 +627,18 @@ class ThreadedExecutionModel(ExecutionModel):
 # ---------------------------------------------------------------------------
 
 
-class _InlineMailbox(Mailbox):
+class _InlineMailbox(_QueueMailbox):
     def __init__(self, model: "InlineExecutionModel", name: str,
                  handler: BatchHandler, capacity: Optional[int],
                  policy: BackpressurePolicy):
-        self.name = name
-        self._model = model
-        self._handler = handler
-        self._capacity = capacity
-        self._policy = policy
-        self._items: List[Any] = []
-        self._closed = False
-        self.enqueued = 0
-        self.handled = 0
-        self.dropped = 0
-        self.high_water = 0
-        self.batches = 0
-        self.largest_batch = 0
-        self.handler_errors = 0
-        # Telemetry (bound via bind_telemetry; None = uninstrumented).
-        # Sparse dwell stamps, same scheme as BoundedQueue's: every 16th
-        # appended item records ``(append_index, time)``; the dequeue
-        # side pops stamps whose item has left the list and records
-        # their dwell.
-        self._stamps: Optional[List[Any]] = None
-        self._tel_clock = None
-        self._dwell_hist = None
-        self._batch_hist = None
-        self._depth_gauge = None
-        self._drop_counter = None
-        self._evict_log = None
+        # ``block`` cannot suspend a single-threaded scheduler, so a
+        # bounded inline mailbox treats it as unbounded (documented).
+        if policy is BackpressurePolicy.BLOCK:
+            capacity = None
+        super().__init__(model, name, handler, capacity, policy)
+        #: Items offered after close (the queue only reports them as
+        #: discarded; here they count as drops).
+        self.dropped_closed = 0
 
     def put(self, item: Any) -> None:
         self._model._put(self, (item,))
@@ -693,93 +649,26 @@ class _InlineMailbox(Mailbox):
     def put_direct(self, item: Any) -> None:
         self._model._put(self, (item,), faulted=False)
 
-    def bind_telemetry(self, telemetry) -> None:
-        if not telemetry.enabled:
-            return
-        with self._model._lock:
-            self._tel_clock = telemetry.now
-            self._dwell_hist = telemetry.histogram(
-                "mailbox.dwell_seconds", mailbox=self.name
-            )
-            self._batch_hist = telemetry.histogram(
-                "mailbox.batch_size", mailbox=self.name
-            )
-            self._depth_gauge = telemetry.gauge(
-                "mailbox.depth", mailbox=self.name
-            )
-            stage, partition = _mailbox_labels(self.name)
-            self._drop_counter = telemetry.counter(
-                "mailbox.dropped", mailbox=self.name,
-                stage=stage, partition=partition,
-            )
-            self._evict_log = _eviction_logger(telemetry, self.name)
-            self._stamps = []  # items already queued ride unsampled
-
-    def _enqueue(self, item: Any) -> None:
-        """Append under the model lock; enforces drop/error policies.
-
-        ``block`` cannot suspend a single-threaded scheduler, so a
-        bounded inline mailbox treats it as unbounded (documented).
-        """
-        if self._closed:
-            self.dropped += 1
+    def _enqueue(self, items: Any) -> None:
+        """Append under the model lock (the queue enforces the
+        drop/error policies)."""
+        if self._queue.closed:
+            self.dropped_closed += len(items)
             if self._drop_counter is not None:
-                self._drop_counter.inc()
+                self._drop_counter.inc(len(items))
             return
-        if self._capacity is not None and len(self._items) >= self._capacity:
-            if self._policy is BackpressurePolicy.ERROR:
-                from repro.errors import QueueOverflowError
-
-                raise QueueOverflowError(self.name, self._capacity)
-            if self._policy is BackpressurePolicy.DROP_OLDEST:
-                evicted = self._items.pop(0)
-                self.dropped += 1
-                if self._stamps is not None:
-                    removed = self.enqueued - len(self._items)
-                    while self._stamps and self._stamps[0][0] <= removed:
-                        self._stamps.pop(0)
-                    self._drop_counter.inc()
-                if self._evict_log is not None:
-                    self._evict_log(evicted)
-        self._items.append(item)
-        self.enqueued += 1
-        if self._stamps is not None and (self.enqueued & 15) == 1:
-            self._stamps.append((self.enqueued, self._tel_clock()))
-            self._depth_gauge.set(len(self._items))
-        self.high_water = max(self.high_water, len(self._items))
+        self._queue.put_many(items)
 
     def close(self, drain: bool = True) -> None:
         with self._model._lock:
             if drain:
                 self._model._pump()
-            self._closed = True
-            discarded = len(self._items)
-            self.dropped += discarded
-            self._items.clear()
-            if self._stamps is not None:
-                self._stamps.clear()
-                if discarded:
-                    self._drop_counter.inc(discarded)
-
-    def depth(self) -> int:
-        with self._model._lock:
-            return len(self._items)
+            self._queue.close(drain=False)
 
     def stats(self) -> Dict[str, Any]:
-        with self._model._lock:
-            return {
-                "depth": len(self._items),
-                "capacity": self._capacity,
-                "policy": self._policy.value,
-                "enqueued": self.enqueued,
-                "dequeued": self.handled,
-                "handled": self.handled,
-                "dropped": self.dropped,
-                "high_water": self.high_water,
-                "batches": self.batches,
-                "largest_batch": self.largest_batch,
-                "handler_errors": self.handler_errors,
-            }
+        snapshot = super().stats()
+        snapshot["dropped"] += self.dropped_closed
+        return snapshot
 
 
 class InlineExecutionModel(ExecutionModel):
@@ -803,8 +692,6 @@ class InlineExecutionModel(ExecutionModel):
         super().__init__(config)
         self._lock = threading.RLock()
         self._mailboxes: List[_InlineMailbox] = []
-        self._sources: List[Tuple[str, SourcePump]] = []
-        self._exhausted_sources: set = set()
         self._running = False
         self._vnow = 0.0
         self._sequence = itertools.count()
@@ -831,7 +718,7 @@ class InlineExecutionModel(ExecutionModel):
             telemetry.bind_clock(lambda: self._vnow)
         super().set_telemetry(telemetry)
 
-    # -- factory ----------------------------------------------------------
+    # -- mailboxes --------------------------------------------------------
 
     def mailbox(self, name, handler, capacity=None, policy=None):
         box = _InlineMailbox(
@@ -846,10 +733,6 @@ class InlineExecutionModel(ExecutionModel):
             self._mailboxes.append(box)
         return box
 
-    def add_source(self, name: str, pump: SourcePump) -> None:
-        with self._lock:
-            self._sources.append((name, pump))
-
     # -- scheduling -------------------------------------------------------
 
     def _put(self, box: _InlineMailbox, items: Any,
@@ -857,8 +740,7 @@ class InlineExecutionModel(ExecutionModel):
         with self._lock:
             injector = self.fault_injector if faulted else None
             if injector is None:
-                for item in items:
-                    box._enqueue(item)
+                box._enqueue(items)
             else:
                 for item in items:
                     decision = injector.decide(MAILBOX, box.name, item)
@@ -876,7 +758,7 @@ class InlineExecutionModel(ExecutionModel):
                                  box, decision.payload, [False]),
                             )
                         else:
-                            box._enqueue(decision.payload)
+                            box._enqueue((decision.payload,))
             if not self._running:
                 self._pump()
 
@@ -917,55 +799,25 @@ class InlineExecutionModel(ExecutionModel):
         self._running = True
         try:
             while True:
-                candidates = [box for box in self._mailboxes if box._items]
+                candidates = [box for box in self._mailboxes
+                              if len(box._queue)]
                 if not candidates:
                     return
                 if self._rng is not None and len(candidates) > 1:
                     box = candidates[self._rng.randrange(len(candidates))]
                 else:
                     box = candidates[0]
-                n = min(self.config.max_batch, len(box._items))
-                batch = box._items[:n]
-                del box._items[:n]
-                box.batches += 1
-                box.largest_batch = max(box.largest_batch, n)
-                stamps = box._stamps
-                if stamps is not None:
-                    # Sparse sampling, same scheme as BoundedQueue:
-                    # dwell for the 1-in-16 stamped items that left in
-                    # this batch, batch size for 1-in-16 batches —
-                    # phase-locked to exact counters for determinism.
-                    removed = box.enqueued - len(box._items)
-                    if stamps and stamps[0][0] <= removed:
-                        tnow = box._tel_clock()
-                        while stamps and stamps[0][0] <= removed:
-                            box._dwell_hist.record(
-                                max(0.0, tnow - stamps.pop(0)[1])
-                            )
-                        box._depth_gauge.set(len(box._items))
-                    if (box.batches & 15) == 1:
-                        box._batch_hist.record(n)
+                batch = box._queue.get_batch(self.config.max_batch,
+                                             timeout=0)
                 try:
                     box._handler(batch)
                 except Exception:  # noqa: BLE001 - mirror the threaded
                     # model: handler failures never kill the scheduler.
                     box.handler_errors += 1
-                box.handled += n
-                self.handled_items += n
+                box.handled += len(batch)
+                self.handled_items += len(batch)
         finally:
             self._running = False
-
-    def _pump_sources(self) -> bool:
-        progressed = False
-        for name, pump in self._sources:
-            if name in self._exhausted_sources:
-                continue
-            produced = pump()
-            if produced is None:
-                self._exhausted_sources.add(name)
-            elif produced:
-                progressed = True
-        return progressed
 
     # -- quiescence: advance virtual time ---------------------------------
 
@@ -975,7 +827,7 @@ class InlineExecutionModel(ExecutionModel):
         (like a mailbox's ``handler_errors``) and never stops the pump.
         """
         if kind == "item":
-            target._enqueue(payload)
+            target._enqueue((payload,))
             return
         try:
             payload()
@@ -989,9 +841,7 @@ class InlineExecutionModel(ExecutionModel):
                 if time.monotonic() > deadline:
                     return False
                 self._pump()
-                if any(box._items for box in self._mailboxes):
-                    continue
-                if self._pump_sources():
+                if any(len(box._queue) for box in self._mailboxes):
                     continue
                 if self._delayed:
                     due, _, kind, target, payload, cancelled = heapq.heappop(
@@ -1024,15 +874,13 @@ class InlineExecutionModel(ExecutionModel):
         with self._lock:
             self._delayed.clear()
             for box in self._mailboxes:
-                box._closed = True
-                box._items.clear()
-            self._sources.clear()
+                box._queue.close(drain=False)
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:
             snapshot = {
                 "mode": INLINE,
-                "pending": sum(len(box._items) for box in self._mailboxes),
+                "pending": sum(len(box._queue) for box in self._mailboxes),
                 "delayed": len(self._delayed),
                 "virtual_now": self._vnow,
                 "max_batch": self.config.max_batch,

@@ -57,9 +57,9 @@ from repro.event.wire import (
     MSG_REPLY,
     MSG_SHUTDOWN,
     MSG_SNAPSHOT,
+    BinaryCodec,
     FrameError,
     WireStats,
-    build_codec,
     decode_batch,
     encode_batch,
     recv_frame,
@@ -201,7 +201,6 @@ class WorkerPool:
     def __init__(
         self,
         worker_processes: Optional[int] = None,
-        wire_codec: str = "binary",
         stats: Optional[WireStats] = None,
     ):
         if not hasattr(socket, "AF_UNIX"):
@@ -215,12 +214,10 @@ class WorkerPool:
                 "the process execution model requires the fork start method"
             ) from None
         self.worker_processes = worker_processes
-        self.codec_name = wire_codec
         self.stats = stats if stats is not None else WireStats()
         #: Parent-side codec: eager documents — replies feed straight
         #: into the JSON event layer, which cannot carry lazy blobs.
-        self.codec = build_codec(wire_codec, lazy_documents=False,
-                                 stats=self.stats)
+        self.codec = BinaryCodec(lazy_documents=False, stats=self.stats)
         self._lock = threading.Lock()
         self._workers: Dict[int, _Worker] = {}
         self._cells: Dict[str, RemoteCell] = {}
@@ -284,7 +281,7 @@ class WorkerPool:
         parent_sock, child_sock = socket.socketpair()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_sock, parent_sock, self.codec_name),
+            args=(child_sock, parent_sock),
             name=f"invalidb-worker-{slot}",
             daemon=True,
         )
@@ -456,7 +453,6 @@ class WorkerPool:
         with self._lock:
             return {
                 "worker_processes": self.worker_processes,
-                "wire_codec": self.codec_name,
                 "spawned": self._spawned,
                 "deaths": self._deaths,
                 "death_listener_errors": self._death_listener_errors,
@@ -470,7 +466,7 @@ class WorkerPool:
 class ProcessExecutionModel(ThreadedExecutionModel):
     """Threaded substrate + a worker pool hosting the grid's cells.
 
-    Mailboxes, sources, timers, fault injection and drain accounting
+    Mailboxes, timers, fault injection and drain accounting
     are all inherited from :class:`ThreadedExecutionModel` — the bolts
     still run on parent threads; what a process-mode bolt does in its
     handler is one framed round-trip to its worker instead of local
@@ -496,7 +492,6 @@ class ProcessExecutionModel(ThreadedExecutionModel):
                 if pool is None:
                     pool = WorkerPool(
                         worker_processes=self.config.worker_processes,
-                        wire_codec=self.config.wire_codec,
                     )
                     self._pool = pool
         return pool
@@ -520,8 +515,7 @@ class ProcessExecutionModel(ThreadedExecutionModel):
 # ---------------------------------------------------------------------------
 
 
-def _worker_main(sock: socket.socket, parent_sock: socket.socket,
-                 codec_name: str) -> None:
+def _worker_main(sock: socket.socket, parent_sock: socket.socket) -> None:
     """Entry point of a forked worker: serve frames until shutdown.
 
     Replies with ``MSG_REPLY`` on success and ``MSG_ERROR`` (payload =
@@ -536,7 +530,7 @@ def _worker_main(sock: socket.socket, parent_sock: socket.socket,
     except OSError:  # pragma: no cover
         pass
     stats = WireStats()
-    codec = build_codec(codec_name, lazy_documents=True, stats=stats)
+    codec = BinaryCodec(lazy_documents=True, stats=stats)
     cells: Dict[int, Any] = {}
     while True:
         try:

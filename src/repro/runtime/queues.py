@@ -144,6 +144,11 @@ class BoundedQueue:
                             continue
                     elif len(self._items) >= self.capacity:
                         if self.policy is BackpressurePolicy.ERROR:
+                            # The items before the overflow are queued:
+                            # count them and wake their consumer.
+                            self.high_water = max(self.high_water,
+                                                  len(self._items))
+                            self._not_empty.notify()
                             raise QueueOverflowError(self.name, self.capacity)
                         evicted = self._items.popleft()  # DROP_OLDEST
                         if stamps is not None:
@@ -258,8 +263,7 @@ class BoundedQueue:
         return self._closed
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._items)
+        return len(self._items)  # atomic read; no lock needed
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:

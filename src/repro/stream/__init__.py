@@ -1,44 +1,35 @@
 """Storm-like stream-processing substrate.
 
 The paper's prototype distributes the query-matching workload with
-Apache Storm (Section 5.4).  This package provides the subset of
-Storm's model that InvaliDB needs:
+Apache Storm (Section 5.4), "purely for partitioned dataflow".  This
+package provides the subset of Storm's model the matching grid wires:
 
-* :class:`Spout` — a source component pulling tuples into the topology;
 * :class:`Bolt` — a processing component with ``process`` and ``emit``;
-* groupings — *fields* (hash-partitioned), *all* (broadcast),
-  *shuffle* (round-robin), *direct* and *custom* (a function from tuple
-  to explicit task indices — used for InvaliDB's 2D grid);
+* groupings — *fields* (hash-partitioned) and *custom* (a function from
+  tuple to explicit task indices — InvaliDB's 2D grid routing);
 * :class:`TopologyBuilder` / :class:`Topology` — declarative wiring;
-* :class:`LocalRuntime` — a threaded executor giving each task its own
-  input queue and worker thread.
+* :class:`LocalRuntime` — gives each task a mailbox on the execution
+  model; tuples are pushed in from outside with ``inject``, as the
+  event layer pushes into the paper's ingestion nodes.
 """
 
 from repro.stream.topology import (
-    AllGrouping,
     Bolt,
     CustomGrouping,
-    DirectGrouping,
     FieldsGrouping,
     Grouping,
-    ShuffleGrouping,
-    Spout,
     Topology,
     TopologyBuilder,
 )
 from repro.stream.runtime import LocalRuntime, TaskFailure
 
 __all__ = [
-    "AllGrouping",
     "Bolt",
     "CustomGrouping",
-    "DirectGrouping",
     "FieldsGrouping",
     "Grouping",
     "LocalRuntime",
     "TaskFailure",
-    "ShuffleGrouping",
-    "Spout",
     "Topology",
     "TopologyBuilder",
 ]

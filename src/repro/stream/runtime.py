@@ -1,13 +1,13 @@
 """Local executor for topologies on the pluggable execution substrate.
 
-Each task (component instance) gets a mailbox from the configured
-:class:`~repro.runtime.execution.ExecutionModel`; spout tasks register
-a pull source.  Under the default threaded model that means one worker
-thread per task over a (optionally bounded) queue with **batched
-dequeue** — a bolt receives chunks of tuples per lock round-trip, via
-:meth:`Bolt.process_batch` — and **batched emission**: tuples emitted
-while a batch is processed are buffered and flushed to each destination
-mailbox in one call.  Under the deterministic inline model the same
+Each task (bolt instance) gets a mailbox from the configured
+:class:`~repro.runtime.execution.ExecutionModel`; tuples enter through
+:meth:`LocalRuntime.inject`.  Under the default threaded model that
+means one worker thread per task over a (optionally bounded) queue
+with **batched dequeue** — a bolt receives chunks of tuples per lock
+round-trip, via :meth:`Bolt.process_batch` — and **batched emission**:
+tuples emitted while a batch is processed are buffered and flushed to
+each destination mailbox in one call.  Under the deterministic inline model the same
 topology runs synchronously with a seeded scheduler.  This mirrors
 Storm's local mode closely enough for InvaliDB's needs — partitioned,
 ordered-per-edge, asynchronous dataflow — while keeping both the event
@@ -29,7 +29,7 @@ from repro.runtime.execution import (
     resolve_execution_model,
 )
 from repro.runtime.faults import FaultInjector
-from repro.stream.topology import Bolt, Component, ComponentSpec, Spout, Topology
+from repro.stream.topology import Bolt, ComponentSpec, Topology
 
 #: Signature of a crash listener: (component, task_index, reason).
 CrashListener = "Callable[[str, int, str], None]"
@@ -49,7 +49,7 @@ class TaskFailure:
 
 
 class _Task:
-    """One running component instance with its mailbox (or source)."""
+    """One running bolt instance with its mailbox."""
 
     def __init__(
         self,
@@ -60,7 +60,7 @@ class _Task:
         self.runtime = runtime
         self.spec = spec
         self.task_index = task_index
-        self.component: Component = spec.build_task()
+        self.component: Bolt = spec.build_task()
         self.name = f"{spec.name}[{task_index}]"
         self.mailbox: Optional[Mailbox] = None
         self.processed = 0
@@ -77,22 +77,14 @@ class _Task:
         # this task's (single) worker; flushed grouped by destination.
         self._out: Optional[List[Any]] = None
         self._custom_batch = (
-            isinstance(self.component, Bolt)
-            and type(self.component).process_batch is not Bolt.process_batch
+            type(self.component).process_batch is not Bolt.process_batch
         )
 
     def attach(self, model: ExecutionModel) -> None:
         self.component.prepare(
             self.task_index, self.spec.parallelism, self._emit
         )
-        if not isinstance(self.component, Spout):
-            self.mailbox = model.mailbox(self.name, self._handle_batch)
-
-    def attach_source(self, model: ExecutionModel) -> None:
-        """Register the spout pull loop — after every mailbox exists,
-        so an eagerly-pumping source cannot emit into a void."""
-        if isinstance(self.component, Spout):
-            model.add_source(self.name, self._pump_spout)
+        self.mailbox = model.mailbox(self.name, self._handle_batch)
 
     # -- emission (routing resolved eagerly, delivery batched) ----------
 
@@ -191,28 +183,6 @@ class _Task:
                 f"handler errors",
             )
 
-    # -- spout path ------------------------------------------------------
-
-    def _pump_spout(self) -> Optional[bool]:
-        if self.runtime._stopping.is_set():
-            return None
-        spout = self.component
-        assert isinstance(spout, Spout)
-        batch = spout.next_batch()
-        if batch is None:
-            self.component.cleanup()
-            return None
-        if not batch:
-            return False
-        self._out = []
-        try:
-            for tuple_ in batch:
-                self._emit(tuple_)
-                self.processed += 1
-        finally:
-            self._flush()
-        return True
-
 
 class LocalRuntime:
     """Runs a :class:`Topology` on a pluggable execution model."""
@@ -237,7 +207,6 @@ class LocalRuntime:
         self._tasks: Dict[str, List[_Task]] = {}
         self._started = False
         self._stopped = False
-        self._stopping = threading.Event()
         self._failures: List[TaskFailure] = []
         self._failure_lock = threading.Lock()
         self._inject_counters: Dict[str, "itertools.count[int]"] = {}
@@ -246,10 +215,6 @@ class LocalRuntime:
                 _Task(self, spec, index) for index in range(spec.parallelism)
             ]
             self._inject_counters[spec.name] = itertools.count()
-
-    @property
-    def execution(self) -> ExecutionModel:
-        return self._execution
 
     @property
     def fault_injector(self) -> Optional[FaultInjector]:
@@ -266,21 +231,16 @@ class LocalRuntime:
         for tasks in self._tasks.values():
             for task in tasks:
                 task.attach(self._execution)
-        for tasks in self._tasks.values():
-            for task in tasks:
-                task.attach_source(self._execution)
         return self
 
     def stop(self, timeout: float = 2.0) -> None:
         if not self._started or self._stopped:
             return
         self._stopped = True
-        self._stopping.set()
         # Graceful: queued tuples are still processed, then workers exit.
         for tasks in self._tasks.values():
             for task in tasks:
-                if task.mailbox is not None:
-                    task.mailbox.close(drain=True)
+                task.mailbox.close(drain=True)
         if self._owns_execution:
             self._execution.shutdown(timeout)
         else:
@@ -296,8 +256,7 @@ class LocalRuntime:
                         join(timeout=max(0.0, deadline - _time.monotonic()))
         for tasks in self._tasks.values():
             for task in tasks:
-                if isinstance(task.component, Bolt):
-                    task.component.cleanup()
+                task.component.cleanup()
 
     def __enter__(self) -> "LocalRuntime":
         return self.start()
@@ -374,7 +333,7 @@ class LocalRuntime:
             if task.crashed
         ]
 
-    def restart_task(self, component: str, task_index: int) -> Component:
+    def restart_task(self, component: str, task_index: int) -> Bolt:
         """Replace a crashed task's component with a fresh instance.
 
         The mailbox (and everything queued in it since the crash) is
@@ -385,8 +344,7 @@ class LocalRuntime:
         task = self._tasks[component][task_index]
         task.component = task.spec.build_task()
         task._custom_batch = (
-            isinstance(task.component, Bolt)
-            and type(task.component).process_batch is not Bolt.process_batch
+            type(task.component).process_batch is not Bolt.process_batch
         )
         task.component.prepare(
             task.task_index, task.spec.parallelism, task._emit
@@ -425,7 +383,7 @@ class LocalRuntime:
                 )
         return counts
 
-    def task_components(self, component: str) -> List[Component]:
+    def task_components(self, component: str) -> List[Bolt]:
         """The live component instances of *component* (for inspection)."""
         return [task.component for task in self._tasks[component]]
 
@@ -474,16 +432,6 @@ class LocalRuntime:
             "crash_listener_errors": self._crash_listener_errors,
             "execution": self._execution.stats(),
         }
-
-    def idle(self) -> bool:
-        """True when every bolt mailbox is empty (approximate quiescence;
-        prefer :meth:`drain`, which also covers in-flight batches)."""
-        return all(
-            task.mailbox.depth() == 0
-            for tasks in self._tasks.values()
-            for task in tasks
-            if task.mailbox is not None
-        )
 
     def drain(self, timeout: float = 5.0) -> bool:
         """Block until all queued and in-flight tuples were processed

@@ -1,27 +1,25 @@
-"""Topology model: spouts, bolts, groupings, and the builder.
+"""Topology model: bolts, groupings, and the builder.
 
-A topology is a DAG of named components.  Each component runs with a
-*parallelism* (number of tasks).  Edges carry a :class:`Grouping` that
-maps an emitted tuple to the destination task indices:
+A topology is a DAG of named bolts.  Each bolt runs with a
+*parallelism* (number of tasks).  Tuples enter from outside through
+:meth:`~repro.stream.runtime.LocalRuntime.inject` — the event layer
+pushes into the ingestion bolts, as Redis pub/sub does in the paper —
+and edges carry a :class:`Grouping` that maps an emitted tuple to the
+destination task indices.  The two groupings the grid wires:
 
 * :class:`FieldsGrouping` — stable hash of selected tuple fields; the
   partitioning primitive ("compute their respective partitions by
   hashing static attributes" — Section 5.1);
-* :class:`AllGrouping` — broadcast to every task (query subscriptions
-  are "broadcasted to all partition members");
-* :class:`ShuffleGrouping` — round-robin load balancing;
-* :class:`DirectGrouping` — the emitter names the task explicitly;
 * :class:`CustomGrouping` — arbitrary function, used for InvaliDB's
-  two-dimensional grid routing.
+  two-dimensional grid routing (a subscription is "broadcasted to all
+  partition members" by returning every task of its row).
 """
 
 from __future__ import annotations
 
 import abc
-import itertools
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Sequence
 
 from repro.core.partitioning import stable_hash
 from repro.errors import TopologyError
@@ -30,10 +28,10 @@ Tuple_ = Mapping[str, Any]
 Emit = Callable[[Tuple_], None]
 
 
-class Component(abc.ABC):
-    """Base class for spouts and bolts.
+class Bolt(abc.ABC):
+    """A processor: receives tuples, may emit downstream.
 
-    One *instance* of the component class is created per task via
+    One *instance* of the bolt class is created per task via
     :meth:`clone`, so per-task state never needs locking.
     """
 
@@ -43,26 +41,14 @@ class Component(abc.ABC):
         self.parallelism = parallelism
         self.emit = emit
 
-    def clone(self) -> "Component":
+    def clone(self) -> "Bolt":
         """Create a fresh instance for one task (default: same class,
         constructed with no arguments of its own — override when the
-        component carries configuration)."""
+        bolt carries configuration)."""
         return type(self)()
 
     def cleanup(self) -> None:
         """Called once per task on shutdown."""
-
-
-class Spout(Component):
-    """A source: the runtime calls ``next_batch`` until it returns None."""
-
-    @abc.abstractmethod
-    def next_batch(self) -> Optional[List[Tuple_]]:
-        """Return the next tuples, an empty list to idle, None to stop."""
-
-
-class Bolt(Component):
-    """A processor: receives tuples, may emit downstream."""
 
     @abc.abstractmethod
     def process(self, tuple_: Tuple_) -> None:
@@ -103,42 +89,6 @@ class FieldsGrouping(Grouping):
         return (stable_hash(key) % target_parallelism,)
 
 
-class AllGrouping(Grouping):
-    """Broadcast to every task of the target component."""
-
-    def select(self, tuple_: Tuple_, target_parallelism: int) -> Sequence[int]:
-        return range(target_parallelism)
-
-
-class ShuffleGrouping(Grouping):
-    """Round-robin across target tasks (thread-safe)."""
-
-    def __init__(self) -> None:
-        self._counter = itertools.count()
-        self._lock = threading.Lock()
-
-    def select(self, tuple_: Tuple_, target_parallelism: int) -> Sequence[int]:
-        with self._lock:
-            nxt = next(self._counter)
-        return (nxt % target_parallelism,)
-
-
-class DirectGrouping(Grouping):
-    """The emitting component chooses the task via a tuple field."""
-
-    def __init__(self, task_field: str = "__task__"):
-        self.task_field = task_field
-
-    def select(self, tuple_: Tuple_, target_parallelism: int) -> Sequence[int]:
-        task = tuple_.get(self.task_field)
-        if not isinstance(task, int) or not 0 <= task < target_parallelism:
-            raise TopologyError(
-                f"direct grouping needs {self.task_field!r} in [0, "
-                f"{target_parallelism}), got {task!r}"
-            )
-        return (task,)
-
-
 class CustomGrouping(Grouping):
     """Arbitrary routing — e.g. InvaliDB's 2D grid fan-out."""
 
@@ -159,13 +109,10 @@ class Edge:
 @dataclass
 class ComponentSpec:
     name: str
-    prototype: Component
+    prototype: Bolt
     parallelism: int
-    factory: Optional[Callable[[], Component]] = None
 
-    def build_task(self) -> Component:
-        if self.factory is not None:
-            return self.factory()
+    def build_task(self) -> Bolt:
         return self.prototype.clone()
 
 
@@ -187,44 +134,23 @@ class TopologyBuilder:
         self._components: Dict[str, ComponentSpec] = {}
         self._edges: List[Edge] = []
 
-    def add_spout(
-        self,
-        name: str,
-        spout: Spout,
-        parallelism: int = 1,
-        factory: Optional[Callable[[], Component]] = None,
-    ) -> "TopologyBuilder":
-        return self._add(name, spout, parallelism, factory)
-
     def add_bolt(
         self,
         name: str,
         bolt: Bolt,
         parallelism: int = 1,
-        factory: Optional[Callable[[], Component]] = None,
-    ) -> "TopologyBuilder":
-        return self._add(name, bolt, parallelism, factory)
-
-    def _add(
-        self,
-        name: str,
-        component: Component,
-        parallelism: int,
-        factory: Optional[Callable[[], Component]],
     ) -> "TopologyBuilder":
         if name in self._components:
             raise TopologyError(f"duplicate component name: {name!r}")
         if parallelism < 1:
             raise TopologyError(f"parallelism must be >= 1 for {name!r}")
-        self._components[name] = ComponentSpec(name, component, parallelism, factory)
+        self._components[name] = ComponentSpec(name, bolt, parallelism)
         return self
 
     def connect(self, source: str, target: str, grouping: Grouping) -> "TopologyBuilder":
         for endpoint in (source, target):
             if endpoint not in self._components:
                 raise TopologyError(f"unknown component: {endpoint!r}")
-        if isinstance(self._components[target].prototype, Spout):
-            raise TopologyError(f"cannot connect into a spout: {target!r}")
         self._edges.append(Edge(source, target, grouping))
         return self
 

@@ -114,7 +114,7 @@ def run_inline_scenario(seed: int, plan=None, resubscribe: bool = False):
         if resubscribe:
             app.client.resubscribe_all()
             assert broker.drain()
-        stats = cluster.stats()
+        stats = cluster.snapshot()
         crashed_versions = {}
         for index in range(cluster.matching_node_count):
             node = cluster._cells[("matching", index)].node
@@ -279,7 +279,7 @@ class TestThreadedChaos:
             assert sorted(flat.result(),
                           key=lambda d: d["_id"]) == expected_flat
             assert top.result() == expected_top
-            assert cluster.stats()["faults"]["injected"] > 0
+            assert cluster.snapshot()["faults"]["injected"] > 0
         finally:
             app.close()
             cluster.stop()

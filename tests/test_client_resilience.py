@@ -117,7 +117,7 @@ class TestRetryWithBackoff:
         plan = FaultPlan().rule(
             "channel", "invalidb:writes*", "error", max_count=1
         )
-        app, broker, harness = make_app(plan=plan, client_retry=False)
+        app, broker, harness = make_app(plan=plan, publish_max_retries=0)
         try:
             with pytest.raises(InjectedFaultError):
                 app.insert("items", {"_id": 1, "v": 1})

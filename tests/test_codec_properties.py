@@ -16,7 +16,6 @@ from repro.event.wire import (
     BinaryCodec,
     LazyDocument,
     WireStats,
-    build_codec,
     decode_batch,
     encode_batch,
     materialize,
@@ -157,8 +156,8 @@ class TestCodecAgreement:
     @given(payload=envelopes)
     @settings(max_examples=40)
     def test_binary_and_json_decode_equal(self, payload):
-        json_codec = build_codec("json")
-        binary = build_codec("binary")
+        json_codec = JsonCodec()
+        binary = BinaryCodec()
         via_json = json_codec.decode(json_codec.encode(payload))
         via_binary = materialize(binary.decode(binary.encode(payload)))
         assert via_binary == via_json
@@ -166,7 +165,6 @@ class TestCodecAgreement:
     @given(payloads=st.lists(envelopes, max_size=5))
     @settings(max_examples=30)
     def test_batch_helpers_work_for_every_codec(self, payloads):
-        for name in ("json", "binary", "noop"):
-            codec = build_codec(name)
+        for codec in (JsonCodec(), BinaryCodec(), NoopCodec()):
             restored = decode_batch(codec, encode_batch(codec, payloads))
             assert [materialize(p) for p in restored] == payloads

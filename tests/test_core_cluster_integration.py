@@ -252,3 +252,25 @@ class TestSubscriptionLifecycle:
             time.sleep(0.1)
             app.client.extend_ttls()
         assert len(cluster.active_query_ids()) == 1
+
+    def test_live_subscription_outlives_its_ttl(self, broker,
+                                                cluster_factory,
+                                                app_server_factory):
+        """Regression: nothing ever called ``extend_ttls()``, so under
+        the threaded model every subscription silently died after
+        ``subscription_ttl`` — handle open, no error, no more changes.
+        A threaded client extends on its own."""
+        cluster = cluster_factory(1, 1, subscription_ttl=1.0,
+                                  ttl_extension_interval=0.25,
+                                  heartbeat_interval=0.1)
+        app = app_server_factory(config=cluster.config)
+        subscription = app.subscribe("items", {"v": {"$gte": 0}})
+        app.insert("items", {"_id": 1, "v": 1})
+        settle(cluster, broker)
+        time.sleep(2.5)  # 2.5 TTLs, 25 reaper sweeps
+        assert len(cluster.active_query_ids()) == 1
+        app.insert("items", {"_id": 2, "v": 2})
+        settle(cluster, broker)
+        assert wait_for(lambda: subscription.change_count == 2, timeout=0.5)
+        assert subscription.result() == app.find("items", {"v": {"$gte": 0}})
+        assert not subscription.errors

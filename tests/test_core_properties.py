@@ -9,7 +9,6 @@ Driven deterministically (no threads) so hypothesis shrinking works.
 
 from typing import Any, Dict, List
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.client import RealTimeSubscription
@@ -197,7 +196,7 @@ sorted_seeds = st.lists(st.integers(0, 30), min_size=8,
 # "replay" re-delivers an earlier match event of the key (a duplicate or
 # a stale version, as at-least-once delivery and writes racing a
 # bootstrap produce); "reregister" is a mid-stream deactivate_query ->
-# one write the deactivated query misses -> register_query.
+# one to three writes the deactivated query misses -> register_query.
 sorted_operations = st.lists(
     st.tuples(
         st.sampled_from(["insert", "update", "update", "delete", "delete",
@@ -300,11 +299,14 @@ def drive_sorted_query(seeds, ops, limit, offset, slack):
         if kind == "reregister":
             assert sorting.deactivate_query(query.query_id)
             assert sorting.state_of(query.query_id) is None
-            # The deactivated query emits nothing for the write it
+            # The deactivated query emits nothing for the writes it
             # misses; the delta of the next register_query closes the
             # gap from the window kept at deactivation.
-            for event in write("update", key, value):
-                assert sorting.handle_event(event) == []
+            for missed in range(1 + value % 3):
+                for event in write("update",
+                                   (key + 5 * missed) % len(SORTED_KEYS),
+                                   (value + 11 * missed) % 31):
+                    assert sorting.handle_event(event) == []
             bootstrap()
             check()
             continue
@@ -345,13 +347,10 @@ class TestSortingStageInvariant:
         # Without a limit there is no slack to exhaust.
         assert node.renewals_requested == 0
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "open defect found by this oracle: SortingNode._diff emits "
-        "changeIndex only for survivors whose own index moved, so a "
-        "renewal delta spanning several writes can leave an unmoved "
-        "survivor displaced in the client's list"
-    ))
     def test_renewal_delta_spanning_several_writes_converges(self):
+        """Regression: ``SortingNode._diff`` emitted changeIndex only
+        for survivors whose own index moved, leaving an unmoved
+        survivor displaced in the client's list."""
         query = Query({}, sort=[("v", -1)])
         before = [{"_id": "a", "v": 4}, {"_id": "b", "v": 3},
                   {"_id": "c", "v": 2}, {"_id": "d", "v": 1}]

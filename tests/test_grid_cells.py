@@ -25,7 +25,7 @@ from repro.core.remote import (
     serialize_match_event,
     serialize_query,
 )
-from repro.event.wire import build_codec, decode_batch, encode_batch
+from repro.event.wire import BinaryCodec, decode_batch, encode_batch
 from repro.obs.telemetry import build_telemetry
 from repro.obs.tracing import PUBLISH, begin_span, new_trace, spans_of
 from repro.query.engine import MongoQueryEngine, Query
@@ -60,8 +60,8 @@ class LoopbackHandle:
 
     def __init__(self, worker_cell):
         self.worker_cell = worker_cell
-        self.parent_codec = build_codec("binary", lazy_documents=False)
-        self.worker_codec = build_codec("binary", lazy_documents=True)
+        self.parent_codec = BinaryCodec(lazy_documents=False)
+        self.worker_codec = BinaryCodec(lazy_documents=True)
 
     def request_batch(self, items):
         wire = encode_batch(self.parent_codec, items)

@@ -146,9 +146,10 @@ class TestInstrumentation:
         app.subscribe("items", {"v": {"$gte": 0}})
         app.insert("items", {"_id": 1, "v": 1})
         settle(cluster, broker)
-        stats = cluster.stats()
-        assert stats["grid"] == "2x2"
+        stats = cluster.snapshot()
+        assert (stats["config"]["query_partitions"],
+                stats["config"]["write_partitions"]) == (2, 2)
         assert stats["active_queries"] == 1
         assert stats["app_servers"] == ["app-1"]
         assert stats["notifications_sent"] >= 1
-        assert len(stats["matching_nodes"]) == 4
+        assert len(stats["matching"]) == 4

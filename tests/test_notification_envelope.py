@@ -273,7 +273,7 @@ def run_scenario(seed, plan=None, per_change=False, resubscribe=False):
                 for name, stats in model.stats()["mailboxes"].items()
                 if name.endswith("-dispatch")
             ),
-            "faults": cluster.stats()["faults"],
+            "faults": cluster.snapshot()["faults"],
         }
     finally:
         writer.close()

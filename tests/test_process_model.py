@@ -196,25 +196,6 @@ class TestProcessModelBasics:
             cluster.stop()
             broker.close()
 
-    def test_json_wire_codec_also_works(self):
-        broker = Broker()
-        config = InvaliDBConfig(
-            query_partitions=1, write_partitions=2,
-            execution_model="process", process_workers=2,
-            wire_codec="json",
-        )
-        cluster = InvaliDBCluster(broker, config).start()
-        app = AppServer("app-1", broker)
-        try:
-            sub = app.subscribe("items", {"v": {"$gte": 1}})
-            app.insert("items", {"_id": "a", "v": 2})
-            settle(cluster, broker)
-            assert wait_for(lambda: len(sub.notifications) == 1)
-        finally:
-            app.close()
-            cluster.stop()
-            broker.close()
-
     def test_snapshot_merges_worker_state(self):
         broker = Broker()
         config = InvaliDBConfig(
@@ -254,9 +235,9 @@ class TestProcessModelBasics:
             pool = snap["workers"]["pool"]
             assert pool["worker_processes"] == 2
             assert pool["spawned"] == 2
-            # The compatibility shim keys rows by coordinates.
-            stats = cluster.stats()
-            assert len(stats["matching_nodes"]) == 4
+            assert len({
+                row["coordinates"] for row in snap["matching"]
+            }) == 4
         finally:
             app.close()
             cluster.stop()
@@ -270,8 +251,8 @@ class TestProcessModelBasics:
                 execution_model="process",
                 execution=ExecutionConfig(mode="threaded"),
             )
-        with pytest.raises(ClusterConfigError):
-            InvaliDBConfig(execution_model="process", wire_codec="bogus")
+        with pytest.raises(TypeError):  # the process hop is BinaryCodec
+            InvaliDBConfig(execution_model="process", wire_codec="json")
 
 
 class TestTranscriptEquivalence:

@@ -69,6 +69,13 @@ class TestBoundedQueue:
         queue.put(1)
         with pytest.raises(QueueOverflowError):
             queue.put(2)
+        # An overflow part-way through a batch still accounts for the
+        # items queued before it.
+        queue = BoundedQueue(capacity=2, policy=BackpressurePolicy.ERROR)
+        with pytest.raises(QueueOverflowError):
+            queue.put_many([1, 2, 3])
+        assert queue.stats()["high_water"] == 2
+        assert queue.get_batch(10, timeout=0) == [1, 2]
 
     def test_put_on_closed_queue_discards(self):
         queue = BoundedQueue()
@@ -318,23 +325,6 @@ class TestInlineModel:
         model.schedule(box, "first", delay=1.0)
         assert model.drain()
         assert seen == ["first", "second"]
-
-    def test_sources_are_pumped_during_drain(self):
-        model = InlineExecutionModel()
-        seen = []
-        box = model.mailbox("sink", seen.extend)
-        remaining = [3]
-
-        def pump():
-            if remaining[0] == 0:
-                return None
-            remaining[0] -= 1
-            box.put(remaining[0])
-            return True
-
-        model.add_source("spout", pump)
-        assert model.drain()
-        assert seen == [2, 1, 0]
 
     def test_drop_oldest_policy_inline(self):
         """put_many enqueues the whole batch before the trampoline runs,

@@ -7,13 +7,9 @@ import pytest
 
 from repro.errors import TopologyError
 from repro.stream.topology import (
-    AllGrouping,
     Bolt,
     CustomGrouping,
-    DirectGrouping,
     FieldsGrouping,
-    ShuffleGrouping,
-    Spout,
     TopologyBuilder,
 )
 from repro.stream.runtime import LocalRuntime
@@ -44,20 +40,6 @@ class ForwardBolt(Bolt):
         self.emit({**tuple_, "hop": tuple_.get("hop", 0) + 1})
 
 
-class CountdownSpout(Spout):
-    def __init__(self, count: int = 5):
-        self.count = count
-
-    def clone(self):
-        return CountdownSpout(self.count)
-
-    def next_batch(self):
-        if self.count <= 0:
-            return None
-        self.count -= 1
-        return [{"n": self.count}]
-
-
 class TestGroupings:
     def test_fields_grouping_is_deterministic(self):
         grouping = FieldsGrouping("key")
@@ -70,22 +52,6 @@ class TestGroupings:
         grouping = FieldsGrouping("key")
         targets = {grouping.select({"key": f"k{i}"}, 8)[0] for i in range(200)}
         assert len(targets) == 8
-
-    def test_all_grouping_broadcasts(self):
-        assert list(AllGrouping().select({}, 4)) == [0, 1, 2, 3]
-
-    def test_shuffle_round_robin(self):
-        grouping = ShuffleGrouping()
-        picks = [grouping.select({}, 3)[0] for _ in range(6)]
-        assert picks == [0, 1, 2, 0, 1, 2]
-
-    def test_direct_grouping(self):
-        grouping = DirectGrouping()
-        assert grouping.select({"__task__": 2}, 4) == (2,)
-        with pytest.raises(TopologyError):
-            grouping.select({"__task__": 9}, 4)
-        with pytest.raises(TopologyError):
-            grouping.select({}, 4)
 
     def test_custom_grouping(self):
         grouping = CustomGrouping(lambda t, n: [0, n - 1])
@@ -105,16 +71,7 @@ class TestBuilderValidation:
     def test_unknown_endpoint(self):
         builder = TopologyBuilder().add_bolt("b", CollectorBolt())
         with pytest.raises(TopologyError):
-            builder.connect("b", "missing", AllGrouping())
-
-    def test_cannot_connect_into_spout(self):
-        builder = (
-            TopologyBuilder()
-            .add_spout("s", CountdownSpout())
-            .add_bolt("b", CollectorBolt())
-        )
-        with pytest.raises(TopologyError):
-            builder.connect("b", "s", AllGrouping())
+            builder.connect("b", "missing", FieldsGrouping("key"))
 
     def test_invalid_parallelism(self):
         with pytest.raises(TopologyError):
@@ -135,28 +92,14 @@ def wait_for(predicate, timeout: float = 2.0) -> bool:
 
 
 class TestRuntime:
-    def test_spout_to_bolt_flow(self):
-        topology = (
-            TopologyBuilder()
-            .add_spout("src", CountdownSpout(5))
-            .add_bolt("sink", CollectorBolt())
-            .connect("src", "sink", ShuffleGrouping())
-            .build()
-        )
-        with LocalRuntime(topology) as runtime:
-            assert wait_for(
-                lambda: sum(
-                    len(c.received)
-                    for c in runtime.task_components("sink")
-                ) == 5
-            )
-
     def test_broadcast_reaches_every_task(self):
+        """Broadcast the way the grid does it: a custom grouping that
+        returns every task of the target."""
         topology = (
             TopologyBuilder()
             .add_bolt("entry", ForwardBolt())
             .add_bolt("sink", CollectorBolt(), parallelism=4)
-            .connect("entry", "sink", AllGrouping())
+            .connect("entry", "sink", CustomGrouping(lambda t, n: range(n)))
             .build()
         )
         with LocalRuntime(topology) as runtime:
@@ -267,8 +210,8 @@ class TestRuntime:
             .add_bolt("first", ForwardBolt())
             .add_bolt("second", ForwardBolt())
             .add_bolt("sink", CollectorBolt())
-            .connect("first", "second", ShuffleGrouping())
-            .connect("second", "sink", ShuffleGrouping())
+            .connect("first", "second", FieldsGrouping("hop"))
+            .connect("second", "sink", FieldsGrouping("hop"))
             .build()
         )
         with LocalRuntime(topology) as runtime:

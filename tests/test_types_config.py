@@ -4,10 +4,13 @@ from dataclasses import fields, replace
 
 import pytest
 
+from repro.core.cluster import InvaliDBCluster
 from repro.core.config import InvaliDBConfig
 from repro.core.sorting import SortingNode
 from repro.errors import ClusterConfigError
-from repro.runtime.execution import ExecutionConfig
+from repro.event.broker import Broker
+from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
+from repro.stream.topology import Bolt, TopologyBuilder
 from repro.types import (
     AfterImage,
     ChangeNotification,
@@ -100,6 +103,7 @@ class TestConfigValidation:
             {"renewal_slack_factor": 0.5},
             {"heartbeat_interval": 2.0, "heartbeat_timeout": 1.0},
             {"subscription_ttl": 0},
+            {"ttl_extension_interval": 0},
             {"renewal_min_interval": -1},
         ],
     )
@@ -125,7 +129,7 @@ class TestConfigValidation:
             InvaliDBConfig(execution_model="fibers")
 
     def test_removed_matching_gates_are_not_options(self):
-        assert len(fields(InvaliDBConfig)) == 64
+        assert len(fields(InvaliDBConfig)) == 55
         for gate in ("shared_predicate_memo", "shared_query_dag",
                      "incremental_sorting"):
             with pytest.raises(TypeError):
@@ -139,3 +143,25 @@ class TestConfigValidation:
                 InvaliDBConfig(**{gate: False})
         with pytest.raises(TypeError):
             SortingNode(incremental=True)
+
+    @pytest.mark.parametrize("name", [
+        "supervision", "supervisor_backoff_factor", "supervisor_backoff_max",
+        "supervisor_max_restarts", "publish_backoff_jitter", "slo_objective",
+        "flight_recorder_capacity", "client_retry", "wire_codec",
+    ])
+    def test_fields_no_caller_set_are_not_options(self, name):
+        with pytest.raises(TypeError):
+            InvaliDBConfig(**{name: 1})
+
+    def test_substrate_hooks_no_caller_used_are_gone(self):
+        assert len(fields(ExecutionConfig)) == 8
+        with pytest.raises(TypeError):
+            ExecutionConfig(wire_codec="binary")
+        with pytest.raises(TypeError):
+            TopologyBuilder().add_bolt("b", Bolt, factory=Bolt)
+        broker = Broker(execution=InlineExecutionModel())
+        try:
+            with pytest.raises(TypeError):
+                InvaliDBCluster(broker, execution=broker.execution)
+        finally:
+            broker.close()
