@@ -34,7 +34,16 @@ into one hash-consed predicate DAG
 whole-plan sharing) and a single lazy pass per after-image serves every
 candidate's match/unmatch decision, consumed in registration order.  A
 query the DAG cannot intern (unhashable canonical form) is decided by
-plain ``engine.matches(query, document)`` instead.
+plain ``engine.matches(query, document)`` instead.  Underneath both is
+one evaluator: the closures :func:`repro.query.matcher.compile_node`
+builds, held per DAG leaf and per :class:`Query`.
+
+``process_write`` is one flat loop over the candidates — ask the pass,
+apply the add/change/remove transition in place, build the event — and
+tokenizes the after-image at most once, shared between the index's
+text probe and the pass's ``$text`` leaves.  Deletes and registration
+replay, which have no pass to share, decide one query at a time in
+``_evaluate``.
 
 The node also implements write stream retention: retained after-images
 are replayed against newly registered queries, closing the
@@ -52,7 +61,8 @@ from repro.core.retention import RetentionBuffer
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.query.engine import MongoQueryEngine, PluggableQueryEngine, Query
 from repro.query.index import QueryIndex
-from repro.query.shared import DagEvaluation, SharedPredicateDAG
+from repro.query.shared import SharedPredicateDAG
+from repro.query.text import LazyTokens
 from repro.types import AfterImage, Document, MatchType
 
 
@@ -255,14 +265,20 @@ class FilteringNode:
         the same entity) are dropped entirely.  With the predicate
         index enabled, only candidate queries (index hits plus the
         entity's previous matchers) are evaluated; without it, every
-        active query is scanned.
+        active query is scanned.  The transition applied per candidate
+        is the one ``_evaluate`` defines; keep the two in step.
         """
         if not self.retention.observe(after, now):
             return []
         self.writes_processed += 1
-        if not after.is_delete:
+        is_delete = after.is_delete
+        tokens: Optional[LazyTokens] = None
+        if not is_delete:
             after = self._materialize(after)
-        candidate_ids = self._candidate_ids(after)
+            # One token set per write, shared by the index's text probe
+            # and every $text leaf of the pass; built only if one asks.
+            tokens = LazyTokens(after.document)
+        candidate_ids = self._candidate_ids(after, tokens)
         pruned = len(self._queries) - len(candidate_ids)
         self.candidates_considered += len(candidate_ids)
         self.candidates_pruned += pruned
@@ -271,15 +287,61 @@ class FilteringNode:
         if (self.writes_processed & 15) == 1:
             self._examined_hist.record(len(candidate_ids))
             self._pruned_hist.record(pruned)
-        # One shared DAG pass serves every candidate's decision.
-        evaluation: Optional[DagEvaluation] = None
-        if candidate_ids and not after.is_delete:
-            evaluation = self.dag.begin(after.document)  # type: ignore[arg-type]
         events: List[MatchEvent] = []
+        if not candidate_ids:
+            return events
+        queries = self._queries
+        if is_delete:
+            for query_id in candidate_ids:
+                state = queries.get(query_id)
+                if state is not None:
+                    events.extend(self._evaluate(state, after))
+            return events
+        # One shared DAG pass serves every candidate's decision; the
+        # loop below is _evaluate for a live document, applied in place.
+        document: Document = after.document  # type: ignore[assignment]
+        decide = self.dag.begin(document, tokens).matches
+        collection, key = after.collection, after.key
+        version, timestamp = after.version, after.timestamp
+        matching_keys = self._matching_keys
+        evaluated = 0
         for query_id in candidate_ids:
-            state = self._queries.get(query_id)
-            if state is not None:
-                events.extend(self._evaluate(state, after, evaluation))
+            state = queries.get(query_id)
+            if state is None:
+                continue
+            query = state.query
+            matches_now: Optional[bool] = False
+            if collection == query.collection:
+                evaluated += 1
+                matches_now = decide(query_id)
+                if matches_now is None:
+                    # Not interned (unhashable canonical form).
+                    matches_now = self.engine.matches(query, document)
+            matching = state.matching
+            if matches_now:
+                if key in matching:
+                    match_type = MatchType.CHANGE
+                else:
+                    match_type = MatchType.ADD
+                    matching_keys.setdefault(key, set()).add(query_id)
+                matching[key] = version
+                state.documents[key] = document
+            elif key in matching:
+                match_type = MatchType.REMOVE
+                del matching[key]
+                state.documents.pop(key, None)
+                matchers = matching_keys.get(key)
+                if matchers is not None:
+                    matchers.discard(query_id)
+                    if not matchers:
+                        del matching_keys[key]
+            else:
+                continue
+            events.append(MatchEvent(
+                query_id, match_type, key, document, version, timestamp,
+                query.needs_sorting_stage,
+            ))
+        self.matched_operations += evaluated
         return events
 
     def _materialize(self, after: AfterImage) -> AfterImage:
@@ -301,7 +363,9 @@ class FilteringNode:
             return after
         return _materialized(after)
 
-    def _candidate_ids(self, after: AfterImage) -> List[Any]:
+    def _candidate_ids(
+        self, after: AfterImage, tokens: Optional[LazyTokens] = None
+    ) -> List[Any]:
         """Queries to evaluate for *after*, in registration order."""
         if self.index is None:
             return list(self._queries)
@@ -316,32 +380,25 @@ class FilteringNode:
             candidates = self.index.candidates(
                 after.document,  # type: ignore[arg-type]
                 after.collection,
+                tokens,
             )
             if previous:
                 candidates.update(previous)
         order = self._order
         return sorted(candidates, key=lambda query_id: order.get(query_id, -1))
 
-    def _evaluate(
-        self,
-        state: _ActiveQuery,
-        after: AfterImage,
-        evaluation: Optional[DagEvaluation] = None,
-    ) -> List[MatchEvent]:
+    def _evaluate(self, state: _ActiveQuery, after: AfterImage) -> List[MatchEvent]:
+        """One query's transition for *after*, outside a shared pass:
+        deletes (nothing to evaluate) and registration replay (one
+        query, decided by its own compiled predicate)."""
         query = state.query
         if after.is_delete or after.collection != query.collection:
-            matches_now: Optional[bool] = False
+            matches_now = False
         else:
             self.matched_operations += 1
-            matches_now = None
-            if evaluation is not None:
-                matches_now = evaluation.matches(query.query_id)
-            if matches_now is None:
-                # The query is not interned (unhashable canonical form),
-                # or this is registration replay: one query, no pass.
-                matches_now = self.engine.matches(
-                    query, after.document  # type: ignore[arg-type]
-                )
+            matches_now = self.engine.matches(
+                query, after.document  # type: ignore[arg-type]
+            )
         was_matching = after.key in state.matching
         if matches_now:
             state.matching[after.key] = after.version

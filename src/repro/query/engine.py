@@ -21,7 +21,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import QueryParseError
 from repro.query.ast import Node, referenced_paths
-from repro.query.matcher import matches_node
+from repro.query.matcher import Matcher, compile_node
 from repro.query.normalize import canonical_query_form, query_hash
 from repro.query.parser import parse_query
 from repro.query.sortspec import SortInput, SortSpec
@@ -45,6 +45,7 @@ class Query:
         "offset",
         "hash",
         "query_id",
+        "_compiled",
     )
 
     def __init__(
@@ -71,6 +72,8 @@ class Query:
         self.offset = offset
         self.hash = query_hash(filter_doc, collection, self.sort, limit, offset)
         self.query_id = f"q-{self.hash:016x}"
+        #: ``(node, compile_node(node))``, built by the first ``matches``.
+        self._compiled: Optional[Tuple[Node, Matcher]] = None
 
     # -- classification ----------------------------------------------------
 
@@ -91,8 +94,16 @@ class Query:
     # -- behaviour ----------------------------------------------------------
 
     def matches(self, document: Document) -> bool:
-        """Does *document* satisfy the filter predicate?"""
-        return matches_node(document, self.node)
+        """Does *document* satisfy the filter predicate?
+
+        Runs the compiled predicate, built on first use (a query that is
+        only ever registered, hashed or routed never pays for it) and
+        rebuilt when :attr:`node` was reassigned.
+        """
+        compiled = self._compiled
+        if compiled is None or compiled[0] is not self.node:
+            compiled = self._compiled = (self.node, compile_node(self.node))
+        return compiled[1](document)
 
     def referenced_paths(self) -> Tuple[str, ...]:
         """Field paths the filter references (useful for index planning)."""

@@ -17,10 +17,10 @@ predicate, which is the semantics relevant for change detection.
 from __future__ import annotations
 
 import math
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import GeoError, QueryParseError
-from repro.query.operators import Operator
+from repro.query.operators import Operator, ValueTest
 
 EARTH_RADIUS_METERS = 6_371_008.8
 
@@ -43,6 +43,25 @@ def _as_point(value: Any) -> Optional[Point]:
     ):
         return float(value[0]), float(value[1])
     return None
+
+
+def _point_test(accepts: Callable[[Point], bool]) -> ValueTest:
+    """The value test "*value* is a point that *accepts* takes".
+
+    A plain ``[float, float]`` pair (a position as every writer stores
+    it) is recognised by its exact types; every other value takes the
+    general coercion of :func:`_as_point`.
+    """
+
+    def test(value: Any) -> bool:
+        if type(value) is list and len(value) == 2:
+            lon, lat = value
+            if type(lon) is float and type(lat) is float:
+                return accepts((lon, lat))
+        point = _as_point(value)
+        return point is not None and accepts(point)
+
+    return test
 
 
 #: Public alias for probe-side point extraction (used by the query
@@ -324,6 +343,11 @@ class GeoWithin(Operator):
         point = _as_point(value)
         return point is not None and self.shape.contains(point)
 
+    def value_test(self) -> ValueTest:
+        if type(self).evaluate is not GeoWithin.evaluate:
+            return self.evaluate
+        return _point_test(self.shape.contains)
+
     def canonical(self) -> Tuple[Any, ...]:
         return (self.name, self.shape.canonical())
 
@@ -385,12 +409,18 @@ class NearSphere(Operator):
 
     def evaluate(self, value: Any) -> bool:
         point = _as_point(value)
-        if point is None:
-            return False
+        return point is not None and self._in_range(point)
+
+    def _in_range(self, point: Point) -> bool:
         distance = haversine_meters(self.center, point)
         if distance < self.min_distance:
             return False
         return self.max_distance is None or distance <= self.max_distance
+
+    def value_test(self) -> ValueTest:
+        if type(self).evaluate is not NearSphere.evaluate:
+            return self.evaluate
+        return _point_test(self._in_range)
 
     def canonical(self) -> Tuple[Any, ...]:
         return (self.name, self.center, self.min_distance, self.max_distance)

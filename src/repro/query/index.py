@@ -63,9 +63,11 @@ subtleties guard the contract:
   elements; when a path resolves to more than one comparable value the
   interval tree is bypassed and every interval entry on the path is
   conservatively returned;
-* ``NaN`` compares equal to everything under the engine's BSON
-  three-way comparison, so a NaN document value conservatively returns
-  every numeric range *and equality* entry on the path.
+* ``NaN`` has no place in a sorted boundary list or a hash bucket, so
+  a NaN document value conservatively returns every numeric range
+  *and equality* entry on the path.  The engine then rejects nearly
+  all of them (range operators never match NaN against a number,
+  equality only against a NaN operand): over-delivery, never a loss.
 
 The index answers *"which queries might match this after-image?"* —
 queries that previously matched an entity must additionally be
@@ -92,7 +94,7 @@ from repro.query.geo import GeoWithin, NearSphere, as_point
 from repro.query.matcher import resolve_path
 from repro.query.operators import Eq, Gt, Gte, In, Lt, Lte
 from repro.query.sortspec import type_bracket
-from repro.query.text import TextSearch, document_tokens
+from repro.query.text import LazyTokens, TextSearch, document_tokens
 from repro.types import Document
 
 _NUMBER = type_bracket(0)
@@ -745,9 +747,10 @@ class _PathIndex:
                     out.update(bucket)
                     hits["equality"] += len(out) - before
             if isinstance(value, float) and math.isnan(value):
-                # NaN compares equal to every number under BSON
-                # three-way comparison: every numeric bound AND every
-                # numeric equality entry matches, so return them all.
+                # NaN cannot be bisected into a boundary list or
+                # looked up in a bucket.  The engine matches it against
+                # almost nothing, so returning every numeric bound AND
+                # every numeric equality entry is merely conservative.
                 before = len(out)
                 self._collect_all_ranges(_NUMBER, out)
                 hits["range"] += len(out) - before
@@ -976,9 +979,16 @@ class QueryIndex:
         possibly come out of it."""
         return collection in self._collections
 
-    def candidates(self, document: Document, collection: str) -> Set[str]:
+    def candidates(
+        self,
+        document: Document,
+        collection: str,
+        tokens: Optional[LazyTokens] = None,
+    ) -> Set[str]:
         """Query ids that might match *document* (a superset, see module
-        docstring).  Queries over other collections never appear."""
+        docstring).  Queries over other collections never appear.
+        *tokens* is the document's lazy token set when the caller shares
+        one with the evaluation that follows; the text probe reads it."""
         out: Set[str] = set()
         collection_index = self._collections.get(collection)
         if collection_index is None:
@@ -1030,7 +1040,9 @@ class QueryIndex:
         if collection_index.text_tokens:
             before = len(out)
             buckets = collection_index.text_tokens
-            for token in document_tokens(document):
+            for token in (
+                document_tokens(document) if tokens is None else tokens()
+            ):
                 bucket = buckets.get(token)
                 if bucket is not None:
                     out.update(bucket)

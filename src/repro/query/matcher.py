@@ -1,9 +1,20 @@
 """Document-versus-predicate evaluation with MongoDB array semantics.
 
-The matcher resolves dotted paths (fanning out over arrays of embedded
-documents), feeds candidate values to leaf operators, and combines the
-results through the logical AST nodes.  The notable MongoDB behaviours
-reproduced here:
+There is one evaluator, and it is compiled: :func:`compile_node` turns
+a predicate AST into a closure ``document -> bool`` once, and every
+caller that decides more than one document holds on to it — a
+:class:`~repro.query.engine.Query` (the pull store's ``find`` and the
+filtering stage's per-query fallback), each leaf of the shared predicate
+DAG (:mod:`repro.query.shared`), the ``$elemMatch`` sub-predicate.
+:func:`matches_node` is the uncached convenience on top.
+
+A field leaf compiles to *resolver, fan-out, value test*: the path is
+split once (a top-level field of a plain ``dict`` is one ``dict.get``;
+dotted paths fan out over arrays of embedded documents), the candidate
+values are visited in a loop, and each is decided by the operator's
+:meth:`~repro.query.operators.Operator.value_test` — which is where
+operator semantics live; this module only knows how values are found
+and combined.  The notable MongoDB behaviours reproduced here:
 
 * a predicate on an array field matches when the *whole array* or *any
   element* satisfies it (except whole-array operators such as
@@ -17,12 +28,40 @@ reproduced here:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.query.ast import AllOf, Always, AnyOf, FieldPredicate, Node, NoneOf, Not
 from repro.query.operators import Eq, Exists, In, Negated, Operator
 from repro.query.text import TextSearch
 from repro.types import Document
+
+#: A compiled predicate.
+Matcher = Callable[[Document], bool]
+
+_MISSING = object()
+
+
+def _descend(
+    current: Any, parts: Sequence[str], index: int, terminals: List[Any]
+) -> None:
+    """Append every value ``parts[index:]`` resolves to under *current*."""
+    if index == len(parts):
+        terminals.append(current)
+        return
+    part = parts[index]
+    if isinstance(current, dict):
+        if part in current:
+            _descend(current[part], parts, index + 1, terminals)
+        return
+    if isinstance(current, (list, tuple)):
+        if part.isdigit():
+            position = int(part)
+            if position < len(current):
+                _descend(current[position], parts, index + 1, terminals)
+        for element in current:
+            if isinstance(element, dict) and part in element:
+                _descend(element[part], parts, index + 1, terminals)
+
 
 def resolve_path(document: Document, path: str) -> Tuple[List[Any], bool]:
     """Resolve dotted *path* in *document* with array fan-out.
@@ -32,40 +71,8 @@ def resolve_path(document: Document, path: str) -> Tuple[List[Any], bool]:
     fan out); ``exists`` is True when at least one resolution succeeded.
     """
     terminals: List[Any] = []
-    parts = path.split(".")
-
-    def descend(current: Any, index: int) -> None:
-        if index == len(parts):
-            terminals.append(current)
-            return
-        part = parts[index]
-        if isinstance(current, dict):
-            if part in current:
-                descend(current[part], index + 1)
-            return
-        if isinstance(current, (list, tuple)):
-            if part.isdigit():
-                position = int(part)
-                if position < len(current):
-                    descend(current[position], index + 1)
-            for element in current:
-                if isinstance(element, dict) and part in element:
-                    descend(element[part], index + 1)
-
-    descend(document, 0)
+    _descend(document, path.split("."), 0, terminals)
     return terminals, bool(terminals)
-
-
-def _candidates(terminals: List[Any], whole_array_only: bool) -> List[Any]:
-    """Expand terminal values into the candidate set an operator sees."""
-    if whole_array_only:
-        return terminals
-    expanded: List[Any] = []
-    for value in terminals:
-        expanded.append(value)
-        if isinstance(value, (list, tuple)):
-            expanded.extend(value)
-    return expanded
 
 
 def _null_equality(operator: Operator) -> bool:
@@ -81,62 +88,110 @@ def _null_equality(operator: Operator) -> bool:
     return False
 
 
-def _evaluate_field(document: Document, predicate: FieldPredicate) -> bool:
+def _compile_field(predicate: FieldPredicate) -> Matcher:
+    """Compile one field leaf: does some candidate value pass the test?
+
+    The candidates of a path are each value it resolves to plus, unless
+    the operator is whole-array-only, the elements of those that are
+    arrays.  ``$ne``/``$nin`` invert the outcome; ``$exists`` is the
+    same question with a test every resolved value passes.
+    """
     operator = predicate.operator
-    terminals, exists = resolve_path(document, predicate.path)
-
     if isinstance(operator, Exists):
-        return exists == operator.flag
+        inner, negated = operator, not operator.flag
+    elif isinstance(operator, Negated):
+        inner, negated = operator.inner, True
+    else:
+        inner, negated = operator, False
+    test = inner.value_test()
+    fan_out = not inner.whole_array_only
+    hit, miss = not negated, negated
+    on_missing = _null_equality(inner) != negated
+    parts = tuple(predicate.path.split("."))
+    # A top-level field of a plain dict is one lookup; every other
+    # shape (dotted path, dict subclass, array document) is walked.
+    key = parts[0] if len(parts) == 1 else None
 
-    if isinstance(operator, Negated):
-        inner = operator.inner
-        if not exists:
-            return not _null_equality(inner)
-        candidates = _candidates(terminals, inner.whole_array_only)
-        return not any(inner.evaluate(value) for value in candidates)
+    def field(document: Document) -> bool:
+        if key is not None and type(document) is dict:
+            value = document.get(key, _MISSING)
+            if value is _MISSING:
+                return on_missing
+            terminals: Sequence[Any] = (value,)
+        else:
+            terminals = []
+            _descend(document, parts, 0, terminals)
+            if not terminals:
+                return on_missing
+        for value in terminals:
+            if test(value):
+                return hit
+            if fan_out and isinstance(value, (list, tuple)):
+                for element in value:
+                    if test(element):
+                        return hit
+        return miss
 
-    if not exists:
-        return _null_equality(operator)
+    return field
 
-    candidates = _candidates(terminals, operator.whole_array_only)
-    return any(operator.evaluate(value) for value in candidates)
+
+def _always(document: Document) -> bool:
+    return True
+
+
+def compile_node(node: Node) -> Matcher:
+    """Compile AST *node* into a closure deciding one document.
+
+    Built once per predicate and then only called; the closure is a
+    per-process cache that is never pickled or put on the wire.
+    """
+    if isinstance(node, FieldPredicate):
+        return _compile_field(node)
+    if isinstance(node, Always):
+        return _always
+    if isinstance(node, (AllOf, AnyOf, NoneOf)):
+        branches = tuple(compile_node(branch) for branch in node.branches)
+        if isinstance(node, AllOf):
+
+            def all_of(document: Document) -> bool:
+                for branch in branches:
+                    if not branch(document):
+                        return False
+                return True
+
+            return all_of
+        found = isinstance(node, AnyOf)
+
+        def any_of(document: Document) -> bool:
+            for branch in branches:
+                if branch(document):
+                    return found
+            return not found
+
+        return any_of
+    if isinstance(node, Not):
+        inner = compile_node(node.branch)
+        return lambda document: not inner(document)
+    if isinstance(node, TextSearch):
+        return node.matches_document
+    raise TypeError(f"unknown AST node: {node!r}")
 
 
 def matches_node(document: Document, node: Node) -> bool:
-    """Evaluate AST *node* against *document*.
+    """Evaluate AST *node* against *document* (compiles on every call).
 
-    This is the per-query walk — the pull store's own matcher and the
-    reference the matching stage is tested against.  The filtering
-    stage shares work across queries one level up, in
-    :class:`~repro.query.shared.SharedPredicateDAG`, which calls this
-    only for leaves.
+    The uncached convenience; anything deciding several documents keeps
+    the closure :func:`compile_node` returns.
     """
-    if isinstance(node, Always):
-        return True
-    if isinstance(node, FieldPredicate):
-        return _evaluate_field(document, node)
-    if isinstance(node, AllOf):
-        return all(matches_node(document, branch) for branch in node.branches)
-    if isinstance(node, AnyOf):
-        return any(matches_node(document, branch) for branch in node.branches)
-    if isinstance(node, NoneOf):
-        return not any(
-            matches_node(document, branch) for branch in node.branches
-        )
-    if isinstance(node, Not):
-        return not matches_node(document, node.branch)
-    if isinstance(node, TextSearch):
-        return node.matches_document(document)
-    raise TypeError(f"unknown AST node: {node!r}")
+    return compile_node(node)(document)
 
 
 def matches(document: Document, filter_doc: Dict[str, Any]) -> bool:
     """One-shot convenience: parse *filter_doc* and evaluate it.
 
-    For repeated evaluation of the same query, parse once with
-    :func:`repro.query.parser.parse_query` and call
-    :func:`matches_node`, or use
-    :class:`repro.query.engine.MongoQueryEngine`.
+    For repeated evaluation of the same query use
+    :class:`repro.query.engine.Query` (or
+    :class:`~repro.query.engine.MongoQueryEngine`), which compiles once.
     """
     from repro.query.parser import parse_query
 

@@ -1,11 +1,20 @@
 """Leaf query operators of the MongoDB-compatible engine.
 
-Each operator evaluates a single *candidate value*.  MongoDB's array
+Each operator decides a single *candidate value*.  MongoDB's array
 fan-out (a predicate on ``tags`` matches when *any element* of an array
-field matches) is handled by the matcher, not here: the matcher feeds
-each candidate to :meth:`Operator.evaluate` and combines the outcomes.
-Operators that apply to the array as a whole (``$size``, ``$all``,
-``$elemMatch``) set :attr:`Operator.whole_array_only`.
+field matches) is handled by the matcher, not here.  Operators that
+apply to the array as a whole (``$size``, ``$all``, ``$elemMatch``) set
+:attr:`Operator.whole_array_only`.
+
+:meth:`Operator.evaluate` is where an operator's semantics are defined.
+What the compiled matcher (:func:`repro.query.matcher.compile_node`)
+actually calls per candidate is :meth:`Operator.value_test`, built once
+per leaf: by default ``evaluate`` itself; ``$eq``, ``$in``, the four
+comparisons and the geo operators return a closure that decides the
+value types their *operand* makes comparable natively (no type-bracket
+lookup, no three-way comparison, no ``try``) and hands every other
+value to ``evaluate``.  A value test must agree with ``evaluate`` on
+every value (``tests/test_compiled_matcher.py``).
 
 Every operator also provides :meth:`Operator.canonical`, a hashable,
 order-independent representation used to compute the canonical query
@@ -14,11 +23,17 @@ hash for partitioning (Section 5.1 of the paper).
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from typing import Any, Callable, Sequence, Tuple
 
-from repro.errors import QueryParseError
+from repro.errors import QueryParseError, SortSpecError
 from repro.query.sortspec import compare_values, type_bracket
+
+_NUMBER = type_bracket(0)
+
+ValueTest = Callable[[Any], bool]
 
 
 def freeze(value: Any) -> Any:
@@ -33,13 +48,53 @@ def freeze(value: Any) -> Any:
 
 
 def values_equal(a: Any, b: Any) -> bool:
-    """MongoDB equality: same type bracket and equal under BSON ordering."""
+    """MongoDB equality: same type bracket and equal under BSON ordering.
+
+    A value of a type BSON ordering does not cover equals nothing.
+    """
     try:
         if type_bracket(a) != type_bracket(b):
             return False
         return compare_values(a, b) == 0
-    except Exception:
+    except SortSpecError:
         return False
+
+
+def _natively_comparable(operand: Any) -> Tuple[type, ...]:
+    """The value types Python compares with *operand* exactly as BSON does.
+
+    A string operand compares natively with ``str`` values, a non-NaN
+    ``int``/``float`` operand with ``int``/``float`` values (a NaN
+    *value* is then unequal and unordered, which is the NaN rule);
+    ``()`` for every other operand.  Exact types only: ``bool`` and any
+    subclass take the generic path.
+    """
+    if type(operand) is str:
+        return (str,)
+    if type(operand) in (int, float) and operand == operand:
+        return (int, float)
+    return ()
+
+
+def _native_test(
+    native: Tuple[type, ...],
+    decide: Callable[[Any, Any], bool],
+    operand: Any,
+    generic: ValueTest,
+) -> ValueTest:
+    """``decide(value, operand)`` for values of a *native* type,
+    *generic* (the operator's ``evaluate``) for every other value."""
+
+    def test(value: Any) -> bool:
+        if type(value) in native:
+            return decide(value, operand)
+        return generic(value)
+
+    return test
+
+
+def _is_member(value: Any, members: Any) -> bool:
+    return value in members
 
 
 class Operator:
@@ -52,6 +107,13 @@ class Operator:
 
     def evaluate(self, value: Any) -> bool:
         raise NotImplementedError
+
+    def value_test(self) -> ValueTest:
+        """The per-candidate test a compiled leaf calls (see module
+        docstring).  Overrides return ``self.evaluate`` when a subclass
+        redefined ``evaluate``, so a subclass never runs its parent's
+        specialisation."""
+        return self.evaluate
 
     def canonical(self) -> Tuple[Any, ...]:
         raise NotImplementedError
@@ -96,6 +158,12 @@ class Eq(Operator):
     def evaluate(self, value: Any) -> bool:
         return values_equal(value, self.value)
 
+    def value_test(self) -> ValueTest:
+        native = _natively_comparable(self.value)
+        if not native or type(self).evaluate is not Eq.evaluate:
+            return self.evaluate
+        return _native_test(native, operator.eq, self.value, self.evaluate)
+
     def canonical(self) -> Tuple[Any, ...]:
         return (self.name, freeze(self.value))
 
@@ -104,10 +172,20 @@ class _Comparison(Operator):
     """Shared machinery for ``$gt``/``$gte``/``$lt``/``$lte``.
 
     MongoDB range comparisons only match values within the same type
-    bracket as the operand; nulls only ever match equality.
+    bracket as the operand; nulls only ever match equality.  NaN sorts
+    below the other numbers (:func:`compare_values`) but is not
+    *comparable* with them: a comparison involving NaN matches only
+    NaN against NaN, and only where equality is accepted.
     """
 
     _accepts: Tuple[int, ...] = ()
+    #: ``_accepts`` -> the native comparison with the same outcomes.
+    _NATIVE = {
+        (1,): operator.gt,
+        (0, 1): operator.ge,
+        (-1,): operator.lt,
+        (-1, 0): operator.le,
+    }
 
     def __init__(self, value: Any):
         if value is None:
@@ -119,9 +197,26 @@ class _Comparison(Operator):
         try:
             if type_bracket(value) != self._bracket:
                 return False
-            return compare_values(value, self.value) in self._accepts
-        except Exception:
+            outcome = compare_values(value, self.value)
+        except SortSpecError:
+            # A value of unsupported type matches nothing.
             return False
+        if outcome != 0 and self._bracket == _NUMBER and (
+            value != value or self.value != self.value
+        ):
+            return False
+        return outcome in self._accepts
+
+    def value_test(self) -> ValueTest:
+        compare = self._NATIVE.get(self._accepts)
+        native = _natively_comparable(self.value)
+        if (
+            compare is None
+            or not native
+            or type(self).evaluate is not _Comparison.evaluate
+        ):
+            return self.evaluate
+        return _native_test(native, compare, self.value, self.evaluate)
 
     def canonical(self) -> Tuple[Any, ...]:
         return (self.name, freeze(self.value))
@@ -170,6 +265,17 @@ class In(Operator):
                 return True
         return False
 
+    def value_test(self) -> ValueTest:
+        if type(self).evaluate is not In.evaluate or not self.values:
+            return self.evaluate
+        comparable = [_natively_comparable(item) for item in self.values]
+        if not all(comparable):
+            return self.evaluate
+        native = tuple({cls for types in comparable for cls in types})
+        return _native_test(
+            native, _is_member, frozenset(self.values), self.evaluate
+        )
+
     def canonical(self) -> Tuple[Any, ...]:
         frozen = tuple(
             sorted(
@@ -184,10 +290,11 @@ class In(Operator):
 
 
 class Exists(Operator):
-    """``$exists`` — evaluated by the matcher from path resolution.
+    """``$exists`` — a test of path resolution, not of values.
 
-    ``evaluate`` is never consulted for candidates; the matcher checks
-    path existence directly and compares it with :attr:`flag`.
+    Every resolved value passes ``evaluate``, so the matcher's "some
+    candidate passes" *is* path existence; the matcher inverts it when
+    :attr:`flag` is false.
     """
 
     name = "$exists"
@@ -196,7 +303,7 @@ class Exists(Operator):
     def __init__(self, flag: Any):
         self.flag = bool(flag)
 
-    def evaluate(self, value: Any) -> bool:  # pragma: no cover - matcher shortcut
+    def evaluate(self, value: Any) -> bool:
         return True
 
     def canonical(self) -> Tuple[Any, ...]:
@@ -224,6 +331,9 @@ class Mod(Operator):
 
     def evaluate(self, value: Any) -> bool:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        if isinstance(value, float) and not math.isfinite(value):
+            # NaN and the infinities have no remainder (MongoDB: no match).
             return False
         return int(value) % self.divisor == self.remainder
 

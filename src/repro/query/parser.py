@@ -26,6 +26,7 @@ from repro.errors import QueryParseError, UnsupportedOperatorError
 from repro.query import operators as ops
 from repro.query.ast import AllOf, Always, AnyOf, FieldPredicate, Node, NoneOf, Not
 from repro.query.geo import GeoWithin, NearSphere
+from repro.query.matcher import compile_node
 from repro.query.text import TextSearch
 
 _LOGICAL = ("$and", "$or", "$nor")
@@ -130,22 +131,27 @@ def _build_operator(name: str, arg: Any) -> ops.Operator:
 def _build_elem_match(arg: Any) -> ops.Operator:
     if not isinstance(arg, dict) or not arg:
         raise QueryParseError("$elemMatch requires a non-empty document")
-    from repro.query.matcher import matches_node
-
     if _is_operator_dict(arg):
         # Value form: operators applied directly to each array element.
         if "$not" in arg:
             raise QueryParseError("$not is not supported inside $elemMatch")
-        element_ops: List[ops.Operator] = [
+        element_ops = [
             _build_operator(name, operand) for name, operand in arg.items()
+        ]
+        # $ne/$nin reject an element their inner test passes.
+        tests = [
+            (operator.inner.value_test(), True)
+            if isinstance(operator, ops.Negated)
+            else (operator.value_test(), False)
+            for operator in element_ops
         ]
 
         def predicate(element: Any) -> bool:
-            for operator in element_ops:
-                if isinstance(operator, ops.Negated):
-                    if operator.inner.evaluate(element):
+            for test, negated in tests:
+                if negated:
+                    if test(element):
                         return False
-                elif not operator.evaluate(element):
+                elif not test(element):
                     return False
             return True
 
@@ -153,10 +159,10 @@ def _build_elem_match(arg: Any) -> ops.Operator:
         return ops.ElemMatch(predicate, ("value", ops.freeze(canonical)))
 
     # Document form: each element is matched as a sub-document.
-    sub_node = parse_query(arg)
+    sub_matches = compile_node(parse_query(arg))
 
     def doc_predicate(element: Any) -> bool:
-        return isinstance(element, dict) and matches_node(element, sub_node)
+        return isinstance(element, dict) and sub_matches(element)
 
     return ops.ElemMatch(doc_predicate, ("doc", ops.freeze(arg)))
 

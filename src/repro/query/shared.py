@@ -21,15 +21,29 @@ Design notes:
   the same node id, so the sorted-id key is a sound structural key.
   Any representative AST node can evaluate a leaf: canonical equality
   implies behavioural equality.
+* **Compiled leaves.**  A leaf is evaluated by the closure
+  :func:`~repro.query.matcher.compile_node` builds from its
+  representative AST node — the same closures ``Query.matches`` runs,
+  so operator semantics are defined in one place
+  (:mod:`repro.query.operators`).  The closure is built by the first
+  pass that reaches the leaf, not when the query is interned: most
+  registered leaves are never evaluated (the index prunes their
+  queries), and registration stays a hash-consing walk.  ``$text``
+  leaves are the exception: they are called with the pass's shared
+  token set (:class:`~repro.query.text.LazyTokens`) instead.
 * **Refcounting, no rebuilds.**  Each node counts its parents plus the
   query roots pointing at it.  ``add``/``remove`` are incremental:
   deregistering a query releases its root, cascading frees through
   subtrees no other query references.  The DAG never rebuilds.
 * **Lazy short-circuit evaluation.**  A :class:`DagEvaluation` caches
-  outcomes per node id and evaluates on demand — ``all``/``any``
-  generators short-circuit, and roots the caller never asks about
-  (e.g. queries pruned by the predicate index) leave their exclusive
-  subtrees entirely untouched.
+  outcomes per node id and evaluates on demand: an interior node walks
+  its children in stored order, consults the pass cache before
+  recursing and stops at the first child that decides it, and roots
+  the caller never asks about (e.g. queries pruned by the predicate
+  index) leave their exclusive subtrees entirely untouched.  The
+  counters are exact: every cache answer is one ``node_hits``, every
+  computed node one ``nodes_evaluated``, and a child after the
+  deciding one is neither.
 * **Fallback.**  A query whose canonical form is unhashable (an exotic
   operator payload) stays outside the DAG; :meth:`DagEvaluation.matches`
   answers ``None`` for it and the filtering node decides it with plain
@@ -43,31 +57,49 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.query.ast import AllOf, AnyOf, Node, NoneOf, Not
 from repro.query.engine import Query
-from repro.query.matcher import matches_node
+from repro.query.matcher import Matcher, compile_node
 from repro.query.normalize import normalize_node
+from repro.query.text import LazyTokens, TextSearch
 from repro.types import Document
 
-_LABELS = {"AllOf": "and", "AnyOf": "or", "NoneOf": "nor"}
+#: AST class -> (key label, the child outcome that decides the node,
+#: the node's value when a child decided it).  ``$not`` is a one-child
+#: ``$nor``; an undecided node has the opposite value.
+_INTERIOR = {
+    AllOf: ("and", False, False),
+    AnyOf: ("or", True, True),
+    NoneOf: ("nor", True, False),
+    Not: ("not", True, False),
+}
 
 
 class _DagNode:
     """One hash-consed predicate node (leaf or logical combinator)."""
 
-    __slots__ = ("node_id", "key", "label", "children", "leaf", "refs")
+    __slots__ = (
+        "node_id", "key", "children", "decider", "decided", "leaf", "test", "refs",
+    )
 
     def __init__(
         self,
         node_id: int,
         key: Any,
-        label: str,
         children: Tuple["_DagNode", ...],
+        decider: bool,
+        decided: bool,
         leaf: Optional[Node],
     ):
         self.node_id = node_id
         self.key = key
-        self.label = label
         self.children = children
+        #: Interior nodes: the child outcome that decides this node, and
+        #: its value then (see ``_INTERIOR``).
+        self.decider = decider
+        self.decided = decided
+        #: Leaves: the representative AST node and its compiled closure
+        #: (None until a pass first evaluates the leaf).
         self.leaf = leaf
+        self.test: Optional[Matcher] = None
         #: Parents referencing this node + query roots pointing at it.
         self.refs = 0
 
@@ -79,11 +111,17 @@ class DagEvaluation:
     queries of a write each distinct subtree is computed at most once.
     """
 
-    __slots__ = ("_dag", "_document", "_cache")
+    __slots__ = ("_dag", "_document", "_tokens", "_cache")
 
-    def __init__(self, dag: "SharedPredicateDAG", document: Document):
+    def __init__(
+        self,
+        dag: "SharedPredicateDAG",
+        document: Document,
+        tokens: Optional[LazyTokens] = None,
+    ):
         self._dag = dag
         self._document = document
+        self._tokens = tokens
         self._cache: Dict[int, bool] = {}
 
     def matches(self, query_id: str) -> Optional[bool]:
@@ -101,22 +139,35 @@ class DagEvaluation:
         return self._evaluate(root)
 
     def _evaluate(self, node: _DagNode) -> bool:
-        cached = self._cache.get(node.node_id)
-        if cached is not None:
-            self._dag.node_hits += 1
-            return cached
-        self._dag.nodes_evaluated += 1
-        label = node.label
-        if label == "leaf":
-            value = matches_node(self._document, node.leaf)  # type: ignore[arg-type]
-        elif label == "and":
-            value = all(self._evaluate(child) for child in node.children)
-        elif label == "or":
-            value = any(self._evaluate(child) for child in node.children)
-        elif label == "nor":
-            value = not any(self._evaluate(child) for child in node.children)
-        else:  # "not"
-            value = not self._evaluate(node.children[0])
+        """Compute *node*, which the pass cache does not hold yet."""
+        dag = self._dag
+        dag.nodes_evaluated += 1
+        children = node.children
+        if children:
+            cache = self._cache
+            decider = node.decider
+            value = not node.decided
+            for child in children:
+                outcome = cache.get(child.node_id)
+                if outcome is None:
+                    outcome = self._evaluate(child)
+                else:
+                    dag.node_hits += 1
+                if outcome is decider:
+                    value = node.decided
+                    break
+        else:
+            test = node.test
+            if test is not None:
+                value = test(self._document)
+            elif isinstance(node.leaf, TextSearch):
+                tokens = self._tokens
+                if tokens is None:
+                    tokens = self._tokens = LazyTokens(self._document)
+                value = node.leaf.matches_document(self._document, tokens())
+            else:
+                test = node.test = compile_node(node.leaf)  # type: ignore[arg-type]
+                value = test(self._document)
         self._cache[node.node_id] = value
         return value
 
@@ -180,26 +231,22 @@ class SharedPredicateDAG:
         return True
 
     def _intern(self, ast: Node, created: List[_DagNode]) -> _DagNode:
-        if isinstance(ast, (AllOf, AnyOf, NoneOf)):
-            label: str = _LABELS[type(ast).__name__]
+        interior = _INTERIOR.get(type(ast))
+        if interior is not None:
+            label, decider, decided = interior
             children = tuple(
-                self._intern(branch, created) for branch in ast.branches
+                self._intern(branch, created) for branch in ast.children()
             )
             key: Any = (label, tuple(sorted(c.node_id for c in children)))
             leaf: Optional[Node] = None
-        elif isinstance(ast, Not):
-            label = "not"
-            children = (self._intern(ast.branch, created),)
-            key = (label, children[0].node_id)
-            leaf = None
         else:
             children = ()
+            decider = decided = False
             key = ("leaf", normalize_node(ast))  # TypeError if unhashable
-            label = "leaf"
             leaf = ast
         node = self._interned.get(key)
         if node is None:
-            node = _DagNode(self._next_id, key, label, children, leaf)
+            node = _DagNode(self._next_id, key, children, decider, decided, leaf)
             self._next_id += 1
             self._interned[key] = node
             for child in children:
@@ -222,10 +269,17 @@ class SharedPredicateDAG:
     # Evaluation
     # ------------------------------------------------------------------
 
-    def begin(self, document: Document) -> DagEvaluation:
-        """Start one shared evaluation pass over *document*."""
+    def begin(
+        self, document: Document, tokens: Optional[LazyTokens] = None
+    ) -> DagEvaluation:
+        """Start one shared evaluation pass over *document*.
+
+        *tokens* is the document's lazy token set when the caller shares
+        one with the index probe; every ``$text`` leaf of the pass reads
+        it (the pass makes its own otherwise).
+        """
         self.evaluations += 1
-        return DagEvaluation(self, document)
+        return DagEvaluation(self, document, tokens)
 
     def __contains__(self, query_id: str) -> bool:
         return query_id in self._roots

@@ -7,7 +7,8 @@ as final attribute to the sorting key".  This module implements both:
 
 * :func:`value_sort_key` — a total order over JSON values following the
   BSON type-bracket ordering used by MongoDB
-  (null < numbers < strings < objects < arrays < booleans);
+  (null < numbers < strings < objects < arrays < booleans; within the
+  numbers NaN sorts below every other number and equals only NaN);
 * :class:`SortSpec` — a multi-attribute sort specification with
   ascending/descending directions and an implicit primary-key tiebreak.
 """
@@ -67,7 +68,16 @@ def compare_values(a: Any, b: Any) -> int:
     if bracket_a in (_TYPE_MISSING, _TYPE_NULL):
         return 0
     if bracket_a == _TYPE_NUMBER:
-        return (a > b) - (a < b)
+        if a < b:
+            return -1
+        if a > b:
+            return 1
+        if a == b:
+            return 0
+        # Unordered means NaN is involved.  MongoDB's sort order: NaN
+        # sorts below every other number and is equal only to NaN —
+        # without this the comparator is not a total order.
+        return (b != b) - (a != a)
     if bracket_a == _TYPE_STRING:
         return (a > b) - (a < b)
     if bracket_a == _TYPE_BOOL:

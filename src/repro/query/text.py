@@ -22,7 +22,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterator, List, Set, Tuple
+from typing import Any, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import QueryParseError
 from repro.query.ast import Node
@@ -66,6 +66,29 @@ def document_tokens(document: Any) -> Set[str]:
     for text in _iter_strings(document):
         tokens.update(_cached_tokens(text))
     return tokens
+
+
+class LazyTokens:
+    """``document_tokens(document)``, built on first call and only once.
+
+    The filtering stage makes one per after-image and hands it to the
+    index's text probe and to the DAG pass, so a write's token set is
+    built once however many ``$text`` leaves read it — and not at all
+    when nothing does.  Per pass and per cell, never cached across
+    writes: documents are mutable and cells run on several threads.
+    """
+
+    __slots__ = ("_document", "_tokens")
+
+    def __init__(self, document: Any):
+        self._document = document
+        self._tokens: Optional[Set[str]] = None
+
+    def __call__(self) -> Set[str]:
+        tokens = self._tokens
+        if tokens is None:
+            tokens = self._tokens = document_tokens(self._document)
+        return tokens
 
 
 def _iter_strings(value: Any) -> Iterator[str]:
@@ -128,9 +151,15 @@ class TextSearch(Node):
             raise QueryParseError("case-sensitive $text search is not supported")
         return cls(spec["$search"], parse_search(spec["$search"]))
 
-    def matches_document(self, document: Any) -> bool:
-        """Evaluate the text predicate over all string fields."""
-        token_set = document_tokens(document)
+    def matches_document(
+        self, document: Any, tokens: Optional[Set[str]] = None
+    ) -> bool:
+        """Evaluate the text predicate over all string fields.
+
+        *tokens* is ``document_tokens(document)`` when the caller
+        already holds it (one DAG pass serves every ``$text`` leaf).
+        """
+        token_set = document_tokens(document) if tokens is None else tokens
         if any(token in token_set for token in self.parsed.negated):
             return False
         folded_texts = None

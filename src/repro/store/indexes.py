@@ -41,6 +41,9 @@ class HashIndex:
                                             for k, v in value.items())))
         if isinstance(value, (list, tuple)):
             return ("__arr__", tuple(HashIndex._bucket_key(v) for v in value))
+        if isinstance(value, float) and value != value:
+            # NaN equals NaN under BSON equality but not as a dict key.
+            return ("__nan__",)
         return value
 
     def add(self, key: Any, document: Document) -> None:

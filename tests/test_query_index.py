@@ -70,7 +70,7 @@ class TestDecomposition:
         {"v": {"$exists": True}},          # path test
         {"s": {"$regex": "^a"}},           # text
         {"v": None},                       # null equality matches missing
-        {"v": float("nan")},               # NaN is equal-to-everything
+        {"v": float("nan")},               # NaN == NaN, but not as a dict key
         {"v": {"$eq": [1, 2]}},            # container equality
         {"v": {"$in": [1, None]}},         # null inside $in
         {"v": {"$gt": True}},              # bool is its own bracket
@@ -185,8 +185,8 @@ class TestConservativeProbes:
         assert index.candidates(doc, "default") == {q.query_id}
 
     def test_nan_document_value_returns_numeric_ranges(self):
-        # NaN compares equal to every number under the engine's BSON
-        # comparison, so it satisfies every inclusive bound.
+        # A NaN value satisfies no numeric bound; the probe still takes
+        # every numeric entry on the path — a superset, never wrong.
         rng = Query({"v": {"$gte": 10}})
         interval = Query({"v": {"$gte": 0, "$lte": 5}})
         other = Query({"w": {"$gte": 10}})
@@ -204,9 +204,11 @@ class TestConservativeProbes:
         q = Query({"v": float("nan")})
         index = build(q)
         engine = MongoQueryEngine()
-        doc = {"_id": 0, "v": 3}
-        # BSON: NaN == any number, so the query matches plain numbers.
+        doc = {"_id": 0, "v": float("nan")}
+        # NaN equals only NaN, which no equality bucket can key: the
+        # query stays residual, a candidate for every document.
         assert engine.matches(q, doc)
+        assert not engine.matches(q, {"_id": 1, "v": 3})
         assert index.candidates(doc, "default") == {q.query_id}
 
 
