@@ -1,22 +1,17 @@
 """Benchmarks for the §8.1 extension features.
 
 * aggregation stage: cost of one match event against a live aggregate
-  view, and full-pipeline throughput filtering -> aggregation;
-* notification collapsing: compression ratio on a write-hotspot burst
-  (the client-resource scenario the paper motivates).
+  view, and full-pipeline throughput filtering -> aggregation.
 """
 
 import random
 
-import pytest
-
 from repro.core.aggregation import AggregateSpec, AggregationNode
-from repro.core.collapsing import NotificationCollapser
 from repro.core.filtering import FilteringNode, MatchEvent
 from repro.core.partitioning import NodeCoordinates
 from repro.core.stages import pipe
 from repro.query.engine import Query
-from repro.types import AfterImage, ChangeNotification, MatchType, WriteKind
+from repro.types import AfterImage, MatchType, WriteKind
 
 QUERY = Query({"category": "bikes"})
 SPECS = (
@@ -75,24 +70,3 @@ def test_filtering_to_aggregation_pipeline_throughput(benchmark):
     changes = benchmark.pedantic(run_pipeline, rounds=3, iterations=1)
     assert changes > 0
 
-
-def test_collapsing_compression_on_hotspot(benchmark, emit):
-    """A hot-key burst: 1 000 updates to 10 keys within one window."""
-    def run_burst():
-        delivered = []
-        collapser = NotificationCollapser(delivered.append,
-                                          window_seconds=10.0)
-        for index in range(1000):
-            collapser.offer(ChangeNotification(
-                subscription_id="s", query_id="q",
-                match_type=MatchType.CHANGE, key=index % 10,
-                document={"_id": index % 10, "v": index},
-            ))
-        collapser.flush()
-        return collapser.compression_ratio, len(delivered)
-
-    ratio, delivered = benchmark.pedantic(run_burst, rounds=3, iterations=1)
-    emit(f"hotspot burst: 1000 notifications -> {delivered} delivered "
-         f"(compression {ratio:.0f}x)")
-    assert delivered == 10
-    assert ratio == 100.0

@@ -25,9 +25,14 @@ from repro.baselines.interface import (
     ChangeCallback,
     RealTimeQueryProvider,
 )
+from repro.core.notifications import (
+    bind_to_subscription,
+    diff_windows,
+    window_of,
+)
 from repro.query.engine import Query
 from repro.query.sortspec import SortInput
-from repro.types import ChangeNotification, Document, MatchType
+from repro.types import Document
 
 
 class _PollState:
@@ -106,64 +111,17 @@ class PollAndDiffProvider(RealTimeQueryProvider):
         sent = 0
         for state in states:
             fresh = self._execute(state.query)
-            for notification in self._diff(state, fresh):
-                state.subscription.deliver(notification)
+            for change in diff_windows(
+                state.query.query_id,
+                window_of(state.last_result), window_of(fresh),
+                positional=state.query.is_sorted,
+            ):
+                state.subscription.deliver(bind_to_subscription(
+                    change, state.subscription.subscription_id
+                ))
                 sent += 1
             state.last_result = fresh
         return sent
-
-    def _diff(
-        self, state: _PollState, fresh: List[Document]
-    ) -> List[ChangeNotification]:
-        """Compute add/change/changeIndex/remove between two results."""
-        old_index = {doc["_id"]: i for i, doc in enumerate(state.last_result)}
-        new_index = {doc["_id"]: i for i, doc in enumerate(fresh)}
-        old_docs = {doc["_id"]: doc for doc in state.last_result}
-        notifications: List[ChangeNotification] = []
-        subscription_id = state.subscription.subscription_id
-        query_id = state.query.query_id
-        for key, position in old_index.items():
-            if key not in new_index:
-                notifications.append(
-                    ChangeNotification(
-                        subscription_id=subscription_id, query_id=query_id,
-                        match_type=MatchType.REMOVE, key=key,
-                        document=old_docs[key], old_index=position,
-                    )
-                )
-        for document in fresh:
-            key = document["_id"]
-            position = new_index[key]
-            if key not in old_index:
-                notifications.append(
-                    ChangeNotification(
-                        subscription_id=subscription_id, query_id=query_id,
-                        match_type=MatchType.ADD, key=key, document=document,
-                        index=position,
-                    )
-                )
-            elif document != old_docs[key]:
-                moved = old_index[key] != position and state.query.is_sorted
-                notifications.append(
-                    ChangeNotification(
-                        subscription_id=subscription_id, query_id=query_id,
-                        match_type=(
-                            MatchType.CHANGE_INDEX if moved else MatchType.CHANGE
-                        ),
-                        key=key, document=document, index=position,
-                        old_index=old_index[key],
-                    )
-                )
-            elif state.query.is_sorted and old_index[key] != position:
-                notifications.append(
-                    ChangeNotification(
-                        subscription_id=subscription_id, query_id=query_id,
-                        match_type=MatchType.CHANGE_INDEX, key=key,
-                        document=document, index=position,
-                        old_index=old_index[key],
-                    )
-                )
-        return notifications
 
     # ------------------------------------------------------------------
     # Background polling

@@ -7,7 +7,6 @@ split over the event layer (Section 5).
 """
 
 from repro.core.aggregation import AggregateSpec, AggregationNode
-from repro.core.collapsing import NotificationCollapser
 from repro.core.config import InvaliDBConfig
 from repro.core.cluster import InvaliDBCluster
 from repro.core.client import InvaliDBClient, RealTimeSubscription
@@ -28,7 +27,6 @@ __all__ = [
     "JoinSpec",
     "LiveAggregateView",
     "LiveJoinView",
-    "NotificationCollapser",
     "PartitioningScheme",
     "ProcessingStage",
     "RealTimeSubscription",

@@ -31,7 +31,12 @@ import time
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.config import InvaliDBConfig
-from repro.core.notifications import unpack_changes
+from repro.core.notifications import (
+    bind_to_subscription,
+    diff_windows,
+    unpack_changes,
+    window_of,
+)
 from repro.core.remote import serialize_after_image, serialize_query
 from repro.core.subscriptions import SubscriptionRecord, SubscriptionTable
 from repro.errors import (
@@ -188,20 +193,6 @@ class RealTimeSubscription:
             else:
                 self._order.insert(index, key)
         # CHANGE keeps the position.
-
-    def _sync_window(self, documents: List[Document]) -> None:
-        """Replace the materialized window wholesale (snapshot refresh).
-
-        The catch-up diff delivered just before this call covers
-        membership and content changes, but a diff cannot express two
-        equal documents merely swapping positions — adopting the
-        authoritative order directly can.  Versions are deliberately
-        kept: a stale straggler arriving after the refresh must still
-        be skipped.
-        """
-        with self._lock:
-            self._order = [doc["_id"] for doc in documents]
-            self._documents = {doc["_id"]: doc for doc in documents}
 
     # -- consumption ----------------------------------------------------------
 
@@ -745,23 +736,18 @@ class InvaliDBClient:
             self.writes_abandoned += 1
 
     def _on_refresh(self, payload: Dict[str, Any]) -> None:
-        """A sorted query's diff stream was shed: adopt the wholesale
-        window snapshot.  Catch-up notifications (the same diff shape
-        ``resubscribe_all`` synthesizes) keep change callbacks and the
-        notification log coherent; the window is then synced outright
-        so ordering matches the authoritative snapshot exactly."""
+        """A sorted query's diff stream was shed: converge every handle
+        on the wholesale window snapshot through the catch-up delta
+        (the one ``resubscribe_all`` delivers), which keeps change
+        callbacks and the notification log coherent."""
         query_id = payload.get("query_id")
         documents = payload.get("documents") or []
         with self._lock:
             query = self._queries.get(query_id)
-            handles = list(self._handles.get(query_id, ()))
         if query is None:
             return
         self.refreshes_received += 1
-        for handle in handles:
-            for notification in self._catchup(handle, query, documents):
-                handle._deliver(notification)
-            handle._sync_window(documents)
+        self._deliver_delta(query, documents)
 
     # ------------------------------------------------------------------
     # Query renewal (maintenance errors)
@@ -807,9 +793,9 @@ class InvaliDBClient:
         ("e.g. by re-subscribing to the real-time query"): after the
         cluster came back, all queries are re-registered.  A replacement
         cluster has no memory of the last valid windows, so the client
-        itself synthesizes catch-up notifications by diffing each
-        subscription's locally materialized result against the fresh
-        bootstrap — subscribers converge without being torn down.
+        itself delivers the catch-up delta from each subscription's
+        locally materialized result to the fresh bootstrap —
+        subscribers converge without being torn down.
         """
         with self._lock:
             queries = [
@@ -820,51 +806,24 @@ class InvaliDBClient:
         for query, slack in queries:
             bootstrap = self._activate(query, slack, renewal=True)
             self.resubscribes += 1
-            visible = self._visible_window(query, bootstrap)
-            with self._lock:
-                handles = list(self._handles.get(query.query_id, ()))
-            for handle in handles:
-                for notification in self._catchup(handle, query, visible):
-                    handle._deliver(notification)
+            self._deliver_delta(query, self._visible_window(query, bootstrap))
         return len(queries)
 
-    def _catchup(
-        self,
-        handle: "RealTimeSubscription",
-        query: Query,
-        visible: List[Document],
-    ) -> List[ChangeNotification]:
-        """Diff a handle's materialized result against a fresh window."""
+    def _deliver_delta(self, query: Query, visible: List[Document]) -> None:
+        """Deliver to every handle of *query* the delta from its
+        materialized result to the fresh window *visible*."""
         now = self.config.clock()
-        current = {doc["_id"]: doc for doc in handle.result()}
-        fresh_index = {doc["_id"]: index for index, doc in enumerate(visible)}
-        notifications: List[ChangeNotification] = []
-        for key, document in current.items():
-            if key not in fresh_index:
-                notifications.append(ChangeNotification(
-                    subscription_id=handle.subscription_id,
-                    query_id=query.query_id,
-                    match_type=MatchType.REMOVE, key=key, document=document,
-                    timestamp=now,
-                ))
-        for index, document in enumerate(visible):
-            key = document["_id"]
-            if key not in current:
-                notifications.append(ChangeNotification(
-                    subscription_id=handle.subscription_id,
-                    query_id=query.query_id,
-                    match_type=MatchType.ADD, key=key, document=document,
-                    index=index, timestamp=now,
-                ))
-            elif current[key] != document:
-                notifications.append(ChangeNotification(
-                    subscription_id=handle.subscription_id,
-                    query_id=query.query_id,
-                    match_type=MatchType.CHANGE_INDEX if query.is_sorted
-                    else MatchType.CHANGE,
-                    key=key, document=document, index=index, timestamp=now,
-                ))
-        return notifications
+        after = window_of(visible)
+        with self._lock:
+            handles = list(self._handles.get(query.query_id, ()))
+        for handle in handles:
+            for change in diff_windows(query.query_id,
+                                       window_of(handle.result()), after,
+                                       positional=query.is_sorted,
+                                       timestamp=now):
+                handle._deliver(
+                    bind_to_subscription(change, handle.subscription_id)
+                )
 
     def renew(self, query_id: str) -> bool:
         """Re-execute and re-subscribe one query with grown slack."""

@@ -32,7 +32,6 @@ application servers can detect cluster failure (Section 5).
 from __future__ import annotations
 
 import threading
-from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import InvaliDBConfig
@@ -40,7 +39,7 @@ from repro.core.filtering import FilteringNode
 from repro.core.notifications import (
     ChangeEnvelope,
     QueryChange,
-    resolve_coalesced_type,
+    _NotificationStager,
 )
 from repro.core.overload import (
     SEVERITY as HEALTH_SEVERITY,
@@ -181,109 +180,6 @@ class _GridBolt(Bolt):
             self.cluster._publish_changes(changes)
 
 
-class _NotificationStager:
-    """Cross-batch notification coalescing (time-window staging).
-
-    In-batch coalescing (:func:`~repro.core.notifications.coalesce_events`,
-    run by the matching cell) cannot elide
-    redundancy that spans dispatch batches — a hot key rewritten every
-    few milliseconds still produces one notification per batch.  The
-    stager holds unsorted-query changes for a configurable window
-    (``coalescing_window_seconds``), collapsing per (query, key) with
-    the same rewrite rules, then fans out the survivors.  Sorted-query
-    changes bypass staging entirely: positional transitions must reach
-    the client unmerged and in order.
-
-    The flush timer runs on the cluster's execution model, so under the
-    deterministic inline model the window is *virtual* time — a test's
-    ``drain()`` fires the flush, keeping staged delivery reproducible.
-    """
-
-    def __init__(
-        self,
-        cluster: "InvaliDBCluster",
-        window: float,
-        on_coalesce: Optional[Any] = None,
-    ):
-        self.cluster = cluster
-        self.window = window
-        #: Where elisions are counted: the cluster-wide coalescing
-        #: counter by default, or a caller-supplied callback (the
-        #: overload controller's shed stager keeps its own books so
-        #: clean-run coalescing and pressure shedding stay separable).
-        self._on_coalesce = on_coalesce
-        self._lock = threading.Lock()
-        #: (query_id, key) -> [first_type, latest change, latest trace]
-        self._staged: Dict[Tuple[str, Any], List[Any]] = {}
-        self._flush_scheduled = False
-        self.staged_total = 0
-        self.flushes = 0
-
-    def _note(self) -> None:
-        if self._on_coalesce is not None:
-            self._on_coalesce()
-        else:
-            self.cluster.notifications_coalesced += 1
-
-    def offer(
-        self,
-        change: QueryChange,
-        trace: Optional[Dict[str, Any]],
-    ) -> bool:
-        """Stage *change* if it is coalescible; False = deliver now."""
-        if (
-            change.index is not None
-            or change.old_index is not None
-            or change.is_error
-        ):
-            return False
-        schedule = False
-        with self._lock:
-            self.staged_total += 1
-            group = (change.query_id, change.key)
-            entry = self._staged.get(group)
-            if entry is None:
-                self._staged[group] = [change.match_type, change, trace]
-            else:
-                entry[1] = change
-                entry[2] = trace
-                self._note()
-            if not self._flush_scheduled:
-                self._flush_scheduled = True
-                schedule = True
-        if schedule:
-            self.cluster._execution.call_later(self.window, self.flush)
-        return True
-
-    def flush(self) -> int:
-        """Deliver every staged survivor; returns how many went out."""
-        with self._lock:
-            staged, self._staged = self._staged, {}
-            self._flush_scheduled = False
-            self.flushes += 1
-        survivors: List[Tuple[QueryChange, Optional[Dict[str, Any]]]] = []
-        for first, change, trace in staged.values():
-            final = resolve_coalesced_type(first, change.match_type)
-            if final is None:
-                self._note()
-                continue
-            if final is not change.match_type:
-                change = replace(change, match_type=final)
-            survivors.append((change, trace))
-        if survivors:
-            self.cluster._deliver_changes(survivors)
-        return len(survivors)
-
-    def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "window_seconds": self.window,
-                "staged_total": self.staged_total,
-                "pending": len(self._staged),
-                "flushes": self.flushes,
-            }
-
-
 class InvaliDBCluster:
     """The real-time component, isolated behind the event layer."""
 
@@ -356,7 +252,10 @@ class InvaliDBCluster:
         self.stager: Optional[_NotificationStager] = None
         if self.config.coalescing_window_seconds > 0:
             self.stager = _NotificationStager(
-                self, self.config.coalescing_window_seconds
+                self.config.coalescing_window_seconds,
+                self._execution.call_later,
+                self._deliver_changes,
+                self._note_coalesced,
             )
         #: Overload control seam (None = gate off: zero-cost, the hot
         #: paths skip every check on one attribute load).
@@ -740,6 +639,9 @@ class InvaliDBCluster:
     # ------------------------------------------------------------------
     # Notification fan-out
     # ------------------------------------------------------------------
+
+    def _note_coalesced(self) -> None:
+        self.notifications_coalesced += 1
 
     def _publish_changes(
         self,

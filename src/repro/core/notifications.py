@@ -6,6 +6,12 @@ to every local subscription of that query, tagging each copy with the
 client-generated subscription ID (footnote 2 of the paper); that tagged
 form is :class:`~repro.types.ChangeNotification`.
 
+The notification leg's two algorithms each exist once, here: the
+net-transition rule per (query, key) (:func:`resolve_coalesced_type`,
+applied within a batch by :func:`coalesce_events` and across batches by
+:class:`_NotificationStager`) and the window differ
+(:func:`diff_windows`).
+
 Two wire forms live here:
 
 * the **notification envelope** (:class:`ChangeEnvelope` /
@@ -23,8 +29,9 @@ Two wire forms live here:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.filtering import MatchEvent
 from repro.types import ChangeNotification, Document, MatchType
@@ -132,6 +139,196 @@ def coalesce_events(
             event = replace(event, match_type=final)
         coalesced.append((event, trace, deadline))
     return coalesced, dropped
+
+
+#: A delivered change plus the sampled trace riding with it.
+StagedChange = Tuple[QueryChange, Optional[Dict[str, Any]]]
+
+
+class _NotificationStager:
+    """Cross-batch notification coalescing (time-window staging).
+
+    In-batch coalescing (:func:`coalesce_events`, run by the matching
+    cell) cannot elide redundancy that spans dispatch batches — a hot
+    key rewritten every few milliseconds still produces one
+    notification per batch.  The stager holds unsorted-query changes
+    for *window* seconds, collapsing per (query, key) with the same
+    rewrite rule (:func:`resolve_coalesced_type`), then hands the
+    survivors to *deliver* as one batch.  Sorted-query changes bypass
+    staging entirely: positional transitions must reach the client
+    unmerged and in order.
+
+    The cluster runs up to two: its own (``coalescing_window_seconds``)
+    and the overload controller's shed stager
+    (``shed_coalescing_window``), which differ only in the three
+    callables they are built with.  *call_later* is the execution
+    model's timer, so under the deterministic inline model the window
+    is *virtual* time — a test's ``drain()`` fires the flush, keeping
+    staged delivery reproducible.  *on_coalesce* is called once per
+    elided notification, so clean-run coalescing and pressure shedding
+    keep separate books.
+    """
+
+    def __init__(
+        self,
+        window: float,
+        call_later: Callable[[float, Callable[[], Any]], Any],
+        deliver: Callable[[List[StagedChange]], Any],
+        on_coalesce: Callable[[], Any],
+    ):
+        self.window = window
+        self._call_later = call_later
+        self._deliver = deliver
+        self._on_coalesce = on_coalesce
+        self._lock = threading.Lock()
+        #: (query_id, key) -> [first_type, latest change, latest trace]
+        self._staged: Dict[Tuple[str, Any], List[Any]] = {}
+        self._flush_scheduled = False
+        self.staged_total = 0
+        self.flushes = 0
+
+    def offer(
+        self,
+        change: QueryChange,
+        trace: Optional[Dict[str, Any]],
+    ) -> bool:
+        """Stage *change* if it is coalescible; False = deliver now."""
+        if (
+            change.index is not None
+            or change.old_index is not None
+            or change.is_error
+        ):
+            return False
+        schedule = False
+        with self._lock:
+            self.staged_total += 1
+            group = (change.query_id, change.key)
+            entry = self._staged.get(group)
+            if entry is None:
+                self._staged[group] = [change.match_type, change, trace]
+            else:
+                entry[1] = change
+                entry[2] = trace
+                self._on_coalesce()
+            if not self._flush_scheduled:
+                self._flush_scheduled = True
+                schedule = True
+        if schedule:
+            self._call_later(self.window, self.flush)
+        return True
+
+    def flush(self) -> int:
+        """Deliver every staged survivor; returns how many went out."""
+        with self._lock:
+            staged, self._staged = self._staged, {}
+            self._flush_scheduled = False
+            self.flushes += 1
+        survivors: List[StagedChange] = []
+        for first, change, trace in staged.values():
+            final = resolve_coalesced_type(first, change.match_type)
+            if final is None:
+                self._on_coalesce()
+                continue
+            if final is not change.match_type:
+                change = replace(change, match_type=final)
+            survivors.append((change, trace))
+        if survivors:
+            self._deliver(survivors)
+        return len(survivors)
+
+    def stats(self) -> Dict[str, Any]:
+        with self._lock:
+            return {
+                "window_seconds": self.window,
+                "staged_total": self.staged_total,
+                "pending": len(self._staged),
+                "flushes": self.flushes,
+            }
+
+
+#: An ordered result window: ``(key, document)`` pairs in result order.
+Window = List[Tuple[Any, Document]]
+
+
+def window_of(documents: List[Document]) -> Window:
+    """A pull-query result (documents in result order) as a window."""
+    return [(document["_id"], document) for document in documents]
+
+
+def diff_windows(
+    query_id: str,
+    before: Window,
+    after: Window,
+    positional: bool,
+    timestamp: float = 0.0,
+) -> List[QueryChange]:
+    """The delta that turns window *before* into window *after*.
+
+    The one window differ: a client holding *before* that applies the
+    returned changes in order (``RealTimeSubscription._apply``: REMOVE
+    drops the key, ADD / CHANGE_INDEX = remove + insert at ``index``,
+    CHANGE swaps the document in place) holds exactly *after*.  Called
+    for a sorted query's renewal delta "from the last valid to the
+    current result representation" (Section 5.2,
+    ``SortingNode.register_query``), for the client's catch-up after an
+    outage or a shed diff stream (``InvaliDBClient.resubscribe_all`` /
+    ``_on_refresh``) and for the poll-and-diff baseline's polling round.
+
+    *positional* is the query's ``is_sorted``: an unsorted result has
+    no positions, so its delta is REMOVE / ADD / CHANGE without index
+    fields and converges on membership and content only.
+    """
+    before_index = {key: index for index, (key, _) in enumerate(before)}
+    after_index = {key: index for index, (key, _) in enumerate(after)}
+
+    def change(match_type: MatchType, key: Any, document: Document,
+               index: Optional[int] = None,
+               old_index: Optional[int] = None) -> QueryChange:
+        return QueryChange(
+            query_id=query_id, match_type=match_type, key=key,
+            document=document,
+            index=index if positional else None,
+            old_index=old_index if positional else None,
+            timestamp=timestamp,
+        )
+
+    # Items that left the window.
+    changes = [
+        change(MatchType.REMOVE, key, document, old_index=before_index[key])
+        for key, document in before if key not in after_index
+    ]
+    # Items that entered, plus transitions of surviving items.
+    for key, document in after:
+        new_index = after_index[key]
+        old_index = before_index.get(key)
+        if old_index is None:
+            changes.append(change(MatchType.ADD, key, document,
+                                  index=new_index))
+        elif positional and old_index != new_index:
+            changes.append(change(MatchType.CHANGE_INDEX, key, document,
+                                  index=new_index, old_index=old_index))
+        elif before[old_index][1] != document:
+            changes.append(change(MatchType.CHANGE, key, document,
+                                  index=new_index, old_index=old_index))
+    if not positional:
+        return changes
+    # A delta spanning several writes can leave a survivor whose own
+    # index did not move displaced by the moves around it.  Replay the
+    # delta the way the client applies it and reposition what is still
+    # out of place.
+    order = [key for key, _ in before if key in after_index]
+    for entry in changes:
+        if entry.match_type in (MatchType.ADD, MatchType.CHANGE_INDEX):
+            if entry.key in order:
+                order.remove(entry.key)
+            order.insert(entry.index, entry.key)
+    for index, (key, document) in enumerate(after):
+        if order[index] != key:
+            old_index = order.index(key)
+            order.insert(index, order.pop(old_index))
+            changes.append(change(MatchType.CHANGE_INDEX, key, document,
+                                  index=index, old_index=old_index))
+    return changes
 
 
 def bind_to_subscription(

@@ -44,6 +44,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.core.notifications import _NotificationStager
 from repro.event.channels import notification_channel
 from repro.types import Document
 
@@ -246,7 +247,7 @@ class OverloadController:
     * :meth:`shedding_active` / ``shed_stager`` — consulted by the
       notification fan-out: while degraded or worse, unsorted changes
       are staged through a pressure-window
-      :class:`~repro.core.cluster._NotificationStager` (same
+      :class:`~repro.core.notifications._NotificationStager` (same
       latest-value rewrite rules, separate counters) whose flush
       hands the survivors to the cluster as one batch, i.e. one
       notification envelope per app server.
@@ -305,16 +306,14 @@ class OverloadController:
         self.refreshes_sent = 0
         self.evaluations = 0
         #: Pressure-window stager for unsorted changes (None when the
-        #: shedding sub-gate is off).  Deferred import: this module is
-        #: imported by repro.core.cluster.
-        self.shed_stager = None
+        #: shedding sub-gate is off).
+        self.shed_stager: Optional[_NotificationStager] = None
         if config.shedding:
-            from repro.core.cluster import _NotificationStager
-
             self.shed_stager = _NotificationStager(
-                cluster,
                 config.shed_coalescing_window,
-                on_coalesce=self._note_shed,
+                cluster._execution.call_later,
+                cluster._deliver_changes,
+                self._note_shed,
             )
 
     # ------------------------------------------------------------------

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.filtering import MatchEvent
-from repro.core.notifications import QueryChange
+from repro.core.notifications import QueryChange, diff_windows
 from repro.errors import QueryMaintenanceError
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.query.engine import Query
@@ -75,7 +75,6 @@ class _SortedQueryState:
         #: Sort key of the worst-ranked item we have full knowledge down
         #: to; only meaningful when ``complete`` is False.
         self.horizon: Optional[Tuple[Any, ...]] = None
-        self.active = True
         #: Sort-key comparisons spent maintaining this window — the
         #: per-event work metric behind sort.window_ops.
         self.comparisons = 0
@@ -118,7 +117,6 @@ class _SortedQueryState:
             self.horizon = self.entries[-1].sort_key
         self._sort_keys = [entry.sort_key for entry in self.entries]
         self._by_key = {entry.key: entry for entry in self.entries}
-        self.active = True
 
     # ------------------------------------------------------------------
     # O(log W) positioning + positional diffing.
@@ -472,7 +470,7 @@ class SortingNode:
         the last valid and the fresh visible window is emitted.
         """
         previous_state = self._states.get(query.query_id)
-        if previous_state is not None and previous_state.active:
+        if previous_state is not None:
             previous: Optional[List[Tuple[Any, Document]]] = (
                 previous_state.visible()
             )
@@ -485,18 +483,18 @@ class SortingNode:
         self._last_visible.pop(query.query_id, None)
         if previous is None:
             return []
-        return self._diff(query, previous, state.visible(), written_key=None,
-                          timestamp=timestamp)
+        return diff_windows(query.query_id, previous, state.visible(),
+                            positional=True, timestamp=timestamp)
 
     def deactivate_query(self, query_id: str) -> bool:
         state = self._states.pop(query_id, None)
-        if state is not None and state.active:
+        if state is not None:
             # Keep the baseline the next registration's delta starts from.
             self._last_visible[query_id] = state.visible()
         return state is not None
 
     def active_queries(self) -> List[str]:
-        return [qid for qid, state in self._states.items() if state.active]
+        return list(self._states)
 
     def state_of(self, query_id: str) -> Optional[_SortedQueryState]:
         return self._states.get(query_id)
@@ -506,7 +504,7 @@ class SortingNode:
         the query is inactive (deactivated or renewing).  Read by the
         overload controller's snapshot-refresh shedding tier."""
         state = self._states.get(query_id)
-        if state is None or not state.active:
+        if state is None:
             return None
         return [document for _, document in state.visible()]
 
@@ -518,7 +516,7 @@ class SortingNode:
         """Consume one filtering-stage event, emit visible-window changes."""
         self.events_processed += 1
         state = self._states.get(event.query_id)
-        if state is None or not state.active:
+        if state is None:
             return []
         comparisons_before = state.comparisons
         if event.match_type is MatchType.REMOVE:
@@ -553,7 +551,6 @@ class SortingNode:
     ) -> QueryChange:
         """Deactivate the query and emit the renewal-request error."""
         self.renewals_requested += 1
-        state.active = False
         query_id = state.query.query_id
         # The last *valid* window precedes the failing operation; it is
         # already stored in _last_visible and intentionally kept there.
@@ -567,103 +564,6 @@ class SortingNode:
             error=str(error),
             timestamp=event.timestamp,
         )
-
-    # ------------------------------------------------------------------
-    # Visible-window diffing (renewal deltas)
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _diff(
-        query: Query,
-        before: List[Tuple[Any, Document]],
-        after: List[Tuple[Any, Document]],
-        written_key: Any,
-        timestamp: float,
-    ) -> List[QueryChange]:
-        before_index = {key: index for index, (key, _) in enumerate(before)}
-        after_index = {key: index for index, (key, _) in enumerate(after)}
-        changes: List[QueryChange] = []
-        # Items that left the visible window.
-        for key, document in before:
-            if key not in after_index:
-                changes.append(
-                    QueryChange(
-                        query_id=query.query_id,
-                        match_type=MatchType.REMOVE,
-                        key=key,
-                        document=document,
-                        old_index=before_index[key],
-                        timestamp=timestamp,
-                    )
-                )
-        # Items that entered, plus transitions of surviving items.
-        for key, document in after:
-            new_index = after_index[key]
-            old_index = before_index.get(key)
-            if old_index is None:
-                changes.append(
-                    QueryChange(
-                        query_id=query.query_id,
-                        match_type=MatchType.ADD,
-                        key=key,
-                        document=document,
-                        index=new_index,
-                        timestamp=timestamp,
-                    )
-                )
-            elif written_key is None or key == written_key:
-                document_changed = before[old_index][1] != document
-                if old_index != new_index:
-                    changes.append(
-                        QueryChange(
-                            query_id=query.query_id,
-                            match_type=MatchType.CHANGE_INDEX,
-                            key=key,
-                            document=document,
-                            index=new_index,
-                            old_index=old_index,
-                            timestamp=timestamp,
-                        )
-                    )
-                elif document_changed:
-                    changes.append(
-                        QueryChange(
-                            query_id=query.query_id,
-                            match_type=MatchType.CHANGE,
-                            key=key,
-                            document=document,
-                            index=new_index,
-                            old_index=old_index,
-                            timestamp=timestamp,
-                        )
-                    )
-        # A delta spanning several writes can leave a survivor whose own
-        # index did not move displaced by the moves around it.  Replay
-        # the delta the way the client applies it (ADD / CHANGE_INDEX =
-        # remove + insert at ``index``) and reposition what is still
-        # out of place.
-        order = [key for key, _ in before if key in after_index]
-        for change in changes:
-            if change.match_type in (MatchType.ADD, MatchType.CHANGE_INDEX):
-                if change.key in order:
-                    order.remove(change.key)
-                order.insert(change.index, change.key)
-        for index, (key, document) in enumerate(after):
-            if order[index] != key:
-                old_index = order.index(key)
-                order.insert(index, order.pop(old_index))
-                changes.append(
-                    QueryChange(
-                        query_id=query.query_id,
-                        match_type=MatchType.CHANGE_INDEX,
-                        key=key,
-                        document=document,
-                        index=index,
-                        old_index=old_index,
-                        timestamp=timestamp,
-                    )
-                )
-        return changes
 
     @property
     def query_count(self) -> int:

@@ -29,7 +29,7 @@ reproducible straight-line code.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Tuple
 
 from repro.obs.tracing import PUBLISH, begin_span
 
@@ -206,10 +206,6 @@ class NodeSupervisor:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    def pending_restarts(self) -> List[Tuple[str, int]]:
-        with self._lock:
-            return list(self._pending)
 
     def stats(self) -> Dict[str, int]:
         with self._lock:

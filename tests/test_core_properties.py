@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.client import RealTimeSubscription
 from repro.core.filtering import FilteringNode, MatchEvent
-from repro.core.notifications import bind_to_subscription
+from repro.core.notifications import bind_to_subscription, diff_windows
 from repro.core.partitioning import NodeCoordinates, PartitioningScheme
 from repro.core.sorting import SortingNode
 from repro.query.engine import Query
@@ -284,7 +284,7 @@ def drive_sorted_query(seeds, ops, limit, offset, slack):
         if limit is not None:
             expected = expected[:limit]
         state = sorting.state_of(query.query_id)
-        assert state is not None and state.active
+        assert state is not None
         assert [document for _, document in state.visible()] == expected
         assert subscription.result() == expected
 
@@ -368,3 +368,61 @@ class TestSortingStageInvariant:
         for change in node.register_query(query, after, {}, slack=1):
             subscription._deliver(bind_to_subscription(change, "sub-oracle"))
         assert subscription.result() == after
+
+
+# -- the one window differ ------------------------------------------------------
+
+POOL = list("abcdefgh")
+
+
+@st.composite
+def window_pairs(draw):
+    """Two ordered windows over a shared key pool: the second is an
+    arbitrary permutation of an arbitrary subset, so pairs cover moves,
+    adds, removes and (``rev`` differs) changed documents in any mix —
+    not only the pairs a single sort order can produce."""
+    def window():
+        keys = draw(st.permutations(POOL))[: draw(st.integers(0, len(POOL)))]
+        return [(key, {"_id": key, "rev": draw(st.integers(0, 2))})
+                for key in keys]
+    return window(), window()
+
+
+class TestWindowDiffer:
+    @given(window_pairs(), st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_replayed_delta_converges_on_the_second_window(self, pair,
+                                                           positional):
+        """The differ's whole contract, checked through the client's
+        own materialization: a subscription holding *before* that is
+        delivered ``diff_windows(before, after)`` holds *after*."""
+        before, after = pair
+        query = Query({}, sort=[("rev", 1)] if positional else None)
+        assert query.is_sorted is positional
+        subscription = RealTimeSubscription("sub-differ", query)
+        subscription._deliver_initial(InitialResult(
+            "sub-differ", query.query_id,
+            documents=[document for _, document in before],
+        ))
+        changes = diff_windows(query.query_id, before, after,
+                               positional=positional, timestamp=1.0)
+        for change in changes:
+            subscription._deliver(bind_to_subscription(change, "sub-differ"))
+        expected = [document for _, document in after]
+        if positional:
+            assert subscription.result() == expected
+        else:
+            # An unsorted result has no positions to converge on:
+            # membership and content only, and nothing positional on
+            # the wire.
+            def by_key(documents):
+                return sorted(documents, key=lambda doc: doc["_id"])
+            assert by_key(subscription.result()) == by_key(expected)
+            assert all(
+                change.match_type is not MatchType.CHANGE_INDEX
+                and change.index is None and change.old_index is None
+                for change in changes
+            )
+        # Nothing spurious: equal windows need no delta.
+        if before == after:
+            assert changes == []

@@ -6,10 +6,11 @@ take down the OLTP system: in the worst-case scenario, the InvaliDB
 cluster is taken down and requests sent against the event layer remain
 unanswered."
 
-All scenarios run on the deterministic :class:`InlineExecutionModel`:
-outages, restarts and heartbeat supervision are driven step by step
-(``drain()``, ``publish_heartbeat()``) instead of being raced against
-wall-clock timers.
+All scenarios but :class:`TestThreadedRecovery` run on the
+deterministic :class:`InlineExecutionModel`: outages, restarts and
+heartbeat supervision are driven step by step (``drain()``,
+``publish_heartbeat()``) instead of being raced against wall-clock
+timers.
 """
 
 import pytest
@@ -18,7 +19,13 @@ from repro.core.cluster import InvaliDBCluster
 from repro.core.config import InvaliDBConfig
 from repro.core.server import AppServer
 from repro.event.broker import Broker
-from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
+from repro.runtime.execution import (
+    ExecutionConfig,
+    InlineExecutionModel,
+    ThreadedExecutionModel,
+)
+from repro.runtime.faults import FaultPlan
+from repro.types import MatchType
 
 
 @pytest.fixture
@@ -28,6 +35,10 @@ def inline_broker():
     yield broker
     broker.close()
     model.shutdown()
+
+
+def _ids(documents):
+    return [document["_id"] for document in documents]
 
 
 class TestIsolatedFailureDomain:
@@ -115,11 +126,73 @@ class TestRecovery:
                 assert [d["_id"] for d in sorted_sub.result()] == [
                     101, 100, 5
                 ]
+                assert _ids(sorted_sub.result()) == _ids(app.find(
+                    "articles", {}, sort=[("year", -1)], limit=3
+                ))
             finally:
                 second.stop()
         finally:
             app.close()
             first.stop()
+
+    @staticmethod
+    def _reorder_during_outage(seed):
+        """Sorted window [x, a, b]; while the cluster is down b moves
+        3 -> 2.5 and x moves 1 -> 9, so the fresh window is [a, b, x]:
+        a, the one survivor whose document did not change, is displaced
+        by the moves around it.  Returns (result ids, pull-query ids,
+        notification transcript)."""
+        model = InlineExecutionModel(ExecutionConfig(mode="inline",
+                                                     seed=seed))
+        broker = Broker(execution=model)
+        config = InvaliDBConfig(query_partitions=1, write_partitions=1)
+        first = InvaliDBCluster(broker, config).start()
+        app = AppServer("app-1", broker, config=config)
+        second = None
+        try:
+            for key, score in (("x", 1), ("a", 2), ("b", 3)):
+                app.insert("items", {"_id": key, "score": score})
+            assert broker.drain()
+            sub = app.subscribe("items", {}, sort=[("score", 1)], limit=3)
+            assert broker.drain()
+            assert _ids(sub.result()) == ["x", "a", "b"]
+            first.stop()
+
+            app.update("items", "b", {"$set": {"score": 2.5, "seen": True}})
+            app.update("items", "x", {"$set": {"score": 9}})
+            assert broker.drain()
+            assert sub.change_count == 0
+
+            second = InvaliDBCluster(broker, config).start()
+            assert app.client.resubscribe_all() == 1
+            assert broker.drain()
+            return (
+                _ids(sub.result()),
+                _ids(app.find("items", {}, sort=[("score", 1)], limit=3)),
+                [(n.match_type, n.key, n.index, n.old_index)
+                 for n in sub.notifications],
+            )
+        finally:
+            app.close()
+            first.stop()
+            if second is not None:
+                second.stop()
+            broker.close()
+            model.shutdown()
+
+    def test_resubscribe_all_restores_sorted_order(self):
+        """Regression: the client's private catch-up diff repositioned
+        only documents that changed, so after an outage a sorted
+        subscription could hold the right members in the wrong order
+        (here ['b', 'a', 'x'] against a pull result of
+        ['a', 'b', 'x'])."""
+        result, pulled, transcript = self._reorder_during_outage(seed=11)
+        assert pulled == ["a", "b", "x"]
+        assert result == pulled
+        # Fixed seed, run twice: the catch-up delta is deterministic.
+        assert self._reorder_during_outage(seed=11) == (
+            result, pulled, transcript
+        )
 
     def test_heartbeat_detects_outage_then_resubscribe_recovers(
             self, inline_broker):
@@ -144,3 +217,51 @@ class TestRecovery:
         finally:
             app.close()
             first.stop()
+
+
+class TestThreadedRecovery:
+    def test_resubscribe_all_while_the_cluster_survives(self):
+        """The threaded twin of the reorder regression, with the SAME
+        cluster on the other end: a partition (every write message
+        dropped) instead of a crash.  The surviving cluster still holds
+        the pre-outage window, so its renewal delta (last valid window
+        -> fresh bootstrap) arrives on top of the client's own catch-up
+        delta; applying both must leave the subscription on the pull
+        result — ``_apply`` is idempotent."""
+        plan = FaultPlan(seed=11).rule(
+            "channel", "invalidb:writes*", "drop", probability=1.0
+        )
+        model = ThreadedExecutionModel(ExecutionConfig(fault_plan=plan))
+        model.fault_injector.disarm()
+        broker = Broker(execution=model)
+        config = InvaliDBConfig(query_partitions=1, write_partitions=1)
+        cluster = InvaliDBCluster(broker, config).start()
+        app = AppServer("app-1", broker, config=config)
+        try:
+            for key, score in (("x", 1), ("a", 2), ("b", 3)):
+                app.insert("items", {"_id": key, "score": score})
+            sub = app.subscribe("items", {}, sort=[("score", 1)], limit=3)
+            assert broker.drain(timeout=10.0)
+            assert _ids(sub.result()) == ["x", "a", "b"]
+
+            model.fault_injector.arm()
+            app.update("items", "b", {"$set": {"score": 2.5, "seen": True}})
+            app.update("items", "x", {"$set": {"score": 9}})
+            assert broker.drain(timeout=10.0)
+            model.fault_injector.disarm()
+            assert sub.change_count == 0
+
+            assert app.client.resubscribe_all() == 1
+            assert broker.drain(timeout=10.0)
+            expected = app.find("items", {}, sort=[("score", 1)], limit=3)
+            assert _ids(expected) == ["a", "b", "x"]
+            assert sub.result() == expected
+            # Both deltas arrived: the client's own and the cluster's.
+            moves = [n for n in sub.notifications
+                     if n.match_type is MatchType.CHANGE_INDEX]
+            assert len(moves) == 2 * 3
+        finally:
+            app.close()
+            cluster.stop()
+            broker.close()
+            model.shutdown()

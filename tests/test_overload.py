@@ -26,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.client import InvaliDBClient
-from repro.core.cluster import InvaliDBCluster, _NotificationStager
+from repro.core.cluster import InvaliDBCluster
 from repro.core.config import InvaliDBConfig
 from repro.core.overload import (
     DEGRADED,
@@ -774,21 +774,22 @@ class TestVisibleWindow:
 
 class TestStagerCallback:
     def test_on_coalesce_diverts_the_counter(self):
-        from repro.core.notifications import QueryChange
+        from repro.core.notifications import (
+            QueryChange,
+            _NotificationStager,
+        )
         from repro.types import MatchType
 
         class StubCluster:
             notifications_coalesced = 0
 
-            class _execution:
-                @staticmethod
-                def call_later(delay, fn):
-                    return None
-
         hits = []
         stub = StubCluster()
-        stager = _NotificationStager(stub, window=10.0,
-                                     on_coalesce=lambda: hits.append(1))
+        stager = _NotificationStager(
+            window=10.0, call_later=lambda delay, fn: None,
+            deliver=lambda entries: None,
+            on_coalesce=lambda: hits.append(1),
+        )
         first = QueryChange(query_id="q", match_type=MatchType.ADD,
                             key=1, document={"_id": 1}, version=1)
         second = QueryChange(query_id="q", match_type=MatchType.CHANGE,
