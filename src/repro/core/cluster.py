@@ -235,8 +235,8 @@ class InvaliDBCluster:
         #: Flight recorder: always recording (ring appends are cheap);
         #: dumps only when a directory is configured.  Context
         #: providers are parent-local by contract — dump triggers can
-        #: fire from threads holding worker channel locks, so no
-        #: provider may round-trip to a worker.
+        #: fire on a worker channel's reader thread, so no provider
+        #: may round-trip to a worker.
         self.flight = FlightRecorder(
             node=tenant,
             directory=self.config.flight_recorder_dir,

@@ -6,7 +6,10 @@ execution model (:mod:`repro.runtime.process`):
 * **Framing** — length-prefixed frames over a duplex stream socket,
   tagged with a message kind, a grid-cell id and a request id (the
   request-id-tagged discipline of relay protocols: replies are matched
-  to requests, so one socket multiplexes every cell a worker owns).
+  to requests, so one socket multiplexes every cell a worker owns —
+  the matching is done by the per-worker reader thread in
+  ``WorkerPool._reader_loop``, which completes each in-flight request
+  by the id its reply carries).
 
 * **:class:`BinaryCodec`** — a compact binary encoding for grid
   envelopes.  The paper attributes the lower matching performance under
@@ -35,7 +38,6 @@ worker processes it forked, never across a trust boundary.
 
 from __future__ import annotations
 
-import io
 import pickle
 import socket
 import struct
@@ -65,6 +67,12 @@ MSG_CALIBRATE = 7  #: parent -> worker: clock-offset handshake (see
                    #: 8-byte payload sets the computed offset)
 
 
+#: Largest payload a frame may carry.  Grid batches and snapshot rows are
+#: kilobytes; the bound exists so a corrupt length field fails the frame
+#: instead of parking the channel's one reader on a 4 GiB read.
+MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+
 class FrameError(EventLayerError):
     """The peer closed mid-frame or sent a malformed header."""
 
@@ -77,31 +85,48 @@ def send_frame(
     payload: bytes,
 ) -> int:
     """Write one frame; returns the total bytes put on the wire."""
+    if len(payload) > MAX_FRAME_BYTES:
+        raise FrameError(
+            f"frame payload of {len(payload)} bytes exceeds "
+            f"MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
+        )
     header = FRAME_HEADER.pack(kind, cell, request, len(payload))
     sock.sendall(header + payload)
     return len(header) + len(payload)
 
 
 def recv_frame(sock: socket.socket) -> Tuple[int, int, int, bytes]:
-    """Read one frame; raises :class:`FrameError` on EOF / short read."""
+    """Read one frame; raises :class:`FrameError` on EOF / short read.
+
+    The header is validated *before* the payload is read: an unknown
+    kind or a length above :data:`MAX_FRAME_BYTES` means the stream is
+    out of sync, and no later byte on it can be trusted.
+    """
     header = _recv_exact(sock, FRAME_HEADER.size)
     kind, cell, request, length = FRAME_HEADER.unpack(header)
+    if not MSG_REGISTER <= kind <= MSG_CALIBRATE:
+        raise FrameError(f"malformed frame header: unknown kind {kind}")
+    if length > MAX_FRAME_BYTES:
+        raise FrameError(
+            f"malformed frame header: payload length {length} exceeds "
+            f"MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
+        )
     payload = _recv_exact(sock, length) if length else b""
     return kind, cell, request, payload
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = io.BytesIO()
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
+    buf = bytearray(n)
+    view = memoryview(buf)
+    filled = 0
+    while filled < n:
+        read = sock.recv_into(view[filled:])
+        if not read:
             raise FrameError(
-                f"connection closed mid-frame ({n - remaining}/{n} bytes)"
+                f"connection closed mid-frame ({filled}/{n} bytes)"
             )
-        buf.write(chunk)
-        remaining -= len(chunk)
-    return buf.getvalue()
+        filled += read
+    return bytes(buf)
 
 
 # ---------------------------------------------------------------------------

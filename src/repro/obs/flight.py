@@ -20,10 +20,11 @@ time through registered providers.  ``python -m repro inspect
 --postmortem <dump>`` renders it (see
 :func:`repro.obs.inspector.render_postmortem`).
 
-Threading: dump triggers fire from death-listener and monitor threads
-that may hold worker channel locks, so providers must never round-trip
-to a worker (no ``cluster.snapshot()``); everything captured here is
-parent-local state.
+Threading: dump triggers fire from death-listener threads — the pool
+monitor, or a worker channel's own reader thread, on which no reply
+can arrive — so providers must never round-trip to a worker (no
+``cluster.snapshot()``); everything captured here is parent-local
+state.
 """
 
 from __future__ import annotations

@@ -17,8 +17,15 @@ The seam is the :class:`WorkerPool`:
   a :class:`RemoteCell` handle.  The spec must be picklable and expose
   ``build()`` — the worker calls it once to construct the actual cell.
 * ``RemoteCell.request_batch(items)`` encodes the batch with the
-  configured wire codec, round-trips one frame and returns the decoded
-  reply.  One lock per worker serializes its conversations.
+  binary wire codec, submits one frame and blocks on that request's own
+  latch until the reply arrives.  The channel is pipelined: the
+  per-worker lock covers only *id allocation + pending-table entry +
+  send* (so frames leave in submit order and the worker's FIFO loop
+  keeps per-cell order), and one reader thread per worker is the only
+  thread that ever reads the socket — it demultiplexes replies by the
+  request id the frame header carries.  While one grid task waits for
+  its reply the others keep encoding and sending, so the worker always
+  has its next batch queued.
 * A monitor thread watches process sentinels: a worker that dies — a
   crash, or ``kill -9`` in the chaos suite — fires the pool's death
   listeners with every cell it hosted, and the owning bolts report
@@ -163,6 +170,38 @@ class RemoteCell:
         return pickle.loads(reply)
 
 
+class _Pending:
+    """One in-flight request: a one-shot latch plus the reply it gets.
+
+    The latch is a bare lock created held — the submitter blocks on a
+    second ``acquire``, whoever resolves the request releases it.
+    Exactly one of ``complete`` / ``fail`` runs per request: whoever
+    pops the entry out of the worker's pending table resolves it.
+    """
+
+    __slots__ = ("_latch", "kind", "payload", "died")
+
+    def __init__(self) -> None:
+        self._latch = threading.Lock()
+        self._latch.acquire()
+        self.kind = 0
+        self.payload = b""
+        #: Set instead of a reply when the worker died first.
+        self.died: Optional[str] = None
+
+    def complete(self, kind: int, payload: bytes) -> None:
+        self.kind = kind
+        self.payload = payload
+        self._latch.release()
+
+    def fail(self, reason: str) -> None:
+        self.died = reason
+        self._latch.release()
+
+    def wait(self) -> None:
+        self._latch.acquire()
+
+
 class _Worker:
     """One worker process and its parent-side channel."""
 
@@ -170,11 +209,20 @@ class _Worker:
         self.slot = slot
         self.process = process
         self.sock = sock
+        #: The send lock: held to allocate a request id, enter it in
+        #: ``pending`` and write the frame — never across a ``recv``.
         self.lock = threading.Lock()
         self.alive = True
         #: cell_id -> cell name, for death attribution.
         self.cells: Dict[int, str] = {}
         self.requests = 0
+        #: request id -> latch of every submitted, unanswered request.
+        #: Entries go in under ``lock``; the reader pops them lock-free
+        #: (a dict pop is GIL-atomic and each id is popped once).
+        self.pending: Dict[int, _Pending] = {}
+        self.in_flight_high_water = 0
+        #: The one thread that reads ``sock`` (see ``_reader_loop``).
+        self.reader: Optional[threading.Thread] = None
         #: Clock calibration results (see :class:`_WorkerClock`).
         self.clock_offset = 0.0
         self.clock_rtt = 0.0
@@ -190,6 +238,8 @@ class _Worker:
             "alive": self.alive,
             "cells": sorted(self.cells.values()),
             "requests": self.requests,
+            "in_flight": len(self.pending),
+            "in_flight_high_water": self.in_flight_high_water,
             "clock_offset": self.clock_offset,
             "clock_rtt": self.clock_rtt,
         }
@@ -232,6 +282,9 @@ class WorkerPool:
         #: from a dead cell to the supervisor, so a failure is counted,
         #: never swallowed silently.
         self._death_listener_errors = 0
+        #: Replies whose request id matched no pending request (the
+        #: lock-step channel used to read past them silently).
+        self._unmatched_replies = 0
 
     # -- leasing ----------------------------------------------------------
 
@@ -289,6 +342,7 @@ class WorkerPool:
         child_sock.close()
         worker = _Worker(slot, process, parent_sock)
         self._calibrate(worker)
+        self._start_reader(worker)
         self._workers[slot] = worker
         self._spawned += 1
         if self._monitor is None:
@@ -303,12 +357,11 @@ class WorkerPool:
         """Handshake the worker's clock offset (see :class:`_WorkerClock`).
 
         Runs on the fresh, otherwise-idle channel right after the fork
-        — before the worker is published in ``self._workers`` — so raw
-        frames with request id 0 are unambiguous.  Deliberately avoids
-        ``_request``: this is called under the pool lock, and the error
-        path of ``_request`` re-takes it.  A worker that dies mid-
-        handshake keeps offset 0; the first real request will surface
-        the death through the normal channel-error machinery.
+        — before the worker's reader thread exists and before the
+        worker is published in ``self._workers`` — so lock-step raw
+        frames with the control request id 0 are unambiguous.  A worker
+        that dies mid-handshake keeps offset 0; the reader meets the
+        EOF and reports the death through the normal machinery.
         """
         try:
             best_offset, best_rtt = 0.0, float("inf")
@@ -330,9 +383,18 @@ class WorkerPool:
         except (OSError, FrameError, struct.error):
             pass
 
+    def _start_reader(self, worker: _Worker) -> None:
+        worker.reader = threading.Thread(
+            target=self._reader_loop, args=(worker,),
+            name=f"worker-{worker.slot}-reader", daemon=True,
+        )
+        worker.reader.start()
+
     def _request(self, worker: _Worker, kind: int, cell_id: int,
                  payload: bytes) -> bytes:
-        stats = self.stats
+        """Submit one frame, release the channel, wait on our own latch."""
+        pending = _Pending()
+        send_error: Optional[str] = None
         with worker.lock:
             if not worker.alive:
                 raise WorkerDiedError(
@@ -340,44 +402,90 @@ class WorkerPool:
                 )
             request_id = next(self._request_ids)
             worker.requests += 1
+            worker.pending[request_id] = pending
+            worker.in_flight_high_water = max(
+                worker.in_flight_high_water, len(worker.pending)
+            )
             try:
                 sent = send_frame(worker.sock, kind, cell_id, request_id,
                                   payload)
-                stats.frames_sent += 1
-                stats.bytes_sent += sent
-                while True:
-                    rkind, _, rrequest, rpayload = recv_frame(worker.sock)
-                    stats.frames_received += 1
-                    stats.bytes_received += len(rpayload) + 13
-                    if rrequest == request_id:
-                        break
+                self.stats.frames_sent += 1
+                self.stats.bytes_sent += sent
             except (OSError, FrameError) as exc:
-                self._on_channel_error(worker, str(exc))
-                raise WorkerDiedError(
-                    f"worker-{worker.slot}", str(exc)
-                ) from exc
-        if rkind == MSG_ERROR:
+                send_error = str(exc)
+        if send_error is not None:
+            # Fails every pending request, ours included.
+            self._worker_died(worker, send_error)
+        pending.wait()
+        if pending.died is not None:
+            raise WorkerDiedError(f"worker-{worker.slot}", pending.died)
+        if pending.kind == MSG_ERROR:
             raise RemoteCellError(
                 f"remote cell failed in worker-{worker.slot} "
-                f"(pid {worker.pid}):\n{rpayload.decode('utf-8', 'replace')}"
+                f"(pid {worker.pid}):\n"
+                f"{pending.payload.decode('utf-8', 'replace')}"
             )
-        return rpayload
+        return pending.payload
 
-    def _on_channel_error(self, worker: _Worker, reason: str) -> None:
-        # Called with worker.lock held; take the pool lock for the maps.
+    def _reader_loop(self, worker: _Worker) -> None:
+        """The only reader of ``worker.sock``: route each reply to the
+        request that is waiting for it.
+
+        Takes no lock per frame, so a submitter blocked in ``sendall``
+        on a full buffer can never stall the side that drains it.  The
+        control id 0 (shutdown ack) has no waiter by design; any other
+        unknown id is counted.  EOF or a malformed frame ends the loop
+        and the channel with it.
+        """
+        sock, pending, stats = worker.sock, worker.pending, self.stats
+        while True:
+            try:
+                kind, _, request_id, payload = recv_frame(sock)
+            except (OSError, FrameError) as exc:
+                reason = str(exc)
+                break
+            stats.frames_received += 1
+            stats.bytes_received += len(payload) + 13
+            entry = pending.pop(request_id, None)
+            if entry is not None:
+                entry.complete(kind, payload)
+            elif request_id:
+                self._unmatched_replies += 1
+        self._worker_died(worker, reason)
+
+    def _worker_died(self, worker: _Worker, reason: str) -> None:
+        """The one death path — reader EOF, failed send and the sentinel
+        monitor all end here, in any order and any number of times.
+
+        Call without ``worker.lock``.  ``_mark_dead_locked`` hangs up
+        the socket, which unblocks a submitter stuck in ``sendall``, so
+        the send lock below is free promptly; taking it means no request
+        can slip into ``pending`` after the sweep (a later submitter
+        sees ``alive`` False under the same lock).
+        """
         with self._lock:
             orphans = self._mark_dead_locked(worker, reason)
+        stranded: List[_Pending] = []
+        with worker.lock:
+            # Pop one by one: the reader may still be handing out the
+            # last buffered replies, and an entry must be resolved by
+            # exactly one of us.
+            try:
+                while True:
+                    stranded.append(worker.pending.popitem()[1])
+            except KeyError:
+                pass
+        for entry in stranded:
+            entry.fail(reason)
         self._fire_death(orphans, worker.pid, reason)
 
     def _mark_dead_locked(self, worker: _Worker, reason: str) -> List[str]:
         if not worker.alive:
             return []
         worker.alive = False
-        self._deaths += 1
-        try:
-            worker.sock.close()
-        except OSError:  # pragma: no cover
-            pass
+        if not self._closing:
+            self._deaths += 1
+        _hang_up(worker.sock)
         orphans = list(worker.cells.values())
         worker.cells.clear()
         return orphans
@@ -412,10 +520,9 @@ class WorkerPool:
                 worker = watched[sentinel]
                 worker.process.join(timeout=0.1)
                 code = worker.process.exitcode
-                reason = f"process exited with code {code}"
-                with self._lock:
-                    orphans = self._mark_dead_locked(worker, reason)
-                self._fire_death(orphans, worker.pid, reason)
+                self._worker_died(
+                    worker, f"process exited with code {code}"
+                )
 
     # -- lifecycle --------------------------------------------------------
 
@@ -441,11 +548,11 @@ class WorkerPool:
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=0.5)
-            worker.alive = False
-            try:
-                worker.sock.close()
-            except OSError:  # pragma: no cover
-                pass
+            # With ``_closing`` set the death path — ours or the
+            # reader's, whoever meets the EOF first — fails what was
+            # still in flight but counts no death and tells no listener.
+            self._worker_died(worker, "worker pool is shut down")
+            worker.reader.join(timeout=1.0)
         if self._monitor is not None:
             self._monitor.join(timeout=1.0)
 
@@ -456,11 +563,26 @@ class WorkerPool:
                 "spawned": self._spawned,
                 "deaths": self._deaths,
                 "death_listener_errors": self._death_listener_errors,
+                "unmatched_replies": self._unmatched_replies,
                 "workers": [
                     worker.stats() for worker in self._workers.values()
                 ],
                 "wire": self.stats.snapshot(),
             }
+
+
+def _hang_up(sock: socket.socket) -> None:
+    """Close *sock*, first waking every thread blocked on it.
+
+    ``close`` alone leaves a ``recv`` or ``sendall`` already in the
+    kernel asleep; ``shutdown`` ends both with EOF / EPIPE, and reaches
+    the peer even while another fork still holds a copy of the fd.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # never connected, or already shut down
+    sock.close()
 
 
 class ProcessExecutionModel(ThreadedExecutionModel):
@@ -469,8 +591,8 @@ class ProcessExecutionModel(ThreadedExecutionModel):
     Mailboxes, timers, fault injection and drain accounting
     are all inherited from :class:`ThreadedExecutionModel` — the bolts
     still run on parent threads; what a process-mode bolt does in its
-    handler is one framed round-trip to its worker instead of local
-    compute.  The pool is created lazily on first use, so a process
+    handler is one request on its worker's pipelined channel instead of
+    local compute.  The pool is created lazily on first use, so a process
     model that only ever runs the broker costs nothing extra.
     """
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+import time
+
 import pytest
 
 from repro.core.cluster import InvaliDBCluster
@@ -23,6 +27,30 @@ class FakeClock:
     def advance(self, seconds: float) -> float:
         self.now += seconds
         return self.now
+
+
+def worker_leftovers() -> list:
+    """Worker processes and channel reader threads still running."""
+    return [
+        child.name for child in multiprocessing.active_children()
+        if child.name.startswith("invalidb-worker-")
+    ] + [
+        thread.name for thread in threading.enumerate()
+        if thread.name.startswith("worker-")
+        and thread.name.endswith("-reader")
+    ]
+
+
+@pytest.fixture(autouse=True)
+def no_orphaned_workers():
+    """Every test shuts down the worker pools it starts: no forked
+    worker and no channel reader outlives the test that made it.  A
+    leak is fixed in the leaking test's teardown, not here."""
+    yield
+    deadline = time.monotonic() + 1.0
+    while worker_leftovers() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert worker_leftovers() == []
 
 
 @pytest.fixture

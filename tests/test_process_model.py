@@ -14,6 +14,8 @@ import json
 import os
 import signal
 import socket
+import sys
+import threading
 import time
 
 import pytest
@@ -21,12 +23,14 @@ import pytest
 from repro.core.cluster import InvaliDBCluster
 from repro.core.config import InvaliDBConfig
 from repro.core.server import AppServer
-from repro.errors import ClusterConfigError
+from repro.errors import ClusterConfigError, WorkerDiedError
 from repro.event.broker import Broker
+from repro.event.wire import MSG_BATCH, MSG_REPLY, recv_frame, send_frame
 from repro.obs.export import to_json, to_prometheus
 from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
-from repro.runtime.process import WorkerPool
+from repro.runtime.process import RemoteCellError, WorkerPool, _Worker
 from repro.types import MatchType
+from tests.conftest import worker_leftovers
 
 pytestmark = pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(socket, "AF_UNIX")),
@@ -310,6 +314,218 @@ class EchoCellSpec:
 
     def handle_batch(self, tuples):
         return {"echo": len(tuples)}
+
+
+class TokenEchoCellSpec(EchoCellSpec):
+    """Echoes the batch back: a caller can tell its reply from any other."""
+
+    def handle_batch(self, tuples):
+        return {"tokens": [item["token"] for item in tuples]}
+
+
+class SleepingCellSpec(EchoCellSpec):
+    """Holds the worker long enough for the other callers to queue up."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def handle_batch(self, tuples):
+        time.sleep(self.seconds)
+        return super().handle_batch(tuples)
+
+
+class PickyCellSpec(EchoCellSpec):
+    def handle_batch(self, tuples):
+        if tuples[0].get("poison"):
+            raise ValueError("poisoned batch")
+        time.sleep(0.05)
+        return super().handle_batch(tuples)
+
+
+class Callers:
+    """Each zero-argument call on its own thread, started at once."""
+
+    def __init__(self, calls):
+        self.outcomes = [None] * len(calls)
+        self.threads = [
+            threading.Thread(target=self._run, args=(i, call), daemon=True)
+            for i, call in enumerate(calls)
+        ]
+        for thread in self.threads:
+            thread.start()
+
+    def _run(self, i, call):
+        try:
+            self.outcomes[i] = ("ok", call())
+        except Exception as exc:  # noqa: BLE001 - the outcome under test
+            self.outcomes[i] = ("raised", exc)
+
+    def join(self, timeout=10.0):
+        """Per-call ``("ok", value)`` / ``("raised", exception)`` in call
+        order; fails if a caller is still blocked after *timeout*."""
+        deadline = time.monotonic() + timeout
+        for thread in self.threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not any(t.is_alive() for t in self.threads), self.outcomes
+        return self.outcomes
+
+
+class StubProcess:
+    """Stands in for the forked process of a hand-driven ``_Worker``."""
+
+    pid = 0
+
+
+class TestPipelinedChannel:
+    """One socket, many requests in flight: the reader thread hands each
+    reply to the caller whose request id it carries."""
+
+    def test_concurrent_callers_get_their_own_replies(self):
+        pool = WorkerPool(worker_processes=1)
+        try:
+            cells = [pool.lease(f"echo-{i}", TokenEchoCellSpec())
+                     for i in range(4)]
+            assert len({cell.pid for cell in cells}) == 1
+
+            def caller(t):
+                def call():
+                    cell = cells[t % 4]
+                    for n in range(200):
+                        token = f"{t}:{n}"
+                        reply = cell.request_batch([{"token": token}])
+                        assert reply == {"tokens": [token]}, (token, reply)
+                    return 200
+                return call
+
+            # More callers than cores and a short switch interval: a
+            # reply handed to the wrong latch fails a caller's assert.
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                outcomes = Callers([caller(t) for t in range(8)]).join(30.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert outcomes == [("ok", 200)] * 8
+            snap = pool.snapshot()
+            assert snap["unmatched_replies"] == 0
+            (worker,) = snap["workers"]
+            assert worker["in_flight"] == 0
+            assert worker["requests"] == 4 + 8 * 200
+        finally:
+            pool.shutdown()
+
+    def test_replies_in_reverse_order_and_an_unknown_id(self):
+        near, far = socket.socketpair()
+        far.settimeout(5.0)
+        pool = WorkerPool(worker_processes=1)
+        worker = _Worker(0, StubProcess(), near)
+        pool._start_reader(worker)
+        try:
+            callers = Callers([
+                lambda: pool._request(worker, MSG_BATCH, 1, b"first"),
+                lambda: pool._request(worker, MSG_BATCH, 1, b"second"),
+            ])
+            frames = [recv_frame(far), recv_frame(far)]
+            assert sorted(f[3] for f in frames) == [b"first", b"second"]
+            assert worker.stats()["in_flight"] == 2
+            # A reply nobody asked for, then the real ones, last first.
+            send_frame(far, MSG_REPLY, 1, 2 ** 31, b"stray")
+            for _, cell_id, request_id, payload in reversed(frames):
+                send_frame(far, MSG_REPLY, cell_id, request_id,
+                           b"re:" + payload)
+            assert callers.join(5.0) == [("ok", b"re:first"),
+                                         ("ok", b"re:second")]
+            assert pool.snapshot()["unmatched_replies"] == 1
+            assert worker.stats()["in_flight"] == 0
+            assert worker.stats()["in_flight_high_water"] == 2
+        finally:
+            far.close()
+            worker.reader.join(timeout=5.0)
+        # The far end hanging up is a death like any other.
+        assert not worker.reader.is_alive()
+        assert not worker.alive
+        with pytest.raises(WorkerDiedError):
+            pool._request(worker, MSG_BATCH, 1, b"late")
+
+    def test_requests_overlap_in_one_worker(self):
+        pool = WorkerPool(worker_processes=1)
+        try:
+            cell = pool.lease("sleepy", SleepingCellSpec(0.1))
+            outcomes = Callers(
+                [lambda: cell.request_batch([{"n": 1}])] * 4
+            ).join()
+            assert outcomes == [("ok", {"echo": 1})] * 4
+            (worker,) = pool.snapshot()["workers"]
+            assert worker["in_flight_high_water"] >= 2
+            assert worker["in_flight"] == 0
+        finally:
+            pool.shutdown()
+
+    def test_error_reply_raises_in_its_caller_only(self):
+        pool = WorkerPool(worker_processes=1)
+        try:
+            cell = pool.lease("picky", PickyCellSpec())
+            outcomes = Callers([
+                lambda: cell.request_batch([{"n": 1}]),
+                lambda: cell.request_batch([{"poison": True}]),
+                lambda: cell.request_batch([{"n": 1}, {"n": 2}]),
+            ]).join()
+            assert outcomes[0] == ("ok", {"echo": 1})
+            assert outcomes[2] == ("ok", {"echo": 2})
+            status, error = outcomes[1]
+            assert status == "raised"
+            assert isinstance(error, RemoteCellError)
+            assert "poisoned batch" in str(error)
+            # The worker survived its handler's error.
+            assert cell.alive
+            assert cell.request_batch([{"n": 1}]) == {"echo": 1}
+        finally:
+            pool.shutdown()
+
+
+class TestDeathInFlight:
+    """kill -9 with requests on the wire: nobody is left waiting."""
+
+    def test_every_blocked_caller_raises_and_the_slot_respawns(self):
+        pool = WorkerPool(worker_processes=1)
+        heard = []
+        pool.add_death_listener(
+            lambda name, pid, reason: heard.append(name))
+        try:
+            sleepy = pool.lease("sleepy", SleepingCellSpec(30.0))
+            pool.lease("bystander", EchoCellSpec())
+            victim = sleepy.pid
+            callers = Callers(
+                [lambda: sleepy.request_batch([{"n": 1}])] * 3)
+            assert wait_for(
+                lambda: pool.snapshot()["workers"][0]["in_flight"] == 3)
+            os.kill(victim, signal.SIGKILL)
+            outcomes = callers.join(2.0)
+            assert [status for status, _ in outcomes] == ["raised"] * 3
+            assert all(isinstance(error, WorkerDiedError)
+                       for _, error in outcomes), outcomes
+            # Reader EOF and the sentinel monitor both saw the death;
+            # each hosted cell is reported once.
+            assert wait_for(lambda: len(heard) == 2)
+            time.sleep(0.3)  # a second report would land within a poll
+            assert sorted(heard) == ["bystander", "sleepy"]
+            snap = pool.snapshot()
+            assert snap["deaths"] == 1
+            assert snap["workers"][0]["in_flight"] == 0
+            with pytest.raises(WorkerDiedError):
+                sleepy.request_batch([{"n": 1}])
+
+            # Re-leasing respawns the slot with a reader of its own.
+            fresh = pool.lease("sleepy", EchoCellSpec())
+            assert fresh.pid != victim
+            assert fresh.request_batch([{"n": 1}]) == {"echo": 1}
+            assert worker_leftovers() == ["invalidb-worker-0",
+                                          "worker-0-reader"]
+            assert pool.snapshot()["spawned"] == 2
+        finally:
+            pool.shutdown()
+        assert worker_leftovers() == []
+        assert pool.snapshot()["deaths"] == 1  # shutdown is not a death
 
 
 class TestProcessChaos:

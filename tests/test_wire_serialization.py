@@ -207,3 +207,97 @@ class TestBinaryCodec:
         batched = len(codec.encode_batch(envelopes))
         singles = sum(len(codec.encode(e)) for e in envelopes)
         assert batched < 0.8 * singles
+
+
+class TestFrameBounds:
+    """``recv_frame`` on a hostile stream: always ``FrameError``, never
+    a hang.  The far end stays open in every case except the truncated
+    ones, so a reader that trusted the header would block forever — the
+    socket timeout turns that into a failure instead of a stuck suite."""
+
+    @pytest.fixture
+    def channel(self):
+        import socket
+
+        near, far = socket.socketpair()
+        near.settimeout(2.0)
+        yield near, far
+        near.close()
+        far.close()
+
+    def test_roundtrip(self, channel):
+        from repro.event.wire import MSG_BATCH, recv_frame, send_frame
+
+        near, far = channel
+        assert send_frame(far, MSG_BATCH, 7, 9, b"payload") == 13 + 7
+        assert recv_frame(near) == (MSG_BATCH, 7, 9, b"payload")
+        send_frame(far, MSG_BATCH, 1, 2, b"")
+        assert recv_frame(near) == (MSG_BATCH, 1, 2, b"")
+
+    def test_payload_arriving_in_pieces_is_reassembled(self, channel):
+        from repro.event.wire import FRAME_HEADER, MSG_REPLY, recv_frame
+
+        near, far = channel
+        payload = bytes(range(256)) * 64
+        wire = FRAME_HEADER.pack(MSG_REPLY, 1, 2, len(payload)) + payload
+        for start in range(0, len(wire), 1000):
+            far.sendall(wire[start:start + 1000])
+        assert recv_frame(near) == (MSG_REPLY, 1, 2, payload)
+
+    def test_truncated_header_raises(self, channel):
+        from repro.event.wire import FRAME_HEADER, MSG_REPLY, FrameError, recv_frame
+
+        near, far = channel
+        far.sendall(FRAME_HEADER.pack(MSG_REPLY, 1, 2, 0)[:5])
+        far.close()
+        with pytest.raises(FrameError, match="5/13"):
+            recv_frame(near)
+
+    def test_truncated_body_raises(self, channel):
+        from repro.event.wire import FRAME_HEADER, MSG_REPLY, FrameError, recv_frame
+
+        near, far = channel
+        far.sendall(FRAME_HEADER.pack(MSG_REPLY, 1, 2, 10) + b"short")
+        far.close()
+        with pytest.raises(FrameError, match="5/10"):
+            recv_frame(near)
+
+    @pytest.mark.parametrize("kind", [0, 8, 255])
+    def test_unknown_kind_raises_before_the_body_is_read(self, channel, kind):
+        from repro.event.wire import FRAME_HEADER, FrameError, recv_frame
+
+        near, far = channel
+        # Declares 100 bytes and sends none: only a reader that checks
+        # the kind first comes back.
+        far.sendall(FRAME_HEADER.pack(kind, 1, 2, 100))
+        with pytest.raises(FrameError, match="unknown kind"):
+            recv_frame(near)
+
+    def test_oversized_length_raises_before_the_body_is_read(self, channel):
+        from repro.event.wire import (
+            FRAME_HEADER,
+            MAX_FRAME_BYTES,
+            MSG_REPLY,
+            FrameError,
+            recv_frame,
+        )
+
+        near, far = channel
+        far.sendall(FRAME_HEADER.pack(MSG_REPLY, 1, 2, MAX_FRAME_BYTES + 1))
+        with pytest.raises(FrameError, match="MAX_FRAME_BYTES"):
+            recv_frame(near)
+        far.sendall(FRAME_HEADER.pack(MSG_REPLY, 1, 2, 2 ** 32 - 1))
+        with pytest.raises(FrameError, match="MAX_FRAME_BYTES"):
+            recv_frame(near)
+
+    def test_oversized_payload_is_refused_at_the_sender(self, channel,
+                                                        monkeypatch):
+        from repro.event import wire
+
+        near, far = channel
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 16)
+        with pytest.raises(wire.FrameError, match="MAX_FRAME_BYTES"):
+            wire.send_frame(far, wire.MSG_BATCH, 1, 2, b"x" * 17)
+        # Nothing went out: the channel is still in sync.
+        wire.send_frame(far, wire.MSG_BATCH, 1, 3, b"x" * 16)
+        assert wire.recv_frame(near) == (wire.MSG_BATCH, 1, 3, b"x" * 16)
