@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import InvaliDBConfig
 from repro.core.notifications import (
@@ -411,11 +411,13 @@ class InvaliDBClient:
             return database.collection(name)
         return database
 
-    def _execute(self, query: Query) -> List[Document]:
+    def _execute(self, query: Query) -> Tuple[List[Document], Dict[Any, int]]:
+        """Bootstrap result and its documents' versions, read atomically
+        (a writer may run between any two separate store calls)."""
         import time as _time
 
         started = _time.perf_counter()
-        result = self._collection_for(query.collection).execute(query)
+        result = self._collection_for(query.collection).execute_versioned(query)
         self.bootstrap_latencies.append(_time.perf_counter() - started)
         return result
 
@@ -429,12 +431,6 @@ class InvaliDBClient:
             "average": sum(samples) / len(samples),
             "maximum": max(samples),
         }
-
-    def _versions_for(self, query: Query, documents: List[Document]) -> List[List[Any]]:
-        collection = self._collection_for(query.collection)
-        return [
-            [doc["_id"], collection.version_of(doc["_id"])] for doc in documents
-        ]
 
     # ------------------------------------------------------------------
     # Resilient publishing
@@ -536,7 +532,7 @@ class InvaliDBClient:
         # registered for fan-out *before* the subscribe request goes out,
         # so no change notification can slip past the handle.
         rewritten = query.rewritten_for_subscription(slack)
-        bootstrap = self._execute(rewritten)
+        bootstrap, versions = self._execute(rewritten)
         visible = self._visible_window(query, bootstrap)
         subscription._deliver_initial(
             InitialResult(
@@ -548,20 +544,21 @@ class InvaliDBClient:
         )
         with self._lock:
             self._handles.setdefault(query.query_id, []).append(subscription)
-        self._publish_subscribe(query, bootstrap, slack)
+        self._publish_subscribe(query, bootstrap, versions, slack)
         return subscription
 
     def _activate(self, query: Query, slack: int,
                   renewal: bool = False) -> List[Document]:
         """Execute the rewritten query and send the subscribe request."""
         rewritten = query.rewritten_for_subscription(slack)
-        bootstrap = self._execute(rewritten)
-        self._publish_subscribe(query, bootstrap, slack, renewal=renewal)
+        bootstrap, versions = self._execute(rewritten)
+        self._publish_subscribe(query, bootstrap, versions, slack,
+                                renewal=renewal)
         return bootstrap
 
     def _publish_subscribe(
-        self, query: Query, bootstrap: List[Document], slack: int,
-        renewal: bool = False,
+        self, query: Query, bootstrap: List[Document],
+        versions: Dict[Any, int], slack: int, renewal: bool = False,
     ) -> None:
         message = {
             "kind": "subscribe",
@@ -570,7 +567,7 @@ class InvaliDBClient:
             "query_hash": query.hash,
             "query": serialize_query(query),
             "bootstrap": bootstrap,
-            "versions": self._versions_for(query, bootstrap),
+            "versions": [[key, version] for key, version in versions.items()],
             "slack": slack,
             "renewal": renewal,
         }

@@ -449,8 +449,12 @@ class InvaliDBCluster:
             "sorting", _GridBolt(self, "sorting"),
             parallelism=self.config.sorting_nodes,
         )
-        builder.connect("query-ingestion", "matching", CustomGrouping(route_query))
+        # Sorting before matching: a subscribe must sit in the sorting
+        # task's FIFO before any matching cell can register it and send
+        # replayed or live events for the fresh window — events that
+        # overtake the bootstrap are discarded by the re-registration.
         builder.connect("query-ingestion", "sorting", FieldsGrouping("query_id"))
+        builder.connect("query-ingestion", "matching", CustomGrouping(route_query))
         builder.connect("write-ingestion", "matching", CustomGrouping(route_write))
         builder.connect("matching", "sorting", FieldsGrouping("query_id"))
         return LocalRuntime(

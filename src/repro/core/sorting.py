@@ -23,11 +23,13 @@ above the horizon.  Consequences:
 * when the window outgrows its capacity it is truncated and the
   horizon moves up, keeping per-query memory bounded.
 
-Each window keeps a key→entry map plus a bisect-ordered parallel
-sort-key list, locates an entry's old and new positions in O(log W)
-comparisons, and derives the exact ``add``/``remove``/``change``/
-``changeIndex`` stream from positional arithmetic on the offset/limit
-window boundaries — no linear scans, no full-window snapshots.
+Each window keeps a key→entry map plus a bisect-ordered parallel list
+of native sort keys (plain tuples, ``query/sortspec.py``), locates an
+entry's old and new positions with ``bisect_left`` — O(log W)
+comparisons, all in C — and derives the exact ``add``/``remove``/
+``change``/``changeIndex`` stream from positional arithmetic on the
+offset/limit window boundaries — no linear scans, no full-window
+snapshots.
 
 An event changes window membership by at most three entries (the
 written item plus one entry crossing each window boundary), so the
@@ -39,6 +41,7 @@ them one by one arrives at the new window.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -75,8 +78,10 @@ class _SortedQueryState:
         #: Sort key of the worst-ranked item we have full knowledge down
         #: to; only meaningful when ``complete`` is False.
         self.horizon: Optional[Tuple[Any, ...]] = None
-        #: Sort-key comparisons spent maintaining this window — the
-        #: per-event work metric behind sort.window_ops.
+        #: Probe depth spent maintaining this window: each bisect counts
+        #: ``len(keys).bit_length()`` (its worst-case comparisons, a
+        #: function of the window size alone), each horizon test 1 —
+        #: the per-event work metric behind sort.window_ops.
         self.comparisons = 0
         # A parallel, bisect-ordered list of sort keys (positions in
         # O(log W)) and a key→entry map (membership in O(1)).
@@ -123,19 +128,10 @@ class _SortedQueryState:
     # ------------------------------------------------------------------
 
     def _bisect(self, sort_key: Tuple[Any, ...]) -> int:
-        """Leftmost insertion point of *sort_key*, counting comparisons."""
+        """Leftmost insertion point of *sort_key*, counting the probe."""
         keys = self._sort_keys
-        lo, hi = 0, len(keys)
-        steps = 0
-        while lo < hi:
-            mid = (lo + hi) // 2
-            steps += 1
-            if keys[mid] < sort_key:
-                lo = mid + 1
-            else:
-                hi = mid
-        self.comparisons += steps
-        return lo
+        self.comparisons += len(keys).bit_length()
+        return bisect_left(keys, sort_key)
 
     def _insert_at(self, position: int, entry: _Entry) -> None:
         self.entries.insert(position, entry)
@@ -435,8 +431,9 @@ class SortingNode:
         self.events_processed = 0
         #: Maintenance errors emitted (each doubles as a renewal request).
         self.renewals_requested = 0
-        #: Sort-key comparisons spent on window maintenance (summed over
-        #: events; the per-event distribution is sort.window_ops).
+        #: Probe depth spent on window maintenance (summed over events,
+        #: see ``_SortedQueryState.comparisons``; the per-event
+        #: distribution is sort.window_ops).
         self.window_comparisons = 0
         #: Match events dropped because the originating write's latency
         #: budget expired in flight (deadline shedding).
@@ -529,21 +526,24 @@ class SortingNode:
             changes = state.apply_upsert(
                 event.key, event.document, event.version, event.timestamp
             )
+        # Counted before the error path returns: the event that causes a
+        # renewal probed the window too.
+        probes = state.comparisons - comparisons_before
+        self.window_comparisons += probes
+        # Distribution shape only: sample 1-in-16 events, phase-locked
+        # to the exact events_processed counter for determinism.
+        sampled = (self.events_processed & 15) == 1
+        if sampled:
+            self._window_ops_hist.record(probes)
         if changes is None:
             # Unmaintainable — the state was NOT mutated, so its current
             # window is the last valid one; store it for renewal deltas.
             self._last_visible[event.query_id] = state.visible()
             return [self._maintenance_error(state, event)]
-        self.window_comparisons += state.comparisons - comparisons_before
-        # Distribution shape only: sample 1-in-16 events, phase-locked
-        # to the exact events_processed counter for determinism.
-        if (self.events_processed & 15) == 1:
+        if sampled:
             slack = state.current_slack()
             if slack is not None:
                 self._slack_hist.record(slack)
-            self._window_ops_hist.record(
-                state.comparisons - comparisons_before
-            )
         return changes
 
     def _maintenance_error(

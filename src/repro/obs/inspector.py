@@ -289,7 +289,8 @@ def render(snapshot: Dict[str, Any]) -> str:
             for node in sorting
         ]
         sections.append("sorting stage\n" + _table(
-            ["node", "qp", "queries", "events", "renewals", "cmps"], rows,
+            ["node", "qp", "queries", "events", "renewals", "probe depth"],
+            rows,
         ))
 
     mailboxes = snapshot.get("mailboxes", [])

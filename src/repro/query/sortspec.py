@@ -5,17 +5,24 @@ according to database semantics" (Section 5.3) and notes that the
 sorting key must be unambiguous, so the prototype "adds the primary key
 as final attribute to the sorting key".  This module implements both:
 
-* :func:`value_sort_key` — a total order over JSON values following the
-  BSON type-bracket ordering used by MongoDB
-  (null < numbers < strings < objects < arrays < booleans; within the
-  numbers NaN sorts below every other number and equals only NaN);
+* :func:`compare_values` — the one executable definition of the total
+  order over JSON values, following the BSON type-bracket ordering used
+  by MongoDB (null < numbers < strings < objects < arrays < booleans;
+  within the numbers NaN sorts below every other number and equals
+  only NaN);
+* :func:`value_sort_key` — the same order compiled into a native key: a
+  plain tuple ``(bracket, payload…)`` that CPython compares in C, so
+  every ``sorted``/``bisect`` over keys runs without a Python-level
+  comparator (``tests/test_native_sort_keys.py`` pins the keys to
+  :func:`compare_values`);
 * :class:`SortSpec` — a multi-attribute sort specification with
-  ascending/descending directions and an implicit primary-key tiebreak.
+  ascending/descending directions and an implicit primary-key tiebreak;
+  its ``key()`` is the tuple of the fields' native keys.
 """
 
 from __future__ import annotations
 
-import functools
+import operator
 from typing import Any, Dict, Iterable, List, Sequence, Tuple, Union
 
 from repro.errors import SortSpecError
@@ -33,6 +40,7 @@ _TYPE_ARRAY = 5
 _TYPE_BOOL = 6
 
 _MISSING = object()
+_FIELD_NAME = operator.itemgetter(0)
 
 
 def type_bracket(value: Any) -> int:
@@ -90,8 +98,8 @@ def compare_values(a: Any, b: Any) -> int:
         return (len(a) > len(b)) - (len(a) < len(b))
     # Objects: compare by ordered (key, value) pairs, like BSON does by
     # field order; we canonicalize to sorted key order for determinism.
-    items_a = sorted(a.items(), key=lambda kv: kv[0])
-    items_b = sorted(b.items(), key=lambda kv: kv[0])
+    items_a = sorted(a.items(), key=_FIELD_NAME)
+    items_b = sorted(b.items(), key=_FIELD_NAME)
     for (key_a, val_a), (key_b, val_b) in zip(items_a, items_b):
         if key_a != key_b:
             return -1 if key_a < key_b else 1
@@ -101,47 +109,80 @@ def compare_values(a: Any, b: Any) -> int:
     return (len(items_a) > len(items_b)) - (len(items_a) < len(items_b))
 
 
-@functools.total_ordering
-class _OrderedValue:
-    """Wrap a JSON value so it sorts under :func:`compare_values`."""
+class _Descending:
+    """Invert the order of one non-numeric payload (descending fields).
 
-    __slots__ = ("value",)
+    Numbers, booleans and the brackets themselves are negated instead,
+    so only strings, objects and arrays of a descending field pay for a
+    Python-level comparison.
+    """
 
-    def __init__(self, value: Any):
-        self.value = value
+    __slots__ = ("payload",)
 
-    def __eq__(self, other: object) -> bool:
-        return compare_values(self.value, other.value) == 0  # type: ignore[attr-defined]
-
-    def __lt__(self, other: object) -> bool:
-        return compare_values(self.value, other.value) < 0  # type: ignore[attr-defined]
-
-    def __repr__(self) -> str:
-        return f"_OrderedValue({self.value!r})"
-
-
-@functools.total_ordering
-class _ReversedValue:
-    """Like :class:`_OrderedValue` but with inverted order (descending)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any):
-        self.value = value
+    def __init__(self, payload: Any):
+        self.payload = payload
 
     def __eq__(self, other: object) -> bool:
-        return compare_values(self.value, other.value) == 0  # type: ignore[attr-defined]
+        return self.payload == other.payload  # type: ignore[attr-defined]
 
-    def __lt__(self, other: object) -> bool:
-        return compare_values(self.value, other.value) > 0  # type: ignore[attr-defined]
+    def __lt__(self, other: "_Descending") -> bool:
+        return self.payload > other.payload
+
+    def __le__(self, other: "_Descending") -> bool:
+        return self.payload >= other.payload
+
+    def __gt__(self, other: "_Descending") -> bool:
+        return self.payload < other.payload
+
+    def __ge__(self, other: "_Descending") -> bool:
+        return self.payload <= other.payload
 
     def __repr__(self) -> str:
-        return f"_ReversedValue({self.value!r})"
+        return f"_Descending({self.payload!r})"
 
 
-def value_sort_key(value: Any) -> _OrderedValue:
-    """Return a sort key object for a single JSON value (ascending)."""
-    return _OrderedValue(value)
+def value_sort_key(value: Any, direction: int = 1) -> Tuple[Any, ...]:
+    """Return the native sort key of one JSON value.
+
+    The key is a plain tuple ``(bracket, payload…)`` that CPython
+    compares in C and that orders exactly like :func:`compare_values`:
+    missing ``(0,)``, null ``(1,)``, numbers ``(2, 1, x)`` with NaN
+    ``(2, 0, 0)``, strings ``(3, s)``, objects ``(4, ((k, key(v)), …))``
+    in sorted key order, arrays ``(5, (key(e), …))``, booleans
+    ``(6, b)``.  The number itself is kept (never coerced to float), so
+    integers beyond 2**53 keep their order next to floats.
+
+    With ``direction=-1`` the bracket, numbers and booleans are negated
+    (``(-2, -1, -x)``) and every other payload is wrapped in
+    :class:`_Descending`; nested keys stay ascending under the wrapper.
+    """
+    kind = type(value)
+    if kind is float or kind is int:
+        bracket = _TYPE_NUMBER
+    elif kind is str:
+        bracket = _TYPE_STRING
+    else:
+        bracket = type_bracket(value)
+    if bracket == _TYPE_NUMBER:
+        if value != value:
+            return (bracket * direction, 0, 0)
+        return (bracket * direction, direction, value * direction)
+    if bracket == _TYPE_STRING:
+        payload: Any = value
+    elif bracket == _TYPE_OBJECT:
+        payload = tuple(
+            (name, value_sort_key(member))
+            for name, member in sorted(value.items(), key=_FIELD_NAME)
+        )
+    elif bracket == _TYPE_ARRAY:
+        payload = tuple(value_sort_key(element) for element in value)
+    elif bracket == _TYPE_BOOL:
+        return (bracket * direction, value * direction)
+    else:
+        return (bracket * direction,)
+    if direction == 1:
+        return (bracket, payload)
+    return (-bracket, _Descending(payload))
 
 
 def resolve_simple_path(document: Document, path: str) -> Any:
@@ -178,7 +219,7 @@ SortInput = Union[
 # same normalized field tuple.  The sorting stage calls ``key()`` once
 # per window event, so the extractor pre-splits each dotted path (and
 # pre-parses numeric steps) exactly once per distinct spec instead of
-# on every call, and binds the direction's wrapper class up front.
+# on every call.
 _EXTRACTOR_CACHE: Dict[Tuple[Tuple[str, int], ...], Any] = {}
 
 
@@ -189,12 +230,11 @@ def _compile_extractor(fields: Tuple[Tuple[str, int], ...]):
             (part, int(part) if part.isdigit() else None)
             for part in path.split(".")
         )
-        wrapper = _OrderedValue if direction == 1 else _ReversedValue
-        plan.append((steps, wrapper))
+        plan.append((steps, direction))
 
     def extract(document: Document) -> Tuple[Any, ...]:
         parts: List[Any] = []
-        for steps, wrapper in plan:
+        for steps, direction in plan:
             current: Any = document
             for part, index in steps:
                 if isinstance(current, dict):
@@ -207,7 +247,7 @@ def _compile_extractor(fields: Tuple[Tuple[str, int], ...]):
                         continue
                 current = _MISSING
                 break
-            parts.append(wrapper(current))
+            parts.append(value_sort_key(current, direction))
         return tuple(parts)
 
     return extract
@@ -271,9 +311,10 @@ class SortSpec:
         """Return the composite sort key of *document*.
 
         Delegates to the precompiled extractor shared across all specs
-        with the same normalized field tuple (paths pre-split, wrapper
-        classes pre-bound) — semantics identical to resolving each path
-        with :func:`resolve_simple_path` and wrapping per direction.
+        with the same normalized field tuple (paths pre-split) —
+        semantics identical to resolving each path with
+        :func:`resolve_simple_path` and taking :func:`value_sort_key`
+        in the field's direction.
         """
         return self._extractor(document)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import (
     DocumentNotFoundError,
@@ -257,6 +257,20 @@ class Collection:
         return self.find(
             query.filter_doc, sort=query.sort, skip=query.offset, limit=query.limit
         )
+
+    def execute_versioned(
+        self, query: Query
+    ) -> Tuple[List[Document], Dict[Any, int]]:
+        """:meth:`execute` plus the version of every returned document,
+        read in one critical section.  A bootstrap labelled with a
+        version newer than its content makes the cluster discard that
+        very write as already known."""
+        with self._lock:
+            documents = self.execute(query)
+            return documents, {
+                doc["_id"]: self._versions.get(doc["_id"], 0)
+                for doc in documents
+            }
 
     def explain(self, filter_doc: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         """Describe how ``find`` would execute *filter_doc*.

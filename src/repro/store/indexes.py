@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 from typing import Any, Dict, List, Set, Tuple
 
-from repro.query.sortspec import compare_values, value_sort_key
+from repro.query.sortspec import value_sort_key
 from repro.store.documents import get_path
 from repro.types import Document
 
@@ -91,7 +91,7 @@ class OrderedIndex:
 
     def __init__(self, path: str):
         self.path = path
-        # Parallel sorted lists: wrapped sort keys and (value, pk) payloads.
+        # Parallel sorted lists: native sort keys and (value, pk) payloads.
         self._sort_keys: List[Any] = []
         self._entries: List[Tuple[Any, Any]] = []
 
@@ -100,13 +100,8 @@ class OrderedIndex:
         if value is _ABSENT:
             return
         sort_key = value_sort_key(value)
-        position = bisect.bisect_left(self._sort_keys, sort_key)
-        # Advance past equal values to keep insertion stable.
-        while (
-            position < len(self._sort_keys)
-            and compare_values(self._entries[position][0], value) == 0
-        ):
-            position += 1
+        # Right of every equal value: insertion stays stable.
+        position = bisect.bisect_right(self._sort_keys, sort_key)
         self._sort_keys.insert(position, sort_key)
         self._entries.insert(position, (value, key))
 
@@ -115,16 +110,13 @@ class OrderedIndex:
         if value is _ABSENT:
             return
         sort_key = value_sort_key(value)
-        position = bisect.bisect_left(self._sort_keys, sort_key)
-        while position < len(self._entries):
-            entry_value, entry_key = self._entries[position]
-            if compare_values(entry_value, value) != 0:
-                break
-            if entry_key == key:
+        start = bisect.bisect_left(self._sort_keys, sort_key)
+        end = bisect.bisect_right(self._sort_keys, sort_key, start)
+        for position in range(start, end):
+            if self._entries[position][1] == key:
                 del self._sort_keys[position]
                 del self._entries[position]
                 return
-            position += 1
 
     def range(
         self,
@@ -138,32 +130,35 @@ class OrderedIndex:
         The scan is restricted to the operand's type bracket, matching
         the query engine's comparison semantics.
         """
+        keys = self._sort_keys
+        # A native key starts with its value's type bracket.
+        bracket = None
         start = 0
         if lower is not _ABSENT:
             key = value_sort_key(lower)
+            bracket = key[0]
             start = (
-                bisect.bisect_left(self._sort_keys, key)
+                bisect.bisect_left(keys, key)
                 if include_lower
-                else bisect.bisect_right(self._sort_keys, key)
+                else bisect.bisect_right(keys, key)
             )
-        end = len(self._entries)
+        end = len(keys)
         if upper is not _ABSENT:
             key = value_sort_key(upper)
+            if bracket is None:
+                bracket = key[0]
             end = (
-                bisect.bisect_right(self._sort_keys, key)
+                bisect.bisect_right(keys, key)
                 if include_upper
-                else bisect.bisect_left(self._sort_keys, key)
+                else bisect.bisect_left(keys, key)
             )
-        result: Set[Any] = set()
-        bound = lower if lower is not _ABSENT else upper
-        from repro.query.sortspec import type_bracket
-
-        bracket = None if bound is _ABSENT else type_bracket(bound)
-        for value, primary_key in self._entries[start:end]:
-            if bracket is not None and type_bracket(value) != bracket:
-                continue
-            result.add(primary_key)
-        return result
+        return {
+            primary_key
+            for sort_key, (_, primary_key) in zip(
+                keys[start:end], self._entries[start:end]
+            )
+            if bracket is None or sort_key[0] == bracket
+        }
 
     def __len__(self) -> int:
         return len(self._entries)

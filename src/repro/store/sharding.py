@@ -16,7 +16,7 @@ write-ingestion re-partitions the union of all shard streams.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.partitioning import stable_hash
 from repro.query.engine import MongoQueryEngine, Query
@@ -86,6 +86,11 @@ class ShardedCollection:
         partials: List[Document] = []
         for shard in self.shards:
             partials.extend(shard.find(filter_doc, sort=None))
+        return self._merge(partials, sort, skip, limit)
+
+    @staticmethod
+    def _merge(partials: List[Document], sort: Optional[SortInput],
+               skip: int, limit: Optional[int]) -> List[Document]:
         if sort is not None:
             partials = SortSpec.coerce(sort).sort(partials)
         if skip:
@@ -98,6 +103,22 @@ class ShardedCollection:
         return self.find(
             query.filter_doc, sort=query.sort, skip=query.offset, limit=query.limit
         )
+
+    def execute_versioned(
+        self, query: Query
+    ) -> Tuple[List[Document], Dict[Any, int]]:
+        """:meth:`execute` plus each returned document's version; every
+        shard reads its documents and their versions atomically (see
+        :meth:`Collection.execute_versioned`)."""
+        unsorted = Query(query.filter_doc, collection=query.collection)
+        partials: List[Document] = []
+        versions: Dict[Any, int] = {}
+        for shard in self.shards:
+            documents, shard_versions = shard.execute_versioned(unsorted)
+            partials.extend(documents)
+            versions.update(shard_versions)
+        merged = self._merge(partials, query.sort, query.offset, query.limit)
+        return merged, {doc["_id"]: versions[doc["_id"]] for doc in merged}
 
     def count(self, filter_doc: Optional[Dict[str, Any]] = None) -> int:
         return sum(shard.count(filter_doc) for shard in self.shards)

@@ -29,7 +29,7 @@ from repro.runtime.execution import (
     resolve_execution_model,
 )
 from repro.runtime.faults import FaultInjector
-from repro.stream.topology import Bolt, ComponentSpec, Topology
+from repro.stream.topology import Bolt, ComponentSpec, Grouping, Topology
 
 #: Signature of a crash listener: (component, task_index, reason).
 CrashListener = "Callable[[str, int, str], None]"
@@ -76,11 +76,21 @@ class _Task:
         # Emission buffer, populated only while a batch is in flight on
         # this task's (single) worker; flushed grouped by destination.
         self._out: Optional[List[Any]] = None
+        #: (grouping, target tasks) per out-edge, resolved by attach().
+        self._routes: List[Tuple[Grouping, List["_Task"]]] = []
         self._custom_batch = (
             type(self.component).process_batch is not Bolt.process_batch
         )
 
     def attach(self, model: ExecutionModel) -> None:
+        # The topology is immutable and the runtime's task lists are
+        # never rebound (a restart swaps the component inside its task),
+        # so the out-edges resolve once.
+        tasks = self.runtime._tasks
+        self._routes = [
+            (edge.grouping, tasks[edge.target])
+            for edge in self.runtime.topology.outgoing(self.spec.name)
+        ]
         self.component.prepare(
             self.task_index, self.spec.parallelism, self._emit
         )
@@ -89,10 +99,8 @@ class _Task:
     # -- emission (routing resolved eagerly, delivery batched) ----------
 
     def _emit(self, tuple_: Mapping[str, Any]) -> None:
-        runtime = self.runtime
-        for edge in runtime.topology.outgoing(self.spec.name):
-            targets = runtime._tasks[edge.target]
-            for index in edge.grouping.select(tuple_, len(targets)):
+        for grouping, targets in self._routes:
+            for index in grouping.select(tuple_, len(targets)):
                 destination = targets[index]
                 if self._out is not None:
                     self._out.append((destination, tuple_))
@@ -104,15 +112,15 @@ class _Task:
         if not out:
             return
         grouped: Dict[int, List[Any]] = {}
-        order: List["_Task"] = []
         for destination, tuple_ in out:
-            bucket = grouped.setdefault(id(destination), [])
-            if not bucket:
-                order.append(destination)
-            bucket.append(tuple_)
-        for destination in order:
-            if destination.mailbox is not None:
-                destination.mailbox.put_many(grouped[id(destination)])
+            grouped.setdefault(id(destination), []).append(tuple_)
+        # Edge declaration order: the whole batch reaches an earlier
+        # edge's tasks before any task of a later edge can react to it.
+        for _, targets in self._routes:
+            for destination in targets:
+                batch = grouped.pop(id(destination), None)
+                if batch and destination.mailbox is not None:
+                    destination.mailbox.put_many(batch)
 
     # -- bolt path -------------------------------------------------------
 

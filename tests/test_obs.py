@@ -426,7 +426,7 @@ class TestInspector:
         assert "end-to-end" in text and "filter" in text
         assert "faults.injected" in text
         assert "supervisor.restarts" in text
-        assert "cmps" in text and "42" in text
+        assert "probe depth" in text and "42" in text
         assert "cluster.notifications_coalesced" in text
         # Pruned 16 of 24 candidate evaluations.
         assert "66.67" in text

@@ -113,6 +113,54 @@ class TestConcurrentWrites:
             thread.join()
         assert torn == []
 
+    @pytest.mark.parametrize("make", [
+        lambda: Collection("boot"),
+        lambda: ShardedCollection("boot", shards=3),
+    ], ids=["collection", "sharded"])
+    def test_bootstrap_documents_and_versions_are_read_atomically(self, make):
+        """Every document counts its own writes in ``n``, so ``n`` must
+        equal the version reported next to it.  ``execute`` followed by
+        ``version_of`` lets a writer in between: a bootstrap labelled
+        with a version newer than its content makes the cluster drop
+        that very write as already known."""
+        import time
+
+        from repro.query.engine import Query
+
+        collection = make()
+        for key in range(20):
+            collection.insert({"_id": key, "n": 1})
+        query = Query({}, collection="boot", sort=[("n", -1)], limit=15)
+        stop = threading.Event()
+        mislabelled = []
+
+        def writer():
+            key = 0
+            while not stop.is_set():
+                collection.update(key % 20, {"$inc": {"n": 1}})
+                key += 1
+
+        def reader():
+            while not stop.is_set():
+                documents, versions = collection.execute_versioned(query)
+                if len(documents) != 15:
+                    mislabelled.append(("short result", len(documents)))
+                mislabelled.extend(
+                    doc for doc in documents if doc["n"] != versions[doc["_id"]]
+                )
+
+        threads = [threading.Thread(target=writer),
+                   threading.Thread(target=reader),
+                   threading.Thread(target=reader)]
+        for thread in threads:
+            thread.start()
+        time.sleep(0.3)
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=5)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mislabelled == []
+
     def test_concurrent_delete_update_race_is_safe(self):
         collection = Collection("race")
         for index in range(100):

@@ -204,6 +204,42 @@ class TestRuntime:
             with pytest.raises(Exception):
                 runtime.inject("nope", {})
 
+    def test_a_batch_reaches_earlier_edges_first(self):
+        """A flushed batch is put into the mailboxes in edge declaration
+        order — the cluster declares query-ingestion -> sorting before
+        query-ingestion -> matching so that no matching cell can react to
+        a subscribe the sorting task has not queued yet.  First-appearance
+        order would hand ``late[0]`` both tuples before ``early[1]`` got
+        its own."""
+        puts: List[Any] = []
+
+        class RecordingMailbox:
+            def __init__(self, name):
+                self.name = name
+
+            def put_many(self, items):
+                puts.append((self.name, len(items)))
+
+            def close(self, drain=True):
+                pass
+
+        topology = (
+            TopologyBuilder()
+            .add_bolt("source", ForwardBolt())
+            .add_bolt("early", CollectorBolt(), parallelism=2)
+            .add_bolt("late", CollectorBolt())
+            .connect("source", "early", CustomGrouping(lambda t, n: [t["to"]]))
+            .connect("source", "late", CustomGrouping(lambda t, n: [0]))
+            .build()
+        )
+        with LocalRuntime(topology) as runtime:
+            for name in ("early", "late"):
+                for task in runtime._tasks[name]:
+                    task.mailbox.close()
+                    task.mailbox = RecordingMailbox(task.name)
+            runtime._tasks["source"][0]._handle_batch([{"to": 0}, {"to": 1}])
+        assert puts == [("early[0]", 1), ("early[1]", 1), ("late[0]", 2)]
+
     def test_multi_hop_pipeline(self):
         topology = (
             TopologyBuilder()
