@@ -1,7 +1,6 @@
 """The InvaliDB cluster: ingestion nodes + the 2D matching grid.
 
-Wires the filtering and sorting stages onto the Storm-like substrate
-(:mod:`repro.stream`) and connects them to the event layer
+Connects the grid (:mod:`repro.core.grid`) to the event layer
 (:mod:`repro.event`), reproducing Figure 2 of the paper:
 
 * **query ingestion** (stateless): receives subscription / cancellation
@@ -19,9 +18,10 @@ Wires the filtering and sorting stages onto the Storm-like substrate
 * **sorting**: sorted queries partitioned by query ID across
   :class:`~repro.core.remote.SortingCell` tasks.
 
-Both grid roles run behind one :class:`_GridBolt`; the stage loop lives
-in the cell, which the bolt hosts in its own thread or leases from the
-worker pool under the process execution model.
+The stage loop lives in the cell; the cluster builds each cell here
+(:meth:`InvaliDBCluster._host_cell`) or leases it from the worker pool
+under the process execution model, and the grid task hosting it routes
+what it produces.
 
 The cluster is multi-tenant: it tracks which application servers
 subscribed to which query and fans change notifications out to each of
@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import InvaliDBConfig
 from repro.core.filtering import FilteringNode
+from repro.core.grid import Grid
 from repro.core.notifications import (
     ChangeEnvelope,
     QueryChange,
@@ -60,7 +61,6 @@ from repro.core.remote import (  # wire forms re-exported for callers
 from repro.core.retention import RetentionBuffer
 from repro.core.subscriptions import QueryRegistration
 from repro.core.supervisor import NodeSupervisor
-from repro.errors import WorkerDiedError
 from repro.event.broker import Broker
 from repro.event.channels import notification_channel, query_channel, write_channel
 from repro.event.wire import WireStats
@@ -71,113 +71,12 @@ from repro.obs.tracing import DELIVER, begin_span, fork
 from repro.query.shared import share_ratio
 from repro.runtime.execution import build_execution_model
 from repro.runtime.process import ProcessExecutionModel
-from repro.stream.topology import Bolt, CustomGrouping, FieldsGrouping, TopologyBuilder
-from repro.stream.runtime import LocalRuntime
 
 
 #: Fraction of notifications that must arrive within
 #: ``slo_latency_target``; the error budget burn rates divide by is
 #: ``1 - _SLO_OBJECTIVE``.
 _SLO_OBJECTIVE = 0.99
-
-
-class _QueryIngestionBolt(Bolt):
-    """Stateless: resolve partitions, stamp routing fields, forward."""
-
-    def __init__(self, cluster: "InvaliDBCluster"):
-        self.cluster = cluster
-
-    def clone(self) -> "_QueryIngestionBolt":
-        return _QueryIngestionBolt(self.cluster)
-
-    def process(self, tuple_: Dict[str, Any]) -> None:
-        query_hash = tuple_["query_hash"]
-        qp = self.cluster.scheme.query_partition_of(query_hash)
-        kind = tuple_["kind"]
-        if kind == "subscribe":
-            self.cluster._register(tuple_)
-        elif kind == "cancel":
-            if not tuple_.get("force") and not self.cluster._cancel(tuple_):
-                return  # other app servers still subscribed: keep active
-        elif kind == "ttl":
-            self.cluster._extend_ttl(tuple_)
-            return  # pure bookkeeping, nothing flows to the grid
-        forwarded = dict(tuple_)
-        forwarded["query_partition"] = qp
-        self.emit(forwarded)
-
-
-class _WriteIngestionBolt(Bolt):
-    """Stateless: resolve the write partition from the primary key."""
-
-    def __init__(self, cluster: "InvaliDBCluster"):
-        self.cluster = cluster
-
-    def clone(self) -> "_WriteIngestionBolt":
-        return _WriteIngestionBolt(self.cluster)
-
-    def process(self, tuple_: Dict[str, Any]) -> None:
-        overload = self.cluster.overload
-        if (
-            overload is not None
-            and tuple_.get("kind") == "write"
-            and not overload.admit(tuple_)
-        ):
-            # Rejected at the edge: NOT retained (retention replay must
-            # never resurrect a write the governor pushed back).
-            return
-        wp = self.cluster.scheme.write_partition_of(tuple_["key"])
-        self.cluster._retain_write(wp, tuple_)
-        forwarded = dict(tuple_)
-        forwarded["write_partition"] = wp
-        self.emit(forwarded)
-
-
-class _GridBolt(Bolt):
-    """One grid task: hosts a matching or sorting cell
-    (:mod:`repro.core.remote`), in this thread or leased from the
-    worker pool, and routes what each batch produced — match events to
-    the sorting grid, changes to the notification fan-out.
-
-    Crash semantics under the process model: a request failing with
-    :class:`~repro.errors.WorkerDiedError` (and, independently, the
-    pool's death listener) reports THIS task crashed, so the
-    :class:`NodeSupervisor` restarts it exactly like an in-process
-    crash — a fresh ``prepare`` re-leases the cell into a respawned
-    worker, and re-registration + retained-write replay rebuild it.
-    """
-
-    def __init__(self, cluster: "InvaliDBCluster", role: str):
-        self.cluster = cluster
-        self.role = role
-        self.cell: Any = None
-
-    def clone(self) -> "_GridBolt":
-        return _GridBolt(self.cluster, self.role)
-
-    def prepare(self, task_index: int, parallelism: int, emit: Any) -> None:
-        super().prepare(task_index, parallelism, emit)
-        self.cell = self.cluster._host_cell(self.role, task_index)
-
-    def process(self, tuple_: Dict[str, Any]) -> None:
-        self.process_batch([tuple_])
-
-    def process_batch(self, tuples: List[Dict[str, Any]]) -> None:
-        try:
-            messages, changes, coalesced = self.cell.handle_batch(tuples)
-        except WorkerDiedError as exc:
-            # The pool's death listener fires too; crash_task is
-            # idempotent, so double reporting is harmless.
-            self.cluster._runtime.crash_task(
-                self.role, self.task_index, str(exc)
-            )
-            return
-        if coalesced:
-            self.cluster.notifications_coalesced += coalesced
-        for message in messages:
-            self.emit(message)
-        if changes:
-            self.cluster._publish_changes(changes)
 
 
 class InvaliDBCluster:
@@ -273,7 +172,7 @@ class InvaliDBCluster:
         self.notifications_sent = 0
         #: Notifications coalesced away within dispatch batches (the
         #: fan-out the client never had to see).  Monitoring-grade, like
-        #: notifications_sent: incremented from bolt threads.
+        #: notifications_sent: incremented from grid task threads.
         self.notifications_coalesced = 0
         self.queries_renewed = 0
         #: Recovery state, cluster level (survives any one node's
@@ -285,7 +184,7 @@ class InvaliDBCluster:
             wp: RetentionBuffer(self.config.retention_seconds)
             for wp in range(self.scheme.write_partitions)
         }
-        self._runtime = self._build_runtime()
+        self.grid = Grid(self)
         if self._process_mode:
             # A dying worker orphans every cell it hosted; report each
             # as a crashed grid task so supervised recovery rebuilds
@@ -332,7 +231,7 @@ class InvaliDBCluster:
             flight.add_context("slo", self.slo.summary)
 
     # ------------------------------------------------------------------
-    # Topology wiring
+    # Grid cells
     # ------------------------------------------------------------------
 
     def _cell_spec(self, role: str, task_index: int) -> Tuple[Any, Optional[int]]:
@@ -404,7 +303,7 @@ class InvaliDBCluster:
         except ValueError:  # pragma: no cover - foreign cell name
             return
         if role in ("matching", "sorting"):
-            self._runtime.crash_task(
+            self.grid.crash(
                 role, task_index, f"worker pid {pid} died: {reason}"
             )
         # One dump per dead worker, not per orphaned cell (a worker may
@@ -413,62 +312,12 @@ class InvaliDBCluster:
             self._dumped_worker_pids.add(pid)
             self.flight.dump("worker-death")
 
-    def _build_runtime(self) -> LocalRuntime:
-        scheme = self.scheme
-
-        def route_query(tuple_: Dict[str, Any], parallelism: int) -> List[int]:
-            qp = tuple_["query_partition"]
-            return [
-                qp * scheme.write_partitions + wp
-                for wp in range(scheme.write_partitions)
-            ]
-
-        def route_write(tuple_: Dict[str, Any], parallelism: int) -> List[int]:
-            wp = tuple_["write_partition"]
-            return [
-                qp * scheme.write_partitions + wp
-                for qp in range(scheme.query_partitions)
-            ]
-
-        builder = TopologyBuilder()
-        builder.add_bolt(
-            "query-ingestion",
-            _QueryIngestionBolt(self),
-            parallelism=self.config.query_ingestion_nodes,
-        )
-        builder.add_bolt(
-            "write-ingestion",
-            _WriteIngestionBolt(self),
-            parallelism=self.config.write_ingestion_nodes,
-        )
-        builder.add_bolt(
-            "matching", _GridBolt(self, "matching"),
-            parallelism=scheme.node_count,
-        )
-        builder.add_bolt(
-            "sorting", _GridBolt(self, "sorting"),
-            parallelism=self.config.sorting_nodes,
-        )
-        # Sorting before matching: a subscribe must sit in the sorting
-        # task's FIFO before any matching cell can register it and send
-        # replayed or live events for the fresh window — events that
-        # overtake the bootstrap are discarded by the re-registration.
-        builder.connect("query-ingestion", "sorting", FieldsGrouping("query_id"))
-        builder.connect("query-ingestion", "matching", CustomGrouping(route_query))
-        builder.connect("write-ingestion", "matching", CustomGrouping(route_write))
-        builder.connect("matching", "sorting", FieldsGrouping("query_id"))
-        return LocalRuntime(
-            builder.build(),
-            execution=self._execution,
-            error_threshold=self.config.crash_error_threshold or None,
-        )
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     def start(self) -> "InvaliDBCluster":
-        self._runtime.start()
+        self.grid.start()
         self._subscriptions.append(
             self.broker.subscribe(write_channel(self.tenant), self._on_write_message)
         )
@@ -500,7 +349,7 @@ class InvaliDBCluster:
         for subscription in self._subscriptions:
             subscription.close()
         self._subscriptions.clear()
-        self._runtime.stop()
+        self.grid.stop()
         if self._owns_execution:
             self._execution.shutdown()
         if self._heartbeat_thread is not None:
@@ -513,7 +362,7 @@ class InvaliDBCluster:
         self.stop()
 
     def drain(self, timeout: float = 5.0) -> bool:
-        """Wait until broker and topology queues are empty (for tests).
+        """Wait until broker and grid queues are empty (for tests).
 
         When the cluster shares the broker's execution model (the
         default) both calls drain the same substrate, so one round
@@ -525,11 +374,11 @@ class InvaliDBCluster:
         until a full round stays quiet."""
         if self.broker.execution is self._execution:
             ok = self.broker.drain(timeout)
-            return self._runtime.drain(timeout) and ok
+            return self._execution.drain(timeout) and ok
         ok = True
         for _ in range(4):
             ok = self.broker.drain(timeout)
-            ok = self._runtime.drain(timeout) and ok
+            ok = self._execution.drain(timeout) and ok
         return ok
 
     # ------------------------------------------------------------------
@@ -537,14 +386,28 @@ class InvaliDBCluster:
     # ------------------------------------------------------------------
 
     def _on_write_message(self, channel: str, payload: Dict[str, Any]) -> None:
-        self._runtime.inject("write-ingestion", payload)
+        self.grid.inject("write-ingestion", payload)
 
     def _on_query_message(self, channel: str, payload: Dict[str, Any]) -> None:
-        self._runtime.inject("query-ingestion", payload)
+        self.grid.inject("query-ingestion", payload)
 
     # ------------------------------------------------------------------
-    # Registration bookkeeping (thread-safe, called from ingestion bolts)
+    # Registration bookkeeping (thread-safe, called from ingestion tasks)
     # ------------------------------------------------------------------
+
+    def _query_request(self, tuple_: Dict[str, Any]) -> bool:
+        """Apply one query request to the registry; True when it flows on
+        to the grid (a subscribe, a cancel that deactivates the query)."""
+        kind = tuple_["kind"]
+        if kind == "subscribe":
+            self._register(tuple_)
+        elif kind == "cancel":
+            # Other app servers still subscribed: the query stays active.
+            return bool(tuple_.get("force")) or self._cancel(tuple_)
+        elif kind == "ttl":
+            self._extend_ttl(tuple_)
+            return False  # pure bookkeeping
+        return True
 
     def _register(self, tuple_: Dict[str, Any]) -> None:
         now = self.config.clock()
@@ -610,7 +473,7 @@ class InvaliDBCluster:
                     self._wires.pop(query_id, None)
                     deactivated.append((query_id, registration.query.hash))
         for query_id, query_hash in deactivated:
-            self._runtime.inject(
+            self.grid.inject(
                 "query-ingestion",
                 {"kind": "cancel", "query_id": query_id,
                  "query_hash": query_hash, "app_server": "__reaper__",
@@ -926,6 +789,8 @@ class InvaliDBCluster:
                 "enqueued": box.get("enqueued", 0),
                 "processed": box.get("handled", box.get("dequeued", 0)),
                 "dropped": box.get("dropped", 0),
+                "high_water": box.get("high_water", 0),
+                "batches": box.get("batches", 0),
             }
             for name, box in sorted(
                 execution_stats.get("mailboxes", {}).items()
@@ -960,7 +825,7 @@ class InvaliDBCluster:
             "telemetry": self.telemetry.snapshot(),
             "faults": faults,
             "supervisor": self.supervisor.stats(),
-            "runtime": self._runtime.stats(),
+            "runtime": self.grid.stats(),
         }
         snap["flight"] = self.flight.snapshot()
         if self.slo is not None:

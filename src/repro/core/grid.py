@@ -1,0 +1,249 @@
+"""The cluster's grid: one execution-model mailbox per task (Figure 2).
+
+The paper runs InvaliDB on Storm purely for partitioned dataflow
+(Section 5.4), and the grid is static: every hop is a hash.  A grid
+task is a name, a mailbox from the cluster's
+:class:`~repro.runtime.execution.ExecutionModel` and crash state; each
+role (``query-ingestion``, ``write-ingestion``, ``matching``,
+``sorting``) routes its output with :mod:`repro.core.partitioning`.
+DESIGN.md §6 has the flush order and the failure and crash semantics.
+"""
+
+from __future__ import annotations
+
+import itertools
+import time
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+
+from repro.core.partitioning import sorting_task_of
+from repro.errors import WorkerDiedError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.cluster import InvaliDBCluster
+
+#: Emission buffer of one batch: flush rank -> tuples for that task.
+_Out = Dict[int, List[Any]]
+
+
+@dataclass
+class _Task:
+    """One grid task: its mailbox, its cell (grid roles) and crash state."""
+
+    role: str
+    index: int
+    name: str
+    mailbox: Any = None
+    cell: Any = None
+    crashed: bool = False
+    consecutive_errors: int = 0
+    failed: int = 0
+    dropped_while_crashed: int = 0
+    restarts: int = 0
+
+
+class Grid:
+    """Ingestion, matching and sorting tasks of one cluster."""
+
+    def __init__(self, cluster: "InvaliDBCluster"):
+        self.cluster = cluster
+        self._execution = cluster._execution
+        config, scheme = cluster.config, cluster.scheme
+        #: ``(role, task_index, reason)`` once per crash: the supervisor.
+        self.crash_listener: Optional[Callable[[str, int, str], None]] = None
+        #: Listener calls that raised (the supervisor never heard of it).
+        self.crash_listener_errors = 0
+        # Task order is mailbox creation order, on which the inline
+        # scheduler's seeded service order and the lease order depend.
+        self._tasks: Dict[str, List[_Task]] = {
+            role: [_Task(role, i, f"{role}[{i}]") for i in range(count)]
+            for role, count in (
+                ("query-ingestion", config.query_ingestion_nodes),
+                ("write-ingestion", config.write_ingestion_nodes),
+                ("matching", scheme.node_count),
+                ("sorting", config.sorting_nodes),
+            )
+        }
+        # Flush ranks: sorting tasks 0..S-1, then matching cells S...
+        self._downstream = self._tasks["sorting"] + self._tasks["matching"]
+        self._sorting_nodes = sorting_nodes = config.sorting_nodes
+        self._rows = [[sorting_nodes + i for i in scheme.row_tasks(qp)]
+                      for qp in range(scheme.query_partitions)]
+        self._columns = [[sorting_nodes + i for i in scheme.column_tasks(wp)]
+                         for wp in range(scheme.write_partitions)]
+        self._round_robin = {role: itertools.count() for role in self._tasks}
+        self._started = self._stopped = False
+
+    def start(self) -> None:
+        runs = {"query-ingestion": self._tuples(self._ingest_query),
+                "write-ingestion": self._tuples(self._ingest_write)}
+        for role, tasks in self._tasks.items():
+            for task in tasks:
+                if role in ("matching", "sorting"):
+                    task.cell = self.cluster._host_cell(role, task.index)
+                run = runs.get(role, self._run_cell)
+                task.mailbox = self._execution.mailbox(
+                    task.name, self._handler(task, run)
+                )
+        self._started = True
+
+    def stop(self, timeout: float = 2.0) -> None:
+        """Process what is queued, then wait for the task workers."""
+        if not self._started or self._stopped:
+            return
+        self._stopped = True
+        boxes = [task.mailbox for tasks in self._tasks.values() for task in tasks]
+        for box in boxes:
+            box.close(drain=True)
+        deadline = time.monotonic() + timeout
+        for join in filter(None, (getattr(box, "join", None) for box in boxes)):
+            join(timeout=max(0.0, deadline - time.monotonic()))
+
+    def inject(self, role: str, payload: Dict[str, Any],
+               task: Optional[int] = None, direct: bool = False) -> None:
+        """Push *payload* into task *task* of *role*, else the one its
+        integer ``__task__`` field names, else the next round-robin.
+        ``direct=True`` bypasses fault injection (recovery traffic)."""
+        tasks = self._tasks[role]
+        if task is None:
+            pinned = payload.get("__task__")
+            task = pinned if isinstance(pinned, int) else (
+                0 if len(tasks) == 1 else next(self._round_robin[role]))
+        mailbox = tasks[task % len(tasks)].mailbox
+        if mailbox is not None:  # started
+            (mailbox.put_direct if direct else mailbox.put)(payload)
+
+    def _handler(self, task: _Task, run: Callable[[_Task, List[Any], _Out], None]):
+        """*task*'s mailbox handler: crash faults, *run*, then the flush."""
+
+        def process(batch: List[Any]) -> None:
+            out: _Out = {}
+            try:
+                run(task, batch, out)
+            finally:
+                for rank in sorted(out):
+                    self._downstream[rank].mailbox.put_many(out[rank])
+
+        def handle(batch: List[Any]) -> None:
+            if task.crashed:
+                task.dropped_while_crashed += len(batch)
+                return
+            injector = self._execution.fault_injector
+            if injector is not None:
+                # Crash faults fire per tuple: the prefix before the
+                # crash point is still processed (the node died
+                # mid-stream), the rest is lost with the task.
+                for position in range(len(batch)):
+                    if injector.crashes_task(task.name):
+                        if position:
+                            process(batch[:position])
+                        task.dropped_while_crashed += len(batch) - position
+                        self.crash(task.role, task.index, "injected crash")
+                        return
+            process(batch)
+
+        return handle
+
+    def _tuples(self, step: Callable[[Dict[str, Any], _Out], None]):
+        """An ingestion run: *step* per tuple, failures isolated per tuple."""
+
+        def run(task: _Task, batch: List[Any], out: _Out) -> None:
+            for tuple_ in batch:
+                if task.crashed:
+                    task.dropped_while_crashed += 1
+                    continue
+                try:
+                    step(tuple_, out)
+                    task.consecutive_errors = 0
+                except Exception as exc:  # noqa: BLE001 - one tuple
+                    self._fail(task, exc)
+
+        return run
+
+    def _ingest_query(self, tuple_: Dict[str, Any], out: _Out) -> None:
+        qp = self.cluster.scheme.query_partition_of(tuple_["query_hash"])
+        if not self.cluster._query_request(tuple_):
+            return
+        forwarded = dict(tuple_, query_partition=qp)
+        sorting = sorting_task_of(forwarded.get("query_id"), self._sorting_nodes)
+        for rank in [sorting] + self._rows[qp]:
+            out.setdefault(rank, []).append(forwarded)
+
+    def _ingest_write(self, tuple_: Dict[str, Any], out: _Out) -> None:
+        cluster = self.cluster
+        overload = cluster.overload
+        if (overload is not None and tuple_.get("kind") == "write"
+                and not overload.admit(tuple_)):
+            # Rejected at the edge: NOT retained (retention replay must
+            # never resurrect a write the governor pushed back).
+            return
+        wp = cluster.scheme.write_partition_of(tuple_["key"])
+        cluster._retain_write(wp, tuple_)
+        forwarded = dict(tuple_, write_partition=wp)
+        for rank in self._columns[wp]:
+            out.setdefault(rank, []).append(forwarded)
+
+    def _run_cell(self, task: _Task, batch: List[Any], out: _Out) -> None:
+        """A cell takes the whole batch in one call: a failure loses it."""
+        cluster = self.cluster
+        try:
+            messages, changes, coalesced = task.cell.handle_batch(batch)
+            if coalesced:
+                cluster.notifications_coalesced += coalesced
+            for message in messages:
+                rank = sorting_task_of(message.get("query_id"), self._sorting_nodes)
+                out.setdefault(rank, []).append(message)
+            if changes:
+                cluster._publish_changes(changes)
+            task.consecutive_errors = 0
+        except WorkerDiedError as exc:
+            # The pool's death listener fires too; a crash is idempotent.
+            self.crash(task.role, task.index, str(exc))
+        except Exception as exc:  # noqa: BLE001 - one batch
+            self._fail(task, exc)
+
+    def _fail(self, task: _Task, exc: Exception) -> None:
+        """Count and record one failure, never the tuple it hit."""
+        task.failed += 1
+        task.consecutive_errors += 1
+        self.cluster.flight.record("task-failure", component=task.role,
+                                   task=task.index, error=repr(exc))
+        threshold = self.cluster.config.crash_error_threshold
+        if threshold and task.consecutive_errors >= threshold:
+            # Poisoned: supervised recovery replaces retry-forever.
+            self.crash(task.role, task.index, f"poisoned: "
+                       f"{task.consecutive_errors} consecutive handler errors")
+
+    def crash(self, role: str, index: int, reason: str = "killed") -> None:
+        """Kill one task (worker death, poisoning, crash faults, tests)."""
+        task = self._tasks[role][index]
+        if task.crashed:
+            return
+        task.crashed = True
+        listener = self.crash_listener
+        if listener is not None:
+            try:
+                listener(task.role, task.index, reason)
+            except Exception:  # noqa: BLE001 - a broken supervisor must
+                # not take the task's worker down with it.
+                self.crash_listener_errors += 1
+
+    def restart(self, role: str, index: int) -> None:
+        """Serve a crashed task again: same mailbox (and backlog), a cell
+        re-hosted empty — the supervisor rebuilds its state."""
+        task = self._tasks[role][index]
+        if task.cell is not None:
+            task.cell = self.cluster._host_cell(role, index)
+        task.crashed = False
+        task.consecutive_errors = 0
+        task.restarts += 1
+
+    def stats(self) -> Dict[str, Any]:
+        """Per-role task counters (queues: ``snapshot()["mailboxes"]``)."""
+        counters = ("failed", "crashed", "restarts", "dropped_while_crashed")
+        return {
+            "components": {role: {"tasks": len(tasks), **{
+                name: sum(getattr(task, name) for task in tasks) for name in counters
+            }} for role, tasks in self._tasks.items()},
+            "crash_listener_errors": self.crash_listener_errors,
+        }

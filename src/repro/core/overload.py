@@ -240,7 +240,7 @@ class OverloadController:
     Owned by :class:`~repro.core.cluster.InvaliDBCluster` when
     ``overload_control`` is on.  Hot-path entry points:
 
-    * :meth:`admit` — called by the write-ingestion bolts per write;
+    * :meth:`admit` — called by the write-ingestion tasks per write;
       enforces the admission budget only while the cluster state is
       ``overloaded`` and pushes rejected envelopes back to their
       origin's notification channel with a retry-after hint.

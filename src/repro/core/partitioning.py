@@ -68,6 +68,13 @@ def _canonical_bytes(value: Any) -> bytes:
     return b"r:" + repr(value).encode()
 
 
+def sorting_task_of(query_id: Any, sorting_nodes: int) -> int:
+    """The sorting task that owns a query: sorted queries are
+    partitioned across the sorting stage by query ID alone, so every
+    match event of one query meets its window in one task."""
+    return stable_hash((query_id,)) % sorting_nodes
+
+
 @dataclass(frozen=True)
 class NodeCoordinates:
     """The grid position of one matching node."""
@@ -119,6 +126,17 @@ class PartitioningScheme:
         """All nodes an after-image is delivered to (one per QP)."""
         wp = self.write_partition_of(primary_key)
         return [NodeCoordinates(qp, wp) for qp in range(self.query_partitions)]
+
+    def row_tasks(self, query_partition: int) -> range:
+        """Task indices of one query partition's row: where a
+        subscription is broadcast (see :meth:`task_index`)."""
+        start = query_partition * self.write_partitions
+        return range(start, start + self.write_partitions)
+
+    def column_tasks(self, write_partition: int) -> range:
+        """Task indices of one write partition's column: where an
+        after-image is delivered."""
+        return range(write_partition, self.node_count, self.write_partitions)
 
     # -- enumeration -----------------------------------------------------------
 

@@ -3,7 +3,7 @@
 A matching node is defined by its coordinates (one query partition x
 one write partition, Section 5.1), not by where it runs.
 :class:`MatchingCell` and :class:`SortingCell` are the only
-implementation of the per-batch stage loop; the cluster's grid bolt
+implementation of the per-batch stage loop; the cluster's grid task
 hosts one either in its own thread (inline / threaded execution) or in
 a forked worker (:class:`~repro.runtime.process.ProcessExecutionModel`).
 

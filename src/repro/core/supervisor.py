@@ -31,6 +31,7 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Any, Dict, Tuple
 
+from repro.core.partitioning import sorting_task_of
 from repro.obs.tracing import PUBLISH, begin_span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -68,7 +69,7 @@ class NodeSupervisor:
         self.gave_up = 0
 
     def attach(self) -> "NodeSupervisor":
-        self.cluster._runtime.set_crash_listener(self.on_crash)
+        self.cluster.grid.crash_listener = self.on_crash
         return self
 
     # ------------------------------------------------------------------
@@ -108,8 +109,7 @@ class NodeSupervisor:
         key = (component, task_index)
         with self._lock:
             self._pending.pop(key, None)
-        runtime = self.cluster._runtime
-        runtime.restart_task(component, task_index)
+        self.cluster.grid.restart(component, task_index)
         with self._lock:
             self.restarts += 1
         if component == "matching":
@@ -153,8 +153,8 @@ class NodeSupervisor:
                 continue
             payload = dict(wire)
             payload["query_partition"] = qp
-            payload["__task__"] = task_index
-            cluster._runtime.inject("matching", payload, direct=True)
+            cluster.grid.inject("matching", payload, task=task_index,
+                                direct=True)
             with self._lock:
                 self.reregistered_queries += 1
         # Retained writes are re-serialized from after-images, so the
@@ -165,7 +165,6 @@ class NodeSupervisor:
         for payload in cluster._retained_writes(wp):
             replayed = dict(payload)
             replayed["write_partition"] = wp
-            replayed["__task__"] = task_index
             if tracer is not None:
                 now = cluster.telemetry.now()
                 trace = tracer.start("write", payload.get("key"), now,
@@ -173,7 +172,8 @@ class NodeSupervisor:
                 if trace is not None:
                     begin_span(trace, PUBLISH, now)
                     replayed["trace"] = trace
-            cluster._runtime.inject("matching", replayed, direct=True)
+            cluster.grid.inject("matching", replayed, task=task_index,
+                                direct=True)
             with self._lock:
                 self.replayed_writes += 1
 
@@ -188,18 +188,14 @@ class NodeSupervisor:
         triggers client-side query renewal (footnote 5).
         """
         cluster = self.cluster
-        from repro.stream.topology import FieldsGrouping
-
-        grouping = FieldsGrouping("query_id")
-        parallelism = cluster.config.sorting_nodes
+        sorting_nodes = cluster.config.sorting_nodes
         for wire in cluster._subscribe_wires():
             if wire.get("query", {}).get("sort") is None:
                 continue
-            if task_index not in grouping.select(wire, parallelism):
+            if sorting_task_of(wire.get("query_id"), sorting_nodes) != task_index:
                 continue
-            payload = dict(wire)
-            payload["__task__"] = task_index
-            cluster._runtime.inject("sorting", payload, direct=True)
+            cluster.grid.inject("sorting", dict(wire), task=task_index,
+                                direct=True)
             with self._lock:
                 self.reregistered_queries += 1
 

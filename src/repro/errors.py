@@ -3,8 +3,8 @@
 Every error raised by this library derives from :class:`ReproError`, so
 callers can catch a single base class at integration boundaries.  The
 hierarchy mirrors the subsystem layout: query parsing and evaluation,
-document storage, the event layer, the stream-processing substrate, and
-the InvaliDB core itself.
+document storage, the event layer, the execution substrate, and the
+InvaliDB core itself.
 """
 
 from __future__ import annotations
@@ -137,40 +137,15 @@ class InjectedFaultError(ExecutionError):
 class WorkerDiedError(ExecutionError):
     """A worker process died (or its channel broke) mid-conversation.
 
-    Under the process execution model this is the moral equivalent of
-    :class:`TaskCrashedError`: the owning bolt reports the grid cell
-    crashed, and supervised recovery rebuilds it in a fresh worker.
+    Under the process execution model the grid task hosting the cell
+    reports itself crashed, and supervised recovery rebuilds the cell in
+    a fresh worker.
     """
 
     def __init__(self, worker: str, reason: str):
         super().__init__(f"worker {worker} died: {reason}")
         self.worker = worker
         self.reason = reason
-
-
-class TaskCrashedError(ExecutionError):
-    """A topology task died (injected crash or poisoning threshold)."""
-
-    def __init__(self, component: str, task_index: int, reason: str):
-        super().__init__(
-            f"task {component}[{task_index}] crashed: {reason}"
-        )
-        self.component = component
-        self.task_index = task_index
-        self.reason = reason
-
-
-# ---------------------------------------------------------------------------
-# Stream substrate errors
-# ---------------------------------------------------------------------------
-
-
-class TopologyError(ReproError):
-    """A topology definition is invalid (unknown component, bad grouping)."""
-
-
-class RuntimeStateError(ReproError):
-    """A runtime operation happened in the wrong lifecycle state."""
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ with two implementations:
   ``time.sleep``.
 
 Terminology: a **mailbox** is a named FIFO plus a batch handler (a
-broker dispatcher, one bolt task).  Both models keep that FIFO in the
+broker dispatcher, one grid task).  Both models keep that FIFO in the
 same :class:`~repro.runtime.queues.BoundedQueue` — capacity, overflow
 policy, counters and telemetry sampling exist once; the models differ
 only in who services it.  Work is *pushed*, as the paper's event layer
@@ -167,7 +167,7 @@ class ExecutionModel(abc.ABC):
         self.config = config if config is not None else ExecutionConfig()
         #: Optional chaos hook: when set, undelayed mailbox deliveries
         #: consult it for drop/duplicate/delay/corrupt decisions.  The
-        #: broker and the topology runtime read this attribute too (for
+        #: broker and the cluster's grid read this attribute too (for
         #: channel faults and task crashes), so attaching one injector
         #: here covers the whole pipeline.
         self.fault_injector: Optional[FaultInjector] = (
@@ -175,7 +175,7 @@ class ExecutionModel(abc.ABC):
             if self.config.fault_plan is not None else None
         )
         #: Observability hook, plumbed exactly like the fault injector:
-        #: the broker, the topology runtime and the grid stages all read
+        #: the broker, the cluster and the grid stages all read
         #: ``execution.telemetry`` for their metric handles.  Defaults
         #: to the shared no-op so uninstrumented runs pay one attribute
         #: load per instrumentation point.
@@ -411,7 +411,7 @@ class _ThreadedMailbox(_QueueMailbox):
                 self.handled += len(batch)
             except Exception:  # noqa: BLE001 - a bad handler must never
                 # take down its worker; failures are the handler's to
-                # record (the topology runtime does), this is backstop.
+                # record (the cluster's grid does), this is backstop.
                 self.handler_errors += 1
             finally:
                 self._model._note_done(len(batch))

@@ -7,7 +7,7 @@ failures it claims to mask.  This module provides the chaos half of
 that proof: a :class:`FaultPlan` describes *which* messages fail *how*,
 and the resulting :class:`FaultInjector` is plugged into the execution
 models (per-mailbox faults), the broker (per-channel faults) and the
-topology runtime (task crashes).
+cluster's grid tasks (task crashes).
 
 Fault taxonomy
 --------------
@@ -21,7 +21,7 @@ Fault taxonomy
                ``(0, delay]`` — messages overtake each other
 ``corrupt``    one top-level field of the payload is destroyed
 ``crash``      the receiving *task* dies mid-stream (checked by the
-               topology runtime before processing the tuple)
+               grid task before processing the tuple)
 ``error``      the operation raises :class:`~repro.errors.
                InjectedFaultError` at the call site (``Broker.publish``)
                — this is what exercises client-side retry

@@ -1,7 +1,7 @@
 """Process-per-partition execution: grid cells in worker processes.
 
 :class:`ProcessExecutionModel` extends the threaded substrate — the
-broker, ingestion bolts, timers and crash signaling all stay in the
+broker, ingestion tasks, timers and crash signaling all stay in the
 parent, exactly as before — but the grid's *compute* (matching and
 sorting cells) moves into forked worker processes reached through
 framed duplex sockets (:mod:`repro.event.wire`).  That is the paper's
@@ -28,7 +28,7 @@ The seam is the :class:`WorkerPool`:
   has its next batch queued.
 * A monitor thread watches process sentinels: a worker that dies — a
   crash, or ``kill -9`` in the chaos suite — fires the pool's death
-  listeners with every cell it hosted, and the owning bolts report
+  listeners with every cell it hosted, and the owning grid tasks report
   those cells crashed so :class:`~repro.core.supervisor.NodeSupervisor`
   restarts them exactly like an in-process crash.  The replacement
   lease respawns a fresh worker for the slot.
@@ -589,8 +589,8 @@ class ProcessExecutionModel(ThreadedExecutionModel):
     """Threaded substrate + a worker pool hosting the grid's cells.
 
     Mailboxes, timers, fault injection and drain accounting
-    are all inherited from :class:`ThreadedExecutionModel` — the bolts
-    still run on parent threads; what a process-mode bolt does in its
+    are all inherited from :class:`ThreadedExecutionModel` — the grid
+    tasks still run on parent threads; what a process-mode task does in its
     handler is one request on its worker's pipelined channel instead of
     local compute.  The pool is created lazily on first use, so a process
     model that only ever runs the broker costs nothing extra.

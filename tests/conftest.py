@@ -108,7 +108,7 @@ def app_server_factory(broker):
 
 def settle(cluster: InvaliDBCluster, broker: Broker, rounds: int = 3,
            timeout: float = 5.0) -> None:
-    """Wait until messages stopped flowing through broker and topology.
+    """Wait until messages stopped flowing through broker and grid.
 
     One drain is not enough because deliveries can enqueue follow-up
     messages (broker -> ingestion -> matching -> broker); alternating a

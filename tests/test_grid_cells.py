@@ -6,7 +6,7 @@ drives the same tuple batches through a local cell and through the seam
 — parent-side :class:`LeasedCell` -> ``BinaryCodec`` batch encode ->
 worker-side lazy decode -> :class:`WorkerCell` -> reply encode ->
 parent decode — and requires the two results to be equal, batch by
-batch, for both roles chained the way the topology chains them.
+batch, for both roles chained the way the grid chains them.
 """
 
 import itertools

@@ -91,7 +91,7 @@ def run_scenario(**config_kwargs):
     (unsorted) query's transcript.  Two normalizations make streams
     comparable: in-batch coalescing is disabled so every substrate
     emits one notification per matching write, and a single write-
-    ingestion bolt preserves end-to-end write order (with the default
+    ingestion task preserves end-to-end write order (with the default
     four, concurrent substrates can reorder a key's update past its
     delete — the versioned-write protocol drops the stale one, which
     keeps results correct but elides a notification).  The transcripts

@@ -10,7 +10,6 @@ from repro.core.sorting import SortingNode
 from repro.errors import ClusterConfigError
 from repro.event.broker import Broker
 from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
-from repro.stream.topology import Bolt, TopologyBuilder
 from repro.types import (
     AfterImage,
     ChangeNotification,
@@ -157,8 +156,6 @@ class TestConfigValidation:
         assert len(fields(ExecutionConfig)) == 8
         with pytest.raises(TypeError):
             ExecutionConfig(wire_codec="binary")
-        with pytest.raises(TypeError):
-            TopologyBuilder().add_bolt("b", Bolt, factory=Bolt)
         broker = Broker(execution=InlineExecutionModel())
         try:
             with pytest.raises(TypeError):
