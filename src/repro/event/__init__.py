@@ -8,10 +8,11 @@ data transmissions with entirely opaque payloads".
 :class:`Broker` provides channels with per-channel FIFO delivery,
 pattern subscriptions, and optional per-message delay injection (used
 by tests to provoke the paper's race conditions and by the simulation
-to model network latency).  Payloads pass through a JSON
-:class:`Codec` so that serialization cost is real, not elided — the
-paper attributes the read/write asymmetry of its results to
-(de)serialization overhead (Section 6.3).
+to model network latency).  Payloads pass through a :class:`Codec`
+(binary by default, JSON on request for debugging) so that
+serialization cost is real, not elided — the paper attributes the
+read/write asymmetry of its results to (de)serialization overhead
+(Section 6.3).
 """
 
 from repro.event.broker import Broker, Subscription

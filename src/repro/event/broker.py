@@ -22,6 +22,13 @@ with virtual-time delays, which makes the paper's two race conditions
 (write-query and write-subscription, Section 5.1) reproducible in tests
 without any timing sleeps.  Artificial delivery delays (global or
 per-channel) skew message arrival either way.
+
+Payloads cross the broker through :class:`~repro.event.wire.BinaryCodec`
+(eager documents) unless a codec is passed: every subscriber gets a
+fresh decoded copy, tuples stay tuples, and nothing walks the payload
+in Python.  ``Broker(codec=JsonCodec())`` is the opt-in debugging
+codec; every payload the system publishes stays JSON-encodable so it
+keeps working.
 """
 
 from __future__ import annotations
@@ -31,8 +38,9 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.errors import BrokerClosedError, InjectedFaultError
-from repro.event.codec import Codec, JsonCodec
+from repro.errors import BrokerClosedError, CodecError, InjectedFaultError
+from repro.event.codec import Codec
+from repro.event.wire import BinaryCodec
 from repro.obs.metrics import NULL_COUNTER
 from repro.runtime.execution import (
     ExecutionConfig,
@@ -66,7 +74,15 @@ class Subscription:
 
 
 class Broker:
-    """The event layer: channels, subscribers, one dispatch mailbox."""
+    """The event layer: channels, subscribers, one dispatch mailbox.
+
+    The default codec is :class:`~repro.event.wire.BinaryCodec`, which
+    is pickle.  That is sound only because a broker is an in-process
+    object: its dispatch mailbox carries nothing but the bytes its own
+    :meth:`publish` produced, and the fault injector acts on the payload
+    *before* it is encoded.  A network-facing edge must not feed it
+    frames.
+    """
 
     def __init__(
         self,
@@ -77,7 +93,7 @@ class Broker:
         execution: Union[None, ExecutionConfig, ExecutionModel] = None,
     ):
         self.name = name
-        self._codec = codec if codec is not None else JsonCodec()
+        self._codec = codec if codec is not None else BinaryCodec()
         self._delivery_delay = delivery_delay
         self._delay_fn = delay_fn
         self._exact: Dict[str, List[Subscription]] = {}
@@ -87,6 +103,7 @@ class Broker:
         self._published = 0
         self._delivered = 0
         self._listener_errors = 0
+        self._decode_errors = 0
         self._execution, self._owns_execution = resolve_execution_model(
             execution
         )
@@ -100,6 +117,7 @@ class Broker:
         self._tel_published = NULL_COUNTER
         self._tel_delivered = NULL_COUNTER
         self._tel_listener_errors = NULL_COUNTER
+        self._tel_decode_errors = NULL_COUNTER
 
     def _tel_counters(self) -> Tuple[Any, Any]:
         telemetry = self._execution.telemetry
@@ -113,6 +131,9 @@ class Broker:
             )
             self._tel_listener_errors = telemetry.counter(
                 "broker.listener_errors", broker=self.name
+            )
+            self._tel_decode_errors = telemetry.counter(
+                "broker.decode_errors", broker=self.name
             )
         return self._tel_published, self._tel_delivered
 
@@ -205,10 +226,23 @@ class Broker:
 
     def _dispatch_batch(self, batch: List[Tuple[str, bytes]]) -> None:
         _, delivered = self._tel_counters()
-        count = errors = 0
+        decode = self._codec.decode
+        count = errors = decode_errors = 0
         for channel, wire in batch:
-            payload = self._codec.decode(wire)
-            for subscription in self._subscribers_for(channel):
+            try:
+                payload = decode(wire)
+            except CodecError:
+                # An undecodable message is lost on its own; the rest of
+                # the batch is still delivered (and counted).
+                decode_errors += 1
+                continue
+            for position, subscription in enumerate(
+                self._subscribers_for(channel)
+            ):
+                if position:
+                    # Every subscriber gets its own copy: one that
+                    # mutates its payload cannot reach another.
+                    payload = decode(wire)
                 try:
                     subscription.listener(channel, payload)
                 except Exception:  # noqa: BLE001 - a bad subscriber must
@@ -218,15 +252,17 @@ class Broker:
                     errors += 1
                 else:
                     count += 1
-        if count or errors:
+        if count or errors or decode_errors:
             # One lock acquisition and one counter bump per batch, not
             # per delivery — this sits under every message in the
             # system.
             with self._lock:
                 self._delivered += count
                 self._listener_errors += errors
+                self._decode_errors += decode_errors
             delivered.inc(count)
             self._tel_listener_errors.inc(errors)
+            self._tel_decode_errors.inc(decode_errors)
 
     def _subscribers_for(self, channel: str) -> List[Subscription]:
         with self._lock:
@@ -256,6 +292,7 @@ class Broker:
                 "published": self._published,
                 "delivered": self._delivered,
                 "listener_errors": self._listener_errors,
+                "decode_errors": self._decode_errors,
             }
         queue = self._mailbox.stats()
         snapshot["queue_depth"] = queue["depth"]

@@ -1,7 +1,8 @@
 """The binary wire layer: framing + the compact grid codec.
 
-Two things live here, both in service of the process-per-partition
-execution model (:mod:`repro.runtime.process`):
+Two things live here, in service of the process-per-partition
+execution model (:mod:`repro.runtime.process`) and — the codec — of the
+in-process event layer (:class:`repro.event.broker.Broker`'s default):
 
 * **Framing** — length-prefixed frames over a duplex stream socket,
   tagged with a message kind, a grid-cell id and a request id (the
@@ -32,8 +33,11 @@ execution model (:mod:`repro.runtime.process`):
     round-trip fidelity (tuples stay tuples, non-string dict keys
     survive — unlike JSON) and no Python-level per-field loop.
 
-Pickle segments are only ever exchanged between a parent and the
-worker processes it forked, never across a trust boundary.
+Pickle segments never cross a trust boundary.  They are exchanged only
+between a parent and the worker processes it forked, and inside one
+process through a :class:`~repro.event.broker.Broker`, whose dispatch
+mailbox carries nothing but the bytes its own ``publish`` encoded.  A
+network-facing edge must not accept pickle frames.
 """
 
 from __future__ import annotations
@@ -355,7 +359,10 @@ class BinaryCodec(Codec):
     batch and back-referenced in a few bytes thereafter.
 
     Trust: segments are pickle — use this codec only on channels
-    between a process and workers it forked, never on untrusted input.
+    between a process and workers it forked, or inside one process (the
+    broker's default: its dispatch mailbox carries only bytes its own
+    ``publish`` encoded, and faults act on the payload before encoding);
+    never on untrusted input.
     """
 
     def __init__(

@@ -309,7 +309,8 @@ class FaultInjector:
     def _corrupt(self, payload: Any) -> Any:
         """Destroy one top-level field of a dict payload (seeded).
 
-        The corruption is wire-safe (still JSON) but semantically wrong
+        The corruption is wire-safe (encodable by every codec, JSON
+        included) but semantically wrong
         — downstream handlers are expected to fail on it, which is what
         exercises the poisoned-task path.
         """

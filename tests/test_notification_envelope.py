@@ -32,6 +32,7 @@ from repro.core.notifications import (
 from repro.core.server import AppServer
 from repro.event.broker import Broker
 from repro.event.channels import notification_channel
+from repro.event.codec import JsonCodec
 from repro.obs.telemetry import Telemetry
 from repro.obs.tracing import trace_of
 from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
@@ -304,6 +305,86 @@ class TestClusterEquivalence:
         assert any(index is not None
                    for *_, index in run["transcripts"]["top"])
         assert run["transcripts"]["shared"] == run["transcripts"]["low"]
+
+
+def run_codec_scenario(seed, codec=None):
+    """Two app servers on a 2x2 grid with slack 1, so deleting from the
+    writer's sorted windows forces renewals (which re-run the query on
+    the writer's store; the reader, with a store of its own, holds
+    unsorted queries only).  Returns every handle's transcript, its
+    result and the pull query it must equal."""
+    model = InlineExecutionModel(ExecutionConfig(mode="inline", seed=seed))
+    broker = Broker(codec=codec, execution=model)
+    config = InvaliDBConfig(
+        query_partitions=2, write_partitions=2, retention_seconds=300.0,
+        clock=SteppingClock(), default_slack=1, renewal_min_interval=0.0,
+    )
+    cluster = InvaliDBCluster(broker, config).start()
+    writer = AppServer("writer", broker, config=config)
+    reader = AppServer("reader", broker, config=config)
+    queries = {
+        "mid": (writer, {"v": {"$gte": 20}}, [], None, 0),
+        "top": (writer, {}, [("v", -1)], 4, 0),
+        "page": (writer, {"v": {"$lt": 60}}, [("v", 1), ("_id", -1)], 3, 2),
+        "shared": (reader, {"v": {"$gte": 20}}, [], None, 0),
+        "tagged": (reader, {"tags": "hot"}, [], None, 0),
+    }
+    try:
+        handles = {
+            name: app.subscribe("items", filter_doc, sort=sort or None,
+                                limit=limit, offset=offset)
+            for name, (app, filter_doc, sort, limit, offset)
+            in queries.items()
+        }
+        assert broker.drain()
+        for i in range(24):
+            writer.insert("items", {"_id": i, "v": (i * 7) % 40,
+                                    "tags": ["hot"] if i % 3 else [],
+                                    "at": {"x": i, "y": [i, -i]}})
+        for i in range(0, 24, 2):
+            writer.update("items", i, {"$set": {"v": i + 40}})
+        for i in (22, 20, 18, 1, 3):
+            writer.delete("items", i)
+        assert broker.drain()
+        find = {
+            name: writer.find("items", filter_doc, sort=sort or None,
+                              skip=offset, limit=limit)
+            for name, (_, filter_doc, sort, limit, offset)
+            in queries.items()
+        }
+        return {
+            "transcripts": {name: transcript(handle)
+                            for name, handle in handles.items()},
+            "results": {name: handle.result()
+                        for name, handle in handles.items()},
+            "find": find,
+            "renewals": (writer.client.renewals_sent
+                         + reader.client.renewals_sent),
+        }
+    finally:
+        writer.close()
+        reader.close()
+        cluster.stop()
+        broker.close()
+        model.shutdown()
+
+
+class TestJsonDebugCodec:
+    def test_json_codec_gives_the_default_codec_transcripts(self):
+        """``Broker(codec=JsonCodec())`` is the opt-in debugging codec:
+        every payload the system publishes must survive it, and it must
+        not change a single notification."""
+        default = run_codec_scenario(5)
+        debug = run_codec_scenario(5, codec=JsonCodec())
+        assert default["renewals"] > 0
+        assert debug["transcripts"] == default["transcripts"]
+        for run in (default, debug):
+            for name in ("top", "page"):
+                assert run["results"][name] == run["find"][name]
+            for name in ("mid", "tagged", "shared"):
+                assert by_id(run["results"][name]) == by_id(
+                    run["find"][name])
+            assert run["transcripts"]["shared"] == run["transcripts"]["mid"]
 
 
 class TestEnvelopeFaults:

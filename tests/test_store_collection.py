@@ -49,6 +49,25 @@ class TestInsert:
         with pytest.raises(InvalidDocumentError):
             collection.insert({"_id": 1, "a.b": 1})
 
+    @pytest.mark.parametrize("document, message", [
+        ({"_id": 1, "a": {"b": [{"ok": 1}, {"$x": 1}]}},
+         "field name '$x' under <root>.a.b[1] must not start with '$'"),
+        ({"_id": 1, "a": {"b": {"c.d": 1}}},
+         "field name 'c.d' under <root>.a.b must not contain '.'"),
+        ({"_id": 1, "a": [[0, {"e": {3: "x"}}]]},
+         "non-string field name 3 under <root>.a[0][1].e"),
+        ({"_id": 1, "a$b": {"c": [1, {2}]}, "$later": 1},
+         "unsupported value type set under <root>.a$b.c[1]"),
+    ])
+    def test_nested_errors_name_the_path(self, collection, document,
+                                         message):
+        """The path is built only when raising; the message is the one
+        a per-field formatted path gave, and the first bad field in
+        document order is the one reported."""
+        with pytest.raises(InvalidDocumentError) as info:
+            collection.insert(document)
+        assert str(info.value) == message
+
     def test_insert_copies_the_document(self, collection):
         source = {"_id": 1, "nested": {"v": 1}}
         collection.insert(source)
