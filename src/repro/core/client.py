@@ -53,7 +53,6 @@ from repro.obs.tracing import (
     PUBLISH,
     begin_span,
     end_span,
-    trace_of,
 )
 from repro.query.engine import Query
 from repro.query.sortspec import SortInput
@@ -647,25 +646,28 @@ class InvaliDBClient:
         the per-message path used to report.
         """
         tel = self.telemetry
+        tracing = tel.enabled
         failure: Optional[Exception] = None
-        for fields in unpack_changes(payload):
+        for (query_id, match_type, key, document, index, old_index, error,
+             timestamp, version, trace) in unpack_changes(payload):
             try:
-                trace = trace_of(fields) if tel.enabled else None
-                fields["trace"] = trace
                 if trace is not None:
-                    tnow = tel.now()
-                    end_span(trace, DELIVER, tnow)
-                    begin_span(trace, MATERIALIZE, tnow)
-                query_id = fields["query_id"]
-                if fields["match_type"] is MatchType.ERROR:
+                    if tracing:
+                        tnow = tel.now()
+                        end_span(trace, DELIVER, tnow)
+                        begin_span(trace, MATERIALIZE, tnow)
+                    else:
+                        trace = None
+                if match_type is MatchType.ERROR:
                     self._handle_maintenance_error(query_id)
                 with self._lock:
                     handles = list(self._handles.get(query_id, ()))
                 for subscription in handles:
                     try:
                         subscription._deliver(ChangeNotification(
-                            subscription_id=subscription.subscription_id,
-                            **fields,
+                            subscription.subscription_id, query_id,
+                            match_type, key, document, index, old_index,
+                            error, False, timestamp, version, trace,
                         ))
                     except Exception:  # noqa: BLE001 - user callback
                         self.callback_errors += 1

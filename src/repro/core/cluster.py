@@ -32,7 +32,7 @@ application servers can detect cluster failure (Section 5).
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.config import InvaliDBConfig
 from repro.core.filtering import FilteringNode
@@ -170,6 +170,10 @@ class InvaliDBCluster:
         self._heartbeat_thread: Optional[threading.Thread] = None
         self._stopping = threading.Event()
         self.notifications_sent = 0
+        #: Notifications (rows per subscriber, one per sorted refresh)
+        #: the broker refused to publish; the other app servers'
+        #: envelopes of the same batch still went out.
+        self.notifications_failed = 0
         #: Notifications coalesced away within dispatch batches (the
         #: fan-out the client never had to see).  Monitoring-grade, like
         #: notifications_sent: incremented from grid task threads.
@@ -542,7 +546,11 @@ class InvaliDBCluster:
         entries: List[Tuple[QueryChange, Optional[Dict[str, Any]]]],
     ) -> None:
         """Publish *entries* as one :class:`ChangeEnvelope` per
-        subscribed app server, rows in entry order."""
+        subscribed app server, rows in entry order.
+
+        Envelopes are isolated per app server (:meth:`_publish_each`);
+        the first failure is re-raised once every envelope went out, so
+        the grid still counts the task failure."""
         slo = self.slo
         if slo is not None:
             for change, _ in entries:
@@ -558,9 +566,9 @@ class InvaliDBCluster:
                 if trace is not None:
                     begin_span(trace, DELIVER, tel.now())
                 branch = trace
-                for position, app_server in enumerate(
-                    registration.app_servers
-                ):
+                # ``servers`` is an immutable snapshot: no per-change
+                # lock or copy.
+                for position, app_server in enumerate(registration.servers):
                     if position and trace is not None:
                         # One branch per subscriber: each delivery is
                         # its own span (and its own completed trace at
@@ -571,31 +579,54 @@ class InvaliDBCluster:
                     if envelope is None:
                         envelope = envelopes[app_server] = ChangeEnvelope()
                     envelope.add(change, branch)
-        for app_server, envelope in envelopes.items():
-            self.broker.publish(
-                notification_channel(app_server), envelope.payload()
-            )
-            # Counts notifications (rows per subscriber), not envelopes.
-            self.notifications_sent += len(envelope.rows)
+        # Counts notifications (rows per subscriber), not envelopes.
+        sent, failure = self._publish_each(
+            (app_server, envelope.payload(), len(envelope.rows))
+            for app_server, envelope in envelopes.items()
+        )
+        self.notifications_sent += sent
+        if failure is not None:
+            raise failure
 
     def _deliver_refresh(self, query_id: str, documents: List[Any]) -> None:
         """Fan one wholesale sorted-window snapshot out to the query's
-        subscribers (the shed replacement for a burst of diffs)."""
+        subscribers (the shed replacement for a burst of diffs).
+
+        Never raises: it runs from :meth:`OverloadController.flush_refresh`
+        once per dirty query, on a timer and during :meth:`stop`, and
+        one failing app server must cost neither the other subscribers
+        nor the other queries their refresh.  A failed refresh is
+        counted in ``notifications_failed``."""
         with self._registration_lock:
             registration = self._registrations.get(query_id)
-            app_servers = (
-                [] if registration is None else registration.app_servers
-            )
+            app_servers = () if registration is None else registration.servers
         if not app_servers:
             return
         payload = serialize_refresh(query_id, documents, self.config.clock())
-        for app_server in app_servers:
+        self._publish_each(
+            (app_server, payload, 1) for app_server in app_servers
+        )
+
+    def _publish_each(
+        self, publications: Iterable[Tuple[str, Dict[str, Any], int]]
+    ) -> Tuple[int, Optional[Exception]]:
+        """Publish each ``(app_server, payload, rows)`` on its own.
+
+        One app server's failing notify channel costs only its own
+        *rows*, counted in ``notifications_failed``; the others still go
+        out.  Returns the rows published and the first failure."""
+        sent = 0
+        failure: Optional[Exception] = None
+        for app_server, payload, rows in publications:
             try:
-                self.broker.publish(
-                    notification_channel(app_server), payload
-                )
-            except Exception:  # noqa: BLE001 - broker may be closing
-                return
+                self.broker.publish(notification_channel(app_server), payload)
+            except Exception as exc:  # noqa: BLE001 - the caller decides
+                self.notifications_failed += rows
+                if failure is None:
+                    failure = exc
+                continue
+            sent += rows
+        return sent, failure
 
     def _deadline_now(self) -> float:
         """The clock deadlines are compared against: virtual time under
@@ -658,6 +689,7 @@ class InvaliDBCluster:
         metrics: Dict[str, Any] = {
             "cluster.active_queries": active,
             "cluster.notifications_sent": self.notifications_sent,
+            "cluster.notifications_failed": self.notifications_failed,
             "cluster.notifications_coalesced": self.notifications_coalesced,
             "cluster.queries_renewed": self.queries_renewed,
         }
@@ -816,6 +848,7 @@ class InvaliDBCluster:
             "active_queries": active,
             "app_servers": app_servers,
             "notifications_sent": self.notifications_sent,
+            "notifications_failed": self.notifications_failed,
             "notifications_coalesced": self.notifications_coalesced,
             "queries_renewed": self.queries_renewed,
             "matching": matching_rows,

@@ -6,6 +6,13 @@ to every local subscription of that query, tagging each copy with the
 client-generated subscription ID (footnote 2 of the paper); that tagged
 form is :class:`~repro.types.ChangeNotification`.
 
+On ``fanout-feed`` one write becomes ~18 changes, so the per-row
+records are flat: :class:`QueryChange` (like the filtering stage's
+:class:`~repro.core.filtering.MatchEvent`) is a ``NamedTuple``, the
+envelope reader yields plain tuples, and match types cross the wire
+through two module-level dicts (:data:`MATCH_TYPES`).  Only the public
+``ChangeNotification`` stays a frozen dataclass.
+
 The notification leg's two algorithms each exist once, here: the
 net-transition rule per (query, key) (:func:`resolve_coalesced_type`,
 applied within a batch by :func:`coalesce_events` and across batches by
@@ -21,7 +28,8 @@ Two wire forms live here:
   document is listed once in ``documents`` and the per-change ``rows``
   point at it by slot, so a write matching N queries is encoded, moved
   and decoded once instead of N times (the "(de-)serializing and
-  parsing after-images" overhead of Section 6.3);
+  parsing after-images" overhead of Section 6.3).  The client reads
+  rows positionally (:data:`ChangeRow`), never as a dict per row;
 * the flat per-change dict (:func:`serialize_change` /
   :func:`deserialize_change`) — used only for the REPLY emits of
   worker-hosted grid cells crossing the process boundary.
@@ -30,16 +38,27 @@ Two wire forms live here:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple,
+)
 
 from repro.core.filtering import MatchEvent
+from repro.obs.tracing import trace_of
 from repro.types import ChangeNotification, Document, MatchType
 
+#: Wire value -> member, and back: two dict lookups instead of the
+#: ``MatchType(value)`` call and the ``.value`` descriptor per row.
+MATCH_TYPES: Dict[str, MatchType] = {member.value: member for member in MatchType}
+_WIRE_VALUES: Dict[MatchType, str] = {member: member.value for member in MatchType}
 
-@dataclass(frozen=True)
-class QueryChange:
-    """A result transition of one query, not yet bound to a subscriber."""
+
+class QueryChange(NamedTuple):
+    """A result transition of one query, not yet bound to a subscriber.
+
+    A ``NamedTuple`` for the same reason as
+    :class:`~repro.core.filtering.MatchEvent`: one exists per change on
+    the notification leg, so construction cost is per-row cost.
+    """
 
     query_id: str
     match_type: MatchType
@@ -59,13 +78,10 @@ class QueryChange:
 
 def change_from_match_event(event: MatchEvent) -> QueryChange:
     """Unsorted queries: a filtering-stage event IS the result change."""
+    query_id, match_type, key, document, version, timestamp, _ = event
     return QueryChange(
-        query_id=event.query_id,
-        match_type=event.match_type,
-        key=event.key,
-        document=event.document,
-        timestamp=event.timestamp,
-        version=event.version,
+        query_id, match_type, key, document, None, None, None, timestamp,
+        version,
     )
 
 
@@ -136,7 +152,7 @@ def coalesce_events(
             dropped += 1
             continue
         if final is not event.match_type:
-            event = replace(event, match_type=final)
+            event = event._replace(match_type=final)
         coalesced.append((event, trace, deadline))
     return coalesced, dropped
 
@@ -230,7 +246,7 @@ class _NotificationStager:
                 self._on_coalesce()
                 continue
             if final is not change.match_type:
-                change = replace(change, match_type=final)
+                change = change._replace(match_type=final)
             survivors.append((change, trace))
         if survivors:
             self._deliver(survivors)
@@ -335,17 +351,11 @@ def bind_to_subscription(
     change: QueryChange, subscription_id: str
 ) -> ChangeNotification:
     """Tag a query change with one subscription ID for client delivery."""
+    (query_id, match_type, key, document, index, old_index, error,
+     timestamp, version) = change
     return ChangeNotification(
-        subscription_id=subscription_id,
-        query_id=change.query_id,
-        match_type=change.match_type,
-        key=change.key,
-        document=change.document,
-        index=change.index,
-        old_index=change.old_index,
-        error=change.error,
-        timestamp=change.timestamp,
-        version=change.version,
+        subscription_id, query_id, match_type, key, document, index,
+        old_index, error, False, timestamp, version,
     )
 
 
@@ -380,7 +390,8 @@ class ChangeEnvelope:
     def add(
         self, change: QueryChange, trace: Optional[Dict[str, Any]] = None
     ) -> None:
-        document = change.document
+        (query_id, match_type, key, document, index, old_index, error,
+         timestamp, version) = change
         slot = None
         if document is not None:
             # Keyed by id(): every slotted document stays referenced by
@@ -390,19 +401,22 @@ class ChangeEnvelope:
                 slot = self._slots[id(document)] = len(self.documents)
                 self.documents.append(document)
         row = [
-            change.query_id, change.match_type.value, change.key, slot,
-            change.timestamp, change.version,
+            query_id, _WIRE_VALUES[match_type], key, slot, timestamp,
+            version,
         ]
-        extras = {}
-        if change.index is not None:
-            extras["index"] = change.index
-        if change.old_index is not None:
-            extras["old_index"] = change.old_index
-        if change.error is not None:
-            extras["error"] = change.error
-        if trace is not None:
-            extras["trace"] = trace
-        if extras:
+        if (
+            index is not None or old_index is not None
+            or error is not None or trace is not None
+        ):
+            extras = {}
+            if index is not None:
+                extras["index"] = index
+            if old_index is not None:
+                extras["old_index"] = old_index
+            if error is not None:
+                extras["error"] = error
+            if trace is not None:
+                extras["trace"] = trace
             row.append(extras)
         self.rows.append(row)
 
@@ -414,31 +428,46 @@ class ChangeEnvelope:
         }
 
 
-def unpack_changes(payload: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
-    """Rows of a decoded envelope, in order, as the keyword fields of
-    their :class:`~repro.types.ChangeNotification` — everything but the
-    subscription ID, which only the receiving client knows."""
+#: One unpacked envelope row: the :class:`~repro.types.ChangeNotification`
+#: fields in declaration order, minus ``subscription_id`` (only the
+#: receiving client knows it) and ``initial``: ``(query_id, match_type,
+#: key, document, index, old_index, error, timestamp, version, trace)``.
+ChangeRow = Tuple[
+    str, MatchType, Any, Optional[Document], Optional[int], Optional[int],
+    Optional[str], float, int, Optional[Dict[str, Any]],
+]
+
+
+def unpack_changes(payload: Dict[str, Any]) -> Iterator[ChangeRow]:
+    """Rows of a decoded envelope, in order, as flat :data:`ChangeRow`
+    tuples.  ``trace`` is read through :func:`~repro.obs.tracing.trace_of`,
+    so a corrupt non-dict trace reads as ``None``."""
     documents = payload["documents"]
+    match_types = MATCH_TYPES
     for row in payload["rows"]:
-        query_id, match_type, key, slot, timestamp, version = row[:6]
-        fields = {
-            "query_id": query_id,
-            "match_type": MatchType(match_type),
-            "key": key,
-            "document": None if slot is None else documents[slot],
-            "timestamp": timestamp,
-            "version": version,
-        }
-        if len(row) > 6:
-            fields.update(row[6])
-        yield fields
+        if len(row) == 6:
+            query_id, match_type, key, slot, timestamp, version = row
+            yield (
+                query_id, match_types[match_type], key,
+                None if slot is None else documents[slot],
+                None, None, None, timestamp, version, None,
+            )
+            continue
+        query_id, match_type, key, slot, timestamp, version, extras = row[:7]
+        get = extras.get
+        yield (
+            query_id, match_types[match_type], key,
+            None if slot is None else documents[slot],
+            get("index"), get("old_index"), get("error"), timestamp,
+            version, trace_of(extras),
+        )
 
 
 def serialize_change(change: QueryChange) -> Dict[str, Any]:
     """Flat wire form of one change (process-boundary REPLY emits)."""
     return {
         "query_id": change.query_id,
-        "match_type": change.match_type.value,
+        "match_type": _WIRE_VALUES[change.match_type],
         "key": change.key,
         "document": change.document,
         "index": change.index,

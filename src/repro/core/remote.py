@@ -272,14 +272,16 @@ class MatchingCell(_Cell):
         across edges), its ``publish`` span closed and a ``filter`` span
         wrapped around the matching work; every produced event inherits
         a fork of that trace.  Events are coalesced per (query, key)
-        and routed in one pass per chunk: sorted queries' events become
-        messages for the sorting grid (their ``sort`` span opens here),
-        the rest become changes.
+        when two or more tuples produced some, and routed in one pass
+        per chunk: sorted queries' events become messages for the
+        sorting grid (their ``sort`` span opens here), the rest become
+        changes.
         """
         node = self.node
         tel = self.telemetry
         now = self.clock()
         entries: List[EventEntry] = []
+        producers = 0  # tuples that produced at least one event
         for tuple_ in tuples:
             kind = tuple_["kind"]
             trace = fork(trace_of(tuple_)) if tel.enabled else None
@@ -320,9 +322,14 @@ class MatchingCell(_Cell):
                 events = []
             if trace is not None:
                 end_span(trace, FILTER, tel.now())
-            entries.extend((event, trace, deadline) for event in events)
+            if events:
+                producers += 1
+                entries.extend((event, trace, deadline) for event in events)
         coalesced = 0
-        if self.spec.notification_coalescing and len(entries) > 1:
+        # One tuple yields at most one event per (query, key) — one per
+        # candidate query, and retention replays only the latest image
+        # per key — so there is nothing to coalesce unless two did.
+        if self.spec.notification_coalescing and producers > 1:
             entries, coalesced = coalesce_events(entries)
         messages: List[Dict[str, Any]] = []
         changes: List[Tuple[QueryChange, Optional[Trace]]] = []

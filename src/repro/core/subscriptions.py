@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import SubscriptionError
 from repro.query.engine import Query
@@ -40,6 +40,11 @@ class QueryRegistration:
     Tracks which application servers subscribed and the TTL deadline per
     app server; a query is deactivated once every app server's TTL
     lapsed or cancelled.
+
+    ``servers`` is the subscribed app servers in subscribe order as an
+    immutable tuple, replaced (never mutated) under the lock whenever
+    the set changes.  The notification fan-out reads it without the
+    lock: a reader sees one consistent set, current or just replaced.
     """
 
     def __init__(self, query: Query, now: float, ttl: float):
@@ -48,9 +53,12 @@ class QueryRegistration:
         self._deadlines: Dict[str, float] = {}
         self._lock = threading.Lock()
         self.created_at = now
+        self.servers: Tuple[str, ...] = ()
 
     def subscribe(self, app_server_id: str, now: float) -> None:
         with self._lock:
+            if app_server_id not in self._deadlines:
+                self.servers = self.servers + (app_server_id,)
             self._deadlines[app_server_id] = now + self.ttl
 
     def extend(self, app_server_id: str, now: float) -> bool:
@@ -67,7 +75,8 @@ class QueryRegistration:
 
     def cancel(self, app_server_id: str) -> None:
         with self._lock:
-            self._deadlines.pop(app_server_id, None)
+            if self._deadlines.pop(app_server_id, None) is not None:
+                self.servers = tuple(self._deadlines)
 
     def expire(self, now: float) -> List[str]:
         """Drop lapsed app servers, returning the expired IDs."""
@@ -76,14 +85,15 @@ class QueryRegistration:
                 server for server, deadline in self._deadlines.items()
                 if deadline <= now
             ]
-            for server in expired:
-                del self._deadlines[server]
+            if expired:
+                for server in expired:
+                    del self._deadlines[server]
+                self.servers = tuple(self._deadlines)
         return expired
 
     @property
     def app_servers(self) -> List[str]:
-        with self._lock:
-            return list(self._deadlines)
+        return list(self.servers)
 
     @property
     def active(self) -> bool:

@@ -338,8 +338,8 @@ def render(snapshot: Dict[str, Any]) -> str:
         ))
 
     counters = []
-    for key in ("notifications_sent", "notifications_coalesced",
-                "queries_renewed"):
+    for key in ("notifications_sent", "notifications_failed",
+                "notifications_coalesced", "queries_renewed"):
         value = snapshot.get(key)
         if isinstance(value, (int, float)) and value:
             counters.append([f"cluster.{key}", value])

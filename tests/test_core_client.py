@@ -1,5 +1,7 @@
 """Client protocol tests: heartbeats, renewals, rate limits, tables."""
 
+import random
+import threading
 import time
 
 import pytest
@@ -78,6 +80,94 @@ class TestQueryRegistration:
         registration.subscribe("app-2", now=0.0)
         registration.cancel("app-1")
         assert registration.app_servers == ["app-2"]
+
+
+class TestRegistrationServers:
+    """``servers``: the subscribed app servers as an immutable tuple the
+    notification fan-out reads without the lock."""
+
+    def test_servers_mirror_app_servers_in_subscribe_order(self):
+        registration = QueryRegistration(Query({"a": 1}), now=0.0, ttl=10.0)
+
+        def check(expected):
+            assert registration.servers == tuple(registration.app_servers)
+            assert registration.servers == expected
+            # ``active`` reads the TTL deadlines: the two stay in step.
+            assert registration.active == bool(expected)
+
+        check(())
+        registration.subscribe("app-2", now=0.0)
+        registration.subscribe("app-1", now=1.0)
+        registration.subscribe("app-3", now=5.0)
+        check(("app-2", "app-1", "app-3"))
+        registration.subscribe("app-2", now=4.0)  # re-subscribe keeps order
+        check(("app-2", "app-1", "app-3"))
+        assert registration.extend("app-1", now=6.0)
+        check(("app-2", "app-1", "app-3"))
+        assert not registration.extend("ghost", now=6.0)
+        check(("app-2", "app-1", "app-3"))
+        registration.cancel("app-3")
+        check(("app-2", "app-1"))
+        registration.cancel("ghost")
+        check(("app-2", "app-1"))
+        assert registration.expire(now=14.5) == ["app-2"]
+        check(("app-1",))
+        assert registration.expire(now=14.5) == []
+        check(("app-1",))
+        registration.subscribe("app-3", now=20.0)
+        check(("app-1", "app-3"))
+        assert registration.expire(now=100.0) == ["app-1", "app-3"]
+        check(())
+
+    def test_lock_free_reader_sees_only_published_tuples(self):
+        """4 threads subscribe and cancel while a reader iterates
+        ``servers`` 10k times: it never raises and only ever sees a
+        tuple that was once current."""
+        published = set()
+
+        class Recording(QueryRegistration):
+            def __setattr__(self, name, value):
+                if name == "servers":
+                    published.add(value)  # before it becomes visible
+                super().__setattr__(name, value)
+
+        registration = Recording(Query({"a": 1}), now=0.0, ttl=10.0)
+        stop = threading.Event()
+        errors = []
+
+        def churn(seed):
+            rng = random.Random(seed)
+            try:
+                while not stop.is_set():
+                    app_server = f"app-{rng.randrange(6)}"
+                    if rng.random() < 0.5:
+                        registration.subscribe(app_server, now=0.0)
+                    else:
+                        registration.cancel(app_server)
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        writers = [threading.Thread(target=churn, args=(seed,))
+                   for seed in range(4)]
+        for writer in writers:
+            writer.start()
+        seen = set()
+        try:
+            for _ in range(10_000):
+                snapshot = registration.servers
+                for app_server in snapshot:
+                    assert app_server.startswith("app-")
+                seen.add(snapshot)
+        finally:
+            stop.set()
+            for writer in writers:
+                writer.join()
+        assert errors == []
+        assert seen <= published
+        assert all(isinstance(s, tuple) and len(set(s)) == len(s)
+                   for s in seen)
+        assert registration.servers == tuple(registration.app_servers)
+        assert registration.active == bool(registration.servers)
 
 
 class TestHeartbeats:

@@ -12,8 +12,12 @@ batch, for both roles chained the way the grid chains them.
 import itertools
 import pickle
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import remote
+from repro.core.cluster import InvaliDBCluster
+from repro.core.config import InvaliDBConfig
 from repro.core.partitioning import PartitioningScheme
 from repro.core.remote import (
     LeasedCell,
@@ -25,11 +29,16 @@ from repro.core.remote import (
     serialize_match_event,
     serialize_query,
 )
+from repro.core.server import AppServer
+from repro.event.broker import Broker
 from repro.event.wire import BinaryCodec, decode_batch, encode_batch
 from repro.obs.telemetry import build_telemetry
 from repro.obs.tracing import PUBLISH, begin_span, new_trace, spans_of
 from repro.query.engine import MongoQueryEngine, Query
+from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
 from repro.types import AfterImage, MatchType, WriteKind
+
+from tests.test_chaos import SteppingClock
 
 ENGINE = MongoQueryEngine()
 SCHEME = PartitioningScheme(1, 2)
@@ -308,6 +317,134 @@ def test_coalescing_elides_within_a_batch_only_when_enabled():
     assert run(False) == (
         [(MatchType.ADD, 1), (MatchType.CHANGE, 2), (MatchType.CHANGE, 3)], 0
     )
+
+
+def insert_tuple(key, value, version):
+    return serialize_after_image(AfterImage(
+        key=key, version=version, kind=WriteKind.INSERT,
+        document={"_id": key, "v": value}, collection="items",
+        timestamp=float(version),
+    ))
+
+
+class TestCoalescingPrecondition:
+    """``handle_batch`` runs ``coalesce_events`` only when two or more
+    tuples of the batch produced events: one tuple yields at most one
+    event per (query, key)."""
+
+    @pytest.fixture
+    def coalesce_calls(self, monkeypatch):
+        calls = []
+        real = remote.coalesce_events
+
+        def counting(entries):
+            calls.append(len(entries))
+            return real(entries)
+
+        monkeypatch.setattr(remote, "coalesce_events", counting)
+        return calls
+
+    def cell(self):
+        return MatchingCellSpec(
+            task_index=0, query_partitions=1, write_partitions=2,
+            retention_seconds=3600.0,
+        ).cell(**injected(False, MATCHING_NOW))
+
+    def test_one_write_batch_keeps_event_order_without_coalescing(
+        self, coalesce_calls
+    ):
+        cell = self.cell()
+        queries = [Query({"v": {"$gte": bound}}, collection="items")
+                   for bound in (0, 5, 10)]
+        cell.handle_batch([subscribe_tuple(q, {}, {}) for q in queries])
+        key = OWN_KEYS[0]
+        _, changes, coalesced = cell.handle_batch([insert_tuple(key, 12, 1)])
+        assert [(c.query_id, c.match_type, c.key) for c, _ in changes] == [
+            (q.query_id, MatchType.ADD, key) for q in queries
+        ]
+        assert coalesced == 0
+        assert coalesce_calls == []
+
+    def test_replay_and_live_write_in_one_batch_net_to_one_row(
+        self, coalesce_calls
+    ):
+        cell = self.cell()
+        query = Query({"v": {"$gte": 0}}, collection="items")
+        key = OWN_KEYS[0]
+        # Written before the subscription reached the cell: retained.
+        assert cell.handle_batch([insert_tuple(key, 1, 1)]) == ([], [], 0)
+        # The bootstrap predates that write, so the subscribe replays it
+        # (ADD v1), and the live write after it in the batch is v2.
+        _, changes, coalesced = cell.handle_batch([
+            subscribe_tuple(query, {}, {}),
+            serialize_after_image(AfterImage(
+                key=key, version=2, kind=WriteKind.UPDATE,
+                document={"_id": key, "v": 2}, collection="items",
+                timestamp=2.0,
+            )),
+        ])
+        assert [(c.match_type, c.key, c.version) for c, _ in changes] == [
+            (MatchType.ADD, key, 2)
+        ]
+        assert coalesced == 1
+        assert coalesce_calls == [2]
+
+    def test_two_writes_to_one_key_still_coalesce(self, coalesce_calls):
+        cell = self.cell()
+        queries = [Query({"v": {"$gte": bound}}, collection="items")
+                   for bound in (0, 5)]
+        cell.handle_batch([subscribe_tuple(q, {}, {}) for q in queries])
+        key = OWN_KEYS[0]
+        _, changes, coalesced = cell.handle_batch([
+            insert_tuple(key, 1, 1), insert_tuple(key, 7, 2),
+        ])
+        assert [(c.query_id, c.match_type, c.version)
+                for c, _ in changes] == [
+            (queries[0].query_id, MatchType.ADD, 2),
+            (queries[1].query_id, MatchType.ADD, 2),
+        ]
+        assert coalesced == 1
+        assert coalesce_calls == [3]
+
+    def test_cluster_coalesced_count_is_pinned(self):
+        """A seeded inline burst gives the same ``notifications_coalesced``
+        (8) and ``notifications_sent`` (25) as before the precondition."""
+        model = InlineExecutionModel(ExecutionConfig(mode="inline", seed=4))
+        broker = Broker(execution=model)
+        config = InvaliDBConfig(query_partitions=2, write_partitions=2,
+                                clock=SteppingClock())
+        cluster = InvaliDBCluster(broker, config).start()
+        app = AppServer("app", broker, config=config)
+        try:
+            flat = app.subscribe("items", {"v": {"$gte": 0}})
+            top = app.subscribe("items", {}, sort=[("v", -1)], limit=3)
+            assert broker.drain()
+
+            def burst(channel, payload):
+                # Published from inside a dispatch, the writes queue up
+                # behind it and reach the cells as multi-tuple batches.
+                for i in range(12):
+                    app.insert("items", {"_id": i, "v": i})
+                    app.update("items", i, {"$set": {"v": i + 20}})
+                for i in range(0, 12, 3):
+                    app.update("items", i, {"$set": {"v": -1}})
+                    app.delete("items", i)
+
+            broker.subscribe("test:burst", burst)
+            broker.publish("test:burst", {})
+            assert broker.drain()
+            assert cluster.notifications_coalesced == 8
+            assert cluster.notifications_sent == 25
+            assert sorted(flat.result(), key=lambda d: d["_id"]) == sorted(
+                app.find("items", {"v": {"$gte": 0}}),
+                key=lambda d: d["_id"])
+            assert top.result() == app.find("items", {}, sort=[("v", -1)],
+                                            limit=3)
+        finally:
+            app.close()
+            cluster.stop()
+            broker.close()
+            model.shutdown()
 
 
 def test_defer_hook_swallows_sorted_diffs_but_not_errors():

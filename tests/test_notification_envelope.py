@@ -5,7 +5,9 @@ subscriber can observe:
 
 * **pack/unpack properties** — for arbitrary change lists, an envelope
   that went through the JSON codec unpacks to exactly the
-  ``ChangeNotification`` sequence the per-change wire form yields;
+  ``ChangeNotification`` sequence the per-change wire form yields, and
+  the client's positional row reader delivers exactly what the
+  dict-per-row reference did, traces included;
 * **cluster equivalence** — the same seeded inline scenario run with
   batch envelopes and with a test-local one-change-per-message
   reference gives every subscription the same notification list;
@@ -13,12 +15,14 @@ subscriber can observe:
   channel now hit whole envelopes, and clients still converge.
 
 Plus the failure-isolation contract that carrying N notifications in
-one message needs: a raising listener or user callback is counted and
-costs only itself.
+one message needs: a raising listener, user callback or app server
+notify channel is counted and costs only itself.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.client import InvaliDBClient, RealTimeSubscription
 from repro.core.cluster import InvaliDBCluster
 from repro.core.config import InvaliDBConfig
 from repro.core.notifications import (
@@ -34,9 +38,17 @@ from repro.event.broker import Broker
 from repro.event.channels import notification_channel
 from repro.event.codec import JsonCodec
 from repro.obs.telemetry import Telemetry
-from repro.obs.tracing import trace_of
+from repro.obs.tracing import (
+    DELIVER,
+    MATERIALIZE,
+    begin_span,
+    end_span,
+    trace_of,
+)
+from repro.query.engine import Query
 from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
 from repro.runtime.faults import FaultPlan
+from repro.store.database import Database
 from repro.types import ChangeNotification, MatchType
 
 from tests.test_chaos import SteppingClock
@@ -127,10 +139,20 @@ def pack(changes, subscribers):
     return envelopes
 
 
+#: The ``ChangeNotification`` field each position of an unpacked row
+#: fills (``unpack_changes`` yields flat tuples).
+ROW_FIELDS = ("query_id", "match_type", "key", "document", "index",
+              "old_index", "error", "timestamp", "version", "trace")
+
+
+def row_fields(row):
+    return dict(zip(ROW_FIELDS, row))
+
+
 def unpack(payload, subscription_id):
     return [
-        ChangeNotification(subscription_id=subscription_id, **fields)
-        for fields in unpack_changes(payload)
+        ChangeNotification(subscription_id=subscription_id, **row_fields(row))
+        for row in unpack_changes(payload)
     ]
 
 
@@ -187,9 +209,131 @@ class TestEnvelopeProperties:
                  "spans": ["publish", 0.0, 1.0, "deliver", 1.0, None]}
         envelope = ChangeEnvelope()
         envelope.add(QueryChange("q", MatchType.REMOVE, key=1), trace)
-        (fields,) = unpack_changes(json_roundtrip(envelope.payload()))
-        assert trace_of(fields) == trace
+        (row,) = unpack_changes(json_roundtrip(envelope.payload()))
+        fields = row_fields(row)
+        assert fields["trace"] == trace
         assert fields["document"] is None
+
+
+# ----------------------------------------------------------------------
+# Row delivery: the positional reader against the dict-per-row reference
+# ----------------------------------------------------------------------
+
+#: A well-formed trace riding a row (its ``deliver`` span still open).
+TRACE = {"id": "t-1", "kind": "write", "key": 1, "start": 0.0,
+         "spans": ["publish", 0.0, 1.0, "deliver", 1.0, None]}
+#: What a corrupted envelope may carry under the ``trace`` key.
+CORRUPT_TRACES = ["garbage", 7, ["deliver", 1.0, None], {"spans": "x"}]
+
+
+@st.composite
+def traced_envelopes(draw):
+    """An envelope payload over every ``MatchType`` (``ERROR`` included),
+    document-less rows (``slot=None``), every rare field, well-formed
+    and corrupt traces, plus how many handles each query has."""
+    pool = draw(st.lists(documents, min_size=1, max_size=3))
+    envelope = ChangeEnvelope()
+    for _ in range(draw(st.integers(0, 10))):
+        match_type = draw(st.sampled_from(list(MatchType)))
+        document = draw(st.one_of(st.none(), st.sampled_from(pool)))
+        trace = draw(st.sampled_from(
+            [None, None, "valid"] + CORRUPT_TRACES))
+        if trace == "valid":
+            trace = dict(TRACE, id=f"t-{len(envelope.rows)}")
+        envelope.add(QueryChange(
+            query_id=draw(st.sampled_from(QUERY_IDS)),
+            match_type=match_type,
+            key=draw(keys),
+            document=document,
+            index=draw(positions),
+            old_index=draw(positions),
+            error=draw(st.one_of(st.none(), st.text(max_size=8))),
+            timestamp=draw(st.floats(0, 2e9, allow_nan=False)),
+            version=draw(st.integers(0, 2 ** 31)),
+        ), trace)
+    handles = {query_id: draw(st.integers(0, 2)) for query_id in QUERY_IDS}
+    return envelope.payload(), handles
+
+
+def reference_unpack(payload):
+    """The reader ``unpack_changes`` replaced: a dict per row."""
+    documents = payload["documents"]
+    for row in payload["rows"]:
+        query_id, match_type, key, slot, timestamp, version = row[:6]
+        fields = {
+            "query_id": query_id,
+            "match_type": MatchType(match_type),
+            "key": key,
+            "document": None if slot is None else documents[slot],
+            "timestamp": timestamp,
+            "version": version,
+        }
+        if len(row) > 6:
+            fields.update(row[6])
+        yield fields
+
+
+def reference_deliveries(payload, subscription_ids, tel):
+    """The client's row loop before rows were read positionally:
+    ``ChangeNotification(subscription_id=..., **fields)`` per handle,
+    with the same span work on the trace."""
+    delivered = {sid: [] for sids in subscription_ids.values()
+                 for sid in sids}
+    for fields in reference_unpack(payload):
+        trace = trace_of(fields) if tel.enabled else None
+        fields["trace"] = trace
+        if trace is not None:
+            end_span(trace, DELIVER, tel.now())
+            begin_span(trace, MATERIALIZE, tel.now())
+        for sid in subscription_ids.get(fields["query_id"], ()):
+            delivered[sid].append(
+                ChangeNotification(subscription_id=sid, **fields))
+        if trace is not None:
+            end_span(trace, MATERIALIZE, tel.now())
+    return delivered
+
+
+class TestRowDelivery:
+    @settings(max_examples=150, deadline=None)
+    @given(traced_envelopes(), st.booleans())
+    def test_client_delivers_the_reference_notifications(self, drawn,
+                                                        tracing):
+        payload, handle_counts = drawn
+        model = InlineExecutionModel(ExecutionConfig(mode="inline"))
+        if tracing:
+            model.set_telemetry(Telemetry(clock=lambda: 3.0))
+        broker = Broker(execution=model)
+        client = InvaliDBClient("app", broker, database=None)
+        try:
+            subscription_ids = {
+                query_id: [f"sub-{query_id}-{n}" for n in range(count)]
+                for query_id, count in handle_counts.items()
+            }
+            client._handles = {
+                query_id: [RealTimeSubscription(sid, Query({}))
+                           for sid in sids]
+                for query_id, sids in subscription_ids.items()
+            }
+            expected = reference_deliveries(
+                json_roundtrip(payload), subscription_ids, client.telemetry)
+            client._on_changes(json_roundtrip(payload))
+            for handles in client._handles.values():
+                for handle in handles:
+                    got = handle.notifications
+                    want = expected[handle.subscription_id]
+                    assert got == want
+                    # ``trace`` is compare=False: check it on its own.
+                    assert [n.trace for n in got] == [n.trace for n in want]
+            if tracing:
+                traced = sum(
+                    trace_of(row[6]) is not None
+                    for row in payload["rows"] if len(row) > 6
+                )
+                assert client.telemetry.tracer.completed == traced
+        finally:
+            client.close()
+            broker.close()
+            model.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -406,6 +550,103 @@ class TestEnvelopeFaults:
 # ----------------------------------------------------------------------
 # Failure isolation
 # ----------------------------------------------------------------------
+
+
+class TestNotifyChannelIsolation:
+    """One app server's failing notify channel must not starve the
+    others: every envelope of a batch is published on its own."""
+
+    @pytest.mark.parametrize("sort,limit,role", [
+        (None, None, "matching"),
+        ([("v", -1)], 3, "sorting"),
+    ])
+    def test_failing_channel_costs_only_its_own_rows(self, sort, limit,
+                                                     role):
+        plan = FaultPlan(seed=1).rule(
+            "channel", notification_channel("app-a"), "error")
+        model = InlineExecutionModel(
+            ExecutionConfig(mode="inline", seed=1, fault_plan=plan))
+        broker = Broker(execution=model)
+        config = InvaliDBConfig(query_partitions=1, write_partitions=1,
+                                clock=SteppingClock())
+        cluster = InvaliDBCluster(broker, config).start()
+        # One shared store; only app-a forwards writes.
+        database = Database()
+        app_a = AppServer("app-a", broker, database=database, config=config)
+        app_b = AppServer("app-b", broker, database=database, config=config)
+        try:
+            filter_doc = {"v": {"$gte": 0}}
+            on_a = app_a.subscribe("items", filter_doc, sort=sort,
+                                   limit=limit)
+            on_b = app_b.client.subscribe(filter_doc, collection="items",
+                                          sort=sort, limit=limit)
+            assert broker.drain()
+            app_a.insert("items", {"_id": 1, "v": 5})
+            assert broker.drain()
+            find = database.collection("items").find(
+                filter_doc, sort=sort, limit=limit)
+            assert find == [{"_id": 1, "v": 5}]
+            assert on_b.result() == find
+            assert [n.key for n in on_b.notifications] == [1]
+            assert on_a.notifications == []
+            # app-a's envelope held one row; app-b's went out.
+            assert cluster.notifications_failed == 1
+            assert cluster.notifications_sent == 1
+            snapshot = cluster.snapshot()
+            assert snapshot["notifications_failed"] == 1
+            assert snapshot["faults"]["errors"] == 1
+            # The first failure is re-raised: the grid task counts it.
+            assert snapshot["runtime"]["components"][role]["failed"] == 1
+        finally:
+            app_a.close()
+            app_b.close()
+            cluster.stop()
+            broker.close()
+            model.shutdown()
+
+    def test_failing_channel_costs_no_other_sorted_refresh(self):
+        # Shedding swallows the sorted diffs; stop() flushes one window
+        # refresh per dirty query.  app-a's channel failing on the first
+        # refresh must not cost app-b either refresh, nor abort stop().
+        plan = FaultPlan(seed=1).rule(
+            "channel", notification_channel("app-a"), "error")
+        model = InlineExecutionModel(
+            ExecutionConfig(mode="inline", seed=1, fault_plan=plan))
+        broker = Broker(execution=model)
+        config = InvaliDBConfig(query_partitions=1, write_partitions=1,
+                                clock=SteppingClock(),
+                                overload_control=True,
+                                force_health="degraded",
+                                refresh_interval_seconds=60.0)
+        cluster = InvaliDBCluster(broker, config).start()
+        database = Database()
+        app_a = AppServer("app-a", broker, database=database, config=config)
+        app_b = AppServer("app-b", broker, database=database, config=config)
+        sorts = {"top": [("v", -1)], "bottom": [("v", 1)]}
+        try:
+            on_b = {}
+            for name, sort in sorts.items():
+                app_a.subscribe("items", {}, sort=sort, limit=2)
+                on_b[name] = app_b.client.subscribe(
+                    {}, collection="items", sort=sort, limit=2)
+            for i in range(4):
+                app_a.insert("items", {"_id": i, "v": i})
+            assert cluster.overload.sorted_changes_shed > 0
+            assert cluster.notifications_failed == 0
+            cluster.stop()
+            assert cluster.overload.refreshes_sent == 2
+            # One failed refresh per query, both to app-a.
+            assert cluster.notifications_failed == 2
+            for name, sort in sorts.items():
+                find = database.collection("items").find(
+                    {}, sort=sort, limit=2)
+                assert on_b[name].result() == find
+        finally:
+            app_a.close()
+            app_b.close()
+            cluster.stop()
+            broker.close()
+            model.shutdown()
 
 
 class TestListenerIsolation:
