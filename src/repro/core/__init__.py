@@ -6,29 +6,18 @@ stream retention with staleness avoidance, and the client/cluster
 split over the event layer (Section 5).
 """
 
-from repro.core.aggregation import AggregateSpec, AggregationNode
 from repro.core.config import InvaliDBConfig
 from repro.core.cluster import InvaliDBCluster
 from repro.core.client import InvaliDBClient, RealTimeSubscription
-from repro.core.join import JoinNode, JoinSpec
 from repro.core.partitioning import PartitioningScheme, stable_hash
 from repro.core.server import AppServer
-from repro.core.stages import ProcessingStage
-from repro.core.views import LiveAggregateView, LiveJoinView
 
 __all__ = [
-    "AggregateSpec",
-    "AggregationNode",
     "AppServer",
     "InvaliDBClient",
     "InvaliDBCluster",
     "InvaliDBConfig",
-    "JoinNode",
-    "JoinSpec",
-    "LiveAggregateView",
-    "LiveJoinView",
     "PartitioningScheme",
-    "ProcessingStage",
     "RealTimeSubscription",
     "stable_hash",
 ]

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.errors import ClusterConfigError
+from repro.errors import ClusterConfigError, ExecutionConfigError
 from repro.obs.telemetry import NullTelemetry, Telemetry, TelemetryConfig
 from repro.runtime.execution import ExecutionConfig
 
@@ -372,7 +372,7 @@ class InvaliDBConfig:
                 mode=self.execution_model,
                 worker_processes=self.process_workers,
             )
-        except Exception as exc:
+        except ExecutionConfigError as exc:
             raise ClusterConfigError(str(exc)) from exc
 
     @property

@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.errors import ClusterConfigError
+from repro.errors import ClusterConfigError, SaturationError
 from repro.sim.des import Simulator
 from repro.sim.metrics import LatencyRecorder, LatencyStats
 from repro.sim.network import HopModel
@@ -225,7 +225,7 @@ class SimulatedInvaliDB:
         schedule_next_arrival()
         try:
             simulator.run(max_events=max_events)
-        except Exception:
+        except SaturationError:
             return None
         return [value * 1000.0 for value in recorder.samples]
 
@@ -375,6 +375,6 @@ class QuaestorModel:
         schedule_next_arrival()
         try:
             simulator.run(max_events=max_events)
-        except Exception:
+        except SaturationError:
             return None
         return [value * 1000.0 for value in recorder.samples]

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from repro.errors import SimulationError
+from repro.errors import SaturationError, SimulationError
 
 Callback = Callable[[], None]
 
@@ -66,7 +66,10 @@ class Simulator:
         return False
 
     def run_until(self, end_time: float, max_events: Optional[int] = None) -> int:
-        """Process events up to *end_time* (inclusive); returns the count."""
+        """Process events up to *end_time* (inclusive); returns the count.
+
+        Raises :class:`SaturationError` once *max_events* have run.
+        """
         executed = 0
         while self._heap:
             head = self._heap[0]
@@ -76,7 +79,7 @@ class Simulator:
                 break
             executed += 1
             if max_events is not None and executed >= max_events:
-                raise SimulationError(
+                raise SaturationError(
                     f"event budget exhausted ({max_events}) before t={end_time}; "
                     "the simulated system is likely deeply saturated"
                 )
@@ -84,12 +87,13 @@ class Simulator:
         return executed
 
     def run(self, max_events: Optional[int] = None) -> int:
-        """Run until no events remain."""
+        """Run until no events remain; :class:`SaturationError` past
+        *max_events*."""
         executed = 0
         while self.step():
             executed += 1
             if max_events is not None and executed >= max_events:
-                raise SimulationError(f"event budget exhausted ({max_events})")
+                raise SaturationError(f"event budget exhausted ({max_events})")
         return executed
 
     @property

@@ -18,8 +18,10 @@ left the result is simply absent from the new state, so its removal
 matches nothing either).  The resubscribed handle has the write in its
 bootstrap; the handles that stayed subscribed rely on notifications and
 never hear of it.  Inline, a publish runs its whole cascade before the
-next one starts, so only threads (or a delay fault, as in the second
-test) let the subscribe overtake the write.
+next one starts, so only threads (or a delay fault, as in the inline
+tests) let the subscribe overtake the write.  A second app server
+subscribing the same filter triggers the same race: its subscribe
+re-registers the query id the first app server already holds.
 """
 
 import random
@@ -32,6 +34,7 @@ from repro.core.server import AppServer
 from repro.event.broker import Broker
 from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
 from repro.runtime.faults import FaultPlan
+from repro.store.database import Database
 
 from tests.conftest import settle
 
@@ -122,5 +125,36 @@ def test_a_write_overtaken_by_a_duplicate_subscribe_reaches_every_handle():
         assert stayed.result() == expected
     finally:
         app.close()
+        cluster.stop()
+        broker.close()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=DIAGNOSIS)
+def test_a_write_overtaken_by_a_second_app_servers_subscribe_reaches_both():
+    """The same race across app servers: the held update is in app-b's
+    bootstrap, and the re-registration it triggers drops the update
+    before app-a's handle hears of it."""
+    plan = FaultPlan().rule("channel", "invalidb:writes*", "delay",
+                            delay=0.5, at=[1])
+    broker = Broker(execution=InlineExecutionModel(
+        ExecutionConfig(mode="inline", seed=1, fault_plan=plan)
+    ))
+    config = InvaliDBConfig(query_partitions=2, write_partitions=2)
+    cluster = InvaliDBCluster(broker, config).start()
+    database = Database()
+    app_a = AppServer("app-a", broker, database=database, config=config)
+    app_b = AppServer("app-b", broker, database=database, config=config)
+    try:
+        app_a.insert("items", {"_id": 1, "v": 10})        # write 0
+        first = app_a.subscribe("items", FILTER)
+        app_a.update("items", 1, {"$set": {"v": 70}})     # write 1: held
+        second = app_b.subscribe("items", FILTER)
+        assert broker.drain()
+        expected = app_a.find("items", FILTER)
+        assert second.result() == expected
+        assert first.result() == expected
+    finally:
+        app_a.close()
+        app_b.close()
         cluster.stop()
         broker.close()

@@ -17,8 +17,6 @@ EXAMPLES = [
     "leaderboard.py",
     "query_caching.py",
     "mechanism_comparison.py",
-    "live_aggregates.py",
-    "live_join.py",
     "capacity_planning.py",
 ]
 

@@ -1,12 +1,11 @@
 """Coverage for auxiliary paths: background pollers, renewal timers,
-experiment helpers, stage piping."""
+experiment helpers."""
 
 import time
 
 import pytest
 
 from repro.core.config import InvaliDBConfig
-from repro.core.stages import pipe
 from repro.baselines.poll_and_diff import PollAndDiffProvider
 from repro.store.collection import Collection
 
@@ -81,27 +80,6 @@ class TestExperimentHelpers:
 
         value = max_sustainable_write_rate(1, sla_ms=100.0, duration=3.0)
         assert 1000 <= value <= 2000
-
-
-class TestStagePipe:
-    def test_pipe_preserves_event_order(self):
-        from repro.core.aggregation import AggregateSpec, AggregationNode
-        from repro.core.filtering import MatchEvent
-        from repro.query.engine import Query
-        from repro.types import MatchType
-
-        query = Query({"v": {"$gte": 0}})
-        node = AggregationNode()
-        node.register_query(query, [], {},
-                            aggregates=(AggregateSpec("count"),))
-        events = [
-            MatchEvent(query.query_id, MatchType.ADD, index,
-                       {"_id": index, "v": index}, 1, 0.0, False)
-            for index in range(5)
-        ]
-        changes = pipe(node, events)
-        counts = [change.document["count"] for change in changes]
-        assert counts == [1, 2, 3, 4, 5]
 
 
 class TestClusterIntrospection:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import SaturationError, SimulationError
 from repro.sim.cluster_model import (
     SATURATED,
     ClusterCosts,
@@ -72,6 +72,20 @@ class TestSimulator:
         simulator.schedule(0.0, reschedule)
         with pytest.raises(SimulationError):
             simulator.run(max_events=100)
+
+    @pytest.mark.parametrize("drive", [
+        lambda simulator: simulator.run(max_events=100),
+        lambda simulator: simulator.run_until(10.0, max_events=100),
+    ], ids=["run", "run_until"])
+    def test_event_budget_is_saturation(self, drive):
+        simulator = Simulator()
+
+        def reschedule():
+            simulator.schedule(0.001, reschedule)
+
+        simulator.schedule(0.0, reschedule)
+        with pytest.raises(SaturationError):
+            drive(simulator)
 
 
 class TestFifoServer:
@@ -238,6 +252,23 @@ class TestClusterModel:
     def test_run_samples_returns_raw_data(self):
         samples = SimulatedInvaliDB(1, 1).run_samples(500, 500, duration=5.0)
         assert samples and all(value > 0 for value in samples)
+
+    @pytest.mark.parametrize("model_class", [SimulatedInvaliDB, QuaestorModel])
+    def test_model_bug_is_not_reported_as_saturation(self, model_class):
+        class BrokenHop:
+            def sample(self, rng):
+                raise ValueError("broken cost model")
+
+        model = model_class(1, 1)
+        model.costs.hop = BrokenHop()
+        with pytest.raises(ValueError, match="broken cost model"):
+            model.run(500, 500, duration=2.0)
+
+    @pytest.mark.parametrize("model_class", [SimulatedInvaliDB, QuaestorModel])
+    def test_event_budget_exhaustion_is_saturated(self, model_class):
+        model = model_class(1, 1)
+        assert model.run_samples(500, 500, duration=2.0, max_events=50) is None
+        assert model.run(500, 500, duration=2.0, max_events=50) is SATURATED
 
 
 class TestExperimentHarness:
