@@ -6,7 +6,7 @@ query on its own:
 * filtering — the filtering node (shared predicate DAG, its only
   matching path) vs a per-query ``Query.matches`` loop over the same
   index candidates, swept across query-population overlap (0%..100% of
-  the population being pagination variants of one hot filter) at 1k
+  the population being sort-order variants of one hot filter) at 1k
   and 10k registered queries;
 * the cluster's DAG counters and ``dag_share_ratio`` as the snapshot
   reports them.
@@ -48,18 +48,23 @@ def _hot_filter(salt: int = 0):
     }
 
 
+def _sort_variant(index: int):
+    """A sort order of its own: each query is its own sort core, so the
+    filtering node holds one entry per query.  (Pages of one filter +
+    sort would share a single entry and leave the DAG nothing to
+    share.)"""
+    return [("score", -1), (f"rank{index}", 1)]
+
+
 def _population(total: int, overlap: float):
-    """*total* queries; ``overlap`` of them are offset/limit pagination
-    variants of the hot filter, the rest carry per-query thresholds."""
+    """*total* queries; ``overlap`` of them are sort-order variants of
+    the hot filter, the rest carry per-query thresholds."""
     hot = int(total * overlap)
     queries = []
     for index in range(total):
         salt = 0 if index < hot else 1 + index
         queries.append(Query(
-            _hot_filter(salt),
-            sort=[("score", -1)],
-            limit=(index % 1000) + 1,
-            offset=index // 1000,
+            _hot_filter(salt), sort=_sort_variant(index), limit=10,
         ))
     return queries
 
@@ -111,7 +116,7 @@ def _per_query_seconds(node, queries, documents, repeats: int = 2):
     """The baseline: every index candidate decided by its own
     ``Query.matches`` walk — decisions only, so it is charged none of
     the node's event construction or result bookkeeping."""
-    by_id = {query.query_id: query for query in queries}
+    by_id = {query.core_id: query for query in queries}
     collection = queries[0].collection
     best = float("inf")
     for _ in range(repeats + 1):
@@ -128,7 +133,7 @@ def test_shared_dag_overlap_sweep(emit):
     """The committed table: per-write matching cost, per-query loop vs
     the DAG node, as the population's structural overlap grows."""
     emit("Shared predicate DAG vs a per-query Query.matches loop")
-    emit("population: pagination variants of one hot feed filter "
+    emit("population: sort-order variants of one hot feed filter "
          "(overlap%) +")
     emit("per-query-threshold variants (rest); ~17% of writes match")
     emit()
@@ -201,7 +206,7 @@ def test_cluster_sharing_metrics_side_by_side(emit):
     try:
         for index in range(60):
             app.subscribe("feed", _hot_filter(0),
-                          sort=[("score", -1)], limit=index + 1)
+                          sort=_sort_variant(index), limit=10)
         broker.drain()
         for key, document in enumerate(_write_documents(200)):
             app.insert("feed", {**document, "_id": key})
@@ -220,7 +225,7 @@ def test_cluster_sharing_metrics_side_by_side(emit):
          f"{totals['dag_nodes_evaluated']:>9,} | "
          f"{totals['dag_share_ratio']:>6.3f}")
     emit()
-    emit("60 pagination variants share one ~12-node tree: per candidate")
+    emit("60 sort-order variants share one ~12-node tree: per candidate")
     emit("write at most ~12 node evaluations, 59 decisions are root hits")
     assert totals["dag_queries_served"] > 0
     assert totals["dag_share_ratio"] > 0.75

@@ -68,7 +68,7 @@ def run_workload(slack: int, delete_bias: float = 0.7, seed: int = 11):
             key = rng.choice(ranked)["_id"]
             del documents[key]
             version[key] += 1
-            event = MatchEvent(query.query_id, MatchType.REMOVE, key, None,
+            event = MatchEvent(query.core_id, MatchType.REMOVE, key, None,
                                version[key], 0.0, True)
             operations += 1
         else:
@@ -76,7 +76,7 @@ def run_workload(slack: int, delete_bias: float = 0.7, seed: int = 11):
             next_key += 1
             documents[key] = {"_id": key, "score": rng.randrange(10**6)}
             version[key] = 1
-            event = MatchEvent(query.query_id, MatchType.ADD, key,
+            event = MatchEvent(query.core_id, MatchType.ADD, key,
                                documents[key], 1, 0.0, True)
         changes = node.handle_event(event)
         notifications += len(changes)
@@ -140,14 +140,14 @@ def _churn_events(window: int, events: int, seed: int = 7):
     random new rank (the all-CHANGE_INDEX worst case).  Versions
     strictly increase per key so no event is dropped as stale."""
     rng = random.Random(seed)
-    query_id = _window_query(window).query_id
+    core_id = _window_query(window).core_id
     versions = {}
     batch = []
     for _ in range(events):
         key = rng.randrange(window)
         versions[key] = versions.get(key, 1) + 1
         document = {"_id": key, "score": rng.random() * window}
-        batch.append(MatchEvent(query_id, MatchType.CHANGE, key, document,
+        batch.append(MatchEvent(core_id, MatchType.CHANGE, key, document,
                                 versions[key], 0.0, True))
     return batch
 

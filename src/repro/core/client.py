@@ -563,7 +563,7 @@ class InvaliDBClient:
             "kind": "subscribe",
             "app_server": self.app_server_id,
             "query_id": query.query_id,
-            "query_hash": query.hash,
+            "query_hash": query.partition_hash,
             "query": serialize_query(query),
             "bootstrap": bootstrap,
             "versions": [[key, version] for key, version in versions.items()],
@@ -855,7 +855,7 @@ class InvaliDBClient:
                     "kind": "ttl",
                     "app_server": self.app_server_id,
                     "query_id": query.query_id,
-                    "query_hash": query.hash,
+                    "query_hash": query.partition_hash,
                 },
                 "ttl",
             )

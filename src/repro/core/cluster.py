@@ -475,7 +475,9 @@ class InvaliDBCluster:
                     del self._registrations[query_id]
                     self._query_from_wire.forget(query_id)
                     self._wires.pop(query_id, None)
-                    deactivated.append((query_id, registration.query.hash))
+                    deactivated.append(
+                        (query_id, registration.query.partition_hash)
+                    )
         for query_id, query_hash in deactivated:
             self.grid.inject(
                 "query-ingestion",

@@ -49,11 +49,18 @@ The node also implements write stream retention: retained after-images
 are replayed against newly registered queries, closing the
 write-subscription race, and version numbers let it ignore stale
 writes.
+
+Sorted queries are matched per *sort core* (``Query.core_id``): every
+page of one filter + sort shares one entry — one index entry, one DAG
+root, one event per write — refcounted by the pages registered on it,
+and a page's bootstrap merges into the entry key by key.  An unsorted
+query is its own entry, and its re-registration still replaces the
+entry's state wholesale (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, NamedTuple, Optional, Set
 
 from repro.core.partitioning import NodeCoordinates
@@ -109,10 +116,13 @@ def _materialized(after: AfterImage) -> AfterImage:
 class _ActiveQuery:
     query: Query
     #: Keys of this node's result partition with their last version.
-    matching: Dict[Any, int]
+    matching: Dict[Any, int] = field(default_factory=dict)
     #: Last seen document per matching key (needed so a delete can emit
     #: a remove event that still carries the item's content).
-    documents: Dict[Any, Document]
+    documents: Dict[Any, Document] = field(default_factory=dict)
+    #: Ids of the queries registered on this entry: the pages of a sort
+    #: core, or the unsorted query itself.
+    pages: Set[str] = field(default_factory=set)
 
 
 class FilteringNode:
@@ -132,7 +142,10 @@ class FilteringNode:
         self.coordinates = coordinates
         self.engine = engine if engine is not None else MongoQueryEngine()
         self.retention = RetentionBuffer(retention_seconds)
+        #: Entry id (``Query.core_id``) -> entry.
         self._queries: Dict[str, _ActiveQuery] = {}
+        #: Sorted page id -> the core id of its entry.
+        self._core_of: Dict[str, str] = {}
         self.index: Optional[QueryIndex] = (
             QueryIndex(
                 spatial=spatial_index,
@@ -194,55 +207,72 @@ class FilteringNode:
         subscription are not lost (Section 5.1).  Replay may produce
         events; the caller forwards them like live ones.
 
-        Re-registration (query renewal or a second app server
-        subscribing) replaces the previous bootstrap state wholesale.
-        The predicate index is keyed by the canonical query id, so it
-        needs no rebuild on re-registration.
+        A sorted page registers on its core's entry.  Its bootstrap is
+        merged key by key (a version at or below the one held is
+        dropped), so the pages already registered keep what they know.
+        Re-registering an unsorted query (renewal, or a second app
+        server subscribing) replaces its state wholesale.  The index and
+        the DAG are keyed by the entry id, so neither is rebuilt.
         """
-        previous = self._queries.get(query.query_id)
-        if previous is not None:
-            self._forget_matches(query.query_id, previous)
-        else:
-            self._order[query.query_id] = self._next_order
+        entry_id = query.core_id
+        state = self._queries.get(entry_id)
+        if state is None:
+            self._order[entry_id] = self._next_order
             self._next_order += 1
             if self.index is not None:
-                self.index.add(query)
-            self.dag.add(query)
-        state = _ActiveQuery(
-            query=query,
-            matching={doc["_id"]: versions.get(doc["_id"], 0) for doc in bootstrap},
-            documents={doc["_id"]: doc for doc in bootstrap},
-        )
-        self._queries[query.query_id] = state
-        for key in state.matching:
-            self._matching_keys.setdefault(key, set()).add(query.query_id)
+                self.index.add(query, entry_id)
+            self.dag.add(query, entry_id)
+            state = self._queries[entry_id] = _ActiveQuery(query)
+        elif not query.is_sorted:
+            self._forget_matches(entry_id, state)
+            state = self._queries[entry_id] = _ActiveQuery(query)
+        state.pages.add(query.query_id)
+        if query.is_sorted:
+            self._core_of[query.query_id] = entry_id
+        matching, documents = state.matching, state.documents
+        for doc in bootstrap:
+            key = doc["_id"]
+            version = versions.get(key, 0)
+            held = matching.get(key)
+            if held is not None and version <= held:
+                continue
+            if held is None:
+                self._matching_keys.setdefault(key, set()).add(entry_id)
+            matching[key] = version
+            documents[key] = doc
         events: List[MatchEvent] = []
         for after in self.retention.replay(now):
-            known_version = state.matching.get(after.key, 0)
-            bootstrap_version = versions.get(after.key, known_version)
-            if after.version <= max(known_version, bootstrap_version):
+            if after.version <= versions.get(after.key, 0):
                 continue
-            events.extend(self._evaluate(state, self._materialize(after)))
+            events.extend(
+                self._evaluate(entry_id, state, self._materialize(after))
+            )
         return events
 
     def deactivate_query(self, query_id: str) -> bool:
-        """Drop a query; True when it was active."""
-        state = self._queries.pop(query_id, None)
-        if state is None:
+        """Drop a query; True when it was active.  A sort core's entry
+        goes with its last page."""
+        entry_id = self._core_of.pop(query_id, query_id)
+        state = self._queries.get(entry_id)
+        if state is None or query_id not in state.pages:
             return False
-        self._forget_matches(query_id, state)
-        self._order.pop(query_id, None)
+        state.pages.discard(query_id)
+        if state.pages:
+            return True
+        del self._queries[entry_id]
+        self._forget_matches(entry_id, state)
+        self._order.pop(entry_id, None)
         if self.index is not None:
-            self.index.remove(query_id)
-        self.dag.remove(query_id)
+            self.index.remove(entry_id)
+        self.dag.remove(entry_id)
         return True
 
-    def _forget_matches(self, query_id: str, state: _ActiveQuery) -> None:
-        """Remove a query's reverse-map entries (state replace/drop)."""
+    def _forget_matches(self, entry_id: str, state: _ActiveQuery) -> None:
+        """Remove an entry's reverse-map entries (state replace/drop)."""
         for key in state.matching:
             matchers = self._matching_keys.get(key)
             if matchers is not None:
-                matchers.discard(query_id)
+                matchers.discard(entry_id)
                 if not matchers:
                     del self._matching_keys[key]
 
@@ -250,8 +280,9 @@ class FilteringNode:
         return list(self._queries)
 
     def result_partition(self, query_id: str) -> List[Document]:
-        """Current partition of the given query's result on this node."""
-        state = self._queries.get(query_id)
+        """Current partition of the given query's result on this node
+        (a sorted page's: its core's)."""
+        state = self._queries.get(self._core_of.get(query_id, query_id))
         if state is None:
             return []
         return list(state.documents.values())
@@ -297,7 +328,7 @@ class FilteringNode:
             for query_id in candidate_ids:
                 state = queries.get(query_id)
                 if state is not None:
-                    events.extend(self._evaluate(state, after))
+                    events.extend(self._evaluate(query_id, state, after))
             return events
         # One shared DAG pass serves every candidate's decision; the
         # loop below is _evaluate for a live document, applied in place.
@@ -389,8 +420,10 @@ class FilteringNode:
         order = self._order
         return sorted(candidates, key=lambda query_id: order.get(query_id, -1))
 
-    def _evaluate(self, state: _ActiveQuery, after: AfterImage) -> List[MatchEvent]:
-        """One query's transition for *after*, outside a shared pass:
+    def _evaluate(
+        self, entry_id: str, state: _ActiveQuery, after: AfterImage
+    ) -> List[MatchEvent]:
+        """One entry's transition for *after*, outside a shared pass:
         deletes (nothing to evaluate) and registration replay (one
         query, decided by its own compiled predicate)."""
         query = state.query
@@ -406,39 +439,25 @@ class FilteringNode:
             state.matching[after.key] = after.version
             state.documents[after.key] = after.document  # type: ignore[assignment]
             if not was_matching:
-                self._matching_keys.setdefault(after.key, set()).add(
-                    query.query_id
-                )
+                self._matching_keys.setdefault(after.key, set()).add(entry_id)
             match_type = MatchType.CHANGE if was_matching else MatchType.ADD
-            return [self._event(query, match_type, after, after.document)]
-        if was_matching:
+            document = after.document
+        elif was_matching:
             del state.matching[after.key]
             last_document = state.documents.pop(after.key, None)
             matchers = self._matching_keys.get(after.key)
             if matchers is not None:
-                matchers.discard(query.query_id)
+                matchers.discard(entry_id)
                 if not matchers:
                     del self._matching_keys[after.key]
+            match_type = MatchType.REMOVE
             document = after.document if after.document is not None else last_document
-            return [self._event(query, MatchType.REMOVE, after, document)]
-        return []
-
-    @staticmethod
-    def _event(
-        query: Query,
-        match_type: MatchType,
-        after: AfterImage,
-        document: Optional[Document],
-    ) -> MatchEvent:
-        return MatchEvent(
-            query_id=query.query_id,
-            match_type=match_type,
-            key=after.key,
-            document=document,
-            version=after.version,
-            timestamp=after.timestamp,
-            needs_sorting=query.needs_sorting_stage,
-        )
+        else:
+            return []
+        return [MatchEvent(
+            entry_id, match_type, after.key, document, after.version,
+            after.timestamp, query.needs_sorting_stage,
+        )]
 
     # ------------------------------------------------------------------
     # Introspection

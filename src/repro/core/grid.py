@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.core.partitioning import sorting_task_of
 from repro.errors import WorkerDiedError
+from repro.query.engine import core_id_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.cluster import InvaliDBCluster
@@ -161,11 +162,14 @@ class Grid:
         return run
 
     def _ingest_query(self, tuple_: Dict[str, Any], out: _Out) -> None:
-        qp = self.cluster.scheme.query_partition_of(tuple_["query_hash"])
+        # ``query_hash`` is the partition hash: every page of a sort
+        # core meets one matching row and its core's sorting task.
+        query_hash = tuple_["query_hash"]
+        qp = self.cluster.scheme.query_partition_of(query_hash)
         if not self.cluster._query_request(tuple_):
             return
         forwarded = dict(tuple_, query_partition=qp)
-        sorting = sorting_task_of(forwarded.get("query_id"), self._sorting_nodes)
+        sorting = sorting_task_of(core_id_of(query_hash), self._sorting_nodes)
         for rank in [sorting] + self._rows[qp]:
             out.setdefault(rank, []).append(forwarded)
 

@@ -14,7 +14,10 @@ Hashing rules from the paper:
   is transmitted on insert, update, and delete";
 * **queries** hash on the canonical query attributes, *never* the
   subscription ID, so distinct subscriptions to the same query land on
-  the same partition even via different application servers.
+  the same partition even via different application servers.  A sorted
+  query hashes on its sort core's attributes (``Query.partition_hash``:
+  limit and offset excluded), so every page of one filter + sort shares
+  a query partition and a sorting task.
 """
 
 from __future__ import annotations
@@ -68,11 +71,11 @@ def _canonical_bytes(value: Any) -> bytes:
     return b"r:" + repr(value).encode()
 
 
-def sorting_task_of(query_id: Any, sorting_nodes: int) -> int:
-    """The sorting task that owns a query: sorted queries are
-    partitioned across the sorting stage by query ID alone, so every
-    match event of one query meets its window in one task."""
-    return stable_hash((query_id,)) % sorting_nodes
+def sorting_task_of(core_id: Any, sorting_nodes: int) -> int:
+    """The sorting task that owns a sort core: cores are partitioned
+    across the sorting stage by core ID alone, so every match event of
+    one core meets its window in one task."""
+    return stable_hash((core_id,)) % sorting_nodes
 
 
 @dataclass(frozen=True)

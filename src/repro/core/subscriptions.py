@@ -26,12 +26,13 @@ class SubscriptionRecord:
     created_at: float
     #: The canonical query hash the app server "remembers ... for the
     #: entire lifetime of a subscription" (Section 5.1) because it can
-    #: only be computed from the subscription request.
+    #: only be computed from the subscription request — the one the
+    #: grid routes by (``Query.partition_hash``).
     query_hash: int = 0
 
     def __post_init__(self) -> None:
         if not self.query_hash:
-            self.query_hash = self.query.hash
+            self.query_hash = self.query.partition_hash
 
 
 class QueryRegistration:

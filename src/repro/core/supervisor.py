@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Any, Dict, Tuple
 
 from repro.core.partitioning import sorting_task_of
 from repro.obs.tracing import PUBLISH, begin_span
+from repro.query.engine import core_id_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.cluster import InvaliDBCluster
@@ -178,7 +179,7 @@ class NodeSupervisor:
                 self.replayed_writes += 1
 
     def _recover_sorting(self, task_index: int) -> None:
-        """Re-register the sorted queries routed to this sorting task.
+        """Re-register the sorted pages whose core this sorting task owns.
 
         The sorting stage has no write-stream retention of its own —
         its input is match events, which the (healthy) matching row
@@ -192,7 +193,8 @@ class NodeSupervisor:
         for wire in cluster._subscribe_wires():
             if wire.get("query", {}).get("sort") is None:
                 continue
-            if sorting_task_of(wire.get("query_id"), sorting_nodes) != task_index:
+            owner = sorting_task_of(core_id_of(wire["query_hash"]), sorting_nodes)
+            if owner != task_index:
                 continue
             cluster.grid.inject("sorting", dict(wire), task=task_index,
                                 direct=True)

@@ -281,15 +281,17 @@ def render(snapshot: Dict[str, Any]) -> str:
 
     sorting = snapshot.get("sorting", [])
     if sorting:
+        # One event per (write, sort core); a core serves its pages.
         rows = [
             [node.get("node", "?"), node.get("query_partition"),
-             node.get("queries"), node.get("events_processed"),
-             node.get("renewals_requested"),
+             node.get("queries"), node.get("cores"),
+             node.get("events_processed"), node.get("renewals_requested"),
              node.get("window_comparisons")]
             for node in sorting
         ]
         sections.append("sorting stage\n" + _table(
-            ["node", "qp", "queries", "events", "renewals", "probe depth"],
+            ["node", "qp", "queries", "cores", "events", "renewals",
+             "probe depth"],
             rows,
         ))
 

@@ -28,12 +28,19 @@ from repro.query.sortspec import SortInput, SortSpec
 from repro.types import Document
 
 
+def core_id_of(partition_hash: int) -> str:
+    """The id of the sort core a partition hash names (see
+    :attr:`Query.core_id`)."""
+    return f"c-{partition_hash:016x}"
+
+
 class Query:
     """A parsed, normalized query over one collection.
 
     Carries the filter AST, the optional sort specification, limit and
-    offset, plus the stable :attr:`hash` used for query partitioning
-    and the derived :attr:`query_id`.
+    offset, plus the stable :attr:`hash` identifying the query, the
+    derived :attr:`query_id`, and the :attr:`partition_hash` the grid
+    routes it by.
     """
 
     __slots__ = (
@@ -44,6 +51,7 @@ class Query:
         "limit",
         "offset",
         "hash",
+        "_partition_hash",
         "query_id",
         "_compiled",
     )
@@ -71,6 +79,7 @@ class Query:
         self.limit = limit
         self.offset = offset
         self.hash = query_hash(filter_doc, collection, self.sort, limit, offset)
+        self._partition_hash: Optional[int] = None
         self.query_id = f"q-{self.hash:016x}"
         #: ``(node, compile_node(node))``, built by the first ``matches``.
         self._compiled: Optional[Tuple[Node, Matcher]] = None
@@ -90,6 +99,34 @@ class Query:
     @property
     def needs_sorting_stage(self) -> bool:
         return self.is_sorted
+
+    @property
+    def partition_hash(self) -> int:
+        """What the grid routes by: every page (limit/offset slice) of
+        one filter + sort shares its sort core's hash, so all pages meet
+        one matching row and one sorting task.  An unsorted query routes
+        by its :attr:`hash`.  Computed on first use (a rewritten
+        bootstrap query is never routed)."""
+        if self._partition_hash is None:
+            self._partition_hash = (
+                self.hash
+                if self.sort is None or (self.limit is None and not self.offset)
+                else query_hash(self.filter_doc, self.collection, self.sort)
+            )
+        return self._partition_hash
+
+    @property
+    def core_id(self) -> str:
+        """The id the filtering and sorting stages key this query by.
+
+        A sorted query is one page of a *sort core* (collection +
+        canonical filter + sort, no limit or offset); its core id has
+        its own ``c-`` prefix, so it never equals a page's ``q-`` id.
+        An unsorted query is its own unit: its core id is its query id.
+        """
+        if self.sort is None:
+            return self.query_id
+        return core_id_of(self.partition_hash)
 
     # -- behaviour ----------------------------------------------------------
 

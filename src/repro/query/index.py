@@ -930,13 +930,16 @@ class QueryIndex:
             "text": 0,
         }
 
-    def add(self, query: Query) -> bool:
-        """Index *query*; True when it got an access predicate.
+    def add(self, query: Query, query_id: Optional[str] = None) -> bool:
+        """Index *query* under *query_id* (default: its own); True when
+        it got an access predicate.
 
         Re-adding an already indexed query id is a no-op (query ids are
         canonical: the same id is always the same query).
         """
-        existing = self._plans.get(query.query_id)
+        if query_id is None:
+            query_id = query.query_id
+        existing = self._plans.get(query_id)
         if existing is not None:
             return existing[1] is not None
         gates = self._gates
@@ -951,11 +954,11 @@ class QueryIndex:
             collection_index = _CollectionIndex()
             self._collections[query.collection] = collection_index
         if entries is None:
-            collection_index.residual.add(query.query_id)
+            collection_index.residual.add(query_id)
         else:
             for entry in entries:
-                collection_index.insert(entry, query.query_id)
-        self._plans[query.query_id] = (query.collection, entries)
+                collection_index.insert(entry, query_id)
+        self._plans[query_id] = (query.collection, entries)
         return entries is not None
 
     def remove(self, query_id: str) -> bool:

@@ -203,9 +203,12 @@ class SharedPredicateDAG:
     # Incremental maintenance
     # ------------------------------------------------------------------
 
-    def add(self, query: Query) -> bool:
-        """Intern *query*'s predicate tree; False = engine fallback."""
-        if query.query_id in self._roots:
+    def add(self, query: Query, query_id: Optional[str] = None) -> bool:
+        """Intern *query*'s predicate tree under *query_id* (default:
+        its own); False = engine fallback."""
+        if query_id is None:
+            query_id = query.query_id
+        if query_id in self._roots:
             return True
         created: List[_DagNode] = []
         try:
@@ -219,7 +222,7 @@ class SharedPredicateDAG:
             self.fallbacks += 1
             return False
         root.refs += 1
-        self._roots[query.query_id] = root
+        self._roots[query_id] = root
         return True
 
     def remove(self, query_id: str) -> bool:

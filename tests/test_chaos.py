@@ -63,8 +63,11 @@ def chaos_plan(seed: int) -> FaultPlan:
 
 
 def crash_only_plan() -> FaultPlan:
-    """One scripted matching-node crash, nothing else."""
-    return FaultPlan().rule("mailbox", "matching*", "crash", at=[30])
+    """One scripted matching-node crash, nothing else.  The 32nd
+    matching tuple lands on a cell of the query partition holding both
+    subscriptions (the sorted one routes by its sort core's hash), so
+    recovery has queries to re-register."""
+    return FaultPlan().rule("mailbox", "matching*", "crash", at=[31])
 
 
 def apply_workload(app: AppServer) -> None:

@@ -203,6 +203,66 @@ class TestLifecycle:
         assert [e.match_type for e in events] == [MatchType.REMOVE]
 
 
+class TestSortCores:
+    """Pages of one filter + sort share one entry, refcounted."""
+
+    PAGES = [Query({"v": {"$gte": 10}}, sort=[("v", -1)], limit=2,
+                   offset=offset) for offset in (0, 2, 4)]
+
+    def test_one_entry_and_one_event_per_core(self):
+        n = node()
+        for page in self.PAGES:
+            n.register_query(page, [], {}, now=0.0)
+        core_id = self.PAGES[0].core_id
+        assert n.active_queries() == [core_id]
+        assert n.stats()["index"]["queries"] == 1
+        assert n.stats()["dag"]["roots"] == 1
+        events = n.process_write(insert(1, {"v": 15}), now=0.0)
+        assert [(e.query_id, e.match_type) for e in events] == [
+            (core_id, MatchType.ADD)
+        ]
+        assert n.candidates_considered == 1
+
+    def test_the_entry_lives_while_a_page_does(self):
+        n = node()
+        for page in self.PAGES[:2]:
+            n.register_query(page, [], {}, now=0.0)
+        assert n.deactivate_query(self.PAGES[0].query_id)
+        assert not n.deactivate_query(self.PAGES[0].query_id)
+        assert not n.deactivate_query(self.PAGES[2].query_id)
+        assert n.process_write(insert(1, {"v": 15}), now=0.0)
+        assert n.deactivate_query(self.PAGES[1].query_id)
+        assert n.query_count == 0
+        assert n.process_write(insert(2, {"v": 15}), now=0.0) == []
+
+    def test_a_page_bootstrap_merges_by_version(self):
+        n = node()
+        first, second = self.PAGES[:2]
+        n.register_query(first, [{"_id": 1, "v": 15}], {1: 3}, now=0.0)
+        # Older for key 1 (dropped), new for key 2 (added); key 1 stays.
+        n.register_query(second, [{"_id": 1, "v": 11},
+                                  {"_id": 2, "v": 20}], {1: 2, 2: 1},
+                         now=0.0)
+        partition = n.result_partition(second.query_id)
+        assert sorted((d["_id"], d["v"]) for d in partition) == \
+            [(1, 15), (2, 20)]
+        events = n.process_write(delete(1, version=4), now=0.0)
+        assert [(e.match_type, e.document) for e in events] == \
+            [(MatchType.REMOVE, {"_id": 1, "v": 15})]
+
+    def test_replay_is_against_the_bootstrap_version(self):
+        """A write the entry already processed is replayed to a page
+        whose bootstrap predates it (the sorting core's version test
+        makes the repeat a no-op)."""
+        n = node()
+        first, second = self.PAGES[:2]
+        n.register_query(first, [], {}, now=0.0)
+        n.process_write(insert(1, {"v": 15}), now=0.0)
+        events = n.register_query(second, [], {}, now=0.0)
+        assert [(e.match_type, e.key, e.version) for e in events] == \
+            [(MatchType.CHANGE, 1, 1)]
+
+
 class TestMatchedOperationsCounter:
     """matched_operations counts actual engine invocations — deletes and
     foreign-collection writes never reach the engine."""

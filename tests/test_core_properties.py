@@ -7,7 +7,7 @@ re-executing the query from scratch over the final database state.
 Driven deterministically (no threads) so hypothesis shrinking works.
 """
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Set
 
 from hypothesis import given, settings, strategies as st
 
@@ -208,14 +208,55 @@ sorted_operations = st.lists(
     max_size=50,
 )
 
+# The same, plus the page lifecycle of a shared sort core: "attach" the
+# next (deeper) page, "detach" one, "renew" one with one more slack item.
+page_operations = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "update", "update", "delete", "delete",
+                         "replay", "reregister", "attach", "attach",
+                         "detach", "renew"]),
+        st.sampled_from(SORTED_KEYS),
+        st.integers(min_value=0, max_value=30),
+    ),
+    min_size=15,
+    max_size=60,
+)
+
+
+@st.composite
+def core_pages(draw):
+    """1-4 distinct ``(offset, limit, slack)`` pages of one sort core
+    (``limit=None`` included), shallowest first."""
+    slices = draw(st.lists(
+        st.tuples(st.integers(0, 6), st.none() | st.integers(1, 4)),
+        min_size=1, max_size=4, unique=True,
+    ))
+    pages = [(offset, limit, draw(st.integers(1, 3)))
+             for offset, limit in slices]
+    return sorted(pages, key=lambda page: (
+        page[1] is None, page[0] + (page[1] or 0), page[0],
+    ))
+
 
 def drive_sorted_query(seeds, ops, limit, offset, slack):
-    """The sorting stage's oracle: one sorted query, checked per write.
+    """The sorting stage's oracle for one sorted query (a one-page
+    core); see :func:`drive_sorted_pages`."""
+    return drive_sorted_pages(seeds, ops, [(offset, limit, slack)])
 
-    Feeds a filtering node + sorting node pipeline, renewing on
-    maintenance errors.  After EVERY operation it checks the paper's
-    contract two ways against a recomputation from the test's own
-    document dict:
+
+def drive_sorted_pages(seeds, ops, pages):
+    """The sorting stage's oracle: pages of one sort core, checked per
+    operation.
+
+    *pages* are ``(offset, limit, slack)`` slices of one filter + sort,
+    shallowest first; the first is attached up front.  Feeds a filtering
+    node + sorting node pipeline, renewing a page on its maintenance
+    error.  Besides writes, "replay" and "reregister" (see
+    ``sorted_operations``), ops may attach the next unattached page
+    ("attach"), detach an attached one ("detach") or renew one with one
+    more slack item ("renew"), as a client does.  After EVERY operation
+    it checks the paper's contract two ways per attached page against a
+    recomputation from the test's own document dict:
 
     * the node's visible window equals the recomputed window;
     * a real :class:`RealTimeSubscription` that got the initial result
@@ -226,8 +267,15 @@ def drive_sorted_query(seeds, ops, limit, offset, slack):
 
     Returns the sorting node.
     """
-    query = Query({"tag": {"$lte": 1}}, sort=[("v", -1)], limit=limit,
-                  offset=offset)
+    queries = [
+        Query({"tag": {"$lte": 1}}, sort=[("v", -1)], limit=limit,
+              offset=offset)
+        for offset, limit, _ in pages
+    ]
+    assert len({query.core_id for query in queries}) == 1
+    slacks = {query.query_id: slack
+              for query, (_, _, slack) in zip(queries, pages)}
+    sort = queries[0].sort
     filtering = FilteringNode(NodeCoordinates(0, 0))
     sorting = SortingNode()
     current: Dict[Any, Dict[str, Any]] = {
@@ -236,28 +284,51 @@ def drive_sorted_query(seeds, ops, limit, offset, slack):
     }
     latest_version: Dict[Any, int] = {key: 1 for key in current}
     history: Dict[Any, List[MatchEvent]] = {}
-    subscription = RealTimeSubscription("sub-oracle", query)
+    #: Attached pages: query id -> (query, its subscription).
+    attached: Dict[str, Any] = {}
+    seen: Set[str] = set()
 
     def matching() -> List[Dict[str, Any]]:
         return sorted(
             (doc for doc in current.values() if doc["tag"] <= 1),
-            key=query.sort.key,
+            key=sort.key,
         )
 
-    def deliver(changes) -> bool:
+    def deliver(changes) -> List[str]:
+        """Deliver each change to its page; the pages that failed."""
         for change in changes:
+            subscription = attached[change.query_id][1]
             subscription._deliver(
                 bind_to_subscription(change, subscription.subscription_id)
             )
-        return any(change.is_error for change in changes)
+        return [change.query_id for change in changes if change.is_error]
 
-    def bootstrap() -> None:
+    def bootstrap(query) -> None:
+        slack = slacks[query.query_id]
         ordered = matching()[: query.rewritten_for_subscription(slack).limit]
         versions = {doc["_id"]: latest_version[doc["_id"]] for doc in ordered}
         filtering.register_query(query, ordered, versions, now=0.0)
-        assert not deliver(
-            sorting.register_query(query, ordered, versions, slack=slack)
-        )
+        # A page the node never saw (a detached one keeps its last
+        # window there, and gets the delta from it).
+        first_attach = query.query_id not in seen
+        seen.add(query.query_id)
+        if query.query_id not in attached:
+            subscription = RealTimeSubscription(
+                f"sub-{query.query_id}", query
+            )
+            attached[query.query_id] = (query, subscription)
+            subscription._deliver_initial(InitialResult(
+                subscription.subscription_id, query.query_id,
+                documents=ordered[query.offset:][:query.limit],
+            ))
+        changes = sorting.register_query(query, ordered, versions,
+                                         slack=slack)
+        # The core agrees with a bootstrap read after every write it
+        # saw: merging it changes no other page, and a first attach
+        # needs no delta on top of its initial result.
+        assert all(change.query_id == query.query_id for change in changes)
+        assert not (first_attach and changes)
+        assert not deliver(changes)
 
     def write(kind, key, value) -> List[MatchEvent]:
         if kind == "delete":
@@ -279,55 +350,72 @@ def drive_sorted_query(seeds, ops, limit, offset, slack):
             history.setdefault(event.key, []).append(event)
         return events
 
-    def check() -> None:
-        expected = matching()[offset:]
-        if limit is not None:
-            expected = expected[:limit]
-        state = sorting.state_of(query.query_id)
-        assert state is not None
-        assert [document for _, document in state.visible()] == expected
-        assert subscription.result() == expected
+    def handle(events, missing=None) -> None:
+        """Feed events to the sorting node; renew the pages that fail.
+        *missing* is a deactivated page, which must hear nothing."""
+        failed: List[str] = []
+        for event in events:
+            changes = sorting.handle_event(event)
+            assert all(change.query_id != missing for change in changes)
+            failed += deliver(changes)
+        for query_id in failed:
+            bootstrap(attached[query_id][0])
 
-    bootstrap()
-    subscription._deliver_initial(InitialResult(
-        subscription.subscription_id, query.query_id,
-        documents=[document for _, document in
-                   sorting.state_of(query.query_id).visible()],
-    ))
+    def check() -> None:
+        for query, subscription in attached.values():
+            expected = matching()[query.offset:][:query.limit]
+            state = sorting.state_of(query.query_id)
+            assert state is not None
+            assert [document for _, document in state.visible()] == expected
+            assert subscription.result() == expected
+
+    def pick(value):
+        """An attached page's query, chosen by *value*."""
+        pages = list(attached.values())
+        return pages[value % len(pages)][0] if pages else None
+
+    bootstrap(queries[0])
     check()
     for kind, key, value in ops:
-        if kind == "reregister":
+        query = pick(value)
+        if kind == "attach":
+            unattached = [candidate for candidate in queries
+                          if candidate.query_id not in attached]
+            if unattached:
+                bootstrap(unattached[0])
+        elif kind == "detach" and query is not None:
+            assert filtering.deactivate_query(query.query_id)
+            assert sorting.deactivate_query(query.query_id)
+            del attached[query.query_id]
+        elif kind == "renew" and query is not None:
+            slacks[query.query_id] += 1
+            bootstrap(query)
+        elif kind == "reregister" and query is not None:
             assert sorting.deactivate_query(query.query_id)
             assert sorting.state_of(query.query_id) is None
-            # The deactivated query emits nothing for the writes it
+            # The deactivated page emits nothing for the writes it
             # misses; the delta of the next register_query closes the
             # gap from the window kept at deactivation.
             for missed in range(1 + value % 3):
-                for event in write("update",
-                                   (key + 5 * missed) % len(SORTED_KEYS),
-                                   (value + 11 * missed) % 31):
-                    assert sorting.handle_event(event) == []
-            bootstrap()
-            check()
-            continue
-        if kind == "replay":
-            # A re-delivery is a no-op only while the node holds the
+                handle(write("update", (key + 5 * missed) % len(SORTED_KEYS),
+                             (value + 11 * missed) % 31),
+                       missing=query.query_id)
+            bootstrap(query)
+        elif kind == "replay":
+            # A re-delivery is a no-op only while the core holds the
             # key's newer entry.  It must hold every key ranking inside
-            # offset + limit of the recomputation, so the test's own
-            # model (not the node's state) licenses the replay.
+            # the deepest attached page's offset + limit of the
+            # recomputation, so the test's own model (not the node's
+            # state) licenses the replay.
+            ends = [q.offset + q.limit if q.limit is not None else None
+                    for q, _ in attached.values()]
             held = matching()
-            if limit is not None:
-                held = held[: offset + limit]
-            if key not in history or current.get(key) not in held:
-                continue
-            events = [history[key][value % len(history[key])]]
-        else:
-            events = write(kind, key, value)
-        renew = False
-        for event in events:
-            renew |= deliver(sorting.handle_event(event))
-        if renew:
-            bootstrap()
+            if None not in ends:
+                held = held[: max(ends, default=0)]
+            if key in history and current.get(key) in held:
+                handle([history[key][value % len(history[key])]])
+        elif kind in ("insert", "update", "delete"):
+            handle(write(kind, key, value))
         check()
     return sorting
 
@@ -339,6 +427,12 @@ class TestSortingStageInvariant:
     def test_visible_window_equals_recomputation(self, seeds, ops, limit,
                                                  offset, slack):
         drive_sorted_query(seeds, ops, limit, offset, slack)
+
+    @given(sorted_seeds, page_operations, core_pages())
+    @settings(max_examples=200, deadline=None)
+    def test_every_page_of_a_core_equals_recomputation(self, seeds, ops,
+                                                       pages):
+        drive_sorted_pages(seeds, ops, pages)
 
     @given(sorted_seeds, sorted_operations)
     @settings(max_examples=60, deadline=None)

@@ -40,7 +40,7 @@ def figure3_query(limit=3, offset=2):
 
 def event(query, match_type, doc=None, key=None, version=1):
     return MatchEvent(
-        query_id=query.query_id,
+        query_id=query.core_id,
         match_type=match_type,
         key=key if key is not None else doc["_id"],
         document=doc,
@@ -82,13 +82,13 @@ class TestBootstrapWindow:
         node = SortingNode()
         query = figure3_query()
         register(node, query, ARTICLES[:3])
-        assert node.state_of(query.query_id).complete
+        assert node.state_of(query.query_id).core.complete
 
     def test_full_window_is_incomplete(self):
         node = SortingNode()
         query = figure3_query()
         register(node, query, ARTICLES)  # 7 docs = offset+limit+slack
-        assert not node.state_of(query.query_id).complete
+        assert not node.state_of(query.query_id).core.complete
 
 
 class TestOffsetDynamics:
@@ -173,7 +173,7 @@ class TestLimitDynamics:
         ancient = {"_id": 99, "title": "Ancient", "year": 1990}
         changes = node.handle_event(event(query, MatchType.ADD, ancient))
         assert changes == []
-        assert len(node.state_of(query.query_id).entries) == 3
+        assert len(node.state_of(query.query_id).core.entries) == 3
 
     def test_add_grows_slack_when_incomplete_but_below_capacity(self):
         node = SortingNode()
@@ -181,10 +181,10 @@ class TestLimitDynamics:
         register(node, query, ARTICLES, slack=3)  # capacity 5, 5 known
         state = node.state_of(query.query_id)
         node.handle_event(event(query, MatchType.REMOVE, key=7, version=2))
-        assert state.current_slack() == 2
+        assert state.core.current_slack() == 2
         fresh = {"_id": 50, "year": 2018, "title": "x"}
         node.handle_event(event(query, MatchType.ADD, fresh))
-        assert state.current_slack() == 3
+        assert state.core.current_slack() == 3
 
 
 class TestMaintenanceErrors:
@@ -264,8 +264,8 @@ class TestUnlimitedSortedQueries:
         query = Query({}, sort=[("year", -1)])
         register(node, query, ARTICLES)
         state = node.state_of(query.query_id)
-        assert state.complete
-        assert state.current_slack() is None
+        assert state.core.complete
+        assert state.core.current_slack() is None
         doc = {"_id": 100, "year": 2030, "title": "future"}
         changes = node.handle_event(event(query, MatchType.ADD, doc))
         assert changes[0].match_type is MatchType.ADD
@@ -357,3 +357,137 @@ class TestVersionHandling:
             for _, doc in node.state_of(query.query_id).visible()
         }
         assert "Retitled" in titles
+
+
+def page_query(offset, limit):
+    return Query({}, collection="articles", sort=[("year", -1)],
+                 limit=limit, offset=offset)
+
+
+def page_ids(node, query):
+    return [key for key, _ in node.state_of(query.query_id).visible()]
+
+
+class TestSortCores:
+    """Pages of one filter + sort are slices of one shared window."""
+
+    def test_core_id_excludes_limit_and_offset(self):
+        pages = [page_query(0, 2), page_query(2, 3), page_query(0, None)]
+        assert len({page.core_id for page in pages}) == 1
+        assert len({page.partition_hash for page in pages}) == 1
+        assert len({page.query_id for page in pages}) == 3
+        # A limit-less first page hashes like its core, but the ids
+        # never collide.
+        unlimited = pages[2]
+        assert unlimited.partition_hash == unlimited.hash
+        assert unlimited.core_id != unlimited.query_id
+        unsorted = Query({}, collection="articles")
+        assert unsorted.core_id == unsorted.query_id
+        assert unsorted.partition_hash == unsorted.hash
+
+    def test_pages_share_one_core_and_one_event(self):
+        node = SortingNode()
+        top, rest = page_query(0, 2), page_query(2, 3)
+        register(node, top, ARTICLES)
+        assert register(node, rest, ARTICLES) == []
+        assert node.stats()["cores"] == 1 and node.stats()["pages"] == 2
+        assert page_ids(node, top) == [5, 8]
+        assert page_ids(node, rest) == [3, 4, 7]
+        newest = {"_id": 1, "title": "Brand New", "year": 2019}
+        changes = node.handle_event(event(top, MatchType.ADD, newest))
+        assert node.events_processed == 1
+        assert page_ids(node, top) == [1, 5]
+        assert page_ids(node, rest) == [8, 3, 4]
+        by_page = {(c.query_id, c.match_type, c.key) for c in changes}
+        assert by_page == {
+            (top.query_id, MatchType.REMOVE, 8),
+            (top.query_id, MatchType.ADD, 1),
+            (rest.query_id, MatchType.REMOVE, 7),
+            (rest.query_id, MatchType.ADD, 8),
+        }
+
+    def test_a_move_diffs_only_the_pages_it_crosses(self):
+        node = SortingNode()
+        pages = [page_query(offset, 2) for offset in (0, 2, 4)]
+        for page in pages:
+            register(node, page, ARTICLES)
+        # id 4 (rank 3, second page) moves to rank 2: inside page two.
+        moved = {"_id": 4, "title": "Query Languages", "year": 2017.5}
+        changes = node.handle_event(event(pages[1], MatchType.CHANGE, moved,
+                                          version=2))
+        assert [(c.query_id, c.match_type) for c in changes] == [
+            (pages[1].query_id, MatchType.CHANGE_INDEX),
+        ]
+        assert page_ids(node, pages[1]) == [4, 3]
+
+    def test_the_deepest_page_fails_alone(self):
+        node = SortingNode()
+        top, deep = page_query(0, 2), page_query(2, 3)
+        register(node, top, ARTICLES, slack=0)
+        register(node, deep, ARTICLES, slack=0)  # core knows all 5 it needs
+        changes = node.handle_event(event(top, MatchType.REMOVE, key=5,
+                                          version=2))
+        assert [(c.query_id, c.match_type) for c in changes][0] == \
+            (deep.query_id, MatchType.ERROR)
+        assert node.state_of(deep.query_id) is None
+        assert node.renewals_requested == 1
+        # The shallow page carried on: 5 left it, 3 slid in.
+        assert page_ids(node, top) == [8, 3]
+        assert {(c.match_type, c.key) for c in changes[1:]} == {
+            (MatchType.REMOVE, 5), (MatchType.ADD, 3),
+        }
+        # Its capacity (2) is all the core keeps now.
+        assert len(node.state_of(top.query_id).core.entries) == 2
+        # The renewal re-attaches the deep page with the delta from its
+        # last valid window [3, 4, 7].
+        remaining = [doc for doc in ARTICLES if doc["_id"] != 5]
+        renewal = register(node, deep, remaining, slack=0)
+        assert page_ids(node, deep) == [4, 7, 9]
+        assert {(c.match_type, c.key) for c in renewal} >= {
+            (MatchType.REMOVE, 3), (MatchType.ADD, 9),
+        }
+
+    def test_attach_merges_newer_entries_into_attached_pages(self):
+        """A bootstrap read after a write the core has not seen yet:
+        merging it updates the page already attached; the attaching
+        page's initial result already had it."""
+        node = SortingNode()
+        top, rest = page_query(0, 2), page_query(2, 3)
+        register(node, top, ARTICLES)
+        newer = [dict(doc, year=2020) if doc["_id"] == 3 else doc
+                 for doc in ARTICLES]
+        rewritten = rest.rewritten_for_subscription(2)
+        bootstrap = sorted(newer, key=rest.sort.key)[: rewritten.limit]
+        versions = {doc["_id"]: 2 if doc["_id"] == 3 else 1
+                    for doc in bootstrap}
+        changes = node.register_query(rest, bootstrap, versions, slack=2)
+        assert page_ids(node, top) == [3, 5]
+        assert page_ids(node, rest) == [8, 4, 7]
+        assert {c.query_id for c in changes} == {top.query_id}
+
+    def test_first_attach_catches_up_with_a_core_ahead_of_its_bootstrap(self):
+        """A write that reached the core before a page's subscribe: the
+        bootstrap is older than the core, so its stale entries are
+        dropped, and the page gets the delta from its initial result."""
+        node = SortingNode()
+        top, rest = page_query(0, 2), page_query(2, 3)
+        register(node, top, ARTICLES)
+        moved = {"_id": 7, "title": "Streams in Action", "year": 2019}
+        node.handle_event(event(top, MatchType.CHANGE, moved, version=2))
+        assert page_ids(node, top) == [7, 5]
+        changes = register(node, rest, ARTICLES)   # versions all 1
+        assert page_ids(node, rest) == [8, 3, 4]
+        assert {c.query_id for c in changes} == {rest.query_id}
+        kinds = {(c.match_type, c.key) for c in changes}
+        assert (MatchType.ADD, 8) in kinds and (MatchType.REMOVE, 7) in kinds
+
+    def test_detaching_the_last_page_drops_the_core(self):
+        node = SortingNode()
+        top, rest = page_query(0, 2), page_query(2, 3)
+        register(node, top, ARTICLES)
+        register(node, rest, ARTICLES)
+        assert node.deactivate_query(rest.query_id)
+        assert node.stats()["cores"] == 1
+        assert node.deactivate_query(top.query_id)
+        assert node.stats()["cores"] == 0 and node.stats()["pages"] == 0
+        assert node.handle_event(event(top, MatchType.REMOVE, key=5)) == []

@@ -158,3 +158,79 @@ def test_a_write_overtaken_by_a_second_app_servers_subscribe_reaches_both():
         app_b.close()
         cluster.stop()
         broker.close()
+
+
+# The sorted path of the same race.  A sorted page registers on its sort
+# core, and a re-registration merges its bootstrap into the core entry
+# by entry instead of replacing the state: the pages already attached
+# receive what the merge changes, and the held write, arriving late,
+# meets a version it already holds.
+
+SORT = [("v", -1)]
+
+
+def held_write_stack(held):
+    """An inline stack whose *held*-th write is delayed past the next
+    subscribe."""
+    plan = FaultPlan().rule("channel", "invalidb:writes*", "delay",
+                            delay=0.5, at=[held])
+    broker = Broker(execution=InlineExecutionModel(
+        ExecutionConfig(mode="inline", seed=1, fault_plan=plan)
+    ))
+    config = InvaliDBConfig(query_partitions=2, write_partitions=2)
+    return broker, config, InvaliDBCluster(broker, config).start()
+
+
+def test_a_write_overtaken_by_a_duplicate_page_subscribe_reaches_every_handle():
+    broker, config, cluster = held_write_stack(held=1)
+    app = AppServer("churn-app", broker, config=config)
+    try:
+        app.insert("items", {"_id": 1, "v": 10})          # write 0
+        stayed = app.subscribe("items", FILTER, sort=SORT, limit=2)
+        churned = app.subscribe("items", FILTER, sort=SORT, limit=2)
+        app.update("items", 1, {"$set": {"v": 70}})       # write 1: held
+        app.unsubscribe(churned)
+        churned = app.subscribe("items", FILTER, sort=SORT, limit=2)
+        assert broker.drain()
+        assert cluster.snapshot()["faults"]["delayed"] == 1
+        expected = app.find("items", FILTER, sort=SORT, limit=2)
+        assert expected == [{"_id": 1, "v": 70}]
+        assert churned.result() == expected
+        assert stayed.result() == expected
+    finally:
+        app.close()
+        cluster.stop()
+        broker.close()
+
+
+def test_a_deeper_page_subscribed_past_a_held_write_updates_both_pages():
+    """app-b attaches page 2 of the core app-a's page 1 lives on while
+    the write that reorders both pages is held back: the merge of app-b's
+    bootstrap moves the written document into page 1 at once, and the
+    late write changes nothing."""
+    values = [60, 70, 80, 90, 10]
+    broker, config, cluster = held_write_stack(held=len(values))
+    database = Database()
+    app_a = AppServer("app-a", broker, database=database, config=config)
+    app_b = AppServer("app-b", broker, database=database, config=config)
+    try:
+        for key, value in enumerate(values, start=1):
+            app_a.insert("items", {"_id": key, "v": value})
+        first = app_a.subscribe("items", FILTER, sort=SORT, limit=2)
+        app_a.update("items", 5, {"$set": {"v": 95}})     # held
+        second = app_b.subscribe("items", FILTER, sort=SORT, limit=2,
+                                 offset=2)
+        assert first.query.core_id == second.query.core_id
+        assert broker.drain()
+        assert cluster.snapshot()["faults"]["delayed"] == 1
+        assert [doc["_id"] for doc in first.result()] == [5, 4]
+        assert first.result() == app_a.find("items", FILTER, sort=SORT,
+                                            limit=2)
+        assert second.result() == app_b.find("items", FILTER, sort=SORT,
+                                             skip=2, limit=2)
+        assert cluster.snapshot()["sorting"][0]["cores"] == 1
+    finally:
+        app_a.close()
+        app_b.close()
+        cluster.stop()
+        broker.close()

@@ -22,6 +22,7 @@ from repro.core.partitioning import (
 )
 from repro.event.broker import Broker
 from repro.obs.flight import FlightRecorder
+from repro.query.engine import core_id_of
 from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
 from repro.runtime.faults import FaultPlan
 
@@ -120,11 +121,13 @@ def puts(cluster):
             if entry[0] == "put"]
 
 
-def query_id_on(sorting_task, sorting_nodes):
-    """A query id the sorting stage routes to *sorting_task*."""
+def query_hash_on(sorting_task, sorting_nodes, query_partition,
+                  query_partitions):
+    """A query hash of *query_partition* whose core the sorting stage
+    routes to *sorting_task*."""
     return next(
-        qid for qid in (f"q{i}" for i in range(1000))
-        if sorting_task_of(qid, sorting_nodes) == sorting_task
+        h for h in range(query_partition, 1000, query_partitions)
+        if sorting_task_of(core_id_of(h), sorting_nodes) == sorting_task
     )
 
 
@@ -183,8 +186,8 @@ class TestGridTasks:
         cells, each in index order — not in first-emission order."""
         cluster, _ = build_grid(query_partitions=2, write_partitions=2,
                                 sorting_nodes=2)
-        first = subscribe(query_id_on(1, 2), query_hash=1)   # row 1
-        second = subscribe(query_id_on(0, 2), query_hash=0)  # row 0
+        first = subscribe("a", query_hash_on(1, 2, 1, 2))   # row 1
+        second = subscribe("b", query_hash_on(0, 2, 0, 2))  # row 0
         handler(cluster, "query-ingestion[0]")([first, second])
         routed = [(name, [t["query_id"] for t in batch])
                   for name, batch in puts(cluster)]
@@ -194,7 +197,7 @@ class TestGridTasks:
             ("matching[0]", [b]), ("matching[1]", [b]),
             ("matching[2]", [a]), ("matching[3]", [a]),
         ]
-        assert all(t["query_partition"] == int(t["query_hash"])
+        assert all(t["query_partition"] == t["query_hash"] % 2
                    for _, batch in puts(cluster) for t in batch)
 
     def test_a_write_reaches_every_cell_of_its_column(self):

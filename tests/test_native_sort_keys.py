@@ -189,7 +189,7 @@ class TestProbeDepthCounter:
 
     @staticmethod
     def _event(query, match_type, key, document, version):
-        return MatchEvent(query_id=query.query_id, match_type=match_type,
+        return MatchEvent(query_id=query.core_id, match_type=match_type,
                           key=key, document=document, version=version,
                           timestamp=0.0, needs_sorting=True)
 
@@ -209,7 +209,7 @@ class TestProbeDepthCounter:
         documents = [{"_id": key, "score": float(key)} for key in range(10)]
         node, query = self._node(limit=3, slack=1, documents=documents)
         state = node.state_of(query.query_id)
-        assert not state.complete and len(state.entries) == 4
+        assert not state.core.complete and len(state.core.entries) == 4
         # Slack 1 -> 0, then a demotion below the horizon: the horizon
         # test and the bisect for the old position run before the window
         # turns out to be unmaintainable.

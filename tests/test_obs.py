@@ -395,7 +395,8 @@ class TestInspector:
                 "candidates_pruned": 16,
             }],
             "sorting": [{
-                "node": "sorting[0]", "query_partition": 0, "queries": 1,
+                "node": "sorting[0]", "query_partition": 0, "queries": 3,
+                "cores": 1, "pages": 3,
                 "events_processed": 5, "renewals_requested": 0,
                 "window_comparisons": 42,
             }],
@@ -427,6 +428,7 @@ class TestInspector:
         assert "faults.injected" in text
         assert "supervisor.restarts" in text
         assert "probe depth" in text and "42" in text
+        assert "cores" in text
         assert "cluster.notifications_coalesced" in text
         # Pruned 16 of 24 candidate evaluations.
         assert "66.67" in text

@@ -86,7 +86,8 @@ def dag_workloads(draw):
         ))
         picks = draw(st.lists(st.integers(0, len(FRAGMENTS) - 1),
                               min_size=1, max_size=3, unique=True))
-        # limit variants keep query ids distinct even for equal filters
+        # limit variants keep query ids distinct even for equal filters;
+        # the sort direction splits them over two sort cores
         specs.append((shape, tuple(picks), index + 1))
     steps = draw(st.lists(
         st.tuples(
@@ -116,11 +117,13 @@ class _UnhashableGte(ops.Gte):
 
 def _dag_queries(specs, exotic):
     queries = [
-        Query(_combine(shape, picks), sort=[("score", -1)], limit=limit)
+        Query(_combine(shape, picks), sort=[("score", 1 - 2 * (limit % 2))],
+              limit=limit)
         for shape, picks, limit in specs
     ]
     if exotic:
-        query = Query({"score": {"$gte": 50}}, sort=[("score", -1)],
+        # A sort core of its own: no spec query sorts by title.
+        query = Query({"score": {"$gte": 50}}, sort=[("title", 1)],
                       limit=len(specs) + 1)
         query.node = FieldPredicate("score", _UnhashableGte(50))
         queries.insert(0, query)
@@ -128,35 +131,43 @@ def _dag_queries(specs, exotic):
 
 
 class _PerQueryReference:
-    """What the filtering stage must emit, decided one query at a time
-    by plain ``Query.matches`` (the pull store's matcher: no index, no
-    sharing); add/change/remove falls out of the key's previous
+    """What the filtering stage must emit, decided one sort core at a
+    time by plain ``Query.matches`` (the pull store's matcher: no index,
+    no sharing); add/change/remove falls out of the key's previous
     membership.  Like the node it retains the latest after-image per
-    key, drops stale versions and replays onto a new registration."""
+    key, drops stale versions and replays onto every registration; a
+    core lives while one of its pages is registered."""
 
     def __init__(self):
-        self._queries = {}      # query id -> (query, {key: last document})
+        # core id -> (first page's query, {key: last document}, page ids)
+        self._queries = {}
         self._retained = {}     # key -> latest after-image
 
     def register(self, query):
-        members = {}
-        self._queries[query.query_id] = (query, members)
+        entry = self._queries.setdefault(query.core_id, (query, {}, set()))
+        entry[2].add(query.query_id)
         return [event for after in self._retained.values()
-                for event in self._decide(query, members, after)]
+                for event in self._decide(query.core_id, *entry[:2], after)]
 
     def deactivate(self, query_id):
-        return self._queries.pop(query_id, None) is not None
+        for core_id, (_, _, pages) in self._queries.items():
+            if query_id in pages:
+                pages.discard(query_id)
+                if not pages:
+                    del self._queries[core_id]
+                return True
+        return False
 
     def write(self, after):
         seen = self._retained.get(after.key)
         if after.version <= (seen.version if seen is not None else 0):
             return []
         self._retained[after.key] = after
-        return [event for query, members in self._queries.values()
-                for event in self._decide(query, members, after)]
+        return [event for core_id, (query, members, _) in self._queries.items()
+                for event in self._decide(core_id, query, members, after)]
 
     @staticmethod
-    def _decide(query, members, after):
+    def _decide(core_id, query, members, after):
         was_member = after.key in members
         if not after.is_delete and query.matches(after.document):
             members[after.key] = document = after.document
@@ -167,7 +178,7 @@ class _PerQueryReference:
             match_type = MatchType.REMOVE
         else:
             return []
-        return [MatchEvent(query.query_id, match_type, after.key, document,
+        return [MatchEvent(core_id, match_type, after.key, document,
                            after.version, after.timestamp,
                            query.needs_sorting_stage)]
 
@@ -233,7 +244,8 @@ def test_share_ratio_moves_with_the_sharing_it_reports():
         return node.dag.share_ratio
 
     def page(i, filter_doc):
-        return Query(filter_doc, sort=[("score", 1)], limit=i + 1)
+        # One sort core per query (pages of one core share its event).
+        return Query(filter_doc, sort=[(f"rank{i}", 1)], limit=1)
 
     # Disjoint single-leaf queries: every lookup is an evaluation.
     assert ratio([Query({"score": {"$gte": t}}) for t in range(8)]) == 0.0

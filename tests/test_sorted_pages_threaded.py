@@ -29,14 +29,15 @@ WRITES = 600
 SORT = [("score", -1)]
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
-def test_every_page_equals_the_pull_query_after_multi_page_moves(seed):
+def run_pages(seed, **config):
+    """One seeded run of the shape; returns the cluster's snapshot after
+    every page was checked against the pull query."""
     rng = random.Random(seed)
     broker = Broker()
     # Renewals unthrottled: a rate-limited one would sit on a wall-clock
     # timer past drain() and the page would be compared mid-renewal.
     config = InvaliDBConfig(query_partitions=2, write_partitions=2,
-                            renewal_min_interval=0.0)
+                            renewal_min_interval=0.0, **config)
     cluster = InvaliDBCluster(broker, config).start()
     app = AppServer("pages-app", broker, config=config)
     try:
@@ -64,12 +65,27 @@ def test_every_page_equals_the_pull_query_after_multi_page_moves(seed):
             expected = app.find("rooms", {"room": 0}, sort=SORT,
                                 skip=PAGE_SIZE * page, limit=PAGE_SIZE)
             assert subscription.result() == expected, f"page {page}"
-        renewals = sum(
-            node["renewals_requested"]
-            for node in cluster.snapshot()["sorting"]
-        )
-        assert renewals > 0, "the stream must exercise the renewal path"
+        return cluster.snapshot()
     finally:
         app.close()
         cluster.stop()
         broker.close()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+def test_every_page_equals_the_pull_query_after_multi_page_moves(seed):
+    sorting = run_pages(seed)["sorting"]
+    # The ten pages are slices of one sort core on one sorting task.
+    assert sum(row["cores"] for row in sorting) == 1
+    assert sum(row["pages"] for row in sorting) == PAGES
+    renewals = sum(row["renewals_requested"] for row in sorting)
+    assert renewals > 0, "the stream must exercise the renewal path"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_pages_converge_with_the_sorting_cell_in_a_worker(seed):
+    """The same run with the grid's cells in one forked worker: the sort
+    core, its pages and their renewals live across the process hop."""
+    sorting = run_pages(seed, execution_model="process",
+                        process_workers=1)["sorting"]
+    assert sum(row["pages"] for row in sorting) == PAGES
