@@ -4,7 +4,8 @@ N objects perform a seeded random walk over the sphere while carrying
 short text payloads; M subscriptions mix ``$geoWithin`` boxes,
 ``$nearSphere`` radii and ``$text`` term searches.  Without the spatial
 grid and inverted token index every geo/text subscription is residual —
-each write scans all M predicates.  With them, a write probes one grid
+each write scans all M predicates, which is what the baseline, a
+filtering node with ``use_index=False``, does.  With them, a write probes one grid
 cell and its few tokens, so per-write cost stays near-constant as M
 grows.  The sweep and the committed report quantify that gap; the gate
 test is the CI smoke floor.
@@ -53,16 +54,12 @@ def _subscription(rng: random.Random, slot: int) -> Query:
 def _node(subscriptions: int, indexed: bool, seed: int = 3) -> FilteringNode:
     """A filtering node loaded with the mixed subscription set.
 
-    ``indexed=False`` is the residual-scan path: the query index stays
-    on (equality/range entries still work) but the spatial grid and
-    token index are gated off, so every geo/text subscription falls
-    back to the residual scan — the pre-access-path behaviour.
+    ``indexed=False`` is the linear scan (``use_index=False``).  Every
+    subscription here is a geo or text query, which the index without
+    its spatial grid and token buckets would hold as residual, so the
+    scan is exactly what the residual path costs.
     """
-    node = FilteringNode(
-        NodeCoordinates(0, 0),
-        spatial_index=indexed,
-        text_index=indexed,
-    )
+    node = FilteringNode(NodeCoordinates(0, 0), use_index=indexed)
     rng = random.Random(seed)
     for slot in range(subscriptions):
         node.register_query(_subscription(rng, slot), [], {}, now=0.0)
@@ -115,7 +112,7 @@ def _measure_per_write_seconds(subscriptions: int, indexed: bool,
     return best / writes
 
 
-@pytest.mark.parametrize("mode", ["indexed", "residual"])
+@pytest.mark.parametrize("mode", ["indexed", "scan"])
 @pytest.mark.parametrize("subscriptions", [100, 1_000, 5_000])
 def test_spatio_textual_scaling(benchmark, subscriptions, mode):
     """Per-write matching cost under the moving-objects workload."""
@@ -132,12 +129,13 @@ def test_spatio_textual_scaling(benchmark, subscriptions, mode):
 
 
 def test_spatio_textual_scaling_report(emit):
-    """The committed scaling table: writes/s, indexed vs residual scan."""
+    """The committed scaling table: writes/s, indexed vs the scan."""
     emit("Spatio-textual access paths: moving-objects workload")
     emit("500 walkers; subscriptions = 1/3 $geoWithin boxes (~2x2 deg), "
          "1/3 $nearSphere (100-300 km), 1/3 $text (2 of 200 terms)")
+    emit("baseline: FilteringNode(use_index=False), the linear scan")
     emit()
-    emit(f"{'subs':>8} | {'residual wr/s':>14} | {'indexed wr/s':>13} "
+    emit(f"{'subs':>8} | {'scan wr/s':>14} | {'indexed wr/s':>13} "
          f"| {'speedup':>8}")
     emit("-" * 54)
     floor_10k = None
@@ -160,8 +158,8 @@ def test_spatio_textual_scaling_report(emit):
 
 def test_spatio_textual_speedup_gate():
     """CI smoke gate: the spatio-textual access paths must beat the
-    residual scan by >= 5x at 5,000 mixed subscriptions (acceptance
-    floor; typical is far higher).
+    scan by >= 5x at 5,000 mixed subscriptions (acceptance floor;
+    typical is far higher).
 
     Runs without the pytest-benchmark fixture so it still measures
     under ``--benchmark-disable``.
@@ -171,5 +169,5 @@ def test_spatio_textual_speedup_gate():
     speedup = residual / indexed
     assert speedup >= 5.0, (
         f"spatio-textual matching only {speedup:.1f}x faster than the "
-        f"residual scan"
+        f"scan"
     )

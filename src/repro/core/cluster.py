@@ -37,11 +37,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.core.config import InvaliDBConfig
 from repro.core.filtering import FilteringNode
 from repro.core.grid import Grid
-from repro.core.notifications import (
-    ChangeEnvelope,
-    QueryChange,
-    _NotificationStager,
-)
+from repro.core.notifications import ChangeEnvelope, QueryChange
 from repro.core.overload import (
     SEVERITY as HEALTH_SEVERITY,
     OverloadController,
@@ -61,6 +57,7 @@ from repro.core.remote import (  # wire forms re-exported for callers
 from repro.core.retention import RetentionBuffer
 from repro.core.subscriptions import QueryRegistration
 from repro.core.supervisor import NodeSupervisor
+from repro.errors import BrokerClosedError
 from repro.event.broker import Broker
 from repro.event.channels import notification_channel, query_channel, write_channel
 from repro.event.wire import WireStats
@@ -147,15 +144,6 @@ class InvaliDBCluster:
         #: live in worker processes.
         self._cells: Dict[Tuple[str, int], Any] = {}
         self._process_mode = isinstance(self._execution, ProcessExecutionModel)
-        #: Cross-batch notification staging (None = disabled).
-        self.stager: Optional[_NotificationStager] = None
-        if self.config.coalescing_window_seconds > 0:
-            self.stager = _NotificationStager(
-                self.config.coalescing_window_seconds,
-                self._execution.call_later,
-                self._deliver_changes,
-                self._note_coalesced,
-            )
         #: Overload control seam (None = gate off: zero-cost, the hot
         #: paths skip every check on one attribute load).
         self.overload: Optional[OverloadController] = None
@@ -178,6 +166,9 @@ class InvaliDBCluster:
         #: fan-out the client never had to see).  Monitoring-grade, like
         #: notifications_sent: incremented from grid task threads.
         self.notifications_coalesced = 0
+        #: Heartbeats (one per app server per round) the broker refused,
+        #: plus heartbeat rounds that raised before publishing.
+        self.heartbeats_failed = 0
         self.queries_renewed = 0
         #: Recovery state, cluster level (survives any one node's
         #: death): the latest subscribe wire payload per query, and one
@@ -250,10 +241,6 @@ class InvaliDBCluster:
                 query_partitions=self.scheme.query_partitions,
                 write_partitions=self.scheme.write_partitions,
                 retention_seconds=config.retention_seconds,
-                query_index=config.query_index,
-                spatial_index=config.spatial_index,
-                text_index=config.text_index,
-                spatial_grid_cells=config.spatial_grid_cells,
                 notification_coalescing=config.notification_coalescing,
                 telemetry=telemetry,
             )
@@ -347,9 +334,6 @@ class InvaliDBCluster:
             self.overload.flush_refresh()
             if self.overload.shed_stager is not None:
                 self.overload.shed_stager.flush()
-        if self.stager is not None:
-            # Deliver anything still staged while the broker is open.
-            self.stager.flush()
         for subscription in self._subscriptions:
             subscription.close()
         self._subscriptions.clear()
@@ -513,17 +497,13 @@ class InvaliDBCluster:
     # Notification fan-out
     # ------------------------------------------------------------------
 
-    def _note_coalesced(self) -> None:
-        self.notifications_coalesced += 1
-
     def _publish_changes(
         self,
         entries: List[Tuple[QueryChange, Optional[Dict[str, Any]]]],
     ) -> None:
         """Fan one dispatch batch's ``(change, owned trace fork)`` list
-        out: stage what the shed / coalescing stagers take, deliver the
-        rest in one envelope per app server."""
-        stagers = []
+        out: stage what the shed stager takes, deliver the rest in one
+        envelope per app server."""
         overload = self.overload
         if (
             overload is not None
@@ -532,14 +512,8 @@ class InvaliDBCluster:
         ):
             # Degraded mode: per-event delivery collapses to coalesced
             # latest-value through the pressure-widened window.
-            stagers.append(overload.shed_stager)
-        if self.stager is not None:
-            stagers.append(self.stager)
-        if stagers:
-            entries = [
-                entry for entry in entries
-                if not any(stager.offer(*entry) for stager in stagers)
-            ]
+            stage = overload.shed_stager.offer
+            entries = [entry for entry in entries if not stage(*entry)]
         if entries:
             self._deliver_changes(entries)
 
@@ -582,11 +556,12 @@ class InvaliDBCluster:
                         envelope = envelopes[app_server] = ChangeEnvelope()
                     envelope.add(change, branch)
         # Counts notifications (rows per subscriber), not envelopes.
-        sent, failure = self._publish_each(
+        sent, failed, failure = self._publish_each(
             (app_server, envelope.payload(), len(envelope.rows))
             for app_server, envelope in envelopes.items()
         )
         self.notifications_sent += sent
+        self.notifications_failed += failed
         if failure is not None:
             raise failure
 
@@ -605,30 +580,31 @@ class InvaliDBCluster:
         if not app_servers:
             return
         payload = serialize_refresh(query_id, documents, self.config.clock())
-        self._publish_each(
+        _, failed, _ = self._publish_each(
             (app_server, payload, 1) for app_server in app_servers
         )
+        self.notifications_failed += failed
 
     def _publish_each(
         self, publications: Iterable[Tuple[str, Dict[str, Any], int]]
-    ) -> Tuple[int, Optional[Exception]]:
+    ) -> Tuple[int, int, Optional[Exception]]:
         """Publish each ``(app_server, payload, rows)`` on its own.
 
         One app server's failing notify channel costs only its own
-        *rows*, counted in ``notifications_failed``; the others still go
-        out.  Returns the rows published and the first failure."""
-        sent = 0
+        *rows*; the others still go out.  Returns the rows published,
+        the rows that failed and the first failure."""
+        sent = failed = 0
         failure: Optional[Exception] = None
         for app_server, payload, rows in publications:
             try:
                 self.broker.publish(notification_channel(app_server), payload)
             except Exception as exc:  # noqa: BLE001 - the caller decides
-                self.notifications_failed += rows
+                failed += rows
                 if failure is None:
                     failure = exc
                 continue
             sent += rows
-        return sent, failure
+        return sent, failed, failure
 
     def _deadline_now(self) -> float:
         """The clock deadlines are compared against: virtual time under
@@ -660,18 +636,25 @@ class InvaliDBCluster:
             # the payload is byte-identical to previous releases.
             self.overload.evaluate()
             payload["health"] = self.overload.state
-        sent = 0
-        for app_server in app_servers:
-            self.broker.publish(notification_channel(app_server), payload)
-            sent += 1
+        # Isolated per app server: one failing notify channel must not
+        # starve the others' heartbeats (they would tear down healthy
+        # subscriptions on timeout).
+        sent, failed, failure = self._publish_each(
+            (app_server, payload, 1) for app_server in app_servers
+        )
+        self.heartbeats_failed += failed
+        if isinstance(failure, BrokerClosedError):
+            raise failure
         return sent
 
     def _heartbeat_loop(self) -> None:
         while not self._stopping.wait(self.config.heartbeat_interval):
             try:
                 self.publish_heartbeat()
-            except Exception:  # noqa: BLE001 - broker may be closing
+            except BrokerClosedError:
                 return
+            except Exception:  # noqa: BLE001 - the next round retries
+                self.heartbeats_failed += 1
 
     # ------------------------------------------------------------------
     # Introspection
@@ -852,6 +835,7 @@ class InvaliDBCluster:
             "notifications_sent": self.notifications_sent,
             "notifications_failed": self.notifications_failed,
             "notifications_coalesced": self.notifications_coalesced,
+            "heartbeats_failed": self.heartbeats_failed,
             "queries_renewed": self.queries_renewed,
             "matching": matching_rows,
             "matching_totals": matching_totals,
@@ -867,8 +851,6 @@ class InvaliDBCluster:
             snap["slo"] = self.slo.summary()
         if workers is not None:
             snap["workers"] = workers
-        if self.stager is not None:
-            snap["coalescing"] = self.stager.stats()
         if self.overload is not None:
             snap["health"] = self.overload.snapshot()
             # Shed across the grid because the write's latency budget

@@ -9,7 +9,10 @@ on re-execution (Section 5.2, footnote 5).
 A field exists where some caller, benchmark or example sets it; values
 nothing ever set (restart backoff growth, retry jitter, the SLO
 objective, the flight ring size) are constants next to their reader,
-and supervised recovery and client retry are not switchable.
+and supervised recovery, client retry and the predicate index with its
+spatial and text access paths are not switchable (the index only
+prunes, so turning it off never changed a result; the spatial grid
+resolution is a :class:`~repro.core.filtering.FilteringNode` argument).
 """
 
 from __future__ import annotations
@@ -55,37 +58,13 @@ class InvaliDBConfig:
     #: Poll frequency rate limit: minimum seconds between query renewals
     #: (makes database load "predictable and configurable").
     renewal_min_interval: float = 1.0
-    #: Predicate index in the filtering stage: candidate-set matching
-    #: instead of a linear scan over the query partition.  Disable only
-    #: for A/B measurements — results are identical either way.
-    query_index: bool = True
-    #: Spatial access path of the predicate index: ``$geoWithin`` /
-    #: ``$nearSphere`` shapes rasterized onto a fixed-resolution grid
-    #: so a write's point value probes only its cell.  Off, geo queries
-    #: fall back to the residual scan.  Results are identical either
-    #: way (the index is a conservative superset filter).
-    spatial_index: bool = True
-    #: Text access path of the predicate index: ``$text`` searches
-    #: bucketed under their positive terms so a write probes only its
-    #: own token set.  Off, text queries fall back to residual.
-    text_index: bool = True
-    #: Spatial grid resolution: cells per axis (the grid is
-    #: ``spatial_grid_cells`` columns over longitude x the same number
-    #: of rows over latitude).  Finer grids prune more per query at
-    #: more cells per shape.
-    spatial_grid_cells: int = 64
     #: Coalesce redundant per-(query, key) notifications within one
     #: dispatch batch of the matching stage (latest version wins, match
     #: types rewritten so client materialization stays correct).  Only
     #: affects batched execution models; the inline model dispatches
-    #: per-tuple and is unaffected.
+    #: per-tuple and is unaffected.  Cross-batch coalescing happens only
+    #: while shedding (``shed_coalescing_window``).
     notification_coalescing: bool = True
-    #: Cross-batch notification coalescing: unsorted-query changes are
-    #: staged for up to this many seconds (virtual seconds under the
-    #: inline model) and collapsed per (query, key) before fan-out, so
-    #: redundancy *across* dispatch batches is also elided.  Adds up to
-    #: the window of delivery latency; 0 (default) disables staging.
-    coalescing_window_seconds: float = 0.0
     #: Execution substrate for the matching grid.  ``None`` (default)
     #: shares the broker's execution model, putting the event layer and
     #: the grid on one substrate; set an :class:`ExecutionConfig` to
@@ -235,10 +214,6 @@ class InvaliDBConfig:
             raise ClusterConfigError(
                 "process_workers requires execution_model='process'"
             )
-        if self.coalescing_window_seconds < 0:
-            raise ClusterConfigError(
-                "coalescing_window_seconds must be >= 0"
-            )
         if self.query_partitions < 1:
             raise ClusterConfigError("query_partitions must be >= 1")
         if self.write_partitions < 1:
@@ -249,14 +224,6 @@ class InvaliDBConfig:
             raise ClusterConfigError("ingestion node counts must be >= 1")
         if self.retention_seconds < 0:
             raise ClusterConfigError("retention_seconds must be >= 0")
-        if (
-            isinstance(self.spatial_grid_cells, bool)
-            or not isinstance(self.spatial_grid_cells, int)
-            or not 1 <= self.spatial_grid_cells <= 4096
-        ):
-            raise ClusterConfigError(
-                "spatial_grid_cells must be an int in [1, 4096]"
-            )
         if self.default_slack < 1:
             raise ClusterConfigError("default_slack must be >= 1")
         if self.renewal_slack_factor < 1.0:

@@ -134,8 +134,6 @@ class FilteringNode:
         retention_seconds: float = 5.0,
         engine: Optional[PluggableQueryEngine] = None,
         use_index: bool = True,
-        spatial_index: bool = True,
-        text_index: bool = True,
         spatial_grid_cells: int = 64,
         telemetry=None,
     ):
@@ -146,13 +144,10 @@ class FilteringNode:
         self._queries: Dict[str, _ActiveQuery] = {}
         #: Sorted page id -> the core id of its entry.
         self._core_of: Dict[str, str] = {}
+        #: ``use_index=False`` is the linear scan the equivalence suites
+        #: compare the index against.
         self.index: Optional[QueryIndex] = (
-            QueryIndex(
-                spatial=spatial_index,
-                text=text_index,
-                grid_cells=spatial_grid_cells,
-            )
-            if use_index else None
+            QueryIndex(grid_cells=spatial_grid_cells) if use_index else None
         )
         #: Shared multi-query execution: one hash-consed predicate DAG
         #: over all registered queries, evaluated once per after-image.

@@ -15,8 +15,9 @@ through two module-level dicts (:data:`MATCH_TYPES`).  Only the public
 
 The notification leg's two algorithms each exist once, here: the
 net-transition rule per (query, key) (:func:`resolve_coalesced_type`,
-applied within a batch by :func:`coalesce_events` and across batches by
-:class:`_NotificationStager`) and the window differ
+applied within a batch by :func:`coalesce_events` and, while the
+overload controller sheds, across batches by :class:`_NotificationStager`)
+and the window differ
 (:func:`diff_windows`).
 
 Two wire forms live here:
@@ -174,15 +175,14 @@ class _NotificationStager:
     staging entirely: positional transitions must reach the client
     unmerged and in order.
 
-    The cluster runs up to two: its own (``coalescing_window_seconds``)
-    and the overload controller's shed stager
-    (``shed_coalescing_window``), which differ only in the three
-    callables they are built with.  *call_later* is the execution
-    model's timer, so under the deterministic inline model the window
-    is *virtual* time — a test's ``drain()`` fires the flush, keeping
+    Its one owner is the overload controller
+    (:attr:`~repro.core.overload.OverloadController.shed_stager`): the
+    cluster stages changes only while shedding, through the
+    ``shed_coalescing_window``.  *call_later* is the execution model's
+    timer, so under the deterministic inline model the window is
+    *virtual* time — a test's ``drain()`` fires the flush, keeping
     staged delivery reproducible.  *on_coalesce* is called once per
-    elided notification, so clean-run coalescing and pressure shedding
-    keep separate books.
+    elided notification (the controller's ``notifications_shed``).
     """
 
     def __init__(

@@ -247,8 +247,9 @@ class OverloadController:
     * :meth:`shedding_active` / ``shed_stager`` — consulted by the
       notification fan-out: while degraded or worse, unsorted changes
       are staged through a pressure-window
-      :class:`~repro.core.notifications._NotificationStager` (same
-      latest-value rewrite rules, separate counters) whose flush
+      :class:`~repro.core.notifications._NotificationStager` (the
+      cluster's only cross-batch stager, counting into
+      ``notifications_shed``) whose flush
       hands the survivors to the cluster as one batch, i.e. one
       notification envelope per app server.
     * :meth:`defer_sorted` — the per-event hook of locally hosted

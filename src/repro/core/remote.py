@@ -233,10 +233,6 @@ class MatchingCellSpec:
     query_partitions: int
     write_partitions: int
     retention_seconds: float = 5.0
-    query_index: bool = True
-    spatial_index: bool = True
-    text_index: bool = True
-    spatial_grid_cells: int = 64
     notification_coalescing: bool = True
     telemetry: bool = False
 
@@ -258,10 +254,6 @@ class MatchingCell(_Cell):
         self.node = FilteringNode(
             self.scheme.coordinates(spec.task_index),
             retention_seconds=spec.retention_seconds,
-            use_index=spec.query_index,
-            spatial_index=spec.spatial_index,
-            text_index=spec.text_index,
-            spatial_grid_cells=spec.spatial_grid_cells,
             telemetry=self.telemetry,
         )
 

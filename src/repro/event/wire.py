@@ -548,24 +548,3 @@ class BinaryCodec(Codec):
                 "batch flag mismatch: use decode_batch for batch frames"
             )
         return wire
-
-
-# ---------------------------------------------------------------------------
-# Batch helpers
-# ---------------------------------------------------------------------------
-
-
-def encode_batch(codec: Codec, payloads: List[Any]) -> bytes:
-    """Batch-encode through *codec*, using the interned batch layout
-    when the codec supports it (JSON falls back to one list)."""
-    batcher = getattr(codec, "encode_batch", None)
-    if batcher is not None:
-        return batcher(payloads)
-    return codec.encode(payloads)
-
-
-def decode_batch(codec: Codec, wire: bytes) -> List[Any]:
-    unbatcher = getattr(codec, "decode_batch", None)
-    if unbatcher is not None:
-        return unbatcher(wire)
-    return codec.decode(wire)

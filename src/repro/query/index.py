@@ -198,19 +198,6 @@ class _TextEntry:
 _Entry = Any  # _EqEntry | _RangeEntry | _SpatialEntry | _TextEntry
 _Plan = Tuple[int, List[_Entry]]
 
-
-@dataclass(frozen=True)
-class _Gates:
-    """Decomposition gates: which access-path families may be used and
-    the spatial grid resolution (cells per axis)."""
-
-    spatial: bool = True
-    text: bool = True
-    grid_cells: int = 64
-
-
-_DEFAULT_GATES = _Gates()
-
 #: A shape rasterizing to more cells than this becomes a broad entry —
 #: bounding per-query memory and insert/remove cost.
 _CELL_CAP = 1024
@@ -318,7 +305,7 @@ def _tighter_upper(current: Optional[Bound], new: Bound) -> Bound:
     return new if not new[1] else current
 
 
-def _plan_leaf(predicate: FieldPredicate, gates: _Gates) -> Optional[_Plan]:
+def _plan_leaf(predicate: FieldPredicate, grid_cells: int) -> Optional[_Plan]:
     operator = predicate.operator
     if isinstance(operator, (GeoWithin, NearSphere)):
         # Both evaluate to False for non-point values, so "a point
@@ -326,13 +313,8 @@ def _plan_leaf(predicate: FieldPredicate, gates: _Gates) -> Optional[_Plan]:
         # necessary condition.  Unbounded shapes (no $maxDistance,
         # whole-sphere caps, > _CELL_CAP covers) become broad entries:
         # any point at the path fires them.
-        if not gates.spatial:
-            return None
         boxes = operator.bounding_boxes()
-        cover = (
-            None if boxes is None
-            else _raster_cells(boxes, gates.grid_cells)
-        )
+        cover = None if boxes is None else _raster_cells(boxes, grid_cells)
         return _SCORE_SPATIAL, [_SpatialEntry(predicate.path, cover)]
     if isinstance(operator, Eq):
         key = _eq_key(operator.value)
@@ -366,7 +348,7 @@ def _plan_leaf(predicate: FieldPredicate, gates: _Gates) -> Optional[_Plan]:
 
 
 def _plan_conjunction(
-    branches: Tuple[Node, ...], gates: _Gates
+    branches: Tuple[Node, ...], grid_cells: int
 ) -> Optional[_Plan]:
     """Choose the best access predicate among conjunction branches.
 
@@ -382,7 +364,7 @@ def _plan_conjunction(
     candidates: List[_Plan] = []
     bounds: Dict[Tuple[str, int], List[Optional[Bound]]] = {}
     for branch in branches:
-        plan = _plan_node(branch, gates)
+        plan = _plan_node(branch, grid_cells)
         if plan is not None:
             candidates.append(plan)
         if isinstance(branch, FieldPredicate):
@@ -411,14 +393,14 @@ def _plan_conjunction(
     return max(candidates, key=lambda plan: (plan[0], -len(plan[1])))
 
 
-def _plan_node(node: Node, gates: _Gates) -> Optional[_Plan]:
+def _plan_node(node: Node, grid_cells: int) -> Optional[_Plan]:
     """Decompose *node* into access-predicate entries, or None (residual).
 
     The returned entries have *union* semantics: the query is a
     candidate as soon as any one entry fires.
     """
     if isinstance(node, FieldPredicate):
-        return _plan_leaf(node, gates)
+        return _plan_leaf(node, grid_cells)
     if isinstance(node, TextSearch):
         # Indexable by its positive terms alone: a match requires SOME
         # positive term in the document's token set, so bucketing under
@@ -426,19 +408,17 @@ def _plan_node(node: Node, gates: _Gates) -> Optional[_Plan]:
         # terms only restrict further — they never prune.  Without a
         # positive term the match can hinge on substring phrases (or
         # pure negation), which token buckets cannot decide: residual.
-        if not gates.text:
-            return None
         terms = frozenset(node.parsed.terms)
         if not terms:
             return None
         return _SCORE_TEXT, [_TextEntry(terms)]
     if isinstance(node, AllOf):
-        return _plan_conjunction(conjunctive_branches(node), gates)
+        return _plan_conjunction(conjunctive_branches(node), grid_cells)
     if isinstance(node, AnyOf):
         # A disjunction is indexable only when EVERY branch is: the
         # matching branch is unknown in advance, so each contributes its
         # entries and the union stays a necessary condition.
-        plans = [_plan_node(branch, gates) for branch in node.branches]
+        plans = [_plan_node(branch, grid_cells) for branch in node.branches]
         if any(plan is None for plan in plans):
             return None
         entries = [entry for _, branch_entries in plans for entry in branch_entries]
@@ -447,27 +427,18 @@ def _plan_node(node: Node, gates: _Gates) -> Optional[_Plan]:
     return None
 
 
-def decompose(
-    query: Query,
-    *,
-    spatial: bool = True,
-    text: bool = True,
-    grid_cells: int = 64,
-) -> Optional[List[_Entry]]:
+def decompose(query: Query, *, grid_cells: int = 64) -> Optional[List[_Entry]]:
     """Public decomposition hook: entries for *query*, or None (residual).
 
     An empty entry list means the access predicate is unsatisfiable
     (e.g. ``$in: []`` or an empty interval): the query can never match
-    and is never a candidate.  The keyword gates switch the spatial and
-    text access-path families off (their predicates then fall back to
-    residual, the pre-gate behaviour) and set the spatial grid
-    resolution.
+    and is never a candidate.  *grid_cells* is the spatial grid
+    resolution (cells per axis).
     """
-    gates = _Gates(spatial=spatial, text=text, grid_cells=grid_cells)
     branches = conjunctive_branches(query.node)
     if not branches:
         return None  # the empty filter matches everything: residual
-    plan = _plan_conjunction(branches, gates)
+    plan = _plan_conjunction(branches, grid_cells)
     return None if plan is None else plan[1]
 
 
@@ -901,21 +872,18 @@ class _CollectionIndex:
 class QueryIndex:
     """Candidate generation over the active queries of a matching node.
 
-    ``spatial`` / ``text`` gate the corresponding access-path families
-    (off, their predicates fall back to residual — the pre-gate
-    behaviour for A/B measurements; results are identical either way);
-    ``grid_cells`` is the spatial grid resolution per axis.
+    ``grid_cells`` is the spatial grid resolution per axis, an int in
+    [1, 4096].
     """
 
-    def __init__(
-        self,
-        spatial: bool = True,
-        text: bool = True,
-        grid_cells: int = 64,
-    ) -> None:
-        self._gates = _Gates(
-            spatial=spatial, text=text, grid_cells=max(1, int(grid_cells))
-        )
+    def __init__(self, grid_cells: int = 64) -> None:
+        if (
+            isinstance(grid_cells, bool)
+            or not isinstance(grid_cells, int)
+            or not 1 <= grid_cells <= 4096
+        ):
+            raise ValueError("grid_cells must be an int in [1, 4096]")
+        self._grid_cells = grid_cells
         self._collections: Dict[str, _CollectionIndex] = {}
         #: query_id -> (collection, entries or None when residual)
         self._plans: Dict[str, Tuple[str, Optional[List[_Entry]]]] = {}
@@ -942,13 +910,7 @@ class QueryIndex:
         existing = self._plans.get(query_id)
         if existing is not None:
             return existing[1] is not None
-        gates = self._gates
-        entries = decompose(
-            query,
-            spatial=gates.spatial,
-            text=gates.text,
-            grid_cells=gates.grid_cells,
-        )
+        entries = decompose(query, grid_cells=self._grid_cells)
         collection_index = self._collections.get(query.collection)
         if collection_index is None:
             collection_index = _CollectionIndex()
@@ -1000,7 +962,7 @@ class QueryIndex:
         if collection_index.residual:
             out.update(collection_index.residual)
             hits["residual"] += len(collection_index.residual)
-        grid_cells = self._gates.grid_cells
+        grid_cells = self._grid_cells
         for path, path_index in collection_index.paths.items():
             terminals, exists = resolve_path(document, path)
             if not exists:

@@ -67,8 +67,6 @@ from repro.event.wire import (
     BinaryCodec,
     FrameError,
     WireStats,
-    decode_batch,
-    encode_batch,
     recv_frame,
     send_frame,
 )
@@ -153,7 +151,7 @@ class RemoteCell:
         pool = self._pool
         stats = pool.stats
         t0 = time.perf_counter_ns()
-        wire = encode_batch(pool.codec, items)
+        wire = pool.codec.encode_batch(items)
         stats.encode_ns += time.perf_counter_ns() - t0
         reply = pool._request(self._worker, MSG_BATCH, self.cell_id, wire)
         t0 = time.perf_counter_ns()
@@ -664,7 +662,7 @@ def _worker_main(sock: socket.socket, parent_sock: socket.socket) -> None:
         try:
             if kind == MSG_BATCH:
                 t0 = time.perf_counter_ns()
-                batch = decode_batch(codec, payload)
+                batch = codec.decode_batch(payload)
                 stats.decode_ns += time.perf_counter_ns() - t0
                 result = cells[cell_id].handle_batch(batch)
                 t0 = time.perf_counter_ns()

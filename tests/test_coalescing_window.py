@@ -1,16 +1,19 @@
-"""Cross-batch notification coalescing (the time-window stager).
+"""Cross-batch notification coalescing (the shed stager's time window).
 
 In-batch coalescing cannot elide redundancy that spans dispatch
-batches; ``coalescing_window_seconds`` stages unsorted-query changes
-and collapses them per (query, key) before fan-out.  Under the inline
-execution model the window is virtual time — ``drain()`` fires the
-flush — so every test here is deterministic.
+batches.  While the overload controller sheds (health ``degraded`` or
+worse), the shed stager holds unsorted-query changes for
+``shed_coalescing_window`` seconds and collapses them per (query, key)
+before fan-out.  Under the inline execution model the window is virtual
+time — ``drain()`` fires the flush — so every test here is
+deterministic.
 """
 
 import pytest
 
 from repro.core.cluster import InvaliDBCluster
 from repro.core.config import InvaliDBConfig
+from repro.core.notifications import QueryChange
 from repro.core.server import AppServer
 from repro.event.broker import Broker
 from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
@@ -19,15 +22,17 @@ from repro.types import MatchType
 
 @pytest.fixture
 def inline_stack():
-    """Shared inline substrate: broker + cluster + app, window enabled."""
+    """Shared inline substrate: broker + cluster + app, shedding on."""
     built = {}
 
-    def build(window=0.5, **config_kwargs):
+    def build(window=0.5, health="degraded", **config_kwargs):
         model = InlineExecutionModel(ExecutionConfig(mode="inline", seed=3))
         broker = Broker(execution=model)
         config = InvaliDBConfig(
             query_partitions=1, write_partitions=1,
-            coalescing_window_seconds=window,
+            overload_control=True,
+            force_health=health,
+            shed_coalescing_window=window,
             **config_kwargs,
         )
         cluster = InvaliDBCluster(broker, config).start()
@@ -56,7 +61,7 @@ class TestStagingWindow:
         assert broker.drain()
         assert [n.match_type for n in sub.notifications] == [MatchType.ADD]
         assert sub.notifications[0].document["v"] == 3
-        assert cluster.notifications_coalesced >= 2
+        assert cluster.overload.notifications_shed >= 2
 
     def test_add_then_remove_nets_to_nothing(self, inline_stack):
         broker, cluster, app = inline_stack()
@@ -85,10 +90,17 @@ class TestStagingWindow:
         sub = app.subscribe("items", {"v": {"$gte": 0}},
                             sort=[("v", 1)], limit=5)
         app.insert("items", {"_id": 1, "v": 1})
-        # Positional changes must reach the client unmerged: delivered
-        # synchronously, no flush needed.
-        assert len(sub.notifications) == 1
-        assert sub.notifications[0].index == 0
+        assert broker.drain()
+        # Sorted windows never enter the stager (shedding replaces
+        # their diffs with snapshot refreshes instead) ...
+        stager = cluster.overload.shed_stager
+        assert stager.stats()["staged_total"] == 0
+        assert [d["_id"] for d in sub.result()] == [1]
+        # ... and a positional change offered directly is refused:
+        # it must reach the client unmerged and in order.
+        positional = QueryChange("q", MatchType.ADD, 1, {"_id": 1}, index=0)
+        assert stager.offer(positional, None) is False
+        assert stager.offer(positional._replace(index=None), None) is True
 
     def test_stop_flushes_pending_changes(self, inline_stack):
         broker, cluster, app = inline_stack()
@@ -102,24 +114,25 @@ class TestStagingWindow:
         broker, cluster, app = inline_stack()
         app.subscribe("items", {"v": {"$gte": 0}})
         app.insert("items", {"_id": 1, "v": 1})
-        snap = cluster.snapshot()
-        assert snap["coalescing"]["pending"] == 1
+        stats = cluster.snapshot()["health"]["shed_coalescing"]
+        assert stats["pending"] == 1
         assert broker.drain()
-        snap = cluster.snapshot()
-        assert snap["coalescing"]["pending"] == 0
-        assert snap["coalescing"]["flushes"] >= 1
-        assert snap["coalescing"]["window_seconds"] == 0.5
+        stats = cluster.snapshot()["health"]["shed_coalescing"]
+        assert stats["pending"] == 0
+        assert stats["flushes"] >= 1
+        assert stats["window_seconds"] == 0.5
+        assert "coalescing" not in cluster.snapshot()
 
-    def test_zero_window_disables_staging(self, inline_stack):
-        broker, cluster, app = inline_stack(window=0.0)
+    def test_healthy_cluster_does_not_stage(self, inline_stack):
+        broker, cluster, app = inline_stack(health="healthy")
         sub = app.subscribe("items", {"v": {"$gte": 0}})
         app.insert("items", {"_id": 1, "v": 1})
-        assert cluster.stager is None
         assert len(sub.notifications) == 1
-        assert "coalescing" not in cluster.snapshot()
+        stats = cluster.snapshot()["health"]["shed_coalescing"]
+        assert stats["staged_total"] == 0
 
     def test_negative_window_rejected(self):
         from repro.errors import ClusterConfigError
 
         with pytest.raises(ClusterConfigError):
-            InvaliDBConfig(coalescing_window_seconds=-0.1)
+            InvaliDBConfig(shed_coalescing_window=-0.1)

@@ -22,8 +22,6 @@ from repro.event.wire import (
     BinaryCodec,
     LazyDocument,
     WireStats,
-    decode_batch,
-    encode_batch,
     materialize,
 )
 from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
@@ -169,13 +167,6 @@ class TestCodecAgreement:
         via_json = json_codec.decode(json_codec.encode(payload))
         via_binary = materialize(binary.decode(binary.encode(payload)))
         assert via_binary == via_json
-
-    @given(payloads=st.lists(envelopes, max_size=5))
-    @settings(max_examples=30)
-    def test_batch_helpers_work_for_every_codec(self, payloads):
-        for codec in (JsonCodec(), BinaryCodec(), NoopCodec()):
-            restored = decode_batch(codec, encode_batch(codec, payloads))
-            assert [materialize(p) for p in restored] == payloads
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ from repro.core.remote import (
 )
 from repro.core.server import AppServer
 from repro.event.broker import Broker
-from repro.event.wire import BinaryCodec, decode_batch, encode_batch
+from repro.event.wire import BinaryCodec
 from repro.obs.telemetry import build_telemetry
 from repro.obs.tracing import PUBLISH, begin_span, new_trace, spans_of
 from repro.query.engine import MongoQueryEngine, Query
@@ -73,8 +73,8 @@ class LoopbackHandle:
         self.worker_codec = BinaryCodec(lazy_documents=True)
 
     def request_batch(self, items):
-        wire = encode_batch(self.parent_codec, items)
-        batch = decode_batch(self.worker_codec, wire)
+        wire = self.parent_codec.encode_batch(items)
+        batch = self.worker_codec.decode_batch(wire)
         reply = self.worker_codec.encode(self.worker_cell.handle_batch(batch))
         return self.parent_codec.decode(reply)
 

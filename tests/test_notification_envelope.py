@@ -19,6 +19,8 @@ one message needs: a raising listener, user callback or app server
 notify channel is counted and costs only itself.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -46,7 +48,11 @@ from repro.obs.tracing import (
     trace_of,
 )
 from repro.query.engine import Query
-from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
+from repro.runtime.execution import (
+    ExecutionConfig,
+    InlineExecutionModel,
+    ThreadedExecutionModel,
+)
 from repro.runtime.faults import FaultPlan
 from repro.store.database import Database
 from repro.types import ChangeNotification, MatchType
@@ -647,6 +653,57 @@ class TestNotifyChannelIsolation:
             cluster.stop()
             broker.close()
             model.shutdown()
+
+
+class TestHeartbeatIsolation:
+    """A failing notify channel must not stop the threaded heartbeat
+    loop: the other app servers keep hearing from the cluster, or their
+    clients would time out and tear down healthy subscriptions."""
+
+    @staticmethod
+    def wait_for(condition, seconds=5.0):
+        deadline = time.monotonic() + seconds
+        while not condition() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return condition()
+
+    def test_failing_channel_keeps_other_heartbeats_flowing(self):
+        plan = FaultPlan(seed=1).rule(
+            "channel", notification_channel("app-a"), "error")
+        model = ThreadedExecutionModel(ExecutionConfig(fault_plan=plan))
+        broker = Broker(execution=model)
+        config = InvaliDBConfig(query_partitions=1, write_partitions=1,
+                                heartbeat_interval=0.02,
+                                heartbeat_timeout=0.5)
+        cluster = InvaliDBCluster(broker, config).start()
+        database = Database()
+        app_a = AppServer("app-a", broker, database=database, config=config)
+        app_b = AppServer("app-b", broker, database=database, config=config)
+        try:
+            app_a.subscribe("items", {"v": {"$gte": 0}})
+            app_b.subscribe("items", {"v": {"$gte": 0}})
+            client_b = app_b.client
+            # Several rounds after both app servers registered: app-b's
+            # heartbeat keeps advancing although app-a's channel fails
+            # every round.
+            assert self.wait_for(lambda: client_b.last_heartbeat is not None)
+            for _ in range(3):
+                seen = client_b.last_heartbeat
+                assert self.wait_for(
+                    lambda: client_b.last_heartbeat != seen), (
+                    "app-b stopped receiving heartbeats")
+            assert client_b.check_heartbeat()
+            assert cluster._heartbeat_thread.is_alive()
+            assert cluster.heartbeats_failed >= 3
+            assert cluster.snapshot()["heartbeats_failed"] >= 3
+        finally:
+            app_a.close()
+            app_b.close()
+            cluster.stop()
+            broker.close()
+            model.shutdown()
+        # Stop still ends the loop.
+        assert not cluster._heartbeat_thread.is_alive()
 
 
 class TestListenerIsolation:

@@ -631,7 +631,9 @@ class TestStagerShutdownFlush:
         model = InlineExecutionModel(ExecutionConfig(mode="inline",
                                                      seed=1))
         broker = Broker(execution=model)
-        config = InvaliDBConfig(coalescing_window_seconds=60.0)
+        config = InvaliDBConfig(overload_control=True,
+                                force_health="degraded",
+                                shed_coalescing_window=60.0)
         cluster = InvaliDBCluster(broker, config).start()
         app = AppServer("flush-app", broker, config=config)
         try:

@@ -353,10 +353,17 @@ class TestSpatialDecomposition:
         assert entries is not None and len(entries) == 1
         assert entries[0].cells is None  # broad: fired by any point probe
 
-    def test_spatial_gate_off_is_residual(self):
-        query = Query({"loc": {"$geoWithin": {"$box": [[0, 0], [1, 1]]}}})
-        assert decompose(query, spatial=False) is None
-        assert decompose(query) is not None
+    @pytest.mark.parametrize("cells", [0, -1, 4097, True, False, 8.0, "64"])
+    def test_grid_cells_outside_range_rejected(self, cells):
+        with pytest.raises(ValueError):
+            QueryIndex(grid_cells=cells)
+
+    def test_grid_cells_range_bounds_accepted(self):
+        for cells in (1, 4096):
+            index = QueryIndex(grid_cells=cells)
+            index.add(Query({"loc": {"$geoWithin": {
+                "$box": [[0, 0], [1, 1]]}}}))
+            assert candidates_of(index, {"loc": [0.5, 0.5]})
 
     def test_grid_resolution_changes_cover_size(self):
         query = Query(
@@ -446,11 +453,6 @@ class TestTextIndex:
         assert candidates_of(index, {"note": "anything"}) == {
             query.query_id
         }
-
-    def test_text_gate_off_is_residual(self):
-        query = Query({"$text": {"$search": "alpha"}})
-        assert decompose(query, text=False) is None
-        assert decompose(query) is not None
 
 
 class TestSpatioTextualLifecycle:

@@ -12,15 +12,15 @@ divergence is a lost (false-negative pruning) or spurious notification.
   positive/negated/phrase ``$text`` searches and array-of-points paths
   — against documents with in-range points, out-of-range coordinates,
   non-point junk and rotating text payloads;
-* cluster level — identical client-visible streams under the
-  deterministic inline execution model for every access-path gate
-  combination (spatial on/off x text on/off x a coarse 4-cell grid),
-  and converged results under the process model with the gates on.
+* cluster level — converged results under the process model, with the
+  access paths populated in the worker-hosted cells.
+
+The access paths are not switchable: the node-level scan
+(``FilteringNode(use_index=False)``) is the reference they are held to.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict
 
 from hypothesis import given, settings, strategies as st
@@ -122,8 +122,7 @@ class Driver:
 
     def __init__(self) -> None:
         self.indexed = FilteringNode(
-            NodeCoordinates(0, 0), use_index=True,
-            spatial_index=True, text_index=True, spatial_grid_cells=16,
+            NodeCoordinates(0, 0), use_index=True, spatial_grid_cells=16,
         )
         self.naive = FilteringNode(NodeCoordinates(0, 0), use_index=False)
         self.engine = MongoQueryEngine()
@@ -266,16 +265,8 @@ class TestCoarseGridEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Cluster level: every access-path gate combination, inline equivalence
+# Cluster level: pushed results converge to the pull query
 # ----------------------------------------------------------------------
-
-GATES = [
-    {"spatial_index": False, "text_index": False},
-    {"spatial_index": True, "text_index": False},
-    {"spatial_index": False, "text_index": True},
-    {"spatial_index": True, "text_index": True},
-    {"spatial_index": True, "text_index": True, "spatial_grid_cells": 4},
-]
 
 cluster_operations = st.lists(
     st.tuples(
@@ -311,21 +302,24 @@ def _apply_cluster_op(app, live, key, op, value):
             live.discard(key)
 
 
-def _fingerprint(subscription):
-    return [
-        (n.match_type, n.key, json.dumps(n.document, sort_keys=True),
-         n.index, n.old_index, n.error)
-        for n in subscription.notifications
-    ]
+CLUSTER_FILTERS = {
+    "box": {"loc": {"$geoWithin": {"$box": [[-60, -60], [60, 60]]}}},
+    "near": {"loc": {"$nearSphere": {
+        "$geometry": {"type": "Point", "coordinates": [0, 0]},
+        "$maxDistance": 4_000_000,
+    }}},
+    "text": {"$text": {"$search": "alpha -delta"}},
+}
 
 
-def _run_inline_cluster(ops, gates):
+def _run_inline_cluster(ops):
+    """Half the ops, subscribe every filter, the other half; returns
+    each subscription's materialized ids next to a fresh pull query's."""
     model = InlineExecutionModel(ExecutionConfig(mode="inline", seed=13))
     broker = Broker(execution=model)
     config = InvaliDBConfig(
         query_partitions=1, write_partitions=1,
         retention_seconds=3600.0,
-        **gates,
     )
     cluster = InvaliDBCluster(broker, config).start()
     app = AppServer("st-equiv-app", broker, config=config)
@@ -335,26 +329,21 @@ def _run_inline_cluster(ops, gates):
         for key, op, value in ops[:half]:
             _apply_cluster_op(app, live, key, op, value)
         assert broker.drain()
-        box = app.subscribe("items", {
-            "loc": {"$geoWithin": {"$box": [[-60, -60], [60, 60]]}},
-        })
-        near = app.subscribe("items", {
-            "loc": {"$nearSphere": {
-                "$geometry": {"type": "Point", "coordinates": [0, 0]},
-                "$maxDistance": 4_000_000,
-            }},
-        })
-        text = app.subscribe("items", {"$text": {"$search": "alpha -delta"}})
+        subscriptions = {
+            name: app.subscribe("items", filter_doc)
+            for name, filter_doc in CLUSTER_FILTERS.items()
+        }
         assert broker.drain()
         for key, op, value in ops[half:]:
             _apply_cluster_op(app, live, key, op, value)
         assert broker.drain()
-        return (
-            _fingerprint(box), _fingerprint(near), _fingerprint(text),
-            json.dumps(box.result(), sort_keys=True),
-            json.dumps(near.result(), sort_keys=True),
-            json.dumps(text.result(), sort_keys=True),
-        )
+        return {
+            name: (
+                sorted(d["_id"] for d in subscriptions[name].result()),
+                sorted(d["_id"] for d in app.find("items", filter_doc)),
+            )
+            for name, filter_doc in CLUSTER_FILTERS.items()
+        }
     finally:
         app.close()
         cluster.stop()
@@ -364,21 +353,19 @@ def _run_inline_cluster(ops, gates):
 
 @settings(max_examples=10, deadline=None)
 @given(ops=cluster_operations)
-def test_inline_cluster_streams_identical_across_gates(ops):
-    baseline = _run_inline_cluster(ops, GATES[0])
-    for gates in GATES[1:]:
-        assert _run_inline_cluster(ops, gates) == baseline, gates
+def test_inline_cluster_converges_to_pull_results(ops):
+    for name, (pushed, pulled) in _run_inline_cluster(ops).items():
+        assert pushed == pulled, name
 
 
 def test_process_cluster_converges_with_access_paths_on():
-    """The forked-worker deployment honors the gates end to end: the
-    spec plumbing delivers them, and converged subscription results
-    equal a fresh pull-based query."""
+    """The forked-worker deployment indexes geo and text queries in its
+    cells, and converged subscription results equal a fresh pull-based
+    query."""
     broker = Broker()
     config = InvaliDBConfig(
         query_partitions=2, write_partitions=2,
         execution_model="process", process_workers=2,
-        spatial_index=True, text_index=True, spatial_grid_cells=32,
         retention_seconds=3600.0,
     )
     cluster = InvaliDBCluster(broker, config).start()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.cluster import InvaliDBCluster
 from repro.core.config import InvaliDBConfig
+from repro.core.remote import MatchingCellSpec
 from repro.core.sorting import SortingNode
 from repro.errors import ClusterConfigError
 from repro.event.broker import Broker
@@ -128,11 +129,27 @@ class TestConfigValidation:
             InvaliDBConfig(execution_model="fibers")
 
     def test_removed_matching_gates_are_not_options(self):
-        assert len(fields(InvaliDBConfig)) == 55
+        assert len(fields(InvaliDBConfig)) == 50
         for gate in ("shared_predicate_memo", "shared_query_dag",
                      "incremental_sorting"):
             with pytest.raises(TypeError):
                 InvaliDBConfig(**{gate: True})
+
+    @pytest.mark.parametrize("name,value", [
+        ("query_index", False),
+        ("spatial_index", False),
+        ("text_index", False),
+        ("spatial_grid_cells", 16),
+        ("coalescing_window_seconds", 0.5),
+    ])
+    def test_removed_index_and_window_knobs_are_not_options(self, name,
+                                                            value):
+        """The index only prunes, so its gates never changed a result;
+        cross-batch coalescing is the shed stager's one window."""
+        with pytest.raises(TypeError):
+            InvaliDBConfig(**{name: value})
+        assert len(fields(MatchingCellSpec)) == 6
+        assert name not in {f.name for f in fields(MatchingCellSpec)}
 
     def test_removed_sorting_paths_are_not_options(self):
         """The sorting stage has one window-maintenance path; nothing
