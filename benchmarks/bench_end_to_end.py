@@ -3,7 +3,7 @@
 Complements the simulated figures with real measurements of this
 repository's running system: wall-clock time from executing a write at
 the app server until the subscribed client receives the change
-notification, through broker -> ingestion -> matching grid -> broker.
+notification, through broker -> intake -> matching grid -> broker.
 
 The ``stack`` fixture is parametrized over the execution substrate —
 batched threaded, seed-equivalent unbatched threaded, and the

@@ -1,7 +1,7 @@
 """Partitioning micro-benchmarks and balance report.
 
-Measures the stable-hash routing cost (paid once per write at an
-ingestion node) and reports grid balance for the paper's workload —
+Measures the stable-hash routing cost (paid once per write at the
+cluster's intake) and reports grid balance for the paper's workload —
 the "as even as possible" claim of Section 5.1.
 """
 

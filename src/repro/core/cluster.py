@@ -1,16 +1,14 @@
-"""The InvaliDB cluster: ingestion nodes + the 2D matching grid.
+"""The InvaliDB cluster: the event-layer intake + the 2D matching grid.
 
 Connects the grid (:mod:`repro.core.grid`) to the event layer
 (:mod:`repro.event`), reproducing Figure 2 of the paper:
 
-* **query ingestion** (stateless): receives subscription / cancellation
-  / TTL-extension requests from the event layer, resolves the query
-  partition from the canonical query hash, and broadcasts the request
-  to every matching node of that partition (each node keeps only its
-  write-partition slice of the bootstrap result);
-* **write ingestion** (stateless): receives after-images, resolves the
-  write partition from the primary key, and delivers the after-image to
-  every matching node of that write partition;
+* **intake** (stateless, on the broker's delivery callback, in place of
+  the paper's ingestion nodes): a subscription / cancellation /
+  TTL-extension request goes to every matching node of its query
+  partition (each keeps only its write-partition slice of the bootstrap
+  result); an after-image goes to every matching node of its write
+  partition, in publish order;
 * **matching** (filtering stage): one
   :class:`~repro.core.remote.MatchingCell` per grid cell; unsorted-query
   changes go straight to the event layer, sorted queries forward their
@@ -91,8 +89,8 @@ class InvaliDBCluster:
         # Execution substrate for the matching grid: the config's, else
         # the broker's own model.  The default (sharing the broker's
         # model) puts event layer and grid on ONE substrate, so a
-        # single drain() spans the whole broker -> ingestion ->
-        # matching -> broker pipeline.
+        # single drain() spans the whole broker -> matching -> broker
+        # pipeline.
         configured = self.config.execution_config()
         self._owns_execution = configured is not None
         if configured is not None:
@@ -151,7 +149,7 @@ class InvaliDBCluster:
             self.overload = OverloadController(self)
         self._registrations: Dict[str, QueryRegistration] = {}
         self._registration_lock = threading.Lock()
-        #: One parse per subscribed query, shared by ingestion and every
+        #: One parse per subscribed query, shared by the intake and every
         #: locally hosted cell.
         self._query_from_wire = QueryResolver()
         self._subscriptions: List[Any] = []
@@ -309,12 +307,12 @@ class InvaliDBCluster:
 
     def start(self) -> "InvaliDBCluster":
         self.grid.start()
-        self._subscriptions.append(
-            self.broker.subscribe(write_channel(self.tenant), self._on_write_message)
-        )
-        self._subscriptions.append(
-            self.broker.subscribe(query_channel(self.tenant), self._on_query_message)
-        )
+        # The grid's intake routes per message, puts per dispatch batch.
+        grid = self.grid
+        self.broker.add_batch_end(grid.flush_intake)
+        for channel, intake in ((write_channel(self.tenant), grid.intake_write),
+                                (query_channel(self.tenant), grid.intake_query)):
+            self._subscriptions.append(self.broker.subscribe(channel, intake))
         if not self._execution.deterministic:
             self._heartbeat_thread = threading.Thread(
                 target=self._heartbeat_loop, name="invalidb-heartbeat",
@@ -337,6 +335,7 @@ class InvaliDBCluster:
         for subscription in self._subscriptions:
             subscription.close()
         self._subscriptions.clear()
+        self.broker.remove_batch_end(self.grid.flush_intake)
         self.grid.stop()
         if self._owns_execution:
             self._execution.shutdown()
@@ -370,17 +369,7 @@ class InvaliDBCluster:
         return ok
 
     # ------------------------------------------------------------------
-    # Event-layer intake
-    # ------------------------------------------------------------------
-
-    def _on_write_message(self, channel: str, payload: Dict[str, Any]) -> None:
-        self.grid.inject("write-ingestion", payload)
-
-    def _on_query_message(self, channel: str, payload: Dict[str, Any]) -> None:
-        self.grid.inject("query-ingestion", payload)
-
-    # ------------------------------------------------------------------
-    # Registration bookkeeping (thread-safe, called from ingestion tasks)
+    # Registration bookkeeping (thread-safe, called from the intake)
     # ------------------------------------------------------------------
 
     def _query_request(self, tuple_: Dict[str, Any]) -> bool:
@@ -413,9 +402,7 @@ class InvaliDBCluster:
             # riding trace (if any) is dropped — recovery re-injection
             # must not extend a long-completed trace.
             self._wires[query.query_id] = {
-                key: value for key, value in tuple_.items()
-                if key not in ("__task__", "trace")
-            }
+                key: value for key, value in tuple_.items() if key != "trace"}
             if tuple_.get("renewal"):
                 self.queries_renewed += 1
 
@@ -463,12 +450,9 @@ class InvaliDBCluster:
                         (query_id, registration.query.partition_hash)
                     )
         for query_id, query_hash in deactivated:
-            self.grid.inject(
-                "query-ingestion",
-                {"kind": "cancel", "query_id": query_id,
-                 "query_hash": query_hash, "app_server": "__reaper__",
-                 "force": True},
-            )
+            self.grid.reap({"kind": "cancel", "query_id": query_id,
+                            "query_hash": query_hash,
+                            "app_server": "__reaper__", "force": True})
         return [query_id for query_id, _ in deactivated]
 
     # ------------------------------------------------------------------

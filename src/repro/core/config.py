@@ -2,9 +2,8 @@
 
 Defaults mirror the paper's production/evaluation setup where one is
 documented: a retention time of "few seconds", a configurable heartbeat
-interval bounding data freshness, four write-ingestion and one
-query-ingestion node in the evaluation, and a slack that can be adapted
-on re-execution (Section 5.2, footnote 5).
+interval bounding data freshness, and a slack that can be adapted on
+re-execution (Section 5.2, footnote 5).
 
 A field exists where some caller, benchmark or example sets it; values
 nothing ever set (restart backoff growth, retry jitter, the SLO
@@ -39,9 +38,6 @@ class InvaliDBConfig:
     write_partitions: int = 1
     #: Parallelism of the sorting stage (partitioned by query).
     sorting_nodes: int = 1
-    #: Stateless ingestion parallelism (the evaluation used 4 and 1).
-    write_ingestion_nodes: int = 4
-    query_ingestion_nodes: int = 1
     #: Write stream retention window in seconds ("few seconds" at Baqend).
     retention_seconds: float = 5.0
     #: Items maintained beyond a sorted query's limit (Section 5.2).
@@ -220,8 +216,6 @@ class InvaliDBConfig:
             raise ClusterConfigError("write_partitions must be >= 1")
         if self.sorting_nodes < 1:
             raise ClusterConfigError("sorting_nodes must be >= 1")
-        if self.write_ingestion_nodes < 1 or self.query_ingestion_nodes < 1:
-            raise ClusterConfigError("ingestion node counts must be >= 1")
         if self.retention_seconds < 0:
             raise ClusterConfigError("retention_seconds must be >= 0")
         if self.default_slack < 1:

@@ -1,17 +1,17 @@
-"""The cluster's grid: one execution-model mailbox per task (Figure 2).
+"""The cluster's grid: one execution-model mailbox per cell (Figure 2).
 
 The paper runs InvaliDB on Storm purely for partitioned dataflow
-(Section 5.4), and the grid is static: every hop is a hash.  A grid
+(Section 5.4), and the grid is static: every hop is a hash.  The event
+layer pushes, so its delivery callback routes (the *intake*).  A grid
 task is a name, a mailbox from the cluster's
-:class:`~repro.runtime.execution.ExecutionModel` and crash state; each
-role (``query-ingestion``, ``write-ingestion``, ``matching``,
-``sorting``) routes its output with :mod:`repro.core.partitioning`.
-DESIGN.md §6 has the flush order and the failure and crash semantics.
+:class:`~repro.runtime.execution.ExecutionModel`, a cell and crash
+state; each role (``matching``, ``sorting``) routes its output with
+:mod:`repro.core.partitioning`.  DESIGN.md §6 has the flush order and
+the failure and crash semantics.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
@@ -29,7 +29,7 @@ _Out = Dict[int, List[Any]]
 
 @dataclass
 class _Task:
-    """One grid task: its mailbox, its cell (grid roles) and crash state."""
+    """One grid task: its mailbox, its cell and crash state."""
 
     role: str
     index: int
@@ -44,7 +44,7 @@ class _Task:
 
 
 class Grid:
-    """Ingestion, matching and sorting tasks of one cluster."""
+    """The intake plus the matching and sorting tasks of one cluster."""
 
     def __init__(self, cluster: "InvaliDBCluster"):
         self.cluster = cluster
@@ -59,8 +59,6 @@ class Grid:
         self._tasks: Dict[str, List[_Task]] = {
             role: [_Task(role, i, f"{role}[{i}]") for i in range(count)]
             for role, count in (
-                ("query-ingestion", config.query_ingestion_nodes),
-                ("write-ingestion", config.write_ingestion_nodes),
                 ("matching", scheme.node_count),
                 ("sorting", config.sorting_nodes),
             )
@@ -72,19 +70,19 @@ class Grid:
                       for qp in range(scheme.query_partitions)]
         self._columns = [[sorting_nodes + i for i in scheme.column_tasks(wp)]
                          for wp in range(scheme.write_partitions)]
-        self._round_robin = {role: itertools.count() for role in self._tasks}
+        #: Intake tuples whose routing raised, plus intake puts that did.
+        self.intake_failed = 0
+        #: Routed since the last :meth:`flush_intake`.  Only the broker's
+        #: one dispatch mailbox fills it, so it needs no lock.
+        self._routed: _Out = {}
         self._started = self._stopped = False
 
     def start(self) -> None:
-        runs = {"query-ingestion": self._tuples(self._ingest_query),
-                "write-ingestion": self._tuples(self._ingest_write)}
-        for role, tasks in self._tasks.items():
+        for tasks in self._tasks.values():
             for task in tasks:
-                if role in ("matching", "sorting"):
-                    task.cell = self.cluster._host_cell(role, task.index)
-                run = runs.get(role, self._run_cell)
+                task.cell = self.cluster._host_cell(task.role, task.index)
                 task.mailbox = self._execution.mailbox(
-                    task.name, self._handler(task, run)
+                    task.name, self._handler(task)
                 )
         self._started = True
 
@@ -100,30 +98,28 @@ class Grid:
         for join in filter(None, (getattr(box, "join", None) for box in boxes)):
             join(timeout=max(0.0, deadline - time.monotonic()))
 
-    def inject(self, role: str, payload: Dict[str, Any],
-               task: Optional[int] = None, direct: bool = False) -> None:
-        """Push *payload* into task *task* of *role*, else the one its
-        integer ``__task__`` field names, else the next round-robin.
-        ``direct=True`` bypasses fault injection (recovery traffic)."""
-        tasks = self._tasks[role]
-        if task is None:
-            pinned = payload.get("__task__")
-            task = pinned if isinstance(pinned, int) else (
-                0 if len(tasks) == 1 else next(self._round_robin[role]))
-        mailbox = tasks[task % len(tasks)].mailbox
+    def inject(self, role: str, payload: Dict[str, Any], task: int,
+               direct: bool = False) -> None:
+        """Push *payload* into task *task* of *role*; ``direct=True``
+        bypasses fault injection (recovery traffic)."""
+        mailbox = self._tasks[role][task].mailbox
         if mailbox is not None:  # started
             (mailbox.put_direct if direct else mailbox.put)(payload)
 
-    def _handler(self, task: _Task, run: Callable[[_Task, List[Any], _Out], None]):
-        """*task*'s mailbox handler: crash faults, *run*, then the flush."""
-
-        def process(batch: List[Any]) -> None:
-            out: _Out = {}
+    def _flush(self, out: _Out,
+               on_error: Optional[Callable[[Exception], None]] = None) -> None:
+        """Put *out* downstream: sorting tasks first, then matching cells.
+        With *on_error*, a put that raises costs its task's share only."""
+        for rank in sorted(out):
             try:
-                run(task, batch, out)
-            finally:
-                for rank in sorted(out):
-                    self._downstream[rank].mailbox.put_many(out[rank])
+                self._downstream[rank].mailbox.put_many(out[rank])
+            except Exception as exc:  # noqa: BLE001 - one task's put
+                if on_error is None:
+                    raise
+                on_error(exc)
+
+    def _handler(self, task: _Task):
+        """*task*'s mailbox handler: crash faults, the cell, the flush."""
 
         def handle(batch: List[Any]) -> None:
             if task.crashed:
@@ -137,31 +133,48 @@ class Grid:
                 for position in range(len(batch)):
                     if injector.crashes_task(task.name):
                         if position:
-                            process(batch[:position])
+                            self._run_cell(task, batch[:position])
                         task.dropped_while_crashed += len(batch) - position
                         self.crash(task.role, task.index, "injected crash")
                         return
-            process(batch)
+            self._run_cell(task, batch)
 
         return handle
 
-    def _tuples(self, step: Callable[[Dict[str, Any], _Out], None]):
-        """An ingestion run: *step* per tuple, failures isolated per tuple."""
+    def intake_query(self, channel: str, tuple_: Dict[str, Any]) -> None:
+        """Query-channel listener: route one request (put on flush)."""
+        self._intake(self._route_query, tuple_, self._routed)
 
-        def run(task: _Task, batch: List[Any], out: _Out) -> None:
-            for tuple_ in batch:
-                if task.crashed:
-                    task.dropped_while_crashed += 1
-                    continue
-                try:
-                    step(tuple_, out)
-                    task.consecutive_errors = 0
-                except Exception as exc:  # noqa: BLE001 - one tuple
-                    self._fail(task, exc)
+    def intake_write(self, channel: str, tuple_: Dict[str, Any]) -> None:
+        """Write-channel listener: route one after-image (put on flush)."""
+        self._intake(self._route_write, tuple_, self._routed)
 
-        return run
+    def flush_intake(self) -> None:
+        """Put what the intake routed, one ``put_many`` per task; the
+        broker calls it once per dispatch batch."""
+        routed, self._routed = self._routed, {}
+        self._flush(routed, self._intake_failure)
 
-    def _ingest_query(self, tuple_: Dict[str, Any], out: _Out) -> None:
+    def reap(self, cancel: Dict[str, Any]) -> None:
+        """Route and put a TTL sweep's cancel now (off the dispatch thread)."""
+        out: _Out = {}
+        self._intake(self._route_query, cancel, out)
+        self._flush(out, self._intake_failure)
+
+    def _intake(self, route: Callable[[Dict[str, Any], _Out], None],
+                tuple_: Dict[str, Any], out: _Out) -> None:
+        try:
+            route(tuple_, out)
+        except Exception as exc:  # noqa: BLE001 - costs this tuple only
+            self._intake_failure(exc)
+
+    def _intake_failure(self, exc: Exception) -> None:
+        """Count and record one intake failure (never raised to the broker)."""
+        self.intake_failed += 1
+        self.cluster.flight.record("task-failure", component="intake",
+                                   error=repr(exc))
+
+    def _route_query(self, tuple_: Dict[str, Any], out: _Out) -> None:
         # ``query_hash`` is the partition hash: every page of a sort
         # core meets one matching row and its core's sorting task.
         query_hash = tuple_["query_hash"]
@@ -173,7 +186,7 @@ class Grid:
         for rank in [sorting] + self._rows[qp]:
             out.setdefault(rank, []).append(forwarded)
 
-    def _ingest_write(self, tuple_: Dict[str, Any], out: _Out) -> None:
+    def _route_write(self, tuple_: Dict[str, Any], out: _Out) -> None:
         cluster = self.cluster
         overload = cluster.overload
         if (overload is not None and tuple_.get("kind") == "write"
@@ -187,9 +200,11 @@ class Grid:
         for rank in self._columns[wp]:
             out.setdefault(rank, []).append(forwarded)
 
-    def _run_cell(self, task: _Task, batch: List[Any], out: _Out) -> None:
-        """A cell takes the whole batch in one call: a failure loses it."""
+    def _run_cell(self, task: _Task, batch: List[Any]) -> None:
+        """A cell takes the whole batch in one call: a failure loses it.
+        What it emits is flushed once, after it returned."""
         cluster = self.cluster
+        out: _Out = {}
         try:
             messages, changes, coalesced = task.cell.handle_batch(batch)
             if coalesced:
@@ -205,6 +220,7 @@ class Grid:
             self.crash(task.role, task.index, str(exc))
         except Exception as exc:  # noqa: BLE001 - one batch
             self._fail(task, exc)
+        self._flush(out)
 
     def _fail(self, task: _Task, exc: Exception) -> None:
         """Count and record one failure, never the tuple it hit."""
@@ -236,8 +252,7 @@ class Grid:
         """Serve a crashed task again: same mailbox (and backlog), a cell
         re-hosted empty — the supervisor rebuilds its state."""
         task = self._tasks[role][index]
-        if task.cell is not None:
-            task.cell = self.cluster._host_cell(role, index)
+        task.cell = self.cluster._host_cell(role, index)
         task.crashed = False
         task.consecutive_errors = 0
         task.restarts += 1
@@ -249,5 +264,6 @@ class Grid:
             "components": {role: {"tasks": len(tasks), **{
                 name: sum(getattr(task, name) for task in tasks) for name in counters
             }} for role, tasks in self._tasks.items()},
+            "intake_failed": self.intake_failed,
             "crash_listener_errors": self.crash_listener_errors,
         }

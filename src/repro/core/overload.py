@@ -9,7 +9,7 @@ unattributed loss.  This module makes overload an explicitly managed
 state instead:
 
 * :class:`AdmissionGovernor` — an AIMD write-budget token bucket at
-  the write-ingestion edge.  While the cluster is overloaded, writes
+  the cluster's write intake.  While the cluster is overloaded, writes
   beyond the budget are pushed back to their origin app server as
   ``overload-rejected`` envelopes carrying a retry-after hint the
   client's existing retry/backoff path honors.  The rate additively
@@ -21,7 +21,7 @@ state instead:
   hysteresis: severity steps up immediately and steps down one level
   only after ``health_recovery_ticks`` consecutive clean evaluations.
 * :class:`OverloadController` — the cluster-side seam wiring both to
-  the grid: admission checks in write ingestion, semantic shedding on
+  the grid: admission checks at the write intake, semantic shedding on
   the notification path (pressure-widened coalescing for unsorted
   queries, periodic snapshot refresh replacing sorted diff streams),
   and the health export through ``cluster.snapshot()`` / heartbeats.
@@ -240,7 +240,7 @@ class OverloadController:
     Owned by :class:`~repro.core.cluster.InvaliDBCluster` when
     ``overload_control`` is on.  Hot-path entry points:
 
-    * :meth:`admit` — called by the write-ingestion tasks per write;
+    * :meth:`admit` — called by the write intake per write;
       enforces the admission budget only while the cluster state is
       ``overloaded`` and pushes rejected envelopes back to their
       origin's notification channel with a retry-after hint.
@@ -375,10 +375,9 @@ class OverloadController:
         cluster = self.cluster
         mailboxes = cluster._execution.stats().get("mailboxes", {})
         tel = cluster.telemetry
+        # The grid's mailboxes, plus the broker's dispatch mailbox when
+        # the grid shares its model: the intake's backlog queues there.
         for name in sorted(mailboxes):
-            if not name.startswith(("matching", "sorting",
-                                    "write-ingestion", "query-ingestion")):
-                continue
             box = mailboxes[name]
             dropped = box.get("dropped", 0)
             delta = dropped - self._last_drops.get(name, 0)
@@ -450,7 +449,7 @@ class OverloadController:
         self.monitor.observe("slo", 0, scaled, 0)
 
     # ------------------------------------------------------------------
-    # Admission (write-ingestion hot path)
+    # Admission (write-intake hot path)
     # ------------------------------------------------------------------
 
     def admit(self, tuple_: Dict[str, Any]) -> bool:
@@ -474,10 +473,7 @@ class OverloadController:
         if origin is None:
             self.writes_dropped += 1
             return
-        envelope = {
-            key: value for key, value in tuple_.items()
-            if key not in ("trace", "__task__")
-        }
+        envelope = {key: value for key, value in tuple_.items() if key != "trace"}
         payload = {
             "kind": "overload-rejected",
             "health": self.state,

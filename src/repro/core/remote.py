@@ -500,11 +500,7 @@ class LeasedCell:
         return self.handle.pid
 
     def handle_batch(self, tuples: List[Dict[str, Any]]) -> CellResult:
-        reply = self.handle.request_batch([
-            {key: value for key, value in tuple_.items() if key != "__task__"}
-            if "__task__" in tuple_ else tuple_
-            for tuple_ in tuples
-        ])
+        reply = self.handle.request_batch(tuples)
         messages: List[Dict[str, Any]] = []
         changes: List[Tuple[QueryChange, Optional[Trace]]] = []
         for emit in reply["emits"]:

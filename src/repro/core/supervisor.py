@@ -38,9 +38,6 @@ from repro.query.engine import core_id_of
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.cluster import InvaliDBCluster
 
-#: Components the supervisor knows how to rebuild.
-_RECOVERABLE = ("matching", "sorting")
-
 #: Restart backoff: ``supervisor_backoff_base * _BACKOFF_FACTOR**n``
 #: seconds before attempt *n*, capped at ``_BACKOFF_MAX``; one task is
 #: given up on after ``_MAX_RESTARTS`` attempts without a recovery.
@@ -85,8 +82,6 @@ class NodeSupervisor:
         )
         with self._lock:
             self.crashes_seen += 1
-            if component not in _RECOVERABLE:
-                return
             if key in self._pending:
                 return
             attempt = self._attempts.get(key, 0)
@@ -115,7 +110,7 @@ class NodeSupervisor:
             self.restarts += 1
         if component == "matching":
             self._recover_matching(task_index)
-        elif component == "sorting":
+        else:
             self._recover_sorting(task_index)
         # A recovered task earns its restart budget back: only crash
         # loops (re-crashing before recovery completes) exhaust it.

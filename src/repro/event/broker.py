@@ -104,6 +104,8 @@ class Broker:
         self._delivered = 0
         self._listener_errors = 0
         self._decode_errors = 0
+        #: Run after each dispatch batch; swapped whole, read lock-free.
+        self._batch_ends: Tuple[Callable[[], None], ...] = ()
         self._execution, self._owns_execution = resolve_execution_model(
             execution
         )
@@ -205,6 +207,17 @@ class Broker:
             self._patterns.append(subscription)
         return subscription
 
+    def add_batch_end(self, callback: Callable[[], None]) -> None:
+        """Run *callback* after every dispatch batch, so a listener that
+        buffers can hand a whole batch on at once."""
+        with self._lock:
+            self._batch_ends += (callback,)
+
+    def remove_batch_end(self, callback: Callable[[], None]) -> None:
+        with self._lock:
+            self._batch_ends = tuple(
+                end for end in self._batch_ends if end != callback)
+
     def _close_subscription(self, subscription: Subscription) -> None:
         with self._lock:
             if not subscription.active:
@@ -252,6 +265,11 @@ class Broker:
                     errors += 1
                 else:
                     count += 1
+        for batch_end in self._batch_ends:
+            try:
+                batch_end()
+            except Exception:  # noqa: BLE001 - counted like a listener
+                errors += 1
         if count or errors or decode_errors:
             # One lock acquisition and one counter bump per batch, not
             # per delivery — this sits under every message in the

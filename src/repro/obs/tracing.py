@@ -20,7 +20,7 @@ The canonical write path produces the span chain
     ``publish`` -> ``filter`` -> [``sort``] -> ``deliver`` -> ``materialize``
 
 * ``publish``    — app server hands the after-image to the event layer
-  until write ingestion receives it (broker hop + mailbox dwell);
+  until a matching cell takes it (broker hop, intake, mailbox dwell);
 * ``filter``     — the matching node evaluates candidate queries;
 * ``sort``       — ordered-window maintenance (sorted queries only);
 * ``deliver``    — change publish until the client's notification

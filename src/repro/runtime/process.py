@@ -1,7 +1,7 @@
 """Process-per-partition execution: grid cells in worker processes.
 
 :class:`ProcessExecutionModel` extends the threaded substrate — the
-broker, ingestion tasks, timers and crash signaling all stay in the
+broker with its intake, timers and crash signaling all stay in the
 parent, exactly as before — but the grid's *compute* (matching and
 sorting cells) moves into forked worker processes reached through
 framed duplex sockets (:mod:`repro.event.wire`).  That is the paper's

@@ -111,7 +111,7 @@ def settle(cluster: InvaliDBCluster, broker: Broker, rounds: int = 3,
     """Wait until messages stopped flowing through broker and grid.
 
     One drain is not enough because deliveries can enqueue follow-up
-    messages (broker -> ingestion -> matching -> broker); alternating a
+    messages (broker -> matching -> broker); alternating a
     few rounds reaches quiescence for test-sized workloads.
     """
     for _ in range(rounds):

@@ -8,10 +8,10 @@ move documents in and out of the result.  After the pipeline drains,
 every live handle should hold exactly what the pull query returns.
 
 It does not, and the cause is not the grid's routing.  Each resubscribe
-sends a fresh subscribe (bootstrap + versions) through query ingestion,
+sends a fresh subscribe (bootstrap + versions) through the intake,
 and ``FilteringNode.register_query`` replaces the query's state with
 that bootstrap wholesale.  A write already in the store when the
-bootstrap was read but still on its way through write ingestion then
+bootstrap was read but still in flight then
 reaches the cell *after* the re-registration: its version is at or
 below the bootstrap's, so the cell drops it as known (a document that
 left the result is simply absent from the new state, so its removal

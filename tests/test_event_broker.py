@@ -222,6 +222,38 @@ class TestDecodeIsolation:
         model.shutdown()
 
 
+class TestBatchEnd:
+    def test_batch_end_runs_once_per_dispatch_batch(self):
+        """After every batch, not per message; a raising one counts as a
+        listener error, and a removed one runs no more."""
+        model = InlineExecutionModel(ExecutionConfig(mode="inline"))
+        broker = Broker(execution=model)
+        log = []
+
+        def end():
+            log.append("end")
+            if len(log) > 4:
+                raise RuntimeError("flush failed")
+
+        broker.add_batch_end(end)
+        broker.subscribe("a", lambda c, p: log.append(p))
+
+        def burst(values):
+            for value in values:
+                broker.publish("a", value)
+
+        trigger = model.mailbox("trigger", lambda batch: burst(batch[0]))
+        trigger.put(["x", "y", "z"])
+        trigger.put(["w"])
+        assert log == ["x", "y", "z", "end", "w", "end"]
+        assert broker.stats["listener_errors"] == 1
+        broker.remove_batch_end(end)
+        trigger.put(["v"])
+        assert log[-1] == "v"
+        broker.close()
+        model.shutdown()
+
+
 class TestChannelNames:
     def test_channel_names_are_disjoint(self):
         names = {

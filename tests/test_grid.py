@@ -1,5 +1,6 @@
-"""The grid's tasks on execution-model mailboxes: routing, flush order,
-failure isolation, crash and restart, injection.
+"""The grid's tasks on execution-model mailboxes and its intake:
+routing, flush order, failure isolation, crash and restart, injection,
+write order.
 
 Most tests drive :class:`~repro.core.grid.Grid` against a stub cluster
 and a recording execution model, so every put a batch causes is
@@ -20,11 +21,15 @@ from repro.core.partitioning import (
     sorting_task_of,
     stable_hash,
 )
+from repro.core.server import AppServer
 from repro.event.broker import Broker
+from repro.event.channels import query_channel
 from repro.obs.flight import FlightRecorder
 from repro.query.engine import core_id_of
 from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
 from repro.runtime.faults import FaultPlan
+
+from tests.test_chaos import SteppingClock
 
 
 class RecordingMailbox:
@@ -166,11 +171,8 @@ class TestRouting:
 class TestGridTasks:
     def test_construction_order_and_names(self):
         cluster, _ = build_grid(query_partitions=2, write_partitions=2,
-                                sorting_nodes=2, write_ingestion_nodes=2)
+                                sorting_nodes=2)
         assert cluster.log == [
-            ("mailbox", "query-ingestion[0]"),
-            ("mailbox", "write-ingestion[0]"),
-            ("mailbox", "write-ingestion[1]"),
             ("host", "matching[0]"), ("mailbox", "matching[0]"),
             ("host", "matching[1]"), ("mailbox", "matching[1]"),
             ("host", "matching[2]"), ("mailbox", "matching[2]"),
@@ -182,13 +184,16 @@ class TestGridTasks:
     def test_a_batch_reaches_the_sorting_edge_first(self):
         """A subscribe must sit in its sorting task's FIFO before any
         matching cell can register it and send events for the fresh
-        window: the flush puts sorting tasks first, then matching
-        cells, each in index order — not in first-emission order."""
-        cluster, _ = build_grid(query_partitions=2, write_partitions=2,
-                                sorting_nodes=2)
+        window: the intake's flush puts sorting tasks first, then
+        matching cells, each in index order — not in routing order."""
+        cluster, grid = build_grid(query_partitions=2, write_partitions=2,
+                                   sorting_nodes=2)
         first = subscribe("a", query_hash_on(1, 2, 1, 2))   # row 1
         second = subscribe("b", query_hash_on(0, 2, 0, 2))  # row 0
-        handler(cluster, "query-ingestion[0]")([first, second])
+        grid.intake_query("query", first)
+        grid.intake_query("query", second)
+        assert puts(cluster) == []  # routed, not yet put
+        grid.flush_intake()
         routed = [(name, [t["query_id"] for t in batch])
                   for name, batch in puts(cluster)]
         a, b = first["query_id"], second["query_id"]
@@ -201,9 +206,10 @@ class TestGridTasks:
                    for _, batch in puts(cluster) for t in batch)
 
     def test_a_write_reaches_every_cell_of_its_column(self):
-        cluster, _ = build_grid(query_partitions=3, write_partitions=2)
+        cluster, grid = build_grid(query_partitions=3, write_partitions=2)
         write = {"kind": "write", "key": 42}
-        handler(cluster, "write-ingestion[0]")([write])
+        grid.intake_write("write", write)
+        grid.flush_intake()
         wp = cluster.scheme.write_partition_of(42)
         assert [name for name, _ in puts(cluster)] == [
             f"matching[{index}]" for index in cluster.scheme.column_tasks(wp)
@@ -221,20 +227,40 @@ class TestGridTasks:
                     f"sorting[{sorting_task_of(event['query_id'], 4)}]"
         assert sum(len(batch) for _, batch in puts(cluster)) == 60
 
-    def test_failing_tuple_is_isolated_in_ingestion(self):
+    def test_failing_tuple_is_isolated_in_the_intake(self):
         cluster, grid = build_grid()
-        handler(cluster, "query-ingestion[0]")([
-            subscribe("bad", 0, bad=True), subscribe("good", 0),
-        ])
+        grid.intake_query("query", subscribe("bad", 0, bad=True))
+        grid.intake_query("query", subscribe("good", 0))
+        grid.flush_intake()
         assert cluster.registered == ["good"]
         assert [t["query_id"] for _, batch in puts(cluster) for t in batch] \
             == ["good", "good"]  # its sorting task and its one-cell row
-        stats = grid.stats()["components"]["query-ingestion"]
-        assert stats["failed"] == 1 and stats["crashed"] == 0
+        stats = grid.stats()
+        assert stats["intake_failed"] == 1
+        assert all(component["failed"] == component["crashed"] == 0
+                   for component in stats["components"].values())
         [event] = cluster.flight.events()
         assert event["kind"] == "task-failure"
-        assert (event["component"], event["task"]) == ("query-ingestion", 0)
+        assert event["component"] == "intake"
         assert event["error"] == "ValueError('bad tuple')"
+
+    def test_a_failing_put_costs_only_its_task(self):
+        cluster, grid = build_grid(query_partitions=2, write_partitions=2)
+        box = cluster._execution.boxes["matching[0]"]
+
+        def refuse(items):
+            raise OverflowError("full")
+
+        box.put_many = refuse
+        grid.intake_query("query", subscribe("q", 0))  # row 0: matching[0] and [1]
+        grid.flush_intake()
+        assert [name for name, _ in puts(cluster)] == [
+            "sorting[0]", "matching[1]",
+        ]
+        assert grid.stats()["intake_failed"] == 1
+        [event] = cluster.flight.events()
+        assert event["component"] == "intake"
+        assert event["error"] == "OverflowError('full')"
 
     def test_failing_batch_is_isolated_per_cell(self):
         cluster, grid = build_grid()
@@ -294,19 +320,16 @@ class TestGridTasks:
 
     def test_inject_with_explicit_task(self):
         cluster, grid = build_grid(query_partitions=3, write_partitions=1,
-                                   write_ingestion_nodes=3)
-        grid.inject("matching", {"__task__": 2, "v": 1})
+                                   sorting_nodes=2)
+        grid.inject("matching", {"v": 1}, task=2)
         grid.inject("matching", {"v": 2}, task=1, direct=True)
-        for v in range(3, 6):
-            grid.inject("write-ingestion", {"v": v})
+        grid.inject("sorting", {"v": 3}, task=1, direct=True)
         sent = [(entry[0], entry[1], entry[2][0]["v"])
                 for entry in cluster.log if entry[0] in ("put", "direct")]
         assert sent == [
             ("put", "matching[2]", 1),
             ("direct", "matching[1]", 2),
-            ("put", "write-ingestion[0]", 3),
-            ("put", "write-ingestion[1]", 4),
-            ("put", "write-ingestion[2]", 5),
+            ("direct", "sorting[1]", 3),
         ]
 
     def test_failure_record_is_bounded_and_keeps_no_tuple(self):
@@ -352,10 +375,11 @@ class TestClusterGrid:
         inline_cluster.grid.crash("sorting", 0, "test")
         snapshot = inline_cluster.snapshot()
         runtime = snapshot["runtime"]
-        assert set(runtime) == {"components", "crash_listener_errors"}
-        assert list(runtime["components"]) == [
-            "query-ingestion", "write-ingestion", "matching", "sorting",
-        ]
+        assert set(runtime) == {
+            "components", "intake_failed", "crash_listener_errors",
+        }
+        assert list(runtime["components"]) == ["matching", "sorting"]
+        assert runtime["intake_failed"] == 0
         assert runtime["components"]["matching"] == {
             "tasks": 4, "failed": 0, "crashed": 0, "restarts": 0,
             "dropped_while_crashed": 0,
@@ -364,6 +388,34 @@ class TestClusterGrid:
         box = next(row for row in snapshot["mailboxes"]
                    if row["name"] == "matching[0]")
         assert {"depth", "high_water", "dropped", "batches"} <= set(box)
+        assert [row["name"] for row in snapshot["mailboxes"]] == [
+            "event-layer-dispatch", "matching[0]", "matching[1]",
+            "matching[2]", "matching[3]", "sorting[0]",
+        ]
+
+    def test_a_failing_intake_tuple_never_reaches_the_broker(
+        self, inline_cluster, monkeypatch
+    ):
+        real = inline_cluster._query_request
+
+        def request(tuple_):
+            if tuple_["query_id"] == "bad":
+                raise ValueError("bad tuple")
+            return real(tuple_)
+
+        monkeypatch.setattr(inline_cluster, "_query_request", request)
+        broker = inline_cluster.broker
+        for query_id in ("bad", "good"):
+            broker.publish(query_channel("default"), {
+                "kind": "ttl", "query_id": query_id, "query_hash": 0,
+                "app_server": "app",
+            })
+        assert broker.drain()
+        assert broker.stats["listener_errors"] == 0
+        assert inline_cluster.snapshot()["runtime"]["intake_failed"] == 1
+        [event] = [event for event in inline_cluster.flight.events()
+                   if event["kind"] == "task-failure"]
+        assert event["component"] == "intake"
 
     def test_a_killed_cell_is_restarted_by_the_supervisor(self, inline_cluster):
         before = inline_cluster._cells[("matching", 1)]
@@ -374,3 +426,45 @@ class TestClusterGrid:
         components = inline_cluster.snapshot()["runtime"]["components"]
         assert components["matching"]["restarts"] == 1
         assert components["matching"]["crashed"] == 0
+
+
+class TestWriteOrder:
+    """The intake routes on the broker's one dispatch path, so a key's
+    writes reach each cell of their column in publish order: no write
+    is overtaken by a later one to its key and dropped as stale."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_every_write_is_processed_by_both_cells_of_its_column(
+        self, seed
+    ):
+        model = InlineExecutionModel(ExecutionConfig(mode="inline",
+                                                     seed=seed))
+        broker = Broker(execution=model)
+        config = InvaliDBConfig(query_partitions=2, write_partitions=2,
+                                clock=SteppingClock())
+        cluster = InvaliDBCluster(broker, config).start()
+        app = AppServer("app", broker, config=config)
+        try:
+            app.subscribe("items", {"v": {"$gte": 0}})
+            assert broker.drain()
+
+            def burst(channel, payload):
+                # Published from inside a dispatch: 32 writes queue up
+                # behind it, each update right behind its key's insert.
+                for i in range(12):
+                    app.insert("items", {"_id": i, "v": i})
+                    app.update("items", i, {"$set": {"v": i + 20}})
+                for i in range(0, 12, 3):
+                    app.update("items", i, {"$set": {"v": -1}})
+                    app.delete("items", i)
+
+            broker.subscribe("test:burst", burst)
+            broker.publish("test:burst", {})
+            assert broker.drain()
+            rows = cluster.snapshot()["matching"]
+            assert sum(row["writes_processed"] for row in rows) == 2 * 32
+        finally:
+            app.close()
+            cluster.stop()
+            broker.close()
+            model.shutdown()

@@ -47,7 +47,7 @@ SLACK = 2
 #: spent before matching, one of 150 between the stages, 250 survives.
 MATCHING_NOW, SORTING_NOW = 100.0, 200.0
 #: Primary keys of the cell under test (write partition 0), plus two
-#: the write ingestion would route to the other partition's cell.
+#: the intake would route to the other partition's cell.
 OWN_KEYS = [k for k in range(64) if SCHEME.write_partition_of(k) == 0][:8]
 FOREIGN_KEYS = [k for k in range(64) if SCHEME.write_partition_of(k) == 1][:2]
 KEYS = OWN_KEYS + FOREIGN_KEYS
@@ -130,7 +130,7 @@ class Grid:
         assert changes == wire_changes
         assert coalesced == wire_coalesced
         # The sorting grid hears the query requests too (second edge
-        # out of query ingestion), then this batch's match events.
+        # out of the intake), then this batch's match events.
         requests = [t for t in batch if t["kind"] != "write"]
         sorted_result = self.sorting.handle_batch(requests + messages)
         assert sorted_result == \
@@ -407,8 +407,10 @@ class TestCoalescingPrecondition:
         assert coalesce_calls == [3]
 
     def test_cluster_coalesced_count_is_pinned(self):
-        """A seeded inline burst gives the same ``notifications_coalesced``
-        (8) and ``notifications_sent`` (25) as before the precondition."""
+        """A seeded inline burst gives pinned ``notifications_coalesced``
+        (20) and ``notifications_sent`` (32) counts.  The intake puts
+        each write straight into its cells, so the burst reaches a cell
+        in publish order as a few long batches."""
         model = InlineExecutionModel(ExecutionConfig(mode="inline", seed=4))
         broker = Broker(execution=model)
         config = InvaliDBConfig(query_partitions=2, write_partitions=2,
@@ -433,8 +435,8 @@ class TestCoalescingPrecondition:
             broker.subscribe("test:burst", burst)
             broker.publish("test:burst", {})
             assert broker.drain()
-            assert cluster.notifications_coalesced == 8
-            assert cluster.notifications_sent == 25
+            assert cluster.notifications_coalesced == 20
+            assert cluster.notifications_sent == 32
             assert sorted(flat.result(), key=lambda d: d["_id"]) == sorted(
                 app.find("items", {"v": {"$gte": 0}}),
                 key=lambda d: d["_id"])

@@ -244,6 +244,19 @@ class TestGovernorFeed:
         assert controller.monitor.measured_state == HEALTHY
         assert controller.governor.rate == pytest.approx(60.0)
 
+    def test_a_backlog_in_front_of_the_intake_counts(self):
+        """The intake runs on the broker's dispatch mailbox, so a write
+        backlog queues there, in front of the admission edge."""
+        controller = self.build()
+        controller.cluster._execution.stats = lambda: {"mailboxes": {
+            "event-layer-dispatch": {"depth": 100, "dropped": 0},
+            "matching[0]": {"depth": 0, "dropped": 0},
+        }}
+        assert controller.evaluate(now=0.0) == OVERLOADED
+        assert controller.monitor.states() == {
+            "event-layer-dispatch": OVERLOADED, "matching[0]": HEALTHY,
+        }
+
 
 # ----------------------------------------------------------------------
 # Config validation
@@ -686,8 +699,7 @@ class TestStagerShutdownFlush:
 class TestEvictionAttribution:
     def test_mailbox_labels_parse_stage_and_partition(self):
         assert _mailbox_labels("matching[3]") == ("matching", "3")
-        assert _mailbox_labels("write-ingestion[0]") == \
-            ("write-ingestion", "0")
+        assert _mailbox_labels("sorting[0]") == ("sorting", "0")
         assert _mailbox_labels("broker") == ("broker", "-")
 
     def test_drop_oldest_evictions_are_attributed(self):

@@ -90,12 +90,8 @@ def run_scenario(**config_kwargs):
     be compared: final results, the database's view, and the flat
     (unsorted) query's transcript.  Two normalizations make streams
     comparable: in-batch coalescing is disabled so every substrate
-    emits one notification per matching write, and a single write-
-    ingestion task preserves end-to-end write order (with the default
-    four, concurrent substrates can reorder a key's update past its
-    delete — the versioned-write protocol drops the stale one, which
-    keeps results correct but elides a notification).  The transcripts
-    then differ only in cross-task interleaving, which the multiset
+    emits one notification per matching write.  The transcripts then
+    differ only in cross-task interleaving, which the multiset
     comparison normalizes away.
     """
     execution = config_kwargs.pop("broker_execution", None)
@@ -103,7 +99,6 @@ def run_scenario(**config_kwargs):
     config = InvaliDBConfig(
         query_partitions=2, write_partitions=2,
         notification_coalescing=False,
-        write_ingestion_nodes=1,
         **config_kwargs,
     )
     cluster = InvaliDBCluster(broker, config).start()

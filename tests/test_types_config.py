@@ -97,7 +97,7 @@ class TestConfigValidation:
             {"query_partitions": 0},
             {"write_partitions": 0},
             {"sorting_nodes": 0},
-            {"write_ingestion_nodes": 0},
+            {"crash_error_threshold": -1},
             {"retention_seconds": -1},
             {"default_slack": 0},
             {"renewal_slack_factor": 0.5},
@@ -129,7 +129,7 @@ class TestConfigValidation:
             InvaliDBConfig(execution_model="fibers")
 
     def test_removed_matching_gates_are_not_options(self):
-        assert len(fields(InvaliDBConfig)) == 50
+        assert len(fields(InvaliDBConfig)) == 48
         for gate in ("shared_predicate_memo", "shared_query_dag",
                      "incremental_sorting"):
             with pytest.raises(TypeError):
@@ -150,6 +150,14 @@ class TestConfigValidation:
             InvaliDBConfig(**{name: value})
         assert len(fields(MatchingCellSpec)) == 6
         assert name not in {f.name for f in fields(MatchingCellSpec)}
+
+    @pytest.mark.parametrize("name", ["write_ingestion_nodes",
+                                      "query_ingestion_nodes"])
+    def test_removed_ingestion_counts_are_not_options(self, name):
+        """The event layer pushes and its delivery callback routes, so
+        there are no ingestion tasks to count."""
+        with pytest.raises(TypeError):
+            InvaliDBConfig(**{name: 1})
 
     def test_removed_sorting_paths_are_not_options(self):
         """The sorting stage has one window-maintenance path; nothing
