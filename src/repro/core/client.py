@@ -410,9 +410,12 @@ class InvaliDBClient:
             return database.collection(name)
         return database
 
-    def _execute(self, query: Query) -> Tuple[List[Document], Dict[Any, int]]:
-        """Bootstrap result and its documents' versions, read atomically
-        (a writer may run between any two separate store calls)."""
+    def _execute(
+        self, query: Query
+    ) -> Tuple[List[Document], Dict[Any, int], Dict[int, int]]:
+        """Bootstrap result, its documents' versions and the store's
+        read watermark, read atomically (a writer may run between any
+        two separate store calls)."""
         import time as _time
 
         started = _time.perf_counter()
@@ -531,7 +534,7 @@ class InvaliDBClient:
         # registered for fan-out *before* the subscribe request goes out,
         # so no change notification can slip past the handle.
         rewritten = query.rewritten_for_subscription(slack)
-        bootstrap, versions = self._execute(rewritten)
+        bootstrap, versions, watermark = self._execute(rewritten)
         visible = self._visible_window(query, bootstrap)
         subscription._deliver_initial(
             InitialResult(
@@ -543,21 +546,22 @@ class InvaliDBClient:
         )
         with self._lock:
             self._handles.setdefault(query.query_id, []).append(subscription)
-        self._publish_subscribe(query, bootstrap, versions, slack)
+        self._publish_subscribe(query, bootstrap, versions, watermark, slack)
         return subscription
 
     def _activate(self, query: Query, slack: int,
                   renewal: bool = False) -> List[Document]:
         """Execute the rewritten query and send the subscribe request."""
         rewritten = query.rewritten_for_subscription(slack)
-        bootstrap, versions = self._execute(rewritten)
-        self._publish_subscribe(query, bootstrap, versions, slack,
+        bootstrap, versions, watermark = self._execute(rewritten)
+        self._publish_subscribe(query, bootstrap, versions, watermark, slack,
                                 renewal=renewal)
         return bootstrap
 
     def _publish_subscribe(
         self, query: Query, bootstrap: List[Document],
-        versions: Dict[Any, int], slack: int, renewal: bool = False,
+        versions: Dict[Any, int], watermark: Dict[int, int], slack: int,
+        renewal: bool = False,
     ) -> None:
         message = {
             "kind": "subscribe",
@@ -567,6 +571,9 @@ class InvaliDBClient:
             "query": serialize_query(query),
             "bootstrap": bootstrap,
             "versions": [[key, version] for key, version in versions.items()],
+            # The cells skip retained writes stamped below it: the
+            # bootstrap already reflects them.
+            "watermark": [[store, head] for store, head in watermark.items()],
             "slack": slack,
             "renewal": renewal,
         }

@@ -48,7 +48,8 @@ replay, which have no pass to share, decide one query at a time in
 The node also implements write stream retention: retained after-images
 are replayed against newly registered queries, closing the
 write-subscription race, and version numbers let it ignore stale
-writes.
+writes.  The subscribe's read watermark limits replay to the images the
+bootstrap has not seen: one stamped below it committed before the read.
 
 Sorted queries are matched per *sort core* (``Query.core_id``): every
 page of one filter + sort shares one entry — one index entry, one DAG
@@ -192,6 +193,7 @@ class FilteringNode:
         bootstrap: List[Document],
         versions: Dict[Any, int],
         now: float,
+        watermark: Optional[Dict[int, int]] = None,
     ) -> List[MatchEvent]:
         """Activate *query* with its result partition.
 
@@ -201,6 +203,14 @@ class FilteringNode:
         than the bootstrap are replayed, so writes racing the
         subscription are not lost (Section 5.1).  Replay may produce
         events; the caller forwards them like live ones.
+
+        *watermark* is the read's ``{store_id: head_sequence}``.  A
+        retained image stamped below it committed before the read, so
+        the bootstrap already reflects it (its key is in the bootstrap
+        at that version or newer, or did not match) and it is not
+        replayed.  Unstamped images, images of a store the watermark
+        does not name, and every image of a subscribe without one
+        replay as before.
 
         A sorted page registers on its core's entry.  Its bootstrap is
         merged key by key (a version at or below the one held is
@@ -236,7 +246,10 @@ class FilteringNode:
             matching[key] = version
             documents[key] = doc
         events: List[MatchEvent] = []
+        heads = watermark or {}
         for after in self.retention.replay(now):
+            if 0 < after.sequence < heads.get(after.store_id, 0):
+                continue
             if after.version <= versions.get(after.key, 0):
                 continue
             events.extend(

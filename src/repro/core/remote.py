@@ -104,7 +104,7 @@ def deserialize_query(payload: Dict[str, Any]) -> Query:
 
 
 def serialize_after_image(after: AfterImage) -> Dict[str, Any]:
-    return {
+    payload = {
         "kind": "write",
         "key": after.key,
         "version": after.version,
@@ -113,9 +113,14 @@ def serialize_after_image(after: AfterImage) -> Dict[str, Any]:
         "collection": after.collection,
         "timestamp": after.timestamp,
     }
+    if after.sequence:
+        # The oplog stamp as two ints; unstamped writes carry no key.
+        payload["stamp"] = [after.store_id, after.sequence]
+    return payload
 
 
 def deserialize_after_image(payload: Dict[str, Any]) -> AfterImage:
+    store_id, sequence = payload.get("stamp") or (0, 0)
     return AfterImage(
         key=payload["key"],
         version=payload["version"],
@@ -123,6 +128,8 @@ def deserialize_after_image(payload: Dict[str, Any]) -> AfterImage:
         document=payload.get("document"),
         collection=payload.get("collection", "default"),
         timestamp=payload.get("timestamp", 0.0),
+        store_id=store_id,
+        sequence=sequence,
     )
 
 
@@ -306,6 +313,7 @@ class MatchingCell(_Cell):
                     ],
                     dict(tuple_["versions"]),
                     now,
+                    dict(tuple_.get("watermark", ())),
                 )
             else:
                 if kind == "cancel":

@@ -11,13 +11,28 @@ has already been received".
 Retention is bounded by time (the production deployment enforces "a
 retention time of few seconds"); only the latest version per key is
 retained because older versions are superseded by definition.
+``observe`` ages the buffer out from the old end of an arrival record
+kept in slices of the window (amortised O(1) per write), so between
+registrations it holds about one window, not every key ever written;
+``replay`` still applies the exact horizon.
+
+Retained images carry their oplog stamp (``store_id``, ``sequence``).
+A registration skips those below the subscribe's read watermark — the
+bootstrap already reflects them — so replay is left with exactly the
+writes that raced the subscription (see
+:meth:`~repro.core.filtering.FilteringNode.register_query`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List
+from collections import deque
+from typing import Any, Deque, Dict, Iterator, List, Tuple
 
 from repro.types import AfterImage
+
+#: The arrival record keeps one key list per 1/_SLICES of the window;
+#: an expired image outlives the window by at most two slices.
+_SLICES = 8
 
 
 class RetentionBuffer:
@@ -30,6 +45,12 @@ class RetentionBuffer:
         #: staleness checks keep working even after the after-image aged
         #: out of the replay window.
         self._versions: Dict[Any, int] = {}
+        #: Arrival record: (end, keys observed before it) per slice of
+        #: the window, oldest first.  A key rewritten in several slices
+        #: is listed in each; its latest image's timestamp decides.
+        self._slices: Deque[Tuple[float, List[Any]]] = deque()
+        self._slice: List[Any] = []
+        self._slice_end = float("-inf")
 
     def observe(self, after: AfterImage, now: float) -> bool:
         """Record *after*; returns False when it is stale (superseded).
@@ -37,12 +58,32 @@ class RetentionBuffer:
         A stale after-image must be dropped by the caller — processing
         it would regress the maintained result.
         """
-        seen = self._versions.get(after.key, 0)
-        if after.version <= seen:
+        key = after.key
+        if after.version <= self._versions.get(key, 0):
             return False
-        self._versions[after.key] = after.version
-        self._latest[after.key] = after
+        self._versions[key] = after.version
+        self._latest[key] = after
+        if now >= self._slice_end:
+            self._age_out(now)
+        self._slice.append(key)
         return True
+
+    def _age_out(self, now: float) -> None:
+        """Open a new slice and drop the expired images of every slice
+        that ended before the window.  Only an image's own timestamp
+        decides, so nothing inside the window is dropped, and a key
+        rewritten since keeps its newer image."""
+        horizon = now - self.retention_seconds
+        latest = self._latest
+        slices = self._slices
+        while slices and slices[0][0] < horizon:
+            for key in slices.popleft()[1]:
+                image = latest.get(key)
+                if image is not None and image.timestamp < horizon:
+                    del latest[key]
+        self._slice = []
+        self._slice_end = now + self.retention_seconds / _SLICES
+        slices.append((self._slice_end, self._slice))
 
     def is_stale(self, after: AfterImage) -> bool:
         """Check staleness without recording."""

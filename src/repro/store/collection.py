@@ -260,16 +260,21 @@ class Collection:
 
     def execute_versioned(
         self, query: Query
-    ) -> Tuple[List[Document], Dict[Any, int]]:
-        """:meth:`execute` plus the version of every returned document,
-        read in one critical section.  A bootstrap labelled with a
-        version newer than its content makes the cluster discard that
-        very write as already known."""
+    ) -> Tuple[List[Document], Dict[Any, int], Dict[int, int]]:
+        """:meth:`execute` plus the version of every returned document
+        and the read watermark ``{store_id: head_sequence}``, all read in
+        one critical section.  A bootstrap labelled with a version newer
+        than its content makes the cluster discard that very write as
+        already known; the watermark tells which writes the bootstrap
+        already reflects (every write stamped below it)."""
         with self._lock:
             documents = self.execute(query)
-            return documents, {
+            versions = {
                 doc["_id"]: self._versions.get(doc["_id"], 0)
                 for doc in documents
+            }
+            return documents, versions, {
+                self.oplog.store_id: self.oplog.head_sequence
             }
 
     def explain(self, filter_doc: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
@@ -415,24 +420,29 @@ class Collection:
     def _after_image(
         self, key: Any, kind: WriteKind, document: Optional[Document]
     ) -> AfterImage:
+        """Log the write and return its after-image, stamped with the
+        oplog entry (callers hold the collection lock, so the stamp
+        orders this write against every read of the collection)."""
         timestamp = self._clock()
-        after = AfterImage(
+        image = None if document is None else deep_copy(document)
+        entry = self.oplog.append(
+            collection=self.name,
+            kind=kind,
             key=key,
             version=self._versions[key],
-            kind=kind,
-            document=None if document is None else deep_copy(document),
-            collection=self.name,
+            after_image=image,
             timestamp=timestamp,
         )
-        self.oplog.append(
-            collection=self.name,
-            kind=kind,
+        return AfterImage(
             key=key,
-            version=after.version,
-            after_image=after.document,
+            version=entry.version,
+            kind=kind,
+            document=image,
+            collection=self.name,
             timestamp=timestamp,
+            store_id=self.oplog.store_id,
+            sequence=entry.sequence,
         )
-        return after
 
     def _publish(self, after: AfterImage) -> None:
         with self._lock:

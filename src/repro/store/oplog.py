@@ -10,10 +10,17 @@ The log is capped: once ``capacity`` entries are exceeded the oldest
 entries are dropped, and a tailer that fell behind the horizon gets a
 :class:`StaleCursorError`, mirroring the real failure mode of tailing
 a capped collection under write pressure.
+
+Each log has a process-unique, nonzero ``store_id``.  Together with an
+entry's ``sequence`` it stamps the write's after-image, and a read's
+``{store_id: head_sequence}`` is its *watermark*: every write of this
+store below it was committed before the read (see
+:meth:`~repro.store.collection.Collection.execute_versioned`).
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -57,6 +64,10 @@ class OplogEntry:
         )
 
 
+#: Source of process-unique store ids (0 is reserved for "unstamped").
+_STORE_IDS = itertools.count(1)
+
+
 class Oplog:
     """A capped, append-only replication log with tailing support."""
 
@@ -64,6 +75,7 @@ class Oplog:
         if capacity <= 0:
             raise StoreError("oplog capacity must be positive")
         self.capacity = capacity
+        self.store_id = next(_STORE_IDS)
         self._entries: Deque[OplogEntry] = deque()
         self._next_sequence = 1
         self._lock = threading.Lock()

@@ -106,19 +106,31 @@ class ShardedCollection:
 
     def execute_versioned(
         self, query: Query
-    ) -> Tuple[List[Document], Dict[Any, int]]:
-        """:meth:`execute` plus each returned document's version; every
-        shard reads its documents and their versions atomically (see
-        :meth:`Collection.execute_versioned`)."""
+    ) -> Tuple[List[Document], Dict[Any, int], Dict[int, int]]:
+        """:meth:`execute` plus each returned document's version and the
+        read watermark; every shard reads its documents, their versions
+        and its watermark atomically (see
+        :meth:`Collection.execute_versioned`).  Shards that share a store
+        contribute the minimum of their watermarks: only writes below
+        every shard's read are known to be reflected."""
         unsorted = Query(query.filter_doc, collection=query.collection)
         partials: List[Document] = []
         versions: Dict[Any, int] = {}
+        watermark: Dict[int, int] = {}
         for shard in self.shards:
-            documents, shard_versions = shard.execute_versioned(unsorted)
+            documents, shard_versions, shard_mark = shard.execute_versioned(
+                unsorted
+            )
             partials.extend(documents)
             versions.update(shard_versions)
+            for store_id, head in shard_mark.items():
+                watermark[store_id] = min(head, watermark.get(store_id, head))
         merged = self._merge(partials, query.sort, query.offset, query.limit)
-        return merged, {doc["_id"]: versions[doc["_id"]] for doc in merged}
+        return (
+            merged,
+            {doc["_id"]: versions[doc["_id"]] for doc in merged},
+            watermark,
+        )
 
     def count(self, filter_doc: Optional[Dict[str, Any]] = None) -> int:
         return sum(shard.count(filter_doc) for shard in self.shards)

@@ -57,6 +57,11 @@ class AfterImage:
     ``document`` is ``None`` for deletes (the paper: "the after-image of
     a deleted entity is null").  ``version`` increases per entity and is
     used for staleness avoidance in the retention buffer.
+
+    ``store_id`` / ``sequence`` stamp the write with its position in
+    the producing store's oplog (0 = unstamped).  A subscribe's read
+    watermark compares against them: a write below it is one the
+    bootstrap already reflects.
     """
 
     key: Any
@@ -65,6 +70,8 @@ class AfterImage:
     document: Optional[Document]
     collection: str = "default"
     timestamp: float = 0.0
+    store_id: int = 0
+    sequence: int = 0
 
     def __post_init__(self) -> None:
         if self.kind is WriteKind.DELETE:

@@ -122,32 +122,46 @@ class TestConcurrentWrites:
         equal the version reported next to it.  ``execute`` followed by
         ``version_of`` lets a writer in between: a bootstrap labelled
         with a version newer than its content makes the cluster drop
-        that very write as already known."""
+        that very write as already known.
+
+        The read watermark is cut in the same critical section: every
+        returned version is the key's latest write stamped below it —
+        none at or above it, none missing."""
         import time
 
         from repro.query.engine import Query
 
         collection = make()
+        writes = []  # (key, version, store_id, sequence), every write
         for key in range(20):
-            collection.insert({"_id": key, "n": 1})
+            after = collection.insert({"_id": key, "n": 1})
+            writes.append((key, after.version, after.store_id, after.sequence))
         query = Query({}, collection="boot", sort=[("n", -1)], limit=15)
         stop = threading.Event()
         mislabelled = []
+        reads = []
 
         def writer():
             key = 0
             while not stop.is_set():
-                collection.update(key % 20, {"$inc": {"n": 1}})
+                after = collection.update(key % 20, {"$inc": {"n": 1}})
+                writes.append(
+                    (after.key, after.version, after.store_id, after.sequence)
+                )
                 key += 1
 
         def reader():
             while not stop.is_set():
-                documents, versions = collection.execute_versioned(query)
+                documents, versions, watermark = collection.execute_versioned(
+                    query
+                )
                 if len(documents) != 15:
                     mislabelled.append(("short result", len(documents)))
                 mislabelled.extend(
                     doc for doc in documents if doc["n"] != versions[doc["_id"]]
                 )
+                if len(reads) < 400:
+                    reads.append((versions, watermark))
 
         threads = [threading.Thread(target=writer),
                    threading.Thread(target=reader),
@@ -160,6 +174,21 @@ class TestConcurrentWrites:
             thread.join(timeout=5)
         assert not any(thread.is_alive() for thread in threads)
         assert mislabelled == []
+        assert all(sequence > 0 for _, _, _, sequence in writes)
+        assert reads
+        by_key = {}
+        for key, version, store, sequence in writes:
+            by_key.setdefault(key, []).append((version, store, sequence))
+        cut_wrong = []
+        for versions, watermark in reads:
+            for key, version in versions.items():
+                below = [
+                    v for v, store, sequence in by_key[key]
+                    if sequence < watermark.get(store, 0)
+                ]
+                if not below or max(below) != version:
+                    cut_wrong.append((key, version, below[-3:]))
+        assert cut_wrong == []
 
     def test_concurrent_delete_update_race_is_safe(self):
         collection = Collection("race")
