@@ -12,8 +12,10 @@ the InvaliDB cluster" (Section 5).  Responsibilities implemented here:
 * **notification fan-out** — map incoming per-query changes to local
   subscriptions and tag each with its subscription ID;
 * **query renewal** — on a maintenance-error notification, re-execute
-  the rewritten query (with grown slack, footnote 5) and re-subscribe,
-  throttled by the poll-frequency rate limit;
+  the rewritten query (with grown slack, footnote 5) and re-subscribe;
+  on a resync request (a restarted grid task lost the queries' state)
+  the same at the current slack, plus each handle's catch-up delta;
+  both throttled by the poll-frequency rate limit;
 * **TTL extension** and **heartbeat supervision** — extend active
   queries every ``ttl_extension_interval`` (a daemon thread under the
   threaded models, ``extend_ttls()`` from the caller under the inline
@@ -129,19 +131,23 @@ class RealTimeSubscription:
         self._lock = threading.Lock()
         self._documents: Dict[Any, Document] = {}
         self._order: List[Any] = []
-        #: Highest write version applied per key — recovery replay and
-        #: duplicated broker messages re-deliver old changes, which must
-        #: not regress the materialized result.
+        #: Highest write version applied per key — retained replay,
+        #: merge rows and duplicated broker messages re-deliver old
+        #: changes, which must not regress the materialized result.
         self._versions: Dict[Any, int] = {}
         self.stale_skipped = 0
 
     # -- delivery (called by the client) ------------------------------------
 
-    def _deliver_initial(self, initial: InitialResult) -> None:
+    def _deliver_initial(self, initial: InitialResult,
+                         versions: Optional[Dict[Any, int]] = None) -> None:
+        """Start from the bootstrap, at the *versions* it was read at: a
+        change older than its read must not regress it."""
         with self._lock:
             self.initial = initial
             self._order = [doc["_id"] for doc in initial.documents]
             self._documents = {doc["_id"]: doc for doc in initial.documents}
+            self._versions = dict(versions or ())
         if self._on_initial is not None:
             self._on_initial(initial)
 
@@ -158,10 +164,13 @@ class RealTimeSubscription:
         """Maintain the local result materialization.
 
         Idempotent and monotonic: a change older than the version
-        already applied for its key is skipped, and an ADD for a key
-        already present repositions instead of duplicating — so
-        at-least-once delivery (duplicates, recovery replay, catch-up
-        diffs) converges to the same result as exactly-once.
+        already applied for its key is skipped, an ADD for a key
+        already present repositions instead of duplicating, and a
+        CHANGE for a key not present inserts it like an ADD — so
+        at-least-once delivery (duplicates, retained replay, catch-up
+        diffs, a re-registration's merge rows for a handle that started
+        from a different bootstrap) converges to the same result as
+        exactly-once.
         """
         key = notification.key
         match_type = notification.match_type
@@ -174,24 +183,26 @@ class RealTimeSubscription:
             return
         if version:
             self._versions[key] = version
+        # ``_documents`` and ``_order`` hold the same keys.
+        present = key in self._documents
         if match_type is MatchType.REMOVE:
-            self._documents.pop(key, None)
-            if key in self._order:
+            if present:
+                del self._documents[key]
                 self._order.remove(key)
             return
         document = notification.document
         if document is None:
             return
         self._documents[key] = document
-        if match_type in (MatchType.ADD, MatchType.CHANGE_INDEX):
-            if key in self._order:
-                self._order.remove(key)
-            index = notification.index
-            if index is None or index > len(self._order):
-                self._order.append(key)
-            else:
-                self._order.insert(index, key)
-        # CHANGE keeps the position.
+        if present:
+            if match_type is MatchType.CHANGE:
+                return  # keeps the position
+            self._order.remove(key)
+        index = notification.index
+        if index is None or index > len(self._order):
+            self._order.append(key)
+        else:
+            self._order.insert(index, key)
 
     # -- consumption ----------------------------------------------------------
 
@@ -542,7 +553,8 @@ class InvaliDBClient:
                 query_id=query.query_id,
                 documents=visible,
                 timestamp=now,
-            )
+            ),
+            versions,
         )
         with self._lock:
             self._handles.setdefault(query.query_id, []).append(subscription)
@@ -638,6 +650,11 @@ class InvaliDBClient:
             return
         if kind == "refresh":
             self._on_refresh(payload)
+            return
+        if kind == "resync":
+            # A restarted grid task lost these queries' state.
+            for query_id in payload.get("query_ids") or ():
+                self._renew_limited(query_id, resync=True)
             return
         self._on_changes(payload)
 
@@ -760,37 +777,39 @@ class InvaliDBClient:
     # ------------------------------------------------------------------
 
     def _handle_maintenance_error(self, query_id: str) -> None:
-        """A renewal request arrived: re-bootstrap the query.
+        """A renewal request arrived: re-bootstrap the query."""
+        self._renew_limited(query_id)
 
-        The poll-frequency rate limit keeps the database load
-        "predictable and configurable"; a renewal suppressed now is
-        retried once the interval elapsed.
-        """
+    def _renew_limited(self, query_id: str, resync: bool = False) -> None:
+        """:meth:`renew` under the poll-frequency rate limit, which keeps
+        the database load "predictable and configurable": a request
+        suppressed now runs once the interval elapsed, and a resync
+        wins over a renewal pending for the same query."""
         with self._lock:
-            query = self._queries.get(query_id)
-        if query is None:
-            return
-        now = self.config.clock()
-        if self._renewals.allow(query_id, now):
-            self.renew(query_id)
-            return
-        with self._lock:
-            if query_id in self._pending_renewals:
+            if query_id not in self._queries:
                 return
-            delay = self._renewals.min_interval
+        if self._renewals.allow(query_id, self.config.clock()):
+            self.renew(query_id, resync)
+            return
+        with self._lock:
+            pending = self._pending_renewals.get(query_id)
+            if pending is not None:
+                pending[1] = pending[1] or resync
+                return
+            pending = self._pending_renewals[query_id] = [None, resync]
             # Scheduled on the broker's execution model: a real timer
             # thread under the threaded model, a virtual-time callback
             # (fired by drain()) under the deterministic inline model.
-            handle = self.broker.execution.call_later(
-                delay, lambda: self._renew_later(query_id)
+            pending[0] = self.broker.execution.call_later(
+                self._renewals.min_interval,
+                lambda: self._renew_later(query_id),
             )
-            self._pending_renewals[query_id] = handle
 
     def _renew_later(self, query_id: str) -> None:
         with self._lock:
-            self._pending_renewals.pop(query_id, None)
+            _, resync = self._pending_renewals.pop(query_id, (None, False))
         self._renewals.allow(query_id, self.config.clock())
-        self.renew(query_id)
+        self.renew(query_id, resync)
 
     def resubscribe_all(self) -> int:
         """Re-activate every live query with a fresh bootstrap.
@@ -804,16 +823,11 @@ class InvaliDBClient:
         subscribers converge without being torn down.
         """
         with self._lock:
-            queries = [
-                (query, self._slacks.get(query.query_id,
-                                         self.config.default_slack))
-                for query in self._queries.values()
-            ]
-        for query, slack in queries:
-            bootstrap = self._activate(query, slack, renewal=True)
+            query_ids = list(self._queries)
+        for query_id in query_ids:
+            self.renew(query_id, resync=True)
             self.resubscribes += 1
-            self._deliver_delta(query, self._visible_window(query, bootstrap))
-        return len(queries)
+        return len(query_ids)
 
     def _deliver_delta(self, query: Query, visible: List[Document]) -> None:
         """Deliver to every handle of *query* the delta from its
@@ -831,20 +845,25 @@ class InvaliDBClient:
                     bind_to_subscription(change, handle.subscription_id)
                 )
 
-    def renew(self, query_id: str) -> bool:
-        """Re-execute and re-subscribe one query with grown slack."""
+    def renew(self, query_id: str, resync: bool = False) -> bool:
+        """Re-execute and re-subscribe one query: with grown slack (a
+        maintenance error), or with *resync* at its slack, delivering
+        every handle the catch-up delta to the fresh result (a restarted
+        grid task lost the query's state, or ``resubscribe_all``)."""
         with self._lock:
             query = self._queries.get(query_id)
             if query is None:
                 return False
-            old_slack = self._slacks.get(query_id, self.config.default_slack)
-            new_slack = max(
-                old_slack + 1,
-                int(old_slack * self.config.renewal_slack_factor),
-            )
-            self._slacks[query_id] = new_slack
-        self._activate(query, new_slack, renewal=True)
-        self.renewals_sent += 1
+            slack = self._slacks.get(query_id, self.config.default_slack)
+            if not resync:
+                slack = max(slack + 1,
+                            int(slack * self.config.renewal_slack_factor))
+                self._slacks[query_id] = slack
+        bootstrap = self._activate(query, slack, renewal=True)
+        if resync:
+            self._deliver_delta(query, self._visible_window(query, bootstrap))
+        else:
+            self.renewals_sent += 1
         return True
 
     # ------------------------------------------------------------------
@@ -956,7 +975,7 @@ class InvaliDBClient:
             return
         self._closed = True
         with self._lock:
-            handles = list(self._pending_renewals.values())
+            handles = [handle for handle, _ in self._pending_renewals.values()]
             self._pending_renewals.clear()
             handles += self._pending_resubmits
             self._pending_resubmits = []

@@ -47,12 +47,9 @@ from repro.core.remote import (  # wire forms re-exported for callers
     MatchingCellSpec,
     QueryResolver,
     SortingCellSpec,
-    deserialize_after_image,
     deserialize_query,  # noqa: F401
-    serialize_after_image,
     serialize_query,  # noqa: F401
 )
-from repro.core.retention import RetentionBuffer
 from repro.core.subscriptions import QueryRegistration
 from repro.core.supervisor import NodeSupervisor
 from repro.errors import BrokerClosedError
@@ -168,15 +165,6 @@ class InvaliDBCluster:
         #: plus heartbeat rounds that raised before publishing.
         self.heartbeats_failed = 0
         self.queries_renewed = 0
-        #: Recovery state, cluster level (survives any one node's
-        #: death): the latest subscribe wire payload per query, and one
-        #: retained write stream per write partition.
-        self._wires: Dict[str, Dict[str, Any]] = {}
-        self._retention_lock = threading.Lock()
-        self._write_retention: Dict[int, RetentionBuffer] = {
-            wp: RetentionBuffer(self.config.retention_seconds)
-            for wp in range(self.scheme.write_partitions)
-        }
         self.grid = Grid(self)
         if self._process_mode:
             # A dying worker orphans every cell it hosted; report each
@@ -186,8 +174,8 @@ class InvaliDBCluster:
                 self._on_worker_death
             )
         #: Supervised recovery: restarts crashed matching/sorting tasks
-        #: and rebuilds their state from retained streams (Section 5's
-        #: isolated failure domains).
+        #: and has the app servers renew the queries they held
+        #: (Section 5's isolated failure domains).
         self.supervisor = NodeSupervisor(self).attach()
         self._install_flight_context()
 
@@ -397,12 +385,6 @@ class InvaliDBCluster:
                 )
                 self._registrations[query.query_id] = registration
             registration.subscribe(tuple_["app_server"], now)
-            # The latest subscribe wire IS the query's recovery record:
-            # a restarted matching node re-registers from it.  The
-            # riding trace (if any) is dropped — recovery re-injection
-            # must not extend a long-completed trace.
-            self._wires[query.query_id] = {
-                key: value for key, value in tuple_.items() if key != "trace"}
             if tuple_.get("renewal"):
                 self.queries_renewed += 1
 
@@ -417,7 +399,6 @@ class InvaliDBCluster:
                 return False
             del self._registrations[tuple_["query_id"]]
             self._query_from_wire.forget(tuple_["query_id"])
-            self._wires.pop(tuple_["query_id"], None)
             return True
 
     def _extend_ttl(self, tuple_: Dict[str, Any]) -> None:
@@ -445,7 +426,6 @@ class InvaliDBCluster:
                 if not registration.active:
                     del self._registrations[query_id]
                     self._query_from_wire.forget(query_id)
-                    self._wires.pop(query_id, None)
                     deactivated.append(
                         (query_id, registration.query.partition_hash)
                     )
@@ -455,27 +435,11 @@ class InvaliDBCluster:
                             "app_server": "__reaper__", "force": True})
         return [query_id for query_id, _ in deactivated]
 
-    # ------------------------------------------------------------------
-    # Recovery state (read by the NodeSupervisor)
-    # ------------------------------------------------------------------
-
-    def _retain_write(self, wp: int, tuple_: Dict[str, Any]) -> None:
-        """Record an after-image in the write partition's retained
-        stream (cluster level, so it survives any matching node)."""
-        after = deserialize_after_image(tuple_)
-        with self._retention_lock:
-            self._write_retention[wp].observe(after, self.config.clock())
-
-    def _retained_writes(self, wp: int) -> List[Dict[str, Any]]:
-        """Wire payloads of the write partition's retention window."""
-        with self._retention_lock:
-            images = self._write_retention[wp].replay(self.config.clock())
-        return [serialize_after_image(after) for after in images]
-
-    def _subscribe_wires(self) -> List[Dict[str, Any]]:
-        """The stored subscribe request of every active query."""
+    def registrations(self) -> List[QueryRegistration]:
+        """Every active query's registration (the query and its app
+        servers), read by the supervisor's resync."""
         with self._registration_lock:
-            return list(self._wires.values())
+            return list(self._registrations.values())
 
     # ------------------------------------------------------------------
     # Notification fan-out

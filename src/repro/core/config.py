@@ -38,7 +38,9 @@ class InvaliDBConfig:
     write_partitions: int = 1
     #: Parallelism of the sorting stage (partitioned by query).
     sorting_nodes: int = 1
-    #: Write stream retention window in seconds ("few seconds" at Baqend).
+    #: Write stream retention window in seconds ("few seconds" at
+    #: Baqend): each matching cell keeps the after-images that arrived
+    #: within it, on the cluster's clock.
     retention_seconds: float = 5.0
     #: Items maintained beyond a sorted query's limit (Section 5.2).
     default_slack: int = 5
@@ -77,7 +79,7 @@ class InvaliDBConfig:
     execution_model: Optional[str] = None
     process_workers: Optional[int] = None
     #: Supervised recovery (restart crashed matching/sorting tasks and
-    #: rebuild their state from retained streams) backs off
+    #: have the app servers renew the queries they served) backs off
     #: exponentially: the first restart comes after this many seconds
     #: (virtual seconds under the inline model); growth, cap and
     #: attempt budget are constants of :mod:`repro.core.supervisor`.

@@ -53,10 +53,11 @@ bootstrap has not seen: one stamped below it committed before the read.
 
 Sorted queries are matched per *sort core* (``Query.core_id``): every
 page of one filter + sort shares one entry — one index entry, one DAG
-root, one event per write — refcounted by the pages registered on it,
-and a page's bootstrap merges into the entry key by key.  An unsorted
-query is its own entry, and its re-registration still replaces the
-entry's state wholesale (ROADMAP item 1).
+root, one event per write — refcounted by the pages registered on it.
+An unsorted query is its own entry.  Every after-image an entry takes
+goes through one version-merge rule (a version at or below the held
+one is dropped): live writes, retained replay and a (re-)registration's
+bootstrap alike.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from repro.query.engine import MongoQueryEngine, PluggableQueryEngine, Query
 from repro.query.index import QueryIndex
 from repro.query.shared import SharedPredicateDAG
 from repro.query.text import LazyTokens
-from repro.types import AfterImage, Document, MatchType
+from repro.types import AfterImage, Document, MatchType, WriteKind
 
 
 class MatchEvent(NamedTuple):
@@ -116,11 +117,12 @@ def _materialized(after: AfterImage) -> AfterImage:
 @dataclass
 class _ActiveQuery:
     query: Query
-    #: Keys of this node's result partition with their last version.
-    matching: Dict[Any, int] = field(default_factory=dict)
-    #: Last seen document per matching key (needed so a delete can emit
-    #: a remove event that still carries the item's content).
-    documents: Dict[Any, Document] = field(default_factory=dict)
+    #: Keys of this node's result partition -> the image held for them:
+    #: version, oplog stamp and document in the write's own after-image,
+    #: shared by every entry it matched (a delete's remove event still
+    #: carries the item's last content).  A bootstrap document is held
+    #: as an unstamped image.
+    matching: Dict[Any, AfterImage] = field(default_factory=dict)
     #: Ids of the queries registered on this entry: the pages of a sort
     #: core, or the unsorted query itself.
     pages: Set[str] = field(default_factory=set)
@@ -195,32 +197,38 @@ class FilteringNode:
         now: float,
         watermark: Optional[Dict[int, int]] = None,
     ) -> List[MatchEvent]:
-        """Activate *query* with its result partition.
+        """Activate *query* with its result partition, or merge a
+        re-registration (renewal, resync, another app server, another
+        page of a sort core) into the entry it already has.
 
         *bootstrap* is the slice of the initial result whose keys fall
         into this node's write partition; *versions* maps those keys to
-        the version the database reported.  Retained after-images newer
-        than the bootstrap are replayed, so writes racing the
-        subscription are not lost (Section 5.1).  Replay may produce
-        events; the caller forwards them like live ones.
+        the version the database reported; *watermark* is the read's
+        ``{store_id: head_sequence}``: an image stamped below it
+        committed before the read, so the bootstrap reflects it.
 
-        *watermark* is the read's ``{store_id: head_sequence}``.  A
-        retained image stamped below it committed before the read, so
-        the bootstrap already reflects it (its key is in the bootstrap
-        at that version or newer, or did not match) and it is not
-        replayed.  Unstamped images, images of a store the watermark
-        does not name, and every image of a subscribe without one
-        replay as before.
+        A fresh entry takes the bootstrap and emits nothing (the
+        initial result reaches the subscriber through its app server).
+        An entry that exists merges the bootstrap key by key through
+        the rule live writes use — a version at or below the held one
+        is dropped, a newer one is an ``add`` or ``change`` — and, when
+        the bootstrap is the whole result (no limit), a held key absent
+        from it whose image is stamped below the watermark left the
+        result before the read: ``remove``.  A held image the watermark
+        does not name (unstamped, a bootstrap's own document, another
+        store's write) counts as racing the read, as in replay: it is
+        kept, and the next write to its key decides.  The merge's
+        events go to every subscriber of the entry, like live ones.
 
-        A sorted page registers on its core's entry.  Its bootstrap is
-        merged key by key (a version at or below the one held is
-        dropped), so the pages already registered keep what they know.
-        Re-registering an unsorted query (renewal, or a second app
-        server subscribing) replaces its state wholesale.  The index and
-        the DAG are keyed by the entry id, so neither is rebuilt.
+        Then retained after-images newer than the bootstrap replay
+        (Section 5.1): those stamped at or above the watermark, or
+        unstamped, or of a store the watermark does not name — the
+        writes that raced the read.  The index and the DAG are keyed by
+        the entry id, so neither is rebuilt.
         """
         entry_id = query.core_id
         state = self._queries.get(entry_id)
+        fresh = state is None
         if state is None:
             self._order[entry_id] = self._next_order
             self._next_order += 1
@@ -228,25 +236,41 @@ class FilteringNode:
                 self.index.add(query, entry_id)
             self.dag.add(query, entry_id)
             state = self._queries[entry_id] = _ActiveQuery(query)
-        elif not query.is_sorted:
-            self._forget_matches(entry_id, state)
-            state = self._queries[entry_id] = _ActiveQuery(query)
         state.pages.add(query.query_id)
         if query.is_sorted:
             self._core_of[query.query_id] = entry_id
-        matching, documents = state.matching, state.documents
+        matching = state.matching
+        heads = watermark or {}
+        events: List[MatchEvent] = []
+        sorts = query.needs_sorting_stage
         for doc in bootstrap:
             key = doc["_id"]
             version = versions.get(key, 0)
             held = matching.get(key)
-            if held is not None and version <= held:
+            if held is not None and version <= held.version:
                 continue
             if held is None:
                 self._matching_keys.setdefault(key, set()).add(entry_id)
-            matching[key] = version
-            documents[key] = doc
-        events: List[MatchEvent] = []
-        heads = watermark or {}
+            matching[key] = AfterImage(key, version, WriteKind.UPDATE, doc,
+                                       query.collection, now)
+            if not fresh:
+                events.append(MatchEvent(
+                    entry_id,
+                    MatchType.ADD if held is None else MatchType.CHANGE,
+                    key, doc, version, now, sorts,
+                ))
+        if not fresh and heads and query.limit is None:
+            present = {doc["_id"] for doc in bootstrap}
+            for key, held in list(matching.items()):
+                if key not in present and (
+                    0 < held.sequence < heads.get(held.store_id, 0)
+                ):
+                    del matching[key]
+                    self._unmatch(key, entry_id)
+                    events.append(MatchEvent(
+                        entry_id, MatchType.REMOVE, key, held.document,
+                        held.version, now, sorts,
+                    ))
         for after in self.retention.replay(now):
             if 0 < after.sequence < heads.get(after.store_id, 0):
                 continue
@@ -268,21 +292,26 @@ class FilteringNode:
         if state.pages:
             return True
         del self._queries[entry_id]
-        self._forget_matches(entry_id, state)
+        for key in state.matching:
+            self._unmatch(key, entry_id)
         self._order.pop(entry_id, None)
         if self.index is not None:
             self.index.remove(entry_id)
         self.dag.remove(entry_id)
         return True
 
-    def _forget_matches(self, entry_id: str, state: _ActiveQuery) -> None:
-        """Remove an entry's reverse-map entries (state replace/drop)."""
-        for key in state.matching:
-            matchers = self._matching_keys.get(key)
-            if matchers is not None:
-                matchers.discard(entry_id)
-                if not matchers:
-                    del self._matching_keys[key]
+    def _unmatch(self, key: Any, entry_id: str) -> None:
+        """Take *entry_id* off *key*'s reverse-map entry."""
+        matchers = self._matching_keys.get(key)
+        if matchers is not None:
+            matchers.discard(entry_id)
+            if not matchers:
+                del self._matching_keys[key]
+
+    def holds(self, query: Query) -> bool:
+        """True when *query*'s entry is registered here: a subscribe for
+        it merges instead of creating the entry."""
+        return query.core_id in self._queries
 
     def active_queries(self) -> List[str]:
         return list(self._queries)
@@ -293,7 +322,7 @@ class FilteringNode:
         state = self._queries.get(self._core_of.get(query_id, query_id))
         if state is None:
             return []
-        return list(state.documents.values())
+        return [held.document for held in state.matching.values()]  # type: ignore[misc]
 
     # ------------------------------------------------------------------
     # Write processing
@@ -365,17 +394,11 @@ class FilteringNode:
                 else:
                     match_type = MatchType.ADD
                     matching_keys.setdefault(key, set()).add(query_id)
-                matching[key] = version
-                state.documents[key] = document
+                matching[key] = after
             elif key in matching:
                 match_type = MatchType.REMOVE
                 del matching[key]
-                state.documents.pop(key, None)
-                matchers = matching_keys.get(key)
-                if matchers is not None:
-                    matchers.discard(query_id)
-                    if not matchers:
-                        del matching_keys[key]
+                self._unmatch(key, query_id)
             else:
                 continue
             events.append(MatchEvent(
@@ -444,22 +467,16 @@ class FilteringNode:
             )
         was_matching = after.key in state.matching
         if matches_now:
-            state.matching[after.key] = after.version
-            state.documents[after.key] = after.document  # type: ignore[assignment]
+            state.matching[after.key] = after
             if not was_matching:
                 self._matching_keys.setdefault(after.key, set()).add(entry_id)
             match_type = MatchType.CHANGE if was_matching else MatchType.ADD
             document = after.document
         elif was_matching:
-            del state.matching[after.key]
-            last_document = state.documents.pop(after.key, None)
-            matchers = self._matching_keys.get(after.key)
-            if matchers is not None:
-                matchers.discard(entry_id)
-                if not matchers:
-                    del self._matching_keys[after.key]
+            held = state.matching.pop(after.key)
+            self._unmatch(after.key, entry_id)
             match_type = MatchType.REMOVE
-            document = after.document if after.document is not None else last_document
+            document = after.document if after.document is not None else held.document
         else:
             return []
         return [MatchEvent(

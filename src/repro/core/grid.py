@@ -101,7 +101,7 @@ class Grid:
     def inject(self, role: str, payload: Dict[str, Any], task: int,
                direct: bool = False) -> None:
         """Push *payload* into task *task* of *role*; ``direct=True``
-        bypasses fault injection (recovery traffic)."""
+        bypasses fault injection."""
         mailbox = self._tasks[role][task].mailbox
         if mailbox is not None:  # started
             (mailbox.put_direct if direct else mailbox.put)(payload)
@@ -191,11 +191,9 @@ class Grid:
         overload = cluster.overload
         if (overload is not None and tuple_.get("kind") == "write"
                 and not overload.admit(tuple_)):
-            # Rejected at the edge: NOT retained (retention replay must
-            # never resurrect a write the governor pushed back).
+            # Rejected at the edge: no cell sees (or retains) it.
             return
         wp = cluster.scheme.write_partition_of(tuple_["key"])
-        cluster._retain_write(wp, tuple_)
         forwarded = dict(tuple_, write_partition=wp)
         for rank in self._columns[wp]:
             out.setdefault(rank, []).append(forwarded)
@@ -250,7 +248,7 @@ class Grid:
 
     def restart(self, role: str, index: int) -> None:
         """Serve a crashed task again: same mailbox (and backlog), a cell
-        re-hosted empty — the supervisor rebuilds its state."""
+        re-hosted empty — the supervisor has its queries renewed."""
         task = self._tasks[role][index]
         task.cell = self.cluster._host_cell(role, index)
         task.crashed = False

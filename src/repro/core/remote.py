@@ -11,8 +11,8 @@ a forked worker (:class:`~repro.runtime.process.ProcessExecutionModel`).
   small frozen, picklable descriptions of one cell, built at a single
   site (``InvaliDBCluster._cell_spec``) for both hostings.
   ``spec.cell(**injected)`` constructs the live cell; a supervised
-  restart builds a fresh one — cell state is reconstructed by
-  re-registration and retained-write replay, never carried over.
+  restart builds a fresh one — cell state is rebuilt by the renewal of
+  the queries it served, never carried over.
 * **Cells** speak the batch protocol: ``handle_batch(tuples)`` returns
   live objects — the match-event messages bound for the sorting grid,
   the ``(QueryChange, trace fork)`` pairs bound for the notification
@@ -281,6 +281,7 @@ class MatchingCell(_Cell):
         now = self.clock()
         entries: List[EventEntry] = []
         producers = 0  # tuples that produced at least one event
+        merged = False  # a subscribe re-registered a live entry
         for tuple_ in tuples:
             kind = tuple_["kind"]
             trace = fork(trace_of(tuple_)) if tel.enabled else None
@@ -301,12 +302,14 @@ class MatchingCell(_Cell):
                     deserialize_after_image(tuple_), now
                 )
             elif kind == "subscribe":
+                query = self.resolve_query(tuple_)
+                merged = merged or node.holds(query)
                 # Each cell keeps only its write-partition slice of the
                 # bootstrap result.
                 wp = node.coordinates.write_partition
                 partition_of = self.scheme.write_partition_of
                 events = node.register_query(
-                    self.resolve_query(tuple_),
+                    query,
                     [
                         doc for doc in tuple_["bootstrap"]
                         if partition_of(doc["_id"]) == wp
@@ -328,8 +331,12 @@ class MatchingCell(_Cell):
         coalesced = 0
         # One tuple yields at most one event per (query, key) — one per
         # candidate query, and retention replays only the latest image
-        # per key — so there is nothing to coalesce unless two did.
-        if self.spec.notification_coalescing and producers > 1:
+        # per key — so there is nothing to coalesce unless two did.  A
+        # re-registration's new handle starts from its bootstrap, not
+        # from the state a group's first event encodes: such a batch
+        # goes as is.
+        if (self.spec.notification_coalescing and producers > 1
+                and not merged):
             entries, coalesced = coalesce_events(entries)
         messages: List[Dict[str, Any]] = []
         changes: List[Tuple[QueryChange, Optional[Trace]]] = []

@@ -10,11 +10,15 @@ has already been received".
 
 Retention is bounded by time (the production deployment enforces "a
 retention time of few seconds"); only the latest version per key is
-retained because older versions are superseded by definition.
-``observe`` ages the buffer out from the old end of an arrival record
-kept in slices of the window (amortised O(1) per write), so between
-registrations it holds about one window, not every key ever written;
-``replay`` still applies the exact horizon.
+retained because older versions are superseded by definition.  An
+image ages by its *arrival* on the cluster's clock (the ``now`` every
+call receives), never by the timestamp the writer's store put on it: a
+writer whose clock runs behind would otherwise empty the replay, one
+ahead would keep images past the window.  ``observe`` ages the buffer
+out from the old end of an arrival record kept in slices of the window
+(amortised O(1) per write), so between registrations it holds about
+one window, not every key ever written; ``replay`` still applies the
+exact horizon.
 
 Retained images carry their oplog stamp (``store_id``, ``sequence``).
 A registration skips those below the subscribe's read watermark — the
@@ -41,13 +45,15 @@ class RetentionBuffer:
     def __init__(self, retention_seconds: float):
         self.retention_seconds = retention_seconds
         self._latest: Dict[Any, AfterImage] = {}
+        #: Arrival time (cluster clock) of each retained image.
+        self._arrived: Dict[Any, float] = {}
         #: Highest version ever observed per key — survives eviction so
         #: staleness checks keep working even after the after-image aged
         #: out of the replay window.
         self._versions: Dict[Any, int] = {}
         #: Arrival record: (end, keys observed before it) per slice of
         #: the window, oldest first.  A key rewritten in several slices
-        #: is listed in each; its latest image's timestamp decides.
+        #: is listed in each; its latest image's arrival decides.
         self._slices: Deque[Tuple[float, List[Any]]] = deque()
         self._slice: List[Any] = []
         self._slice_end = float("-inf")
@@ -63,6 +69,7 @@ class RetentionBuffer:
             return False
         self._versions[key] = after.version
         self._latest[key] = after
+        self._arrived[key] = now
         if now >= self._slice_end:
             self._age_out(now)
         self._slice.append(key)
@@ -70,17 +77,17 @@ class RetentionBuffer:
 
     def _age_out(self, now: float) -> None:
         """Open a new slice and drop the expired images of every slice
-        that ended before the window.  Only an image's own timestamp
+        that ended before the window.  Only an image's own arrival
         decides, so nothing inside the window is dropped, and a key
         rewritten since keeps its newer image."""
         horizon = now - self.retention_seconds
-        latest = self._latest
+        arrived = self._arrived
         slices = self._slices
         while slices and slices[0][0] < horizon:
             for key in slices.popleft()[1]:
-                image = latest.get(key)
-                if image is not None and image.timestamp < horizon:
-                    del latest[key]
+                if arrived.get(key, horizon) < horizon:
+                    del arrived[key]
+                    del self._latest[key]
         self._slice = []
         self._slice_end = now + self.retention_seconds / _SLICES
         slices.append((self._slice_end, self._slice))
@@ -90,14 +97,13 @@ class RetentionBuffer:
         return after.version <= self._versions.get(after.key, 0)
 
     def evict(self, now: float) -> int:
-        """Drop after-images older than the retention window."""
+        """Drop after-images that arrived before the retention window."""
         horizon = now - self.retention_seconds
         expired = [
-            key
-            for key, image in self._latest.items()
-            if image.timestamp < horizon
+            key for key, arrival in self._arrived.items() if arrival < horizon
         ]
         for key in expired:
+            del self._arrived[key]
             del self._latest[key]
         return len(expired)
 

@@ -2,23 +2,24 @@
 
 The paper's failure-domain argument: a dying matching node loses only
 its grid cell — the queries of its query partition crossed with the
-writes of its write partition — and that state is *reconstructible*
-from what the rest of the system already keeps:
+writes of its write partition — and a dying sorting node only the
+windows of the sort cores it owns.  What they held is rebuilt the way
+the paper repairs any state it cannot maintain: query renewal, a fresh
+pull query whose read watermark says which writes it already reflects.
 
-* the subscribe requests (query + bootstrap result + versions) the
-  cluster retains per active query, and
-* the retained write stream of the node's write partition (the same
-  few-seconds window that closes the write-subscription race).
-
-The :class:`NodeSupervisor` implements exactly that protocol: it
-listens for task crashes (injected chaos, poisoned handlers, or
-explicit kills), restarts the task with exponential backoff, and
-re-feeds it — re-registration first, then the retained after-images,
-both over the *direct* (unfaulted) delivery path so recovery traffic
-is never subject to the chaos that caused the crash.  Versioned writes
-make the replay idempotent end to end: the filtering stage drops
-after-images at or below a known version, the sorting stage turns
-re-deliveries into empty diffs, and the client dedupes by key.
+The :class:`NodeSupervisor` listens for task crashes (injected chaos,
+poisoned handlers, killed workers), restarts the task with exponential
+backoff — a fresh, empty cell — and then sends each app server that
+holds an affected query one ``{"kind": "resync", "query_ids": [...]}``
+on its notification channel: for a matching task every query of the
+dead cell's query partition, for a sorting task every page whose sort
+core it owns.  The client renews each of those queries (same slack,
+under the renewal rate limit) and delivers every handle the delta from
+what it holds to the fresh result.  The fresh cell takes the bootstrap;
+healthy cells merge it by version and emit nothing when they are
+current; writes that raced the read replay from each cell's own
+retention.  Recovery traffic rides the ordinary channels, so a lost
+resync is repaired only by the heartbeat path.
 
 Backoff timers run on the cluster's execution model, so under the
 deterministic inline model recovery is driven by virtual time: a
@@ -29,11 +30,9 @@ reproducible straight-line code.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from repro.core.partitioning import sorting_task_of
-from repro.obs.tracing import PUBLISH, begin_span
-from repro.query.engine import core_id_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.cluster import InvaliDBCluster
@@ -47,7 +46,7 @@ _MAX_RESTARTS = 8
 
 
 class NodeSupervisor:
-    """Detect, restart and re-hydrate crashed grid tasks."""
+    """Detect and restart crashed grid tasks; have their queries renewed."""
 
     def __init__(self, cluster: "InvaliDBCluster"):
         self.cluster = cluster
@@ -62,8 +61,9 @@ class NodeSupervisor:
         # -- counters ---------------------------------------------------
         self.crashes_seen = 0
         self.restarts = 0
-        self.replayed_writes = 0
-        self.reregistered_queries = 0
+        #: Queries a published resync request named (once per app
+        #: server holding it).
+        self.resynced_queries = 0
         self.gave_up = 0
 
     def attach(self) -> "NodeSupervisor":
@@ -108,10 +108,7 @@ class NodeSupervisor:
         self.cluster.grid.restart(component, task_index)
         with self._lock:
             self.restarts += 1
-        if component == "matching":
-            self._recover_matching(task_index)
-        else:
-            self._recover_sorting(task_index)
+        self._resync(component, task_index)
         # A recovered task earns its restart budget back: only crash
         # loops (re-crashing before recovery completes) exhaust it.
         with self._lock:
@@ -133,68 +130,35 @@ class NodeSupervisor:
     # State reconstruction
     # ------------------------------------------------------------------
 
-    def _recover_matching(self, task_index: int) -> None:
-        """Re-register the cell's queries, then replay retained writes.
-
-        Order matters: registrations first, so every replayed
-        after-image is matched against the full query set (the same
-        ordering the write-subscription race fix relies on).
-        """
+    def _resync(self, component: str, task_index: int) -> None:
+        """Ask every app server holding a query the restarted task
+        served to renew it: one resync request per app server."""
         cluster = self.cluster
-        coordinates = cluster.scheme.coordinates(task_index)
-        qp = coordinates.query_partition
-        wp = coordinates.write_partition
-        for wire in cluster._subscribe_wires():
-            if cluster.scheme.query_partition_of(wire["query_hash"]) != qp:
-                continue
-            payload = dict(wire)
-            payload["query_partition"] = qp
-            cluster.grid.inject("matching", payload, task=task_index,
-                                direct=True)
-            with self._lock:
-                self.reregistered_queries += 1
-        # Retained writes are re-serialized from after-images, so the
-        # original write's trace is gone — recovery starts a fresh
-        # replay-flagged trace per re-injected image instead, keeping
-        # recovery traffic visible (and attributable) in transcripts.
-        tracer = cluster.telemetry.tracer if cluster.telemetry.enabled else None
-        for payload in cluster._retained_writes(wp):
-            replayed = dict(payload)
-            replayed["write_partition"] = wp
-            if tracer is not None:
-                now = cluster.telemetry.now()
-                trace = tracer.start("write", payload.get("key"), now,
-                                     replay=True)
-                if trace is not None:
-                    begin_span(trace, PUBLISH, now)
-                    replayed["trace"] = trace
-            cluster.grid.inject("matching", replayed, task=task_index,
-                                direct=True)
-            with self._lock:
-                self.replayed_writes += 1
-
-    def _recover_sorting(self, task_index: int) -> None:
-        """Re-register the sorted pages whose core this sorting task owns.
-
-        The sorting stage has no write-stream retention of its own —
-        its input is match events, which the (healthy) matching row
-        keeps producing.  Re-registration restores the sorted view from
-        the stored bootstrap; anything newer arrives as match events,
-        and a gap beyond repair surfaces as a maintenance error that
-        triggers client-side query renewal (footnote 5).
-        """
-        cluster = self.cluster
-        sorting_nodes = cluster.config.sorting_nodes
-        for wire in cluster._subscribe_wires():
-            if wire.get("query", {}).get("sort") is None:
-                continue
-            owner = sorting_task_of(core_id_of(wire["query_hash"]), sorting_nodes)
-            if owner != task_index:
-                continue
-            cluster.grid.inject("sorting", dict(wire), task=task_index,
-                                direct=True)
-            with self._lock:
-                self.reregistered_queries += 1
+        scheme = cluster.scheme
+        by_server: Dict[str, List[str]] = {}
+        for registration in cluster.registrations():
+            query = registration.query
+            if component == "matching":
+                lost = scheme.query_partition_of(query.partition_hash) == \
+                    scheme.coordinates(task_index).query_partition
+            else:
+                lost = query.is_sorted and sorting_task_of(
+                    query.core_id, cluster.config.sorting_nodes) == task_index
+            if lost:
+                for app_server in registration.servers:
+                    by_server.setdefault(app_server, []).append(
+                        query.query_id)
+        sent, failed, _ = cluster._publish_each(
+            (app_server, {"kind": "resync", "query_ids": query_ids},
+             len(query_ids))
+            for app_server, query_ids in by_server.items()
+        )
+        if failed:
+            # Only the heartbeat path repairs these handles now.
+            cluster.flight.record("resync-failed", component=component,
+                                  task=task_index, queries=failed)
+        with self._lock:
+            self.resynced_queries += sent
 
     # ------------------------------------------------------------------
     # Introspection
@@ -205,8 +169,7 @@ class NodeSupervisor:
             return {
                 "crashes_seen": self.crashes_seen,
                 "restarts": self.restarts,
-                "replayed_writes": self.replayed_writes,
-                "reregistered_queries": self.reregistered_queries,
+                "resynced_queries": self.resynced_queries,
                 "gave_up": self.gave_up,
                 "pending": len(self._pending),
             }

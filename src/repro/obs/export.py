@@ -141,9 +141,8 @@ def format_slow_events(telemetry) -> str:
             f"{span['name']}={span['seconds'] * 1000:.3f}ms"
             for span in event["spans"]
         )
-        replay = " (replay)" if event.get("replay") else ""
         lines.append(
-            f"{event['trace_id']} key={event['key']}{replay} "
+            f"{event['trace_id']} key={event['key']} "
             f"total={event['total_seconds'] * 1000:.3f}ms  {spans}"
         )
     return "\n".join(lines) + "\n"

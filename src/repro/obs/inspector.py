@@ -197,13 +197,12 @@ def render_postmortem(dump: Dict[str, Any]) -> str:
             rows.append([
                 trace.get("id", "?"),
                 trace.get("key"),
-                "yes" if trace.get("replay") else "",
                 _ms(total),
                 ">".join(str(name) for name in names),
             ])
         sections.append(
             f"recent traces ({len(traces)} in dump, newest last)\n"
-            + _table(["trace", "key", "replay", "total ms", "spans"],
+            + _table(["trace", "key", "total ms", "spans"],
                      rows)
         )
     slow = context.get("slow_events")

@@ -71,13 +71,9 @@ STAGES = (PUBLISH, FILTER, SORT, DELIVER, MATERIALIZE)
 slow_log = logging.getLogger("repro.obs.slow")
 
 
-def new_trace(trace_id: str, kind: str, key: Any, now: float,
-              replay: bool = False) -> Trace:
-    trace: Trace = {"id": trace_id, "kind": kind, "key": key,
-                    "start": now, "spans": []}
-    if replay:
-        trace["replay"] = True
-    return trace
+def new_trace(trace_id: str, kind: str, key: Any, now: float) -> Trace:
+    return {"id": trace_id, "kind": kind, "key": key, "start": now,
+            "spans": []}
 
 
 def trace_of(payload: Any) -> Optional[Trace]:
@@ -202,8 +198,7 @@ class Tracer:
         }
         self._slow_counter = registry.counter("trace.slow_events")
 
-    def start(self, kind: str, key: Any, now: float,
-              replay: bool = False) -> Optional[Trace]:
+    def start(self, kind: str, key: Any, now: float) -> Optional[Trace]:
         """A new trace, or ``None`` when tracing is disabled or this
         write falls outside the head-sampling window.  ``None`` flows
         through every downstream stage as "untraced" — unsampled writes
@@ -219,7 +214,7 @@ class Tracer:
             self.sampled_out += 1
             return None
         self.started += 1
-        return new_trace(f"t-{sequence}", kind, key, now, replay=replay)
+        return new_trace(f"t-{sequence}", kind, key, now)
 
     def complete(self, trace: Optional[Trace], now: float) -> None:
         """Record a finished trace: histograms, transcript, slow log.
@@ -257,7 +252,6 @@ class Tracer:
                     "kind": trace["kind"],
                     "key": trace["key"],
                     "total_seconds": total,
-                    "replay": bool(trace.get("replay")),
                     "spans": [
                         {
                             "name": name,
@@ -299,8 +293,7 @@ class NullTracer:
 
     enabled = False
 
-    def start(self, kind: str, key: Any, now: float,
-              replay: bool = False) -> None:
+    def start(self, kind: str, key: Any, now: float) -> None:
         return None
 
     def complete(self, trace: Optional[Trace], now: float) -> None:

@@ -27,12 +27,10 @@ EARTH_RADIUS_METERS = 6_371_008.8
 Point = Tuple[float, float]
 
 
-def _as_point(value: Any) -> Optional[Point]:
-    """Coerce a stored field value into ``(lon, lat)`` or return None.
-
-    Accepts legacy coordinate pairs ``[lon, lat]`` and GeoJSON Points
-    ``{"type": "Point", "coordinates": [lon, lat]}``.
-    """
+def _pair(value: Any) -> Optional[Point]:
+    """``(lon, lat)`` of a legacy coordinate pair ``[lon, lat]`` or a
+    GeoJSON Point ``{"type": "Point", "coordinates": [lon, lat]}``, or
+    None."""
     if isinstance(value, dict) and value.get("type") == "Point":
         value = value.get("coordinates")
     if (
@@ -45,6 +43,18 @@ def _as_point(value: Any) -> Optional[Point]:
     return None
 
 
+def _as_point(value: Any) -> Optional[Point]:
+    """Coerce a stored field value into ``(lon, lat)`` or return None.
+
+    A pair with a NaN or infinite coordinate is no point: it matches no
+    geo predicate (a spherical distance to it is undefined).
+    """
+    point = _pair(value)
+    if point is not None and math.isfinite(point[0]) and math.isfinite(point[1]):
+        return point
+    return None
+
+
 def _point_test(accepts: Callable[[Point], bool]) -> ValueTest:
     """The value test "*value* is a point that *accepts* takes".
 
@@ -53,10 +63,13 @@ def _point_test(accepts: Callable[[Point], bool]) -> ValueTest:
     general coercion of :func:`_as_point`.
     """
 
+    finite = math.isfinite
+
     def test(value: Any) -> bool:
         if type(value) is list and len(value) == 2:
             lon, lat = value
-            if type(lon) is float and type(lat) is float:
+            if (type(lon) is float and type(lat) is float
+                    and finite(lon) and finite(lat)):
                 return accepts((lon, lat))
         point = _as_point(value)
         return point is not None and accepts(point)
@@ -77,7 +90,7 @@ def _require_point(value: Any, what: str) -> Point:
     with non-finite coordinates are rejected outright: NaN/inf corners
     would silently define shapes that compare unpredictably.
     """
-    point = _as_point(value)
+    point = _pair(value)
     if point is None:
         raise GeoError(f"{what} must be a [lon, lat] pair or GeoJSON Point")
     if not (math.isfinite(point[0]) and math.isfinite(point[1])):

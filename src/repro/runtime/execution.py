@@ -142,7 +142,7 @@ class Mailbox(abc.ABC):
 
     @abc.abstractmethod
     def put_direct(self, item: Any) -> None:
-        """Deliver bypassing fault injection (recovery/replay traffic)."""
+        """Deliver bypassing fault injection."""
 
     @abc.abstractmethod
     def close(self, drain: bool = True) -> None:

@@ -296,7 +296,7 @@ class WorkerPool:
         or get one process each when that is unset too.
 
         Re-leasing an existing name (supervised restart) builds a FRESH
-        cell — state is reconstructed by re-registration + replay, not
+        cell — state is rebuilt by renewing the queries it served, not
         carried over — and respawns the slot's worker if it died.
         """
         with self._lock:

@@ -111,7 +111,7 @@ class ChangeNotification:
     timestamp: float = 0.0
     #: Version of the write behind this change (0 = unknown; sorted
     #: queries diff whole windows, so only unsorted changes carry one).
-    #: Lets clients drop stale re-deliveries after recovery replay.
+    #: Lets clients drop stale re-deliveries (replay, merge rows).
     version: int = 0
     #: Write-path trace (telemetry only; ``None`` when tracing is off).
     #: Excluded from equality/repr so transcript comparisons and wire

@@ -6,14 +6,14 @@ layer, and one matching node is crashed mid-stream.  The claims under
 test:
 
 * **convergence** — after the chaos window closes, supervised recovery
-  (restart + re-registration + retained-write replay) plus client
-  re-subscription drive every result set byte-identical to a no-fault
-  run of the same workload and to the database ground truth;
+  (restart + a resync request the client answers with a renewal) plus
+  client re-subscription drive every result set byte-identical to a
+  no-fault run of the same workload and to the database ground truth;
 * **determinism** — under the inline execution model with a fixed
   seed, repeated runs produce identical fault schedules, notification
   transcripts and counters;
 * **observability** — ``stats()`` reports the injected faults, node
-  restarts, replayed writes and query renewals; a no-fault run reports
+  restarts, resynced queries and query renewals; a no-fault run reports
   zeros everywhere.
 
 The threaded variant runs the same scenario against real threads and
@@ -66,7 +66,7 @@ def crash_only_plan() -> FaultPlan:
     """One scripted matching-node crash, nothing else.  The 32nd
     matching tuple lands on a cell of the query partition holding both
     subscriptions (the sorted one routes by its sort core's hash), so
-    recovery has queries to re-register."""
+    recovery has queries to resync."""
     return FaultPlan().rule("mailbox", "matching*", "crash", at=[31])
 
 
@@ -118,10 +118,26 @@ def run_inline_scenario(seed: int, plan=None, resubscribe: bool = False):
             app.client.resubscribe_all()
             assert broker.drain()
         stats = cluster.snapshot()
-        crashed_versions = {}
+        partitions = {}
         for index in range(cluster.matching_node_count):
             node = cluster._cells[("matching", index)].node
-            crashed_versions[index] = dict(node.retention._versions)
+            partitions[index] = {
+                handle.query.query_id: sorted(
+                    node.result_partition(handle.query.query_id),
+                    key=lambda d: d["_id"])
+                for handle in (flat, top)
+            }
+        page = cluster._cells[("sorting", 0)].node.state_of(
+            top.query.query_id)
+        scheme = cluster.scheme
+        # One resync per restart of a matching task, naming the queries
+        # of its query partition.
+        resyncs_due = sum(
+            task.restarts for task in cluster.grid._tasks["matching"]
+            for handle in (flat, top)
+            if scheme.coordinates(task.index).query_partition
+            == scheme.query_partition_of(handle.query.partition_hash)
+        )
         return {
             "flat_result": json.dumps(
                 sorted(flat.result(), key=lambda d: d["_id"]),
@@ -138,7 +154,10 @@ def run_inline_scenario(seed: int, plan=None, resubscribe: bool = False):
                 sort_keys=True,
             ),
             "transcripts": (transcript(flat), transcript(top)),
-            "node_versions": crashed_versions,
+            "node_partitions": partitions,
+            "sort_core_keys": sorted(entry.key for entry in page.core.entries),
+            "query_ids": (flat.query.query_id, top.query.query_id),
+            "resyncs_due": resyncs_due,
             "faults": stats["faults"],
             "supervisor": stats["supervisor"],
             "queries_renewed": stats["queries_renewed"],
@@ -152,20 +171,28 @@ def run_inline_scenario(seed: int, plan=None, resubscribe: bool = False):
 
 
 class TestCrashOnlyRecovery:
-    """Scripted crash, clean event layer: replay alone must repair."""
+    """Scripted crash, clean event layer: the resync alone must repair."""
 
     def test_replay_reconstructs_node_state_byte_identically(self):
         faulted = run_inline_scenario(7, plan=crash_only_plan())
         baseline = run_inline_scenario(7, plan=None)
-        # The supervisor detected the crash, restarted the node and
-        # replayed its write partition's retained stream.
+        # The supervisor detected the crash, restarted the node and had
+        # both queries of its query partition renewed.
         assert faulted["supervisor"]["restarts"] == 1
-        assert faulted["supervisor"]["reregistered_queries"] >= 1
-        assert faulted["supervisor"]["replayed_writes"] >= 1
-        # Per-node version maps equal the no-fault run's exactly: the
-        # versioned-write comparison proving reconstruction is lossless
-        # when nothing was lost at the event layer.
-        assert faulted["node_versions"] == baseline["node_versions"]
+        assert faulted["supervisor"]["resynced_queries"] == 2
+        flat_id, top_id = faulted["query_ids"]
+        core_keys = set(faulted["sort_core_keys"])
+        for index, queries in baseline["node_partitions"].items():
+            got = faulted["node_partitions"][index]
+            # Every cell holds exactly the no-fault run's partition of
+            # the unsorted result.
+            assert got[flat_id] == queries[flat_id]
+            # A renewal bootstraps a page's ranked prefix only, so the
+            # restarted cell holds the sort core's members of its
+            # partition, each at the no-fault content, and nothing else.
+            wanted = [d for d in queries[top_id] if d["_id"] in core_keys]
+            assert [d for d in got[top_id] if d["_id"] in core_keys] == wanted
+            assert all(d in queries[top_id] for d in got[top_id])
         # Client-visible results converge without any re-subscription.
         assert faulted["flat_result"] == baseline["flat_result"]
         assert faulted["top_result"] == baseline["top_result"]
@@ -183,6 +210,8 @@ class TestChaosConvergence:
             seed, plan=chaos_plan(seed), resubscribe=True
         )
         baseline = run_inline_scenario(seed, plan=None)
+        assert (faulted["supervisor"]["resynced_queries"]
+                == faulted["resyncs_due"])
         # Result sets and sorted views are byte-identical to the
         # no-fault run and to the database ground truth.
         assert faulted["flat_result"] == baseline["flat_result"]
@@ -211,7 +240,11 @@ class TestChaosConvergence:
         assert faulted["faults"]["dropped"] > 0
         assert faulted["faults"]["crashes"] == 1
         assert faulted["supervisor"]["restarts"] >= 1
-        assert faulted["supervisor"]["replayed_writes"] >= 1
+        # A restarted cell's queries are resynced (this seed's crash
+        # hit a cell whose query partition holds none; the convergence
+        # seeds cover both shapes).
+        assert (faulted["supervisor"]["resynced_queries"]
+                == faulted["resyncs_due"])
         assert faulted["queries_renewed"] >= 2  # both re-subscriptions
         assert faulted["client"]["resubscribes"] == 2
 
@@ -221,7 +254,7 @@ class TestChaosConvergence:
         assert baseline["faults"]["dropped"] == 0
         assert baseline["faults"]["crashes"] == 0
         assert baseline["supervisor"]["restarts"] == 0
-        assert baseline["supervisor"]["replayed_writes"] == 0
+        assert baseline["supervisor"]["resynced_queries"] == 0
         assert baseline["queries_renewed"] == 0
         assert baseline["client"]["publish_retries"] == 0
         assert baseline["client"]["publish_failures"] == 0

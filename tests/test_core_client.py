@@ -327,3 +327,122 @@ class TestWireSafety:
         app = app_server_factory()
         subscription = app.subscribe("items", {"name": {"$regex": "^a"}})
         assert subscription.initial is not None
+
+
+class TestMaterializationGate:
+    def handle(self):
+        from repro.core.client import RealTimeSubscription
+        from repro.types import InitialResult
+
+        query = Query({"v": {"$gte": 0}})
+        handle = RealTimeSubscription("s1", query)
+        handle._deliver_initial(
+            InitialResult("s1", query.query_id,
+                          documents=[{"_id": "a", "v": 3}]),
+            {"a": 3},
+        )
+        return handle
+
+    def change(self, handle, match_type, key, version, v):
+        from repro.types import ChangeNotification
+
+        handle._deliver(ChangeNotification(
+            subscription_id="s1", query_id=handle.query.query_id,
+            match_type=match_type, key=key,
+            document={"_id": key, "v": v}, version=version,
+        ))
+
+    def test_a_handle_starts_at_its_bootstraps_versions(self):
+        """A row older than the read the initial result came from —
+        still in flight when the handle was registered — is stale."""
+        handle = self.handle()
+        self.change(handle, MatchType.CHANGE, "a", 2, 1)
+        assert handle.result() == [{"_id": "a", "v": 3}]
+        assert handle.stale_skipped == 1
+
+    def test_a_change_for_a_missing_key_inserts_it(self):
+        """A merge row for a handle that started from a different
+        bootstrap: the key is upserted, not kept out of sight."""
+        handle = self.handle()
+        self.change(handle, MatchType.CHANGE, "b", 4, 9)
+        assert handle.result() == [{"_id": "a", "v": 3}, {"_id": "b", "v": 9}]
+        self.change(handle, MatchType.CHANGE, "b", 5, 7)
+        assert handle.result() == [{"_id": "a", "v": 3}, {"_id": "b", "v": 7}]
+
+
+class TestResyncRequest:
+    """A ``resync`` notification renews the named queries at their
+    slack, under the renewal rate limit, with a catch-up delta."""
+
+    def stack(self):
+        """An inline stack that loses the first write on its way to the
+        cluster."""
+        from repro.core.cluster import InvaliDBCluster
+        from repro.core.server import AppServer
+        from repro.event.broker import Broker
+        from repro.runtime.execution import (
+            ExecutionConfig,
+            InlineExecutionModel,
+        )
+        from repro.runtime.faults import FaultPlan
+
+        plan = FaultPlan().rule("channel", "invalidb:writes*", "drop", at=[0])
+        model = InlineExecutionModel(
+            ExecutionConfig(mode="inline", seed=1, fault_plan=plan))
+        broker = Broker(execution=model)
+        config = InvaliDBConfig(renewal_min_interval=1.0)
+        cluster = InvaliDBCluster(broker, config).start()
+        app = AppServer("app-1", broker, config=config)
+        return broker, cluster, app
+
+    def resync(self, broker, *query_ids):
+        from repro.event.channels import notification_channel
+
+        broker.publish(notification_channel("app-1"),
+                       {"kind": "resync", "query_ids": list(query_ids)})
+
+    def test_a_resync_renews_at_the_slack_and_repairs_the_handle(self):
+        broker, cluster, app = self.stack()
+        try:
+            handle = app.subscribe("items", {}, sort=[("v", -1)], limit=2)
+            query_id = handle.query.query_id
+            slack = app.client._slacks[query_id]
+            app.insert("items", {"_id": "x", "v": 1})  # lost
+            assert broker.drain()
+            assert handle.result() == []
+            self.resync(broker, query_id, "q-unknown")
+            assert broker.drain()
+            assert handle.result() == [{"_id": "x", "v": 1}]
+            assert app.client._slacks[query_id] == slack
+            assert cluster.snapshot()["queries_renewed"] == 1
+        finally:
+            app.close()
+            cluster.stop()
+            broker.close()
+
+    def test_a_resync_within_the_interval_waits_and_wins(self):
+        """A maintenance renewal already pending for the query turns
+        into the resync: slack kept, delta delivered, one renewal."""
+        broker, cluster, app = self.stack()
+        try:
+            handle = app.subscribe("items", {"v": {"$gte": 0}})
+            query_id = handle.query.query_id
+            slack = app.client._slacks[query_id]
+            app.client._handle_maintenance_error(query_id)  # allowed now
+            assert broker.drain()
+            assert cluster.snapshot()["queries_renewed"] == 1
+            grown = app.client._slacks[query_id]
+            assert grown > slack
+            app.insert("items", {"_id": "x", "v": 1})  # lost
+            assert handle.result() == []
+            app.client._handle_maintenance_error(query_id)  # pending
+            self.resync(broker, query_id)                   # joins it
+            assert app.client._pending_renewals[query_id][1] is True
+            assert broker.drain()                           # fires it
+            assert handle.result() == [{"_id": "x", "v": 1}]
+            assert app.client._slacks[query_id] == grown
+            assert cluster.snapshot()["queries_renewed"] == 2
+        finally:
+            app.close()
+            cluster.stop()
+            broker.close()

@@ -184,23 +184,126 @@ class TestLifecycle:
         events = n.process_write(insert(1, {"v": 15}), now=0.0)
         assert events[0].needs_sorting
 
-    def test_re_registration_replaces_state(self):
+    def test_re_registration_merges_state(self):
+        """A re-registration merges its bootstrap into the entry: a new
+        key is an ``add`` for every subscriber, a key the bootstrap
+        lacks but whose held image is the first bootstrap's own
+        document stays (no watermark names it)."""
         n = node()
-        n.register_query(QUERY, [{"_id": 1, "v": 15}], {1: 1}, now=0.0)
-        n.register_query(QUERY, [{"_id": 2, "v": 20}], {2: 1}, now=0.0)
+        assert n.register_query(QUERY, [{"_id": 1, "v": 15}], {1: 1},
+                                now=0.0) == []
+        events = n.register_query(QUERY, [{"_id": 2, "v": 20}], {2: 1},
+                                  now=0.0)
+        assert [(e.match_type, e.key) for e in events] == \
+            [(MatchType.ADD, 2)]
         partition = n.result_partition(QUERY.query_id)
-        assert [d["_id"] for d in partition] == [2]
+        assert [d["_id"] for d in partition] == [1, 2]
         assert n.query_count == 1
 
     def test_re_registration_keeps_reverse_map_consistent(self):
         n = node()
         n.register_query(QUERY, [{"_id": 1, "v": 15}], {1: 1}, now=0.0)
         n.register_query(QUERY, [{"_id": 2, "v": 20}], {2: 1}, now=0.0)
-        # Key 1 left the result on re-registration: a write making it
-        # non-matching must not produce a spurious remove.
-        assert n.process_write(update(1, {"v": 5}, version=2), now=0.0) == []
+        # Both keys are held after the merge: a write making either one
+        # non-matching is a remove, and only one.
+        events = n.process_write(update(1, {"v": 5}, version=2), now=0.0)
+        assert [e.match_type for e in events] == [MatchType.REMOVE]
         events = n.process_write(delete(2, version=2), now=0.0)
         assert [e.match_type for e in events] == [MatchType.REMOVE]
+        assert n._matching_keys == {}
+
+
+STORE = 7
+
+
+def stamped(key, doc, version, sequence, store=STORE):
+    return AfterImage(key=key, version=version, kind=WriteKind.UPDATE,
+                      document={"_id": key, **doc}, store_id=store,
+                      sequence=sequence)
+
+
+class TestReRegistrationMerge:
+    """One version-merge rule for every image an entry takes: live
+    writes, retained replay and a re-registration's bootstrap."""
+
+    def held(self, *images):
+        n = node()
+        n.register_query(QUERY, [], {}, now=0.0, watermark={STORE: 1})
+        for after in images:
+            n.process_write(after, now=0.0)
+        return n
+
+    def test_a_bootstrap_at_or_below_the_held_version_is_dropped(self):
+        n = self.held(stamped(1, {"v": 15}, 2, sequence=1))
+        events = n.register_query(QUERY, [{"_id": 1, "v": 11}], {1: 2},
+                                  now=0.0, watermark={STORE: 2})
+        assert events == []
+        assert n.result_partition(QUERY.query_id) == [{"_id": 1, "v": 15}]
+
+    def test_a_newer_bootstrap_version_is_a_change(self):
+        n = self.held(stamped(1, {"v": 15}, 1, sequence=1))
+        events = n.register_query(QUERY, [{"_id": 1, "v": 30}], {1: 2},
+                                  now=0.0, watermark={STORE: 3})
+        assert [(e.match_type, e.version, e.document["v"])
+                for e in events] == [(MatchType.CHANGE, 2, 30)]
+
+    def test_a_key_stamped_below_the_watermark_and_absent_is_removed(self):
+        """It left the result before the read: the removing write was
+        lost, or is still in flight and will find nothing to remove."""
+        n = self.held(stamped(1, {"v": 15}, 1, sequence=1))
+        events = n.register_query(QUERY, [], {}, now=4.0,
+                                  watermark={STORE: 5})
+        assert [(e.match_type, e.key, e.version, e.timestamp, e.document)
+                for e in events] == \
+            [(MatchType.REMOVE, 1, 1, 4.0, {"_id": 1, "v": 15})]
+        assert n.result_partition(QUERY.query_id) == []
+        assert n.process_write(delete(1, version=2), now=0.0) == []
+
+    def test_a_key_stamped_at_the_watermark_is_kept_and_replayed(self):
+        """Committed after the read: the bootstrap cannot know it, and
+        the replay hands it to the new subscriber."""
+        n = self.held(stamped(1, {"v": 15}, 1, sequence=5))
+        events = n.register_query(QUERY, [], {}, now=0.0,
+                                  watermark={STORE: 5})
+        assert [(e.match_type, e.key) for e in events] == \
+            [(MatchType.CHANGE, 1)]
+        assert n.result_partition(QUERY.query_id) == [{"_id": 1, "v": 15}]
+
+    @pytest.mark.parametrize("image", [
+        update(1, {"v": 15}, version=1),                     # unstamped
+        stamped(1, {"v": 15}, 1, sequence=1, store=STORE + 1),
+    ], ids=["unstamped", "other-store"])
+    def test_an_image_the_watermark_does_not_name_is_kept(self, image):
+        """Such an image counts as racing the read, as in replay: the
+        bootstrap cannot prove it left (the replay re-sends it to the
+        new subscriber), the next write decides."""
+        n = node()
+        n.register_query(QUERY, [], {}, now=0.0)
+        n.process_write(image, now=0.0)
+        events = n.register_query(QUERY, [], {}, now=0.0,
+                                  watermark={STORE: 5})
+        assert [e.match_type for e in events] == [MatchType.CHANGE]
+        assert n.result_partition(QUERY.query_id) == [{"_id": 1, "v": 15}]
+        events = n.process_write(update(1, {"v": 5}, version=2), now=0.0)
+        assert [e.match_type for e in events] == [MatchType.REMOVE]
+
+    def test_a_limited_bootstrap_removes_nothing(self):
+        """A page's bootstrap is a prefix of the result: a key absent
+        from it may rank below."""
+        page = Query({"v": {"$gte": 10}}, sort=[("v", -1)], limit=1)
+        n = node()
+        n.register_query(page, [], {}, now=0.0, watermark={STORE: 1})
+        n.process_write(stamped(1, {"v": 15}, 1, sequence=1), now=0.0)
+        n.process_write(stamped(2, {"v": 20}, 1, sequence=2), now=0.0)
+        events = n.register_query(page, [{"_id": 2, "v": 20}], {2: 1},
+                                  now=0.0, watermark={STORE: 3})
+        assert events == []
+        assert len(n.result_partition(page.query_id)) == 2
+
+    def test_a_fresh_entry_takes_its_bootstrap_silently(self):
+        n = node()
+        assert n.register_query(QUERY, [{"_id": 1, "v": 15}], {1: 1},
+                                now=0.0, watermark={STORE: 9}) == []
 
 
 class TestSortCores:

@@ -112,19 +112,47 @@ class TestBoundedBetweenRegistrations:
         that never ages out on ``observe`` would return."""
         rng = random.Random(seed)
         buffer = RetentionBuffer(3.0)
-        reference = {}  # key -> latest image, never aged out
+        reference = {}  # key -> (latest image, arrival), never aged out
         now = 0.0
         for step in range(600):
             now += rng.random() * 0.2
             key = rng.randrange(40)
-            version = reference[key].version + 1 if key in reference else 1
-            # Store timestamps may trail the clock (delayed delivery).
+            version = reference[key][0].version + 1 if key in reference else 1
+            # Store timestamps may trail the clock (delayed delivery);
+            # only the arrival counts.
             after = image(key, version, timestamp=now - rng.random() * 0.5)
             buffer.observe(after, now)
-            reference[key] = after
+            reference[key] = (after, now)
             if step % 50 == 49:
                 expected = {
-                    k for k, a in reference.items()
-                    if a.timestamp >= now - 3.0
+                    k for k, (_, arrival) in reference.items()
+                    if arrival >= now - 3.0
                 }
                 assert {a.key for a in buffer.replay(now)} == expected
+
+
+class TestAgingByArrival:
+    """The window is on the cluster's clock: the writer's clock, which
+    stamped ``timestamp``, never decides."""
+
+    @pytest.mark.parametrize("skew", [-10.0, 10.0])
+    def test_a_skewed_writer_replays_then_ages_out_one_window_later(
+        self, skew
+    ):
+        buffer = RetentionBuffer(2.0)
+        arrival = 100.0
+        racing = image("racing", 1, timestamp=arrival + skew)
+        assert buffer.observe(racing, now=arrival)
+        # Right after arrival and up to the window's end: replayed.
+        assert buffer.replay(now=arrival) == [racing]
+        assert buffer.replay(now=arrival + 2.0) == [racing]
+        # One window after arrival it is gone, from replay and from the
+        # buffer alike, and observe's own aging drops it too.
+        assert buffer.replay(now=arrival + 2.01) == []
+        assert len(buffer) == 0
+        skewed = RetentionBuffer(2.0)
+        skewed.observe(racing, now=arrival)
+        skewed.observe(image("later", 1, timestamp=arrival + skew),
+                       now=arrival + 3.0)
+        assert [a.key for a in skewed] == ["later"]
+        assert skewed.latest_version("racing") == 1

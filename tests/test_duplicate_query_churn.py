@@ -1,32 +1,31 @@
-"""Duplicate-query-id churn converges to the pull query — known failing.
+"""Duplicate-query-id churn converges to the pull query.
 
 The shape the benchmark harness steps around (``_distinct_churn_spec``
 in ``churn-mixed``): one threaded client holds two or three handles on
 the same filter — one query id, one registration at the cluster — and
 keeps unsubscribing one handle and subscribing it again while updates
 move documents in and out of the result.  After the pipeline drains,
-every live handle should hold exactly what the pull query returns.
+every live handle holds exactly what the pull query returns.  A second
+app server subscribing the same filter re-registers the same query id
+too.
 
-It does not, and the cause is not the grid's routing.  Each resubscribe
-sends a fresh subscribe (bootstrap + versions) through the intake,
-and ``FilteringNode.register_query`` replaces the query's state with
-that bootstrap wholesale.  A write already in the store when the
-bootstrap was read but still in flight then
-reaches the cell *after* the re-registration: its version is at or
-below the bootstrap's, so the cell drops it as known (a document that
-left the result is simply absent from the new state, so its removal
-matches nothing either).  The resubscribed handle has the write in its
-bootstrap; the handles that stayed subscribed rely on notifications and
-never hear of it.  Inline, a publish runs its whole cascade before the
-next one starts, so only threads (or a delay fault, as in the inline
-tests) let the subscribe overtake the write.  A second app server
-subscribing the same filter triggers the same race: its subscribe
-re-registers the query id the first app server already holds.
+Each resubscribe sends a fresh subscribe (bootstrap, versions and read
+watermark) through the intake, and the query's cells merge it through
+the one rule every after-image takes (``FilteringNode.register_query``):
+a bootstrap version at or below the held one is dropped, a newer one is
+an ``add`` / ``change`` for every subscriber, and a held key stamped
+below the watermark that the bootstrap lacks left the result before the
+read.  A write already in the store when the bootstrap was read but
+still in flight then reaches the handles that stayed subscribed through
+the merge, and arrives late as a repeat.  The new handle starts from
+its bootstrap at the versions it was read at, and a batch in which a
+subscribe re-registers the query is not coalesced, so no row assumes
+one pre-batch state for both kinds of handle.  Inline, a publish runs its whole cascade before
+the next one starts, so only threads (or a delay fault, as in the
+inline tests) let the subscribe overtake the write.
 """
 
 import random
-
-import pytest
 
 from repro.core.cluster import InvaliDBCluster
 from repro.core.config import InvaliDBConfig
@@ -46,13 +45,6 @@ WRITES = 300
 #: One unsubscribe + subscribe after every this many writes.
 CHURN_EVERY = 5
 FILTER = {"v": {"$gte": 50}}
-
-DIAGNOSIS = (
-    "re-registering an active query replaces the cell's state with the "
-    "new bootstrap; a write the bootstrap already holds but the cell has "
-    "not seen yet is then dropped as known, so the handles that stayed "
-    "subscribed never receive it"
-)
 
 
 def by_key(documents):
@@ -91,15 +83,13 @@ def churn(seed):
         broker.close()
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=DIAGNOSIS)
 def test_every_handle_equals_the_pull_query_after_churn():
-    """All eight seeds in one test: a strict xfail must fail on every
-    run, and each seed alone misses a write only most of the time."""
+    """All eight seeds in one test: one seed alone races only some of
+    the time."""
     stale = {seed: churn(seed) for seed in SEEDS}
     assert {seed: slots for seed, slots in stale.items() if slots} == {}
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=DIAGNOSIS)
 def test_a_write_overtaken_by_a_duplicate_subscribe_reaches_every_handle():
     """The same race, made deterministic on the inline model: a delay
     fault holds one update back until the duplicate subscribe is
@@ -129,11 +119,10 @@ def test_a_write_overtaken_by_a_duplicate_subscribe_reaches_every_handle():
         broker.close()
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=DIAGNOSIS)
 def test_a_write_overtaken_by_a_second_app_servers_subscribe_reaches_both():
     """The same race across app servers: the held update is in app-b's
-    bootstrap, and the re-registration it triggers drops the update
-    before app-a's handle hears of it."""
+    bootstrap, and the re-registration it triggers hands it to app-a's
+    handle as a merge row before the update itself arrives."""
     plan = FaultPlan().rule("channel", "invalidb:writes*", "delay",
                             delay=0.5, at=[1])
     broker = Broker(execution=InlineExecutionModel(
@@ -162,9 +151,8 @@ def test_a_write_overtaken_by_a_second_app_servers_subscribe_reaches_both():
 
 # The sorted path of the same race.  A sorted page registers on its sort
 # core, and a re-registration merges its bootstrap into the core entry
-# by entry instead of replacing the state: the pages already attached
-# receive what the merge changes, and the held write, arriving late,
-# meets a version it already holds.
+# by entry: the pages already attached receive what the merge changes,
+# and the held write, arriving late, meets a version it already holds.
 
 SORT = [("v", -1)]
 

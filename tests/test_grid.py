@@ -107,9 +107,6 @@ class StubCluster:
         self.registered.append(tuple_["query_id"])
         return True
 
-    def _retain_write(self, wp, tuple_):
-        pass
-
     def _publish_changes(self, changes):
         pass
 

@@ -389,6 +389,29 @@ class TestCoalescingPrecondition:
         assert coalesced == 1
         assert coalesce_calls == [2]
 
+    def test_a_re_registration_batch_is_not_coalesced(self, coalesce_calls):
+        """A re-registration merges an ``add`` the old handles need,
+        and a live write after it removes the key again: coalesced, the
+        pair would net to nothing, and the new handle — whose bootstrap
+        holds the key — would keep it."""
+        cell = self.cell()
+        query = Query({"v": {"$gte": 0}}, collection="items")
+        key = OWN_KEYS[0]
+        cell.handle_batch([subscribe_tuple(query, {}, {})])
+        _, changes, coalesced = cell.handle_batch([
+            subscribe_tuple(query, {key: {"_id": key, "v": 1}}, {key: 1}),
+            serialize_after_image(AfterImage(
+                key=key, version=2, kind=WriteKind.UPDATE,
+                document={"_id": key, "v": -1}, collection="items",
+                timestamp=2.0,
+            )),
+        ])
+        assert [(c.match_type, c.key, c.version) for c, _ in changes] == [
+            (MatchType.ADD, key, 1), (MatchType.REMOVE, key, 2)
+        ]
+        assert coalesced == 0
+        assert coalesce_calls == []
+
     def test_two_writes_to_one_key_still_coalesce(self, coalesce_calls):
         cell = self.cell()
         queries = [Query({"v": {"$gte": bound}}, collection="items")

@@ -186,6 +186,24 @@ class TestGeoParserAudit:
         with pytest.raises(QueryParseError):
             Polygon([[0, 0], [float("inf"), 0], [1, 1]])
 
+    @pytest.mark.parametrize("value", [
+        [0, float("inf")], [float("nan"), 0.0], [0.0, float("-inf")],
+        {"type": "Point", "coordinates": [float("inf"), 0]},
+    ])
+    def test_a_stored_non_finite_point_matches_nothing(self, value):
+        """Not a point: no geo predicate matches it, and neither the
+        fast path nor the general one raises on it."""
+        operators = [
+            GeoWithin({"$centerSphere": [[0.0, 0.0], 0.0]}),
+            GeoWithin({"$center": [[0.0, 0.0], 1.0]}),
+            GeoWithin({"$box": [[-1, -1], [1, 1]]}),
+            NearSphere({"$geometry": {"type": "Point",
+                                      "coordinates": [0, 0]}}),
+        ]
+        for operator in operators:
+            assert operator.evaluate(value) is False
+            assert operator.value_test()(value) is False
+
     def test_spherical_center_must_be_on_the_sphere(self):
         with pytest.raises(QueryParseError):
             Circle([[200, 0], 0.1], spherical=True)

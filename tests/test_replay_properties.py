@@ -1,9 +1,9 @@
 """Property-based tests: replay of retained versioned writes is inert.
 
-The recovery protocol leans on one invariant everywhere — supervisor
-replay after a node restart, event-layer redelivery after a reconnect,
-duplicated publishes from client retries: *re-delivering any suffix of
-the retained, versioned write stream to a caught-up cluster must not
+The recovery protocol leans on one invariant everywhere — a cell's
+retained replay into a re-registration, event-layer redelivery after a
+reconnect, duplicated publishes from client retries: *re-delivering any
+suffix of the versioned write stream to a caught-up cluster must not
 produce new notifications*, because every after-image is at or below
 the version the filtering stage already processed.  Hypothesis drives
 arbitrary workloads (inserts, updates, deletes over a small key space)
@@ -76,6 +76,12 @@ def test_replaying_any_suffix_of_retained_writes_is_inert(
     )
     cluster = InvaliDBCluster(broker, config).start()
     app = AppServer("prop-app", broker, config=config)
+    # A second subscriber on the write channel keeps the stream as the
+    # cluster received it.
+    published = []
+    recorder = broker.subscribe(
+        write_channel(), lambda channel, payload: published.append(
+            dict(payload)))
     try:
         flat = app.subscribe("items", {"v": {"$gte": 0}})
         top = app.subscribe("items", {}, sort=[("v", -1)], limit=3)
@@ -84,6 +90,7 @@ def test_replaying_any_suffix_of_retained_writes_is_inert(
         for step, (key, op) in enumerate(ops):
             apply_operation(app, live, step, key, op)
         assert broker.drain()
+        recorder.close()
 
         before_flat = json.dumps(flat.result(), sort_keys=True)
         before_top = json.dumps(top.result(), sort_keys=True)
@@ -92,11 +99,9 @@ def test_replaying_any_suffix_of_retained_writes_is_inert(
         )
 
         # Simulated reconnect: the event layer redelivers an arbitrary
-        # suffix of each write partition's retained stream.
-        for wp in range(config.write_partitions):
-            retained = cluster._retained_writes(wp)
-            for payload in retained[min(suffix, len(retained)):]:
-                broker.publish(write_channel(), payload)
+        # suffix of the write stream.
+        for payload in published[min(suffix, len(published)):]:
+            broker.publish(write_channel(), payload)
         assert broker.drain()
 
         # No duplicate, no reordering, no effect at all: the replayed

@@ -6,14 +6,17 @@ carry a trace whose span chain covers the pipeline —
 ``publish -> filter -> [sort] -> deliver -> materialize`` for write
 notifications, ``publish -> [filter|sort] -> deliver -> materialize``
 for subscription results — with every span closed and all timestamps
-monotonically non-decreasing in pipeline order.  Hypothesis drives
-arbitrary workloads through the deterministic inline model (including
-a scripted PR 3 matching-node crash, so recovery replay traffic is
-covered too) and a fixed workload exercises the threaded model under
-wall-clock time.  Same-seed inline runs must produce byte-identical
-trace transcripts.
+monotonically non-decreasing in pipeline order.  The one exception is
+the catch-up delta a client computes itself when it answers a resync
+after a crash: those rows never crossed the pipeline and carry no
+trace (nor a version).  Hypothesis drives arbitrary workloads through
+the deterministic inline model (including a scripted matching-node
+crash, so the resync's renewal traffic is covered too) and a fixed
+workload exercises the threaded model under wall-clock time.  Same-seed
+inline runs must produce byte-identical trace transcripts.
 """
 
+import glob
 import json
 import os
 import signal
@@ -25,10 +28,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.cluster import InvaliDBCluster
 from repro.core.config import InvaliDBConfig
+from repro.core.partitioning import PartitioningScheme
 from repro.core.server import AppServer
 from repro.event.broker import Broker
 from repro.obs.telemetry import TelemetryConfig
 from repro.obs.tracing import STAGES, is_complete, span_names, spans_of
+from repro.query.engine import Query
 from repro.runtime.execution import (
     ExecutionConfig,
     InlineExecutionModel,
@@ -76,13 +81,37 @@ def assert_valid_trace(notification, slack: float = 0.0) -> None:
         previous_end = end
 
 
-def assert_all_traced(*subscriptions, slack: float = 0.0) -> int:
+def assert_all_traced(*subscriptions, slack: float = 0.0,
+                      resynced: int = 0) -> int:
+    """Every notification is fully traced; after a resync (*resynced*
+    queries), the client's own catch-up rows — untraced, unversioned —
+    are the only exception.  Returns the traced count."""
     checked = 0
     for subscription in subscriptions:
         for notification in subscription.notifications:
+            if resynced and notification.trace is None:
+                assert notification.version == 0, \
+                    f"untraced pipeline notification {notification}"
+                continue
             assert_valid_trace(notification, slack=slack)
             checked += 1
     return checked
+
+
+def by_id(documents):
+    return sorted(documents, key=lambda document: document["_id"])
+
+
+FLAT = {"v": {"$gte": 0}}
+
+
+def flat_row_task(wp: int = 0) -> int:
+    """The matching task at write partition *wp* of the 2x2 grid row
+    that holds the ``FLAT`` query on ``items``."""
+    scheme = PartitioningScheme(2, 2)
+    qp = scheme.query_partition_of(Query(FLAT, collection="items")
+                                   .partition_hash)
+    return qp * scheme.write_partitions + wp
 
 
 operations = st.lists(
@@ -122,8 +151,9 @@ def run_workload(app, ops):
     st.none(), st.integers(min_value=1, max_value=15)))
 def test_inline_notifications_carry_complete_span_chains(ops, crash_at):
     """Arbitrary inline workloads — optionally crashing one matching
-    node mid-stream so supervised recovery replay is on the path —
-    deliver only fully-traced notifications."""
+    node mid-stream so the resync's renewal is on the path — deliver
+    only fully-traced notifications, apart from the client's catch-up
+    rows, and converge to the pull query."""
     plan = None
     if crash_at is not None:
         plan = FaultPlan().rule("mailbox", "matching*", "crash",
@@ -145,12 +175,16 @@ def test_inline_notifications_carry_complete_span_chains(ops, crash_at):
         assert broker.drain()
         run_workload(app, ops)
         assert broker.drain()
-        assert_all_traced(flat, top)
         snap = cluster.snapshot()
+        assert_all_traced(flat, top,
+                          resynced=snap["supervisor"]["resynced_queries"])
         # Small workloads may end before the scripted crash point is
         # reached; when the crash did fire, recovery must have run.
         if snap["faults"]["crashes"] >= 1:
             assert snap["supervisor"]["restarts"] >= 1
+        assert by_id(flat.result()) == by_id(app.find("items", FLAT))
+        assert top.result() == app.find("items", {}, sort=[("v", -1)],
+                                        limit=3)
     finally:
         app.close()
         cluster.stop()
@@ -187,12 +221,14 @@ def test_threaded_notifications_carry_complete_span_chains():
 
 
 def test_threaded_crash_recovery_keeps_notifications_traced():
-    """Crash one matching node under the threaded model: replayed
-    writes still arrive fully traced (replay traces are freshly
-    started by the supervisor, flagged ``replay``)."""
+    """Crash a matching cell of the query's row mid-stream under the
+    threaded model: the supervisor restarts it and has the query
+    renewed, and every write after the restart reaches the handle fully
+    traced, through the fresh cell's ``filter`` span."""
     import time
 
-    plan = FaultPlan().rule("mailbox", "matching*", "crash", at=[20])
+    plan = FaultPlan().rule("mailbox", glob.escape(
+        f"matching[{flat_row_task()}]"), "crash", at=[5])
     model = ThreadedExecutionModel(ExecutionConfig(fault_plan=plan))
     broker = Broker(execution=model)
     config = InvaliDBConfig(
@@ -203,22 +239,27 @@ def test_threaded_crash_recovery_keeps_notifications_traced():
     cluster = InvaliDBCluster(broker, config).start()
     app = AppServer("trace-crash", broker, config=config)
     try:
-        flat = app.subscribe("items", {"v": {"$gte": 0}})
+        flat = app.subscribe("items", FLAT)
         assert broker.drain(timeout=10.0)
-        for i in range(40):
+        for i in range(20):
             app.insert("items", {"_id": i, "v": i})
-        assert broker.drain(timeout=10.0)
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
-            snap = cluster.snapshot()
-            if snap["supervisor"]["restarts"] >= 1:
+            if cluster.supervisor.stats()["resynced_queries"] >= 1:
                 break
             time.sleep(0.05)
         assert broker.drain(timeout=10.0)
+        for i in range(20, 40):
+            app.insert("items", {"_id": i, "v": i})
+        assert broker.drain(timeout=10.0)
         snap = cluster.snapshot()
         assert snap["supervisor"]["restarts"] >= 1
-        assert snap["supervisor"]["replayed_writes"] >= 1
-        assert_all_traced(flat)
+        assert snap["supervisor"]["resynced_queries"] >= 1
+        assert_all_traced(flat, resynced=1)
+        live = [n for n in flat.notifications if n.key >= 20]
+        assert sorted(n.key for n in live) == list(range(20, 40))
+        assert all("filter" in span_names(n.trace) for n in live)
+        assert by_id(flat.result()) == by_id(app.find("items", FLAT))
     finally:
         app.close()
         cluster.stop()
@@ -355,23 +396,25 @@ def test_process_span_chain_property(ops):
 
 @process_model
 def test_process_worker_kill9_replay_keeps_traces():
-    """kill -9 a matching worker: the supervisor restarts the cell in a
-    fresh (freshly calibrated) worker and replays retained writes with
-    replay-flagged traces — every notification stays fully traced."""
+    """kill -9 the worker hosting a cell of the query's row: the
+    supervisor restarts the cell in a fresh (freshly calibrated) worker
+    and has the query renewed — writes after the respawn carry the
+    worker-side ``filter`` span and every notification stays fully
+    traced, apart from the client's catch-up rows."""
     broker, cluster, app = process_cluster(
         retention_seconds=300.0, supervisor_backoff_base=0.05,
     )
     try:
-        flat = app.subscribe("items", {"v": {"$gte": 0}})
+        flat = app.subscribe("items", FLAT)
         settle(cluster, broker)
         for i in range(20):
             app.insert("items", {"_id": i, "v": i})
         settle(cluster, broker)
-        victim = cluster._cells[("matching", 0)].pid
+        victim = cluster._cells[("matching", flat_row_task())].pid
         os.kill(victim, signal.SIGKILL)
         deadline = time.monotonic() + 8.0
         while time.monotonic() < deadline:
-            if cluster.supervisor.stats()["restarts"] >= 1:
+            if cluster.supervisor.stats()["resynced_queries"] >= 1:
                 break
             time.sleep(0.05)
         settle(cluster, broker)
@@ -380,14 +423,14 @@ def test_process_worker_kill9_replay_keeps_traces():
         settle(cluster, broker)
         snap = cluster.snapshot()
         assert snap["supervisor"]["restarts"] >= 1
-        assert snap["supervisor"]["replayed_writes"] >= 1
-        assert_all_traced(flat, slack=CLOCK_SLACK)
-        transcripts = list(cluster.telemetry.tracer.transcripts)
-        replayed = [t for t in transcripts if t.get("replay")]
-        assert replayed, "no replay-flagged trace reached the transcript"
-        for trace in replayed:
-            assert "filter" in span_names(trace), \
-                "replayed trace lost its worker-side filter span"
+        assert snap["supervisor"]["resynced_queries"] >= 1
+        assert_all_traced(flat, slack=CLOCK_SLACK, resynced=1)
+        live = [n for n in flat.notifications if n.key >= 20]
+        assert sorted(n.key for n in live) == list(range(20, 30))
+        for notification in live:
+            assert "filter" in span_names(notification.trace), \
+                "a write after the respawn lost its worker-side filter span"
+        assert by_id(flat.result()) == by_id(app.find("items", FLAT))
     finally:
         app.close()
         cluster.stop()

@@ -3,7 +3,7 @@
 ``_extend_ttl`` used to look the registration up under the registry
 lock but call ``extend()`` after releasing it.  ``sweep_expired``
 could expire-and-deactivate the query in that gap — cancel injected to
-the grid, wire record dropped — while the late ``extend()`` reported
+the grid, registration dropped — while the late ``extend()`` reported
 success on an orphaned registration: the app server believed the query
 was alive, the grid had already forgotten it.  Both operations now
 hold the registry lock across their read-check-mutate sequence, making
@@ -47,9 +47,11 @@ def make_cluster(clock, ttl):
 
 
 def registry_is_consistent(cluster) -> bool:
-    """The wire store mirrors the registration table exactly."""
+    """Every registration in the table still has a subscriber: a swept
+    query never lingers, and a late extend never revives one."""
     with cluster._registration_lock:
-        return set(cluster._registrations) == set(cluster._wires)
+        return all(registration.active
+                   for registration in cluster._registrations.values())
 
 
 class TestTtlSweepAtomicity:
@@ -102,8 +104,8 @@ class TestTtlSweepAtomicity:
     def test_concurrent_extend_and_sweep_stay_consistent(self):
         """Hammer extends against sweeps right at the expiry boundary.
 
-        Whatever interleaving wins each round, the registry and the
-        wire store must agree, and a deactivated query must never
+        Whatever interleaving wins each round, the registry must hold
+        only live registrations, and a deactivated query must never
         reappear without a fresh subscribe.
         """
         clock = ManualClock()

@@ -6,12 +6,8 @@ payloads" (Section 5.3) — so every message must survive JSON encoding.
 
 import pytest
 
-from repro.core.cluster import (
-    deserialize_after_image,
-    deserialize_query,
-    serialize_after_image,
-    serialize_query,
-)
+from repro.core.cluster import deserialize_query, serialize_query
+from repro.core.remote import deserialize_after_image, serialize_after_image
 from repro.core.notifications import (
     QueryChange,
     deserialize_change,
