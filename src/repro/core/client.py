@@ -17,10 +17,10 @@ the InvaliDB cluster" (Section 5).  Responsibilities implemented here:
   the same at the current slack, plus each handle's catch-up delta;
   both throttled by the poll-frequency rate limit;
 * **TTL extension** and **heartbeat supervision** — extend active
-  queries every ``ttl_extension_interval`` (a daemon thread under the
-  threaded models, ``extend_ttls()`` from the caller under the inline
-  model) and, when the caller runs ``check_heartbeat()``, terminate
-  subscriptions with an error once the cluster has gone silent;
+  queries every ``ttl_extension_interval`` and, every
+  ``heartbeat_interval``, terminate subscriptions with an error once
+  the cluster has gone silent; both run on the execution model's timer
+  heap (under the inline model when ``advance()`` crosses a period);
 * **write forwarding** — push versioned after-images to the cluster on
   every database write.
 """
@@ -359,21 +359,16 @@ class InvaliDBClient:
             notification_channel(app_server_id), self._on_notification
         )
         self._closed = False
-        # TTL extension mirrors the cluster's heartbeat thread: the
-        # threaded cluster sweeps expired queries on its own, so a
-        # threaded client must extend on its own.  The deterministic
-        # inline model runs no background thread on either side — tests
-        # call extend_ttls() as they call publish_heartbeat() (a
-        # self-rescheduling call_later would keep drain() from ever
-        # returning).
-        self._stopping = threading.Event()
-        self._ttl_thread: Optional[threading.Thread] = None
-        if not broker.execution.deterministic:
-            self._ttl_thread = threading.Thread(
-                target=self._ttl_loop, name=f"invalidb-ttl-{app_server_id}",
-                daemon=True,
-            )
-            self._ttl_thread.start()
+        # Timers on the broker's execution model (virtual time under the
+        # inline model): keep this app server's queries alive against
+        # the cluster's TTL sweep, and watch for heartbeat silence.
+        execution = broker.execution
+        self._ttl_timer = execution.every(
+            self.config.ttl_extension_interval, self._extend_ttls_tick
+        )
+        self._heartbeat_timer = execution.every(
+            self.config.heartbeat_interval, self.check_heartbeat
+        )
 
     @property
     def degraded(self) -> bool:
@@ -382,14 +377,11 @@ class InvaliDBClient:
         replaced by snapshot refreshes until health recovers."""
         return self.cluster_health in ("degraded", "overloaded")
 
-    def _deadline_now(self) -> float:
-        """The clock write deadlines are stamped from: virtual time
-        under the inline model, the config clock otherwise — matching
-        what the cluster compares them against."""
-        execution = self.broker.execution
-        if execution.deterministic:
-            return execution.virtual_now
-        return self.config.clock()
+    def _now(self) -> float:
+        """The clock timers fire on (virtual time under the inline
+        model): write deadlines are stamped from it, heartbeat arrivals
+        and silence are measured on it — never the cluster's clock."""
+        return self.broker.execution.now(self.config.clock)
 
     @property
     def telemetry(self):
@@ -640,7 +632,7 @@ class InvaliDBClient:
     def _on_notification(self, channel: str, payload: Dict[str, Any]) -> None:
         kind = payload.get("kind")
         if kind == "heartbeat":
-            self.last_heartbeat = payload.get("timestamp", self.config.clock())
+            self.last_heartbeat = self._now()
             health = payload.get("health")
             if health is not None:
                 self.cluster_health = health
@@ -748,7 +740,7 @@ class InvaliDBClient:
             # The original budget was spent waiting out the rejection;
             # a resubmitted write earns a fresh one.
             envelope["deadline"] = (
-                self._deadline_now() + self.config.deadline_budget_seconds
+                self._now() + self.config.deadline_budget_seconds
             )
         self.writes_resubmitted += 1
         try:
@@ -797,9 +789,8 @@ class InvaliDBClient:
                 pending[1] = pending[1] or resync
                 return
             pending = self._pending_renewals[query_id] = [None, resync]
-            # Scheduled on the broker's execution model: a real timer
-            # thread under the threaded model, a virtual-time callback
-            # (fired by drain()) under the deterministic inline model.
+            # On the broker's execution model's timer heap: wall-clock
+            # under threads, virtual time (fired by drain()) inline.
             pending[0] = self.broker.execution.call_later(
                 self._renewals.min_interval,
                 lambda: self._renew_later(query_id),
@@ -887,15 +878,11 @@ class InvaliDBClient:
             )
         return len(queries)
 
-    def _ttl_loop(self) -> None:
-        while not self._stopping.wait(self.config.ttl_extension_interval):
-            try:
-                self.extend_ttls()
-            except BrokerClosedError:
-                return
-            except Exception:  # noqa: BLE001 - _publish counted the
-                # failure; the next round extends again.
-                continue
+    def _extend_ttls_tick(self) -> None:
+        try:
+            self.extend_ttls()
+        except BrokerClosedError:
+            self._ttl_timer.cancel()
 
     def check_heartbeat(self, now: Optional[float] = None) -> bool:
         """Terminate all subscriptions when the cluster is unreachable.
@@ -906,9 +893,11 @@ class InvaliDBClient:
         subscription with an error that can be handled by the
         subscribed clients", Section 5.1) and an *open circuit breaker*
         — a broker that rejects every publish is just as gone as one
-        that stops heartbeating.
+        that stops heartbeating.  Runs every ``heartbeat_interval``;
+        *now* defaults to the client's own timer clock, the one heartbeat
+        arrivals are recorded on.
         """
-        now = self.config.clock() if now is None else now
+        now = self._now() if now is None else now
         if self._breaker.state == CircuitBreaker.OPEN:
             self._terminate_subscriptions(
                 "circuit breaker open: event layer unreachable", now
@@ -928,6 +917,8 @@ class InvaliDBClient:
             with self._lock:
                 handles = list(self._handles.get(record.query.query_id, ()))
             for subscription in handles:
+                if subscription.closed:
+                    continue
                 subscription._deliver(
                     ChangeNotification(
                         subscription_id=subscription.subscription_id,
@@ -954,7 +945,7 @@ class InvaliDBClient:
             payload["origin"] = self.app_server_id
             if self.config.deadline_budget_seconds:
                 payload["deadline"] = (
-                    self._deadline_now()
+                    self._now()
                     + self.config.deadline_budget_seconds
                 )
         trace = self._start_trace("write", after.key)
@@ -979,11 +970,8 @@ class InvaliDBClient:
             self._pending_renewals.clear()
             handles += self._pending_resubmits
             self._pending_resubmits = []
-        for handle in handles:
+        for handle in handles + [self._ttl_timer, self._heartbeat_timer]:
             handle.cancel()
-        self._stopping.set()
-        if self._ttl_thread is not None:
-            self._ttl_thread.join(timeout=2.0)
         self._notification_subscription.close()
 
     def __enter__(self) -> "InvaliDBClient":

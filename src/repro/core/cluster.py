@@ -30,6 +30,7 @@ application servers can detect cluster failure (Section 5).
 from __future__ import annotations
 
 import threading
+from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.config import InvaliDBConfig
@@ -61,7 +62,7 @@ from repro.obs.slo import SLOAccountant
 from repro.obs.telemetry import build_telemetry
 from repro.obs.tracing import DELIVER, begin_span, fork
 from repro.query.shared import share_ratio
-from repro.runtime.execution import build_execution_model
+from repro.runtime.execution import TimerHandle, build_execution_model
 from repro.runtime.process import ProcessExecutionModel
 
 
@@ -150,8 +151,7 @@ class InvaliDBCluster:
         #: locally hosted cell.
         self._query_from_wire = QueryResolver()
         self._subscriptions: List[Any] = []
-        self._heartbeat_thread: Optional[threading.Thread] = None
-        self._stopping = threading.Event()
+        self._heartbeat_timer: Optional[TimerHandle] = None
         self.notifications_sent = 0
         #: Notifications (rows per subscriber, one per sorted refresh)
         #: the broker refused to publish; the other app servers'
@@ -258,7 +258,7 @@ class InvaliDBCluster:
             local: Dict[str, Any] = {
                 "telemetry": self.telemetry,
                 "clock": self.config.clock,
-                "deadline_now": self._deadline_now,
+                "deadline_now": partial(self._execution.now, self.config.clock),
                 "resolve_query": self._query_from_wire,
             }
             if role == "sorting" and self.overload is not None:
@@ -301,18 +301,16 @@ class InvaliDBCluster:
         for channel, intake in ((write_channel(self.tenant), grid.intake_write),
                                 (query_channel(self.tenant), grid.intake_query)):
             self._subscriptions.append(self.broker.subscribe(channel, intake))
-        if not self._execution.deterministic:
-            self._heartbeat_thread = threading.Thread(
-                target=self._heartbeat_loop, name="invalidb-heartbeat",
-                daemon=True,
-            )
-            self._heartbeat_thread.start()
-        # Deterministic (inline) mode: no background threads — tests
-        # pump heartbeats explicitly via publish_heartbeat().
+        # On the model's timer heap: wall-clock under threads, virtual
+        # time under the inline model (fired by advance()).
+        self._heartbeat_timer = self._execution.every(
+            self.config.heartbeat_interval, self._heartbeat_tick
+        )
         return self
 
     def stop(self) -> None:
-        self._stopping.set()
+        if self._heartbeat_timer is not None:
+            self._heartbeat_timer.cancel()
         if self.overload is not None:
             # Deferred sorted refreshes and shed-staged notifications
             # go out while the broker is still open — shutdown must
@@ -327,8 +325,6 @@ class InvaliDBCluster:
         self.grid.stop()
         if self._owns_execution:
             self._execution.shutdown()
-        if self._heartbeat_thread is not None:
-            self._heartbeat_thread.join(timeout=2.0)
 
     def __enter__(self) -> "InvaliDBCluster":
         return self.start()
@@ -415,8 +411,8 @@ class InvaliDBCluster:
     def sweep_expired(self) -> List[str]:
         """Deactivate queries whose every subscriber's TTL lapsed.
 
-        Returns the deactivated query IDs.  Called periodically by the
-        heartbeat loop, and directly by tests with a fake clock.
+        Returns the deactivated query IDs.  Called by every heartbeat
+        round, and directly by tests with a fake clock.
         """
         now = self.config.clock()
         deactivated: List[Tuple[str, int]] = []
@@ -554,22 +550,15 @@ class InvaliDBCluster:
             sent += rows
         return sent, failed, failure
 
-    def _deadline_now(self) -> float:
-        """The clock deadlines are compared against: virtual time under
-        the inline model (deterministic shedding), config clock else."""
-        if self._execution.deterministic:
-            return self._execution.virtual_now
-        return self.config.clock()
-
     # ------------------------------------------------------------------
     # Heartbeats
     # ------------------------------------------------------------------
 
     def publish_heartbeat(self) -> int:
         """Sweep expired queries and heartbeat every subscribed app
-        server once.  Called periodically by the threaded heartbeat
-        loop; called explicitly by tests running the deterministic
-        inline model (which has no background threads)."""
+        server once.  Runs every ``heartbeat_interval`` on the execution
+        model's timer heap (under the inline model when ``advance()``
+        crosses a period boundary); tests may also call it directly."""
         self.sweep_expired()
         with self._registration_lock:
             app_servers = {
@@ -595,14 +584,13 @@ class InvaliDBCluster:
             raise failure
         return sent
 
-    def _heartbeat_loop(self) -> None:
-        while not self._stopping.wait(self.config.heartbeat_interval):
-            try:
-                self.publish_heartbeat()
-            except BrokerClosedError:
-                return
-            except Exception:  # noqa: BLE001 - the next round retries
-                self.heartbeats_failed += 1
+    def _heartbeat_tick(self) -> None:
+        try:
+            self.publish_heartbeat()
+        except BrokerClosedError:
+            self._heartbeat_timer.cancel()
+        except Exception:  # noqa: BLE001 - the next round retries
+            self.heartbeats_failed += 1
 
     # ------------------------------------------------------------------
     # Introspection

@@ -47,11 +47,18 @@ class InvaliDBConfig:
     #: Multiply slack by this factor on every query renewal (footnote 5:
     #: "a higher slack value to increase robustness against deletes").
     renewal_slack_factor: float = 2.0
-    #: Heartbeat cadence of the cluster and the client's patience.
+    #: Heartbeat cadence: the cluster publishes heartbeats (and sweeps
+    #: expired queries) and the client checks for heartbeat silence this
+    #: often, both on the execution model's timer heap (virtual seconds
+    #: under the inline model, fired by ``advance()``).
     heartbeat_interval: float = 1.0
+    #: The client's patience: seconds without a heartbeat, measured on
+    #: its own clock from each heartbeat's arrival, before it terminates
+    #: its subscriptions with an error (Section 5.1).
     heartbeat_timeout: float = 5.0
-    #: Subscription time-to-live and the extension cadence.
+    #: Subscription time-to-live.
     subscription_ttl: float = 60.0
+    #: Cadence of the client's TTL extensions, on the same timer heap.
     ttl_extension_interval: float = 20.0
     #: Poll frequency rate limit: minimum seconds between query renewals
     #: (makes database load "predictable and configurable").
@@ -224,9 +231,9 @@ class InvaliDBConfig:
             raise ClusterConfigError("default_slack must be >= 1")
         if self.renewal_slack_factor < 1.0:
             raise ClusterConfigError("renewal_slack_factor must be >= 1.0")
-        if self.heartbeat_timeout <= self.heartbeat_interval:
+        if not 0 < self.heartbeat_interval < self.heartbeat_timeout:
             raise ClusterConfigError(
-                "heartbeat_timeout must exceed heartbeat_interval"
+                "heartbeat_timeout must exceed heartbeat_interval > 0"
             )
         if self.subscription_ttl <= 0:
             raise ClusterConfigError("subscription_ttl must be positive")

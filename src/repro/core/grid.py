@@ -98,14 +98,6 @@ class Grid:
         for join in filter(None, (getattr(box, "join", None) for box in boxes)):
             join(timeout=max(0.0, deadline - time.monotonic()))
 
-    def inject(self, role: str, payload: Dict[str, Any], task: int,
-               direct: bool = False) -> None:
-        """Push *payload* into task *task* of *role*; ``direct=True``
-        bypasses fault injection."""
-        mailbox = self._tasks[role][task].mailbox
-        if mailbox is not None:  # started
-            (mailbox.put_direct if direct else mailbox.put)(payload)
-
     def _flush(self, out: _Out,
                on_error: Optional[Callable[[Exception], None]] = None) -> None:
         """Put *out* downstream: sorting tasks first, then matching cells.

@@ -32,7 +32,7 @@ write without consuming budget, sheds nothing, and reproduces the
 ungated notification transcripts byte-identically.
 
 Determinism: under the inline execution model all timing reads virtual
-time (``execution.virtual_now``) and the refresh/retry timers ride
+time (``execution.now``) and the refresh/retry timers ride
 ``call_later`` — so every admission, shedding and deadline decision is
 replayable.  ``InvaliDBConfig.force_health`` pins the cluster state for
 deterministic tests, where a synchronous pump never builds real queue
@@ -271,7 +271,7 @@ class OverloadController:
             increase=config.admission_increase,
             decrease=config.admission_decrease,
             burst=config.admission_burst,
-            now=self._now(),
+            now=cluster._execution.now(config.clock),
         )
         self.monitor = HealthMonitor(
             depth_threshold=config.overload_queue_depth,
@@ -318,16 +318,8 @@ class OverloadController:
             )
 
     # ------------------------------------------------------------------
-    # Clocks & state
+    # State
     # ------------------------------------------------------------------
-
-    def _now(self) -> float:
-        """Virtual time under the inline model, config clock otherwise
-        (so every overload decision is deterministic and replayable)."""
-        execution = self.cluster._execution
-        if execution.deterministic:
-            return execution.virtual_now
-        return self.cluster.config.clock()
 
     @property
     def state(self) -> str:
@@ -368,7 +360,8 @@ class OverloadController:
         ``force_health`` pin gates shedding/admission but deliberately
         does not move the rate, so tests get a predictable budget.
         """
-        now = self._now() if now is None else now
+        if now is None:
+            now = self.cluster._execution.now(self.cluster.config.clock)
         with self._lock:
             self._last_eval = now
         self.evaluations += 1
@@ -454,7 +447,7 @@ class OverloadController:
 
     def admit(self, tuple_: Dict[str, Any]) -> bool:
         """Admission-check one write envelope; False = rejected."""
-        now = self._now()
+        now = self.cluster._execution.now(self.cluster.config.clock)
         self._maybe_evaluate(now)
         if SEVERITY[self.state] < SEVERITY[OVERLOADED]:
             # Healthy/degraded: every write flows, the bucket stays

@@ -11,19 +11,20 @@ with two implementations:
 * :class:`ThreadedExecutionModel` — one worker thread per mailbox over
   a :class:`~repro.runtime.queues.BoundedQueue`, **batched dequeue**
   (up to ``max_batch`` items per lock round-trip), configurable
-  backpressure, a shared timer thread for delayed deliveries, and
-  condition-variable quiescence: ``drain()`` blocks on an in-flight
-  counter instead of sleep-polling queue emptiness.
+  backpressure, one timer thread serving a heap of delayed deliveries
+  and timers (``call_later`` / ``every``), and condition-variable
+  quiescence: ``drain()`` blocks on an in-flight counter instead of
+  sleep-polling queue emptiness.
 
 * :class:`InlineExecutionModel` — a **deterministic single-threaded**
   model.  ``put`` runs the whole downstream cascade synchronously on
   the caller's thread (a trampoline, so re-entrant emissions enqueue
   instead of recursing); delayed messages live on a **virtual-time**
   heap and are only released by ``drain()``, which advances virtual
-  time step by step.  A seeded RNG picks the service order when several
-  mailboxes hold work, so racy interleavings are *reproducible*: the
-  paper's race conditions become plain synchronous test code with zero
-  ``time.sleep``.
+  time step by step; periodic timers fire only under ``advance()``.  A
+  seeded RNG picks the service order when several mailboxes hold work,
+  so racy interleavings are *reproducible*: the paper's race conditions
+  become plain synchronous test code with zero ``time.sleep``.
 
 Terminology: a **mailbox** is a named FIFO plus a batch handler (a
 broker dispatcher, one grid task).  Both models keep that FIFO in the
@@ -115,16 +116,20 @@ class ExecutionConfig:
 
 
 class TimerHandle:
-    """Cancellation handle returned by :meth:`ExecutionModel.call_later`."""
+    """A timer on its model's heap, returned by
+    :meth:`ExecutionModel.call_later` (one-shot) and
+    :meth:`ExecutionModel.every` (periodic).  A cancelled timer is
+    dropped when it comes due."""
 
-    def __init__(self, cancel: Callable[[], None]):
-        self._cancel = cancel
+    def __init__(self, callback: Callable[[], Any],
+                 interval: Optional[float] = None):
+        self.callback = callback
+        #: Seconds between firings; None for a one-shot timer.
+        self.interval = interval
         self.cancelled = False
 
     def cancel(self) -> None:
-        if not self.cancelled:
-            self.cancelled = True
-            self._cancel()
+        self.cancelled = True
 
 
 class Mailbox(abc.ABC):
@@ -139,10 +144,6 @@ class Mailbox(abc.ABC):
     @abc.abstractmethod
     def put_many(self, items: List[Any]) -> None:
         ...
-
-    @abc.abstractmethod
-    def put_direct(self, item: Any) -> None:
-        """Deliver bypassing fault injection."""
 
     @abc.abstractmethod
     def close(self, drain: bool = True) -> None:
@@ -180,6 +181,8 @@ class ExecutionModel(abc.ABC):
         #: to the shared no-op so uninstrumented runs pay one attribute
         #: load per instrumentation point.
         self.telemetry = NULL_TELEMETRY
+        #: Timer callbacks that raised when they came due.
+        self.callback_errors = 0
 
     def set_fault_injector(self, injector: Optional[FaultInjector]) -> None:
         """Attach (or detach, with ``None``) a fault injector."""
@@ -217,11 +220,44 @@ class ExecutionModel(abc.ABC):
         """Enqueue *item*, optionally after *delay* seconds (virtual
         seconds under the inline model)."""
 
-    @abc.abstractmethod
     def call_later(self, delay: float,
-                   callback: Callable[[], None]) -> TimerHandle:
-        """Run *callback* after *delay*; inline models fire it when
-        ``drain()`` advances virtual time past it."""
+                   callback: Callable[[], Any]) -> TimerHandle:
+        """Run *callback* once after *delay* seconds.  Untracked: the
+        threaded ``drain()`` does not wait for it; the inline model
+        fires it when ``drain()`` or ``advance()`` reach it."""
+        timer = TimerHandle(callback)
+        self._add_timer(max(delay, 0.0), timer)
+        return timer
+
+    def every(self, interval: float,
+              callback: Callable[[], Any]) -> TimerHandle:
+        """Run *callback* every *interval* seconds until cancelled.
+        Untracked like :meth:`call_later`; the inline model fires it
+        only under ``advance()``, once per period boundary crossed —
+        ``drain()`` neither fires it nor waits for it."""
+        if not interval > 0:
+            raise ValueError(f"interval must be positive, got {interval!r}")
+        timer = TimerHandle(callback, interval)
+        self._add_timer(interval, timer)
+        return timer
+
+    @abc.abstractmethod
+    def _add_timer(self, delay: float, timer: TimerHandle) -> None:
+        """Put *timer* on the heap, due *delay* seconds from now."""
+
+    def _fire(self, timer: TimerHandle) -> None:
+        """Run one due timer.  A raising callback is counted (like a
+        mailbox's ``handler_errors``); a periodic one keeps its period."""
+        try:
+            timer.callback()
+        except Exception:  # noqa: BLE001 - timers must keep firing
+            self.callback_errors += 1
+
+    def now(self, clock: Callable[[], float]) -> float:
+        """The time deadlines and heartbeat arrivals are read on: the
+        caller's *clock* in real time; the inline model overrides this
+        with the virtual time its timers fire on."""
+        return clock()
 
     @abc.abstractmethod
     def drain(self, timeout: float = 5.0) -> bool:
@@ -393,9 +429,6 @@ class _ThreadedMailbox(_QueueMailbox):
     def put_many(self, items: List[Any]) -> None:
         self._model._deliver(self, items)
 
-    def put_direct(self, item: Any) -> None:
-        self._model._track_put(self._queue, (item,))
-
     # -- consumer ---------------------------------------------------------
 
     def _run(self) -> None:
@@ -444,12 +477,16 @@ class ThreadedExecutionModel(ExecutionModel):
         self._pending = 0
         self._quiet = threading.Condition()
         self._sequence = itertools.count()
-        # Delayed deliveries: (due, seq, queue-or-None, item, cancelled).
+        # (due, seq, queue, item) for a delayed delivery (tracked in
+        # _pending); (due, seq, None, TimerHandle) for a timer.
         self._timer_heap: List[Tuple[float, int, Optional[BoundedQueue],
-                                     Any, List[bool]]] = []
+                                     Any]] = []
         self._timer_cv = threading.Condition()
         self._stopping = threading.Event()
-        self._timer_thread: Optional[threading.Thread] = None
+        self._timer_thread = threading.Thread(
+            target=self._timer_loop, name="execution-timer", daemon=True
+        )
+        self._timer_thread.start()
 
     # -- accounting -------------------------------------------------------
 
@@ -523,30 +560,20 @@ class ThreadedExecutionModel(ExecutionModel):
         """Timer-heap delivery straight into *queue* (no fault re-check)."""
         with self._quiet:
             self._pending += 1
-        due = time.monotonic() + delay
-        with self._timer_cv:
-            heapq.heappush(
-                self._timer_heap,
-                (due, next(self._sequence), queue, item, [False]),
-            )
-            self._ensure_timer_thread()
-            self._timer_cv.notify()
+        self._push(time.monotonic() + delay, queue, item)
 
-    def call_later(self, delay: float,
-                   callback: Callable[[], None]) -> TimerHandle:
+    def _add_timer(self, delay: float, timer: TimerHandle) -> None:
         # Untracked: fire-and-forget maintenance work (e.g. throttled
         # query renewals) must not hold drain() hostage for seconds.
-        timer = threading.Timer(delay, callback)
-        timer.daemon = True
-        timer.start()
-        return TimerHandle(timer.cancel)
+        self._push(time.monotonic() + delay, None, timer)
 
-    def _ensure_timer_thread(self) -> None:
-        if self._timer_thread is None or not self._timer_thread.is_alive():
-            self._timer_thread = threading.Thread(
-                target=self._timer_loop, name="execution-timer", daemon=True
+    def _push(self, due: float, queue: Optional[BoundedQueue],
+              payload: Any) -> None:
+        with self._timer_cv:
+            heapq.heappush(
+                self._timer_heap, (due, next(self._sequence), queue, payload)
             )
-            self._timer_thread.start()
+            self._timer_cv.notify()
 
     def _timer_loop(self) -> None:
         while True:
@@ -555,22 +582,27 @@ class ThreadedExecutionModel(ExecutionModel):
                     if self._stopping.is_set():
                         return
                     if not self._timer_heap:
-                        self._timer_cv.wait(timeout=0.5)
+                        self._timer_cv.wait()  # _push() and shutdown() notify
                         continue
                     due = self._timer_heap[0][0]
                     remaining = due - time.monotonic()
                     if remaining <= 0:
-                        _, _, queue, item, cancelled = heapq.heappop(
+                        _, _, queue, payload = heapq.heappop(
                             self._timer_heap
                         )
                         break
-                    self._timer_cv.wait(timeout=min(remaining, 0.5))
-            if cancelled[0]:
-                self._note_done(1)
+                    self._timer_cv.wait(timeout=remaining)
+            if queue is None:
+                if payload.cancelled:
+                    continue
+                if payload.interval is not None:
+                    self._push(max(due + payload.interval, time.monotonic()),
+                               None, payload)
+                self._fire(payload)
                 continue
             # Already counted at schedule(); hand straight to the queue
             # and only adjust for items it discarded.
-            discarded = queue.put(item)
+            discarded = queue.put(payload)
             if discarded:
                 self._note_done(discarded)
 
@@ -593,7 +625,8 @@ class ThreadedExecutionModel(ExecutionModel):
                    if timeout is None else timeout)
         self._stopping.set()
         with self._timer_cv:
-            dropped = len(self._timer_heap)
+            dropped = sum(1 for entry in self._timer_heap
+                          if entry[2] is not None)
             self._timer_heap.clear()
             self._timer_cv.notify_all()
         if dropped:
@@ -603,10 +636,7 @@ class ThreadedExecutionModel(ExecutionModel):
         deadline = time.monotonic() + timeout
         for box in self._mailboxes:
             box.join(timeout=max(0.0, deadline - time.monotonic()))
-        if self._timer_thread is not None:
-            self._timer_thread.join(
-                timeout=max(0.0, deadline - time.monotonic())
-            )
+        self._timer_thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
     def stats(self) -> Dict[str, Any]:
         with self._quiet:
@@ -615,6 +645,7 @@ class ThreadedExecutionModel(ExecutionModel):
             "mode": THREADED,
             "pending": pending,
             "max_batch": self.config.max_batch,
+            "callback_errors": self.callback_errors,
             "mailboxes": {box.name: box.stats() for box in self._mailboxes},
         }
         if self.fault_injector is not None:
@@ -646,9 +677,6 @@ class _InlineMailbox(_QueueMailbox):
     def put_many(self, items: List[Any]) -> None:
         self._model._put(self, items)
 
-    def put_direct(self, item: Any) -> None:
-        self._model._put(self, (item,), faulted=False)
-
     def _enqueue(self, items: Any) -> None:
         """Append under the model lock (the queue enforces the
         drop/error policies)."""
@@ -677,11 +705,12 @@ class InlineExecutionModel(ExecutionModel):
     ``put`` triggers a trampoline that services mailboxes until no
     undelayed work remains — on the caller's thread, so a publish
     returns only after its entire downstream cascade ran.  Delayed
-    items wait on a virtual-time heap: they are released exclusively by
-    :meth:`drain`, which advances the virtual clock.  This is what
-    turns the paper's races into straight-line test code: work issued
-    *between* a delayed message and ``drain()`` deterministically wins
-    the race, every run.
+    items and ``call_later`` timers wait on a virtual-time heap: they
+    are released by :meth:`drain` and :meth:`advance`, which advance the
+    virtual clock; ``every`` timers fire only under :meth:`advance`.
+    This is what turns the paper's races into straight-line test code:
+    work issued *between* a delayed message and ``drain()``
+    deterministically wins the race, every run.
     """
 
     deterministic = True
@@ -695,16 +724,20 @@ class InlineExecutionModel(ExecutionModel):
         self._running = False
         self._vnow = 0.0
         self._sequence = itertools.count()
-        # (virtual_due, seq, kind, target, payload, cancelled)
-        self._delayed: List[Tuple[float, int, str, Any, Any, List[bool]]] = []
+        # (virtual_due, seq, mailbox, item) for a delayed item,
+        # (virtual_due, seq, None, TimerHandle) for a one-shot timer.
+        self._delayed: List[Tuple[float, int, Any, Any]] = []
+        #: Periodic timers, same entries; only advance() reaches them.
+        self._periodic: List[Tuple[float, int, Any, Any]] = []
         self._rng = (None if self.config.seed is None
                      else random.Random(self.config.seed))
         self.handled_items = 0
-        #: ``call_later`` callbacks that raised when they came due.
-        self.callback_errors = 0
 
     @property
     def virtual_now(self) -> float:
+        return self._vnow
+
+    def now(self, clock: Callable[[], float]) -> float:
         return self._vnow
 
     def set_telemetry(self, telemetry) -> None:
@@ -735,10 +768,9 @@ class InlineExecutionModel(ExecutionModel):
 
     # -- scheduling -------------------------------------------------------
 
-    def _put(self, box: _InlineMailbox, items: Any,
-             faulted: bool = True) -> None:
+    def _put(self, box: _InlineMailbox, items: Any) -> None:
         with self._lock:
-            injector = self.fault_injector if faulted else None
+            injector = self.fault_injector
             if injector is None:
                 box._enqueue(items)
             else:
@@ -754,8 +786,8 @@ class InlineExecutionModel(ExecutionModel):
                             heapq.heappush(
                                 self._delayed,
                                 (self._vnow + decision.delay,
-                                 next(self._sequence), "item",
-                                 box, decision.payload, [False]),
+                                 next(self._sequence), box,
+                                 decision.payload),
                             )
                         else:
                             box._enqueue((decision.payload,))
@@ -771,24 +803,15 @@ class InlineExecutionModel(ExecutionModel):
         with self._lock:
             heapq.heappush(
                 self._delayed,
-                (self._vnow + delay, next(self._sequence), "item",
-                 mailbox, item, [False]),
+                (self._vnow + delay, next(self._sequence), mailbox, item),
             )
 
-    def call_later(self, delay: float,
-                   callback: Callable[[], None]) -> TimerHandle:
-        cancelled = [False]
+    def _add_timer(self, delay: float, timer: TimerHandle) -> None:
         with self._lock:
             heapq.heappush(
-                self._delayed,
-                (self._vnow + max(delay, 0.0), next(self._sequence),
-                 "call", None, callback, cancelled),
+                self._delayed if timer.interval is None else self._periodic,
+                (self._vnow + delay, next(self._sequence), None, timer),
             )
-
-        def cancel() -> None:
-            cancelled[0] = True
-
-        return TimerHandle(cancel)
 
     # -- the trampoline ---------------------------------------------------
 
@@ -821,18 +844,13 @@ class InlineExecutionModel(ExecutionModel):
 
     # -- quiescence: advance virtual time ---------------------------------
 
-    def _release(self, kind: str, target: Any, payload: Any) -> None:
+    def _release(self, box: Optional[_InlineMailbox], payload: Any) -> None:
         """Hand over one due delayed entry: enqueue a scheduled item or
-        run a ``call_later`` callback.  A raising callback is counted
-        (like a mailbox's ``handler_errors``) and never stops the pump.
-        """
-        if kind == "item":
-            target._enqueue((payload,))
-            return
-        try:
-            payload()
-        except Exception:  # noqa: BLE001 - timers must keep firing
-            self.callback_errors += 1
+        fire a ``call_later`` timer."""
+        if box is not None:
+            box._enqueue((payload,))
+        elif not payload.cancelled:
+            self._fire(payload)
 
     def drain(self, timeout: float = 5.0) -> bool:
         deadline = time.monotonic() + timeout
@@ -844,27 +862,33 @@ class InlineExecutionModel(ExecutionModel):
                 if any(len(box._queue) for box in self._mailboxes):
                     continue
                 if self._delayed:
-                    due, _, kind, target, payload, cancelled = heapq.heappop(
-                        self._delayed
-                    )
+                    due, _, box, payload = heapq.heappop(self._delayed)
                     self._vnow = max(self._vnow, due)
-                    if not cancelled[0]:
-                        self._release(kind, target, payload)
+                    self._release(box, payload)
                     continue
                 return True
 
     def advance(self, seconds: float) -> None:
-        """Release delayed work due within *seconds* of virtual time."""
+        """Release delayed work due within *seconds* of virtual time and
+        fire each periodic timer once per period boundary crossed (the
+        boundaries ``drain()`` already moved past are skipped)."""
         with self._lock:
-            horizon = self._vnow + seconds
-            while self._delayed and self._delayed[0][0] <= horizon:
-                due, _, kind, target, payload, cancelled = heapq.heappop(
-                    self._delayed
-                )
+            start, horizon = self._vnow, self._vnow + seconds
+            while True:
+                heap = min((heap for heap in (self._delayed, self._periodic)
+                            if heap), key=lambda heap: heap[0][:2],
+                           default=None)
+                if heap is None or heap[0][0] > horizon:
+                    break
+                due, _, box, payload = heapq.heappop(heap)
                 self._vnow = max(self._vnow, due)
-                if cancelled[0]:
-                    continue
-                self._release(kind, target, payload)
+                if heap is self._delayed:
+                    self._release(box, payload)
+                elif not payload.cancelled:
+                    heapq.heappush(heap, (due + payload.interval,
+                                          next(self._sequence), None, payload))
+                    if due > start:
+                        self._fire(payload)
                 self._pump()
             self._vnow = max(self._vnow, horizon)
 
@@ -873,6 +897,7 @@ class InlineExecutionModel(ExecutionModel):
     def shutdown(self, timeout: Optional[float] = None) -> None:
         with self._lock:
             self._delayed.clear()
+            self._periodic.clear()
             for box in self._mailboxes:
                 box._queue.close(drain=False)
 

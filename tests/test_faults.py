@@ -171,16 +171,6 @@ class TestInlineModelFaults:
         assert got == ["prompt", "late"]
         assert model.virtual_now >= 3.0
 
-    def test_put_direct_bypasses_faults(self):
-        plan = FaultPlan().rule("mailbox", "box", "drop")
-        model = self._model(plan)
-        got = []
-        box = model.mailbox("box", lambda batch: got.extend(batch))
-        box.put("faulted")
-        box.put_direct("direct")
-        assert model.drain()
-        assert got == ["direct"]
-
     def test_set_fault_injector_after_construction(self):
         model = InlineExecutionModel(ExecutionConfig(mode="inline"))
         got = []

@@ -44,9 +44,6 @@ class RecordingMailbox:
     def put_many(self, items):
         self.log.append(("put", self.name, list(items)))
 
-    def put_direct(self, item):
-        self.log.append(("direct", self.name, [item]))
-
     def close(self, drain=True):
         self.log.append(("close", self.name))
 
@@ -314,20 +311,6 @@ class TestGridTasks:
         assert crashes == [("matching", 0, "injected crash")]
         assert grid.stats()["components"]["matching"] \
             ["dropped_while_crashed"] == 2
-
-    def test_inject_with_explicit_task(self):
-        cluster, grid = build_grid(query_partitions=3, write_partitions=1,
-                                   sorting_nodes=2)
-        grid.inject("matching", {"v": 1}, task=2)
-        grid.inject("matching", {"v": 2}, task=1, direct=True)
-        grid.inject("sorting", {"v": 3}, task=1, direct=True)
-        sent = [(entry[0], entry[1], entry[2][0]["v"])
-                for entry in cluster.log if entry[0] in ("put", "direct")]
-        assert sent == [
-            ("put", "matching[2]", 1),
-            ("direct", "matching[1]", 2),
-            ("direct", "sorting[1]", 3),
-        ]
 
     def test_failure_record_is_bounded_and_keeps_no_tuple(self):
         """5k failing batches: the counter is exact, the flight ring stays

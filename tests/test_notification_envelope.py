@@ -657,7 +657,7 @@ class TestNotifyChannelIsolation:
 
 class TestHeartbeatIsolation:
     """A failing notify channel must not stop the threaded heartbeat
-    loop: the other app servers keep hearing from the cluster, or their
+    timer: the other app servers keep hearing from the cluster, or their
     clients would time out and tear down healthy subscriptions."""
 
     @staticmethod
@@ -693,7 +693,7 @@ class TestHeartbeatIsolation:
                     lambda: client_b.last_heartbeat != seen), (
                     "app-b stopped receiving heartbeats")
             assert client_b.check_heartbeat()
-            assert cluster._heartbeat_thread.is_alive()
+            assert not cluster._heartbeat_timer.cancelled
             assert cluster.heartbeats_failed >= 3
             assert cluster.snapshot()["heartbeats_failed"] >= 3
         finally:
@@ -702,8 +702,8 @@ class TestHeartbeatIsolation:
             cluster.stop()
             broker.close()
             model.shutdown()
-        # Stop still ends the loop.
-        assert not cluster._heartbeat_thread.is_alive()
+        # Stop still ends the heartbeat timer.
+        assert cluster._heartbeat_timer.cancelled
 
 
 class TestListenerIsolation:

@@ -182,10 +182,11 @@ class TestHealthMonitor:
 
 
 class _StubExecution:
-    deterministic = False
-
     def __init__(self):
         self.depth = 0
+
+    def now(self, clock):
+        return clock()
 
     def stats(self):
         return {"mailboxes": {"matching[0]": {

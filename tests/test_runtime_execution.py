@@ -7,6 +7,7 @@ virtual-time delays.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -208,6 +209,63 @@ class TestThreadedModel:
         finally:
             model.shutdown()
 
+    def test_every_fires_once_per_period_never_early(self):
+        model = ThreadedExecutionModel()
+        fired = []
+        done = threading.Event()
+
+        def tick():
+            fired.append(time.monotonic())
+            if len(fired) == 5:
+                handle.cancel()  # from inside: no sixth firing
+                done.set()
+
+        try:
+            start = time.monotonic()
+            handle = model.every(0.02, tick)
+            assert done.wait(timeout=5.0)
+            assert all(at - start >= 0.02 * k
+                       for k, at in enumerate(fired, start=1))
+            time.sleep(0.1)
+            assert len(fired) == 5
+        finally:
+            model.shutdown()
+
+    def test_raising_every_callback_is_counted_and_keeps_firing(self):
+        model = ThreadedExecutionModel()
+        fired = []
+        done = threading.Event()
+
+        def tick():
+            fired.append(1)
+            if len(fired) == 3:
+                handle.cancel()
+                done.set()
+            raise RuntimeError("tick")
+
+        try:
+            handle = model.every(0.01, tick)
+            assert done.wait(timeout=5.0)
+            time.sleep(0.05)
+            assert model.stats()["callback_errors"] == 3
+        finally:
+            model.shutdown()
+
+    def test_timers_are_untracked(self):
+        """Timers never count as in-flight work: drain() returns at once
+        and shutdown() reports no dropped items for them."""
+        model = ThreadedExecutionModel()
+        box = model.mailbox("box", lambda batch: None)
+        try:
+            model.every(60.0, lambda: None)
+            model.call_later(60.0, lambda: None)
+            model.schedule(box, "x", delay=0.01)
+            assert model.drain(timeout=5.0)
+            assert model.stats()["pending"] == 0
+        finally:
+            model.shutdown()
+        assert model.stats()["pending"] == 0
+
     def test_stats_snapshot_shape(self):
         model = ThreadedExecutionModel(ExecutionConfig(max_batch=16))
         box = model.mailbox("a", lambda batch: None)
@@ -316,6 +374,57 @@ class TestInlineModel:
         assert model.drain()
         assert model.stats()["callback_errors"] == 2
         assert seen == ["callback", "item"]
+
+    def test_every_fires_once_per_period_boundary_advanced(self):
+        model = InlineExecutionModel()
+        fired = []
+        model.every(0.25, lambda: fired.append(model.virtual_now))
+        for k in range(1, 5):
+            model.advance(0.25)
+            assert len(fired) == k
+        model.advance(1.1)  # four boundaries crossed in one step
+        assert fired == [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
+
+    def test_cancelled_every_stops_firing(self):
+        model = InlineExecutionModel()
+        fired = []
+        handle = model.every(1.0, lambda: fired.append(1))
+        model.advance(2.0)
+        handle.cancel()
+        model.advance(5.0)
+        assert fired == [1, 1]
+
+    def test_raising_every_callback_is_counted_and_keeps_firing(self):
+        model = InlineExecutionModel()
+        fired = []
+
+        def tick():
+            fired.append(1)
+            raise RuntimeError("tick")
+
+        model.every(1.0, tick)
+        model.advance(3.0)
+        assert len(fired) == 3
+        assert model.stats()["callback_errors"] == 3
+
+    def test_drain_neither_fires_nor_waits_for_every(self):
+        model = InlineExecutionModel()
+        fired = []
+        box = model.mailbox("late", lambda batch: None)
+        model.every(0.5, lambda: fired.append(model.virtual_now))
+        assert model.drain()
+        assert model.virtual_now == 0.0
+        model.schedule(box, "item", delay=2.2)
+        assert model.drain()
+        assert model.virtual_now == 2.2 and fired == []
+        # The boundaries drain() moved past are skipped, not made up.
+        model.advance(0.5)
+        assert fired == [2.5]
+
+    def test_every_rejects_non_positive_interval(self):
+        model = InlineExecutionModel()
+        with pytest.raises(ValueError):
+            model.every(0.0, lambda: None)
 
     def test_delay_ordering_is_by_virtual_due_time(self):
         model = InlineExecutionModel()
