@@ -40,7 +40,6 @@ from repro.core.notifications import (
     window_of,
 )
 from repro.core.remote import serialize_after_image, serialize_query
-from repro.core.subscriptions import SubscriptionRecord, SubscriptionTable
 from repro.errors import (
     BrokerClosedError,
     CircuitOpenError,
@@ -218,6 +217,30 @@ class RealTimeSubscription:
             return len(self.notifications)
 
 
+class _QueryEntry:
+    """One live query of this app server: the query ID -> local
+    subscriptions mapping of footnote 2, plus what renewals need.  The
+    canonical hash the app server remembers "for the entire lifetime of
+    a subscription" (Section 5.1) is ``query.partition_hash``.
+
+    ``handles`` is an immutable tuple, replaced (never mutated) under
+    the client's lock; the notification fan-out reads it without the
+    lock and sees one consistent set, current or just replaced.
+    """
+
+    __slots__ = ("query", "slack", "handles", "joining", "pending_renewal")
+
+    def __init__(self, query: Query, slack: int):
+        self.query = query
+        self.slack = slack
+        self.handles: Tuple[RealTimeSubscription, ...] = ()
+        #: Subscribes past their bootstrap read whose handle is not
+        #: registered yet: they keep the query alive at the cluster.
+        self.joining = 0
+        #: ``[timer handle, resync]`` of a rate-limited renewal, or None.
+        self.pending_renewal: Optional[List[Any]] = None
+
+
 class _RenewalLimiter:
     """Poll-frequency rate limit for query renewals (Section 5.2)."""
 
@@ -313,14 +336,12 @@ class InvaliDBClient:
         self.config = config if config is not None else InvaliDBConfig()
         self.tenant = tenant
         self._database = database
-        self._table = SubscriptionTable()
-        self._queries: Dict[str, Query] = {}
-        self._slacks: Dict[str, int] = {}
+        #: Live queries by ID; changed only under ``_lock``.
+        self._entries: Dict[str, _QueryEntry] = {}
         self._renewals = _RenewalLimiter(self.config.renewal_min_interval)
-        self._pending_renewals: Dict[str, Any] = {}
         self._ids = IdGenerator(f"sub-{app_server_id}")
-        #: Live subscription handles per query ID (fan-out targets).
-        self._handles: Dict[str, List[RealTimeSubscription]] = {}
+        #: Stale rows skipped by handles that were unsubscribed since.
+        self._stale_skipped_left = 0
         #: Wall-clock seconds spent producing bootstrap results — the
         #: paper monitors this "to ensure the pull-based part of our
         #: architecture does not become a bottleneck" (Section 5.4).
@@ -527,12 +548,14 @@ class InvaliDBClient:
             self._ids.next(), query, on_change, on_initial, on_error
         )
         now = self.config.clock()
-        record = SubscriptionRecord(subscription.subscription_id, query, now)
-        self._table.add(record)
         with self._lock:
-            self._queries[query.query_id] = query
-            slack = self._slacks.setdefault(query.query_id,
-                                            self.config.default_slack)
+            entry = self._entries.get(query.query_id)
+            if entry is None:
+                entry = self._entries[query.query_id] = _QueryEntry(
+                    query, self.config.default_slack
+                )
+            entry.joining += 1
+            slack = entry.slack
         # Order matters: the initial result is delivered and the handle
         # registered for fan-out *before* the subscribe request goes out,
         # so no change notification can slip past the handle.
@@ -549,7 +572,8 @@ class InvaliDBClient:
             versions,
         )
         with self._lock:
-            self._handles.setdefault(query.query_id, []).append(subscription)
+            entry.joining -= 1
+            entry.handles += (subscription,)
         self._publish_subscribe(query, bootstrap, versions, watermark, slack)
         return subscription
 
@@ -599,28 +623,27 @@ class InvaliDBClient:
     def unsubscribe(self, subscription: RealTimeSubscription) -> None:
         """Cancel one subscription; the query is cancelled at the cluster
         once no local subscription uses it."""
-        record = self._table.remove(subscription.subscription_id)
         subscription.closed = True
-        if record is None:
-            return
-        query = record.query
+        query_id = subscription.query.query_id
         with self._lock:
-            handles = self._handles.get(query.query_id, [])
-            if subscription in handles:
-                handles.remove(subscription)
-            still_used = bool(self._table.subscriptions_for_query(query.query_id))
+            entry = self._entries.get(query_id)
+            if entry is None or subscription not in entry.handles:
+                return
+            entry.handles = tuple(
+                handle for handle in entry.handles if handle is not subscription
+            )
+            self._stale_skipped_left += subscription.stale_skipped
+            still_used = bool(entry.handles) or entry.joining > 0
             if not still_used:
-                self._queries.pop(query.query_id, None)
-                self._slacks.pop(query.query_id, None)
-                self._handles.pop(query.query_id, None)
+                del self._entries[query_id]
         if not still_used:
             self._publish(
                 query_channel(self.tenant),
                 {
                     "kind": "cancel",
                     "app_server": self.app_server_id,
-                    "query_id": query.query_id,
-                    "query_hash": record.query_hash,
+                    "query_id": query_id,
+                    "query_hash": entry.query.partition_hash,
                 },
                 "cancel",
             )
@@ -663,6 +686,7 @@ class InvaliDBClient:
         """
         tel = self.telemetry
         tracing = tel.enabled
+        entries = self._entries
         failure: Optional[Exception] = None
         for (query_id, match_type, key, document, index, old_index, error,
              timestamp, version, trace) in unpack_changes(payload):
@@ -676,8 +700,10 @@ class InvaliDBClient:
                         trace = None
                 if match_type is MatchType.ERROR:
                     self._handle_maintenance_error(query_id)
-                with self._lock:
-                    handles = list(self._handles.get(query_id, ()))
+                # The handle tuple is never mutated: read without the
+                # lock and without a copy.
+                entry = entries.get(query_id)
+                handles = entry.handles if entry is not None else ()
                 for subscription in handles:
                     try:
                         subscription._deliver(ChangeNotification(
@@ -757,12 +783,11 @@ class InvaliDBClient:
         callbacks and the notification log coherent."""
         query_id = payload.get("query_id")
         documents = payload.get("documents") or []
-        with self._lock:
-            query = self._queries.get(query_id)
-        if query is None:
+        entry = self._entries.get(query_id)
+        if entry is None:
             return
         self.refreshes_received += 1
-        self._deliver_delta(query, documents)
+        self._deliver_delta(entry, documents)
 
     # ------------------------------------------------------------------
     # Query renewal (maintenance errors)
@@ -777,28 +802,30 @@ class InvaliDBClient:
         the database load "predictable and configurable": a request
         suppressed now runs once the interval elapsed, and a resync
         wins over a renewal pending for the same query."""
-        with self._lock:
-            if query_id not in self._queries:
-                return
+        entry = self._entries.get(query_id)
+        if entry is None:
+            return
         if self._renewals.allow(query_id, self.config.clock()):
             self.renew(query_id, resync)
             return
         with self._lock:
-            pending = self._pending_renewals.get(query_id)
+            pending = entry.pending_renewal
             if pending is not None:
                 pending[1] = pending[1] or resync
                 return
-            pending = self._pending_renewals[query_id] = [None, resync]
+            pending = entry.pending_renewal = [None, resync]
             # On the broker's execution model's timer heap: wall-clock
             # under threads, virtual time (fired by drain()) inline.
             pending[0] = self.broker.execution.call_later(
                 self._renewals.min_interval,
-                lambda: self._renew_later(query_id),
+                lambda: self._renew_later(entry),
             )
 
-    def _renew_later(self, query_id: str) -> None:
+    def _renew_later(self, entry: _QueryEntry) -> None:
+        query_id = entry.query.query_id
         with self._lock:
-            _, resync = self._pending_renewals.pop(query_id, (None, False))
+            _, resync = entry.pending_renewal or (None, False)
+            entry.pending_renewal = None
         self._renewals.allow(query_id, self.config.clock())
         self.renew(query_id, resync)
 
@@ -814,20 +841,20 @@ class InvaliDBClient:
         subscribers converge without being torn down.
         """
         with self._lock:
-            query_ids = list(self._queries)
+            query_ids = list(self._entries)
         for query_id in query_ids:
             self.renew(query_id, resync=True)
             self.resubscribes += 1
         return len(query_ids)
 
-    def _deliver_delta(self, query: Query, visible: List[Document]) -> None:
-        """Deliver to every handle of *query* the delta from its
+    def _deliver_delta(self, entry: _QueryEntry,
+                       visible: List[Document]) -> None:
+        """Deliver to every handle of *entry* the delta from its
         materialized result to the fresh window *visible*."""
+        query = entry.query
         now = self.config.clock()
         after = window_of(visible)
-        with self._lock:
-            handles = list(self._handles.get(query.query_id, ()))
-        for handle in handles:
+        for handle in entry.handles:
             for change in diff_windows(query.query_id,
                                        window_of(handle.result()), after,
                                        positional=query.is_sorted,
@@ -842,17 +869,19 @@ class InvaliDBClient:
         every handle the catch-up delta to the fresh result (a restarted
         grid task lost the query's state, or ``resubscribe_all``)."""
         with self._lock:
-            query = self._queries.get(query_id)
-            if query is None:
+            entry = self._entries.get(query_id)
+            if entry is None:
                 return False
-            slack = self._slacks.get(query_id, self.config.default_slack)
             if not resync:
-                slack = max(slack + 1,
-                            int(slack * self.config.renewal_slack_factor))
-                self._slacks[query_id] = slack
+                entry.slack = max(
+                    entry.slack + 1,
+                    int(entry.slack * self.config.renewal_slack_factor),
+                )
+            slack = entry.slack
+        query = entry.query
         bootstrap = self._activate(query, slack, renewal=True)
         if resync:
-            self._deliver_delta(query, self._visible_window(query, bootstrap))
+            self._deliver_delta(entry, self._visible_window(query, bootstrap))
         else:
             self.renewals_sent += 1
         return True
@@ -864,7 +893,7 @@ class InvaliDBClient:
     def extend_ttls(self) -> int:
         """Send a TTL extension for every active query."""
         with self._lock:
-            queries = list(self._queries.values())
+            queries = [entry.query for entry in self._entries.values()]
         for query in queries:
             self._publish(
                 query_channel(self.tenant),
@@ -913,16 +942,16 @@ class InvaliDBClient:
         return False
 
     def _terminate_subscriptions(self, reason: str, now: float) -> None:
-        for record in self._table.all_records():
-            with self._lock:
-                handles = list(self._handles.get(record.query.query_id, ()))
-            for subscription in handles:
+        with self._lock:
+            entries = list(self._entries.values())
+        for entry in entries:
+            for subscription in entry.handles:
                 if subscription.closed:
                     continue
                 subscription._deliver(
                     ChangeNotification(
                         subscription_id=subscription.subscription_id,
-                        query_id=record.query.query_id,
+                        query_id=entry.query.query_id,
                         match_type=MatchType.ERROR,
                         error=reason,
                         timestamp=now,
@@ -966,8 +995,11 @@ class InvaliDBClient:
             return
         self._closed = True
         with self._lock:
-            handles = [handle for handle, _ in self._pending_renewals.values()]
-            self._pending_renewals.clear()
+            handles = []
+            for entry in self._entries.values():
+                if entry.pending_renewal is not None:
+                    handles.append(entry.pending_renewal[0])
+                    entry.pending_renewal = None
             handles += self._pending_resubmits
             self._pending_resubmits = []
         for handle in handles + [self._ttl_timer, self._heartbeat_timer]:
@@ -982,15 +1014,17 @@ class InvaliDBClient:
 
     @property
     def subscription_count(self) -> int:
-        return len(self._table)
+        with self._lock:
+            return sum(len(entry.handles) + entry.joining
+                       for entry in self._entries.values())
 
     def stats(self) -> Dict[str, Any]:
         """Client-side resilience counters (all zero on a clean run)."""
         with self._lock:
-            stale = sum(
+            stale = self._stale_skipped_left + sum(
                 handle.stale_skipped
-                for handles in self._handles.values()
-                for handle in handles
+                for entry in self._entries.values()
+                for handle in entry.handles
             )
         return {
             "publishes": self.publishes,

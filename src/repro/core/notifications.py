@@ -20,20 +20,17 @@ overload controller sheds, across batches by :class:`_NotificationStager`)
 and the window differ
 (:func:`diff_windows`).
 
-Two wire forms live here:
-
-* the **notification envelope** (:class:`ChangeEnvelope` /
-  :func:`unpack_changes`) — the only form that crosses the event layer
-  towards application servers.  One envelope carries every change one
-  dispatch batch produced for one app server: each distinct after-image
-  document is listed once in ``documents`` and the per-change ``rows``
-  point at it by slot, so a write matching N queries is encoded, moved
-  and decoded once instead of N times (the "(de-)serializing and
-  parsing after-images" overhead of Section 6.3).  The client reads
-  rows positionally (:data:`ChangeRow`), never as a dict per row;
-* the flat per-change dict (:func:`serialize_change` /
-  :func:`deserialize_change`) — used only for the REPLY emits of
-  worker-hosted grid cells crossing the process boundary.
+The one wire form lives here: the **notification envelope**
+(:class:`ChangeEnvelope` / :func:`unpack_changes`), the only form that
+crosses the event layer towards application servers.  One envelope
+carries every change one dispatch batch produced for one app server:
+each distinct after-image document is listed once in ``documents`` and
+the per-change ``rows`` point at it by slot, so a write matching N
+queries is encoded, moved and decoded once instead of N times (the
+"(de-)serializing and parsing after-images" overhead of Section 6.3).
+The client reads rows positionally (:data:`ChangeRow`), never as a dict
+per row.  Worker-hosted grid cells return their ``QueryChange`` tuples
+across the process boundary as they are.
 """
 
 from __future__ import annotations
@@ -461,32 +458,3 @@ def unpack_changes(payload: Dict[str, Any]) -> Iterator[ChangeRow]:
             get("index"), get("old_index"), get("error"), timestamp,
             version, trace_of(extras),
         )
-
-
-def serialize_change(change: QueryChange) -> Dict[str, Any]:
-    """Flat wire form of one change (process-boundary REPLY emits)."""
-    return {
-        "query_id": change.query_id,
-        "match_type": _WIRE_VALUES[change.match_type],
-        "key": change.key,
-        "document": change.document,
-        "index": change.index,
-        "old_index": change.old_index,
-        "error": change.error,
-        "timestamp": change.timestamp,
-        "version": change.version,
-    }
-
-
-def deserialize_change(payload: Dict[str, Any]) -> QueryChange:
-    return QueryChange(
-        query_id=payload["query_id"],
-        match_type=MatchType(payload["match_type"]),
-        key=payload.get("key"),
-        document=payload.get("document"),
-        index=payload.get("index"),
-        old_index=payload.get("old_index"),
-        error=payload.get("error"),
-        timestamp=payload.get("timestamp", 0.0),
-        version=payload.get("version", 0),
-    )

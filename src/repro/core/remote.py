@@ -23,12 +23,13 @@ a forked worker (:class:`~repro.runtime.process.ProcessExecutionModel`).
   falls back to its own registry on the fork-calibrated clock, wall
   time and a private resolver.
 * **The process seam** is the only place anything is serialised:
-  ``spec.build()`` returns a :class:`WorkerCell` that decodes match
-  events in and encodes emits out around that same ``handle_batch``,
-  and the parent's :class:`LeasedCell` decodes the reply back into the
-  shape the local cell returns.  Sampled traces ride the wire envelopes
-  both ways; worker spans are stamped in the parent's ``perf_counter``
-  domain, so the parent tracer sees complete chains.
+  ``spec.build()`` returns a :class:`WorkerCell` around that same
+  ``handle_batch``, whose result crosses the worker channel's pickle
+  codec as it is, and the parent's :class:`LeasedCell` returns the
+  decoded reply — the shape the local cell returns.  Sampled traces
+  ride the wire envelopes both ways; worker spans are stamped in the
+  parent's ``perf_counter`` domain, so the parent tracer sees complete
+  chains.
 
 Documents inside write envelopes may arrive as
 :class:`~repro.event.wire.LazyDocument` blobs; they flow untouched into
@@ -43,18 +44,15 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.filtering import FilteringNode, MatchEvent
+from repro.core.filtering import FilteringNode
 from repro.core.notifications import (
     EventEntry,
     QueryChange,
     change_from_match_event,
     coalesce_events,
-    deserialize_change,
-    serialize_change,
 )
 from repro.core.partitioning import PartitioningScheme
 from repro.core.sorting import SortingNode
-from repro.event.wire import materialize
 from repro.obs.telemetry import build_telemetry
 from repro.obs.tracing import (
     FILTER,
@@ -67,7 +65,7 @@ from repro.obs.tracing import (
     trace_of,
 )
 from repro.query.engine import Query
-from repro.types import AfterImage, MatchType, WriteKind
+from repro.types import AfterImage, WriteKind
 
 #: What one batch produced: match-event messages for the sorting grid,
 #: (change, owned trace fork) pairs for the fan-out, coalesced count.
@@ -130,31 +128,6 @@ def deserialize_after_image(payload: Dict[str, Any]) -> AfterImage:
         timestamp=payload.get("timestamp", 0.0),
         store_id=store_id,
         sequence=sequence,
-    )
-
-
-def serialize_match_event(event: MatchEvent) -> Dict[str, Any]:
-    """Plain-dict wire form of a match event (codec-agnostic)."""
-    return {
-        "query_id": event.query_id,
-        "match_type": event.match_type.value,
-        "key": event.key,
-        "document": materialize(event.document),
-        "version": event.version,
-        "timestamp": event.timestamp,
-        "needs_sorting": event.needs_sorting,
-    }
-
-
-def deserialize_match_event(payload: Dict[str, Any]) -> MatchEvent:
-    return MatchEvent(
-        query_id=payload["query_id"],
-        match_type=MatchType(payload["match_type"]),
-        key=payload.get("key"),
-        document=payload.get("document"),
-        version=payload.get("version", 0),
-        timestamp=payload.get("timestamp", 0.0),
-        needs_sorting=payload.get("needs_sorting", False),
     )
 
 
@@ -467,30 +440,18 @@ class SortingCell(_Cell):
 
 
 class WorkerCell:
-    """Worker side of the seam: wire tuples in, a wire reply out, around
-    the cell's own ``handle_batch``.  The reply is fully serialised
-    (match events and changes as plain dicts, documents materialized)
-    so it survives any wire codec and feeds straight into the JSON
-    event layer on the parent side."""
+    """Worker side of the seam: the cell's own ``handle_batch`` result
+    goes back as it is — ``MatchEvent`` and ``QueryChange`` are
+    NamedTuples the worker channel's pickle codec carries.  No
+    :class:`~repro.event.wire.LazyDocument` leaves the worker: the
+    filtering node materializes every after-image it evaluates, and
+    only evaluated documents end up in events and changes."""
 
     def __init__(self, cell: Any):
         self.cell = cell
 
-    def handle_batch(self, tuples: List[Dict[str, Any]]) -> Dict[str, Any]:
-        for tuple_ in tuples:
-            if tuple_.get("kind") == "match-event":
-                tuple_["event"] = deserialize_match_event(tuple_["event"])
-        messages, changes, coalesced = self.cell.handle_batch(tuples)
-        emits = [
-            dict(message, event=serialize_match_event(message["event"]))
-            for message in messages
-        ]
-        for change, trace in changes:
-            emit = {"kind": "change", "change": serialize_change(change)}
-            if trace is not None:
-                emit["trace"] = trace
-            emits.append(emit)
-        return {"emits": emits, "coalesced": coalesced}
+    def handle_batch(self, tuples: List[Dict[str, Any]]) -> CellResult:
+        return self.cell.handle_batch(tuples)
 
     def snapshot(self) -> Dict[str, Any]:
         row = self.cell.snapshot()
@@ -515,19 +476,7 @@ class LeasedCell:
         return self.handle.pid
 
     def handle_batch(self, tuples: List[Dict[str, Any]]) -> CellResult:
-        reply = self.handle.request_batch(tuples)
-        messages: List[Dict[str, Any]] = []
-        changes: List[Tuple[QueryChange, Optional[Trace]]] = []
-        for emit in reply["emits"]:
-            if emit["kind"] == "match-event":
-                # Stays in wire form: its next stop is the sorting
-                # cell's worker (sort span already opened over there).
-                messages.append(emit)
-            else:
-                changes.append(
-                    (deserialize_change(emit["change"]), trace_of(emit))
-                )
-        return messages, changes, reply.get("coalesced", 0)
+        return self.handle.request_batch(tuples)
 
     def snapshot(self) -> Dict[str, Any]:
         """The worker-side row plus the hosting worker's ``pid`` and

@@ -1,38 +1,19 @@
-"""Subscription bookkeeping shared by client and cluster.
+"""The cluster's subscription bookkeeping.
 
 A *subscription* binds an end-user's interest (a client-generated
 subscription ID) to a query.  Several subscriptions — possibly from
 several application servers — can share one active query in the
-cluster; the cluster tracks queries, the application server maps query
-IDs back to its local subscription IDs (footnote 2 of the paper).
+cluster; the cluster tracks queries here, the application server maps
+query IDs back to its local subscription IDs (footnote 2 of the paper,
+``InvaliDBClient``'s one entry per query).
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
-from repro.errors import SubscriptionError
 from repro.query.engine import Query
-
-
-@dataclass
-class SubscriptionRecord:
-    """One end-user subscription as the application server sees it."""
-
-    subscription_id: str
-    query: Query
-    created_at: float
-    #: The canonical query hash the app server "remembers ... for the
-    #: entire lifetime of a subscription" (Section 5.1) because it can
-    #: only be computed from the subscription request — the one the
-    #: grid routes by (``Query.partition_hash``).
-    query_hash: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.query_hash:
-            self.query_hash = self.query.partition_hash
 
 
 class QueryRegistration:
@@ -100,61 +81,3 @@ class QueryRegistration:
     def active(self) -> bool:
         with self._lock:
             return bool(self._deadlines)
-
-
-class SubscriptionTable:
-    """The application server's map of live subscriptions."""
-
-    def __init__(self) -> None:
-        self._by_id: Dict[str, SubscriptionRecord] = {}
-        self._by_query: Dict[str, Set[str]] = {}
-        self._lock = threading.Lock()
-
-    def add(self, record: SubscriptionRecord) -> None:
-        with self._lock:
-            if record.subscription_id in self._by_id:
-                raise SubscriptionError(
-                    f"duplicate subscription id: {record.subscription_id!r}"
-                )
-            self._by_id[record.subscription_id] = record
-            self._by_query.setdefault(record.query.query_id, set()).add(
-                record.subscription_id
-            )
-
-    def remove(self, subscription_id: str) -> Optional[SubscriptionRecord]:
-        with self._lock:
-            record = self._by_id.pop(subscription_id, None)
-            if record is None:
-                return None
-            peers = self._by_query.get(record.query.query_id)
-            if peers is not None:
-                peers.discard(subscription_id)
-                if not peers:
-                    del self._by_query[record.query.query_id]
-            return record
-
-    def get(self, subscription_id: str) -> Optional[SubscriptionRecord]:
-        with self._lock:
-            return self._by_id.get(subscription_id)
-
-    def subscriptions_for_query(self, query_id: str) -> List[SubscriptionRecord]:
-        with self._lock:
-            ids = self._by_query.get(query_id, set())
-            return [self._by_id[sub_id] for sub_id in ids]
-
-    def query_is_shared(self, query_id: str) -> bool:
-        """True when more than one local subscription uses the query."""
-        with self._lock:
-            return len(self._by_query.get(query_id, ())) > 1
-
-    def all_records(self) -> List[SubscriptionRecord]:
-        with self._lock:
-            return list(self._by_id.values())
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._by_id)
-
-    def __contains__(self, subscription_id: str) -> bool:
-        with self._lock:
-            return subscription_id in self._by_id

@@ -263,8 +263,8 @@ class WorkerPool:
             ) from None
         self.worker_processes = worker_processes
         self.stats = stats if stats is not None else WireStats()
-        #: Parent-side codec: eager documents — replies feed straight
-        #: into the JSON event layer, which cannot carry lazy blobs.
+        #: Parent-side codec: eager documents (a worker's reply carries
+        #: plain dicts; lazy blobs stay on the worker side).
         self.codec = BinaryCodec(lazy_documents=False, stats=self.stats)
         self._lock = threading.Lock()
         self._workers: Dict[int, _Worker] = {}

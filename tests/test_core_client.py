@@ -1,4 +1,4 @@
-"""Client protocol tests: heartbeats, renewals, rate limits, tables."""
+"""Client protocol tests: heartbeats, renewals, rate limits, registrations."""
 
 import random
 import threading
@@ -7,51 +7,12 @@ import time
 import pytest
 
 from repro.core.config import InvaliDBConfig
-from repro.core.subscriptions import (
-    QueryRegistration,
-    SubscriptionRecord,
-    SubscriptionTable,
-)
+from repro.core.subscriptions import QueryRegistration
 from repro.errors import SubscriptionError
 from repro.query.engine import Query
 from repro.types import MatchType
 
 from tests.conftest import settle
-
-
-class TestSubscriptionTable:
-    def make_record(self, sub_id="s1", filter_doc=None):
-        return SubscriptionRecord(sub_id, Query(filter_doc or {"a": 1}), 0.0)
-
-    def test_add_get_remove(self):
-        table = SubscriptionTable()
-        record = self.make_record()
-        table.add(record)
-        assert table.get("s1") is record
-        assert "s1" in table and len(table) == 1
-        assert table.remove("s1") is record
-        assert table.get("s1") is None
-
-    def test_duplicate_id_rejected(self):
-        table = SubscriptionTable()
-        table.add(self.make_record())
-        with pytest.raises(SubscriptionError):
-            table.add(self.make_record())
-
-    def test_subscriptions_grouped_by_query(self):
-        table = SubscriptionTable()
-        table.add(self.make_record("s1"))
-        table.add(self.make_record("s2"))
-        table.add(self.make_record("s3", {"b": 2}))
-        query_id = Query({"a": 1}).query_id
-        assert len(table.subscriptions_for_query(query_id)) == 2
-        assert table.query_is_shared(query_id)
-        table.remove("s1")
-        assert not table.query_is_shared(query_id)
-
-    def test_record_remembers_query_hash(self):
-        record = self.make_record()
-        assert record.query_hash == record.query.hash
 
 
 class TestQueryRegistration:
@@ -237,11 +198,11 @@ class TestRenewalRateLimit:
         subscription = app.subscribe("articles", {}, sort=[("year", -1)],
                                      limit=3)
         query_id = subscription.query.query_id
-        assert app.client._slacks[query_id] == 2
+        assert app.client._entries[query_id].slack == 2
         assert app.client.renew(query_id)
-        assert app.client._slacks[query_id] == 4
+        assert app.client._entries[query_id].slack == 4
         assert app.client.renew(query_id)
-        assert app.client._slacks[query_id] == 8
+        assert app.client._entries[query_id].slack == 8
 
     def test_renew_unknown_query(self, broker, cluster_factory,
                                  app_server_factory):
@@ -406,14 +367,14 @@ class TestResyncRequest:
         try:
             handle = app.subscribe("items", {}, sort=[("v", -1)], limit=2)
             query_id = handle.query.query_id
-            slack = app.client._slacks[query_id]
+            slack = app.client._entries[query_id].slack
             app.insert("items", {"_id": "x", "v": 1})  # lost
             assert broker.drain()
             assert handle.result() == []
             self.resync(broker, query_id, "q-unknown")
             assert broker.drain()
             assert handle.result() == [{"_id": "x", "v": 1}]
-            assert app.client._slacks[query_id] == slack
+            assert app.client._entries[query_id].slack == slack
             assert cluster.snapshot()["queries_renewed"] == 1
         finally:
             app.close()
@@ -427,20 +388,20 @@ class TestResyncRequest:
         try:
             handle = app.subscribe("items", {"v": {"$gte": 0}})
             query_id = handle.query.query_id
-            slack = app.client._slacks[query_id]
+            slack = app.client._entries[query_id].slack
             app.client._handle_maintenance_error(query_id)  # allowed now
             assert broker.drain()
             assert cluster.snapshot()["queries_renewed"] == 1
-            grown = app.client._slacks[query_id]
+            grown = app.client._entries[query_id].slack
             assert grown > slack
             app.insert("items", {"_id": "x", "v": 1})  # lost
             assert handle.result() == []
             app.client._handle_maintenance_error(query_id)  # pending
             self.resync(broker, query_id)                   # joins it
-            assert app.client._pending_renewals[query_id][1] is True
+            assert app.client._entries[query_id].pending_renewal[1] is True
             assert broker.drain()                           # fires it
             assert handle.result() == [{"_id": "x", "v": 1}]
-            assert app.client._slacks[query_id] == grown
+            assert app.client._entries[query_id].slack == grown
             assert cluster.snapshot()["queries_renewed"] == 2
         finally:
             app.close()

@@ -26,7 +26,6 @@ from repro.core.remote import (
     SortingCellSpec,
     WorkerCell,
     serialize_after_image,
-    serialize_match_event,
     serialize_query,
 )
 from repro.core.server import AppServer
@@ -123,11 +122,12 @@ class Grid:
         messages, changes, coalesced = self.matching.handle_batch(batch)
         wire_messages, wire_changes, wire_coalesced = \
             self.leased_matching.handle_batch(batch)
-        assert [
-            dict(message, event=serialize_match_event(message["event"]))
-            for message in messages
-        ] == wire_messages
+        assert messages == wire_messages
         assert changes == wire_changes
+        # A lazy document never leaves the worker.
+        records = [m["event"] for m in wire_messages]
+        records += [change for change, _ in wire_changes]
+        assert all(type(r.document) in (dict, type(None)) for r in records)
         assert coalesced == wire_coalesced
         # The sorting grid hears the query requests too (second edge
         # out of the intake), then this batch's match events.

@@ -5,7 +5,7 @@ subscriber can observe:
 
 * **pack/unpack properties** — for arbitrary change lists, an envelope
   that went through the JSON codec unpacks to exactly the
-  ``ChangeNotification`` sequence the per-change wire form yields, and
+  ``ChangeNotification`` sequence the per-change path yields, and
   the client's positional row reader delivers exactly what the
   dict-per-row reference did, traces included;
 * **cluster equivalence** — the same seeded inline scenario run with
@@ -24,15 +24,17 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.client import InvaliDBClient, RealTimeSubscription
+from repro.core.client import (
+    InvaliDBClient,
+    RealTimeSubscription,
+    _QueryEntry,
+)
 from repro.core.cluster import InvaliDBCluster
 from repro.core.config import InvaliDBConfig
 from repro.core.notifications import (
     ChangeEnvelope,
     QueryChange,
     bind_to_subscription,
-    deserialize_change,
-    serialize_change,
     unpack_changes,
 )
 from repro.core.server import AppServer
@@ -123,16 +125,13 @@ def change_batches(draw):
 
 
 def per_change_reference(changes, subscribers):
-    """The per-change wire path: every change is its own flat message
+    """The per-change path: every change goes, on its own and as it is,
     to every subscribed app server, bound on arrival."""
     received = {app_server: [] for app_server in APP_SERVERS}
     for change in changes:
         for app_server in subscribers[change.query_id]:
-            arrived = deserialize_change(
-                json_roundtrip(serialize_change(change))
-            )
             received[app_server].append(
-                bind_to_subscription(arrived, f"sub-{app_server}")
+                bind_to_subscription(change, f"sub-{app_server}")
             )
     return received
 
@@ -315,16 +314,17 @@ class TestRowDelivery:
                 query_id: [f"sub-{query_id}-{n}" for n in range(count)]
                 for query_id, count in handle_counts.items()
             }
-            client._handles = {
-                query_id: [RealTimeSubscription(sid, Query({}))
-                           for sid in sids]
-                for query_id, sids in subscription_ids.items()
-            }
+            # Delivery only: an error row's renewal would need a database.
+            client._handle_maintenance_error = lambda query_id: None
+            for query_id, sids in subscription_ids.items():
+                entry = client._entries[query_id] = _QueryEntry(Query({}), 0)
+                entry.handles = tuple(RealTimeSubscription(sid, Query({}))
+                                      for sid in sids)
             expected = reference_deliveries(
                 json_roundtrip(payload), subscription_ids, client.telemetry)
             client._on_changes(json_roundtrip(payload))
-            for handles in client._handles.values():
-                for handle in handles:
+            for entry in client._entries.values():
+                for handle in entry.handles:
                     got = handle.notifications
                     want = expected[handle.subscription_id]
                     assert got == want

@@ -768,7 +768,7 @@ class TestVisibleWindow:
         broker.drain()
         cluster.drain()
         broker.drain()
-        query_id = next(iter(app.client._queries))
+        query_id = next(iter(app.client._entries))
         windows = [cell.node.visible_window(query_id)
                    for (role, _), cell in cluster._cells.items()
                    if role == "sorting"]

@@ -257,7 +257,8 @@ class TestResubscribeEmitsNoDeletedAdds:
 
         def marked(client):
             with client._lock:
-                handles = [h for hs in client._handles.values() for h in hs]
+                handles = [h for entry in client._entries.values()
+                           for h in entry.handles]
             marks.extend((h, len(h.notifications)) for h in handles)
             return resubscribe_all(client)
 

@@ -8,11 +8,7 @@ import pytest
 
 from repro.core.cluster import deserialize_query, serialize_query
 from repro.core.remote import deserialize_after_image, serialize_after_image
-from repro.core.notifications import (
-    QueryChange,
-    deserialize_change,
-    serialize_change,
-)
+from repro.core.notifications import QueryChange
 from repro.event.codec import JsonCodec
 from repro.query.engine import Query
 from repro.types import AfterImage, MatchType, WriteKind
@@ -73,6 +69,15 @@ class TestAfterImageSerialization:
 
 
 class TestChangeSerialization:
+    """A change crosses the worker channel as the NamedTuple it is."""
+
+    @staticmethod
+    def worker_roundtrip(change):
+        from repro.event.wire import BinaryCodec
+
+        codec = BinaryCodec()
+        return codec.decode(codec.encode(change))
+
     @pytest.mark.parametrize(
         "change",
         [
@@ -88,13 +93,13 @@ class TestChangeSerialization:
         ],
     )
     def test_roundtrip(self, change):
-        restored = deserialize_change(json_roundtrip(serialize_change(change)))
+        restored = self.worker_roundtrip(change)
         assert restored == change
+        assert type(restored) is QueryChange
 
     def test_error_flag_survives(self):
         change = QueryChange("q1", MatchType.ERROR, error="x")
-        restored = deserialize_change(json_roundtrip(serialize_change(change)))
-        assert restored.is_error
+        assert self.worker_roundtrip(change).is_error
 
 
 class TestJsonCodecStrictness:
