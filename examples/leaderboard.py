@@ -64,7 +64,7 @@ def main() -> None:
         app.delete("scores", name)
     time.sleep(1.0)
     show("After self-healing renewal:", subscription)
-    renewals = sum(1 for n in subscription.notifications if n.is_error)
+    renewals = len(subscription.errors)
     print(f"(maintenance errors handled: {renewals})")
 
     expected = app.find("scores", {}, sort=[("score", -1)], skip=3, limit=3)

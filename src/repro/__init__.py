@@ -15,9 +15,11 @@ Quickstart::
                                                      write_partitions=2))
     cluster.start()
     app = AppServer("app-1", broker)
-    subscription = app.subscribe("articles", {"year": {"$gte": 2017}})
+    subscription = app.subscribe("articles", {"year": {"$gte": 2017}},
+                                 on_change=print)
     app.insert("articles", {"_id": 1, "title": "DB Fun", "year": 2018})
-    # ... subscription.notifications now receives the 'add' change.
+    # ... on_change receives the 'add' change, and subscription.result()
+    # now holds the article.
 """
 
 from repro.core.client import InvaliDBClient, RealTimeSubscription

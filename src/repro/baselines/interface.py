@@ -18,27 +18,28 @@ ChangeCallback = Callable[[ChangeNotification], None]
 
 
 class BaselineSubscription:
-    """A provider-agnostic subscription handle for the baselines."""
+    """A provider-agnostic subscription handle for the baselines.
+
+    The same surface as :class:`~repro.core.client.RealTimeSubscription`:
+    the initial result, ``on_change`` and ``change_count``.  Delivered
+    changes are not retained.
+    """
 
     def __init__(self, subscription_id: str,
                  on_change: Optional[ChangeCallback] = None):
         self.subscription_id = subscription_id
-        self.notifications: List[ChangeNotification] = []
         self.initial_result: List[Document] = []
         self.closed = False
+        #: Changes delivered so far (counted under ``_lock``).
+        self.change_count = 0
         self._on_change = on_change
         self._lock = threading.Lock()
 
     def deliver(self, notification: ChangeNotification) -> None:
         with self._lock:
-            self.notifications.append(notification)
+            self.change_count += 1
         if self._on_change is not None:
             self._on_change(notification)
-
-    @property
-    def change_count(self) -> int:
-        with self._lock:
-            return len(self.notifications)
 
 
 class RealTimeQueryProvider(abc.ABC):

@@ -29,6 +29,7 @@ from repro.baselines.interface import (
     ChangeCallback,
     RealTimeQueryProvider,
 )
+from repro.core.notifications import bind_to_subscription
 from repro.errors import QueryParseError
 from repro.query.engine import MongoQueryEngine, Query
 from repro.query.sortspec import SortInput
@@ -171,23 +172,18 @@ class LogTailingProvider(RealTimeQueryProvider):
         if matches_now:
             state.matching.add(key)
             state.documents[key] = document  # type: ignore[assignment]
-            return ChangeNotification(
-                subscription_id=state.subscription.subscription_id,
-                query_id=state.query.query_id,
-                match_type=MatchType.CHANGE if was_matching else MatchType.ADD,
-                key=key,
-                document=document,
-                timestamp=entry.timestamp,
+            return bind_to_subscription(
+                state.subscription.subscription_id, state.query.query_id,
+                MatchType.CHANGE if was_matching else MatchType.ADD,
+                key, document, timestamp=entry.timestamp,
             )
         if was_matching:
             state.matching.discard(key)
             last = state.documents.pop(key, None)
-            return ChangeNotification(
-                subscription_id=state.subscription.subscription_id,
-                query_id=state.query.query_id,
-                match_type=MatchType.REMOVE,
-                key=key,
-                document=document if document is not None else last,
+            return bind_to_subscription(
+                state.subscription.subscription_id, state.query.query_id,
+                MatchType.REMOVE, key,
+                document if document is not None else last,
                 timestamp=entry.timestamp,
             )
         return None

@@ -117,7 +117,7 @@ class PollAndDiffProvider(RealTimeQueryProvider):
                 positional=state.query.is_sorted,
             ):
                 state.subscription.deliver(bind_to_subscription(
-                    change, state.subscription.subscription_id
+                    state.subscription.subscription_id, *change
                 ))
                 sent += 1
             state.last_result = fresh

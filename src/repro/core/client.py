@@ -104,10 +104,12 @@ def _require_wire_safe(value: Any, path: str = "filter") -> None:
 class RealTimeSubscription:
     """Handle for one end-user real-time query subscription.
 
-    Collects the initial result and every change notification; custom
-    callbacks may be attached at subscription time.  ``result()``
-    reconstructs the current result by replaying notifications — handy
-    for tests and simple clients.
+    Keeps the query's result, not its history: the initial result, the
+    current result as the delivered changes left it (``result()``), the
+    maintenance errors seen and ``change_count``.  Each change goes to
+    the ``on_change`` callback attached at subscription time and is not
+    retained — like the paper's app server, which forwards changes and
+    keeps only the query ID -> subscription mapping (Section 5.1).
     """
 
     def __init__(
@@ -121,7 +123,8 @@ class RealTimeSubscription:
         self.subscription_id = subscription_id
         self.query = query
         self.initial: Optional[InitialResult] = None
-        self.notifications: List[ChangeNotification] = []
+        #: Changes delivered so far (counted under ``_lock``).
+        self.change_count = 0
         self.errors: List[str] = []
         self.closed = False
         self._on_change = on_change
@@ -152,7 +155,7 @@ class RealTimeSubscription:
 
     def _deliver(self, notification: ChangeNotification) -> None:
         with self._lock:
-            self.notifications.append(notification)
+            self.change_count += 1
             self._apply(notification)
         if notification.is_error and self._on_error is not None:
             self._on_error(notification.error or "unknown error")
@@ -206,15 +209,10 @@ class RealTimeSubscription:
     # -- consumption ----------------------------------------------------------
 
     def result(self) -> List[Document]:
-        """The current result as reconstructed from notifications."""
+        """The current result as materialized from the changes."""
         with self._lock:
             return [self._documents[key] for key in self._order
                     if key in self._documents]
-
-    @property
-    def change_count(self) -> int:
-        with self._lock:
-            return len(self.notifications)
 
 
 class _QueryEntry:
@@ -342,10 +340,13 @@ class InvaliDBClient:
         self._ids = IdGenerator(f"sub-{app_server_id}")
         #: Stale rows skipped by handles that were unsubscribed since.
         self._stale_skipped_left = 0
-        #: Wall-clock seconds spent producing bootstrap results — the
-        #: paper monitors this "to ensure the pull-based part of our
-        #: architecture does not become a bottleneck" (Section 5.4).
-        self.bootstrap_latencies: List[float] = []
+        #: Count, sum and maximum of the wall-clock seconds spent
+        #: producing bootstrap results — the paper monitors this "to
+        #: ensure the pull-based part of our architecture does not become
+        #: a bottleneck" (Section 5.4).
+        self._bootstraps = 0
+        self._bootstrap_seconds = 0.0
+        self._bootstrap_max = 0.0
         self._lock = threading.Lock()
         self.last_heartbeat: Optional[float] = None
         # -- resilience: retry with backoff + circuit breaker -----------
@@ -440,23 +441,24 @@ class InvaliDBClient:
         """Bootstrap result, its documents' versions and the store's
         read watermark, read atomically (a writer may run between any
         two separate store calls)."""
-        import time as _time
-
-        started = _time.perf_counter()
+        started = time.perf_counter()
         result = self._collection_for(query.collection).execute_versioned(query)
-        self.bootstrap_latencies.append(_time.perf_counter() - started)
+        elapsed = time.perf_counter() - started
+        with self._lock:
+            self._bootstraps += 1
+            self._bootstrap_seconds += elapsed
+            self._bootstrap_max = max(self._bootstrap_max, elapsed)
         return result
 
     def bootstrap_latency_stats(self) -> Dict[str, float]:
         """Summary of pull-based bootstrap latencies (seconds)."""
-        samples = list(self.bootstrap_latencies)
-        if not samples:
-            return {"count": 0, "average": 0.0, "maximum": 0.0}
-        return {
-            "count": len(samples),
-            "average": sum(samples) / len(samples),
-            "maximum": max(samples),
-        }
+        with self._lock:
+            count = self._bootstraps
+            return {
+                "count": count,
+                "average": self._bootstrap_seconds / count if count else 0.0,
+                "maximum": self._bootstrap_max,
+            }
 
     # ------------------------------------------------------------------
     # Resilient publishing
@@ -706,10 +708,10 @@ class InvaliDBClient:
                 handles = entry.handles if entry is not None else ()
                 for subscription in handles:
                     try:
-                        subscription._deliver(ChangeNotification(
+                        subscription._deliver(bind_to_subscription(
                             subscription.subscription_id, query_id,
                             match_type, key, document, index, old_index,
-                            error, False, timestamp, version, trace,
+                            error, timestamp, version, trace,
                         ))
                     except Exception:  # noqa: BLE001 - user callback
                         self.callback_errors += 1
@@ -779,8 +781,8 @@ class InvaliDBClient:
     def _on_refresh(self, payload: Dict[str, Any]) -> None:
         """A sorted query's diff stream was shed: converge every handle
         on the wholesale window snapshot through the catch-up delta
-        (the one ``resubscribe_all`` delivers), which keeps change
-        callbacks and the notification log coherent."""
+        (the one ``resubscribe_all`` delivers), so change callbacks see
+        every transition."""
         query_id = payload.get("query_id")
         documents = payload.get("documents") or []
         entry = self._entries.get(query_id)
@@ -860,7 +862,7 @@ class InvaliDBClient:
                                        positional=query.is_sorted,
                                        timestamp=now):
                 handle._deliver(
-                    bind_to_subscription(change, handle.subscription_id)
+                    bind_to_subscription(handle.subscription_id, *change)
                 )
 
     def renew(self, query_id: str, resync: bool = False) -> bool:
@@ -948,15 +950,10 @@ class InvaliDBClient:
             for subscription in entry.handles:
                 if subscription.closed:
                     continue
-                subscription._deliver(
-                    ChangeNotification(
-                        subscription_id=subscription.subscription_id,
-                        query_id=entry.query.query_id,
-                        match_type=MatchType.ERROR,
-                        error=reason,
-                        timestamp=now,
-                    )
-                )
+                subscription._deliver(bind_to_subscription(
+                    subscription.subscription_id, entry.query.query_id,
+                    MatchType.ERROR, error=reason, timestamp=now,
+                ))
                 subscription.closed = True
 
     # ------------------------------------------------------------------

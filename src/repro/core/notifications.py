@@ -345,14 +345,28 @@ def diff_windows(
 
 
 def bind_to_subscription(
-    change: QueryChange, subscription_id: str
+    subscription_id: str,
+    query_id: str,
+    match_type: MatchType,
+    key: Any = None,
+    document: Optional[Document] = None,
+    index: Optional[int] = None,
+    old_index: Optional[int] = None,
+    error: Optional[str] = None,
+    timestamp: float = 0.0,
+    version: int = 0,
+    trace: Optional[Dict[str, Any]] = None,
 ) -> ChangeNotification:
-    """Tag a query change with one subscription ID for client delivery."""
-    (query_id, match_type, key, document, index, old_index, error,
-     timestamp, version) = change
+    """A change for one subscription, as the
+    :class:`~repro.types.ChangeNotification` delivered to it.
+
+    The parameters after *subscription_id* are a :class:`QueryChange`'s
+    fields then a :data:`ChangeRow`'s trace, so ``bind_to_subscription(
+    sid, *change)`` and ``bind_to_subscription(sid, *row)`` both work.
+    """
     return ChangeNotification(
         subscription_id, query_id, match_type, key, document, index,
-        old_index, error, False, timestamp, version,
+        old_index, error, False, timestamp, version, trace,
     )
 
 

@@ -29,6 +29,15 @@ class FakeClock:
         return self.now
 
 
+class Collector(list):
+    """An ``on_change`` callback keeping every change it is given, in
+    order: a handle keeps its query's result, not its history, so a test
+    that reads the history collects it."""
+
+    def __call__(self, notification) -> None:
+        self.append(notification)
+
+
 def worker_leftovers() -> list:
     """Worker processes and channel reader threads still running."""
     return [

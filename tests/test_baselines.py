@@ -15,6 +15,8 @@ from repro.store.collection import Collection
 from repro.store.oplog import StaleCursorError
 from repro.types import MatchType
 
+from tests.conftest import Collector
+
 
 @pytest.fixture
 def store():
@@ -33,24 +35,27 @@ class TestPollAndDiff:
     def test_changes_invisible_until_poll(self, store):
         """Staleness bounded by the polling interval (Section 3.1)."""
         provider = PollAndDiffProvider(store)
-        subscription = provider.subscribe({"v": {"$gte": 50}})
+        seen = Collector()
+        subscription = provider.subscribe({"v": {"$gte": 50}},
+                                          on_change=seen)
         store.insert({"_id": 100, "v": 99})
         assert subscription.change_count == 0  # not yet polled
         provider.poll_all()
         assert subscription.change_count == 1
-        assert subscription.notifications[0].match_type is MatchType.ADD
+        assert seen[0].match_type is MatchType.ADD
 
     def test_diff_produces_all_match_types(self, store):
         provider = PollAndDiffProvider(store)
-        subscription = provider.subscribe(
-            {"v": {"$gte": 50}}, sort=[("v", -1)], limit=10
+        seen = Collector()
+        provider.subscribe(
+            {"v": {"$gte": 50}}, sort=[("v", -1)], limit=10, on_change=seen
         )
         store.insert({"_id": 100, "v": 95})      # add
         store.update(9, {"$set": {"v": 55}})      # changeIndex (moved)
         store.update(8, {"$set": {"v": 81}})      # change at same position
         store.delete(5)                           # remove
         provider.poll_all()
-        kinds = {n.match_type for n in subscription.notifications}
+        kinds = {n.match_type for n in seen}
         assert MatchType.ADD in kinds
         assert MatchType.REMOVE in kinds
         assert MatchType.CHANGE_INDEX in kinds
@@ -92,11 +97,12 @@ class TestLogTailing:
 
     def test_match_transitions(self, store):
         provider = LogTailingProvider(store)
-        subscription = provider.subscribe({"v": {"$gte": 50}})
+        seen = Collector()
+        provider.subscribe({"v": {"$gte": 50}}, on_change=seen)
         store.insert({"_id": 100, "v": 99})
         store.update(100, {"$set": {"v": 98}})
         store.update(100, {"$set": {"v": 1}})
-        kinds = [n.match_type for n in subscription.notifications]
+        kinds = [n.match_type for n in seen]
         assert kinds == [MatchType.ADD, MatchType.CHANGE, MatchType.REMOVE]
         provider.close()
 

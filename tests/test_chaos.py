@@ -37,6 +37,8 @@ from repro.runtime.execution import (
 )
 from repro.runtime.faults import FaultPlan
 
+from tests.conftest import Collector
+
 
 class SteppingClock:
     """Deterministic time source: every read advances a fixed step."""
@@ -80,14 +82,15 @@ def apply_workload(app: AppServer) -> None:
         app.delete("items", i)
 
 
-def transcript(subscription) -> list:
-    """Timestamp-free transcript of everything a subscription saw."""
+def transcript(seen) -> list:
+    """Timestamp-free transcript of everything a subscription saw, from
+    its ``on_change`` collector."""
     return [
         (
             n.match_type.value, n.key, n.version, n.index, n.old_index,
             json.dumps(n.document, sort_keys=True, default=str),
         )
-        for n in subscription.notifications
+        for n in seen
     ]
 
 
@@ -105,8 +108,11 @@ def run_inline_scenario(seed: int, plan=None, resubscribe: bool = False):
     cluster = InvaliDBCluster(broker, config).start()
     app = AppServer("chaos-app", broker, config=config)
     try:
-        flat = app.subscribe("items", {"v": {"$gte": 0}})
-        top = app.subscribe("items", {}, sort=[("v", -1)], limit=5)
+        flat_seen, top_seen = Collector(), Collector()
+        flat = app.subscribe("items", {"v": {"$gte": 0}},
+                             on_change=flat_seen)
+        top = app.subscribe("items", {}, sort=[("v", -1)], limit=5,
+                            on_change=top_seen)
         assert broker.drain()
         apply_workload(app)
         assert broker.drain()
@@ -153,7 +159,7 @@ def run_inline_scenario(seed: int, plan=None, resubscribe: bool = False):
                 app.find("items", {}, sort=[("v", -1)], limit=5),
                 sort_keys=True,
             ),
-            "transcripts": (transcript(flat), transcript(top)),
+            "transcripts": (transcript(flat_seen), transcript(top_seen)),
             "node_partitions": partitions,
             "sort_core_keys": sorted(entry.key for entry in page.core.entries),
             "query_ids": (flat.query.query_id, top.query.query_id),

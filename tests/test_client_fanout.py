@@ -21,7 +21,7 @@ from repro.event.channels import notification_channel
 from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
 from repro.types import MatchType
 
-from tests.conftest import settle
+from tests.conftest import Collector, settle
 
 FILTER = {"v": {"$gte": 50}}
 
@@ -50,7 +50,8 @@ def test_a_callback_unsubscribing_a_sibling_takes_effect_at_the_next_row():
                 app.unsubscribe(siblings[0])
 
         first = app.subscribe("items", FILTER, on_change=leave_at_second_row)
-        siblings.append(app.subscribe("items", FILTER))
+        second_seen = Collector()
+        siblings.append(app.subscribe("items", FILTER, on_change=second_seen))
         second = siblings[0]
         assert broker.drain()
         pulled = []
@@ -62,7 +63,7 @@ def test_a_callback_unsubscribing_a_sibling_takes_effect_at_the_next_row():
         assert broker.drain()
         # The row during which it left still reached it: the fan-out
         # read the handle tuple before the callback ran.
-        assert [n.key for n in second.notifications] == [0, 1]
+        assert [n.key for n in second_seen] == [0, 1]
         assert second.closed
         assert by_key(second.result()) == by_key(pulled[1])
         assert seen == [0, 1, 2, 3, 4, 0]
@@ -80,7 +81,8 @@ def test_a_subscribe_in_flight_keeps_its_query_when_the_last_handle_leaves():
     query under the subscribe."""
     broker, cluster, app = inline_stack()
     try:
-        first = app.subscribe("items", FILTER)
+        first_seen = Collector()
+        first = app.subscribe("items", FILTER, on_change=first_seen)
         second = app.subscribe("items", FILTER,
                                on_initial=lambda _: app.unsubscribe(first))
         assert broker.drain()
@@ -89,7 +91,7 @@ def test_a_subscribe_in_flight_keeps_its_query_when_the_last_handle_leaves():
         app.insert("items", {"_id": 1, "v": 60})
         assert broker.drain()
         assert second.result() == app.find("items", FILTER)
-        assert first.notifications == []
+        assert first_seen == []
     finally:
         app.close()
         cluster.stop()

@@ -24,6 +24,8 @@ from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
 from repro.runtime.faults import FaultPlan
 from repro.types import MatchType
 
+from tests.conftest import Collector
+
 
 class ManualClock:
     def __init__(self, start: float = 1000.0):
@@ -218,7 +220,8 @@ class TestCircuitBreaker:
             circuit_breaker_reset=300.0,
         )
         try:
-            subscription = app.subscribe("items", {"v": {"$gte": 0}})
+            seen = Collector()
+            subscription = app.subscribe("items", {"v": {"$gte": 0}}, on_change=seen)
             assert broker.drain()
             app.insert("items", {"_id": 1, "v": 1})  # clean publish
             assert broker.drain()
@@ -226,7 +229,7 @@ class TestCircuitBreaker:
                 app.insert("items", {"_id": 2, "v": 2})
             assert not app.client.check_heartbeat()
             errors = [
-                n for n in subscription.notifications
+                n for n in seen
                 if n.match_type is MatchType.ERROR
             ]
             assert errors and "circuit breaker" in errors[-1].error

@@ -19,6 +19,8 @@ from repro.event.broker import Broker
 from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
 from repro.types import MatchType
 
+from tests.conftest import Collector
+
 
 @pytest.fixture
 def inline_stack():
@@ -51,39 +53,42 @@ def inline_stack():
 class TestStagingWindow:
     def test_rapid_rewrites_collapse_to_one_add(self, inline_stack):
         broker, cluster, app = inline_stack()
-        sub = app.subscribe("items", {"v": {"$gte": 0}})
+        seen = Collector()
+        app.subscribe("items", {"v": {"$gte": 0}}, on_change=seen)
         app.insert("items", {"_id": 1, "v": 1})
         app.update("items", 1, {"$set": {"v": 2}})
         app.update("items", 1, {"$set": {"v": 3}})
         # All three changes landed inside the window: nothing delivered
         # until the (virtual-time) flush fires.
-        assert sub.notifications == []
+        assert seen == []
         assert broker.drain()
-        assert [n.match_type for n in sub.notifications] == [MatchType.ADD]
-        assert sub.notifications[0].document["v"] == 3
+        assert [n.match_type for n in seen] == [MatchType.ADD]
+        assert seen[0].document["v"] == 3
         assert cluster.overload.notifications_shed >= 2
 
     def test_add_then_remove_nets_to_nothing(self, inline_stack):
         broker, cluster, app = inline_stack()
-        sub = app.subscribe("items", {"v": {"$gte": 0}})
+        seen = Collector()
+        sub = app.subscribe("items", {"v": {"$gte": 0}}, on_change=seen)
         app.insert("items", {"_id": 1, "v": 1})
         app.delete("items", 1)
         assert broker.drain()
         # The client never knew the key: the pair is elided entirely.
-        assert sub.notifications == []
+        assert seen == []
         assert sub.result() == []
 
     def test_known_key_update_flushes_as_change(self, inline_stack):
         broker, cluster, app = inline_stack()
-        sub = app.subscribe("items", {"v": {"$gte": 0}})
+        seen = Collector()
+        app.subscribe("items", {"v": {"$gte": 0}}, on_change=seen)
         app.insert("items", {"_id": 1, "v": 1})
         assert broker.drain()  # the ADD flushes; key now known
         app.update("items", 1, {"$set": {"v": 5}})
         app.update("items", 1, {"$set": {"v": 9}})
         assert broker.drain()
-        types = [n.match_type for n in sub.notifications]
+        types = [n.match_type for n in seen]
         assert types == [MatchType.ADD, MatchType.CHANGE]
-        assert sub.notifications[-1].document["v"] == 9
+        assert seen[-1].document["v"] == 9
 
     def test_sorted_changes_bypass_staging(self, inline_stack):
         broker, cluster, app = inline_stack()
@@ -104,11 +109,12 @@ class TestStagingWindow:
 
     def test_stop_flushes_pending_changes(self, inline_stack):
         broker, cluster, app = inline_stack()
-        sub = app.subscribe("items", {"v": {"$gte": 0}})
+        seen = Collector()
+        app.subscribe("items", {"v": {"$gte": 0}}, on_change=seen)
         app.insert("items", {"_id": 7, "v": 7})
-        assert sub.notifications == []
+        assert seen == []
         cluster.stop()
-        assert [n.match_type for n in sub.notifications] == [MatchType.ADD]
+        assert [n.match_type for n in seen] == [MatchType.ADD]
 
     def test_snapshot_reports_stager_stats(self, inline_stack):
         broker, cluster, app = inline_stack()
@@ -125,9 +131,10 @@ class TestStagingWindow:
 
     def test_healthy_cluster_does_not_stage(self, inline_stack):
         broker, cluster, app = inline_stack(health="healthy")
-        sub = app.subscribe("items", {"v": {"$gte": 0}})
+        seen = Collector()
+        app.subscribe("items", {"v": {"$gte": 0}}, on_change=seen)
         app.insert("items", {"_id": 1, "v": 1})
-        assert len(sub.notifications) == 1
+        assert len(seen) == 1
         stats = cluster.snapshot()["health"]["shed_coalescing"]
         assert stats["staged_total"] == 0
 

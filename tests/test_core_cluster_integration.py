@@ -8,7 +8,7 @@ from repro.core.config import InvaliDBConfig
 from repro.core.server import AppServer
 from repro.types import MatchType
 
-from tests.conftest import settle
+from tests.conftest import Collector, settle
 
 
 def wait_for(predicate, timeout=5.0):
@@ -25,23 +25,25 @@ class TestUnsortedQueries:
                                           app_server_factory):
         cluster = cluster_factory(2, 2)
         app = app_server_factory()
-        subscription = app.subscribe("items", {"v": {"$gte": 10}})
+        seen = Collector()
+        subscription = app.subscribe("items", {"v": {"$gte": 10}},
+                                     on_change=seen)
         assert subscription.initial.documents == []
 
         app.insert("items", {"_id": 1, "v": 15})
         app.insert("items", {"_id": 2, "v": 5})
         settle(cluster, broker)
-        assert [n.match_type for n in subscription.notifications] == [
+        assert [n.match_type for n in seen] == [
             MatchType.ADD
         ]
 
         app.update("items", 1, {"$set": {"v": 20}})
         settle(cluster, broker)
-        assert subscription.notifications[-1].match_type is MatchType.CHANGE
+        assert seen[-1].match_type is MatchType.CHANGE
 
         app.update("items", 1, {"$set": {"v": 1}})
         settle(cluster, broker)
-        assert subscription.notifications[-1].match_type is MatchType.REMOVE
+        assert seen[-1].match_type is MatchType.REMOVE
         assert subscription.result() == []
 
     def test_initial_result_from_existing_data(self, broker, cluster_factory,
@@ -120,14 +122,15 @@ class TestSortedQueries:
         for key, year in [(1, 2016), (2, 2017), (3, 2018)]:
             app.insert("articles", {"_id": key, "year": year})
         settle(cluster, broker)
+        seen = Collector()
         subscription = app.subscribe("articles", {}, sort=[("year", -1)],
-                                     limit=3)
+                                     limit=3, on_change=seen)
         app.update("articles", 1, {"$set": {"year": 2030}})
         settle(cluster, broker)
         assert wait_for(
             lambda: any(
                 n.match_type is MatchType.CHANGE_INDEX
-                for n in subscription.notifications
+                for n in seen
             )
         )
         assert [d["_id"] for d in subscription.result()] == [1, 3, 2]
@@ -143,8 +146,9 @@ class TestSortedQueries:
         for index in range(10):
             app.insert("articles", {"_id": index, "year": 2000 + index})
         settle(cluster, broker)
+        seen = Collector()
         subscription = app.subscribe("articles", {}, sort=[("year", -1)],
-                                     limit=3)
+                                     limit=3, on_change=seen)
         assert [d["_id"] for d in subscription.initial.documents] == [9, 8, 7]
         # Delete enough result members to exhaust the slack of 1.
         app.delete("articles", 9)
@@ -155,7 +159,7 @@ class TestSortedQueries:
             lambda: [d["_id"] for d in subscription.result()] == [6, 5, 4],
             timeout=10.0,
         ), [d["_id"] for d in subscription.result()]
-        assert any(n.is_error for n in subscription.notifications)
+        assert any(n.is_error for n in seen)
 
 
 class TestMultiTenancy:
@@ -217,16 +221,19 @@ class TestSubscriptionLifecycle:
                                                       app_server_factory):
         cluster = cluster_factory(2, 2)
         app = app_server_factory()
-        sub_1 = app.subscribe("items", {"v": {"$gte": 0}})
-        sub_2 = app.subscribe("items", {"v": {"$gte": 0}})
+        seen_1 = Collector()
+        sub_1 = app.subscribe("items", {"v": {"$gte": 0}}, on_change=seen_1)
+        seen_2 = Collector()
+        sub_2 = app.subscribe("items", {"v": {"$gte": 0}}, on_change=seen_2)
         assert sub_1.subscription_id != sub_2.subscription_id
         app.insert("items", {"_id": 1, "v": 1})
         settle(cluster, broker)
-        assert wait_for(lambda: sub_1.change_count == 1)
-        assert wait_for(lambda: sub_2.change_count == 1)
+        assert wait_for(lambda: len(seen_1) == 1)
+        assert wait_for(lambda: len(seen_2) == 1)
+        assert sub_1.change_count == sub_2.change_count == 1
         # Notifications are tagged per subscription (footnote 2).
-        assert sub_1.notifications[0].subscription_id == sub_1.subscription_id
-        assert sub_2.notifications[0].subscription_id == sub_2.subscription_id
+        assert seen_1[0].subscription_id == sub_1.subscription_id
+        assert seen_2[0].subscription_id == sub_2.subscription_id
 
     def test_ttl_expiry_deactivates_query(self, broker, cluster_factory,
                                           app_server_factory):

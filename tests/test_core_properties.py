@@ -299,7 +299,7 @@ def drive_sorted_pages(seeds, ops, pages):
         for change in changes:
             subscription = attached[change.query_id][1]
             subscription._deliver(
-                bind_to_subscription(change, subscription.subscription_id)
+                bind_to_subscription(subscription.subscription_id, *change)
             )
         return [change.query_id for change in changes if change.is_error]
 
@@ -460,7 +460,7 @@ class TestSortingStageInvariant:
         )
         node.deactivate_query(query.query_id)
         for change in node.register_query(query, after, {}, slack=1):
-            subscription._deliver(bind_to_subscription(change, "sub-oracle"))
+            subscription._deliver(bind_to_subscription("sub-oracle", *change))
         assert subscription.result() == after
 
 
@@ -501,7 +501,7 @@ class TestWindowDiffer:
         changes = diff_windows(query.query_id, before, after,
                                positional=positional, timestamp=1.0)
         for change in changes:
-            subscription._deliver(bind_to_subscription(change, "sub-differ"))
+            subscription._deliver(bind_to_subscription("sub-differ", *change))
         expected = [document for _, document in after]
         if positional:
             assert subscription.result() == expected

@@ -18,7 +18,7 @@ from repro.core.cluster import InvaliDBCluster
 from repro.core.config import InvaliDBConfig
 from repro.core.server import AppServer
 
-from tests.conftest import settle
+from tests.conftest import Collector, settle
 
 
 def wait_for(predicate, timeout=5.0):
@@ -41,9 +41,11 @@ class TestMechanismEquivalence:
 
         invalidb_sub = app.subscribe("events", filter_doc)
         poll = PollAndDiffProvider(collection)
-        poll_sub = poll.subscribe(filter_doc)
+        poll_seen = Collector()
+        poll_sub = poll.subscribe(filter_doc, on_change=poll_seen)
         tail = LogTailingProvider(collection)
-        tail_sub = tail.subscribe(filter_doc)
+        tail_seen = Collector()
+        tail_sub = tail.subscribe(filter_doc, on_change=tail_seen)
 
         rng = random.Random(99)
         live = set()
@@ -69,9 +71,9 @@ class TestMechanismEquivalence:
 
         # Log tailing and InvaliDB maintain state push-style; poll-and-
         # diff reconstructs from initial + diffs.
-        def materialize(subscription):
+        def materialize(subscription, seen):
             state = {d["_id"] for d in subscription.initial_result}
-            for notification in subscription.notifications:
+            for notification in seen:
                 if notification.match_type.value == "remove":
                     state.discard(notification.key)
                 elif notification.document is not None:
@@ -81,8 +83,8 @@ class TestMechanismEquivalence:
         assert wait_for(
             lambda: {d["_id"] for d in invalidb_sub.result()} == truth
         )
-        assert materialize(poll_sub) == truth
-        assert materialize(tail_sub) == truth
+        assert materialize(poll_sub, poll_seen) == truth
+        assert materialize(tail_sub, tail_seen) == truth
         poll.close()
         tail.close()
 

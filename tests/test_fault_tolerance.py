@@ -27,6 +27,8 @@ from repro.runtime.execution import (
 from repro.runtime.faults import FaultPlan
 from repro.types import MatchType
 
+from tests.conftest import Collector
+
 
 @pytest.fixture
 def inline_broker():
@@ -97,16 +99,18 @@ class TestRecovery:
             for index in range(6):
                 app.insert("articles", {"_id": index, "year": 2000 + index})
             assert broker.drain()
-            flat = app.subscribe("articles", {"year": {"$gte": 2003}})
+            flat_seen, sorted_seen = Collector(), Collector()
+            app.subscribe("articles", {"year": {"$gte": 2003}},
+                          on_change=flat_seen)
             sorted_sub = app.subscribe("articles", {}, sort=[("year", -1)],
-                                       limit=3)
+                                       limit=3, on_change=sorted_seen)
             assert broker.drain()
             first.stop()
 
             # Writes during the outage are missed by the push path...
             app.insert("articles", {"_id": 100, "year": 2050})
             assert broker.drain()
-            assert not any(n.key == 100 for n in sorted_sub.notifications)
+            assert not any(n.key == 100 for n in sorted_seen)
 
             # ...until a fresh cluster comes up and the client
             # re-subscribes.
@@ -117,12 +121,12 @@ class TestRecovery:
                 # The sorted subscription received the catch-up delta:
                 # the 2050 article entered its window during
                 # re-registration.
-                assert any(n.key == 100 for n in sorted_sub.notifications)
+                assert any(n.key == 100 for n in sorted_seen)
                 # New writes flow again for both subscriptions.
                 app.insert("articles", {"_id": 101, "year": 2060})
                 assert broker.drain()
-                assert any(n.key == 101 for n in flat.notifications)
-                assert any(n.key == 101 for n in sorted_sub.notifications)
+                assert any(n.key == 101 for n in flat_seen)
+                assert any(n.key == 101 for n in sorted_seen)
                 assert [d["_id"] for d in sorted_sub.result()] == [
                     101, 100, 5
                 ]
@@ -153,7 +157,9 @@ class TestRecovery:
             for key, score in (("x", 1), ("a", 2), ("b", 3)):
                 app.insert("items", {"_id": key, "score": score})
             assert broker.drain()
-            sub = app.subscribe("items", {}, sort=[("score", 1)], limit=3)
+            seen = Collector()
+            sub = app.subscribe("items", {}, sort=[("score", 1)], limit=3,
+                                on_change=seen)
             assert broker.drain()
             assert _ids(sub.result()) == ["x", "a", "b"]
             first.stop()
@@ -170,7 +176,7 @@ class TestRecovery:
                 _ids(sub.result()),
                 _ids(app.find("items", {}, sort=[("score", 1)], limit=3)),
                 [(n.match_type, n.key, n.index, n.old_index)
-                 for n in sub.notifications],
+                 for n in seen],
             )
         finally:
             app.close()
@@ -205,7 +211,8 @@ class TestRecovery:
         first = InvaliDBCluster(broker, config).start()
         app = AppServer("hb-app", broker, config=config)
         try:
-            subscription = app.subscribe("items", {"v": {"$gte": 0}})
+            seen = Collector()
+            app.subscribe("items", {"v": {"$gte": 0}}, on_change=seen)
             assert first.publish_heartbeat() >= 1
             assert app.client.last_heartbeat is not None
             first.stop()
@@ -213,7 +220,7 @@ class TestRecovery:
             assert not app.client.check_heartbeat(
                 now=app.client.last_heartbeat + 5.0
             )
-            assert subscription.notifications[-1].is_error
+            assert seen[-1].is_error
         finally:
             app.close()
             first.stop()
@@ -240,7 +247,9 @@ class TestThreadedRecovery:
         try:
             for key, score in (("x", 1), ("a", 2), ("b", 3)):
                 app.insert("items", {"_id": key, "score": score})
-            sub = app.subscribe("items", {}, sort=[("score", 1)], limit=3)
+            seen = Collector()
+            sub = app.subscribe("items", {}, sort=[("score", 1)], limit=3,
+                                on_change=seen)
             assert broker.drain(timeout=10.0)
             assert _ids(sub.result()) == ["x", "a", "b"]
 
@@ -257,7 +266,7 @@ class TestThreadedRecovery:
             assert _ids(expected) == ["a", "b", "x"]
             assert sub.result() == expected
             # Both deltas arrived: the client's own and the cluster's.
-            moves = [n for n in sub.notifications
+            moves = [n for n in seen
                      if n.match_type is MatchType.CHANGE_INDEX]
             assert len(moves) == 2 * 3
         finally:

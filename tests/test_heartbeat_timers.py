@@ -32,6 +32,8 @@ from repro.runtime.execution import (
 from repro.runtime.faults import FaultPlan
 from repro.types import MatchType
 
+from tests.conftest import Collector
+
 INTERVAL = 0.5
 TIMEOUT = 2.0
 QUERIES = (
@@ -41,9 +43,9 @@ QUERIES = (
 )
 
 
-def errors_of(handle):
-    return [n for n in handle.notifications
-            if n.match_type is MatchType.ERROR]
+def errors_of(seen):
+    """The error notifications an ``on_change`` collector received."""
+    return [n for n in seen if n.match_type is MatchType.ERROR]
 
 
 def wait_for(condition, seconds=5.0):
@@ -75,8 +77,12 @@ class InlineStack:
         self.app = AppServer("app", self.broker, config=InvaliDBConfig(**config))
 
     def subscribe_all(self):
-        return [self.app.subscribe("items", dict(flt), sort=sort, limit=limit)
-                for flt, sort, limit in QUERIES]
+        """One handle per query, and the collector of each."""
+        seen = [Collector() for _ in QUERIES]
+        handles = [self.app.subscribe("items", dict(flt), sort=sort,
+                                      limit=limit, on_change=collector)
+                   for (flt, sort, limit), collector in zip(QUERIES, seen)]
+        return handles, seen
 
     def close(self):
         self.app.close()
@@ -94,26 +100,26 @@ def test_inline_heartbeat_outage_errors_every_handle_once(seed, skew):
     try:
         for key in range(6):
             app.insert("items", {"_id": key, "v": key})
-        handles = stack.subscribe_all()
+        handles, seen = stack.subscribe_all()
         assert stack.broker.drain()
         model.advance(3 * TIMEOUT)  # heartbeats flowing: healthy
         assert app.client.last_heartbeat == model.virtual_now
-        assert not any(errors_of(handle) for handle in handles)
+        assert not any(errors_of(collector) for collector in seen)
         # Outage: the cluster keeps heartbeating, nothing arrives.
         stack.faults.arm()
         app.update("items", 4, {"$set": {"v": 0}})
         app.insert("items", {"_id": 9, "v": 9})
         app.delete("items", 5)
         model.advance(TIMEOUT)  # silent for exactly the timeout: patience
-        assert not any(errors_of(handle) for handle in handles)
+        assert not any(errors_of(collector) for collector in seen)
         # The next check (one interval later) sees the silence.
         model.advance(INTERVAL)
-        for handle in handles:
-            assert len(errors_of(handle)) == 1
-            assert "heartbeat" in errors_of(handle)[0].error
+        for handle, collector in zip(handles, seen):
+            assert len(errors_of(collector)) == 1
+            assert "heartbeat" in errors_of(collector)[0].error
             assert handle.closed
         model.advance(3 * TIMEOUT)  # later checks do not repeat it
-        assert all(len(errors_of(handle)) == 1 for handle in handles)
+        assert all(len(errors_of(collector)) == 1 for collector in seen)
         # The fault clears: resubscribing converges every handle.
         stack.faults.disarm()
         assert app.client.resubscribe_all() == 2
@@ -135,13 +141,14 @@ def test_threaded_heartbeat_freshness_ignores_cluster_clock_skew(skew):
         **timing, clock=lambda: time.time() + skew)).start()
     app = AppServer("app", broker, config=InvaliDBConfig(**timing))
     try:
-        handle = app.subscribe("items", {"v": 1})
+        seen = Collector()
+        handle = app.subscribe("items", {"v": 1}, on_change=seen)
         assert wait_for(lambda: app.client.last_heartbeat is not None)
         time.sleep(1.0)  # two timeouts of healthy heartbeats
-        assert not errors_of(handle)
+        assert not errors_of(seen)
         cluster.stop()
         assert wait_for(lambda: handle.closed)
-        assert len(errors_of(handle)) == 1
+        assert len(errors_of(seen)) == 1
     finally:
         app.close()
         cluster.stop()
@@ -159,13 +166,16 @@ def test_threaded_heartbeat_loss_errors_handles_unprompted():
     cluster = InvaliDBCluster(broker, config).start()
     app = AppServer("app", broker, config=config)
     try:
-        handles = [app.subscribe("items", {"v": {"$gte": 0}}),
-                   app.subscribe("items", {}, sort=[("v", 1)], limit=2)]
+        seen = [Collector(), Collector()]
+        handles = [app.subscribe("items", {"v": {"$gte": 0}},
+                                 on_change=seen[0]),
+                   app.subscribe("items", {}, sort=[("v", 1)], limit=2,
+                                 on_change=seen[1])]
         assert wait_for(lambda: app.client.last_heartbeat is not None)
         cluster.stop()
         assert wait_for(lambda: all(handle.closed for handle in handles))
-        for handle in handles:
-            (error,) = errors_of(handle)
+        for collector in seen:
+            (error,) = errors_of(collector)
             assert "heartbeat" in error.error
     finally:
         app.close()

@@ -59,6 +59,7 @@ from repro.runtime.faults import FaultPlan
 from repro.store.database import Database
 from repro.types import ChangeNotification, MatchType
 
+from tests.conftest import Collector
 from tests.test_chaos import SteppingClock
 from tests.test_wire_serialization import json_roundtrip
 
@@ -131,7 +132,7 @@ def per_change_reference(changes, subscribers):
     for change in changes:
         for app_server in subscribers[change.query_id]:
             received[app_server].append(
-                bind_to_subscription(change, f"sub-{app_server}")
+                bind_to_subscription(f"sub-{app_server}", *change)
             )
     return received
 
@@ -316,16 +317,19 @@ class TestRowDelivery:
             }
             # Delivery only: an error row's renewal would need a database.
             client._handle_maintenance_error = lambda query_id: None
+            seen = {sid: Collector() for sids in subscription_ids.values()
+                    for sid in sids}
             for query_id, sids in subscription_ids.items():
                 entry = client._entries[query_id] = _QueryEntry(Query({}), 0)
-                entry.handles = tuple(RealTimeSubscription(sid, Query({}))
-                                      for sid in sids)
+                entry.handles = tuple(
+                    RealTimeSubscription(sid, Query({}), on_change=seen[sid])
+                    for sid in sids)
             expected = reference_deliveries(
                 json_roundtrip(payload), subscription_ids, client.telemetry)
             client._on_changes(json_roundtrip(payload))
             for entry in client._entries.values():
                 for handle in entry.handles:
-                    got = handle.notifications
+                    got = seen[handle.subscription_id]
                     want = expected[handle.subscription_id]
                     assert got == want
                     # ``trace`` is compare=False: check it on its own.
@@ -359,10 +363,11 @@ def deliver_per_change(cluster):
     cluster._deliver_changes = deliver
 
 
-def transcript(subscription):
+def transcript(seen):
+    """What a subscription saw, from its ``on_change`` collector."""
     return [
         (n.match_type, n.key, n.version, n.document, n.index)
-        for n in subscription.notifications
+        for n in seen
     ]
 
 
@@ -383,14 +388,20 @@ def run_scenario(seed, plan=None, per_change=False, resubscribe=False):
         deliver_per_change(cluster)
     writer = AppServer("writer", broker, config=config)
     reader = AppServer("reader", broker, config=config)
+    seen = {name: Collector()
+            for name in ("low", "mid", "even", "top", "shared")}
     try:
         subscriptions = {
-            "low": writer.subscribe("items", {"v": {"$gte": 0}}),
-            "mid": writer.subscribe("items", {"v": {"$gte": 20}}),
-            "even": writer.subscribe("items", {"v": {"$mod": [2, 0]}}),
+            "low": writer.subscribe("items", {"v": {"$gte": 0}},
+                                    on_change=seen["low"]),
+            "mid": writer.subscribe("items", {"v": {"$gte": 20}},
+                                    on_change=seen["mid"]),
+            "even": writer.subscribe("items", {"v": {"$mod": [2, 0]}},
+                                     on_change=seen["even"]),
             "top": writer.subscribe("items", {}, sort=[("v", -1)],
-                                    limit=5),
-            "shared": reader.subscribe("items", {"v": {"$gte": 0}}),
+                                    limit=5, on_change=seen["top"]),
+            "shared": reader.subscribe("items", {"v": {"$gte": 0}},
+                                       on_change=seen["shared"]),
         }
         assert broker.drain()
         for i in range(30):
@@ -407,8 +418,8 @@ def run_scenario(seed, plan=None, per_change=False, resubscribe=False):
             writer.client.resubscribe_all()
             assert broker.drain()
         return {
-            "transcripts": {name: transcript(subscription)
-                            for name, subscription in subscriptions.items()},
+            "transcripts": {name: transcript(seen[name])
+                            for name in subscriptions},
             "results": {name: subscription.result()
                         for name, subscription in subscriptions.items()},
             "find": {
@@ -479,10 +490,12 @@ def run_codec_scenario(seed, codec=None):
         "shared": (reader, {"v": {"$gte": 20}}, [], None, 0),
         "tagged": (reader, {"tags": "hot"}, [], None, 0),
     }
+    seen = {name: Collector() for name in queries}
     try:
         handles = {
             name: app.subscribe("items", filter_doc, sort=sort or None,
-                                limit=limit, offset=offset)
+                                limit=limit, offset=offset,
+                                on_change=seen[name])
             for name, (app, filter_doc, sort, limit, offset)
             in queries.items()
         }
@@ -503,8 +516,8 @@ def run_codec_scenario(seed, codec=None):
             in queries.items()
         }
         return {
-            "transcripts": {name: transcript(handle)
-                            for name, handle in handles.items()},
+            "transcripts": {name: transcript(seen[name])
+                            for name in handles},
             "results": {name: handle.result()
                         for name, handle in handles.items()},
             "find": find,
@@ -582,10 +595,12 @@ class TestNotifyChannelIsolation:
         app_b = AppServer("app-b", broker, database=database, config=config)
         try:
             filter_doc = {"v": {"$gte": 0}}
-            on_a = app_a.subscribe("items", filter_doc, sort=sort,
-                                   limit=limit)
+            seen_a, seen_b = Collector(), Collector()
+            app_a.subscribe("items", filter_doc, sort=sort, limit=limit,
+                            on_change=seen_a)
             on_b = app_b.client.subscribe(filter_doc, collection="items",
-                                          sort=sort, limit=limit)
+                                          sort=sort, limit=limit,
+                                          on_change=seen_b)
             assert broker.drain()
             app_a.insert("items", {"_id": 1, "v": 5})
             assert broker.drain()
@@ -593,8 +608,8 @@ class TestNotifyChannelIsolation:
                 filter_doc, sort=sort, limit=limit)
             assert find == [{"_id": 1, "v": 5}]
             assert on_b.result() == find
-            assert [n.key for n in on_b.notifications] == [1]
-            assert on_a.notifications == []
+            assert [n.key for n in seen_b] == [1]
+            assert seen_a == []
             # app-a's envelope held one row; app-b's went out.
             assert cluster.notifications_failed == 1
             assert cluster.notifications_sent == 1
@@ -750,21 +765,24 @@ class TestCallbackIsolation:
     def test_raising_on_change_costs_only_its_own_handle(self):
         model, broker, cluster, app = self.build()
         try:
+            first_seen, twin_seen, other_seen = (
+                Collector(), Collector(), Collector())
+
             def boom(notification):
+                first_seen(notification)
                 raise RuntimeError("user bug")
 
-            first = app.subscribe("items", {"v": {"$gte": 0}},
-                                  on_change=boom)
-            twin = app.subscribe("items", {"v": {"$gte": 0}})
-            other = app.subscribe("items", {"v": {"$gte": 1}})
+            app.subscribe("items", {"v": {"$gte": 0}}, on_change=boom)
+            app.subscribe("items", {"v": {"$gte": 0}}, on_change=twin_seen)
+            app.subscribe("items", {"v": {"$gte": 1}}, on_change=other_seen)
             assert broker.drain()
             # One write, one dispatch batch, one envelope: a row for
             # the twins' query and a row for the other query.
             app.insert("items", {"_id": 1, "v": 5})
             assert broker.drain()
-            assert [n.key for n in first.notifications] == [1]
-            assert [n.key for n in twin.notifications] == [1]
-            assert [n.key for n in other.notifications] == [1]
+            assert [n.key for n in first_seen] == [1]
+            assert [n.key for n in twin_seen] == [1]
+            assert [n.key for n in other_seen] == [1]
             assert app.client.stats()["callback_errors"] == 1
             assert broker.stats["listener_errors"] == 0
         finally:

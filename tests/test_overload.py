@@ -49,6 +49,8 @@ from repro.runtime.execution import (
 )
 from repro.runtime.faults import FaultPlan
 
+from tests.conftest import Collector
+
 
 # ----------------------------------------------------------------------
 # Unit: the AIMD admission governor
@@ -307,7 +309,8 @@ def run_workload(writes, seed=0, plan=None, resubscribe=False,
     cluster = InvaliDBCluster(broker, config).start()
     app = AppServer("ol-app", broker, config=config)
     try:
-        flat = app.subscribe("items", {"v": {"$gte": 0}})
+        flat_seen = Collector()
+        flat = app.subscribe("items", {"v": {"$gte": 0}}, on_change=flat_seen)
         top = app.subscribe("items", {}, sort=[("v", -1)], limit=5)
         assert broker.drain()
         for op, key, value in writes:
@@ -346,7 +349,7 @@ def run_workload(writes, seed=0, plan=None, resubscribe=False,
             "transcript": [
                 (n.match_type.value, n.key, n.version,
                  json.dumps(n.document, sort_keys=True, default=str))
-                for n in flat.notifications
+                for n in flat_seen
             ],
             "health": snapshot.get("health"),
             "client": app.client.stats(),

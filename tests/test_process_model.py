@@ -30,7 +30,7 @@ from repro.obs.export import to_json, to_prometheus
 from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
 from repro.runtime.process import RemoteCellError, WorkerPool, _Worker
 from repro.types import MatchType
-from tests.conftest import worker_leftovers
+from tests.conftest import Collector, worker_leftovers
 
 pytestmark = pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(socket, "AF_UNIX")),
@@ -63,14 +63,15 @@ def apply_workload(app):
         app.delete("items", i)
 
 
-def transcript(subscription):
-    """Timestamp-free transcript of everything a subscription saw."""
+def transcript(seen):
+    """Timestamp-free transcript of everything a subscription saw, from
+    its ``on_change`` collector."""
     return [
         (
             n.match_type.value, n.key, n.version, n.index, n.old_index,
             json.dumps(n.document, sort_keys=True, default=str),
         )
-        for n in subscription.notifications
+        for n in seen
     ]
 
 
@@ -104,7 +105,9 @@ def run_scenario(**config_kwargs):
     cluster = InvaliDBCluster(broker, config).start()
     app = AppServer("equivalence-app", broker, config=config)
     try:
-        flat = app.subscribe("items", {"v": {"$gte": 0}})
+        flat_seen = Collector()
+        flat = app.subscribe("items", {"v": {"$gte": 0}},
+                             on_change=flat_seen)
         top = app.subscribe("items", {}, sort=[("v", -1)], limit=5)
         settle(cluster, broker)
         apply_workload(app)
@@ -126,7 +129,7 @@ def run_scenario(**config_kwargs):
                 app.find("items", {}, sort=[("v", -1)], limit=5),
                 sort_keys=True,
             ),
-            "flat_transcript": transcript(flat),
+            "flat_transcript": transcript(flat_seen),
         }
     finally:
         app.close()
@@ -144,25 +147,27 @@ class TestProcessModelBasics:
         cluster = InvaliDBCluster(broker, config).start()
         app = AppServer("app-1", broker)
         try:
-            sub = app.subscribe("items", {"v": {"$gte": 10}})
+            seen = Collector()
+            sub = app.subscribe("items", {"v": {"$gte": 10}},
+                                on_change=seen)
             assert sub.initial.documents == []
 
             app.insert("items", {"_id": 1, "v": 15})
             app.insert("items", {"_id": 2, "v": 5})
             settle(cluster, broker)
-            assert wait_for(lambda: len(sub.notifications) == 1)
-            assert sub.notifications[0].match_type is MatchType.ADD
+            assert wait_for(lambda: len(seen) == 1)
+            assert seen[0].match_type is MatchType.ADD
 
             app.update("items", 1, {"$set": {"v": 20}})
             settle(cluster, broker)
             assert wait_for(
-                lambda: sub.notifications[-1].match_type is MatchType.CHANGE
+                lambda: seen[-1].match_type is MatchType.CHANGE
             )
 
             app.update("items", 1, {"$set": {"v": 1}})
             settle(cluster, broker)
             assert wait_for(
-                lambda: sub.notifications[-1].match_type is MatchType.REMOVE
+                lambda: seen[-1].match_type is MatchType.REMOVE
             )
             assert sub.result() == []
             # Default config: every worker-hosted cell matched via its DAG.

@@ -28,6 +28,8 @@ from repro.event.channels import QUERY_PREFIX, query_channel
 from repro.query.engine import Query
 from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
 
+from tests.conftest import Collector
+
 
 def inline_stack(delay_fn=None, query_partitions=2, write_partitions=2,
                  retention_seconds=10.0, seed=7):
@@ -123,14 +125,16 @@ class TestWriteQueryRace:
         model, broker, cluster, app = inline_stack()
         try:
             app.insert("items", {"_id": 1, "v": 50})
-            subscription = app.subscribe("items", {"v": {"$gte": 10}})
+            seen = Collector()
+            subscription = app.subscribe("items", {"v": {"$gte": 10}},
+                                         on_change=seen)
             # The write committed before the pull-based query: it must be
             # in the initial result and NOT produce a duplicate add
             # (staleness avoidance via version comparison).
             assert [d["_id"] for d in subscription.initial.documents] == [1]
             assert broker.drain()
             assert cluster.drain()
-            adds = [n for n in subscription.notifications
+            adds = [n for n in seen
                     if n.match_type.value == "add" and n.key == 1]
             assert adds == []
         finally:
@@ -154,7 +158,8 @@ class TestWriteQueryRace:
             assert broker.drain()
             # Hand-craft a STALE subscription: bootstrap still holds v1.
             query = Query({"v": {"$gte": 10}}, collection="items")
-            subscription = app.subscribe("items", {"v": {"$gte": 10}})
+            seen = Collector()
+            app.subscribe("items", {"v": {"$gte": 10}}, on_change=seen)
             # (subscribe() reads the current DB, which is already empty,
             # so emulate the stale bootstrap through the wire directly.)
             broker.publish(query_channel("default"), {
@@ -171,7 +176,7 @@ class TestWriteQueryRace:
             assert cluster.drain()
             assert any(
                 n.match_type.value == "remove"
-                for n in subscription.notifications
+                for n in seen
             )
             node = cluster.filtering_node(0, 0)
             assert node.result_partition(query.query_id) == []

@@ -259,7 +259,8 @@ class TestResubscribeEmitsNoDeletedAdds:
             with client._lock:
                 handles = [h for entry in client._entries.values()
                            for h in entry.handles]
-            marks.extend((h, len(h.notifications)) for h in handles)
+            # The scenario's handles deliver into Collectors.
+            marks.extend((h._on_change, len(h._on_change)) for h in handles)
             return resubscribe_all(client)
 
         monkeypatch.setattr(InvaliDBClient, "resubscribe_all", marked)
@@ -268,8 +269,8 @@ class TestResubscribeEmitsNoDeletedAdds:
         assert marks
         phantom = [
             (n.key, n.version)
-            for handle, start in marks
-            for n in handle.notifications[start:]
+            for seen, start in marks
+            for n in seen[start:]
             if n.match_type is MatchType.ADD and n.key not in held
         ]
         assert phantom == []

@@ -22,6 +22,8 @@ from repro.event.broker import Broker
 from repro.event.channels import write_channel
 from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
 
+from tests.conftest import Collector
+
 
 class SteppingClock:
     def __init__(self, start: float = 1000.0, step: float = 0.001):
@@ -83,8 +85,11 @@ def test_replaying_any_suffix_of_retained_writes_is_inert(
         write_channel(), lambda channel, payload: published.append(
             dict(payload)))
     try:
-        flat = app.subscribe("items", {"v": {"$gte": 0}})
-        top = app.subscribe("items", {}, sort=[("v", -1)], limit=3)
+        flat_seen = Collector()
+        flat = app.subscribe("items", {"v": {"$gte": 0}}, on_change=flat_seen)
+        top_seen = Collector()
+        top = app.subscribe("items", {}, sort=[("v", -1)], limit=3,
+                            on_change=top_seen)
         assert broker.drain()
         live = set()
         for step, (key, op) in enumerate(ops):
@@ -95,7 +100,7 @@ def test_replaying_any_suffix_of_retained_writes_is_inert(
         before_flat = json.dumps(flat.result(), sort_keys=True)
         before_top = json.dumps(top.result(), sort_keys=True)
         notifications_before = (
-            len(flat.notifications), len(top.notifications)
+            len(flat_seen), len(top_seen)
         )
 
         # Simulated reconnect: the event layer redelivers an arbitrary
@@ -108,8 +113,8 @@ def test_replaying_any_suffix_of_retained_writes_is_inert(
         # after-images are all stale by version.
         assert json.dumps(flat.result(), sort_keys=True) == before_flat
         assert json.dumps(top.result(), sort_keys=True) == before_top
-        assert (len(flat.notifications),
-                len(top.notifications)) == notifications_before
+        assert (len(flat_seen),
+                len(top_seen)) == notifications_before
         # Materialized orders contain each key at most once.
         for handle in (flat, top):
             assert len(handle._order) == len(set(handle._order))
@@ -133,14 +138,15 @@ def test_client_version_gate_never_regresses(ops):
     cluster = InvaliDBCluster(broker, config).start()
     app = AppServer("prop-app", broker, config=config)
     try:
-        flat = app.subscribe("items", {"v": {"$gte": 0}})
+        flat_seen = Collector()
+        app.subscribe("items", {"v": {"$gte": 0}}, on_change=flat_seen)
         assert broker.drain()
         live = set()
         for step, (key, op) in enumerate(ops):
             apply_operation(app, live, step, key, op)
         assert broker.drain()
         seen = {}
-        for notification in flat.notifications:
+        for notification in flat_seen:
             if not notification.version:
                 continue
             assert notification.version >= seen.get(notification.key, 0)

@@ -15,7 +15,7 @@ from repro.core.client import InvaliDBClient
 from repro.core.config import InvaliDBConfig
 from repro.store.sharding import ShardedCollection
 
-from tests.conftest import settle
+from tests.conftest import Collector, settle
 
 
 def wait_for(predicate, timeout=5.0):
@@ -51,14 +51,18 @@ class TestShardedBackend:
 
     def test_writes_from_any_shard_notify(self, broker, sharded_stack):
         cluster, sharded, client = sharded_stack
+        seen = Collector()
         subscription = client.subscribe({"v": {"$gte": 100}},
-                                        collection="items")
+                                        collection="items", on_change=seen)
         # Keys chosen so several storage shards are hit.
         for key in ("alpha", "beta", "gamma", "delta", 42, 77):
             sharded.insert({"_id": key, "v": 150})
         settle(cluster, broker)
-        assert wait_for(lambda: subscription.change_count == 6)
-        assert {n.key for n in subscription.notifications} == {
+        # on_change runs after the handle counts the change: wait on
+        # what is read.
+        assert wait_for(lambda: len(seen) == 6)
+        assert subscription.change_count == 6
+        assert {n.key for n in seen} == {
             "alpha", "beta", "gamma", "delta", 42, 77,
         }
 

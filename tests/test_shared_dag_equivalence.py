@@ -33,7 +33,7 @@ from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
 from repro.runtime.faults import FaultPlan
 from repro.types import AfterImage, MatchType, WriteKind
 
-from tests.conftest import settle
+from tests.conftest import Collector, settle
 from tests.test_sorting_equivalence import (
     _apply_cluster_op,
     _notification_fingerprint as _fingerprint,
@@ -307,11 +307,15 @@ def _run_inline_cluster(ops, plan=None):
         assert broker.drain()
         # Same filter+sort, different geometry: the DAG shares their
         # identical predicate tree.
+        top_seen, paged_seen, flat_seen = (
+            Collector(), Collector(), Collector())
         top = app.subscribe("items", {"v": {"$gte": 0}},
-                            sort=[("v", -1)], limit=3)
+                            sort=[("v", -1)], limit=3, on_change=top_seen)
         paged = app.subscribe("items", {"v": {"$gte": 0}},
-                              sort=[("v", -1)], limit=2, offset=1)
-        flat = app.subscribe("items", {"v": {"$gte": 10}})
+                              sort=[("v", -1)], limit=2, offset=1,
+                              on_change=paged_seen)
+        flat = app.subscribe("items", {"v": {"$gte": 10}},
+                             on_change=flat_seen)
         assert broker.drain()
         mid = half + max(1, (len(ops) - half) // 2)
         for key, op, value in ops[half:mid]:
@@ -327,7 +331,8 @@ def _run_inline_cluster(ops, plan=None):
             assert broker.drain()
         return (
             [d["_id"] for d in (top.initial.documents or [])],
-            _fingerprint(top), _fingerprint(paged), _fingerprint(flat),
+            _fingerprint(top_seen), _fingerprint(paged_seen),
+            _fingerprint(flat_seen),
             json.dumps(top.result(), sort_keys=True),
             json.dumps(flat.result(), sort_keys=True),
             cluster.queries_renewed,

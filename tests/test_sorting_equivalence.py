@@ -24,7 +24,7 @@ from repro.event.broker import Broker
 from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
 from repro.types import MatchType
 
-from tests.conftest import settle
+from tests.conftest import Collector, settle
 
 
 # ----------------------------------------------------------------------
@@ -58,11 +58,11 @@ def _apply_cluster_op(app, live, key, op, value):
             live.discard(key)
 
 
-def _notification_fingerprint(subscription):
+def _notification_fingerprint(seen):
     return [
         (n.match_type, n.key, json.dumps(n.document, sort_keys=True),
          n.index, n.old_index, n.error)
-        for n in subscription.notifications
+        for n in seen
     ]
 
 
@@ -84,16 +84,19 @@ def _run_inline_cluster(ops, coalescing):
         for key, op, value in ops[:half]:
             _apply_cluster_op(app, live, key, op, value)
         assert broker.drain()
-        top = app.subscribe("items", {}, sort=[("v", -1)], limit=3)
-        flat = app.subscribe("items", {"v": {"$gte": 10}})
+        top_seen, flat_seen = Collector(), Collector()
+        top = app.subscribe("items", {}, sort=[("v", -1)], limit=3,
+                            on_change=top_seen)
+        flat = app.subscribe("items", {"v": {"$gte": 10}},
+                             on_change=flat_seen)
         assert broker.drain()
         for key, op, value in ops[half:]:
             _apply_cluster_op(app, live, key, op, value)
         assert broker.drain()
         return (
             [d["_id"] for d in (top.initial.documents or [])],
-            _notification_fingerprint(top),
-            _notification_fingerprint(flat),
+            _notification_fingerprint(top_seen),
+            _notification_fingerprint(flat_seen),
             json.dumps(top.result(), sort_keys=True),
             json.dumps(flat.result(), sort_keys=True),
             list(top.errors),

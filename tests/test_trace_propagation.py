@@ -41,6 +41,8 @@ from repro.runtime.execution import (
 )
 from repro.runtime.faults import FaultPlan
 
+from tests.conftest import Collector
+
 
 class SteppingClock:
     def __init__(self, start: float = 1000.0, step: float = 0.001):
@@ -81,14 +83,15 @@ def assert_valid_trace(notification, slack: float = 0.0) -> None:
         previous_end = end
 
 
-def assert_all_traced(*subscriptions, slack: float = 0.0,
+def assert_all_traced(*collectors, slack: float = 0.0,
                       resynced: int = 0) -> int:
-    """Every notification is fully traced; after a resync (*resynced*
-    queries), the client's own catch-up rows — untraced, unversioned —
-    are the only exception.  Returns the traced count."""
+    """Every notification the ``on_change`` *collectors* received is
+    fully traced; after a resync (*resynced* queries), the client's own
+    catch-up rows — untraced, unversioned — are the only exception.
+    Returns the traced count."""
     checked = 0
-    for subscription in subscriptions:
-        for notification in subscription.notifications:
+    for seen in collectors:
+        for notification in seen:
             if resynced and notification.trace is None:
                 assert notification.version == 0, \
                     f"untraced pipeline notification {notification}"
@@ -170,13 +173,16 @@ def test_inline_notifications_carry_complete_span_chains(ops, crash_at):
     cluster = InvaliDBCluster(broker, config).start()
     app = AppServer("trace-prop", broker, config=config)
     try:
-        flat = app.subscribe("items", {"v": {"$gte": 0}})
-        top = app.subscribe("items", {}, sort=[("v", -1)], limit=3)
+        flat_seen = Collector()
+        flat = app.subscribe("items", {"v": {"$gte": 0}}, on_change=flat_seen)
+        top_seen = Collector()
+        top = app.subscribe("items", {}, sort=[("v", -1)], limit=3,
+                            on_change=top_seen)
         assert broker.drain()
         run_workload(app, ops)
         assert broker.drain()
         snap = cluster.snapshot()
-        assert_all_traced(flat, top,
+        assert_all_traced(flat_seen, top_seen,
                           resynced=snap["supervisor"]["resynced_queries"])
         # Small workloads may end before the scripted crash point is
         # reached; when the crash did fire, recovery must have run.
@@ -203,8 +209,11 @@ def test_threaded_notifications_carry_complete_span_chains():
     cluster = InvaliDBCluster(broker, config).start()
     app = AppServer("trace-threaded", broker, config=config)
     try:
-        flat = app.subscribe("items", {"v": {"$gte": 0}})
-        top = app.subscribe("items", {}, sort=[("v", -1)], limit=5)
+        flat_seen = Collector()
+        flat = app.subscribe("items", {"v": {"$gte": 0}}, on_change=flat_seen)
+        top_seen = Collector()
+        top = app.subscribe("items", {}, sort=[("v", -1)], limit=5,
+                            on_change=top_seen)
         assert broker.drain(timeout=10.0)
         for i in range(40):
             app.insert("items", {"_id": i, "v": i})
@@ -213,7 +222,7 @@ def test_threaded_notifications_carry_complete_span_chains():
         for i in range(0, 40, 5):
             app.delete("items", i)
         assert broker.drain(timeout=10.0)
-        assert assert_all_traced(flat, top) >= 40
+        assert assert_all_traced(flat_seen, top_seen) >= 40
     finally:
         app.close()
         cluster.stop()
@@ -239,7 +248,8 @@ def test_threaded_crash_recovery_keeps_notifications_traced():
     cluster = InvaliDBCluster(broker, config).start()
     app = AppServer("trace-crash", broker, config=config)
     try:
-        flat = app.subscribe("items", FLAT)
+        flat_seen = Collector()
+        flat = app.subscribe("items", FLAT, on_change=flat_seen)
         assert broker.drain(timeout=10.0)
         for i in range(20):
             app.insert("items", {"_id": i, "v": i})
@@ -255,8 +265,8 @@ def test_threaded_crash_recovery_keeps_notifications_traced():
         snap = cluster.snapshot()
         assert snap["supervisor"]["restarts"] >= 1
         assert snap["supervisor"]["resynced_queries"] >= 1
-        assert_all_traced(flat, resynced=1)
-        live = [n for n in flat.notifications if n.key >= 20]
+        assert_all_traced(flat_seen, resynced=1)
+        live = [n for n in flat_seen if n.key >= 20]
         assert sorted(n.key for n in live) == list(range(20, 40))
         assert all("filter" in span_names(n.trace) for n in live)
         assert by_id(flat.result()) == by_id(app.find("items", FLAT))
@@ -279,8 +289,11 @@ def transcript_bytes(seed: int) -> bytes:
     cluster = InvaliDBCluster(broker, config).start()
     app = AppServer("transcript", broker, config=config)
     try:
-        flat = app.subscribe("items", {"v": {"$gte": 0}})
-        top = app.subscribe("items", {}, sort=[("v", -1)], limit=5)
+        flat_seen = Collector()
+        flat = app.subscribe("items", {"v": {"$gte": 0}}, on_change=flat_seen)
+        top_seen = Collector()
+        top = app.subscribe("items", {}, sort=[("v", -1)], limit=5,
+                            on_change=top_seen)
         assert broker.drain()
         for i in range(40):
             app.insert("items", {"_id": i, "v": (i * 7) % 23})
@@ -289,7 +302,7 @@ def transcript_bytes(seed: int) -> bytes:
         for i in range(0, 40, 8):
             app.delete("items", i)
         assert broker.drain()
-        checked = assert_all_traced(flat, top)
+        checked = assert_all_traced(flat_seen, top_seen)
         assert checked >= 40
         transcripts = list(cluster.telemetry.tracer.transcripts)
         assert len(transcripts) == checked
@@ -351,8 +364,11 @@ def test_process_notifications_carry_complete_span_chains():
     REPLY frames back, and the merged chain is complete."""
     broker, cluster, app = process_cluster()
     try:
-        flat = app.subscribe("items", {"v": {"$gte": 0}})
-        top = app.subscribe("items", {}, sort=[("v", -1)], limit=5)
+        flat_seen = Collector()
+        flat = app.subscribe("items", {"v": {"$gte": 0}}, on_change=flat_seen)
+        top_seen = Collector()
+        top = app.subscribe("items", {}, sort=[("v", -1)], limit=5,
+                            on_change=top_seen)
         settle(cluster, broker)
         for i in range(30):
             app.insert("items", {"_id": i, "v": i})
@@ -361,11 +377,11 @@ def test_process_notifications_carry_complete_span_chains():
         for i in range(0, 30, 5):
             app.delete("items", i)
         settle(cluster, broker)
-        assert assert_all_traced(flat, top, slack=CLOCK_SLACK) >= 30
-        filtered = [n for n in flat.notifications
+        assert assert_all_traced(flat_seen, top_seen, slack=CLOCK_SLACK) >= 30
+        filtered = [n for n in flat_seen
                     if "filter" in span_names(n.trace)]
         assert filtered, "no notification carried a worker-side filter span"
-        sorted_spans = [n for n in top.notifications
+        sorted_spans = [n for n in top_seen
                         if "sort" in span_names(n.trace)]
         assert sorted_spans, "no notification carried a worker-side sort span"
     finally:
@@ -382,12 +398,15 @@ def test_process_span_chain_property(ops):
     still deliver only fully-traced notifications."""
     broker, cluster, app = process_cluster()
     try:
-        flat = app.subscribe("items", {"v": {"$gte": 0}})
-        top = app.subscribe("items", {}, sort=[("v", -1)], limit=3)
+        flat_seen = Collector()
+        flat = app.subscribe("items", {"v": {"$gte": 0}}, on_change=flat_seen)
+        top_seen = Collector()
+        top = app.subscribe("items", {}, sort=[("v", -1)], limit=3,
+                            on_change=top_seen)
         settle(cluster, broker)
         run_workload(app, ops)
         settle(cluster, broker)
-        assert_all_traced(flat, top, slack=CLOCK_SLACK)
+        assert_all_traced(flat_seen, top_seen, slack=CLOCK_SLACK)
     finally:
         app.close()
         cluster.stop()
@@ -405,7 +424,8 @@ def test_process_worker_kill9_replay_keeps_traces():
         retention_seconds=300.0, supervisor_backoff_base=0.05,
     )
     try:
-        flat = app.subscribe("items", FLAT)
+        flat_seen = Collector()
+        flat = app.subscribe("items", FLAT, on_change=flat_seen)
         settle(cluster, broker)
         for i in range(20):
             app.insert("items", {"_id": i, "v": i})
@@ -424,8 +444,8 @@ def test_process_worker_kill9_replay_keeps_traces():
         snap = cluster.snapshot()
         assert snap["supervisor"]["restarts"] >= 1
         assert snap["supervisor"]["resynced_queries"] >= 1
-        assert_all_traced(flat, slack=CLOCK_SLACK, resynced=1)
-        live = [n for n in flat.notifications if n.key >= 20]
+        assert_all_traced(flat_seen, slack=CLOCK_SLACK, resynced=1)
+        live = [n for n in flat_seen if n.key >= 20]
         assert sorted(n.key for n in live) == list(range(20, 30))
         for notification in live:
             assert "filter" in span_names(notification.trace), \
