@@ -99,10 +99,7 @@ class PollAndDiffProvider(RealTimeQueryProvider):
 
     def _execute(self, query: Query) -> List[Document]:
         self.queries_executed += 1
-        return self.collection.find(
-            query.filter_doc, sort=query.sort, skip=query.offset,
-            limit=query.limit,
-        )
+        return self.collection.execute(query)
 
     def poll_all(self) -> int:
         """Re-execute every subscribed query once; returns notifications sent."""

@@ -152,11 +152,6 @@ class InvalidatingQueryCache:
             else:
                 entry.valid = False
 
-    def invalidate_all(self) -> None:
-        with self._lock:
-            for entry in self._entries.values():
-                entry.valid = False
-
     # ------------------------------------------------------------------
     # Introspection & lifecycle
     # ------------------------------------------------------------------

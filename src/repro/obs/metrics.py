@@ -123,12 +123,6 @@ class Histogram:
         self.max = -math.inf
         self._lock = threading.Lock()
 
-    def _bucket_of(self, value: float) -> int:
-        if value <= self.base:
-            return 0
-        index = int(math.log(value / self.base) / self._log_growth) + 1
-        return min(index, len(self._counts) - 1)
-
     def record(self, value: float, count: int = 1) -> None:
         """Record *count* observations of *value* (seconds, items, ...).
 

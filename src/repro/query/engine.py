@@ -20,11 +20,12 @@ import abc
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import QueryParseError
-from repro.query.ast import Node, referenced_paths
-from repro.query.matcher import Matcher, compile_node
+from repro.query.ast import Node, iter_nodes, referenced_paths
+from repro.query.matcher import Matcher, TokenSupplier, compile_node
 from repro.query.normalize import canonical_query_form, query_hash
 from repro.query.parser import parse_query
 from repro.query.sortspec import SortInput, SortSpec
+from repro.query.text import TextSearch
 from repro.types import Document
 
 
@@ -81,8 +82,9 @@ class Query:
         self.hash = query_hash(filter_doc, collection, self.sort, limit, offset)
         self._partition_hash: Optional[int] = None
         self.query_id = f"q-{self.hash:016x}"
-        #: ``(node, compile_node(node))``, built by the first ``matches``.
-        self._compiled: Optional[Tuple[Node, Matcher]] = None
+        #: ``(node, compile_node(node), reads_text)``, kept by the first
+        #: ``matches``.
+        self._compiled: Optional[Tuple[Node, Matcher, bool]] = None
 
     # -- classification ----------------------------------------------------
 
@@ -130,17 +132,47 @@ class Query:
 
     # -- behaviour ----------------------------------------------------------
 
-    def matches(self, document: Document) -> bool:
+    def _compile(self) -> Tuple[Node, Matcher, bool]:
+        """``(node, compiled predicate, reads_text)`` for the current
+        :attr:`node`: the cached triple, else a fresh one the caller
+        may keep (rebuilt when :attr:`node` was reassigned)."""
+        compiled = self._compiled
+        if compiled is None or compiled[0] is not self.node:
+            node = self.node
+            compiled = (
+                node,
+                compile_node(node),
+                any(isinstance(part, TextSearch) for part in iter_nodes(node)),
+            )
+        return compiled
+
+    def scan_matcher(self) -> Tuple[Matcher, bool]:
+        """The compiled predicate for one scan over many documents
+        (``matcher(document[, tokens])``, see :mod:`repro.query.matcher`)
+        and whether it reads a ``$text`` token set.
+
+        The closure :meth:`matches` cached when there is one; otherwise
+        a fresh one the query does not keep.  The store reads a
+        subscribed query once per subscribe or renewal, and an app
+        server holds its queries for their whole subscription: keeping
+        a closure on each would cost memory across all of them to save
+        one compile per renewal.
+        """
+        _, matcher, reads_text = self._compile()
+        return matcher, reads_text
+
+    def matches(self, document: Document, tokens: TokenSupplier = None) -> bool:
         """Does *document* satisfy the filter predicate?
 
-        Runs the compiled predicate, built on first use (a query that is
-        only ever registered, hashed or routed never pays for it) and
-        rebuilt when :attr:`node` was reassigned.
+        Runs the compiled predicate, built on first use and then kept (a
+        query that is only ever registered, hashed or routed never pays
+        for it).  *tokens* supplies the document's ``$text`` token set
+        when the caller memoizes it.
         """
         compiled = self._compiled
         if compiled is None or compiled[0] is not self.node:
-            compiled = self._compiled = (self.node, compile_node(self.node))
-        return compiled[1](document)
+            compiled = self._compiled = self._compile()
+        return compiled[1](document, tokens)
 
     def referenced_paths(self) -> Tuple[str, ...]:
         """Field paths the filter references (useful for index planning)."""
@@ -164,13 +196,39 @@ class Query:
         extended_limit = None
         if self.limit is not None:
             extended_limit = self.offset + self.limit + slack
-        return Query(
-            self.filter_doc,
-            collection=self.collection,
-            sort=self.sort,
-            limit=extended_limit,
-            offset=0,
+        return self._with_window(self.sort, extended_limit, 0)
+
+    def unsorted(self) -> "Query":
+        """This query's filter alone: no sort, limit or offset (what a
+        shard reads before the coordinator's merge)."""
+        if self.sort is None:
+            return self
+        return self._with_window(None, None, 0)
+
+    def _with_window(
+        self, sort: Optional[SortSpec], limit: Optional[int], offset: int
+    ) -> "Query":
+        """This query's filter under another sort / limit / offset.
+
+        Shares :attr:`node` (and the compiled predicate, when one is
+        cached) instead of re-parsing :attr:`filter_doc`; only the
+        identity hash is recomputed.  The caller keeps the constructor's
+        invariants (limit and offset need a sort).
+        """
+        derived = Query.__new__(Query)
+        derived.collection = self.collection
+        derived.filter_doc = self.filter_doc
+        derived.node = self.node
+        derived.sort = sort
+        derived.limit = limit
+        derived.offset = offset
+        derived.hash = query_hash(
+            self.filter_doc, self.collection, sort, limit, offset
         )
+        derived._partition_hash = None
+        derived.query_id = f"q-{derived.hash:016x}"
+        derived._compiled = self._compiled
+        return derived
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Query) and self.canonical() == other.canonical()

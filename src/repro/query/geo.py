@@ -59,14 +59,18 @@ def _point_test(accepts: Callable[[Point], bool]) -> ValueTest:
     """The value test "*value* is a point that *accepts* takes".
 
     A plain ``[float, float]`` pair (a position as every writer stores
-    it) is recognised by its exact types; every other value takes the
-    general coercion of :func:`_as_point`.
+    it) is recognised by its exact types, and a bare number (each
+    coordinate the array fan-out visits) is rejected at once; every
+    other value takes the general coercion of :func:`_as_point`.
     """
 
     finite = math.isfinite
 
     def test(value: Any) -> bool:
-        if type(value) is list and len(value) == 2:
+        kind = type(value)
+        if kind is float or kind is int:
+            return False
+        if kind is list and len(value) == 2:
             lon, lat = value
             if (type(lon) is float and type(lat) is float
                     and finite(lon) and finite(lat)):
@@ -133,6 +137,10 @@ BBox = Tuple[float, float, float, float]
 #: Tiny absolute pad applied to computed (non-exact) bounds so float
 #: rounding can never shave a matching point off a conservative box.
 _BBOX_EPSILON = 1e-9
+
+#: Relative and absolute pad of ``$nearSphere``'s latitude band
+#: (degrees): far above the haversine's own rounding (~1e-15 relative).
+_BAND_PAD = 1e-9
 
 
 def _spherical_cap_boxes(center: Point, radius_radians: float) -> (
@@ -419,12 +427,29 @@ class NearSphere(Operator):
         # as a point-presence test covering the whole sphere.
         self.max_distance = None if max_distance is None else float(max_distance)
         self.min_distance = float(min_distance)
+        # The latitude band: a point on the sphere is at least
+        # R * |delta lat| away, so one whose latitude lies further than
+        # $maxDistance / R from the center's is out of range without a
+        # haversine.  The relative and absolute pads keep the band wider
+        # than any rounding of the haversine itself, so the decision is
+        # exactly the haversine's.
+        self._lat_band = None if max_distance is None else (
+            math.degrees(self.max_distance / EARTH_RADIUS_METERS)
+            * (1.0 + _BAND_PAD) + _BAND_PAD
+        )
 
     def evaluate(self, value: Any) -> bool:
         point = _as_point(value)
         return point is not None and self._in_range(point)
 
     def _in_range(self, point: Point) -> bool:
+        band = self._lat_band
+        if band is not None:
+            lat = point[1]
+            # Only real latitudes: the bound does not hold for a stored
+            # pair outside [-90, 90], which keeps the haversine's answer.
+            if -90.0 <= lat <= 90.0 and abs(lat - self.center[1]) > band:
+                return False
         distance = haversine_meters(self.center, point)
         if distance < self.min_distance:
             return False

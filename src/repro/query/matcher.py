@@ -1,11 +1,15 @@
 """Document-versus-predicate evaluation with MongoDB array semantics.
 
 There is one evaluator, and it is compiled: :func:`compile_node` turns
-a predicate AST into a closure ``document -> bool`` once, and every
-caller that decides more than one document holds on to it — a
-:class:`~repro.query.engine.Query` (the pull store's ``find`` and the
-filtering stage's per-query fallback), each leaf of the shared predicate
-DAG (:mod:`repro.query.shared`), the ``$elemMatch`` sub-predicate.
+a predicate AST into a closure ``(document, tokens=None) -> bool``
+once, and every caller that decides more than one document holds on to
+it — a :class:`~repro.query.engine.Query` (the filtering stage's
+per-query fallback; the pull store's read holds one for its scan), each
+leaf of the shared predicate DAG (:mod:`repro.query.shared`), the
+``$elemMatch`` sub-predicate.  *tokens* is an optional zero-argument supplier of the
+document's ``$text`` token set (a :class:`~repro.query.text.LazyTokens`,
+the same hook the DAG pass uses): a caller that already holds or
+memoizes the set passes it, and only ``$text`` leaves ever call it.
 :func:`matches_node` is the uncached convenience on top.
 
 A field leaf compiles to *resolver, fan-out, value test*: the path is
@@ -28,15 +32,19 @@ and combined.  The notable MongoDB behaviours reproduced here:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.query.ast import AllOf, Always, AnyOf, FieldPredicate, Node, NoneOf, Not
 from repro.query.operators import Eq, Exists, In, Negated, Operator
 from repro.query.text import TextSearch
 from repro.types import Document
 
-#: A compiled predicate.
-Matcher = Callable[[Document], bool]
+#: A compiled predicate: ``matcher(document)`` or
+#: ``matcher(document, tokens)`` with a token-set supplier.
+Matcher = Callable[..., bool]
+
+#: What a compiled predicate takes as its optional second argument.
+TokenSupplier = Optional[Callable[[], Set[str]]]
 
 _MISSING = object()
 
@@ -112,7 +120,7 @@ def _compile_field(predicate: FieldPredicate) -> Matcher:
     # shape (dotted path, dict subclass, array document) is walked.
     key = parts[0] if len(parts) == 1 else None
 
-    def field(document: Document) -> bool:
+    def field(document: Document, tokens: TokenSupplier = None) -> bool:
         if key is not None and type(document) is dict:
             value = document.get(key, _MISSING)
             if value is _MISSING:
@@ -135,7 +143,7 @@ def _compile_field(predicate: FieldPredicate) -> Matcher:
     return field
 
 
-def _always(document: Document) -> bool:
+def _always(document: Document, tokens: TokenSupplier = None) -> bool:
     return True
 
 
@@ -153,27 +161,37 @@ def compile_node(node: Node) -> Matcher:
         branches = tuple(compile_node(branch) for branch in node.branches)
         if isinstance(node, AllOf):
 
-            def all_of(document: Document) -> bool:
+            def all_of(document: Document, tokens: TokenSupplier = None) -> bool:
                 for branch in branches:
-                    if not branch(document):
+                    if not branch(document, tokens):
                         return False
                 return True
 
             return all_of
         found = isinstance(node, AnyOf)
 
-        def any_of(document: Document) -> bool:
+        def any_of(document: Document, tokens: TokenSupplier = None) -> bool:
             for branch in branches:
-                if branch(document):
+                if branch(document, tokens):
                     return found
             return not found
 
         return any_of
     if isinstance(node, Not):
         inner = compile_node(node.branch)
-        return lambda document: not inner(document)
+
+        def negation(document: Document, tokens: TokenSupplier = None) -> bool:
+            return not inner(document, tokens)
+
+        return negation
     if isinstance(node, TextSearch):
-        return node.matches_document
+
+        def text(document: Document, tokens: TokenSupplier = None) -> bool:
+            return node.matches_document(
+                document, None if tokens is None else tokens()
+            )
+
+        return text
     raise TypeError(f"unknown AST node: {node!r}")
 
 

@@ -74,8 +74,10 @@ class LazyTokens:
     The filtering stage makes one per after-image and hands it to the
     index's text probe and to the DAG pass, so a write's token set is
     built once however many ``$text`` leaves read it — and not at all
-    when nothing does.  Per pass and per cell, never cached across
-    writes: documents are mutable and cells run on several threads.
+    when nothing does.  There it lives for one pass in one cell.  The
+    pull store keeps one per stored document across reads instead
+    (``Collection._text_tokens``): a stored document is never mutated
+    in place, and the write that replaces it drops the entry.
     """
 
     __slots__ = ("_document", "_tokens")
@@ -160,7 +162,7 @@ class TextSearch(Node):
         already holds it (one DAG pass serves every ``$text`` leaf).
         """
         token_set = document_tokens(document) if tokens is None else tokens
-        if any(token in token_set for token in self.parsed.negated):
+        if not token_set.isdisjoint(self.parsed.negated):
             return False
         folded_texts = None
         if self.parsed.phrases:
@@ -171,7 +173,7 @@ class TextSearch(Node):
         if not self.parsed.terms:
             # Phrase-only (or negation-only) search: phrases decided above.
             return bool(self.parsed.phrases) or bool(token_set)
-        return any(token in token_set for token in self.parsed.terms)
+        return not token_set.isdisjoint(self.parsed.terms)
 
     def __repr__(self) -> str:
         return f"TextSearch({self.search!r})"

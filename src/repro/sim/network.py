@@ -22,6 +22,3 @@ class HopModel:
 
     def sample(self, rng: random.Random) -> float:
         return self.base + rng.expovariate(1.0 / self.jitter_mean)
-
-    def sample_many(self, rng: random.Random, hops: int) -> float:
-        return sum(self.sample(rng) for _ in range(hops))

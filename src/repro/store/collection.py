@@ -11,7 +11,10 @@ database (Section 5.4 of the paper):
 
 Every write is appended to the collection's :class:`~repro.store.oplog.
 Oplog`, which the log-tailing baseline consumes.  All reads return deep
-copies.  The collection is thread-safe.
+copies, made of the returned documents only: ``find``, ``execute`` and
+``execute_versioned`` share one read path (``_window``) that matches
+with the query's compiled predicate, sorts and slices the stored
+documents, then copies the slice.  The collection is thread-safe.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.query.engine import MongoQueryEngine, Query
 from repro.query.operators import Eq, Gt, Gte, In, Lt, Lte
 from repro.query.operators import values_equal
 from repro.query.sortspec import SortInput
+from repro.query.text import LazyTokens
 from repro.store.documents import deep_copy, validate_document
 from repro.store.projection import apply_projection
 from repro.store.indexes import HashIndex, OrderedIndex, make_index
@@ -59,6 +63,12 @@ class Collection:
         self._documents: Dict[Any, Document] = {}
         self._versions: Dict[Any, int] = {}
         self._indexes: Dict[str, Any] = {}
+        #: key -> the stored document's ``$text`` token set (see
+        #: ``_matching``).  Stored documents are never mutated in place
+        #: (``apply_update`` copies), so an entry stays valid until the
+        #: write that replaces or deletes its document drops it: the
+        #: keys are always a subset of the live documents' keys.
+        self._text_tokens: Dict[Any, LazyTokens] = {}
         self._lock = threading.RLock()
         self._write_listeners: List[Callable[[AfterImage], None]] = []
 
@@ -94,6 +104,7 @@ class Collection:
             self._index_remove(key, self._documents[key])
             stored = deep_copy(document)
             self._documents[key] = stored
+            self._text_tokens.pop(key, None)
             self._versions[key] += 1
             self._index_add(key, stored)
             after = self._after_image(key, WriteKind.UPDATE, stored)
@@ -119,6 +130,7 @@ class Collection:
             validate_document(updated)
             self._index_remove(key, current)
             self._documents[key] = updated
+            self._text_tokens.pop(key, None)
             self._versions[key] += 1
             self._index_add(key, updated)
             after = self._after_image(key, WriteKind.UPDATE, updated)
@@ -132,6 +144,7 @@ class Collection:
             if current is None:
                 raise DocumentNotFoundError(key)
             self._index_remove(key, current)
+            self._text_tokens.pop(key, None)
             self._versions[key] += 1
             after = self._after_image(key, WriteKind.DELETE, None)
         self._publish(after)
@@ -199,34 +212,66 @@ class Collection:
     ) -> List[Document]:
         """Evaluate a pull-based query: filter → sort → skip → limit →
         projection."""
-        query = self._engine.parse(
+        query = self._parse(filter_doc, sort)
+        with self._lock:
+            window = self._window(query, skip, limit)
+        return apply_projection(window, projection)
+
+    def _parse(
+        self, filter_doc: Optional[Dict[str, Any]], sort: Optional[SortInput] = None
+    ) -> Query:
+        """*filter_doc* and *sort* as a query; skip and limit stay with
+        the caller (``find`` takes them without a sort)."""
+        return self._engine.parse(
             filter_doc if filter_doc is not None else {},
             collection=self.name,
             sort=sort,
-            limit=None,  # limit/offset applied after the full sort below
-            offset=0,
         )
-        with self._lock:
-            candidates = self._candidate_keys(query.node)
-            if candidates is None:
-                matching = [
-                    deep_copy(doc)
-                    for doc in self._documents.values()
-                    if query.matches(doc)
-                ]
-            else:
-                matching = []
-                for key in candidates:
-                    doc = self._documents.get(key)
-                    if doc is not None and query.matches(doc):
-                        matching.append(deep_copy(doc))
-        if sort is not None:
-            matching = self._engine.sort(query, matching)
-        if skip:
-            matching = matching[skip:]
+
+    def _matching(self, query: Query) -> List[Document]:
+        """The *stored* documents *query*'s filter matches, in scan
+        order (the caller holds the lock and copies what it returns).
+
+        Runs the query's own compiled predicate.  A ``$text`` read takes
+        each document's token set from :attr:`_text_tokens`, built on
+        the first text read that reaches the document and dropped by
+        the write that replaces or deletes it.
+        """
+        matches, reads_text = query.scan_matcher()
+        documents = self._documents
+        candidates = self._candidate_keys(query.node)
+        if candidates is None:
+            scanned: Any = documents.items()
+        else:
+            scanned = [
+                (key, documents[key]) for key in candidates if key in documents
+            ]
+        if not reads_text:
+            return [document for _, document in scanned if matches(document)]
+        memo = self._text_tokens
+        matching = []
+        for key, document in scanned:
+            tokens = memo.get(key)
+            if tokens is None:
+                tokens = memo[key] = LazyTokens(document)
+            if matches(document, tokens):
+                matching.append(document)
+        return matching
+
+    def _window(
+        self, query: Query, offset: int, limit: Optional[int]
+    ) -> List[Document]:
+        """The one read path: match, sort the stored documents on the
+        query's native keys, slice, and copy only the slice (the caller
+        holds the lock)."""
+        matching = self._matching(query)
+        if query.sort is not None:
+            matching.sort(key=query.sort.key)
+        if offset:
+            matching = matching[offset:]
         if limit is not None:
             matching = matching[:limit]
-        return apply_projection(matching, projection)
+        return [deep_copy(document) for document in matching]
 
     def distinct(
         self, path: str, filter_doc: Optional[Dict[str, Any]] = None
@@ -239,24 +284,25 @@ class Collection:
         from repro.query.sortspec import value_sort_key
         from repro.store.documents import get_path
 
+        query = self._parse(filter_doc)
         seen: List[Any] = []
-        for document in self.find(filter_doc):
-            value = get_path(document, path, _DISTINCT_ABSENT)
-            if value is _DISTINCT_ABSENT:
-                continue
-            candidates = value if isinstance(value, list) else [value]
-            for candidate in candidates:
-                if not any(
-                    values_equal(candidate, existing) for existing in seen
-                ):
-                    seen.append(candidate)
+        with self._lock:
+            for document in self._matching(query):
+                value = get_path(document, path, _DISTINCT_ABSENT)
+                if value is _DISTINCT_ABSENT:
+                    continue
+                candidates = value if isinstance(value, list) else [value]
+                for candidate in candidates:
+                    if not any(
+                        values_equal(candidate, existing) for existing in seen
+                    ):
+                        seen.append(deep_copy(candidate))
         return sorted(seen, key=value_sort_key)
 
     def execute(self, query: Query) -> List[Document]:
         """Run a parsed :class:`Query` (filter + sort + offset + limit)."""
-        return self.find(
-            query.filter_doc, sort=query.sort, skip=query.offset, limit=query.limit
-        )
+        with self._lock:
+            return self._window(query, query.offset, query.limit)
 
     def execute_versioned(
         self, query: Query
@@ -285,9 +331,7 @@ class Collection:
         the per-query cost visibility the app server needs to keep the
         pull-based side from becoming a bottleneck (Section 5.4).
         """
-        query = self._engine.parse(
-            filter_doc if filter_doc is not None else {}, collection=self.name
-        )
+        query = self._parse(filter_doc)
         with self._lock:
             candidates = self._candidate_keys(query.node)
             total = len(self._documents)
@@ -307,14 +351,18 @@ class Collection:
     def find_one(
         self, filter_doc: Optional[Dict[str, Any]] = None
     ) -> Optional[Document]:
-        results = self.find(filter_doc, limit=None)
-        return results[0] if results else None
+        query = self._parse(filter_doc)
+        with self._lock:
+            matching = self._matching(query)
+            return deep_copy(matching[0]) if matching else None
 
     def count(self, filter_doc: Optional[Dict[str, Any]] = None) -> int:
         if filter_doc is None or not filter_doc:
             with self._lock:
                 return len(self._documents)
-        return len(self.find(filter_doc))
+        query = self._parse(filter_doc)
+        with self._lock:
+            return len(self._matching(query))
 
     def all_keys(self) -> List[Any]:
         with self._lock:

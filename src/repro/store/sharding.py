@@ -83,10 +83,16 @@ class ShardedCollection:
         (sorting globally when a sort is requested) and applies skip /
         limit on the merged stream — the standard mongos behaviour.
         """
+        query = self._engine.parse(
+            filter_doc if filter_doc is not None else {}, collection=self.name
+        )
+        return self._merge(self._gather(query), sort, skip, limit)
+
+    def _gather(self, unsorted: Query) -> List[Document]:
         partials: List[Document] = []
         for shard in self.shards:
-            partials.extend(shard.find(filter_doc, sort=None))
-        return self._merge(partials, sort, skip, limit)
+            partials.extend(shard.execute(unsorted))
+        return partials
 
     @staticmethod
     def _merge(partials: List[Document], sort: Optional[SortInput],
@@ -100,9 +106,8 @@ class ShardedCollection:
         return partials
 
     def execute(self, query: Query) -> List[Document]:
-        return self.find(
-            query.filter_doc, sort=query.sort, skip=query.offset, limit=query.limit
-        )
+        return self._merge(self._gather(query.unsorted()), query.sort,
+                           query.offset, query.limit)
 
     def execute_versioned(
         self, query: Query
@@ -113,7 +118,7 @@ class ShardedCollection:
         :meth:`Collection.execute_versioned`).  Shards that share a store
         contribute the minimum of their watermarks: only writes below
         every shard's read are known to be reflected."""
-        unsorted = Query(query.filter_doc, collection=query.collection)
+        unsorted = query.unsorted()
         partials: List[Document] = []
         versions: Dict[Any, int] = {}
         watermark: Dict[int, int] = {}
