@@ -33,8 +33,9 @@ from repro.core.notifications import bind_to_subscription
 from repro.errors import QueryParseError
 from repro.query.engine import MongoQueryEngine, Query
 from repro.query.sortspec import SortInput
+from repro.store.documents import deep_copy
 from repro.store.oplog import Oplog, OplogEntry, StaleCursorError
-from repro.types import ChangeNotification, Document, MatchType
+from repro.types import Document, MatchType
 
 
 class _TailState:
@@ -155,38 +156,35 @@ class LogTailingProvider(RealTimeQueryProvider):
             return
         with self._lock:
             states = list(self._states.values())
+        key, stored = entry.key, entry.after_image
+        # The entry holds the store's own document: match against it,
+        # but keep and deliver one copy of it, made on first use.
+        document: Optional[Document] = None
         for state in states:
-            notification = self._match(state, entry)
-            if notification is not None:
-                state.subscription.deliver(notification)
-
-    def _match(
-        self, state: _TailState, entry: OplogEntry
-    ) -> Optional[ChangeNotification]:
-        key = entry.key
-        document = entry.after_image
-        matches_now = document is not None and self.engine.matches(
-            state.query, document
-        )
-        was_matching = key in state.matching
-        if matches_now:
-            state.matching.add(key)
-            state.documents[key] = document  # type: ignore[assignment]
-            return bind_to_subscription(
-                state.subscription.subscription_id, state.query.query_id,
-                MatchType.CHANGE if was_matching else MatchType.ADD,
-                key, document, timestamp=entry.timestamp,
+            matches_now = stored is not None and self.engine.matches(
+                state.query, stored
             )
-        if was_matching:
-            state.matching.discard(key)
-            last = state.documents.pop(key, None)
-            return bind_to_subscription(
+            was_matching = key in state.matching
+            if matches_now:
+                match_type = MatchType.CHANGE if was_matching else MatchType.ADD
+                state.matching.add(key)
+            elif was_matching:
+                match_type = MatchType.REMOVE
+                state.matching.discard(key)
+            else:
+                continue
+            if document is None and stored is not None:
+                document = deep_copy(stored)
+            if matches_now:
+                state.documents[key] = document  # type: ignore[assignment]
+                delivered = document
+            else:
+                last = state.documents.pop(key, None)
+                delivered = document if document is not None else last
+            state.subscription.deliver(bind_to_subscription(
                 state.subscription.subscription_id, state.query.query_id,
-                MatchType.REMOVE, key,
-                document if document is not None else last,
-                timestamp=entry.timestamp,
-            )
-        return None
+                match_type, key, delivered, timestamp=entry.timestamp,
+            ))
 
     @property
     def subscription_count(self) -> int:

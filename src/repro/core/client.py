@@ -157,7 +157,7 @@ class RealTimeSubscription:
         with self._lock:
             self.change_count += 1
             self._apply(notification)
-        if notification.is_error and self._on_error is not None:
+        if self._on_error is not None and notification.is_error:
             self._on_error(notification.error or "unknown error")
         if self._on_change is not None:
             self._on_change(notification)

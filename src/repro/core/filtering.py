@@ -117,6 +117,9 @@ def _materialized(after: AfterImage) -> AfterImage:
 @dataclass
 class _ActiveQuery:
     query: Query
+    #: ``query.needs_sorting_stage``, read once at registration: every
+    #: event of the entry carries it.
+    sorts: bool
     #: Keys of this node's result partition -> the image held for them:
     #: version, oplog stamp and document in the write's own after-image,
     #: shared by every entry it matched (a delete's remove event still
@@ -235,14 +238,16 @@ class FilteringNode:
             if self.index is not None:
                 self.index.add(query, entry_id)
             self.dag.add(query, entry_id)
-            state = self._queries[entry_id] = _ActiveQuery(query)
+            state = self._queries[entry_id] = _ActiveQuery(
+                query, query.needs_sorting_stage
+            )
         state.pages.add(query.query_id)
         if query.is_sorted:
             self._core_of[query.query_id] = entry_id
         matching = state.matching
         heads = watermark or {}
         events: List[MatchEvent] = []
-        sorts = query.needs_sorting_stage
+        sorts = state.sorts
         for doc in bootstrap:
             key = doc["_id"]
             version = versions.get(key, 0)
@@ -403,7 +408,7 @@ class FilteringNode:
                 continue
             events.append(MatchEvent(
                 query_id, match_type, key, document, version, timestamp,
-                query.needs_sorting_stage,
+                state.sorts,
             ))
         self.matched_operations += evaluated
         return events
@@ -448,8 +453,8 @@ class FilteringNode:
             )
             if previous:
                 candidates.update(previous)
-        order = self._order
-        return sorted(candidates, key=lambda query_id: order.get(query_id, -1))
+        # Every candidate is a registered entry, so it has an order.
+        return sorted(candidates, key=self._order.get)
 
     def _evaluate(
         self, entry_id: str, state: _ActiveQuery, after: AfterImage
@@ -481,7 +486,7 @@ class FilteringNode:
             return []
         return [MatchEvent(
             entry_id, match_type, after.key, document, after.version,
-            after.timestamp, query.needs_sorting_stage,
+            after.timestamp, state.sorts,
         )]
 
     # ------------------------------------------------------------------

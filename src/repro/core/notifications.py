@@ -6,12 +6,13 @@ to every local subscription of that query, tagging each copy with the
 client-generated subscription ID (footnote 2 of the paper); that tagged
 form is :class:`~repro.types.ChangeNotification`.
 
-On ``fanout-feed`` one write becomes ~18 changes, so the per-row
-records are flat: :class:`QueryChange` (like the filtering stage's
-:class:`~repro.core.filtering.MatchEvent`) is a ``NamedTuple``, the
-envelope reader yields plain tuples, and match types cross the wire
-through two module-level dicts (:data:`MATCH_TYPES`).  Only the public
-``ChangeNotification`` stays a frozen dataclass.
+On ``fanout-feed`` one write becomes ~19 changes, so the per-row
+records are flat and each is built once per stage: the filtering
+stage's :class:`~repro.core.filtering.MatchEvent`, the matching cell's
+:class:`QueryChange` and the public ``ChangeNotification`` are
+``NamedTuple``s, the envelope reader yields plain tuples, and match
+types cross the wire through two module-level dicts
+(:data:`MATCH_TYPES`).
 
 The notification leg's two algorithms each exist once, here: the
 net-transition rule per (query, key) (:func:`resolve_coalesced_type`,
@@ -72,15 +73,6 @@ class QueryChange(NamedTuple):
     @property
     def is_error(self) -> bool:
         return self.match_type is MatchType.ERROR
-
-
-def change_from_match_event(event: MatchEvent) -> QueryChange:
-    """Unsorted queries: a filtering-stage event IS the result change."""
-    query_id, match_type, key, document, version, timestamp, _ = event
-    return QueryChange(
-        query_id, match_type, key, document, None, None, None, timestamp,
-        version,
-    )
 
 
 def resolve_coalesced_type(

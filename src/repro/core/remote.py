@@ -42,13 +42,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.filtering import FilteringNode
 from repro.core.notifications import (
     EventEntry,
     QueryChange,
-    change_from_match_event,
     coalesce_events,
 )
 from repro.core.partitioning import PartitioningScheme
@@ -244,16 +243,18 @@ class MatchingCell(_Cell):
         across edges), its ``publish`` span closed and a ``filter`` span
         wrapped around the matching work; every produced event inherits
         a fork of that trace.  Events are coalesced per (query, key)
-        when two or more tuples produced some, and routed in one pass
-        per chunk: sorted queries' events become messages for the
+        only when some group can hold two of them, and routed in one
+        pass per chunk: sorted queries' events become messages for the
         sorting grid (their ``sort`` span opens here), the rest become
-        changes.
+        changes, each built once, here.
         """
         node = self.node
         tel = self.telemetry
         now = self.clock()
         entries: List[EventEntry] = []
         producers = 0  # tuples that produced at least one event
+        written: Set[Any] = set()  # keys of the writes that did
+        regroup = False  # some (query, key) group may hold two events
         merged = False  # a subscribe re-registered a live entry
         for tuple_ in tuples:
             kind = tuple_["kind"]
@@ -271,9 +272,12 @@ class MatchingCell(_Cell):
                     if trace is not None:
                         end_span(trace, FILTER, tel.now())
                     continue
-                events = node.process_write(
-                    deserialize_after_image(tuple_), now
-                )
+                after = deserialize_after_image(tuple_)
+                events = node.process_write(after, now)
+                if events:
+                    if after.key in written:
+                        regroup = True
+                    written.add(after.key)
             elif kind == "subscribe":
                 query = self.resolve_query(tuple_)
                 merged = merged or node.holds(query)
@@ -291,6 +295,8 @@ class MatchingCell(_Cell):
                     now,
                     dict(tuple_.get("watermark", ())),
                 )
+                if events:
+                    regroup = True
             else:
                 if kind == "cancel":
                     node.deactivate_query(tuple_["query_id"])
@@ -304,28 +310,39 @@ class MatchingCell(_Cell):
         coalesced = 0
         # One tuple yields at most one event per (query, key) — one per
         # candidate query, and retention replays only the latest image
-        # per key — so there is nothing to coalesce unless two did.  A
+        # per key — and a write's events all carry its key.  So a group
+        # can hold two events only when two producing writes share a
+        # key or a subscribe's events meet another tuple's; otherwise
+        # ``coalesce_events`` would return its input unchanged.  A
         # re-registration's new handle starts from its bootstrap, not
         # from the state a group's first event encodes: such a batch
         # goes as is.
         if (self.spec.notification_coalescing and producers > 1
-                and not merged):
+                and regroup and not merged):
             entries, coalesced = coalesce_events(entries)
         messages: List[Dict[str, Any]] = []
         changes: List[Tuple[QueryChange, Optional[Trace]]] = []
         for event, trace, deadline in entries:
-            if not event.needs_sorting:
-                changes.append((change_from_match_event(event), fork(trace)))
+            query_id, match_type, key, document, version, timestamp, sorts = (
+                event
+            )
+            if not sorts:
+                # An unsorted query's event IS its result change.
+                changes.append((
+                    QueryChange(query_id, match_type, key, document, None,
+                                None, None, timestamp, version),
+                    None if trace is None else fork(trace),
+                ))
                 continue
             message: Dict[str, Any] = {
                 "kind": "match-event",
-                "query_id": event.query_id,
+                "query_id": query_id,
                 "event": event,
             }
             if deadline is not None:
                 message["deadline"] = deadline
-            branch = fork(trace)
-            if branch is not None:
+            if trace is not None:
+                branch = fork(trace)
                 begin_span(branch, SORT, tel.now())
                 message["trace"] = branch
             messages.append(message)

@@ -22,7 +22,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.errors import QueryParseError
 from repro.query.ast import Node, iter_nodes, referenced_paths
 from repro.query.matcher import Matcher, TokenSupplier, compile_node
-from repro.query.normalize import canonical_query_form, query_hash
+from repro.query.normalize import canonical_hash, normalize_node
 from repro.query.parser import parse_query
 from repro.query.sortspec import SortInput, SortSpec
 from repro.query.text import TextSearch
@@ -41,7 +41,9 @@ class Query:
     Carries the filter AST, the optional sort specification, limit and
     offset, plus the stable :attr:`hash` identifying the query, the
     derived :attr:`query_id`, and the :attr:`partition_hash` the grid
-    routes it by.
+    routes it by.  The three are computed on first use from the parsed
+    filter, never by re-parsing it: a query that is only read with
+    (a bootstrap's rewritten or unsorted form) never hashes.
     """
 
     __slots__ = (
@@ -51,9 +53,9 @@ class Query:
         "sort",
         "limit",
         "offset",
-        "hash",
+        "_hash",
         "_partition_hash",
-        "query_id",
+        "_query_id",
         "_compiled",
     )
 
@@ -79,9 +81,9 @@ class Query:
         self.sort: Optional[SortSpec] = None if sort is None else SortSpec.coerce(sort)
         self.limit = limit
         self.offset = offset
-        self.hash = query_hash(filter_doc, collection, self.sort, limit, offset)
+        self._hash: Optional[int] = None
         self._partition_hash: Optional[int] = None
-        self.query_id = f"q-{self.hash:016x}"
+        self._query_id: Optional[str] = None
         #: ``(node, compile_node(node), reads_text)``, kept by the first
         #: ``matches``.
         self._compiled: Optional[Tuple[Node, Matcher, bool]] = None
@@ -102,20 +104,38 @@ class Query:
     def needs_sorting_stage(self) -> bool:
         return self.is_sorted
 
+    # -- identity ------------------------------------------------------------
+
+    @property
+    def hash(self) -> int:
+        """Stable 64-bit hash of the canonical query form
+        (:func:`~repro.query.normalize.query_hash`)."""
+        value = self._hash
+        if value is None:
+            value = self._hash = canonical_hash(self.canonical())
+        return value
+
+    @property
+    def query_id(self) -> str:
+        value = self._query_id
+        if value is None:
+            value = self._query_id = f"q-{self.hash:016x}"
+        return value
+
     @property
     def partition_hash(self) -> int:
         """What the grid routes by: every page (limit/offset slice) of
         one filter + sort shares its sort core's hash, so all pages meet
         one matching row and one sorting task.  An unsorted query routes
-        by its :attr:`hash`.  Computed on first use (a rewritten
-        bootstrap query is never routed)."""
-        if self._partition_hash is None:
-            self._partition_hash = (
+        by its :attr:`hash`."""
+        value = self._partition_hash
+        if value is None:
+            value = self._partition_hash = (
                 self.hash
                 if self.sort is None or (self.limit is None and not self.offset)
-                else query_hash(self.filter_doc, self.collection, self.sort)
+                else canonical_hash(self._canonical_form(self.sort, None, 0))
             )
-        return self._partition_hash
+        return value
 
     @property
     def core_id(self) -> str:
@@ -179,8 +199,19 @@ class Query:
         return referenced_paths(self.node)
 
     def canonical(self) -> Tuple[Any, ...]:
-        return canonical_query_form(
-            self.filter_doc, self.collection, self.sort, self.limit, self.offset
+        return self._canonical_form(self.sort, self.limit, self.offset)
+
+    def _canonical_form(
+        self, sort: Optional[SortSpec], limit: Optional[int], offset: int
+    ) -> Tuple[Any, ...]:
+        """:func:`~repro.query.normalize.canonical_query_form` of this
+        filter under *sort* / *limit* / *offset*, from :attr:`node`."""
+        return (
+            self.collection,
+            normalize_node(self.node),
+            None if sort is None else sort.canonical(),
+            limit,
+            offset,
         )
 
     def rewritten_for_subscription(self, slack: int) -> "Query":
@@ -211,9 +242,9 @@ class Query:
         """This query's filter under another sort / limit / offset.
 
         Shares :attr:`node` (and the compiled predicate, when one is
-        cached) instead of re-parsing :attr:`filter_doc`; only the
-        identity hash is recomputed.  The caller keeps the constructor's
-        invariants (limit and offset need a sort).
+        cached) instead of re-parsing :attr:`filter_doc`; the identity
+        hash is its own, computed on first use.  The caller keeps the
+        constructor's invariants (limit and offset need a sort).
         """
         derived = Query.__new__(Query)
         derived.collection = self.collection
@@ -222,11 +253,9 @@ class Query:
         derived.sort = sort
         derived.limit = limit
         derived.offset = offset
-        derived.hash = query_hash(
-            self.filter_doc, self.collection, sort, limit, offset
-        )
+        derived._hash = None
         derived._partition_hash = None
-        derived.query_id = f"q-{derived.hash:016x}"
+        derived._query_id = None
         derived._compiled = self._compiled
         return derived
 

@@ -125,7 +125,14 @@ def query_hash(
     matters because different application servers must route the same
     query to the same query partition.
     """
-    canonical = canonical_query_form(filter_doc, collection, sort, limit, offset)
+    return canonical_hash(
+        canonical_query_form(filter_doc, collection, sort, limit, offset)
+    )
+
+
+def canonical_hash(canonical: Tuple[Any, ...]) -> int:
+    """:func:`query_hash` of a form :func:`canonical_query_form` built
+    (a parsed query hashes its own AST's form without re-parsing)."""
     payload = json.dumps(_jsonable(canonical), sort_keys=True, default=repr)
     digest = hashlib.blake2b(payload.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")

@@ -470,22 +470,24 @@ class Collection:
     ) -> AfterImage:
         """Log the write and return its after-image, stamped with the
         oplog entry (callers hold the collection lock, so the stamp
-        orders this write against every read of the collection)."""
+        orders this write against every read of the collection).
+
+        The entry holds the stored *document* itself (never mutated in
+        place); the caller gets a copy it may change freely."""
         timestamp = self._clock()
-        image = None if document is None else deep_copy(document)
         entry = self.oplog.append(
             collection=self.name,
             kind=kind,
             key=key,
             version=self._versions[key],
-            after_image=image,
+            after_image=document,
             timestamp=timestamp,
         )
         return AfterImage(
             key=key,
             version=entry.version,
             kind=kind,
-            document=image,
+            document=None if document is None else deep_copy(document),
             collection=self.name,
             timestamp=timestamp,
             store_id=self.oplog.store_id,

@@ -23,10 +23,10 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable, Deque, List, Optional
+from typing import Any, Callable, Deque, List, NamedTuple, Optional
 
 from repro.errors import StoreError
+from repro.store.documents import deep_copy
 from repro.types import AfterImage, WriteKind
 
 
@@ -41,9 +41,14 @@ class StaleCursorError(StoreError):
         self.horizon = horizon
 
 
-@dataclass(frozen=True)
-class OplogEntry:
-    """One replicated write operation."""
+class OplogEntry(NamedTuple):
+    """One replicated write operation.
+
+    ``after_image`` is the document as the store holds it, shared with
+    the store and never mutated in place: a tailer reads it, and copies
+    what it hands on.  A ``NamedTuple`` like
+    :class:`~repro.core.filtering.MatchEvent`: one is built per write.
+    """
 
     sequence: int
     collection: str
@@ -54,11 +59,13 @@ class OplogEntry:
     timestamp: float
 
     def to_after_image(self) -> AfterImage:
+        """The write as an :class:`AfterImage` holding its own copy of
+        the document, so the caller may change it."""
         return AfterImage(
             key=self.key,
             version=self.version,
             kind=self.kind,
-            document=self.after_image,
+            document=deep_copy(self.after_image),
             collection=self.collection,
             timestamp=self.timestamp,
         )
@@ -93,13 +100,8 @@ class Oplog:
         """Append a write; notify push listeners outside the lock."""
         with self._lock:
             entry = OplogEntry(
-                sequence=self._next_sequence,
-                collection=collection,
-                kind=kind,
-                key=key,
-                version=version,
-                after_image=after_image,
-                timestamp=timestamp,
+                self._next_sequence, collection, kind, key, version,
+                after_image, timestamp,
             )
             self._next_sequence += 1
             self._entries.append(entry)

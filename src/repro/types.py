@@ -17,7 +17,7 @@ import enum
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional
 
 Document = Dict[str, Any]
 """A JSON-like document.  The primary key lives under ``"_id"``."""
@@ -95,9 +95,15 @@ class WriteOperation:
     collection: str = "default"
 
 
-@dataclass(frozen=True)
-class ChangeNotification:
-    """One incremental update to a real-time query result."""
+class ChangeNotification(NamedTuple):
+    """One incremental update to a real-time query result.
+
+    A ``NamedTuple``: an app server builds one per (change, local
+    subscription), so construction cost is per-row cost, and a tuple is
+    several times cheaper to build than a frozen dataclass.  It is still
+    immutable and a value: equality, hash and repr cover every field
+    but ``trace``, and a notification never equals a plain tuple.
+    """
 
     subscription_id: str
     query_id: str
@@ -114,16 +120,37 @@ class ChangeNotification:
     #: Lets clients drop stale re-deliveries (replay, merge rows).
     version: int = 0
     #: Write-path trace (telemetry only; ``None`` when tracing is off).
-    #: Excluded from equality/repr so transcript comparisons and wire
-    #: round-trip checks see identical notifications whether or not a
-    #: trace rode along.
-    trace: Optional[Dict[str, Any]] = field(
-        default=None, compare=False, repr=False
-    )
+    #: Excluded from equality/hash/repr so transcript comparisons and
+    #: wire round-trip checks see identical notifications whether or
+    #: not a trace rode along.
+    trace: Optional[Dict[str, Any]] = None
 
     @property
     def is_error(self) -> bool:
         return self.match_type is MatchType.ERROR
+
+    def __eq__(self, other: object) -> Any:
+        if other.__class__ is ChangeNotification:
+            return self[:_COMPARED] == other[:_COMPARED]  # type: ignore[index]
+        # Tuple comparison would answer for both operand orders.
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other: object) -> Any:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self) -> int:
+        return hash(self[:_COMPARED])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self[:_COMPARED])
+        )
+        return f"ChangeNotification({fields})"
+
+
+#: The fields equality, hash and repr cover: all but the trailing trace.
+_COMPARED = len(ChangeNotification._fields) - 1
 
 
 @dataclass(frozen=True)

@@ -328,9 +328,10 @@ def insert_tuple(key, value, version):
 
 
 class TestCoalescingPrecondition:
-    """``handle_batch`` runs ``coalesce_events`` only when two or more
-    tuples of the batch produced events: one tuple yields at most one
-    event per (query, key)."""
+    """``handle_batch`` runs ``coalesce_events`` only when a (query,
+    key) group of the batch can hold two events — two producing writes
+    share a key, or a subscribe produced events next to another tuple:
+    one tuple yields at most one event per (query, key)."""
 
     @pytest.fixture
     def coalesce_calls(self, monkeypatch):

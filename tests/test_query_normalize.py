@@ -5,7 +5,16 @@ the same logical query must always hash to the same value, regardless
 of which app server formulated it or in which syntactic variant.
 """
 
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.query import engine as engine_module
 from repro.query.engine import Query
+from repro.store.collection import Collection
 from repro.query.normalize import (
     canonical_query_form,
     normalize_filter,
@@ -128,3 +137,83 @@ class TestQueryObjectIdentity:
         )
         assert form[0] == "c"
         assert form[3] == 3 and form[4] == 1
+
+
+def harness_workloads():
+    """The benchmark harness's workload table (not a package: loaded
+    from its file)."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "harness" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("harness_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.WORKLOADS
+
+
+def identity_digest(specs):
+    digest = hashlib.sha256()
+    for spec in specs:
+        query = Query(spec.filter, collection=spec.collection, sort=spec.sort,
+                      limit=spec.limit, offset=spec.offset)
+        digest.update((
+            f"{query.query_id} {query.partition_hash} "
+            f"{query.rewritten_for_subscription(5).query_id} "
+            f"{query.unsorted().query_id}\n"
+        ).encode())
+    return digest.hexdigest()
+
+
+class TestQueryIdentityIsPinned:
+    """A query hashes its parsed filter, on first use.  The ids and
+    partition hashes the grid routes by must not move with that: these
+    digests cover every subscription of the five harness workloads
+    (seed 1), hashed from the filter document itself."""
+
+    PAPER = "9ea07a717d5f2767bfe9558171ecd88efde6d961e485ff2ffa0de07067d42e94"
+    DIGESTS = {
+        "paper-filter": PAPER,
+        "paper-filter-process": PAPER,  # the same inputs, another model
+        "fanout-feed":
+            "ab1412da8ab3c223cc915b459a1131d2e7475de5a851c6c8299499fa1f5dc405",
+        "sorted-feed":
+            "b5e77682d596142d050f94e4ea4ad3d7d094630df63dc9a0e3860cffb4a018ac",
+        "churn-mixed":
+            "6e13907be1c729876db23a72485c23e5b0b202ff06b41433c59ee446d171c5c2",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_workload_query_ids_and_partition_hashes(self, name):
+        specs = harness_workloads()[name].subscriptions(1)
+        assert identity_digest(specs) == self.DIGESTS[name]
+
+    def test_anchor_values(self):
+        query = Query({}, collection="items", sort=[("v", -1)], limit=3,
+                      offset=2)
+        assert query.query_id == "q-5147710e84d52c48"
+        assert query.partition_hash == 13818128235966533335
+        assert query.hash == query_hash({}, "items", [("v", -1)], 3, 2)
+        assert query.partition_hash == query_hash({}, "items", [("v", -1)])
+
+    def test_a_read_never_hashes(self, monkeypatch):
+        hashed = []
+        real = engine_module.canonical_hash
+
+        def counting(form):
+            hashed.append(form)
+            return real(form)
+
+        monkeypatch.setattr(engine_module, "canonical_hash", counting)
+        collection = Collection("items")
+        for key in range(6):
+            collection.insert({"_id": key, "v": key})
+        collection.find({"v": {"$gte": 2}}, sort=[("v", 1)], limit=2)
+        query = Query({"v": {"$gte": 2}}, collection="items",
+                      sort=[("v", 1)], limit=2, offset=1)
+        collection.execute_versioned(query.rewritten_for_subscription(3))
+        collection.execute(query.unsorted())
+        assert hashed == []
+        assert query.query_id == query.query_id and len(hashed) == 1
+        assert query.partition_hash and len(hashed) == 2

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.baselines.log_tailing import LogTailingProvider
 from repro.store.collection import Collection
 from repro.store.indexes import HashIndex, OrderedIndex
 from repro.store.oplog import Oplog, StaleCursorError
-from repro.types import WriteKind
+from repro.types import MatchType, WriteKind
+
+from tests.conftest import Collector
 
 
 class TestHashIndex:
@@ -186,6 +189,60 @@ class TestOplog:
         after = entry.to_after_image()
         assert after.key == 1 and after.version == 3
         assert after.document == {"_id": 1, "v": 2}
+
+
+class TestAfterImageIsTheCallers:
+    """A write returns a copy of what it stored and logged: the caller
+    may change it without rewriting the store, the oplog entry or what
+    a log-tailing subscriber was sent."""
+
+    def test_mutating_an_after_image_changes_nothing_else(self):
+        collection = Collection("items")
+        seen = Collector()
+        provider = LogTailingProvider(collection)
+        provider.subscribe({"v": {"$gte": 0}}, on_change=seen)
+        inserted = collection.insert({"_id": 1, "v": 1, "tags": ["a"]})
+        updated = collection.update(1, {"$set": {"v": 2}})
+        for after in (inserted, updated):
+            after.document["v"] = 999
+            after.document["tags"].append("z")
+        stored = {"_id": 1, "v": 2, "tags": ["a"]}
+        assert collection.find_one({"_id": 1}) == stored
+        entries = collection.oplog.read_from(1)
+        assert [entry.after_image for entry in entries] == [
+            {"_id": 1, "v": 1, "tags": ["a"]}, stored,
+        ]
+        assert [(n.match_type, n.document) for n in seen] == [
+            (MatchType.ADD, {"_id": 1, "v": 1, "tags": ["a"]}),
+            (MatchType.CHANGE, stored),
+        ]
+        provider.close()
+
+    def test_a_tailer_hands_out_copies_of_the_stored_document(self):
+        collection = Collection("items")
+        seen = Collector()
+        provider = LogTailingProvider(collection)
+        provider.subscribe({"v": {"$gte": 0}}, on_change=seen)
+        collection.insert({"_id": 1, "v": 1})
+        seen[0].document["v"] = 999
+        assert collection.find_one({"_id": 1}) == {"_id": 1, "v": 1}
+        assert collection.oplog.read_from(1)[0].after_image == {"_id": 1, "v": 1}
+        provider.close()
+
+    def test_an_entry_converts_to_a_copy_of_the_stored_document(self):
+        collection = Collection("items")
+        collection.ensure_index("v", "hash")
+        collection.ensure_index("w", "ordered")
+        collection.insert({"_id": 1, "v": 1, "w": 5, "tags": ["a"]})
+        after = collection.oplog.read_from(1)[0].to_after_image()
+        after.document["v"] = 999
+        after.document["w"] = -1
+        after.document["tags"].append("z")
+        stored = {"_id": 1, "v": 1, "w": 5, "tags": ["a"]}
+        assert collection.find_one({"_id": 1}) == stored
+        assert collection.find_one({"v": 1}) == stored
+        assert collection.find({"w": {"$gte": 5}}) == [stored]
+        assert collection.oplog.read_from(1)[0].after_image == stored
 
 
 class TestExplain:

@@ -110,4 +110,4 @@ class TestNotificationBuilder:
                                      error="heartbeat timeout")
         public = ChangeNotification("sub-1", "q-1", MatchType.ERROR,
                                     error="heartbeat timeout")
-        assert vars(built) == vars(public)
+        assert tuple(built) == tuple(public)
