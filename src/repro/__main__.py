@@ -84,7 +84,7 @@ def demo() -> int:
 def inspect(args: argparse.Namespace) -> int:
     """Boot an inline telemetry-on cluster, run a workload, render it."""
     from repro.obs.export import format_slow_events, to_json, to_prometheus
-    from repro.obs.inspector import render, render_health, render_postmortem
+    from repro.obs.inspector import render, render_postmortem
     from repro.obs.telemetry import TelemetryConfig
     from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
 
@@ -108,25 +108,12 @@ def inspect(args: argparse.Namespace) -> int:
         )
         broker = Broker(execution=model)
         model_knobs = {}
-    overload_knobs = {}
-    if args.health:
-        # Demo the overload view with live numbers: pin the cluster
-        # overloaded and shrink the admission budget so the synthetic
-        # workload actually gets rejected, shed and refreshed.
-        overload_knobs = dict(
-            overload_control=True,
-            shedding=True,
-            force_health="overloaded",
-            admission_burst=8,
-            admission_initial_rate=50.0,
-        )
     config = InvaliDBConfig(
         query_partitions=int(qp), write_partitions=int(wp or qp),
         # Trace every write: the inspector exists to show the write
         # path, so it overrides the production sampling default.
         telemetry=TelemetryConfig(trace_sample_rate=1.0),
         **model_knobs,
-        **overload_knobs,
     )
     cluster = InvaliDBCluster(broker, config).start()
     app = AppServer("inspect-app", broker, config=config)
@@ -176,8 +163,6 @@ def inspect(args: argparse.Namespace) -> int:
             print(to_prometheus(cluster.telemetry), end="")
         elif args.slow:
             print(format_slow_events(cluster.telemetry), end="")
-        elif args.health:
-            print(render_health(cluster.snapshot()["health"]), end="")
         else:
             print(render(cluster.snapshot()), end="")
         return 0
@@ -219,9 +204,6 @@ def main(argv=None) -> int:
                         help="dump the registry in Prometheus text format")
     output.add_argument("--slow", action="store_true",
                         help="print the slow-event log")
-    output.add_argument("--health", action="store_true",
-                        help="render the overload-control health table "
-                             "(forces an overloaded demo workload)")
     output.add_argument("--postmortem", metavar="DUMP",
                         help="render a flight-recorder dump file instead "
                              "of booting a cluster")

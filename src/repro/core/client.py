@@ -72,7 +72,7 @@ ErrorCallback = Callable[[str], None]
 
 _WIRE_SCALARS = (str, int, float, bool, type(None))
 
-#: Retry and resubmit delays get up to this fraction of themselves
+#: Retry delays get up to this fraction of themselves
 #: added as seeded random jitter, so synchronized clients spread out.
 _BACKOFF_JITTER = 0.5
 
@@ -364,19 +364,9 @@ class InvaliDBClient:
         #: Backoff seconds accumulated (virtual under the inline model,
         #: where sleeping would add nothing but wall-clock noise).
         self.backoff_waited = 0.0
-        # -- overload control (all zero / None on clean runs) -----------
-        #: Last cluster health state seen on a heartbeat or rejection
-        #: (None until the cluster reports one).
-        self.cluster_health: Optional[str] = None
-        self.writes_rejected = 0
-        self.writes_resubmitted = 0
-        self.writes_abandoned = 0
-        self.refreshes_received = 0
         #: User ``on_change``/``on_error`` callbacks that raised (each
         #: costs only its own handle's delivery, never the envelope).
         self.callback_errors = 0
-        #: call_later handles for retry-after resubmits in flight.
-        self._pending_resubmits: List[Any] = []
         self._notification_subscription = broker.subscribe(
             notification_channel(app_server_id), self._on_notification
         )
@@ -392,17 +382,10 @@ class InvaliDBClient:
             self.config.heartbeat_interval, self.check_heartbeat
         )
 
-    @property
-    def degraded(self) -> bool:
-        """True while the cluster last reported degraded/overloaded —
-        the client-visible signal that delivery may be coalesced or
-        replaced by snapshot refreshes until health recovers."""
-        return self.cluster_health in ("degraded", "overloaded")
-
     def _now(self) -> float:
         """The clock timers fire on (virtual time under the inline
-        model): write deadlines are stamped from it, heartbeat arrivals
-        and silence are measured on it — never the cluster's clock."""
+        model): heartbeat arrivals and silence are measured on it —
+        never the cluster's clock."""
         return self.broker.execution.now(self.config.clock)
 
     @property
@@ -563,7 +546,7 @@ class InvaliDBClient:
         # so no change notification can slip past the handle.
         rewritten = query.rewritten_for_subscription(slack)
         bootstrap, versions, watermark = self._execute(rewritten)
-        visible = self._visible_window(query, bootstrap)
+        visible = self._result_page(query, bootstrap)
         subscription._deliver_initial(
             InitialResult(
                 subscription_id=subscription.subscription_id,
@@ -613,7 +596,7 @@ class InvaliDBClient:
         self._publish(query_channel(self.tenant), message, "subscribe")
 
     @staticmethod
-    def _visible_window(query: Query, bootstrap: List[Document]) -> List[Document]:
+    def _result_page(query: Query, bootstrap: List[Document]) -> List[Document]:
         """Slice the rewritten bootstrap down to the user-facing result."""
         if not query.is_sorted:
             return list(bootstrap)
@@ -658,15 +641,6 @@ class InvaliDBClient:
         kind = payload.get("kind")
         if kind == "heartbeat":
             self.last_heartbeat = self._now()
-            health = payload.get("health")
-            if health is not None:
-                self.cluster_health = health
-            return
-        if kind == "overload-rejected":
-            self._on_overload_rejected(payload)
-            return
-        if kind == "refresh":
-            self._on_refresh(payload)
             return
         if kind == "resync":
             # A restarted grid task lost these queries' state.
@@ -724,72 +698,6 @@ class InvaliDBClient:
                     failure = exc
         if failure is not None:
             raise failure
-
-    # ------------------------------------------------------------------
-    # Overload responses (admission rejections & snapshot refreshes)
-    # ------------------------------------------------------------------
-
-    def _on_overload_rejected(self, payload: Dict[str, Any]) -> None:
-        """The cluster pushed a write back: honor its retry-after hint.
-
-        The write is rescheduled through the execution model's timer
-        (virtual time under the inline model), with the usual seeded
-        jitter so synchronized clients don't retry in lockstep.  A
-        write bouncing more than ``admission_max_resubmits`` times is
-        abandoned and counted.
-        """
-        self.writes_rejected += 1
-        health = payload.get("health")
-        if health is not None:
-            self.cluster_health = health
-        envelope = payload.get("write")
-        if envelope is None or self._closed:
-            return
-        resubmits = envelope.get("resubmits", 0)
-        if resubmits >= self.config.admission_max_resubmits:
-            self.writes_abandoned += 1
-            return
-        envelope = dict(envelope)
-        envelope.pop("trace", None)
-        envelope["resubmits"] = resubmits + 1
-        delay = max(float(payload.get("retry_after", 0.0)), 0.001)
-        delay += self._retry_rng.random() * _BACKOFF_JITTER * delay
-        self.backoff_waited += delay
-        handle = self.broker.execution.call_later(
-            delay, lambda: self._resubmit_write(envelope)
-        )
-        with self._lock:
-            self._pending_resubmits.append(handle)
-
-    def _resubmit_write(self, envelope: Dict[str, Any]) -> None:
-        if self._closed:
-            return
-        if self.config.deadline_budget_seconds:
-            # The original budget was spent waiting out the rejection;
-            # a resubmitted write earns a fresh one.
-            envelope["deadline"] = (
-                self._now() + self.config.deadline_budget_seconds
-            )
-        self.writes_resubmitted += 1
-        try:
-            self._publish(write_channel(self.tenant), envelope, "write")
-        except Exception:  # noqa: BLE001 - timer callback, nobody to raise to
-            # _publish counted the failed publish; the write itself is
-            # lost to the cluster, which is what abandoned means.
-            self.writes_abandoned += 1
-
-    def _on_refresh(self, payload: Dict[str, Any]) -> None:
-        """A sorted query's diff stream was shed: converge every handle
-        on the wholesale window snapshot through the catch-up delta
-        (the one ``resubscribe_all`` delivers), so change callbacks see
-        every transition."""
-        query_id = payload.get("query_id")
-        documents = payload.get("documents") or []
-        entry = self._entries.get(query_id)
-        if entry is None:
-            return
-        self.refreshes_received += 1
-        self._deliver_delta(entry, documents)
 
     # ------------------------------------------------------------------
     # Query renewal (maintenance errors)
@@ -883,7 +791,7 @@ class InvaliDBClient:
         query = entry.query
         bootstrap = self._activate(query, slack, renewal=True)
         if resync:
-            self._deliver_delta(entry, self._visible_window(query, bootstrap))
+            self._deliver_delta(entry, self._result_page(query, bootstrap))
         else:
             self.renewals_sent += 1
         return True
@@ -963,17 +871,6 @@ class InvaliDBClient:
     def forward_write(self, after: AfterImage) -> None:
         """Publish one after-image to the cluster's write channel."""
         payload = serialize_after_image(after)
-        if self.config.overload_control:
-            # Origin lets the admission governor push a rejection back
-            # to this client; the deadline stamps the latency budget
-            # the grid stages shed against.  Both keys only exist with
-            # the gate on, keeping ungated wire payloads byte-identical.
-            payload["origin"] = self.app_server_id
-            if self.config.deadline_budget_seconds:
-                payload["deadline"] = (
-                    self._now()
-                    + self.config.deadline_budget_seconds
-                )
         trace = self._start_trace("write", after.key)
         if trace is not None:
             payload["trace"] = trace
@@ -997,8 +894,6 @@ class InvaliDBClient:
                 if entry.pending_renewal is not None:
                     handles.append(entry.pending_renewal[0])
                     entry.pending_renewal = None
-            handles += self._pending_resubmits
-            self._pending_resubmits = []
         for handle in handles + [self._ttl_timer, self._heartbeat_timer]:
             handle.cancel()
         self._notification_subscription.close()
@@ -1033,10 +928,5 @@ class InvaliDBClient:
             "resubscribes": self.resubscribes,
             "stale_notifications_skipped": stale,
             "circuit": self._breaker.stats(),
-            "writes_rejected": self.writes_rejected,
-            "writes_resubmitted": self.writes_resubmitted,
-            "writes_abandoned": self.writes_abandoned,
-            "refreshes_received": self.refreshes_received,
             "callback_errors": self.callback_errors,
-            "cluster_health": self.cluster_health,
         }

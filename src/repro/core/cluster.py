@@ -30,18 +30,12 @@ application servers can detect cluster failure (Section 5).
 from __future__ import annotations
 
 import threading
-from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.config import InvaliDBConfig
 from repro.core.filtering import FilteringNode
 from repro.core.grid import Grid
 from repro.core.notifications import ChangeEnvelope, QueryChange
-from repro.core.overload import (
-    SEVERITY as HEALTH_SEVERITY,
-    OverloadController,
-    serialize_refresh,
-)
 from repro.core.partitioning import PartitioningScheme
 from repro.core.remote import (  # wire forms re-exported for callers
     LeasedCell,
@@ -140,11 +134,6 @@ class InvaliDBCluster:
         #: live in worker processes.
         self._cells: Dict[Tuple[str, int], Any] = {}
         self._process_mode = isinstance(self._execution, ProcessExecutionModel)
-        #: Overload control seam (None = gate off: zero-cost, the hot
-        #: paths skip every check on one attribute load).
-        self.overload: Optional[OverloadController] = None
-        if self.config.overload_control:
-            self.overload = OverloadController(self)
         self._registrations: Dict[str, QueryRegistration] = {}
         self._registration_lock = threading.Lock()
         #: One parse per subscribed query, shared by the intake and every
@@ -153,9 +142,9 @@ class InvaliDBCluster:
         self._subscriptions: List[Any] = []
         self._heartbeat_timer: Optional[TimerHandle] = None
         self.notifications_sent = 0
-        #: Notifications (rows per subscriber, one per sorted refresh)
-        #: the broker refused to publish; the other app servers'
-        #: envelopes of the same batch still went out.
+        #: Notifications (rows per subscriber) the broker refused to
+        #: publish; the other app servers' envelopes of the same batch
+        #: still went out.
         self.notifications_failed = 0
         #: Notifications coalesced away within dispatch batches (the
         #: fan-out the client never had to see).  Monitoring-grade, like
@@ -197,8 +186,6 @@ class InvaliDBCluster:
             self._execution.fault_injector.stats()
             if self._execution.fault_injector is not None else {}
         ))
-        if self.overload is not None:
-            flight.add_context("health", self.overload.snapshot)
         if self.telemetry.enabled:
             tracer = self.telemetry.tracer
             flight.add_context(
@@ -255,15 +242,11 @@ class InvaliDBCluster:
                 f"{role}-{task_index}", spec, slot=slot
             ))
         else:
-            local: Dict[str, Any] = {
-                "telemetry": self.telemetry,
-                "clock": self.config.clock,
-                "deadline_now": partial(self._execution.now, self.config.clock),
-                "resolve_query": self._query_from_wire,
-            }
-            if role == "sorting" and self.overload is not None:
-                local["defer"] = self.overload.defer_sorted
-            cell = spec.cell(**local)
+            cell = spec.cell(
+                telemetry=self.telemetry,
+                clock=self.config.clock,
+                resolve_query=self._query_from_wire,
+            )
         self._cells[(role, task_index)] = cell
         return cell
 
@@ -311,13 +294,6 @@ class InvaliDBCluster:
     def stop(self) -> None:
         if self._heartbeat_timer is not None:
             self._heartbeat_timer.cancel()
-        if self.overload is not None:
-            # Deferred sorted refreshes and shed-staged notifications
-            # go out while the broker is still open — shutdown must
-            # never strand degraded-mode deliveries.
-            self.overload.flush_refresh()
-            if self.overload.shed_stager is not None:
-                self.overload.shed_stager.flush()
         for subscription in self._subscriptions:
             subscription.close()
         self._subscriptions.clear()
@@ -441,26 +417,6 @@ class InvaliDBCluster:
     # Notification fan-out
     # ------------------------------------------------------------------
 
-    def _publish_changes(
-        self,
-        entries: List[Tuple[QueryChange, Optional[Dict[str, Any]]]],
-    ) -> None:
-        """Fan one dispatch batch's ``(change, owned trace fork)`` list
-        out: stage what the shed stager takes, deliver the rest in one
-        envelope per app server."""
-        overload = self.overload
-        if (
-            overload is not None
-            and overload.shed_stager is not None
-            and overload.shedding_active()
-        ):
-            # Degraded mode: per-event delivery collapses to coalesced
-            # latest-value through the pressure-widened window.
-            stage = overload.shed_stager.offer
-            entries = [entry for entry in entries if not stage(*entry)]
-        if entries:
-            self._deliver_changes(entries)
-
     def _deliver_changes(
         self,
         entries: List[Tuple[QueryChange, Optional[Dict[str, Any]]]],
@@ -509,26 +465,6 @@ class InvaliDBCluster:
         if failure is not None:
             raise failure
 
-    def _deliver_refresh(self, query_id: str, documents: List[Any]) -> None:
-        """Fan one wholesale sorted-window snapshot out to the query's
-        subscribers (the shed replacement for a burst of diffs).
-
-        Never raises: it runs from :meth:`OverloadController.flush_refresh`
-        once per dirty query, on a timer and during :meth:`stop`, and
-        one failing app server must cost neither the other subscribers
-        nor the other queries their refresh.  A failed refresh is
-        counted in ``notifications_failed``."""
-        with self._registration_lock:
-            registration = self._registrations.get(query_id)
-            app_servers = () if registration is None else registration.servers
-        if not app_servers:
-            return
-        payload = serialize_refresh(query_id, documents, self.config.clock())
-        _, failed, _ = self._publish_each(
-            (app_server, payload, 1) for app_server in app_servers
-        )
-        self.notifications_failed += failed
-
     def _publish_each(
         self, publications: Iterable[Tuple[str, Dict[str, Any], int]]
     ) -> Tuple[int, int, Optional[Exception]]:
@@ -567,12 +503,6 @@ class InvaliDBCluster:
                 for server in registration.app_servers
             }
         payload = {"kind": "heartbeat", "timestamp": self.config.clock()}
-        if self.overload is not None:
-            # Heartbeats double as the health-evaluation tick and carry
-            # the state so clients can signal degraded mode.  Gate off,
-            # the payload is byte-identical to previous releases.
-            self.overload.evaluate()
-            payload["health"] = self.overload.state
         # Isolated per app server: one failing notify channel must not
         # starve the others' heartbeats (they would tear down healthy
         # subscriptions on timeout).
@@ -614,17 +544,6 @@ class InvaliDBCluster:
             "cluster.notifications_coalesced": self.notifications_coalesced,
             "cluster.queries_renewed": self.queries_renewed,
         }
-        if self.overload is not None:
-            ov = self.overload
-            metrics.update({
-                "cluster.health_state": float(HEALTH_SEVERITY[ov.state]),
-                "cluster.writes_rejected": ov.writes_rejected,
-                "cluster.writes_dropped": ov.writes_dropped,
-                "cluster.notifications_shed": ov.notifications_shed,
-                "cluster.sorted_changes_shed": ov.sorted_changes_shed,
-                "cluster.refreshes_sent": ov.refreshes_sent,
-                "cluster.admission_rate": ov.governor.rate,
-            })
         if self._process_mode:
             # The grid counters live in the workers and a collector must
             # not block on a worker round-trip: the sums are absent
@@ -649,10 +568,6 @@ class InvaliDBCluster:
                 node.dag.queries_served for node in nodes
             ),
         })
-        if self.overload is not None:
-            metrics["cluster.deadline_shed"] = sum(
-                cell.node.deadline_shed for _, cell in cells
-            )
         return metrics
 
     def snapshot(self) -> Dict[str, Any]:
@@ -787,15 +702,6 @@ class InvaliDBCluster:
             snap["slo"] = self.slo.summary()
         if workers is not None:
             snap["workers"] = workers
-        if self.overload is not None:
-            snap["health"] = self.overload.snapshot()
-            # Shed across the grid because the write's latency budget
-            # expired before the stage reached it; from the same rows,
-            # so rows and total agree whichever side hosts the cells.
-            snap["health"]["deadline_shed"] = sum(
-                row.get("deadline_shed", 0)
-                for row in matching_rows + sorting_rows
-            )
         return snap
 
     def _grid_rows(

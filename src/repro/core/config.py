@@ -67,8 +67,7 @@ class InvaliDBConfig:
     #: dispatch batch of the matching stage (latest version wins, match
     #: types rewritten so client materialization stays correct).  Only
     #: affects batched execution models; the inline model dispatches
-    #: per-tuple and is unaffected.  Cross-batch coalescing happens only
-    #: while shedding (``shed_coalescing_window``).
+    #: per-tuple and is unaffected.  There is no cross-batch coalescing.
     notification_coalescing: bool = True
     #: Execution substrate for the matching grid.  ``None`` (default)
     #: shares the broker's execution model, putting the event layer and
@@ -119,63 +118,6 @@ class InvaliDBConfig:
     #: its execution model (and the broker's), so the event layer, the
     #: grid stages and subscribed clients all report into one registry.
     telemetry: object = None
-    #: Overload control master gate: admission governor at the write
-    #: edge, deadline budgets, health states and semantic shedding.
-    #: Off (default) the cluster behaves exactly as before — clean runs
-    #: keep every new counter at zero and reproduce ungated transcripts
-    #: byte-identically.
-    overload_control: bool = False
-    #: AIMD write-admission budget (writes/second): start here, add
-    #: ``admission_increase`` per healthy evaluation, multiply by
-    #: ``admission_decrease`` per overloaded one, clamped to
-    #: [``admission_min_rate``, ``admission_max_rate``].  The budget is
-    #: only enforced while the cluster measures ``overloaded``.
-    admission_initial_rate: float = 1000.0
-    admission_min_rate: float = 50.0
-    admission_max_rate: float = 10000.0
-    admission_increase: float = 100.0
-    admission_decrease: float = 0.5
-    #: Token-bucket burst: writes admitted instantly at overload onset.
-    admission_burst: int = 256
-    #: Minimum seconds between multiplicative decreases — one decrease
-    #: per congestion *event*, not per evaluation tick (evaluations can
-    #: run every few milliseconds under load; halving on each would
-    #: slam the budget to ``admission_min_rate`` before the additive
-    #: recovery could ever balance it).
-    admission_decrease_cooldown: float = 0.25
-    #: Client-side cap on honoring retry-after hints for one write
-    #: before abandoning it (counted in ``writes_abandoned``).
-    admission_max_resubmits: int = 8
-    #: Per-write latency budget in seconds, stamped into write
-    #: envelopes at the client edge; filtering/sorting shed writes
-    #: whose budget already expired (0 disables deadline stamping).
-    #: Virtual seconds under the inline model — deterministic shedding.
-    deadline_budget_seconds: float = 0.0
-    #: Semantic-shedding sub-gate: while degraded/overloaded, coalesce
-    #: unsorted changes through a pressure window and replace sorted
-    #: diff streams with periodic snapshot refreshes.  Convergence-safe:
-    #: final client state matches the unshedded run.
-    shedding: bool = True
-    #: Pressure-widened coalescing window (seconds) for shed unsorted
-    #: notifications.
-    shed_coalescing_window: float = 0.05
-    #: Cadence of wholesale sorted-window snapshot refreshes while
-    #: sorted diff streams are shed.
-    refresh_interval_seconds: float = 0.1
-    #: Health thresholds: a partition is ``overloaded`` at this mailbox
-    #: depth / dwell-time p99 (seconds) / any drop delta, ``degraded``
-    #: at ``degraded_fraction`` of either threshold.
-    overload_queue_depth: int = 256
-    overload_dwell_p99: float = 0.2
-    degraded_fraction: float = 0.5
-    #: Minimum seconds between health evaluations on the hot path.
-    health_eval_interval: float = 0.25
-    #: Consecutive clean evaluations before health steps DOWN one level
-    #: (escalation is immediate).
-    health_recovery_ticks: int = 3
-    #: Pin the cluster health state (``"healthy"``/``"degraded"``/
-    #: ``"overloaded"``) for deterministic tests; None = measure it.
-    force_health: Optional[str] = None
     #: Per-query SLO accounting (active whenever telemetry is enabled):
     #: a delivered notification whose lag — delivery time minus the
     #: originating write's client-edge timestamp — exceeds
@@ -185,15 +127,10 @@ class InvaliDBConfig:
     #: (1 - objective), so > 1.0 means the budget is being consumed
     #: faster than allowed.
     slo_latency_target: float = 0.25
-    #: Feed the SLO lag signal into the overload HealthMonitor: the
-    #: interval p99 of notification lag is observed as a synthetic
-    #: ``slo`` partition against ``overload_dwell_p99``.  Requires
-    #: ``overload_control`` (and telemetry to have any effect).
-    slo_health_feed: bool = False
     #: Flight recorder: bounded ring of recent operational events
-    #: (health transitions, crashes, restarts, worker deaths), always
-    #: recorded; dumped as a JSON artifact on worker death, supervisor
-    #: restart or overload escalation when ``flight_recorder_dir`` is
+    #: (task failures, crashes, restarts, worker deaths), always
+    #: recorded; dumped as a JSON artifact on worker death or
+    #: supervisor restart when ``flight_recorder_dir`` is
     #: set (defaults to the ``REPRO_FLIGHT_DIR`` environment variable,
     #: so CI can collect dumps without config plumbing).
     flight_recorder_dir: Optional[str] = field(
@@ -257,63 +194,8 @@ class InvaliDBConfig:
             raise ClusterConfigError("circuit_breaker_threshold must be >= 1")
         if self.circuit_breaker_reset <= 0:
             raise ClusterConfigError("circuit_breaker_reset must be > 0")
-        if self.force_health not in (None, "healthy", "degraded",
-                                     "overloaded"):
-            raise ClusterConfigError(
-                "force_health must be None, 'healthy', 'degraded' or "
-                "'overloaded'"
-            )
-        if self.force_health is not None and not self.overload_control:
-            raise ClusterConfigError(
-                "force_health requires overload_control"
-            )
-        if (self.admission_initial_rate <= 0 or self.admission_min_rate <= 0
-                or self.admission_max_rate <= 0):
-            raise ClusterConfigError("admission rates must be > 0")
-        if not (self.admission_min_rate <= self.admission_initial_rate
-                <= self.admission_max_rate):
-            raise ClusterConfigError(
-                "admission_initial_rate must lie within "
-                "[admission_min_rate, admission_max_rate]"
-            )
-        if self.admission_increase <= 0:
-            raise ClusterConfigError("admission_increase must be > 0")
-        if not 0.0 < self.admission_decrease < 1.0:
-            raise ClusterConfigError(
-                "admission_decrease must be in (0, 1)"
-            )
-        if self.admission_burst < 1:
-            raise ClusterConfigError("admission_burst must be >= 1")
-        if self.admission_decrease_cooldown < 0:
-            raise ClusterConfigError(
-                "admission_decrease_cooldown must be >= 0"
-            )
-        if self.admission_max_resubmits < 0:
-            raise ClusterConfigError("admission_max_resubmits must be >= 0")
-        if self.deadline_budget_seconds < 0:
-            raise ClusterConfigError("deadline_budget_seconds must be >= 0")
-        if self.shed_coalescing_window < 0:
-            raise ClusterConfigError("shed_coalescing_window must be >= 0")
-        if self.refresh_interval_seconds <= 0:
-            raise ClusterConfigError("refresh_interval_seconds must be > 0")
-        if self.overload_queue_depth < 1:
-            raise ClusterConfigError("overload_queue_depth must be >= 1")
-        if self.overload_dwell_p99 <= 0:
-            raise ClusterConfigError("overload_dwell_p99 must be > 0")
-        if not 0.0 < self.degraded_fraction <= 1.0:
-            raise ClusterConfigError(
-                "degraded_fraction must be in (0, 1]"
-            )
-        if self.health_eval_interval < 0:
-            raise ClusterConfigError("health_eval_interval must be >= 0")
-        if self.health_recovery_ticks < 1:
-            raise ClusterConfigError("health_recovery_ticks must be >= 1")
         if self.slo_latency_target <= 0:
             raise ClusterConfigError("slo_latency_target must be > 0")
-        if self.slo_health_feed and not self.overload_control:
-            raise ClusterConfigError(
-                "slo_health_feed requires overload_control"
-            )
         if self.flight_recorder_dir is not None and not isinstance(
             self.flight_recorder_dir, str
         ):

@@ -176,9 +176,6 @@ class FilteringNode:
         self.candidates_considered = 0
         #: After-images processed (post staleness check).
         self.writes_processed = 0
-        #: Writes dropped because their latency budget expired before
-        #: matching (deadline shedding, overload control).
-        self.deadline_shed = 0
         # Telemetry: per-write distributions of how many candidates the
         # index produced vs. how many evaluations pruning skipped.  The
         # plain counters above stay the hot-path source of truth (the
@@ -512,7 +509,6 @@ class FilteringNode:
             "candidates_considered": self.candidates_considered,
             "candidates_pruned": self.candidates_pruned,
             "pruning_ratio": round(self.pruning_ratio, 4),
-            "deadline_shed": self.deadline_shed,
             "retained_after_images": len(self.retention),
         }
         if self.index is not None:

@@ -180,11 +180,6 @@ class Grid:
 
     def _route_write(self, tuple_: Dict[str, Any], out: _Out) -> None:
         cluster = self.cluster
-        overload = cluster.overload
-        if (overload is not None and tuple_.get("kind") == "write"
-                and not overload.admit(tuple_)):
-            # Rejected at the edge: no cell sees (or retains) it.
-            return
         wp = cluster.scheme.write_partition_of(tuple_["key"])
         forwarded = dict(tuple_, write_partition=wp)
         for rank in self._columns[wp]:
@@ -203,7 +198,7 @@ class Grid:
                 rank = sorting_task_of(message.get("query_id"), self._sorting_nodes)
                 out.setdefault(rank, []).append(message)
             if changes:
-                cluster._publish_changes(changes)
+                cluster._deliver_changes(changes)
             task.consecutive_errors = 0
         except WorkerDiedError as exc:
             # The pool's death listener fires too; a crash is idempotent.

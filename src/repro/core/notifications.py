@@ -16,10 +16,8 @@ types cross the wire through two module-level dicts
 
 The notification leg's two algorithms each exist once, here: the
 net-transition rule per (query, key) (:func:`resolve_coalesced_type`,
-applied within a batch by :func:`coalesce_events` and, while the
-overload controller sheds, across batches by :class:`_NotificationStager`)
-and the window differ
-(:func:`diff_windows`).
+applied within a batch by :func:`coalesce_events`) and the window
+differ (:func:`diff_windows`).
 
 The one wire form lives here: the **notification envelope**
 (:class:`ChangeEnvelope` / :func:`unpack_changes`), the only form that
@@ -36,10 +34,7 @@ across the process boundary as they are.
 
 from __future__ import annotations
 
-import threading
-from typing import (
-    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple,
-)
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.core.filtering import MatchEvent
 from repro.obs.tracing import trace_of
@@ -84,9 +79,7 @@ def resolve_coalesced_type(
     (it encodes the client's pre-batch state: ``add`` ⇔ the key was
     absent), *last* the type of the surviving event.  Returns ``None``
     when the group nets out to nothing (``add … remove``: the client
-    never saw the key).  Shared by :func:`coalesce_events` and the
-    cross-batch notification stager, so every coalescing path rewrites
-    types identically.
+    never saw the key).
     """
     was_known = first is not MatchType.ADD
     if last is MatchType.REMOVE:
@@ -94,9 +87,9 @@ def resolve_coalesced_type(
     return MatchType.CHANGE if was_known else MatchType.ADD
 
 
-#: One produced match event plus the context riding with it: the trace
-#: fork it inherits from the originating tuple and the write's deadline.
-EventEntry = Tuple[MatchEvent, Optional[Dict[str, Any]], Optional[float]]
+#: One produced match event plus the trace fork it inherits from the
+#: originating tuple.
+EventEntry = Tuple[MatchEvent, Optional[Dict[str, Any]]]
 
 
 def coalesce_events(
@@ -108,18 +101,17 @@ def coalesce_events(
     matching cell (:class:`~repro.core.remote.MatchingCell`).
     Events for the same (query, key) are superseded by the last one —
     the filtering stage drops stale versions, so arrival order IS
-    version order and the latest version wins (keeping its
-    trace/deadline).  The survivor's match type is rewritten against
-    the client's pre-batch state, which the FIRST batched event for the
-    key encodes (see :func:`resolve_coalesced_type`), so client
-    materialization stays idempotent and identical to replaying the
-    full stream.  Sorting events pass through untouched — ordered
-    windows need every transition.  Returns ``(surviving entries,
-    dropped count)``.
+    version order and the latest version wins (keeping its trace).  The
+    survivor's match type is rewritten against the client's pre-batch
+    state, which the FIRST batched event for the key encodes (see
+    :func:`resolve_coalesced_type`), so client materialization stays
+    idempotent and identical to replaying the full stream.  Sorting
+    events pass through untouched — ordered windows need every
+    transition.  Returns ``(surviving entries, dropped count)``.
     """
     last_index: Dict[Tuple[str, Any], int] = {}
     first_type: Dict[Tuple[str, Any], MatchType] = {}
-    for index, (event, _, _) in enumerate(entries):
+    for index, (event, _) in enumerate(entries):
         if event.needs_sorting:
             continue
         group = (event.query_id, event.key)
@@ -128,9 +120,9 @@ def coalesce_events(
         last_index[group] = index
     coalesced: List[EventEntry] = []
     dropped = 0
-    for index, (event, trace, deadline) in enumerate(entries):
+    for index, (event, trace) in enumerate(entries):
         if event.needs_sorting:
-            coalesced.append((event, trace, deadline))
+            coalesced.append((event, trace))
             continue
         group = (event.query_id, event.key)
         if last_index[group] != index:
@@ -143,112 +135,8 @@ def coalesce_events(
             continue
         if final is not event.match_type:
             event = event._replace(match_type=final)
-        coalesced.append((event, trace, deadline))
+        coalesced.append((event, trace))
     return coalesced, dropped
-
-
-#: A delivered change plus the sampled trace riding with it.
-StagedChange = Tuple[QueryChange, Optional[Dict[str, Any]]]
-
-
-class _NotificationStager:
-    """Cross-batch notification coalescing (time-window staging).
-
-    In-batch coalescing (:func:`coalesce_events`, run by the matching
-    cell) cannot elide redundancy that spans dispatch batches — a hot
-    key rewritten every few milliseconds still produces one
-    notification per batch.  The stager holds unsorted-query changes
-    for *window* seconds, collapsing per (query, key) with the same
-    rewrite rule (:func:`resolve_coalesced_type`), then hands the
-    survivors to *deliver* as one batch.  Sorted-query changes bypass
-    staging entirely: positional transitions must reach the client
-    unmerged and in order.
-
-    Its one owner is the overload controller
-    (:attr:`~repro.core.overload.OverloadController.shed_stager`): the
-    cluster stages changes only while shedding, through the
-    ``shed_coalescing_window``.  *call_later* is the execution model's
-    timer, so under the deterministic inline model the window is
-    *virtual* time — a test's ``drain()`` fires the flush, keeping
-    staged delivery reproducible.  *on_coalesce* is called once per
-    elided notification (the controller's ``notifications_shed``).
-    """
-
-    def __init__(
-        self,
-        window: float,
-        call_later: Callable[[float, Callable[[], Any]], Any],
-        deliver: Callable[[List[StagedChange]], Any],
-        on_coalesce: Callable[[], Any],
-    ):
-        self.window = window
-        self._call_later = call_later
-        self._deliver = deliver
-        self._on_coalesce = on_coalesce
-        self._lock = threading.Lock()
-        #: (query_id, key) -> [first_type, latest change, latest trace]
-        self._staged: Dict[Tuple[str, Any], List[Any]] = {}
-        self._flush_scheduled = False
-        self.staged_total = 0
-        self.flushes = 0
-
-    def offer(
-        self,
-        change: QueryChange,
-        trace: Optional[Dict[str, Any]],
-    ) -> bool:
-        """Stage *change* if it is coalescible; False = deliver now."""
-        if (
-            change.index is not None
-            or change.old_index is not None
-            or change.is_error
-        ):
-            return False
-        schedule = False
-        with self._lock:
-            self.staged_total += 1
-            group = (change.query_id, change.key)
-            entry = self._staged.get(group)
-            if entry is None:
-                self._staged[group] = [change.match_type, change, trace]
-            else:
-                entry[1] = change
-                entry[2] = trace
-                self._on_coalesce()
-            if not self._flush_scheduled:
-                self._flush_scheduled = True
-                schedule = True
-        if schedule:
-            self._call_later(self.window, self.flush)
-        return True
-
-    def flush(self) -> int:
-        """Deliver every staged survivor; returns how many went out."""
-        with self._lock:
-            staged, self._staged = self._staged, {}
-            self._flush_scheduled = False
-            self.flushes += 1
-        survivors: List[StagedChange] = []
-        for first, change, trace in staged.values():
-            final = resolve_coalesced_type(first, change.match_type)
-            if final is None:
-                self._on_coalesce()
-                continue
-            if final is not change.match_type:
-                change = change._replace(match_type=final)
-            survivors.append((change, trace))
-        if survivors:
-            self._deliver(survivors)
-        return len(survivors)
-
-    def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "window_seconds": self.window,
-                "staged_total": self.staged_total,
-                "pending": len(self._staged),
-                "flushes": self.flushes,
-            }
 
 
 #: An ordered result window: ``(key, document)`` pairs in result order.
@@ -276,8 +164,8 @@ def diff_windows(
     for a sorted query's renewal delta "from the last valid to the
     current result representation" (Section 5.2,
     ``SortingNode.register_query``), for the client's catch-up after an
-    outage or a shed diff stream (``InvaliDBClient.resubscribe_all`` /
-    ``_on_refresh``) and for the poll-and-diff baseline's polling round.
+    outage (``InvaliDBClient.resubscribe_all``) and for the poll-and-diff
+    baseline's polling round.
 
     *positional* is the query's ``is_sorted``: an unsorted result has
     no positions, so its delta is REMOVE / ADD / CHANGE without index

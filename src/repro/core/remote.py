@@ -18,8 +18,7 @@ a forked worker (:class:`~repro.runtime.process.ProcessExecutionModel`).
   the ``(QueryChange, trace fork)`` pairs bound for the notification
   fan-out, and how many events in-batch coalescing elided.  What cannot
   cross a fork is injected by a local host (shared telemetry, the
-  config clock, the deadline clock, the cluster-wide query resolver,
-  the overload controller's sorted-shedding hook); a worker-hosted cell
+  config clock, the cluster-wide query resolver); a worker-hosted cell
   falls back to its own registry on the fork-calibrated clock, wall
   time and a private resolver.
 * **The process seam** is the only place anything is serialised:
@@ -183,7 +182,6 @@ class _Cell:
         spec: Any,
         telemetry: Any = None,
         clock: Callable[[], float] = time.time,
-        deadline_now: Callable[[], float] = time.time,
         resolve_query: Optional[QueryResolver] = None,
     ):
         self.spec = spec
@@ -195,10 +193,6 @@ class _Cell:
             )
         self.telemetry = telemetry
         self.clock = clock
-        #: Called per tuple that carries a deadline: virtual time under
-        #: the inline model, the config clock under the threaded one,
-        #: wall time in a worker (custom clocks do not cross the fork).
-        self.deadline_now = deadline_now
         self.resolve_query = (
             resolve_query if resolve_query is not None else QueryResolver()
         )
@@ -263,15 +257,7 @@ class MatchingCell(_Cell):
                 tnow = tel.now()
                 end_span(trace, PUBLISH, tnow)
                 begin_span(trace, FILTER, tnow)
-            deadline = tuple_.get("deadline") if kind == "write" else None
             if kind == "write":
-                if deadline is not None and self.deadline_now() > deadline:
-                    # Budget already spent: computing matches no client
-                    # can receive in time is pure wasted work.
-                    node.deadline_shed += 1
-                    if trace is not None:
-                        end_span(trace, FILTER, tel.now())
-                    continue
                 after = deserialize_after_image(tuple_)
                 events = node.process_write(after, now)
                 if events:
@@ -306,7 +292,7 @@ class MatchingCell(_Cell):
                 end_span(trace, FILTER, tel.now())
             if events:
                 producers += 1
-                entries.extend((event, trace, deadline) for event in events)
+                entries.extend((event, trace) for event in events)
         coalesced = 0
         # One tuple yields at most one event per (query, key) — one per
         # candidate query, and retention replays only the latest image
@@ -322,7 +308,7 @@ class MatchingCell(_Cell):
             entries, coalesced = coalesce_events(entries)
         messages: List[Dict[str, Any]] = []
         changes: List[Tuple[QueryChange, Optional[Trace]]] = []
-        for event, trace, deadline in entries:
+        for event, trace in entries:
             query_id, match_type, key, document, version, timestamp, sorts = (
                 event
             )
@@ -339,8 +325,6 @@ class MatchingCell(_Cell):
                 "query_id": query_id,
                 "event": event,
             }
-            if deadline is not None:
-                message["deadline"] = deadline
             if trace is not None:
                 branch = fork(trace)
                 begin_span(branch, SORT, tel.now())
@@ -375,18 +359,8 @@ class SortingCellSpec:
 class SortingCell(_Cell):
     """One :class:`SortingNode` behind the batch protocol."""
 
-    def __init__(
-        self,
-        spec: SortingCellSpec,
-        defer: Optional[Callable[[SortingNode, List[QueryChange]], bool]] = None,
-        **injected: Any,
-    ):
+    def __init__(self, spec: SortingCellSpec, **injected: Any):
         super().__init__(spec, **injected)
-        #: Per-event shedding hook (``OverloadController.defer_sorted``):
-        #: True = the diffs were swallowed, a snapshot refresh of the
-        #: dirty window replaces them.  Reads the node's live window, so
-        #: only a local host can supply it.
-        self.defer = defer
         self.node = SortingNode(spec.task_index, telemetry=self.telemetry)
 
     def handle_batch(self, tuples: List[Dict[str, Any]]) -> CellResult:
@@ -400,26 +374,12 @@ class SortingCell(_Cell):
             kind = tuple_["kind"]
             trace = fork(trace_of(tuple_)) if tel.enabled else None
             if kind == "match-event":
-                deadline = tuple_.get("deadline")
-                if deadline is not None and self.deadline_now() > deadline:
-                    # The write's latency budget expired in flight:
-                    # skipping window maintenance is safe because the
-                    # sorting stage resolves any resulting staleness
-                    # through its renewal path (as for dropped events).
-                    node.deadline_shed += 1
-                    continue
                 # The ``sort`` span was opened by the matching cell when
                 # it routed the event here; close it around the
                 # window maintenance.
                 changes = node.handle_event(tuple_["event"])
                 if trace is not None:
                     end_span(trace, SORT, tel.now())
-                if (
-                    changes
-                    and self.defer is not None
-                    and self.defer(node, changes)
-                ):
-                    continue
             elif kind == "subscribe":
                 query = self.resolve_query(tuple_)
                 if not query.needs_sorting_stage:

@@ -117,18 +117,6 @@ class AppServer:
     def unsubscribe(self, subscription: RealTimeSubscription) -> None:
         self.client.unsubscribe(subscription)
 
-    @property
-    def health(self) -> Optional[str]:
-        """The cluster health state last reported to this app server
-        (``healthy``/``degraded``/``overloaded``; None until seen)."""
-        return self.client.cluster_health
-
-    @property
-    def degraded(self) -> bool:
-        """True while the cluster reports degraded/overloaded mode —
-        deliveries may be coalesced or replaced by snapshot refreshes."""
-        return self.client.degraded
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------

@@ -542,9 +542,6 @@ class SortingNode:
         #: see ``_SortCore.comparisons``; the per-event distribution is
         #: sort.window_ops).
         self.window_comparisons = 0
-        #: Match events dropped because the originating write's latency
-        #: budget expired in flight (deadline shedding).
-        self.deadline_shed = 0
         # Telemetry: distribution of the slack remaining after each
         # event — how close limit queries run to a maintenance error —
         # and of the per-event window work (comparisons).
@@ -625,15 +622,6 @@ class SortingNode:
     def state_of(self, query_id: str) -> Optional[_Page]:
         return self._pages.get(query_id)
 
-    def visible_window(self, query_id: str) -> Optional[List[Document]]:
-        """The page's current visible result documents, or None when
-        the page is detached (cancelled or renewing).  Read by the
-        overload controller's snapshot-refresh shedding tier."""
-        page = self._pages.get(query_id)
-        if page is None:
-            return None
-        return [document for _, document in page.visible()]
-
     # ------------------------------------------------------------------
     # Event processing
     # ------------------------------------------------------------------
@@ -710,5 +698,4 @@ class SortingNode:
             "events_processed": self.events_processed,
             "renewals_requested": self.renewals_requested,
             "window_comparisons": self.window_comparisons,
-            "deadline_shed": self.deadline_shed,
         }

@@ -1,14 +1,13 @@
 """Crash flight recorder: a bounded ring of recent operational events.
 
 Production incidents in a push-based query cluster are reconstructed
-from what happened *just before* the failure — which partitions went
-degraded, which task crashed, what the supervisor was doing — but by
-the time someone looks, the counters have moved on and the dead
-worker's state is gone.  The :class:`FlightRecorder` keeps a bounded
-per-node ring buffer of operational events (health transitions, task
-crashes, supervised restarts, worker deaths, overload escalations),
-recorded unconditionally because appends to a ``deque`` are too cheap
-to gate.
+from what happened *just before* the failure — which task failed or
+crashed, what the supervisor was doing — but by the time someone
+looks, the counters have moved on and the dead worker's state is gone.
+The :class:`FlightRecorder` keeps a bounded per-node ring buffer of
+operational events (task failures and crashes, supervised restarts,
+worker deaths), recorded unconditionally because appends to a
+``deque`` are too cheap to gate.
 
 **Dumps** are the expensive part and are gated on a configured
 directory (``InvaliDBConfig.flight_recorder_dir``, defaulting to the

@@ -59,52 +59,6 @@ def _labeled(telemetry_snap: Dict[str, Any], name: str,
     return out
 
 
-def render_health(health: Dict[str, Any]) -> str:
-    """The overload-control view: cluster state, admission budget,
-    per-partition health, shed/reject counters (``inspect --health``)."""
-    sections: List[str] = []
-    state = health.get("state", "?")
-    forced = health.get("forced")
-    admission = health.get("admission") or {}
-    headline = f"cluster health: {state.upper()}"
-    if forced:
-        headline += f" (forced: {forced})"
-    headline += (
-        f"\nadmission budget: {_fmt(admission.get('rate'))} writes/s, "
-        f"{_fmt(admission.get('tokens'))}/{_fmt(admission.get('burst'))} "
-        f"tokens, {_fmt(admission.get('admitted'))} admitted, "
-        f"{_fmt(admission.get('rejected'))} rejected"
-    )
-    sections.append(headline)
-    partitions = health.get("partitions") or {}
-    if partitions:
-        rows = [[name, partitions[name]] for name in sorted(partitions)]
-        sections.append("partition health\n"
-                        + _table(["partition", "state"], rows))
-    counters = []
-    for key in ("writes_rejected", "writes_dropped", "notifications_shed",
-                "sorted_changes_shed", "refreshes_sent", "pending_refresh",
-                "deadline_shed", "evaluations"):
-        value = health.get(key)
-        if isinstance(value, (int, float)):
-            counters.append([key, value])
-    pressure = admission.get("pressure_events")
-    if isinstance(pressure, (int, float)):
-        counters.append(["admission_pressure_events", pressure])
-    if counters:
-        sections.append("overload counters\n"
-                        + _table(["counter", "value"], counters))
-    shed = health.get("shed_coalescing")
-    if shed:
-        sections.append(
-            f"shed coalescing: window={_fmt(shed.get('window_seconds'))}s "
-            f"staged={_fmt(shed.get('staged_total'))} "
-            f"pending={_fmt(shed.get('pending'))} "
-            f"flushes={_fmt(shed.get('flushes'))}"
-        )
-    return "\n\n".join(sections) + "\n"
-
-
 def render_slo(slo: Dict[str, Any]) -> str:
     """The SLO accounting view: target, aggregate burn rate, worst
     queries first (part of the full ``inspect`` report)."""
@@ -179,9 +133,6 @@ def render_postmortem(dump: Dict[str, Any]) -> str:
                 if isinstance(value, (int, float)) and value]
         sections.append("fault counters\n" + _table(["counter", "value"],
                                                     rows))
-    health = context.get("health")
-    if isinstance(health, dict):
-        sections.append(render_health(health).rstrip("\n"))
     slo = context.get("slo")
     if isinstance(slo, dict):
         sections.append(render_slo(slo).rstrip("\n"))
@@ -351,10 +302,6 @@ def render(snapshot: Dict[str, Any]) -> str:
     if counters:
         sections.append("fault / recovery counters\n"
                         + _table(["counter", "value"], counters))
-
-    health = snapshot.get("health")
-    if health:
-        sections.append(render_health(health).rstrip("\n"))
 
     slo = snapshot.get("slo")
     if slo and slo.get("notifications"):

@@ -18,21 +18,17 @@ passes through (``InvaliDBCluster._deliver_changes``):
   means the query is consuming its error budget faster than the SLO
   allows.
 
-The accountant also maintains one *unlabeled* aggregate lag histogram
-that the overload controller can window with ``percentile_since`` and
-feed into PR 8's :class:`~repro.core.overload.HealthMonitor` as a
-synthetic partition (``slo_health_feed``): sustained lag beyond the
-dwell threshold then drives the same degraded/overloaded state machine
-as mailbox pressure.
+The accountant also maintains one *unlabeled* aggregate lag histogram,
+the cluster-wide lag distribution.
 
 Hot-path discipline: ``observe`` runs once per delivered change, so
 metric handles are resolved through a plain dict cache and the
 write-partition of repeating keys comes from a bounded cache instead
-of re-hashing.  Counters (and the aggregate histogram the health feed
-windows) are exact; the *labeled* per-(query, partition) histogram and
-last-lag gauge record every breach but sample in-target lags 1-in-4
-(phase-locked, mirroring the tracer's per-stage sampling) — tails stay
-exact while the healthy common case pays half the metric ops.
+of re-hashing.  Counters (and the aggregate histogram) are exact; the
+*labeled* per-(query, partition) histogram and last-lag gauge record
+every breach but sample in-target lags 1-in-4 (phase-locked, mirroring
+the tracer's per-stage sampling) — tails stay exact while the healthy
+common case pays half the metric ops.
 """
 
 from __future__ import annotations
@@ -98,10 +94,9 @@ class SLOAccountant:
             "Notifications whose lag exceeded the SLO latency target, "
             "per query.",
         )
-        #: Aggregate lag histogram (unlabeled): the HealthMonitor feed
-        #: windows this with counts()/percentile_since.
-        #: The aggregate notification count IS ``self.lag.count`` — a
-        #: separate counter would be a redundant hot-path bump.
+        #: Aggregate lag histogram (unlabeled).  The aggregate
+        #: notification count IS ``self.lag.count`` — a separate
+        #: counter would be a redundant hot-path bump.
         self.lag = registry.histogram("slo.lag_seconds")
         self.total_breaches = registry.counter("slo.breaches")
         #: (query_id, partition) -> (histogram, gauge, notif, breach).

@@ -230,8 +230,7 @@ class Query:
         return self._with_window(self.sort, extended_limit, 0)
 
     def unsorted(self) -> "Query":
-        """This query's filter alone: no sort, limit or offset (what a
-        shard reads before the coordinator's merge)."""
+        """This query's filter alone: no sort, limit or offset."""
         if self.sort is None:
             return self
         return self._with_window(None, None, 0)

@@ -254,7 +254,7 @@ class ExecutionModel(abc.ABC):
             self.callback_errors += 1
 
     def now(self, clock: Callable[[], float]) -> float:
-        """The time deadlines and heartbeat arrivals are read on: the
+        """The time heartbeat arrivals are read on: the
         caller's *clock* in real time; the inline model overrides this
         with the virtual time its timers fire on."""
         return clock()

@@ -88,11 +88,23 @@ class ShardedCollection:
         )
         return self._merge(self._gather(query), sort, skip, limit)
 
-    def _gather(self, unsorted: Query) -> List[Document]:
+    def _gather(self, query: Query) -> List[Document]:
         partials: List[Document] = []
         for shard in self.shards:
-            partials.extend(shard.execute(unsorted))
+            partials.extend(shard.execute(query))
         return partials
+
+    @staticmethod
+    def _shard_read(query: Query) -> Query:
+        """What each shard reads for *query*: its filter and sort, cut
+        at the end of its window (``limit = offset + limit``, offset 0),
+        so a shard copies at most that many matches.  The merge stays
+        exact: the global window is drawn from each shard's sorted
+        prefix, and ties keep shard order, then stored order."""
+        if not query.offset:
+            return query
+        limit = None if query.limit is None else query.offset + query.limit
+        return query._with_window(query.sort, limit, 0)
 
     @staticmethod
     def _merge(partials: List[Document], sort: Optional[SortInput],
@@ -106,8 +118,8 @@ class ShardedCollection:
         return partials
 
     def execute(self, query: Query) -> List[Document]:
-        return self._merge(self._gather(query.unsorted()), query.sort,
-                           query.offset, query.limit)
+        return self._merge(self._gather(self._shard_read(query)),
+                           query.sort, query.offset, query.limit)
 
     def execute_versioned(
         self, query: Query
@@ -118,13 +130,13 @@ class ShardedCollection:
         :meth:`Collection.execute_versioned`).  Shards that share a store
         contribute the minimum of their watermarks: only writes below
         every shard's read are known to be reflected."""
-        unsorted = query.unsorted()
+        shard_query = self._shard_read(query)
         partials: List[Document] = []
         versions: Dict[Any, int] = {}
         watermark: Dict[int, int] = {}
         for shard in self.shards:
             documents, shard_versions, shard_mark = shard.execute_versioned(
-                unsorted
+                shard_query
             )
             partials.extend(documents)
             versions.update(shard_versions)

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.query.engine as engine_module
+import repro.store.collection as collection_module
 from repro.baselines.poll_and_diff import PollAndDiffProvider
 from repro.query.engine import Query
 from repro.query.geo import EARTH_RADIUS_METERS, NearSphere, haversine_meters
@@ -202,6 +203,30 @@ class TestReadPathMatchesTheReference:
             assert versions == {doc["_id"]: sharded.version_of(doc["_id"])
                                 for doc in merged}
             assert repr(sharded.execute(query)) == repr(merged)
+
+    def test_a_sharded_page_copies_only_each_shards_window(self,
+                                                             monkeypatch):
+        sharded = ShardedCollection("objects", shards=3)
+        for key in range(300):
+            sharded.insert({"_id": key, "v": key % 7})
+        query = Query({"v": {"$gte": 0}}, collection="objects",
+                      sort=[("v", -1)], limit=10, offset=10)
+        merged = []
+        for shard in sharded.shards:
+            merged.extend(reference_read(shard, {"v": {"$gte": 0}})[0])
+        merged = SortSpec.coerce([("v", -1)]).sort(merged)[10:20]
+        copies = []
+
+        def counting(value):
+            copies.append(value)
+            return deep_copy(value)
+
+        monkeypatch.setattr(collection_module, "deep_copy", counting)
+        assert repr(sharded.execute(query)) == repr(merged)
+        assert len(copies) <= 3 * 20
+        copies.clear()
+        assert repr(sharded.execute_versioned(query)[0]) == repr(merged)
+        assert len(copies) <= 3 * 20
 
     def test_reads_hand_out_copies(self):
         collection = Collection("objects")

@@ -8,6 +8,8 @@ deadline behaviour, and the circuit breaker's interplay with the
 heartbeat-based outage detection (Section 5.1).
 """
 
+import time
+
 import pytest
 
 from repro.core.client import CircuitBreaker
@@ -20,7 +22,11 @@ from repro.errors import (
     OperationTimeoutError,
 )
 from repro.event.broker import Broker
-from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
+from repro.runtime.execution import (
+    ExecutionConfig,
+    InlineExecutionModel,
+    ThreadedExecutionModel,
+)
 from repro.runtime.faults import FaultPlan
 from repro.types import MatchType
 
@@ -236,3 +242,75 @@ class TestCircuitBreaker:
             assert subscription.closed
         finally:
             harness.close()
+
+
+class TestThreadedBreaker:
+    """The breaker on real threads and wall-clock cooldowns."""
+
+    def test_breaker_trips_rejects_fast_probes_and_closes(self):
+        # Fail the first write publishes hard (every attempt, retries
+        # included), then stop: the breaker trips, cools down, probes
+        # half-open and closes on the first clean publish.
+        plan = FaultPlan(seed=5).rule(
+            "channel", "invalidb:writes*", "error", max_count=12,
+        )
+        model = ThreadedExecutionModel(ExecutionConfig(fault_plan=plan))
+        broker = Broker(execution=model)
+        config = InvaliDBConfig(
+            query_partitions=2, write_partitions=2,
+            circuit_breaker_threshold=3,
+            circuit_breaker_reset=0.05,
+            publish_max_retries=1,
+            publish_backoff_base=0.001,
+            publish_backoff_max=0.002,
+            client_rng_seed=5,
+        )
+        cluster = InvaliDBCluster(broker, config).start()
+        app = AppServer("breaker-app", broker, config=config)
+        client = app.client
+        try:
+            flat = app.subscribe("items", {"v": {"$gte": 0}})
+            assert cluster.drain(timeout=10.0)
+            failed = 0
+            for i in range(40):
+                try:
+                    app.insert("items", {"_id": i, "v": i})
+                except InjectedFaultError:
+                    failed += 1
+                if client._breaker.state == CircuitBreaker.OPEN:
+                    break
+            assert client._breaker.stats()["trips"] >= 1
+            assert failed > 0
+            # An open breaker rejects at once, without the broker.
+            with pytest.raises(CircuitOpenError):
+                app.insert("items", {"_id": 1000, "v": 1})
+            # Each cooldown earns one half-open probe; early probes may
+            # still hit leftover faults and re-open, but the rule's
+            # max_count drains and the first clean probe closes.
+            for i in range(40, 80):
+                time.sleep(config.circuit_breaker_reset + 0.02)
+                try:
+                    app.insert("items", {"_id": i, "v": i})
+                except (InjectedFaultError, CircuitOpenError):
+                    pass
+                if client._breaker.state == CircuitBreaker.CLOSED:
+                    break
+            assert client._breaker.state == CircuitBreaker.CLOSED
+            assert client._breaker.stats()["rejections"] >= 1
+            # The writes the broker refused never reached the cluster:
+            # a resubscribe reconciles the handle with the database.
+            assert cluster.drain(timeout=10.0)
+            client.resubscribe_all()
+            assert cluster.drain(timeout=10.0)
+            expected = sorted(app.find("items", {"v": {"$gte": 0}}),
+                              key=lambda d: d["_id"])
+            deadline = time.monotonic() + 8.0
+            while (sorted(flat.result(), key=lambda d: d["_id"]) != expected
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert sorted(flat.result(), key=lambda d: d["_id"]) == expected
+        finally:
+            app.close()
+            cluster.stop()
+            broker.close()
+            model.shutdown()

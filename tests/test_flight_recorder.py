@@ -3,9 +3,8 @@
 Covers the :class:`~repro.obs.flight.FlightRecorder` unit behavior
 (bounded ring wraparound, dump gating, broken-provider isolation), the
 cluster-level dump triggers — supervised restart after a scripted
-crash, overload escalation, and a ``kill -9``'d worker process — the
-SLO-driven health feed, and the ``python -m repro inspect
---postmortem`` analysis view over a committed dump fixture.
+crash and a ``kill -9``'d worker process — and the ``python -m repro
+inspect --postmortem`` analysis view over a committed dump fixture.
 """
 
 import json
@@ -190,54 +189,6 @@ class TestClusterIntegration:
             text = render_postmortem(document)
             assert "supervisor-restart" in text
             assert "crash" in text
-        finally:
-            shutdown(model, broker, cluster, app)
-
-    def test_overload_escalation_dumps_flight_recorder(self, tmp_path):
-        model, broker, cluster, app = inline_cluster(
-            overload_control=True,
-            force_health="overloaded",
-            flight_recorder_dir=str(tmp_path),
-        )
-        try:
-            assert broker.drain()
-            cluster.overload.evaluate()
-            dumps = sorted(tmp_path.glob("flight-*overload-escalation.json"))
-            assert dumps, "escalation to overloaded must write a dump"
-            document = load_dump(str(dumps[0]))
-            transitions = [event for event in document["events"]
-                           if event["kind"] == "health-transition"]
-            assert transitions
-            assert transitions[-1]["state"] == "overloaded"
-            assert transitions[-1]["previous"] == "healthy"
-            # The hook fires on the transition, not on every tick.
-            cluster.overload.evaluate()
-            assert len(sorted(
-                tmp_path.glob("flight-*overload-escalation.json")
-            )) == 1
-        finally:
-            shutdown(model, broker, cluster, app)
-
-    def test_slo_health_feed_escalates_on_sustained_lag(self):
-        model, broker, cluster, app = inline_cluster(
-            overload_control=True,
-            slo_health_feed=True,
-            # Every stepping-clock lag breaches a microsecond target...
-            slo_latency_target=1e-6,
-            # ...and admission-path evaluations are disabled so the two
-            # explicit evaluate() calls control the lag window exactly.
-            health_eval_interval=1e9,
-        )
-        try:
-            app.subscribe("items", {"v": {"$gte": 0}})
-            assert broker.drain()
-            cluster.overload.evaluate()  # baseline the lag window
-            workload(app, count=20)
-            assert broker.drain()
-            cluster.overload.evaluate()
-            states = cluster.overload.monitor.states()
-            assert states.get("slo") == "overloaded"
-            assert cluster.overload.state == "overloaded"
         finally:
             shutdown(model, broker, cluster, app)
 

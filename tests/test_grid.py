@@ -88,7 +88,6 @@ class StubCluster:
         self.log = []
         self._execution = RecordingModel(self.log)
         self.flight = FlightRecorder()
-        self.overload = None
         self.notifications_coalesced = 0
         self.cells = {}
         self.registered = []
@@ -104,7 +103,7 @@ class StubCluster:
         self.registered.append(tuple_["query_id"])
         return True
 
-    def _publish_changes(self, changes):
+    def _deliver_changes(self, changes):
         pass
 
 

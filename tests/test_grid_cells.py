@@ -42,9 +42,6 @@ from tests.test_chaos import SteppingClock
 ENGINE = MongoQueryEngine()
 SCHEME = PartitioningScheme(1, 2)
 SLACK = 2
-#: The instant each stage's deadline clock reads: a budget of 50 is
-#: spent before matching, one of 150 between the stages, 250 survives.
-MATCHING_NOW, SORTING_NOW = 100.0, 200.0
 #: Primary keys of the cell under test (write partition 0), plus two
 #: the intake would route to the other partition's cell.
 OWN_KEYS = [k for k in range(64) if SCHEME.write_partition_of(k) == 0][:8]
@@ -83,7 +80,7 @@ class LoopbackHandle:
         }))
 
 
-def injected(traced, deadline_now):
+def injected(traced):
     """What a local host hands a cell — the same values on both sides
     so the two hostings are comparable.  Span stamps come from a
     counting clock: equal results imply an equal sequence of clock
@@ -94,7 +91,6 @@ def injected(traced, deadline_now):
     return {
         "telemetry": telemetry,
         "clock": lambda: 10.0,
-        "deadline_now": lambda: deadline_now,
     }
 
 
@@ -102,19 +98,18 @@ class Grid:
     """A matching cell feeding a sorting cell, local and behind the
     seam, kept in lock-step."""
 
-    def __init__(self, coalescing, traced, defer=None):
+    def __init__(self, coalescing, traced):
         mspec = MatchingCellSpec(
             task_index=0, query_partitions=1, write_partitions=2,
             retention_seconds=3600.0, notification_coalescing=coalescing,
         )
         sspec = SortingCellSpec(task_index=0, default_slack=SLACK)
-        self.matching = mspec.cell(**injected(traced, MATCHING_NOW))
-        self.sorting = sspec.cell(
-            defer=defer, **injected(traced, SORTING_NOW))
+        self.matching = mspec.cell(**injected(traced))
+        self.sorting = sspec.cell(**injected(traced))
         self.leased_matching = LeasedCell(LoopbackHandle(
-            WorkerCell(mspec.cell(**injected(traced, MATCHING_NOW)))))
-        self.leased_sorting = LeasedCell(LoopbackHandle(WorkerCell(
-            sspec.cell(defer=defer, **injected(traced, SORTING_NOW)))))
+            WorkerCell(mspec.cell(**injected(traced)))))
+        self.leased_sorting = LeasedCell(LoopbackHandle(
+            WorkerCell(sspec.cell(**injected(traced)))))
 
     def step(self, batch):
         """One dispatch batch through both stages; asserts the two
@@ -165,17 +160,16 @@ def with_trace(tuple_, kind, key):
     return tuple_
 
 
-#: (op, key, value, stale, deadline, traced)
+#: (op, key, value, stale, traced)
 write_ops = st.tuples(
     st.sampled_from(["insert", "update", "delete"]),
     st.sampled_from(KEYS), st.integers(-5, 30), st.booleans(),
-    st.sampled_from([None, None, None, 50.0, 150.0, 250.0]),
     st.sampled_from([True, True, True, False]),
 )
 query_ops = st.tuples(
     st.sampled_from(["subscribe", "cancel"]),
     st.integers(0, len(QUERIES) - 1), st.just(0), st.just(False),
-    st.just(None), st.booleans(),
+    st.booleans(),
 )
 batches = st.lists(
     st.lists(st.one_of(write_ops, write_ops, query_ops),
@@ -190,7 +184,7 @@ def materialize_batches(plan):
     db, versions = {}, {}
     for ops in plan:
         batch = []
-        for op, key, value, stale, deadline, traced in ops:
+        for op, key, value, stale, traced in ops:
             if op in ("subscribe", "cancel"):
                 query = QUERIES[key]
                 if op == "subscribe":
@@ -222,8 +216,6 @@ def materialize_batches(plan):
                 key=key, version=version, kind=kind, document=document,
                 collection="items", timestamp=float(version),
             ))
-            if deadline is not None:
-                tuple_["deadline"] = deadline
             if traced:
                 with_trace(tuple_, "write", key)
             if key in OWN_KEYS:  # else: the database has it, this cell not
@@ -256,27 +248,25 @@ def test_local_cell_equals_the_seam(plan, coalescing, traced):
 def test_sorted_and_unsorted_routing_with_traces():
     """Pinned walk-through: unsorted events become changes, sorted ones
     become messages whose sort span the matching cell opens and the
-    sorting cell closes; expired deadlines are shed per stage."""
+    sorting cell closes."""
     grid = Grid(coalescing=True, traced=True)
     db, versions = {}, {}
     flat, top = QUERIES[0], QUERIES[2]
     grid.step([subscribe_tuple(flat, db, versions),
                subscribe_tuple(top, db, versions)])
-    keys = OWN_KEYS[:3]
+    keys = OWN_KEYS[:2]
 
-    def write(key, value, version, **extra):
+    def write(key, value, version):
         tuple_ = serialize_after_image(AfterImage(
             key=key, version=version, kind=WriteKind.INSERT,
             document={"_id": key, "v": value}, collection="items",
             timestamp=1.0,
         ))
-        tuple_.update(extra)
         return with_trace(tuple_, "write", key)
 
     messages, changes, coalesced, sorted_changes = grid.step([
         write(keys[0], 20, 1),
         write(keys[1], 5, 1),
-        write(keys[2], 30, 1, deadline=50.0),     # expired at matching
     ])
     assert coalesced == 0
     assert [(c.match_type, c.key) for c, _ in changes] == \
@@ -284,17 +274,11 @@ def test_sorted_and_unsorted_routing_with_traces():
     assert [m["event"].key for m in messages] == [keys[0], keys[1]]
     assert [(c.key, c.index) for c, _ in sorted_changes] == \
         [(keys[0], 0), (keys[1], 1)]
-    assert grid.matching.node.deadline_shed == 1
     for message in messages:
         assert [name for name, _, _ in spans_of(message["trace"])] == \
             ["publish", "filter", "sort"]
     for _, trace in sorted_changes:
         assert all(end is not None for _, _, end in spans_of(trace))
-    # A deadline that expires between the stages is shed by sorting.
-    late = dict(messages[0], deadline=150.0)
-    assert grid.sorting.handle_batch([late]) == ([], [], 0)
-    assert grid.sorting.node.deadline_shed == 1
-    assert grid.sorting.snapshot()["deadline_shed"] == 1
 
 
 def test_coalescing_elides_within_a_batch_only_when_enabled():
@@ -349,7 +333,7 @@ class TestCoalescingPrecondition:
         return MatchingCellSpec(
             task_index=0, query_partitions=1, write_partitions=2,
             retention_seconds=3600.0,
-        ).cell(**injected(False, MATCHING_NOW))
+        ).cell(**injected(False))
 
     def test_one_write_batch_keeps_event_order_without_coalescing(
         self, coalesce_calls
@@ -473,28 +457,6 @@ class TestCoalescingPrecondition:
             model.shutdown()
 
 
-def test_defer_hook_swallows_sorted_diffs_but_not_errors():
-    """The per-event shedding hook: True = the diffs are swallowed, but
-    the window is still maintained (a later refresh reads it)."""
-    seen = []
-
-    def defer(node, changes):
-        seen.append([change.key for change in changes])
-        return True
-
-    grid = Grid(coalescing=True, traced=False, defer=defer)
-    grid.step([subscribe_tuple(QUERIES[2], {}, {})])
-    key = OWN_KEYS[0]
-    _, _, _, sorted_changes = grid.step([serialize_after_image(AfterImage(
-        key=key, version=1, kind=WriteKind.INSERT,
-        document={"_id": key, "v": 1}, collection="items", timestamp=0.0,
-    ))])
-    assert sorted_changes == []
-    assert seen == [[key], [key]]  # once per hosting
-    assert grid.sorting.node.visible_window(QUERIES[2].query_id) == \
-        [{"_id": key, "v": 1}]
-
-
 def test_spec_build_is_the_worker_hosting():
     """``spec.build()`` (what a worker calls) wraps the same cell class
     with nothing injected: own registry, wall clocks, private resolver."""
@@ -509,7 +471,6 @@ def test_spec_build_is_the_worker_hosting():
     assert "telemetry" not in cell.snapshot()
     sorting = SortingCellSpec(task_index=3).build()
     assert sorting.snapshot()["query_partition"] == 3
-    assert sorting.cell.defer is None
     assert not sorting.cell.telemetry.enabled
 
 

@@ -625,50 +625,6 @@ class TestNotifyChannelIsolation:
             broker.close()
             model.shutdown()
 
-    def test_failing_channel_costs_no_other_sorted_refresh(self):
-        # Shedding swallows the sorted diffs; stop() flushes one window
-        # refresh per dirty query.  app-a's channel failing on the first
-        # refresh must not cost app-b either refresh, nor abort stop().
-        plan = FaultPlan(seed=1).rule(
-            "channel", notification_channel("app-a"), "error")
-        model = InlineExecutionModel(
-            ExecutionConfig(mode="inline", seed=1, fault_plan=plan))
-        broker = Broker(execution=model)
-        config = InvaliDBConfig(query_partitions=1, write_partitions=1,
-                                clock=SteppingClock(),
-                                overload_control=True,
-                                force_health="degraded",
-                                refresh_interval_seconds=60.0)
-        cluster = InvaliDBCluster(broker, config).start()
-        database = Database()
-        app_a = AppServer("app-a", broker, database=database, config=config)
-        app_b = AppServer("app-b", broker, database=database, config=config)
-        sorts = {"top": [("v", -1)], "bottom": [("v", 1)]}
-        try:
-            on_b = {}
-            for name, sort in sorts.items():
-                app_a.subscribe("items", {}, sort=sort, limit=2)
-                on_b[name] = app_b.client.subscribe(
-                    {}, collection="items", sort=sort, limit=2)
-            for i in range(4):
-                app_a.insert("items", {"_id": i, "v": i})
-            assert cluster.overload.sorted_changes_shed > 0
-            assert cluster.notifications_failed == 0
-            cluster.stop()
-            assert cluster.overload.refreshes_sent == 2
-            # One failed refresh per query, both to app-a.
-            assert cluster.notifications_failed == 2
-            for name, sort in sorts.items():
-                find = database.collection("items").find(
-                    {}, sort=sort, limit=2)
-                assert on_b[name].result() == find
-        finally:
-            app_a.close()
-            app_b.close()
-            cluster.stop()
-            broker.close()
-            model.shutdown()
-
 
 class TestHeartbeatIsolation:
     """A failing notify channel must not stop the threaded heartbeat

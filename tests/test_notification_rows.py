@@ -32,7 +32,6 @@ from repro.query.engine import Query
 from repro.types import AfterImage, ChangeNotification, MatchType, WriteKind
 
 from tests.test_grid_cells import (
-    MATCHING_NOW,
     OWN_KEYS,
     injected,
     subscribe_tuple,
@@ -52,7 +51,7 @@ def matching_cell(coalescing):
     return MatchingCellSpec(
         task_index=0, query_partitions=1, write_partitions=2,
         retention_seconds=3600.0, notification_coalescing=coalescing,
-    ).cell(**injected(False, MATCHING_NOW))
+    ).cell(**injected(False))
 
 
 class Store:
@@ -116,14 +115,14 @@ def always_coalesced(changes, merged):
     entries, dropped = coalesce_events([
         (MatchEvent(change.query_id, change.match_type, change.key,
                     change.document, change.version, change.timestamp,
-                    False), None, None)
+                    False), None)
         for change, _ in changes
     ])
     return [
         QueryChange(event.query_id, event.match_type, event.key,
                     event.document, None, None, None, event.timestamp,
                     event.version)
-        for event, _, _ in entries
+        for event, _ in entries
     ], dropped
 
 

@@ -291,7 +291,7 @@ class TestTranscriptEquivalence:
         # keys wherever the cell runs.
         assert inline["row_keys"] == threaded["row_keys"]
         assert inline["row_keys"] == process["row_keys"]
-        assert all("deadline_shed" in keys and "node" in keys
+        assert all("node" in keys
                    for rows in process["row_keys"].values()
                    for keys in rows)
 
@@ -649,21 +649,6 @@ class TestProcessGridCounters:
             app.close()
             cluster.stop()
             broker.close()
-
-    def test_deadline_shed_rows_and_health_agree(self):
-        snap, exported, _ = self.run(
-            execution_model="process", process_workers=2,
-            overload_control=True, deadline_budget_seconds=1e-9,
-        )
-        shed = sum(row["deadline_shed"]
-                   for row in snap["matching"] + snap["sorting"])
-        # Every write's budget is spent before a worker dequeues it, on
-        # both query-partition rows of the grid it fans out to.
-        assert shed == 24
-        assert snap["health"]["deadline_shed"] == shed
-        assert snap["matching_totals"]["matched_operations"] == 0
-        assert "cluster.deadline_shed" not in exported
-        assert "cluster.health_state" in exported
 
     def test_collector_omits_grid_sums_when_cells_are_remote(self):
         snap, exported, prometheus = self.run(

@@ -229,9 +229,9 @@ def _materialize(initial, events):
 def test_coalesced_batch_materializes_identically(batch):
     initial, events = batch
     entries, dropped = coalesce_events(
-        [(event, None, None) for event in events]
+        [(event, None) for event in events]
     )
-    coalesced = [event for event, _, _ in entries]
+    coalesced = [event for event, _ in entries]
     assert _materialize(initial, coalesced) == _materialize(initial, events)
     # At most one surviving notification per key.
     keys = [event.key for event in coalesced]

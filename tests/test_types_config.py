@@ -129,7 +129,7 @@ class TestConfigValidation:
             InvaliDBConfig(execution_model="fibers")
 
     def test_removed_matching_gates_are_not_options(self):
-        assert len(fields(InvaliDBConfig)) == 48
+        assert len(fields(InvaliDBConfig)) == 28
         for gate in ("shared_predicate_memo", "shared_query_dag",
                      "incremental_sorting"):
             with pytest.raises(TypeError):
@@ -145,7 +145,7 @@ class TestConfigValidation:
     def test_removed_index_and_window_knobs_are_not_options(self, name,
                                                             value):
         """The index only prunes, so its gates never changed a result;
-        cross-batch coalescing is the shed stager's one window."""
+        there is no cross-batch coalescing window."""
         with pytest.raises(TypeError):
             InvaliDBConfig(**{name: value})
         assert len(fields(MatchingCellSpec)) == 6
@@ -156,6 +156,23 @@ class TestConfigValidation:
     def test_removed_ingestion_counts_are_not_options(self, name):
         """The event layer pushes and its delivery callback routes, so
         there are no ingestion tasks to count."""
+        with pytest.raises(TypeError):
+            InvaliDBConfig(**{name: 1})
+
+    @pytest.mark.parametrize("name", [
+        "overload_control",
+        "admission_initial_rate", "admission_min_rate", "admission_max_rate",
+        "admission_increase", "admission_decrease", "admission_burst",
+        "admission_decrease_cooldown", "admission_max_resubmits",
+        "deadline_budget_seconds", "shedding", "shed_coalescing_window",
+        "refresh_interval_seconds",
+        "overload_queue_depth", "overload_dwell_p99", "degraded_fraction",
+        "health_eval_interval", "health_recovery_ticks",
+        "force_health", "slo_health_feed",
+    ])
+    def test_removed_overload_knobs_are_not_options(self, name):
+        """The cluster does not shed load: it scales by partitions and
+        recovers through heartbeats, renewals and resync."""
         with pytest.raises(TypeError):
             InvaliDBConfig(**{name: 1})
 
