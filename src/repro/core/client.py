@@ -23,6 +23,14 @@ the InvaliDB cluster" (Section 5).  Responsibilities implemented here:
   heap (under the inline model when ``advance()`` crosses a period);
 * **write forwarding** — push versioned after-images to the cluster on
   every database write.
+
+The event layer passes payloads by reference (:mod:`repro.event.broker`),
+so the client is where documents are copied for the user: a
+notification envelope's documents are copied once per envelope slot
+before any handle sees them, and a handle's initial or catch-up
+documents are copies of what went out in the subscribe request.  A
+handle's result and callbacks can then be mutated freely without
+reaching the cluster, the store or another app server.
 """
 
 from __future__ import annotations
@@ -54,9 +62,11 @@ from repro.obs.tracing import (
     PUBLISH,
     begin_span,
     end_span,
+    fork,
 )
 from repro.query.engine import Query
 from repro.query.sortspec import SortInput
+from repro.store.documents import deep_copy
 from repro.types import (
     AfterImage,
     ChangeNotification,
@@ -403,9 +413,9 @@ class InvaliDBClient:
         tel = self.telemetry
         if not tel.enabled:
             return None
-        now = tel.now()
-        trace = tel.tracer.start(kind, key, now)
-        begin_span(trace, PUBLISH, now)
+        trace = tel.tracer.start(kind, key, tel.now)
+        if trace is not None:
+            begin_span(trace, PUBLISH, trace["start"])
         return trace
 
     # ------------------------------------------------------------------
@@ -527,8 +537,10 @@ class InvaliDBClient:
         if self._closed:
             raise SubscriptionError("client is closed")
         _require_wire_safe(filter_doc)
-        query = Query(filter_doc, collection=collection, sort=sort,
-                      limit=limit, offset=offset)
+        # The filter goes out in the subscribe request by reference:
+        # the query holds its own copy, not the caller's.
+        query = Query(deep_copy(filter_doc), collection=collection,
+                      sort=sort, limit=limit, offset=offset)
         subscription = RealTimeSubscription(
             self._ids.next(), query, on_change, on_initial, on_error
         )
@@ -546,7 +558,10 @@ class InvaliDBClient:
         # so no change notification can slip past the handle.
         rewritten = query.rewritten_for_subscription(slack)
         bootstrap, versions, watermark = self._execute(rewritten)
-        visible = self._result_page(query, bootstrap)
+        # The bootstrap goes out in the subscribe request: the handle
+        # gets its own copy of the page.
+        visible = [deep_copy(document)
+                   for document in self._result_page(query, bootstrap)]
         subscription._deliver_initial(
             InitialResult(
                 subscription_id=subscription.subscription_id,
@@ -664,11 +679,16 @@ class InvaliDBClient:
         tracing = tel.enabled
         entries = self._entries
         failure: Optional[Exception] = None
+        # The envelope is shared with the cluster (and with a duplicate
+        # of itself): handles get one copy per document slot, and a
+        # sampled row's trace is forked before its spans are stamped.
+        documents = [deep_copy(document) for document in payload["documents"]]
         for (query_id, match_type, key, document, index, old_index, error,
-             timestamp, version, trace) in unpack_changes(payload):
+             timestamp, version, trace) in unpack_changes(payload, documents):
             try:
                 if trace is not None:
                     if tracing:
+                        trace = fork(trace)
                         tnow = tel.now()
                         end_span(trace, DELIVER, tnow)
                         begin_span(trace, MATERIALIZE, tnow)
@@ -791,7 +811,10 @@ class InvaliDBClient:
         query = entry.query
         bootstrap = self._activate(query, slack, renewal=True)
         if resync:
-            self._deliver_delta(entry, self._result_page(query, bootstrap))
+            self._deliver_delta(entry, [
+                deep_copy(document)
+                for document in self._result_page(query, bootstrap)
+            ])
         else:
             self.renewals_sent += 1
         return True

@@ -429,8 +429,7 @@ class InvaliDBCluster:
         the grid still counts the task failure."""
         slo = self.slo
         if slo is not None:
-            for change, _ in entries:
-                slo.observe(change)
+            slo.observe_batch(entries, slo.clock())
         tel = self.telemetry
         envelopes: Dict[str, ChangeEnvelope] = {}
         with self._registration_lock:

@@ -329,11 +329,15 @@ ChangeRow = Tuple[
 ]
 
 
-def unpack_changes(payload: Dict[str, Any]) -> Iterator[ChangeRow]:
+def unpack_changes(
+    payload: Dict[str, Any], documents: Optional[List[Document]] = None
+) -> Iterator[ChangeRow]:
     """Rows of a decoded envelope, in order, as flat :data:`ChangeRow`
-    tuples.  ``trace`` is read through :func:`~repro.obs.tracing.trace_of`,
+    tuples, their slots read from *documents* (default: the envelope's
+    own list).  ``trace`` is read through :func:`~repro.obs.tracing.trace_of`,
     so a corrupt non-dict trace reads as ``None``."""
-    documents = payload["documents"]
+    if documents is None:
+        documents = payload["documents"]
     match_types = MATCH_TYPES
     for row in payload["rows"]:
         if len(row) == 6:

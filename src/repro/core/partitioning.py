@@ -24,9 +24,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Iterator, List
+from typing import Any, Dict, Iterator, List
 
 from repro.errors import ClusterConfigError
+
+
+#: Keys a :class:`PartitioningScheme` remembers the write partition of.
+_RECENT_KEYS = 4096
 
 
 def stable_hash(value: Any) -> int:
@@ -100,6 +104,11 @@ class PartitioningScheme:
             )
         self.query_partitions = query_partitions
         self.write_partitions = write_partitions
+        #: Recently routed key -> write partition, emptied when full:
+        #: the intake routes a write by its key, and the SLO accountant
+        #: labels that write's notifications by the same partition
+        #: moments later, so one hash serves both.
+        self._recent: Dict[Any, int] = {}
 
     # -- dimension hashing ---------------------------------------------------
 
@@ -109,7 +118,19 @@ class PartitioningScheme:
 
     def write_partition_of(self, primary_key: Any) -> int:
         """Write partition from the primary key."""
-        return stable_hash(primary_key) % self.write_partitions
+        kind = type(primary_key)
+        if kind is not str and kind is not int and kind is not float:
+            # Only a primary key's types are remembered: a bool equals
+            # an int as a dict key but hashes apart.
+            return stable_hash(primary_key) % self.write_partitions
+        recent = self._recent
+        partition = recent.get(primary_key)
+        if partition is None:
+            partition = stable_hash(primary_key) % self.write_partitions
+            if len(recent) >= _RECENT_KEYS:
+                recent.clear()
+            recent[primary_key] = partition
+        return partition
 
     # -- grid routing ---------------------------------------------------------
 

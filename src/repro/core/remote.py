@@ -252,7 +252,8 @@ class MatchingCell(_Cell):
         merged = False  # a subscribe re-registered a live entry
         for tuple_ in tuples:
             kind = tuple_["kind"]
-            trace = fork(trace_of(tuple_)) if tel.enabled else None
+            trace = (fork(trace_of(tuple_))
+                     if tel.enabled and "trace" in tuple_ else None)
             if trace is not None:
                 tnow = tel.now()
                 end_span(trace, PUBLISH, tnow)
@@ -372,7 +373,8 @@ class SortingCell(_Cell):
         produced: List[Tuple[QueryChange, Optional[Trace]]] = []
         for tuple_ in tuples:
             kind = tuple_["kind"]
-            trace = fork(trace_of(tuple_)) if tel.enabled else None
+            trace = (fork(trace_of(tuple_))
+                     if tel.enabled and "trace" in tuple_ else None)
             if kind == "match-event":
                 # The ``sort`` span was opened by the matching cell when
                 # it routed the event here; close it around the

@@ -23,12 +23,25 @@ with virtual-time delays, which makes the paper's two race conditions
 without any timing sleeps.  Artificial delivery delays (global or
 per-channel) skew message arrival either way.
 
-Payloads cross the broker through :class:`~repro.event.wire.BinaryCodec`
-(eager documents) unless a codec is passed: every subscriber gets a
-fresh decoded copy, tuples stay tuples, and nothing walks the payload
-in Python.  ``Broker(codec=JsonCodec())`` is the opt-in debugging
-codec; every payload the system publishes stays JSON-encodable so it
-keeps working.
+Payloads cross the broker by reference unless a codec is passed: the
+broker runs in the process of its publishers and subscribers, so no
+bytes leave it and nothing is serialized (the paper's Redis is a
+separate process; here serialization is paid only where bytes do
+cross a process, on the worker wire of :mod:`repro.event.wire`).
+Every subscriber of a message, and every fault-duplicated copy of it,
+receives the published object itself.  The contract that makes this
+sound:
+
+* a publisher hands a payload over at :meth:`Broker.publish` and never
+  touches it again;
+* subscribers treat payloads as read-only;
+* a subscriber that must write into a payload forks that part first
+  (the client forks a sampled row's trace before stamping its spans).
+
+``Broker(codec=BinaryCodec())`` and ``Broker(codec=JsonCodec())`` give
+every subscriber its own decoded copy instead; the JSON codec is the
+debugging one, and every payload the system publishes stays
+JSON-encodable so it keeps working.
 """
 
 from __future__ import annotations
@@ -39,8 +52,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import BrokerClosedError, CodecError, InjectedFaultError
-from repro.event.codec import Codec
-from repro.event.wire import BinaryCodec
+from repro.event.codec import Codec, NoopCodec
 from repro.obs.metrics import NULL_COUNTER
 from repro.runtime.execution import (
     ExecutionConfig,
@@ -76,12 +88,14 @@ class Subscription:
 class Broker:
     """The event layer: channels, subscribers, one dispatch mailbox.
 
-    The default codec is :class:`~repro.event.wire.BinaryCodec`, which
-    is pickle.  That is sound only because a broker is an in-process
-    object: its dispatch mailbox carries nothing but the bytes its own
-    :meth:`publish` produced, and the fault injector acts on the payload
-    *before* it is encoded.  A network-facing edge must not feed it
-    frames.
+    The default codec is :class:`~repro.event.codec.NoopCodec`: payloads
+    go by reference, with no codec call at all (see the module doc for
+    the ownership contract).  A :class:`~repro.event.wire.BinaryCodec`
+    passed in is pickle.  That is sound only because a broker is an
+    in-process object: its dispatch mailbox carries nothing but the
+    bytes its own :meth:`publish` produced, and the fault injector acts
+    on the payload *before* it is encoded.  A network-facing edge must
+    not feed it frames.
     """
 
     def __init__(
@@ -93,7 +107,9 @@ class Broker:
         execution: Union[None, ExecutionConfig, ExecutionModel] = None,
     ):
         self.name = name
-        self._codec = codec if codec is not None else BinaryCodec()
+        self._codec = codec if codec is not None else NoopCodec()
+        #: The identity codec is skipped, not called: by reference.
+        self._by_reference = type(self._codec) is NoopCodec
         self._delivery_delay = delivery_delay
         self._delay_fn = delay_fn
         self._exact: Dict[str, List[Subscription]] = {}
@@ -150,7 +166,8 @@ class Broker:
     # ------------------------------------------------------------------
 
     def publish(self, channel: str, payload: Any) -> None:
-        """Encode *payload* and enqueue it for asynchronous delivery.
+        """Enqueue *payload* (encoded, unless it goes by reference) for
+        asynchronous delivery; the caller hands it over for good.
 
         When a fault injector is attached to the execution model,
         channel-scope faults apply here: ``error`` makes the publish
@@ -181,7 +198,7 @@ class Broker:
         else:
             with self._lock:
                 self._published += 1
-        wire = self._codec.encode(payload)
+        wire = payload if self._by_reference else self._codec.encode(payload)
         for _ in range(copies):
             self._execution.schedule(self._mailbox, (channel, wire), delay)
 
@@ -237,24 +254,26 @@ class Broker:
     # Dispatch (runs on the execution model)
     # ------------------------------------------------------------------
 
-    def _dispatch_batch(self, batch: List[Tuple[str, bytes]]) -> None:
+    def _dispatch_batch(self, batch: List[Tuple[str, Any]]) -> None:
         _, delivered = self._tel_counters()
-        decode = self._codec.decode
+        decode = None if self._by_reference else self._codec.decode
         count = errors = decode_errors = 0
         for channel, wire in batch:
-            try:
-                payload = decode(wire)
-            except CodecError:
-                # An undecodable message is lost on its own; the rest of
-                # the batch is still delivered (and counted).
-                decode_errors += 1
-                continue
+            payload = wire
+            if decode is not None:
+                try:
+                    payload = decode(wire)
+                except CodecError:
+                    # An undecodable message is lost on its own; the
+                    # rest of the batch is still delivered (and counted).
+                    decode_errors += 1
+                    continue
             for position, subscription in enumerate(
                 self._subscribers_for(channel)
             ):
-                if position:
-                    # Every subscriber gets its own copy: one that
-                    # mutates its payload cannot reach another.
+                if position and decode is not None:
+                    # A decoding broker gives every subscriber its own
+                    # copy: one that mutates it cannot reach another.
                     payload = decode(wire)
                 try:
                     subscription.listener(channel, payload)
@@ -279,8 +298,10 @@ class Broker:
                 self._listener_errors += errors
                 self._decode_errors += decode_errors
             delivered.inc(count)
-            self._tel_listener_errors.inc(errors)
-            self._tel_decode_errors.inc(decode_errors)
+            if errors:
+                self._tel_listener_errors.inc(errors)
+            if decode_errors:
+                self._tel_decode_errors.inc(decode_errors)
 
     def _subscribers_for(self, channel: str) -> List[Subscription]:
         with self._lock:

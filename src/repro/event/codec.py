@@ -2,20 +2,22 @@
 
 The event layer treats payloads as opaque; codecs convert between
 Python structures and wire bytes.  The broker's default is
-:class:`repro.event.wire.BinaryCodec` (pickle protocol 5, after-images
-detached from the envelope skeleton): (de)serialization stays real —
-every subscriber gets a decoded copy — but runs in C, which matters
-because the paper explains the lower matching performance under
+:class:`NoopCodec`: the broker lives in the process of its publishers
+and subscribers, so it passes every payload by reference and calls no
+codec at all.  The paper explains the lower matching performance under
 write-heavy load by "the overhead for (de-)serializing and parsing
-after-images" (Section 6.3).  :class:`JsonCodec` is the opt-in
-debugging codec (``Broker(codec=JsonCodec())``): readable bytes, and a
-strict check that every payload is JSON-safe.  The cost is per
-*message*, which is why the cluster hands the codec one notification
-envelope per dispatch batch and app server (each after-image document
-listed once, see :class:`repro.core.notifications.ChangeEnvelope`)
-instead of one
-message per matching query.  :class:`NoopCodec` bypasses encoding for
-tests that need to assert on object identity.
+after-images" (Section 6.3); here that cost is paid only where bytes
+cross a process, by :class:`repro.event.wire.BinaryCodec` (pickle
+protocol 5, after-images detached from the envelope skeleton) on the
+worker wire of the process model.  ``Broker(codec=BinaryCodec())``
+gives every subscriber its own decoded copy, in C.
+:class:`JsonCodec` is the opt-in debugging codec
+(``Broker(codec=JsonCodec())``): readable bytes, and a strict check
+that every payload is JSON-safe.  A codec's cost is per *message*,
+which is why the cluster publishes one notification envelope per
+dispatch batch and app server (each after-image document listed once,
+see :class:`repro.core.notifications.ChangeEnvelope`) instead of one
+message per matching query.
 """
 
 from __future__ import annotations
@@ -113,7 +115,8 @@ class JsonCodec(Codec):
 
 
 class NoopCodec(Codec):
-    """Identity codec: payloads pass through unserialized."""
+    """Identity codec: payloads pass through unserialized (the broker's
+    default, which it skips rather than calls)."""
 
     def encode(self, payload: Any) -> bytes:  # type: ignore[override]
         return payload

@@ -189,37 +189,6 @@ class Histogram:
                     return min(self._bound(index), self.max)
             return self.max
 
-    def counts(self) -> List[int]:
-        """A copy of the raw bucket counts — a baseline for
-        :meth:`percentile_since`."""
-        with self._lock:
-            return list(self._counts)
-
-    def percentile_since(self, baseline: List[int],
-                         quantile: float) -> float:
-        """Percentile over only the observations recorded since
-        *baseline* (a prior :meth:`counts` snapshot).
-
-        Histograms are cumulative for the lifetime of the process,
-        which is right for dashboards but wrong for control loops: a
-        health check reading the all-time p99 would keep reacting to a
-        backlog long after it drained.  Differencing two snapshots
-        yields the interval-local distribution at no extra hot-path
-        cost.  NaN when the interval saw no observations.
-        """
-        with self._lock:
-            deltas = [n - b for n, b in zip(self._counts, baseline)]
-        total = sum(deltas)
-        if total <= 0:
-            return math.nan
-        rank = max(1, math.ceil(quantile * total))
-        seen = 0
-        for index, n in enumerate(deltas):
-            seen += n
-            if seen >= rank:
-                return self._bound(index)
-        return self._bound(len(deltas) - 1)
-
     def cumulative_buckets(self) -> List[Tuple[float, int]]:
         """Non-empty ``(upper_bound, cumulative_count)`` pairs, the
         Prometheus ``le`` convention (exporter use)."""

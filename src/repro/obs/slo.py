@@ -21,31 +21,31 @@ passes through (``InvaliDBCluster._deliver_changes``):
 The accountant also maintains one *unlabeled* aggregate lag histogram,
 the cluster-wide lag distribution.
 
-Hot-path discipline: ``observe`` runs once per delivered change, so
-metric handles are resolved through a plain dict cache and the
-write-partition of repeating keys comes from a bounded cache instead
-of re-hashing.  Counters (and the aggregate histogram) are exact; the
-*labeled* per-(query, partition) histogram and last-lag gauge record
-every breach but sample in-target lags 1-in-4 (phase-locked, mirroring
-the tracer's per-stage sampling) — tails stay exact while the healthy
-common case pays half the metric ops.
+Hot-path discipline: ``observe_batch`` runs once per delivered batch
+and reads the clock once for all of its changes; per change, metric
+handles are resolved through a plain dict cache and the key's write
+partition comes from the scheme's cache of recently routed keys (the
+intake routed the write moments earlier) instead of re-hashing.
+Counters (and the aggregate histogram) are exact; the *labeled*
+per-(query, partition) histogram and last-lag gauge record every breach
+but sample in-target lags 1-in-4 (phase-locked, mirroring the tracer's
+per-stage sampling) — tails stay exact while the healthy common case
+pays half the metric ops.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
+
+from repro.types import MatchType
+
+_ERROR = MatchType.ERROR
 
 #: Upper bound on distinct (query, partition) label pairs the
 #: accountant will create series for; beyond it, lag is still recorded
 #: in the aggregate histogram but new per-query series are not minted
 #: (protects the registry from unbounded-cardinality workloads).
 MAX_TRACKED_SERIES = 1024
-
-#: Bounded key -> write-partition cache.  ``stable_hash`` is a BLAKE2b
-#: digest (~1 microsecond) — too hot to recompute once per delivered
-#: notification for keys that repeat.  Bounded add-only: once full, new
-#: keys fall back to hashing (no eviction bookkeeping on the hot path).
-MAX_PARTITION_CACHE = 4096
 
 
 class SLOAccountant:
@@ -104,7 +104,6 @@ class SLOAccountant:
         #: query_id -> (notifications counter, breaches counter), for
         #: the per-query summary without walking the registry.
         self._queries: Dict[str, Tuple[Any, Any]] = {}
-        self._partitions: Dict[Any, int] = {}
         self.skipped = 0
         self._observed = 0
 
@@ -135,42 +134,51 @@ class SLOAccountant:
         return handles
 
     def observe(self, change: Any) -> None:
-        """Account one delivered change (called once per change, before
-        the per-subscriber fan-out)."""
-        timestamp = change.timestamp
-        if change.is_error or change.key is None or not timestamp:
-            # Error/renewal changes carry no originating write; keys
-            # can be None on malformed writes.  Neither has a
-            # meaningful lag.
-            self.skipped += 1
-            return
-        lag = self.clock() - timestamp
-        if lag < 0.0:
-            lag = 0.0
-        breach = lag > self.latency_target
-        self.lag.record(lag)
-        if breach:
-            self.total_breaches.inc()
-        key = change.key
-        partition = self._partitions.get(key)
-        if partition is None:
-            partition = self.scheme.write_partition_of(key)
-            if len(self._partitions) < MAX_PARTITION_CACHE:
-                self._partitions[key] = partition
-        handles = self._handles(change.query_id, partition)
-        if handles is None:
-            return
-        histogram, gauge, notifications, breaches = handles
-        notifications.inc()
-        if breach:
-            breaches.inc()
-        # Labeled series: every breach is recorded (tail percentiles
-        # stay exact), in-target lags are sampled 1-in-4 phase-locked.
+        """Account one change delivered now."""
+        self.observe_batch(((change, None),), self.clock())
+
+    def observe_batch(self, entries: Iterable[Tuple[Any, Any]],
+                      now: float) -> None:
+        """Account one delivered batch of ``(change, trace)`` entries,
+        all delivered at *now*: called once per batch, before the
+        per-subscriber fan-out, so the clock is read once per batch."""
+        target = self.latency_target
+        record_lag = self.lag.record
+        partition_of = self.scheme.write_partition_of
+        series = self._series
         observed = self._observed
-        self._observed = observed + 1
-        if breach or (observed & 3) == 0:
-            histogram.record(lag)
-            gauge.set(lag)
+        for (query_id, match_type, key, _, _, _, _, timestamp, _), _ in entries:
+            if match_type is _ERROR or key is None or not timestamp:
+                # Error/renewal changes carry no originating write; keys
+                # can be None on malformed writes.  Neither has a
+                # meaningful lag.
+                self.skipped += 1
+                continue
+            lag = now - timestamp
+            if lag < 0.0:
+                lag = 0.0
+            breach = lag > target
+            record_lag(lag)
+            if breach:
+                self.total_breaches.inc()
+            partition = partition_of(key)
+            handles = series.get((query_id, partition))
+            if handles is None:
+                handles = self._handles(query_id, partition)
+                if handles is None:
+                    continue
+            histogram, gauge, notifications, breaches = handles
+            notifications.inc()
+            if breach:
+                breaches.inc()
+            # Labeled series: every breach is recorded (tail percentiles
+            # stay exact), in-target lags are sampled 1-in-4
+            # phase-locked.
+            if breach or (observed & 3) == 0:
+                histogram.record(lag)
+                gauge.set(lag)
+            observed += 1
+        self._observed = observed
 
     def burn_rate(self, breaches: int, notifications: int) -> float:
         """Observed breach fraction scaled by the error budget."""

@@ -53,7 +53,7 @@ import collections
 import itertools
 import logging
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -198,11 +198,13 @@ class Tracer:
         }
         self._slow_counter = registry.counter("trace.slow_events")
 
-    def start(self, kind: str, key: Any, now: float) -> Optional[Trace]:
+    def start(self, kind: str, key: Any,
+              now: Union[float, Callable[[], float]]) -> Optional[Trace]:
         """A new trace, or ``None`` when tracing is disabled or this
         write falls outside the head-sampling window.  ``None`` flows
         through every downstream stage as "untraced" — unsampled writes
-        pay no span, fork, or serialization cost at all."""
+        pay no span, fork, or serialization cost at all.  A clock
+        passed as *now* is read only for a sampled write."""
         if not self.enabled:
             return None
         # Lock-free: next() on itertools.count and the += below are
@@ -214,6 +216,8 @@ class Tracer:
             self.sampled_out += 1
             return None
         self.started += 1
+        if callable(now):
+            now = now()
         return new_trace(f"t-{sequence}", kind, key, now)
 
     def complete(self, trace: Optional[Trace], now: float) -> None:
@@ -293,7 +297,8 @@ class NullTracer:
 
     enabled = False
 
-    def start(self, kind: str, key: Any, now: float) -> None:
+    def start(self, kind: str, key: Any,
+              now: Union[float, Callable[[], float]]) -> None:
         return None
 
     def complete(self, trace: Optional[Trace], now: float) -> None:

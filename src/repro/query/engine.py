@@ -243,7 +243,8 @@ class Query:
         Shares :attr:`node` (and the compiled predicate, when one is
         cached) instead of re-parsing :attr:`filter_doc`; the identity
         hash is its own, computed on first use.  The caller keeps the
-        constructor's invariants (limit and offset need a sort).
+        constructor's invariants (limit and offset need a sort) for any
+        query it subscribes; a pull read may page in scan order.
         """
         derived = Query.__new__(Query)
         derived.collection = self.collection

@@ -125,7 +125,8 @@ def haversine_meters(a: Point, b: Point) -> float:
     h = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(
         dlon / 2
     ) ** 2
-    return 2 * EARTH_RADIUS_METERS * math.asin(min(1.0, math.sqrt(h)))
+    # Rounding can leave h just outside [0, 1] (a latitude past a pole).
+    return 2 * EARTH_RADIUS_METERS * math.asin(min(1.0, math.sqrt(max(0.0, h))))
 
 
 #: A conservative planar bounding box: (min_lon, min_lat, max_lon,

@@ -14,13 +14,16 @@ Oplog`, which the log-tailing baseline consumes.  All reads return deep
 copies, made of the returned documents only: ``find``, ``execute`` and
 ``execute_versioned`` share one read path (``_window``) that matches
 with the query's compiled predicate, sorts and slices the stored
-documents, then copies the slice.  The collection is thread-safe.
+documents, then copies the slice.  A write returns a copy too; only
+its write listeners see the stored document, read-only (``on_write``).
+The collection is thread-safe.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import (
@@ -91,8 +94,7 @@ class Collection:
             self._versions[key] = self._versions.get(key, 0) + 1
             self._index_add(key, stored)
             after = self._after_image(key, WriteKind.INSERT, stored)
-        self._publish(after)
-        return after
+        return self._publish(after)
 
     def replace(self, document: Document) -> AfterImage:
         """Replace an existing document wholesale."""
@@ -108,8 +110,7 @@ class Collection:
             self._versions[key] += 1
             self._index_add(key, stored)
             after = self._after_image(key, WriteKind.UPDATE, stored)
-        self._publish(after)
-        return after
+        return self._publish(after)
 
     def save(self, document: Document) -> AfterImage:
         """Insert-or-replace (upsert by primary key)."""
@@ -134,8 +135,7 @@ class Collection:
             self._versions[key] += 1
             self._index_add(key, updated)
             after = self._after_image(key, WriteKind.UPDATE, updated)
-        self._publish(after)
-        return after
+        return self._publish(after)
 
     def delete(self, key: Any) -> AfterImage:
         """Delete a document; the after-image carries no document."""
@@ -147,8 +147,7 @@ class Collection:
             self._text_tokens.pop(key, None)
             self._versions[key] += 1
             after = self._after_image(key, WriteKind.DELETE, None)
-        self._publish(after)
-        return after
+        return self._publish(after)
 
     def find_and_modify(
         self,
@@ -454,7 +453,12 @@ class Collection:
 
     def on_write(self, listener: Callable[[AfterImage], None]) -> Callable[[], None]:
         """Register a per-write listener (the app server uses this to
-        forward after-images to InvaliDB).  Returns an unsubscriber."""
+        forward after-images to InvaliDB).  Returns an unsubscriber.
+
+        A listener's after-image carries the *stored* document, not a
+        copy (the matching cells retain it without a duplicate): a
+        listener, and whatever it hands the document to, must not
+        mutate it."""
         with self._lock:
             self._write_listeners.append(listener)
 
@@ -472,8 +476,9 @@ class Collection:
         oplog entry (callers hold the collection lock, so the stamp
         orders this write against every read of the collection).
 
-        The entry holds the stored *document* itself (never mutated in
-        place); the caller gets a copy it may change freely."""
+        The entry and the after-image hold the stored *document* itself
+        (never mutated in place); :meth:`_publish` gives the caller a
+        copy it may change freely."""
         timestamp = self._clock()
         entry = self.oplog.append(
             collection=self.name,
@@ -487,15 +492,20 @@ class Collection:
             key=key,
             version=entry.version,
             kind=kind,
-            document=None if document is None else deep_copy(document),
+            document=document,
             collection=self.name,
             timestamp=timestamp,
             store_id=self.oplog.store_id,
             sequence=entry.sequence,
         )
 
-    def _publish(self, after: AfterImage) -> None:
+    def _publish(self, after: AfterImage) -> AfterImage:
+        """Hand *after* to the write listeners as it is; return the
+        caller's after-image, which carries its own copy."""
         with self._lock:
             listeners = list(self._write_listeners)
         for listener in listeners:
             listener(after)
+        if after.document is None:
+            return after
+        return replace(after, document=deep_copy(after.document))

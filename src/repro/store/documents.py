@@ -1,9 +1,10 @@
 """Document helpers: validation, deep copies, dotted-path access.
 
-Documents are plain dicts.  The store never hands out references to
-its internal state — every read and every after-image is a deep copy,
-so callers cannot mutate stored documents behind the store's back
-(the isolation a real out-of-process database gives for free).
+Documents are plain dicts.  The store hands its callers no references
+to its internal state — every read and every returned after-image is a
+deep copy, so callers cannot mutate stored documents behind the store's
+back (the isolation a real out-of-process database gives for free).
+Only write listeners see a stored document, and must not mutate it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from repro.errors import InvalidDocumentError
 from repro.types import PRIMARY_KEY, Document
 
 _SCALARS = (str, int, float, bool, type(None))
+_EXACT_SCALARS = frozenset(_SCALARS)
 
 
 def deep_copy(value: Any) -> Any:
@@ -21,8 +23,23 @@ def deep_copy(value: Any) -> Any:
 
     Hand-rolled instead of :func:`copy.deepcopy` because documents only
     contain dicts, lists and scalars — this is several times faster and
-    rejects foreign types early.
+    rejects foreign types early.  A plain ``dict`` or ``list`` is copied
+    in C and only its container values are copied in Python; a tuple
+    becomes a list, and a subclass a plain dict or list.
     """
+    kind = type(value)
+    if kind is dict:
+        copy = value.copy()
+        for key, item in copy.items():
+            if type(item) not in _EXACT_SCALARS:
+                copy[key] = deep_copy(item)
+        return copy
+    if kind is list:
+        copy = value[:]
+        for index, item in enumerate(copy):
+            if type(item) not in _EXACT_SCALARS:
+                copy[index] = deep_copy(item)
+        return copy
     if isinstance(value, _SCALARS):
         return value
     if isinstance(value, dict):

@@ -79,14 +79,19 @@ class ShardedCollection:
     ) -> List[Document]:
         """Scatter-gather find with a global merge.
 
-        Each shard evaluates the filter locally; the coordinator merges
-        (sorting globally when a sort is requested) and applies skip /
-        limit on the merged stream — the standard mongos behaviour.
+        Each shard evaluates the filter and sort locally and copies only
+        its share of the window; the coordinator merges (sorting
+        globally when a sort is requested) and applies skip / limit on
+        the merged stream — the standard mongos behaviour.
         """
         query = self._engine.parse(
-            filter_doc if filter_doc is not None else {}, collection=self.name
+            filter_doc if filter_doc is not None else {},
+            collection=self.name, sort=sort,
         )
-        return self._merge(self._gather(query), sort, skip, limit)
+        if skip or limit is not None:
+            # A pull read pages in scan order when it has no sort.
+            query = query._with_window(query.sort, limit, skip)
+        return self.execute(query)
 
     def _gather(self, query: Query) -> List[Document]:
         partials: List[Document] = []

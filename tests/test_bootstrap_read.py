@@ -228,6 +228,49 @@ class TestReadPathMatchesTheReference:
         assert repr(sharded.execute_versioned(query)[0]) == repr(merged)
         assert len(copies) <= 3 * 20
 
+    def test_a_sharded_find_copies_only_each_shards_window(self,
+                                                           monkeypatch):
+        sharded = ShardedCollection("objects", shards=3)
+        for key in range(300):
+            sharded.insert({"_id": key, "v": key % 7})
+        merged = []
+        for shard in sharded.shards:
+            merged.extend(reference_read(shard, {"v": {"$gte": 0}})[0])
+        unsorted = merged[10:20]
+        merged = SortSpec.coerce([("v", -1)]).sort(merged)[10:20]
+        copies = []
+
+        def counting(value):
+            copies.append(value)
+            return deep_copy(value)
+
+        monkeypatch.setattr(collection_module, "deep_copy", counting)
+        assert repr(sharded.find({"v": {"$gte": 0}}, sort=[("v", -1)],
+                                 skip=10, limit=10)) == repr(merged)
+        assert len(copies) <= 3 * 20
+        copies.clear()
+        assert repr(sharded.find({"v": {"$gte": 0}}, skip=10,
+                                 limit=10)) == repr(unsorted)
+        assert len(copies) <= 3 * 20
+
+    def test_a_sharded_find_pages_like_the_whole_merge(self):
+        """Each shard's cut at ``skip + limit`` loses nothing the
+        coordinator's page needs, sorted or in scan order."""
+        sharded = ShardedCollection("objects", shards=3)
+        for key in range(40):
+            sharded.insert({"_id": key, "v": key % 5})
+        whole = []
+        for shard in sharded.shards:
+            whole.extend(reference_read(shard, {"v": {"$gte": 1}})[0])
+        ordered = SortSpec.coerce([("v", 1)]).sort(whole)
+        for skip in (0, 3, 17, 40):
+            for limit in (None, 0, 1, 9, 50):
+                end = None if limit is None else skip + limit
+                assert sharded.find({"v": {"$gte": 1}}, skip=skip,
+                                    limit=limit) == whole[skip:end]
+                assert sharded.find({"v": {"$gte": 1}}, sort=[("v", 1)],
+                                    skip=skip, limit=limit) == ordered[skip:end]
+
     def test_reads_hand_out_copies(self):
         collection = Collection("objects")
         collection.insert({"_id": 1, "tags": ["a"], "note": "alpha"})

@@ -6,9 +6,11 @@ codec: the JSON codec must preserve every JSON-representable payload
 exactly, and the binary codec must additionally preserve what JSON
 cannot (non-string map keys, tuples-as-tuples is NOT promised — the
 binary format pickles, so tuples survive too) in both eager and lazy
-modes, single-message and batch.  The default :class:`Broker` (binary
-codec) must hand every subscriber an equal, independent copy with the
-published container types.
+modes, single-message and batch.  A :class:`Broker` on the binary
+codec must hand every subscriber an equal, independent copy with the
+published container types (the default broker passes the published
+object itself; ``tests/test_payload_ownership.py`` pins what that
+asks of publishers and subscribers).
 """
 
 import copy
@@ -248,12 +250,14 @@ def deep_mutate(value):
 
 
 class TestDefaultBrokerFidelity:
+    """The former default, a binary-codec broker, as an explicit choice."""
+
     @given(payload=st.one_of(broker_values, envelopes,
                              change_envelope_payloads()))
     @settings(max_examples=80, deadline=None)
     def test_subscribers_get_exactly_what_was_published(self, payload):
         model = InlineExecutionModel(ExecutionConfig(mode="inline"))
-        broker = Broker(execution=model)
+        broker = Broker(codec=BinaryCodec(), execution=model)
         expected = copy.deepcopy(payload)
         first, second = [], []
 

@@ -67,16 +67,32 @@ class TestPubSub:
         broker.drain()
         assert received == [("invalidb:notify:app-7", "x")]
 
-    def test_payloads_are_serialized_copies(self, broker):
-        """Codec round-trip: subscribers never share mutable state
-        with publishers (like a real network broker)."""
-        received = []
-        broker.subscribe("ch", lambda c, p: received.append(p))
-        original = {"nested": {"v": 1}}
-        broker.publish("ch", original)
+    def test_payloads_are_serialized_copies(self):
+        """Codec round-trip on a binary-codec broker: subscribers never
+        share mutable state with publishers (like a real network
+        broker)."""
+        with Broker(codec=BinaryCodec()) as broker:
+            received = []
+            broker.subscribe("ch", lambda c, p: received.append(p))
+            original = {"nested": {"v": 1}}
+            broker.publish("ch", original)
+            broker.drain()
+            original["nested"]["v"] = 99
+            assert received[0]["nested"]["v"] == 1
+
+    def test_default_broker_hands_every_subscriber_the_published_object(
+            self, broker):
+        """By reference: no copy per subscriber, none per duplicate."""
+        first, second, patterned = [], [], []
+        broker.subscribe("ch", lambda c, p: first.append(p))
+        broker.subscribe("ch", lambda c, p: second.append(p))
+        broker.psubscribe("c*", lambda c, p: patterned.append(p))
+        payload = {"nested": {"v": 1}, "pair": ("a", 2)}
+        broker.publish("ch", payload)
         broker.drain()
-        original["nested"]["v"] = 99
-        assert received[0]["nested"]["v"] == 1
+        assert first[0] is payload
+        assert second[0] is payload
+        assert patterned[0] is payload
 
     def test_failing_subscriber_does_not_break_dispatch(self, broker):
         received = []
@@ -170,8 +186,8 @@ class TestCodecs:
         sentinel = object()
         assert codec.decode(codec.encode(sentinel)) is sentinel
 
-    def test_default_codec_is_binary(self, broker):
-        assert isinstance(broker._codec, BinaryCodec)
+    def test_default_codec_is_noop(self, broker):
+        assert type(broker._codec) is NoopCodec
 
     def test_default_codec_keeps_tuples_and_int_keys(self, broker):
         received = []

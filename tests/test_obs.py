@@ -118,26 +118,6 @@ class TestHistogram:
         # price of fixed memory when a value overflows the geometry.
         assert hist.percentile(0.5) == pytest.approx(1e-3 * 2.0 ** 3)
 
-    def test_percentile_since_sees_only_the_interval(self):
-        # The all-time p99 never forgets a transient; the windowed
-        # read must.  Record a slow era, snapshot, then a fast era:
-        # the windowed p99 reflects only the fast era.
-        hist = Histogram("h", base=1e-6, growth=1.25)
-        hist.record_many([0.5] * 100)
-        baseline = hist.counts()
-        assert hist.percentile(0.99) >= 0.5
-        hist.record_many([0.001] * 100)
-        windowed = hist.percentile_since(baseline, 0.99)
-        assert 0.001 <= windowed <= 0.001 * 1.25 + 1e-12
-        # ...while the cumulative view still reports the slow era.
-        assert hist.percentile(0.99) >= 0.5
-
-    def test_percentile_since_empty_interval_is_nan(self):
-        hist = Histogram("h")
-        hist.record(0.010)
-        baseline = hist.counts()
-        assert math.isnan(hist.percentile_since(baseline, 0.99))
-
     def test_merge_adds_counts_and_extrema(self):
         left, right = Histogram("h"), Histogram("h")
         left.record_many([0.001, 0.002])

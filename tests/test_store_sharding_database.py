@@ -1,6 +1,7 @@
 """Sharded collection and database namespace tests."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import CollectionNotFoundError
 from repro.store.database import Database
@@ -30,6 +31,45 @@ class TestDocumentsHelpers:
         clone = deep_copy(original)
         clone["a"][0]["b"] = 2
         assert original["a"][0]["b"] == 1
+
+    @given(st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(),
+                  st.floats(allow_nan=False), st.text(max_size=5)),
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.dictionaries(st.text(max_size=4), children, max_size=4),
+        ),
+        max_leaves=25,
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_deep_copy_is_equal_and_shares_no_container(self, value):
+        document = {"_id": 1, "value": value}
+        clone = deep_copy(document)
+        assert clone == document
+        assert not containers(clone) & containers(document)
+
+    def test_deep_copy_turns_tuples_and_subclasses_into_plain_containers(self):
+        class Mapping(dict):
+            pass
+
+        class Sequence(list):
+            pass
+
+        clone = deep_copy({"t": (1, [2]), "m": Mapping(a=1), "s": Sequence([3])})
+        assert clone == {"t": [1, [2]], "m": {"a": 1}, "s": [3]}
+        assert [type(clone[key]) for key in ("t", "m", "s")] == [list, dict, list]
+        with pytest.raises(InvalidDocumentError):
+            deep_copy([1, {"a": (2, object())}])
+
+
+def containers(value, found=None):
+    """The ids of every dict and list reachable from *value*."""
+    found = set() if found is None else found
+    if isinstance(value, (dict, list)):
+        found.add(id(value))
+        for item in value.values() if isinstance(value, dict) else value:
+            containers(item, found)
+    return found
 
 
 class TestShardedCollection:
