@@ -5,11 +5,11 @@ The paper attributes the write path's lower matching throughput to
 6.3) — which is exactly the cost a process-per-partition deployment
 pays on every hop.  This bench measures the binary wire format against
 the JSON codec on a representative write envelope (the evaluation's
-5-string/5-int document) and gates the headline claim: **binary
-encode + lazy decode must clear at least 3x the JSON round-trip**.
+5-string/5-int document) and gates the headline claim: **a binary
+encode + decode must clear at least 3x the JSON round-trip**.
 
-Batch mode is reported alongside: the batch pickle stream's memo table
-interns repeated collection/field keys, so per-message cost and bytes
+Batch mode is reported alongside: a batch is one pickle stream, whose
+memo table writes repeated keys once, so per-message cost and bytes
 drop further.
 """
 
@@ -17,7 +17,7 @@ import random
 import time
 
 from repro.event.codec import JsonCodec
-from repro.event.wire import BinaryCodec, materialize
+from repro.event.wire import BinaryCodec
 from repro.sim.workload import generate_document
 
 ROUNDS = 5
@@ -50,52 +50,39 @@ def best_of(func, rounds=ROUNDS):
 
 
 def test_binary_codec_beats_json(emit):
-    """Acceptance gate: >= 3x on single-message encode + lazy decode."""
+    """Acceptance gate: >= 3x on single-message encode + decode."""
     json_codec = JsonCodec()
-    eager = BinaryCodec(lazy_documents=False)
-    lazy = BinaryCodec(lazy_documents=True)
+    binary = BinaryCodec()
     envelope = representative_envelope()
 
     def json_roundtrip():
         for _ in range(MESSAGES):
             json_codec.decode(json_codec.encode(envelope))
 
-    def binary_eager_roundtrip():
+    def binary_roundtrip():
         for _ in range(MESSAGES):
-            eager.decode(eager.encode(envelope))
-
-    def binary_lazy_roundtrip():
-        # The process model's hot path: the worker decodes the
-        # envelope but the after-image stays a raw slice until (and
-        # unless) matching touches it.
-        for _ in range(MESSAGES):
-            lazy.decode(lazy.encode(envelope))
+            binary.decode(binary.encode(envelope))
 
     t_json = best_of(json_roundtrip)
-    t_eager = best_of(binary_eager_roundtrip)
-    t_lazy = best_of(binary_lazy_roundtrip)
+    t_binary = best_of(binary_roundtrip)
 
     per = 1e6 / MESSAGES
     emit("Wire codec round-trip, representative write envelope")
     emit("(5x10-char strings + 5 ints, single message):")
-    emit(f"  json          : {t_json * per:8.2f} us/msg")
-    emit(f"  binary eager  : {t_eager * per:8.2f} us/msg "
-         f"({t_json / t_eager:.2f}x)")
-    emit(f"  binary lazy   : {t_lazy * per:8.2f} us/msg "
-         f"({t_json / t_lazy:.2f}x)")
-    assert t_json / t_lazy >= 3.0, (
-        f"binary lazy round-trip only {t_json / t_lazy:.2f}x over JSON "
+    emit(f"  json   : {t_json * per:8.2f} us/msg")
+    emit(f"  binary : {t_binary * per:8.2f} us/msg "
+         f"({t_json / t_binary:.2f}x)")
+    assert t_json / t_binary >= 3.0, (
+        f"binary round-trip only {t_json / t_binary:.2f}x over JSON "
         f"(required: >= 3x)"
     )
-    # Sanity: both decoders reproduce the payload.
-    assert materialize(lazy.decode(lazy.encode(envelope))) == envelope
-    assert eager.decode(eager.encode(envelope)) == envelope
+    assert binary.decode(binary.encode(envelope)) == envelope
 
 
 def test_batch_mode_amortizes_further(emit):
     """Batch framing interns repeated keys: faster AND smaller."""
     json_codec = JsonCodec()
-    lazy = BinaryCodec(lazy_documents=True)
+    binary = BinaryCodec()
     batch = [representative_envelope(i) for i in range(BATCH)]
     rounds = max(1, MESSAGES // BATCH)
 
@@ -106,12 +93,12 @@ def test_batch_mode_amortizes_further(emit):
 
     def binary_batch():
         for _ in range(rounds):
-            lazy.decode_batch(lazy.encode_batch(batch))
+            binary.decode_batch(binary.encode_batch(batch))
 
     t_json = best_of(json_batch)
     t_binary = best_of(binary_batch)
     json_bytes = sum(len(json_codec.encode(p)) for p in batch)
-    binary_bytes = len(lazy.encode_batch(batch))
+    binary_bytes = len(binary.encode_batch(batch))
 
     count = rounds * BATCH
     emit(f"Batch round-trip ({BATCH} envelopes/batch):")
@@ -122,22 +109,3 @@ def test_batch_mode_amortizes_further(emit):
          f"({t_json / t_binary:.2f}x faster)")
     assert t_json / t_binary >= 3.0
     assert binary_bytes < json_bytes
-
-
-def test_lazy_decode_skips_pruned_documents(emit):
-    """A consumer that never touches the after-image (a stale or
-    index-pruned write) pays only the envelope-skeleton decode."""
-    lazy = BinaryCodec(lazy_documents=True)
-    eager = BinaryCodec(lazy_documents=False)
-    batch = [representative_envelope(i) for i in range(BATCH)]
-    wires = [lazy.encode_batch(batch)] * max(1, MESSAGES // BATCH)
-
-    t_lazy = best_of(lambda: [lazy.decode_batch(w) for w in wires])
-    t_eager = best_of(lambda: [eager.decode_batch(w) for w in wires])
-
-    count = len(wires) * BATCH
-    emit("Decode-only, documents never touched (pruned-write path):")
-    emit(f"  eager : {t_eager * 1e6 / count:8.2f} us/msg")
-    emit(f"  lazy  : {t_lazy * 1e6 / count:8.2f} us/msg "
-         f"({t_eager / t_lazy:.2f}x)")
-    assert t_lazy < t_eager

@@ -29,7 +29,7 @@ from repro.core.partitioning import PartitioningScheme, stable_hash
 from repro.core.server import AppServer
 from repro.event.broker import Broker
 from repro.query.engine import MongoQueryEngine, Query
-from repro.event.wire import BinaryCodec, LazyDocument
+from repro.event.wire import BinaryCodec
 from repro.runtime.execution import (
     ExecutionConfig,
     InlineExecutionModel,
@@ -62,7 +62,6 @@ __all__ = [
     "ExecutionConfig",
     "InitialResult",
     "InlineExecutionModel",
-    "LazyDocument",
     "ProcessExecutionModel",
     "ThreadedExecutionModel",
     "WorkerPool",

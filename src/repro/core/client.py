@@ -433,9 +433,11 @@ class InvaliDBClient:
     ) -> Tuple[List[Document], Dict[Any, int], Dict[int, int]]:
         """Bootstrap result, its documents' versions and the store's
         read watermark, read atomically (a writer may run between any
-        two separate store calls)."""
+        two separate store calls).  The documents are the store's own:
+        the subscribe request carries them as they are, and a handle
+        gets a copy of its page."""
         started = time.perf_counter()
-        result = self._collection_for(query.collection).execute_versioned(query)
+        result = self._collection_for(query.collection)._read_versioned(query)
         elapsed = time.perf_counter() - started
         with self._lock:
             self._bootstraps += 1

@@ -41,7 +41,9 @@ builds, held per DAG leaf and per :class:`Query`.
 ``process_write`` is one flat loop over the candidates — ask the pass,
 apply the add/change/remove transition in place, build the event — and
 tokenizes the after-image at most once, shared between the index's
-text probe and the pass's ``$text`` leaves.  Deletes and registration
+text probe and the pass's ``$text`` leaves.  The after-image's document
+is a plain dict in every execution model (a worker decodes each batch
+frame once), and the node holds it as it came.  Deletes and registration
 replay, which have no pass to share, decide one query at a time in
 ``_evaluate``.
 
@@ -62,7 +64,7 @@ bootstrap alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, NamedTuple, Optional, Set
 
 from repro.core.partitioning import NodeCoordinates
@@ -92,26 +94,6 @@ class MatchEvent(NamedTuple):
     version: int
     timestamp: float
     needs_sorting: bool
-
-
-def _materialized(after: AfterImage) -> AfterImage:
-    """Resolve a lazily-decoded after-image document into a plain dict.
-
-    Under the process execution model documents arrive as
-    ``LazyDocument`` blobs (duck-typed here via ``to_dict`` so the core
-    stays independent of the wire layer).  Predicate evaluation and the
-    query index traverse documents as plain dicts, so the blob must be
-    materialized before the engine sees it — but only then: stale
-    writes, deletes and writes that cannot produce candidates keep the
-    blob unopened, which is the lazy-decode saving.
-    """
-    document = after.document
-    if document is None or type(document) is dict:
-        return after
-    to_dict = getattr(document, "to_dict", None)
-    if to_dict is None:
-        return after
-    return replace(after, document=to_dict())
 
 
 @dataclass
@@ -278,9 +260,7 @@ class FilteringNode:
                 continue
             if after.version <= versions.get(after.key, 0):
                 continue
-            events.extend(
-                self._evaluate(entry_id, state, self._materialize(after))
-            )
+            events.extend(self._evaluate(entry_id, state, after))
         return events
 
     def deactivate_query(self, query_id: str) -> bool:
@@ -346,7 +326,6 @@ class FilteringNode:
         is_delete = after.is_delete
         tokens: Optional[LazyTokens] = None
         if not is_delete:
-            after = self._materialize(after)
             # One token set per write, shared by the index's text probe
             # and every $text leaf of the pass; built only if one asks.
             tokens = LazyTokens(after.document)
@@ -409,25 +388,6 @@ class FilteringNode:
             ))
         self.matched_operations += evaluated
         return events
-
-    def _materialize(self, after: AfterImage) -> AfterImage:
-        """Open a lazy after-image blob iff matching will need it.
-
-        With the index enabled and neither a registered query on the
-        write's collection nor a previous matcher for its key, the
-        candidate set is provably empty — the blob stays raw and the
-        decode is never paid (counted as a lazy-decode hit by the wire
-        stats)."""
-        document = after.document
-        if document is None or type(document) is dict:
-            return after
-        if (
-            self.index is not None
-            and not self.index.has_collection(after.collection)
-            and after.key not in self._matching_keys
-        ):
-            return after
-        return _materialized(after)
 
     def _candidate_ids(
         self, after: AfterImage, tokens: Optional[LazyTokens] = None

@@ -179,11 +179,10 @@ class Grid:
             out.setdefault(rank, []).append(forwarded)
 
     def _route_write(self, tuple_: Dict[str, Any], out: _Out) -> None:
-        cluster = self.cluster
-        wp = cluster.scheme.write_partition_of(tuple_["key"])
-        forwarded = dict(tuple_, write_partition=wp)
+        # Every cell of the column reads the published payload itself.
+        wp = self.cluster.scheme.write_partition_of(tuple_["key"])
         for rank in self._columns[wp]:
-            out.setdefault(rank, []).append(forwarded)
+            out.setdefault(rank, []).append(tuple_)
 
     def _run_cell(self, task: _Task, batch: List[Any]) -> None:
         """A cell takes the whole batch in one call: a failure loses it.

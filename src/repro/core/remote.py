@@ -30,11 +30,8 @@ a forked worker (:class:`~repro.runtime.process.ProcessExecutionModel`).
   parent's ``perf_counter`` domain, so the parent tracer sees complete
   chains.
 
-Documents inside write envelopes may arrive as
-:class:`~repro.event.wire.LazyDocument` blobs; they flow untouched into
-the filtering node, which materializes them only when matching actually
-needs the fields (see ``FilteringNode._materialize``) — stale writes
-and index-pruned writes never pay the after-image decode.
+A worker decodes each batch frame once, into plain dicts: the write
+envelopes' documents reach the filtering node as they were published.
 """
 
 from __future__ import annotations
@@ -115,12 +112,17 @@ def serialize_after_image(after: AfterImage) -> Dict[str, Any]:
     return payload
 
 
+#: ``op`` -> kind: a dict lookup, where ``WriteKind(op)`` costs an
+#: enum call per write and cell.
+_WRITE_KINDS = {kind.value: kind for kind in WriteKind}
+
+
 def deserialize_after_image(payload: Dict[str, Any]) -> AfterImage:
     store_id, sequence = payload.get("stamp") or (0, 0)
     return AfterImage(
         key=payload["key"],
         version=payload["version"],
-        kind=WriteKind(payload["op"]),
+        kind=_WRITE_KINDS[payload["op"]],
         document=payload.get("document"),
         collection=payload.get("collection", "default"),
         timestamp=payload.get("timestamp", 0.0),
@@ -421,10 +423,8 @@ class SortingCell(_Cell):
 class WorkerCell:
     """Worker side of the seam: the cell's own ``handle_batch`` result
     goes back as it is — ``MatchEvent`` and ``QueryChange`` are
-    NamedTuples the worker channel's pickle codec carries.  No
-    :class:`~repro.event.wire.LazyDocument` leaves the worker: the
-    filtering node materializes every after-image it evaluates, and
-    only evaluated documents end up in events and changes."""
+    NamedTuples the worker channel's pickle codec carries, with the
+    plain documents the batch decoded into."""
 
     def __init__(self, cell: Any):
         self.cell = cell

@@ -7,10 +7,10 @@ and subscribers, so it passes every payload by reference and calls no
 codec at all.  The paper explains the lower matching performance under
 write-heavy load by "the overhead for (de-)serializing and parsing
 after-images" (Section 6.3); here that cost is paid only where bytes
-cross a process, by :class:`repro.event.wire.BinaryCodec` (pickle
-protocol 5, after-images detached from the envelope skeleton) on the
-worker wire of the process model.  ``Broker(codec=BinaryCodec())``
-gives every subscriber its own decoded copy, in C.
+cross a process, by :class:`repro.event.wire.BinaryCodec` (one pickle
+protocol 5 stream per frame) on the worker wire of the process model.
+``Broker(codec=BinaryCodec())`` gives every subscriber its own decoded
+copy, in C.
 :class:`JsonCodec` is the opt-in debugging codec
 (``Broker(codec=JsonCodec())``): readable bytes, and a strict check
 that every payload is JSON-safe.  A codec's cost is per *message*,

@@ -15,25 +15,21 @@ in-process event layer (:class:`repro.event.broker.Broker`'s default):
 * **:class:`BinaryCodec`** — a compact binary encoding for grid
   envelopes.  The paper attributes the lower matching performance under
   write-heavy load to "the overhead for (de-)serializing and parsing
-  after-images" (Section 6.3); this codec attacks exactly that constant:
+  after-images" (Section 6.3); this codec keeps that cost to one pass
+  per frame:
 
-  - *detached after-images*: the ``document`` field of a write
-    envelope — the bulk of every write in both bytes and decode cost —
-    is split out of the envelope skeleton into its own length-delimited
-    blob, decoded into a :class:`LazyDocument` that materializes only
-    on first field access; a matching node that prunes the write via
-    its predicate index (or drops it as stale) never pays the full
-    after-image decode;
-  - *interned keys*: a batch frame serializes every envelope skeleton
-    into ONE pickle-5 stream, whose memo table interns each repeated
-    key and value string — collection names, field names and envelope
-    keys are written once per batch and back-referenced in a few bytes
-    thereafter;
-  - *C-speed segments*: both segments are pickle protocol 5, with full
-    round-trip fidelity (tuples stay tuples, non-string dict keys
-    survive — unlike JSON) and no Python-level per-field loop.
+  - *one stream per frame*: a message, or a whole batch of envelopes,
+    is one pickle-5 stream behind a three-byte header (and a batch's
+    envelope count), decoded by one
+    C-speed unpickling call into plain dicts, with full round-trip
+    fidelity (tuples stay tuples, non-string dict keys survive —
+    unlike JSON) and no Python-level per-field loop;
+  - *interned strings*: the stream's memo table writes each repeated
+    string object once per batch (envelope keys, collection names, the
+    after-images' field names) and back-references it in a few bytes
+    thereafter, so the decoded documents of one batch share them.
 
-Pickle segments never cross a trust boundary.  They are exchanged only
+Pickle streams never cross a trust boundary.  They are exchanged only
 between a parent and the worker processes it forked, and inside one
 process through a :class:`~repro.event.broker.Broker`, whose dispatch
 mailbox carries nothing but the bytes its own ``publish`` encoded.  A
@@ -149,7 +145,6 @@ class WireStats:
     __slots__ = (
         "frames_sent", "frames_received", "bytes_sent", "bytes_received",
         "messages_encoded", "messages_decoded", "encode_ns", "decode_ns",
-        "lazy_documents", "lazy_materialized",
     )
 
     def __init__(self) -> None:
@@ -161,17 +156,6 @@ class WireStats:
         self.messages_decoded = 0
         self.encode_ns = 0
         self.decode_ns = 0
-        #: Lazy after-image blobs created at decode …
-        self.lazy_documents = 0
-        #: … and how many of them were ever materialized.  The gap is
-        #: the decode work pruning saved (the lazy-decode hit rate).
-        self.lazy_materialized = 0
-
-    @property
-    def lazy_hit_rate(self) -> float:
-        if not self.lazy_documents:
-            return 0.0
-        return 1.0 - self.lazy_materialized / self.lazy_documents
 
     def snapshot(self) -> Dict[str, Any]:
         return {
@@ -183,13 +167,10 @@ class WireStats:
             "messages_decoded": self.messages_decoded,
             "encode_ns": self.encode_ns,
             "decode_ns": self.decode_ns,
-            "lazy_documents": self.lazy_documents,
-            "lazy_materialized": self.lazy_materialized,
-            "lazy_hit_rate": round(self.lazy_hit_rate, 4),
         }
 
     def merge(self, other: Mapping[str, Any]) -> None:
-        """Fold a remote snapshot into this instance (rates recompute)."""
+        """Fold a remote snapshot into this instance."""
         for field in self.__slots__:
             setattr(self, field, getattr(self, field) + other.get(field, 0))
 
@@ -199,20 +180,19 @@ class WireStats:
 # ---------------------------------------------------------------------------
 
 _MAGIC = 0xB1
-_FORMAT_VERSION = 1
+#: Version 2: one pickle stream per frame (version 1 detached each
+#: after-image into a stream of its own).
+_FORMAT_VERSION = 2
 
 _FLAG_BATCH = 0x01
-
-#: Payload layout tags (byte 3 of a single-message payload).
-_T_PLAIN = 0x01     #: one length-implied pickle blob
-_T_DETACHED = 0x02  #: envelope skeleton blob + detached after-image blob
 
 _pickle_dumps = pickle.dumps
 _pickle_loads = pickle.loads
 
-#: Precomputed single-message headers (magic, version, flags, tag).
-_HDR_PLAIN = bytes((_MAGIC, _FORMAT_VERSION, 0, _T_PLAIN))
-_HDR_DETACHED = bytes((_MAGIC, _FORMAT_VERSION, 0, _T_DETACHED))
+#: The three header bytes of a frame: magic, version, flags.
+_HDR_SINGLE = bytes((_MAGIC, _FORMAT_VERSION, 0))
+_HDR_BATCH = bytes((_MAGIC, _FORMAT_VERSION, _FLAG_BATCH))
+_HEADER_SIZE = len(_HDR_SINGLE)
 
 
 def _write_varint(out: bytearray, value: int) -> None:
@@ -223,12 +203,7 @@ def _write_varint(out: bytearray, value: int) -> None:
 
 
 def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
-    byte = data[pos]
-    if not byte & 0x80:
-        return byte, pos + 1
-    pos += 1
-    value = byte & 0x7F
-    shift = 7
+    value = shift = 0
     while True:
         byte = data[pos]
         pos += 1
@@ -238,313 +213,112 @@ def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
         shift += 7
 
 
-class LazyDocument(Mapping):
-    """A document blob that is decoded on first field access.
-
-    Behaves like a read-only ``dict``; a matching node that never reads
-    a field (stale write, delete, index miss for an empty candidate
-    set) never pays the decode.  Re-encoding an untouched instance
-    passes the raw blob straight through.
-    """
-
-    __slots__ = ("_raw", "_doc", "_stats")
-
-    def __init__(self, raw: bytes, stats: Optional[WireStats] = None):
-        self._raw = raw
-        self._doc: Optional[Dict[str, Any]] = None
-        self._stats = stats
-
-    @property
-    def raw(self) -> bytes:
-        return self._raw
-
-    @property
-    def materialized(self) -> bool:
-        return self._doc is not None
-
-    def _load(self) -> Dict[str, Any]:
-        doc = self._doc
-        if doc is None:
-            try:
-                doc = _pickle_loads(self._raw)
-            except Exception as exc:
-                raise CodecError(f"malformed document blob: {exc}") from exc
-            if not isinstance(doc, dict):
-                raise CodecError(
-                    f"document blob decoded to {type(doc).__name__}, "
-                    f"expected dict"
-                )
-            self._doc = doc
-            if self._stats is not None:
-                self._stats.lazy_materialized += 1
-        return doc
-
-    def __getitem__(self, key: str) -> Any:
-        return self._load()[key]
-
-    def __iter__(self):
-        return iter(self._load())
-
-    def __len__(self) -> int:
-        return len(self._load())
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._load()
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self._load().get(key, default)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LazyDocument):
-            return self._load() == other._load()
-        if isinstance(other, Mapping):
-            return self._load() == dict(other)
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    def __reduce__(self):
-        # Pickle by raw blob only: stats belong to the codec instance
-        # that created us, not to whatever process unpickles the copy.
-        return (LazyDocument, (self._raw,))
-
-    def __repr__(self) -> str:
-        if self._doc is None:
-            return f"LazyDocument(<{len(self._raw)} raw bytes>)"
-        return f"LazyDocument({self._doc!r})"
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Materialize into a plain (copied) dict."""
-        return dict(self._load())
-
-
-def materialize(value: Any) -> Any:
-    """Resolve a possibly-lazy document into a plain dict."""
-    if isinstance(value, LazyDocument):
-        return value.to_dict()
-    return value
-
-
 class BinaryCodec(Codec):
-    """Compact binary envelope codec with detached lazy after-images.
+    """Compact binary envelope codec: one pickle stream per frame.
 
-    Layout (single message)::
+    Layout::
 
-        magic  version  flags  tag  [varint skel_len  skel_blob]  doc_blob
-         0xB1     u8      u8    u8
+        single:  magic  version  flags=0      pickle(payload)
+        batch:   magic  version  flags=BATCH  varint count  pickle([payload, ...])
+                 0xB1     u8       u8
 
-    A write envelope's ``document`` value — the after-image, the bulk
-    of every write both in bytes and in decode cost — is *detached*
-    from the envelope skeleton and shipped as its own blob
-    (``tag=DETACHED``).  Both segments are pickle protocol 5: C-speed,
-    full round-trip fidelity (tuples stay tuples, non-string dict keys
-    survive — unlike JSON).  With ``lazy_documents=True`` (the
-    worker-side configuration) the document blob is wrapped in a
-    :class:`LazyDocument` at decode and only unpickled on first field
-    access, so a matching node that prunes the write via its predicate
-    index never pays the after-image decode; re-encoding an untouched
-    instance passes the raw blob straight through.
+    A frame is decoded by one unpickling call into plain objects:
+    dicts, lists and tuples as they were encoded, with full round-trip
+    fidelity (non-string dict keys survive, unlike JSON).  A batch is
+    one stream, so its pickle memo writes every string object the
+    batch repeats (envelope keys, collection names, the documents'
+    field names) once and back-references it thereafter; the decoded
+    documents share those strings.  Every decode failure (a bad header,
+    truncation, an unpickling error, a count mismatch) raises
+    :class:`~repro.errors.CodecError`.
 
-    Batch layout (``encode_batch``)::
-
-        magic  version  flags|BATCH  varint count
-        varint skels_len  pickle([skel, ...])
-        (varint doc_len_plus_1  doc_blob?) * count
-
-    All envelope skeletons in a batch share ONE pickle stream, whose
-    memo table interns every repeated key and value string — the
-    collection name, field names and envelope keys are written once per
-    batch and back-referenced in a few bytes thereafter.
-
-    Trust: segments are pickle — use this codec only on channels
+    Trust: the payload is pickle — use this codec only on channels
     between a process and workers it forked, or inside one process (the
-    broker's default: its dispatch mailbox carries only bytes its own
-    ``publish`` encoded, and faults act on the payload before encoding);
-    never on untrusted input.
+    broker's dispatch mailbox carries only bytes its own ``publish``
+    encoded, and faults act on the payload before encoding); never on
+    untrusted input.
     """
 
-    def __init__(
-        self,
-        lazy_documents: bool = False,
-        stats: Optional[WireStats] = None,
-    ):
-        self.lazy_documents = lazy_documents
+    def __init__(self, stats: Optional[WireStats] = None):
         self.stats = stats if stats is not None else WireStats()
 
     # -- encode -----------------------------------------------------------
 
     def encode(self, payload: Any) -> bytes:
-        self.stats.messages_encoded += 1
         try:
-            if type(payload) is dict:
-                docv = payload.get("document")
-                kind = type(docv)
-                if kind is dict or kind is LazyDocument:
-                    skel = payload.copy()
-                    del skel["document"]
-                    skel_blob = _pickle_dumps(skel, protocol=5)
-                    doc_blob = (
-                        docv.raw if kind is LazyDocument
-                        else _pickle_dumps(docv, protocol=5)
-                    )
-                    out = bytearray(_HDR_DETACHED)
-                    n = len(skel_blob)
-                    if n < 0x80:
-                        out.append(n)
-                    else:
-                        _write_varint(out, n)
-                    out += skel_blob
-                    out += doc_blob
-                    return bytes(out)
-            return _HDR_PLAIN + _pickle_dumps(payload, protocol=5)
+            blob = _pickle_dumps(payload, protocol=5)
         except Exception as exc:  # noqa: BLE001 - unpicklable leaf etc.
             raise CodecError(f"payload is not wire-encodable: {exc}") from exc
+        self.stats.messages_encoded += 1
+        return _HDR_SINGLE + blob
 
     def encode_batch(self, payloads: List[Any]) -> bytes:
-        """Encode a list of envelopes with one shared skeleton stream —
-        keys and repeated strings are interned across the whole batch
-        by the pickle memo table."""
-        skels: List[Any] = []
-        blobs: List[Optional[bytes]] = []
+        """Encode a list of envelopes as one pickle stream."""
+        if type(payloads) is not list:
+            payloads = list(payloads)
         try:
-            for payload in payloads:
-                if type(payload) is dict:
-                    docv = payload.get("document")
-                    kind = type(docv)
-                    if kind is dict or kind is LazyDocument:
-                        skel = payload.copy()
-                        del skel["document"]
-                        skels.append(skel)
-                        blobs.append(
-                            docv.raw if kind is LazyDocument
-                            else _pickle_dumps(docv, protocol=5)
-                        )
-                        continue
-                skels.append(payload)
-                blobs.append(None)
-            skels_blob = _pickle_dumps(skels, protocol=5)
+            blob = _pickle_dumps(payloads, protocol=5)
         except Exception as exc:  # noqa: BLE001
             raise CodecError(f"payload is not wire-encodable: {exc}") from exc
-        out = bytearray((_MAGIC, _FORMAT_VERSION, _FLAG_BATCH))
+        out = bytearray(_HDR_BATCH)
         _write_varint(out, len(payloads))
-        _write_varint(out, len(skels_blob))
-        out += skels_blob
-        for blob in blobs:
-            if blob is None:
-                out.append(0)
-            else:
-                _write_varint(out, len(blob) + 1)
-                out += blob
+        out += blob
         self.stats.messages_encoded += len(payloads)
         return bytes(out)
 
     # -- decode -----------------------------------------------------------
 
     def decode(self, wire: bytes) -> Any:
-        if type(wire) is not bytes:
+        if type(wire) is not bytes or not wire.startswith(_HDR_SINGLE):
             wire = self._check_header(wire, expect_batch=False)
-        stats = self.stats
-        stats.messages_decoded += 1
-        try:
-            tag = wire[3]
-        except IndexError:
-            raise CodecError("not a binary-codec payload (bad magic)") from None
-        ok = wire[0] == _MAGIC and wire[1] == _FORMAT_VERSION and not wire[2]
-        if ok and tag == _T_DETACHED:
-            try:
-                skel_len = wire[4]
-                if skel_len & 0x80:
-                    skel_len, pos = _read_varint(wire, 4)
-                else:
-                    pos = 5
-            except IndexError:
-                raise CodecError("truncated binary payload") from None
-            end = pos + skel_len
-            if end > len(wire):
-                raise CodecError("truncated binary payload")
-            try:
-                envelope = _pickle_loads(wire[pos:end])
-            except Exception as exc:
-                raise CodecError(f"malformed wire payload: {exc}") from exc
-            raw = wire[end:]
-            if self.lazy_documents:
-                stats.lazy_documents += 1
-                envelope["document"] = LazyDocument(raw, stats)
-            else:
-                try:
-                    envelope["document"] = _pickle_loads(raw)
-                except Exception as exc:
-                    raise CodecError(
-                        f"malformed document blob: {exc}"
-                    ) from exc
-            return envelope
-        if ok and tag == _T_PLAIN:
-            try:
-                return _pickle_loads(wire[4:])
-            except Exception as exc:
-                raise CodecError(f"malformed wire payload: {exc}") from exc
-        # Slow path: bad magic/version/flags or unknown tag — report why.
-        self._check_header(wire, expect_batch=False)
-        raise CodecError(f"unknown wire layout tag 0x{tag:02x}")
+        payload = _unpickle(wire, _HEADER_SIZE)
+        self.stats.messages_decoded += 1
+        return payload
 
     def decode_batch(self, wire: bytes) -> List[Any]:
-        wire = self._check_header(wire, expect_batch=True)
+        if type(wire) is not bytes or not wire.startswith(_HDR_BATCH):
+            wire = self._check_header(wire, expect_batch=True)
         try:
-            count, pos = _read_varint(wire, 3)
-            skels_len, pos = _read_varint(wire, pos)
-            end = pos + skels_len
-            if end > len(wire):
-                raise CodecError("truncated binary payload")
-            try:
-                skels = _pickle_loads(wire[pos:end])
-            except Exception as exc:
-                raise CodecError(f"malformed wire payload: {exc}") from exc
-            if not isinstance(skels, list) or len(skels) != count:
-                raise CodecError("batch skeleton count mismatch")
-            pos = end
-            lazy = self.lazy_documents
-            stats = self.stats
-            for envelope in skels:
-                doc_len, pos = _read_varint(wire, pos)
-                if not doc_len:
-                    continue
-                end = pos + doc_len - 1
-                if end > len(wire):
-                    raise CodecError("truncated binary payload")
-                raw = wire[pos:end]
-                pos = end
-                if lazy:
-                    stats.lazy_documents += 1
-                    envelope["document"] = LazyDocument(raw, stats)
-                else:
-                    try:
-                        envelope["document"] = _pickle_loads(raw)
-                    except Exception as exc:
-                        raise CodecError(
-                            f"malformed document blob: {exc}"
-                        ) from exc
+            count, pos = _read_varint(wire, _HEADER_SIZE)
         except IndexError:
             raise CodecError("truncated binary payload") from None
-        stats.messages_decoded += count
-        return skels
+        payloads = _unpickle(wire, pos)
+        if type(payloads) is not list or len(payloads) != count:
+            raise CodecError("batch count mismatch")
+        self.stats.messages_decoded += count
+        return payloads
 
-    def _check_header(self, wire: Any, expect_batch: bool) -> bytes:
+    @staticmethod
+    def _check_header(wire: Any, expect_batch: bool) -> bytes:
+        """The slow path: *wire* as bytes when its header is valid,
+        otherwise a :class:`CodecError` that says what is wrong."""
         if not isinstance(wire, (bytes, bytearray, memoryview)):
             raise CodecError(
                 f"binary codec expects bytes, got {type(wire).__name__}"
             )
         wire = bytes(wire)
-        if len(wire) < 4 or wire[0] != _MAGIC:
+        if len(wire) < _HEADER_SIZE:
+            raise CodecError("truncated binary header")
+        if wire[0] != _MAGIC:
             raise CodecError("not a binary-codec payload (bad magic)")
         if wire[1] != _FORMAT_VERSION:
             raise CodecError(
                 f"unsupported binary format version {wire[1]} "
                 f"(supported: {_FORMAT_VERSION})"
             )
-        if bool(wire[2] & _FLAG_BATCH) != expect_batch:
+        flags = wire[2]
+        if flags & ~_FLAG_BATCH:
+            raise CodecError(f"unknown binary flags 0x{flags:02x}")
+        if bool(flags & _FLAG_BATCH) != expect_batch:
             raise CodecError(
                 "batch flag mismatch: use decode_batch for batch frames"
             )
         return wire
+
+
+def _unpickle(wire: bytes, pos: int) -> Any:
+    """The pickle stream of *wire* from *pos* on, without copying it."""
+    try:
+        return _pickle_loads(memoryview(wire)[pos:])
+    except Exception as exc:  # noqa: BLE001 - truncated or corrupt stream
+        raise CodecError(f"malformed wire payload: {exc}") from exc

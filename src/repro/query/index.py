@@ -937,13 +937,6 @@ class QueryIndex:
                 collection_index.remove(entry, query_id)
         return True
 
-    def has_collection(self, collection: str) -> bool:
-        """True when any registered query targets *collection* — a
-        document-free pre-check, so callers holding a lazily-decoded
-        after-image can skip materialization when no candidate set can
-        possibly come out of it."""
-        return collection in self._collections
-
     def candidates(
         self,
         document: Document,

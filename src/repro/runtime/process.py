@@ -263,9 +263,7 @@ class WorkerPool:
             ) from None
         self.worker_processes = worker_processes
         self.stats = stats if stats is not None else WireStats()
-        #: Parent-side codec: eager documents (a worker's reply carries
-        #: plain dicts; lazy blobs stay on the worker side).
-        self.codec = BinaryCodec(lazy_documents=False, stats=self.stats)
+        self.codec = BinaryCodec(stats=self.stats)
         self._lock = threading.Lock()
         self._workers: Dict[int, _Worker] = {}
         self._cells: Dict[str, RemoteCell] = {}
@@ -650,7 +648,7 @@ def _worker_main(sock: socket.socket, parent_sock: socket.socket) -> None:
     except OSError:  # pragma: no cover
         pass
     stats = WireStats()
-    codec = BinaryCodec(lazy_documents=True, stats=stats)
+    codec = BinaryCodec(stats=stats)
     cells: Dict[int, Any] = {}
     while True:
         try:

@@ -14,16 +14,17 @@ Oplog`, which the log-tailing baseline consumes.  All reads return deep
 copies, made of the returned documents only: ``find``, ``execute`` and
 ``execute_versioned`` share one read path (``_window``) that matches
 with the query's compiled predicate, sorts and slices the stored
-documents, then copies the slice.  A write returns a copy too; only
-its write listeners see the stored document, read-only (``on_write``).
-The collection is thread-safe.
+documents, then copies the slice.  A write validates and copies its
+input in one walk and returns a copy too; only its write listeners see
+the stored document, read-only (``on_write``), and so does the
+client's bootstrap read (``_read_versioned``), which copies only the
+page it hands to a subscription.  The collection is thread-safe.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import (
@@ -37,7 +38,7 @@ from repro.query.operators import Eq, Gt, Gte, In, Lt, Lte
 from repro.query.operators import values_equal
 from repro.query.sortspec import SortInput
 from repro.query.text import LazyTokens
-from repro.store.documents import deep_copy, validate_document
+from repro.store.documents import deep_copy, validate_document, validated_copy
 from repro.store.projection import apply_projection
 from repro.store.indexes import HashIndex, OrderedIndex, make_index
 from repro.store.oplog import Oplog
@@ -47,6 +48,10 @@ from repro.types import PRIMARY_KEY, AfterImage, Document, WriteKind
 Clock = Callable[[], float]
 
 _DISTINCT_ABSENT = object()
+
+
+def _copies(documents: List[Document]) -> List[Document]:
+    return [deep_copy(document) for document in documents]
 
 
 class Collection:
@@ -81,12 +86,14 @@ class Collection:
 
     def insert(self, document: Document) -> AfterImage:
         """Insert a new document; raises on duplicate primary key."""
-        validate_document(document)
-        key = document[PRIMARY_KEY]
+        return self._insert(validated_copy(document))
+
+    def _insert(self, stored: Document) -> AfterImage:
+        """Insert *stored*, the collection's own validated copy."""
+        key = stored[PRIMARY_KEY]
         with self._lock:
             if key in self._documents:
                 raise DuplicateKeyError(key)
-            stored = deep_copy(document)
             self._documents[key] = stored
             # Versions must stay monotone per key across delete/re-insert:
             # a reset to 1 would rank below the tombstone's version and the
@@ -98,13 +105,15 @@ class Collection:
 
     def replace(self, document: Document) -> AfterImage:
         """Replace an existing document wholesale."""
-        validate_document(document)
-        key = document[PRIMARY_KEY]
+        return self._replace(validated_copy(document))
+
+    def _replace(self, stored: Document) -> AfterImage:
+        """Replace with *stored*, the collection's own validated copy."""
+        key = stored[PRIMARY_KEY]
         with self._lock:
             if key not in self._documents:
                 raise DocumentNotFoundError(key)
             self._index_remove(key, self._documents[key])
-            stored = deep_copy(document)
             self._documents[key] = stored
             self._text_tokens.pop(key, None)
             self._versions[key] += 1
@@ -114,12 +123,11 @@ class Collection:
 
     def save(self, document: Document) -> AfterImage:
         """Insert-or-replace (upsert by primary key)."""
-        validate_document(document)
-        key = document[PRIMARY_KEY]
+        stored = validated_copy(document)
         with self._lock:
-            if key in self._documents:
-                return self.replace(document)
-            return self.insert(document)
+            if stored[PRIMARY_KEY] in self._documents:
+                return self._replace(stored)
+            return self._insert(stored)
 
     def update(self, key: Any, update_spec: Dict[str, Any]) -> AfterImage:
         """Apply update operators (``$set``/``$inc``/...) to one document."""
@@ -214,7 +222,7 @@ class Collection:
         query = self._parse(filter_doc, sort)
         with self._lock:
             window = self._window(query, skip, limit)
-        return apply_projection(window, projection)
+        return apply_projection(_copies(window), projection)
 
     def _parse(
         self, filter_doc: Optional[Dict[str, Any]], sort: Optional[SortInput] = None
@@ -261,8 +269,8 @@ class Collection:
         self, query: Query, offset: int, limit: Optional[int]
     ) -> List[Document]:
         """The one read path: match, sort the stored documents on the
-        query's native keys, slice, and copy only the slice (the caller
-        holds the lock)."""
+        query's native keys and slice them (the caller holds the lock
+        and copies only the slice)."""
         matching = self._matching(query)
         if query.sort is not None:
             matching.sort(key=query.sort.key)
@@ -270,7 +278,7 @@ class Collection:
             matching = matching[offset:]
         if limit is not None:
             matching = matching[:limit]
-        return [deep_copy(document) for document in matching]
+        return matching
 
     def distinct(
         self, path: str, filter_doc: Optional[Dict[str, Any]] = None
@@ -301,7 +309,8 @@ class Collection:
     def execute(self, query: Query) -> List[Document]:
         """Run a parsed :class:`Query` (filter + sort + offset + limit)."""
         with self._lock:
-            return self._window(query, query.offset, query.limit)
+            window = self._window(query, query.offset, query.limit)
+        return _copies(window)
 
     def execute_versioned(
         self, query: Query
@@ -312,8 +321,17 @@ class Collection:
         than its content makes the cluster discard that very write as
         already known; the watermark tells which writes the bootstrap
         already reflects (every write stamped below it)."""
+        documents, versions, watermark = self._read_versioned(query)
+        return _copies(documents), versions, watermark
+
+    def _read_versioned(
+        self, query: Query
+    ) -> Tuple[List[Document], Dict[Any, int], Dict[int, int]]:
+        """:meth:`execute_versioned` without the copies: the stored
+        documents, which the caller must not mutate (the client's
+        bootstrap read, which copies only the handle's page)."""
         with self._lock:
-            documents = self.execute(query)
+            documents = self._window(query, query.offset, query.limit)
             versions = {
                 doc["_id"]: self._versions.get(doc["_id"], 0)
                 for doc in documents
@@ -508,4 +526,6 @@ class Collection:
             listener(after)
         if after.document is None:
             return after
-        return replace(after, document=deep_copy(after.document))
+        return AfterImage(after.key, after.version, after.kind,
+                          deep_copy(after.document), after.collection,
+                          after.timestamp, after.store_id, after.sequence)

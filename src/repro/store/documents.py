@@ -59,8 +59,11 @@ def validate_value(value: Any, context: Any) -> None:
     if isinstance(value, _SCALARS):
         return
     if isinstance(value, dict):
+        names_ok = _names_ok(value)
         for key, val in value.items():
-            if not isinstance(key, str) or key.startswith("$") or "." in key:
+            if not names_ok and (
+                not isinstance(key, str) or key.startswith("$") or "." in key
+            ):
                 _reject_field_name(key, context)
             if not isinstance(val, _SCALARS):
                 validate_value(val, (context, key))
@@ -74,6 +77,19 @@ def validate_value(value: Any, context: Any) -> None:
         f"unsupported value type {type(value).__name__} under "
         f"{_render_path(context)}"
     )
+
+
+def _names_ok(mapping: Any) -> bool:
+    """True when every field name of *mapping*, a plain dict, is a
+    string without ``$`` or ``.`` (one C-speed join); False asks the
+    caller to check the names one by one."""
+    if type(mapping) is not dict:
+        return False
+    try:
+        names = "".join(mapping)
+    except TypeError:  # a non-string field name
+        return False
+    return "$" not in names and "." not in names
 
 
 def _reject_field_name(key: Any, context: Any) -> None:
@@ -106,6 +122,44 @@ def _render_path(context: Any) -> str:
 
 def validate_document(document: Document) -> None:
     """Validate a top-level document: dict shape, field names, ``_id``."""
+    _validate_root(document)
+    validate_value(document, "<root>")
+
+
+def validated_copy(document: Document) -> Document:
+    """:func:`validate_document` and :func:`deep_copy` in one walk: the
+    same errors, and the copy ``deep_copy`` makes."""
+    _validate_root(document)
+    return _copy_valid(document, "<root>")
+
+
+def _copy_valid(value: Any, context: Any) -> Any:
+    """A deep copy of the container *value*, validated as
+    :func:`validate_value` validates it, in the same order."""
+    if isinstance(value, dict):
+        if not _names_ok(value):
+            # The names need a look one by one: the plain walk raises
+            # the first error in document order.
+            validate_value(value, context)
+        copy = value.copy() if type(value) is dict else dict(value.items())
+        for key, item in copy.items():
+            if type(item) not in _EXACT_SCALARS and not isinstance(item, _SCALARS):
+                copy[key] = _copy_valid(item, (context, key))
+        return copy
+    if isinstance(value, (list, tuple)):
+        copy = list(value)
+        for index, item in enumerate(copy):
+            if type(item) not in _EXACT_SCALARS and not isinstance(item, _SCALARS):
+                copy[index] = _copy_valid(item, (context, index))
+        return copy
+    raise InvalidDocumentError(
+        f"unsupported value type {type(value).__name__} under "
+        f"{_render_path(context)}"
+    )
+
+
+def _validate_root(document: Document) -> None:
+    """The top-level checks: dict shape and ``_id``."""
     if not isinstance(document, dict):
         raise InvalidDocumentError(f"document must be a dict, got {type(document)}")
     if PRIMARY_KEY not in document:
@@ -115,7 +169,6 @@ def validate_document(document: Document) -> None:
         raise InvalidDocumentError(
             f"{PRIMARY_KEY!r} must be a string or number, got {type(key)}"
         )
-    validate_value(document, "<root>")
 
 
 def get_path(document: Document, path: str, default: Any = None) -> Any:

@@ -135,14 +135,28 @@ class ShardedCollection:
         :meth:`Collection.execute_versioned`).  Shards that share a store
         contribute the minimum of their watermarks: only writes below
         every shard's read are known to be reflected."""
+        return self._merge_versioned(
+            query, [shard.execute_versioned for shard in self.shards]
+        )
+
+    def _read_versioned(
+        self, query: Query
+    ) -> Tuple[List[Document], Dict[Any, int], Dict[int, int]]:
+        """:meth:`execute_versioned` without the copies (see
+        :meth:`Collection._read_versioned`)."""
+        return self._merge_versioned(
+            query, [shard._read_versioned for shard in self.shards]
+        )
+
+    def _merge_versioned(
+        self, query: Query, reads: List[Callable[[Query], Any]]
+    ) -> Tuple[List[Document], Dict[Any, int], Dict[int, int]]:
         shard_query = self._shard_read(query)
         partials: List[Document] = []
         versions: Dict[Any, int] = {}
         watermark: Dict[int, int] = {}
-        for shard in self.shards:
-            documents, shard_versions, shard_mark = shard.execute_versioned(
-                shard_query
-            )
+        for read in reads:
+            documents, shard_versions, shard_mark = read(shard_query)
             partials.extend(documents)
             versions.update(shard_versions)
             for store_id, head in shard_mark.items():

@@ -19,6 +19,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.client as client_module
 import repro.query.engine as engine_module
 import repro.store.collection as collection_module
 from repro.baselines.poll_and_diff import PollAndDiffProvider
@@ -555,3 +556,62 @@ class TestParsedOnce:
             assert derived == fresh and hash(derived) == hash(fresh)
             assert derived.query_id == fresh.query_id
             assert derived.partition_hash == fresh.partition_hash
+
+
+class TestBootstrapCopiedOnce:
+    """A subscribe reads its bootstrap as the stored documents: the
+    subscribe request carries them, and only the handle's page is
+    copied (``tests/test_payload_ownership.py`` pins who owns what)."""
+
+    def test_a_sorted_page_copies_only_its_documents(self, monkeypatch):
+        model, broker, cluster, app = inline_cluster()
+        try:
+            for key in range(300):
+                app.insert("items", {"_id": key, "v": key})
+            assert broker.drain()
+            filter_doc = {"v": {"$gte": 0}}
+            copies = []
+
+            def counting(value):
+                if value is not filter_doc:
+                    copies.append(value)
+                return deep_copy(value)
+
+            monkeypatch.setattr(collection_module, "deep_copy", counting)
+            monkeypatch.setattr(client_module, "deep_copy", counting)
+            handle = app.subscribe("items", filter_doc, sort=[("v", 1)],
+                                   offset=10, limit=10)
+            monkeypatch.undo()
+            page = handle.initial.documents
+            assert [d["_id"] for d in page] == list(range(10, 20))
+            stored = app.database.collection("items")._documents
+            assert copies == page
+            assert all(copy is stored[copy["_id"]] for copy in copies)
+            assert broker.drain()
+            assert handle.result() == app.find(
+                "items", filter_doc, sort=[("v", 1)], skip=10, limit=10)
+        finally:
+            app.close()
+            cluster.stop()
+            broker.close()
+            model.shutdown()
+
+    @pytest.mark.parametrize("store", ["collection", "sharded"])
+    def test_the_private_read_is_execute_versioned_without_copies(self,
+                                                                  store):
+        if store == "sharded":
+            source = ShardedCollection("items", shards=3)
+        else:
+            source = Collection("items")
+        for key in range(40):
+            source.insert({"_id": key, "v": key % 7, "tags": [key]})
+        query = Query({"v": {"$gte": 2}}, collection="items",
+                      sort=[("v", -1)], limit=6, offset=3)
+        documents, versions, watermark = source._read_versioned(query)
+        assert (documents, versions, watermark) == \
+            source.execute_versioned(query)
+        shards = getattr(source, "shards", [source])
+        held = {key: document for shard in shards
+                for key, document in shard._documents.items()}
+        assert all(document is held[document["_id"]]
+                   for document in documents)

@@ -5,10 +5,10 @@ keys, version fields) and asserts the round-trip contract of each
 codec: the JSON codec must preserve every JSON-representable payload
 exactly, and the binary codec must additionally preserve what JSON
 cannot (non-string map keys, tuples-as-tuples is NOT promised — the
-binary format pickles, so tuples survive too) in both eager and lazy
-modes, single-message and batch.  A :class:`Broker` on the binary
-codec must hand every subscriber an equal, independent copy with the
-published container types (the default broker passes the published
+binary format pickles, so tuples survive too), single-message and
+batch.  A :class:`Broker` on the binary codec must hand every
+subscriber an equal, independent copy with the published container
+types (the default broker passes the published
 object itself; ``tests/test_payload_ownership.py`` pins what that
 asks of publishers and subscribers).
 """
@@ -20,12 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.notifications import ChangeEnvelope, QueryChange
 from repro.event.broker import Broker
 from repro.event.codec import JsonCodec, NoopCodec
-from repro.event.wire import (
-    BinaryCodec,
-    LazyDocument,
-    WireStats,
-    materialize,
-)
+from repro.event.wire import BinaryCodec
 from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
 from repro.types import MatchType
 
@@ -117,49 +112,21 @@ class TestBinaryCodecProperties:
     @given(payload=envelopes)
     @settings(max_examples=40)
     def test_envelope_roundtrip_eager(self, payload):
-        codec = BinaryCodec(lazy_documents=False)
+        codec = BinaryCodec()
         restored = codec.decode(codec.encode(payload))
         assert restored == payload
         assert type(restored.get("document")) in (dict, type(None))
 
-    @given(payload=envelopes)
-    @settings(max_examples=40)
-    def test_envelope_roundtrip_lazy(self, payload):
-        codec = BinaryCodec(lazy_documents=True)
-        restored = codec.decode(codec.encode(payload))
-        document = restored.pop("document")
-        expected = dict(payload)
-        expected_doc = expected.pop("document")
-        assert restored == expected
-        assert materialize(document) == expected_doc
-        if isinstance(document, LazyDocument):
-            assert dict(document) == expected_doc
-
     @given(payloads=st.lists(envelopes, max_size=8))
     @settings(max_examples=40)
     def test_batch_roundtrip(self, payloads):
-        codec = BinaryCodec(lazy_documents=True)
+        codec = BinaryCodec()
         restored = codec.decode_batch(codec.encode_batch(payloads))
-        assert len(restored) == len(payloads)
-        for got, want in zip(restored, payloads):
-            assert materialize(got) == want
-
-    @given(payloads=st.lists(envelopes, min_size=1, max_size=6))
-    @settings(max_examples=30)
-    def test_reencode_without_materializing(self, payloads):
-        """A lazy document re-encodes from its raw slice: routing a
-        write onward never forces the after-image decode."""
-        stats = WireStats()
-        codec = BinaryCodec(lazy_documents=True, stats=stats)
-        restored = codec.decode_batch(codec.encode_batch(payloads))
-        rewired = codec.decode_batch(codec.encode_batch(restored))
-        assert stats.lazy_materialized == 0
-        for got, want in zip(rewired, payloads):
-            assert materialize(got) == want
+        assert restored == payloads
 
 
 class TestCodecAgreement:
-    """All codecs agree on JSON-safe payloads (modulo laziness)."""
+    """All codecs agree on JSON-safe payloads."""
 
     @given(payload=envelopes)
     @settings(max_examples=40)
@@ -167,7 +134,7 @@ class TestCodecAgreement:
         json_codec = JsonCodec()
         binary = BinaryCodec()
         via_json = json_codec.decode(json_codec.encode(payload))
-        via_binary = materialize(binary.decode(binary.encode(payload)))
+        via_binary = binary.decode(binary.encode(payload))
         assert via_binary == via_json
 
 

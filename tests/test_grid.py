@@ -207,7 +207,7 @@ class TestGridTasks:
         assert [name for name, _ in puts(cluster)] == [
             f"matching[{index}]" for index in cluster.scheme.column_tasks(wp)
         ]
-        assert all(batch[0]["write_partition"] == wp
+        assert all(batch == [write] and batch[0] is write
                    for _, batch in puts(cluster))
 
     def test_match_events_reach_their_querys_sorting_task(self):

@@ -4,7 +4,7 @@ The stage loop lives in :class:`MatchingCell` / :class:`SortingCell`;
 the process model only adds a serialisation seam around it.  This suite
 drives the same tuple batches through a local cell and through the seam
 — parent-side :class:`LeasedCell` -> ``BinaryCodec`` batch encode ->
-worker-side lazy decode -> :class:`WorkerCell` -> reply encode ->
+worker-side batch decode -> :class:`WorkerCell` -> reply encode ->
 parent decode — and requires the two results to be equal, batch by
 batch, for both roles chained the way the grid chains them.
 """
@@ -65,8 +65,8 @@ class LoopbackHandle:
 
     def __init__(self, worker_cell):
         self.worker_cell = worker_cell
-        self.parent_codec = BinaryCodec(lazy_documents=False)
-        self.worker_codec = BinaryCodec(lazy_documents=True)
+        self.parent_codec = BinaryCodec()
+        self.worker_codec = BinaryCodec()
 
     def request_batch(self, items):
         wire = self.parent_codec.encode_batch(items)
@@ -119,7 +119,7 @@ class Grid:
             self.leased_matching.handle_batch(batch)
         assert messages == wire_messages
         assert changes == wire_changes
-        # A lazy document never leaves the worker.
+        # The worker's reply carries plain documents.
         records = [m["event"] for m in wire_messages]
         records += [change for change, _ in wire_changes]
         assert all(type(r.document) in (dict, type(None)) for r in records)

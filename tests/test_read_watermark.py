@@ -225,16 +225,16 @@ class TestClusterRegistration:
             app.insert("items", {"_id": 1, "v": 1})
             assert broker.drain()
             collection = app.database.collection("items")
-            read = collection.execute_versioned
+            read = collection._read_versioned
 
             def read_then_write(query):
                 result = read(query)
                 collection.insert({"_id": 2, "v": 2})
                 return result
 
-            collection.execute_versioned = read_then_write
+            collection._read_versioned = read_then_write
             handle = app.subscribe("items", {"v": {"$gte": 0}})
-            del collection.execute_versioned
+            del collection._read_versioned
             assert broker.drain()
             assert sorted(d["_id"] for d in handle.result()) == [1, 2]
         finally:

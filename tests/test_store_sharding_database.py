@@ -5,9 +5,55 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import CollectionNotFoundError
 from repro.store.database import Database
-from repro.store.documents import deep_copy, get_path, set_path
+from repro.store.documents import (
+    deep_copy,
+    get_path,
+    set_path,
+    validate_document,
+    validated_copy,
+)
 from repro.store.sharding import ShardedCollection
 from repro.errors import InvalidDocumentError
+
+
+class Subclassed(dict):
+    pass
+
+
+SCALARS = (str, int, float, bool, type(None))
+
+
+def reference_error(value, path="<root>"):
+    """The first error in document order, as the store's former
+    per-field validator reported it (None: valid)."""
+    if isinstance(value, SCALARS):
+        return None
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if not isinstance(key, str):
+                return f"non-string field name {key!r} under {path}"
+            if key.startswith("$"):
+                return (f"field name {key!r} under {path} "
+                        f"must not start with '$'")
+            if "." in key:
+                return (f"field name {key!r} under {path} "
+                        f"must not contain '.'")
+            error = reference_error(item, f"{path}.{key}")
+            if error:
+                return error
+        return None
+    if isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            error = reference_error(item, f"{path}[{index}]")
+            if error:
+                return error
+        return None
+    return f"unsupported value type {type(value).__name__} under {path}"
+
+
+#: Field names, valid and not: the validator's every branch.
+field_names = st.one_of(st.text(max_size=3),
+                        st.sampled_from(["$b", "c.d", "e$", 7, None]))
 
 
 class TestDocumentsHelpers:
@@ -60,6 +106,39 @@ class TestDocumentsHelpers:
         assert [type(clone[key]) for key in ("t", "m", "s")] == [list, dict, list]
         with pytest.raises(InvalidDocumentError):
             deep_copy([1, {"a": (2, object())}])
+
+    @given(st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(),
+                  st.floats(allow_nan=False), st.text(max_size=3),
+                  st.just(object())),
+        lambda children: st.one_of(
+            st.lists(children, max_size=3),
+            st.lists(children, max_size=3).map(tuple),
+            st.dictionaries(field_names, children, max_size=3),
+            st.dictionaries(field_names, children,
+                            max_size=3).map(Subclassed),
+        ),
+        max_leaves=12,
+    ), st.sampled_from([1, "k", None, True]))
+    @settings(max_examples=300, deadline=None)
+    def test_validated_copy_is_validate_then_deep_copy(self, value, key):
+        """The store's one walk over a write's input: the error the
+        per-field validator reports, or the copy ``deep_copy`` makes."""
+        document = {"_id": key, "value": value}
+        error = reference_error(document)
+        if key is None or key is True:
+            error = f"'_id' must be a string or number, got {type(key)}"
+        if error is not None:
+            for check in (validate_document, validated_copy):
+                with pytest.raises(InvalidDocumentError) as info:
+                    check(document)
+                assert str(info.value) == error
+            return
+        validate_document(document)
+        expected = deep_copy(document)
+        clone = validated_copy(document)
+        assert repr(clone) == repr(expected)
+        assert not containers(clone) & containers(document)
 
 
 def containers(value, found=None):

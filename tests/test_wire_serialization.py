@@ -139,35 +139,6 @@ class TestBinaryCodec:
         assert restored == payload
         assert restored["pair"] == (1, 2)
 
-    def test_lazy_document_defers_decode(self):
-        from repro.event.wire import BinaryCodec, LazyDocument, WireStats
-
-        stats = WireStats()
-        codec = BinaryCodec(lazy_documents=True, stats=stats)
-        envelope = {"kind": "write", "key": 1, "version": 2,
-                    "collection": "c", "document": {"_id": 1, "v": 9}}
-        restored = codec.decode(codec.encode(envelope))
-        document = restored["document"]
-        assert isinstance(document, LazyDocument)
-        assert not document.materialized
-        assert stats.lazy_materialized == 0
-        assert document["v"] == 9  # first access materializes
-        assert document.materialized
-        assert stats.lazy_materialized == 1
-        assert dict(document) == envelope["document"]
-
-    def test_lazy_document_reencodes_from_raw(self):
-        from repro.event.wire import BinaryCodec, WireStats
-
-        stats = WireStats()
-        codec = BinaryCodec(lazy_documents=True, stats=stats)
-        envelope = {"kind": "write", "key": 1, "version": 1,
-                    "collection": "c", "document": {"_id": 1, "v": 1}}
-        hop1 = codec.decode(codec.encode(envelope))
-        hop2 = codec.decode(codec.encode(hop1))
-        assert stats.lazy_materialized == 0
-        assert dict(hop2["document"]) == envelope["document"]
-
     def test_corrupt_header_raises(self):
         from repro.errors import CodecError
         from repro.event.wire import BinaryCodec
