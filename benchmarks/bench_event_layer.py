@@ -2,12 +2,13 @@
 
 The paper verified that "the event layer (Redis) did not become a
 bottleneck" (Section 6.1).  These benches measure our in-memory
-broker's raw throughput — publish rate, end-to-end delivery rate, and
-the JSON (de)serialization cost the paper blames for the read/write
-asymmetry (Section 6.3) — plus an **executor-comparison axis**: the
-same burst workload on the batched threaded model, a seed-equivalent
-per-message dispatcher (``max_batch=1``), and the deterministic inline
-model.
+broker's raw throughput — publish rate and end-to-end delivery rate,
+with every payload passed by reference (a write is published as its
+``AfterImage``), plus the per-message cost of the JSON reference
+format the paper's (de)serialization overhead (Section 6.3) stands
+for — and an **executor-comparison axis**: the same burst workload on
+the batched threaded model, a seed-equivalent per-message dispatcher
+(``max_batch=1``), and the deterministic inline model.
 """
 
 import threading
@@ -16,9 +17,10 @@ import time
 import pytest
 
 from repro.event.broker import Broker
-from repro.event.codec import JsonCodec, NoopCodec
+from repro.event.codec import JsonCodec
 from repro.runtime.execution import ExecutionConfig
 from repro.sim.workload import generate_document
+from repro.types import AfterImage, WriteKind
 
 import random
 
@@ -42,10 +44,10 @@ def broker():
 
 
 def test_publish_throughput(benchmark, broker):
-    """Publish-side cost (encode + enqueue) for a typical after-image."""
+    """Publish-side cost (enqueue, by reference) for a typical
+    after-image."""
     document = generate_document(random.Random(1), "key", 42)
-    payload = {"kind": "write", "key": "key", "version": 1,
-               "op": "update", "document": document}
+    payload = AfterImage("key", 1, WriteKind.UPDATE, document)
     benchmark(broker.publish, "bench-channel", payload)
 
 
@@ -65,7 +67,8 @@ def test_delivery_roundtrip_batch(benchmark, broker):
 
 
 def test_json_codec_roundtrip(benchmark):
-    """The per-message (de)serialization cost of the wire format."""
+    """The per-message (de)serialization cost of the JSON reference
+    format."""
     codec = JsonCodec()
     document = generate_document(random.Random(1), "key", 42)
     payload = {"kind": "write", "key": "key", "version": 3,
@@ -107,16 +110,15 @@ def test_batched_vs_seed_dispatch_ratio(emit):
     dispatcher on a burst workload.
 
     The burst is pre-queued behind a gated subscriber and the dispatch
-    phase alone is timed, with the no-op codec — isolating the
-    substrate (lock round-trips, wake-ups, quiescence accounting) from
-    the JSON wire cost that is identical on both sides.
+    phase alone is timed, payloads by reference — isolating the
+    substrate (lock round-trips, wake-ups, quiescence accounting).
     """
 
     def dispatch_rate(config: ExecutionConfig, n: int = 5000,
                       rounds: int = 5) -> float:
         best = None
         for _ in range(rounds):
-            broker = Broker(codec=NoopCodec(), execution=config)
+            broker = Broker(execution=config)
             gate = threading.Event()
             counter = {"n": 0}
 
@@ -139,7 +141,7 @@ def test_batched_vs_seed_dispatch_ratio(emit):
     batched = dispatch_rate(ExecutionConfig(max_batch=128))
     unbatched = dispatch_rate(ExecutionConfig(max_batch=1))
     ratio = batched / unbatched
-    emit("Burst dispatch throughput (5000 msgs, no-op codec):")
+    emit("Burst dispatch throughput (5000 msgs, by reference):")
     emit(f"  threaded-batched   (max_batch=128): {batched:12,.0f} msg/s")
     emit(f"  threaded-unbatched (max_batch=1):   {unbatched:12,.0f} msg/s")
     emit(f"  speedup: {ratio:.2f}x")

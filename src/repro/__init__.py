@@ -29,7 +29,6 @@ from repro.core.partitioning import PartitioningScheme, stable_hash
 from repro.core.server import AppServer
 from repro.event.broker import Broker
 from repro.query.engine import MongoQueryEngine, Query
-from repro.event.wire import BinaryCodec
 from repro.runtime.execution import (
     ExecutionConfig,
     InlineExecutionModel,
@@ -54,7 +53,6 @@ __all__ = [
     "AfterImage",
     "AppServer",
     "BackpressurePolicy",
-    "BinaryCodec",
     "Broker",
     "ChangeNotification",
     "Collection",

@@ -47,7 +47,7 @@ from repro.core.notifications import (
     unpack_changes,
     window_of,
 )
-from repro.core.remote import serialize_after_image, serialize_query
+from repro.core.remote import serialize_query
 from repro.errors import (
     BrokerClosedError,
     CircuitOpenError,
@@ -459,7 +459,7 @@ class InvaliDBClient:
     # Resilient publishing
     # ------------------------------------------------------------------
 
-    def _publish(self, channel: str, message: Dict[str, Any],
+    def _publish(self, channel: str, message: Any,
                  operation: str = "publish") -> None:
         """Publish with retry, backoff + jitter, timeout and breaker.
 
@@ -895,11 +895,10 @@ class InvaliDBClient:
 
     def forward_write(self, after: AfterImage) -> None:
         """Publish one after-image to the cluster's write channel."""
-        payload = serialize_after_image(after)
         trace = self._start_trace("write", after.key)
         if trace is not None:
-            payload["trace"] = trace
-        self._publish(write_channel(self.tenant), payload, "write")
+            after = after._replace(trace=trace)
+        self._publish(write_channel(self.tenant), after, "write")
 
     def attach(self, collection: Any) -> Callable[[], None]:
         """Forward every write of *collection* automatically."""

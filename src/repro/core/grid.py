@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 from repro.core.partitioning import sorting_task_of
 from repro.errors import WorkerDiedError
 from repro.query.engine import core_id_of
+from repro.types import AfterImage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.cluster import InvaliDBCluster
@@ -137,9 +138,9 @@ class Grid:
         """Query-channel listener: route one request (put on flush)."""
         self._intake(self._route_query, tuple_, self._routed)
 
-    def intake_write(self, channel: str, tuple_: Dict[str, Any]) -> None:
+    def intake_write(self, channel: str, after: AfterImage) -> None:
         """Write-channel listener: route one after-image (put on flush)."""
-        self._intake(self._route_write, tuple_, self._routed)
+        self._intake(self._route_write, after, self._routed)
 
     def flush_intake(self) -> None:
         """Put what the intake routed, one ``put_many`` per task; the
@@ -153,8 +154,8 @@ class Grid:
         self._intake(self._route_query, cancel, out)
         self._flush(out, self._intake_failure)
 
-    def _intake(self, route: Callable[[Dict[str, Any], _Out], None],
-                tuple_: Dict[str, Any], out: _Out) -> None:
+    def _intake(self, route: Callable[[Any, _Out], None],
+                tuple_: Any, out: _Out) -> None:
         try:
             route(tuple_, out)
         except Exception as exc:  # noqa: BLE001 - costs this tuple only
@@ -178,11 +179,11 @@ class Grid:
         for rank in [sorting] + self._rows[qp]:
             out.setdefault(rank, []).append(forwarded)
 
-    def _route_write(self, tuple_: Dict[str, Any], out: _Out) -> None:
-        # Every cell of the column reads the published payload itself.
-        wp = self.cluster.scheme.write_partition_of(tuple_["key"])
+    def _route_write(self, after: AfterImage, out: _Out) -> None:
+        # Every cell of the column reads the published image itself.
+        wp = self.cluster.scheme.write_partition_of(after.key)
         for rank in self._columns[wp]:
-            out.setdefault(rank, []).append(tuple_)
+            out.setdefault(rank, []).append(after)
 
     def _run_cell(self, task: _Task, batch: List[Any]) -> None:
         """A cell takes the whole batch in one call: a failure loses it.

@@ -30,8 +30,11 @@ a forked worker (:class:`~repro.runtime.process.ProcessExecutionModel`).
   parent's ``perf_counter`` domain, so the parent tracer sees complete
   chains.
 
-A worker decodes each batch frame once, into plain dicts: the write
-envelopes' documents reach the filtering node as they were published.
+A write is one :class:`~repro.types.AfterImage` from the store to every
+matching cell: the grid routes the published image itself, and a
+worker decodes each batch frame once, back into images and plain
+dicts, so the documents reach the filtering node as they were
+published.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from repro.obs.tracing import (
     trace_of,
 )
 from repro.query.engine import Query
-from repro.types import AfterImage, WriteKind
+from repro.types import AfterImage
 
 #: What one batch produced: match-event messages for the sorting grid,
 #: (change, owned trace fork) pairs for the fan-out, coalesced count.
@@ -93,41 +96,6 @@ def deserialize_query(payload: Dict[str, Any]) -> Query:
         sort=None if sort is None else [tuple(f) for f in sort],
         limit=payload.get("limit"),
         offset=payload.get("offset", 0),
-    )
-
-
-def serialize_after_image(after: AfterImage) -> Dict[str, Any]:
-    payload = {
-        "kind": "write",
-        "key": after.key,
-        "version": after.version,
-        "op": after.kind.value,
-        "document": after.document,
-        "collection": after.collection,
-        "timestamp": after.timestamp,
-    }
-    if after.sequence:
-        # The oplog stamp as two ints; unstamped writes carry no key.
-        payload["stamp"] = [after.store_id, after.sequence]
-    return payload
-
-
-#: ``op`` -> kind: a dict lookup, where ``WriteKind(op)`` costs an
-#: enum call per write and cell.
-_WRITE_KINDS = {kind.value: kind for kind in WriteKind}
-
-
-def deserialize_after_image(payload: Dict[str, Any]) -> AfterImage:
-    store_id, sequence = payload.get("stamp") or (0, 0)
-    return AfterImage(
-        key=payload["key"],
-        version=payload["version"],
-        kind=_WRITE_KINDS[payload["op"]],
-        document=payload.get("document"),
-        collection=payload.get("collection", "default"),
-        timestamp=payload.get("timestamp", 0.0),
-        store_id=store_id,
-        sequence=sequence,
     )
 
 
@@ -232,8 +200,10 @@ class MatchingCell(_Cell):
             telemetry=self.telemetry,
         )
 
-    def handle_batch(self, tuples: List[Dict[str, Any]]) -> CellResult:
-        """Match a chunk of after-images / requests in arrival order.
+    def handle_batch(self, tuples: List[Any]) -> CellResult:
+        """Match a chunk of writes and requests in arrival order: a
+        write is the published :class:`~repro.types.AfterImage` itself,
+        a request (subscribe, cancel) a dict.
 
         Each tuple's riding trace is forked (grid tuples are shared
         across edges), its ``publish`` span closed and a ``filter`` span
@@ -253,21 +223,23 @@ class MatchingCell(_Cell):
         regroup = False  # some (query, key) group may hold two events
         merged = False  # a subscribe re-registered a live entry
         for tuple_ in tuples:
-            kind = tuple_["kind"]
-            trace = (fork(trace_of(tuple_))
-                     if tel.enabled and "trace" in tuple_ else None)
+            is_write = tuple_.__class__ is AfterImage
+            trace = None
+            if tel.enabled and (tuple_.trace is not None if is_write
+                                else "trace" in tuple_):
+                trace = fork(trace_of(tuple_))
             if trace is not None:
                 tnow = tel.now()
                 end_span(trace, PUBLISH, tnow)
                 begin_span(trace, FILTER, tnow)
-            if kind == "write":
-                after = deserialize_after_image(tuple_)
-                events = node.process_write(after, now)
+            if is_write:
+                events = node.process_write(tuple_, now)
                 if events:
-                    if after.key in written:
+                    key = tuple_.key
+                    if key in written:
                         regroup = True
-                    written.add(after.key)
-            elif kind == "subscribe":
+                    written.add(key)
+            elif tuple_["kind"] == "subscribe":
                 query = self.resolve_query(tuple_)
                 merged = merged or node.holds(query)
                 # Each cell keeps only its write-partition slice of the
@@ -287,7 +259,7 @@ class MatchingCell(_Cell):
                 if events:
                     regroup = True
             else:
-                if kind == "cancel":
+                if tuple_["kind"] == "cancel":
                     node.deactivate_query(tuple_["query_id"])
                     self.resolve_query.forget(tuple_["query_id"])
                 events = []
@@ -429,7 +401,7 @@ class WorkerCell:
     def __init__(self, cell: Any):
         self.cell = cell
 
-    def handle_batch(self, tuples: List[Dict[str, Any]]) -> CellResult:
+    def handle_batch(self, tuples: List[Any]) -> CellResult:
         return self.cell.handle_batch(tuples)
 
     def snapshot(self) -> Dict[str, Any]:
@@ -454,7 +426,7 @@ class LeasedCell:
     def pid(self) -> int:
         return self.handle.pid
 
-    def handle_batch(self, tuples: List[Dict[str, Any]]) -> CellResult:
+    def handle_batch(self, tuples: List[Any]) -> CellResult:
         return self.handle.request_batch(tuples)
 
     def snapshot(self) -> Dict[str, Any]:

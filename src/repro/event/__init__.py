@@ -8,11 +8,13 @@ data transmissions with entirely opaque payloads".
 :class:`Broker` provides channels with per-channel FIFO delivery,
 pattern subscriptions, and optional per-message delay injection (used
 by tests to provoke the paper's race conditions and by the simulation
-to model network latency).  Payloads pass through a :class:`Codec`
-(binary by default, JSON on request for debugging) so that
-serialization cost is real, not elided — the paper attributes the
-read/write asymmetry of its results to (de)serialization overhead
-(Section 6.3).
+to model network latency).  It lives in the process of its publishers
+and subscribers, so payloads cross it by reference, unserialized: a
+write is one :class:`~repro.types.AfterImage` from the store to every
+matching cell.  Serialization cost — to which the paper attributes the
+read/write asymmetry of its results (Section 6.3) — is paid where bytes
+cross a process, by :class:`~repro.event.wire.BinaryCodec` on the
+process model's worker wire.
 """
 
 from repro.event.broker import Broker, Subscription
@@ -21,13 +23,12 @@ from repro.event.channels import (
     query_channel,
     write_channel,
 )
-from repro.event.codec import Codec, JsonCodec, NoopCodec
+from repro.event.codec import Codec, JsonCodec
 
 __all__ = [
     "Broker",
     "Codec",
     "JsonCodec",
-    "NoopCodec",
     "Subscription",
     "notification_channel",
     "query_channel",

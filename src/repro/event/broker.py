@@ -23,13 +23,14 @@ with virtual-time delays, which makes the paper's two race conditions
 without any timing sleeps.  Artificial delivery delays (global or
 per-channel) skew message arrival either way.
 
-Payloads cross the broker by reference unless a codec is passed: the
-broker runs in the process of its publishers and subscribers, so no
-bytes leave it and nothing is serialized (the paper's Redis is a
-separate process; here serialization is paid only where bytes do
-cross a process, on the worker wire of :mod:`repro.event.wire`).
-Every subscriber of a message, and every fault-duplicated copy of it,
-receives the published object itself.  The contract that makes this
+Payloads cross the broker by reference: the broker runs in the
+process of its publishers and subscribers, so no bytes leave it and
+nothing is serialized (the paper's Redis is a separate process; here
+serialization is paid only where bytes do cross a process, on the
+worker wire of :mod:`repro.event.wire`).  Every subscriber of a
+message, and every fault-duplicated copy of it, receives the published
+object itself — a write is one :class:`~repro.types.AfterImage` from
+the store to every matching cell.  The contract that makes this
 sound:
 
 * a publisher hands a payload over at :meth:`Broker.publish` and never
@@ -37,11 +38,6 @@ sound:
 * subscribers treat payloads as read-only;
 * a subscriber that must write into a payload forks that part first
   (the client forks a sampled row's trace before stamping its spans).
-
-``Broker(codec=BinaryCodec())`` and ``Broker(codec=JsonCodec())`` give
-every subscriber its own decoded copy instead; the JSON codec is the
-debugging one, and every payload the system publishes stays
-JSON-encodable so it keeps working.
 """
 
 from __future__ import annotations
@@ -51,8 +47,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.errors import BrokerClosedError, CodecError, InjectedFaultError
-from repro.event.codec import Codec, NoopCodec
+from repro.errors import BrokerClosedError, InjectedFaultError
 from repro.obs.metrics import NULL_COUNTER
 from repro.runtime.execution import (
     ExecutionConfig,
@@ -88,28 +83,18 @@ class Subscription:
 class Broker:
     """The event layer: channels, subscribers, one dispatch mailbox.
 
-    The default codec is :class:`~repro.event.codec.NoopCodec`: payloads
-    go by reference, with no codec call at all (see the module doc for
-    the ownership contract).  A :class:`~repro.event.wire.BinaryCodec`
-    passed in is pickle.  That is sound only because a broker is an
-    in-process object: its dispatch mailbox carries nothing but the
-    bytes its own :meth:`publish` produced, and the fault injector acts
-    on the payload *before* it is encoded.  A network-facing edge must
-    not feed it frames.
+    Payloads go by reference, with no codec call at all (see the module
+    doc for the ownership contract).
     """
 
     def __init__(
         self,
-        codec: Optional[Codec] = None,
         delivery_delay: float = 0.0,
         delay_fn: Optional[DelayFn] = None,
         name: str = "event-layer",
         execution: Union[None, ExecutionConfig, ExecutionModel] = None,
     ):
         self.name = name
-        self._codec = codec if codec is not None else NoopCodec()
-        #: The identity codec is skipped, not called: by reference.
-        self._by_reference = type(self._codec) is NoopCodec
         self._delivery_delay = delivery_delay
         self._delay_fn = delay_fn
         self._exact: Dict[str, List[Subscription]] = {}
@@ -119,7 +104,6 @@ class Broker:
         self._published = 0
         self._delivered = 0
         self._listener_errors = 0
-        self._decode_errors = 0
         #: Run after each dispatch batch; swapped whole, read lock-free.
         self._batch_ends: Tuple[Callable[[], None], ...] = ()
         self._execution, self._owns_execution = resolve_execution_model(
@@ -135,7 +119,6 @@ class Broker:
         self._tel_published = NULL_COUNTER
         self._tel_delivered = NULL_COUNTER
         self._tel_listener_errors = NULL_COUNTER
-        self._tel_decode_errors = NULL_COUNTER
 
     def _tel_counters(self) -> Tuple[Any, Any]:
         telemetry = self._execution.telemetry
@@ -150,9 +133,6 @@ class Broker:
             self._tel_listener_errors = telemetry.counter(
                 "broker.listener_errors", broker=self.name
             )
-            self._tel_decode_errors = telemetry.counter(
-                "broker.decode_errors", broker=self.name
-            )
         return self._tel_published, self._tel_delivered
 
     @property
@@ -166,8 +146,8 @@ class Broker:
     # ------------------------------------------------------------------
 
     def publish(self, channel: str, payload: Any) -> None:
-        """Enqueue *payload* (encoded, unless it goes by reference) for
-        asynchronous delivery; the caller hands it over for good.
+        """Enqueue *payload* for asynchronous delivery, by reference;
+        the caller hands it over for good.
 
         When a fault injector is attached to the execution model,
         channel-scope faults apply here: ``error`` makes the publish
@@ -198,9 +178,8 @@ class Broker:
         else:
             with self._lock:
                 self._published += 1
-        wire = payload if self._by_reference else self._codec.encode(payload)
         for _ in range(copies):
-            self._execution.schedule(self._mailbox, (channel, wire), delay)
+            self._execution.schedule(self._mailbox, (channel, payload), delay)
 
     # ------------------------------------------------------------------
     # Subscribing
@@ -256,25 +235,9 @@ class Broker:
 
     def _dispatch_batch(self, batch: List[Tuple[str, Any]]) -> None:
         _, delivered = self._tel_counters()
-        decode = None if self._by_reference else self._codec.decode
-        count = errors = decode_errors = 0
-        for channel, wire in batch:
-            payload = wire
-            if decode is not None:
-                try:
-                    payload = decode(wire)
-                except CodecError:
-                    # An undecodable message is lost on its own; the
-                    # rest of the batch is still delivered (and counted).
-                    decode_errors += 1
-                    continue
-            for position, subscription in enumerate(
-                self._subscribers_for(channel)
-            ):
-                if position and decode is not None:
-                    # A decoding broker gives every subscriber its own
-                    # copy: one that mutates it cannot reach another.
-                    payload = decode(wire)
+        count = errors = 0
+        for channel, payload in batch:
+            for subscription in self._subscribers_for(channel):
                 try:
                     subscription.listener(channel, payload)
                 except Exception:  # noqa: BLE001 - a bad subscriber must
@@ -289,19 +252,16 @@ class Broker:
                 batch_end()
             except Exception:  # noqa: BLE001 - counted like a listener
                 errors += 1
-        if count or errors or decode_errors:
+        if count or errors:
             # One lock acquisition and one counter bump per batch, not
             # per delivery — this sits under every message in the
             # system.
             with self._lock:
                 self._delivered += count
                 self._listener_errors += errors
-                self._decode_errors += decode_errors
             delivered.inc(count)
             if errors:
                 self._tel_listener_errors.inc(errors)
-            if decode_errors:
-                self._tel_decode_errors.inc(decode_errors)
 
     def _subscribers_for(self, channel: str) -> List[Subscription]:
         with self._lock:
@@ -331,7 +291,6 @@ class Broker:
                 "published": self._published,
                 "delivered": self._delivered,
                 "listener_errors": self._listener_errors,
-                "decode_errors": self._decode_errors,
             }
         queue = self._mailbox.stats()
         snapshot["queue_depth"] = queue["depth"]

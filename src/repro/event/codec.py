@@ -1,23 +1,21 @@
-"""Payload codecs for the event layer.
+"""Payload codecs: Python structures to wire bytes and back.
 
-The event layer treats payloads as opaque; codecs convert between
-Python structures and wire bytes.  The broker's default is
-:class:`NoopCodec`: the broker lives in the process of its publishers
-and subscribers, so it passes every payload by reference and calls no
-codec at all.  The paper explains the lower matching performance under
-write-heavy load by "the overhead for (de-)serializing and parsing
-after-images" (Section 6.3); here that cost is paid only where bytes
-cross a process, by :class:`repro.event.wire.BinaryCodec` (one pickle
-protocol 5 stream per frame) on the worker wire of the process model.
-``Broker(codec=BinaryCodec())`` gives every subscriber its own decoded
-copy, in C.
-:class:`JsonCodec` is the opt-in debugging codec
-(``Broker(codec=JsonCodec())``): readable bytes, and a strict check
-that every payload is JSON-safe.  A codec's cost is per *message*,
-which is why the cluster publishes one notification envelope per
-dispatch batch and app server (each after-image document listed once,
-see :class:`repro.core.notifications.ChangeEnvelope`) instead of one
+The broker calls no codec: it lives in the process of its publishers
+and subscribers, so it passes every payload by reference.  The paper
+explains the lower matching performance under write-heavy load by "the
+overhead for (de-)serializing and parsing after-images" (Section 6.3);
+here that cost is paid only where bytes cross a process, by
+:class:`repro.event.wire.BinaryCodec` (one pickle protocol 5 stream per
+frame) on the worker wire of the process model.  A codec's cost is per
+*message*, which is why the grid ships a batch of tuples in one frame
+and the cluster publishes one notification envelope per dispatch batch
+and app server (each after-image document listed once, see
+:class:`repro.core.notifications.ChangeEnvelope`) instead of one
 message per matching query.
+
+:class:`JsonCodec` is the readable reference format: the baseline the
+binary codec is measured against (``benchmarks/bench_wire_codec.py``),
+with a strict check that a payload is JSON-safe.
 """
 
 from __future__ import annotations
@@ -112,14 +110,3 @@ class JsonCodec(Codec):
             return json.loads(wire.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
             raise CodecError(f"malformed wire payload: {exc}") from exc
-
-
-class NoopCodec(Codec):
-    """Identity codec: payloads pass through unserialized (the broker's
-    default, which it skips rather than calls)."""
-
-    def encode(self, payload: Any) -> bytes:  # type: ignore[override]
-        return payload
-
-    def decode(self, wire: bytes) -> Any:
-        return wire

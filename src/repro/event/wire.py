@@ -1,8 +1,7 @@
 """The binary wire layer: framing + the compact grid codec.
 
 Two things live here, in service of the process-per-partition
-execution model (:mod:`repro.runtime.process`) and — the codec — of the
-in-process event layer (:class:`repro.event.broker.Broker`'s default):
+execution model (:mod:`repro.runtime.process`):
 
 * **Framing** — length-prefixed frames over a duplex stream socket,
   tagged with a message kind, a grid-cell id and a request id (the
@@ -21,19 +20,19 @@ in-process event layer (:class:`repro.event.broker.Broker`'s default):
   - *one stream per frame*: a message, or a whole batch of envelopes,
     is one pickle-5 stream behind a three-byte header (and a batch's
     envelope count), decoded by one
-    C-speed unpickling call into plain dicts, with full round-trip
-    fidelity (tuples stay tuples, non-string dict keys survive —
-    unlike JSON) and no Python-level per-field loop;
+    C-speed unpickling call into the objects that were encoded — a
+    write's :class:`~repro.types.AfterImage` as itself, requests as
+    plain dicts — with full round-trip fidelity (tuples stay tuples,
+    non-string dict keys survive — unlike JSON) and no Python-level
+    per-field loop;
   - *interned strings*: the stream's memo table writes each repeated
     string object once per batch (envelope keys, collection names, the
     after-images' field names) and back-references it in a few bytes
     thereafter, so the decoded documents of one batch share them.
 
 Pickle streams never cross a trust boundary.  They are exchanged only
-between a parent and the worker processes it forked, and inside one
-process through a :class:`~repro.event.broker.Broker`, whose dispatch
-mailbox carries nothing but the bytes its own ``publish`` encoded.  A
-network-facing edge must not accept pickle frames.
+between a parent and the worker processes it forked.  A network-facing
+edge must not accept pickle frames.
 """
 
 from __future__ import annotations
@@ -222,9 +221,9 @@ class BinaryCodec(Codec):
         batch:   magic  version  flags=BATCH  varint count  pickle([payload, ...])
                  0xB1     u8       u8
 
-    A frame is decoded by one unpickling call into plain objects:
-    dicts, lists and tuples as they were encoded, with full round-trip
-    fidelity (non-string dict keys survive, unlike JSON).  A batch is
+    A frame is decoded by one unpickling call into the objects that
+    were encoded: after-images, dicts, lists and tuples, with full
+    round-trip fidelity (non-string dict keys survive, unlike JSON).  A batch is
     one stream, so its pickle memo writes every string object the
     batch repeats (envelope keys, collection names, the documents'
     field names) once and back-references it thereafter; the decoded
@@ -233,10 +232,7 @@ class BinaryCodec(Codec):
     :class:`~repro.errors.CodecError`.
 
     Trust: the payload is pickle — use this codec only on channels
-    between a process and workers it forked, or inside one process (the
-    broker's dispatch mailbox carries only bytes its own ``publish``
-    encoded, and faults act on the payload before encoding); never on
-    untrusted input.
+    between a process and workers it forked; never on untrusted input.
     """
 
     def __init__(self, stats: Optional[WireStats] = None):

@@ -290,6 +290,9 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._metrics: Dict[Tuple[str, LabelItems], Any] = {}
         self._collectors: List[Callable[[], Dict[str, Any]]] = []
+        #: Run before every read: owners that defer hot-path updates
+        #: fold them in here, so no reader sees a stale value.
+        self._flushes: List[Callable[[], None]] = []
         #: Metric family name -> help text (``# HELP`` in the
         #: Prometheus exposition; free-form documentation elsewhere).
         self._help: Dict[str, str] = {}
@@ -351,12 +354,25 @@ class MetricsRegistry:
         with self._lock:
             self._collectors.append(collector)
 
+    def register_flush(self, flush: Callable[[], None]) -> None:
+        """Run *flush* before every :meth:`metrics` / :meth:`snapshot`."""
+        with self._lock:
+            self._flushes.append(flush)
+
+    def _flush(self) -> None:
+        with self._lock:
+            flushes = list(self._flushes)
+        for flush in flushes:
+            flush()
+
     def metrics(self) -> List[Any]:
+        self._flush()
         with self._lock:
             return list(self._metrics.values())
 
     def snapshot(self) -> Dict[str, Any]:
         """One JSON-ready view of every metric (and collector)."""
+        self._flush()
         with self._lock:
             metrics = list(self._metrics.items())
             collectors = list(self._collectors)

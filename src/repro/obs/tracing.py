@@ -77,15 +77,17 @@ def new_trace(trace_id: str, kind: str, key: Any, now: float) -> Trace:
 
 
 def trace_of(payload: Any) -> Optional[Trace]:
-    """The trace riding in a payload dict, or ``None``.
+    """The trace riding in a payload dict or an
+    :class:`~repro.types.AfterImage`, or ``None``.
 
     Defensive against fault injection: a corrupted payload may carry a
-    non-dict under the ``trace`` key — telemetry must never turn an
-    injected data fault into a pipeline crash.
+    non-dict under the ``trace`` key or field — telemetry must never
+    turn an injected data fault into a pipeline crash.
     """
-    if type(payload) is not dict:
-        return None
-    trace = payload.get("trace")
+    if type(payload) is dict:
+        trace = payload.get("trace")
+    else:
+        trace = getattr(payload, "trace", None)
     if type(trace) is dict and type(trace.get("spans")) is list:
         return trace
     return None

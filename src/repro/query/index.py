@@ -103,6 +103,9 @@ _STRING = type_bracket("")
 #: Sentinel: a value that cannot serve as an equality bucket key.
 _UNSAFE = object()
 
+#: Sentinel: a field the probed document does not hold.
+_MISSING = object()
+
 
 def _eq_key(value: Any) -> Any:
     """Equality bucket key for *value*, or ``_UNSAFE``.
@@ -706,17 +709,21 @@ class _PathIndex:
         the two bounds) in favour of returning every interval entry.
         *hits* accumulates per-family candidate counts (first-touch
         attribution: a query already produced by an earlier family is
-        not recounted).
+        not recounted).  Only the families the path holds are probed.
         """
-        probed_brackets: Set[int] = set()
+        eq = self.eq
+        one_sided = bool(self.lower_keys or self.upper_keys)
+        intervals = self.intervals
+        probed_brackets: Optional[Set[int]] = set() if fan_out else None
         for value in values:
-            key = _eq_key(value)
-            if key is not _UNSAFE:
-                bucket = self.eq.get(key)
-                if bucket is not None:
-                    before = len(out)
-                    out.update(bucket)
-                    hits["equality"] += len(out) - before
+            if eq:
+                key = _eq_key(value)
+                if key is not _UNSAFE:
+                    bucket = eq.get(key)
+                    if bucket is not None:
+                        before = len(out)
+                        out.update(bucket)
+                        hits["equality"] += len(out) - before
             if isinstance(value, float) and math.isnan(value):
                 # NaN cannot be bisected into a boundary list or
                 # looked up in a bucket.  The engine matches it against
@@ -733,25 +740,29 @@ class _PathIndex:
                     ):
                         out.update(bucket)
                 hits["equality"] += len(out) - before
-                probed_brackets.add(_NUMBER)
+                if probed_brackets is not None:
+                    probed_brackets.add(_NUMBER)
                 continue
             bracket = _range_bracket(value)
             if bracket is None:
                 continue
-            probed_brackets.add(bracket)
-            before = len(out)
-            self._stab_one_sided(bracket, value, out)
-            hits["range"] += len(out) - before
-            if not fan_out:
-                if bracket in self.intervals and bracket not in self.trees:
-                    self.trees[bracket] = _build_tree(self.intervals[bracket])
+            if one_sided:
                 before = len(out)
-                _stab_tree(self.trees.get(bracket), value, out)
+                self._stab_one_sided(bracket, value, out)
+                hits["range"] += len(out) - before
+            if probed_brackets is not None:
+                probed_brackets.add(bracket)
+            elif bracket in intervals:
+                tree = self.trees.get(bracket)
+                if tree is None:
+                    tree = self.trees[bracket] = _build_tree(intervals[bracket])
+                before = len(out)
+                _stab_tree(tree, value, out)
                 hits["interval"] += len(out) - before
-        if fan_out:
+        if probed_brackets:
             before = len(out)
             for bracket in probed_brackets:
-                for iv in self.intervals.get(bracket, ()):
+                for iv in intervals.get(bracket, ()):
                     out.add(iv[4])
             hits["interval"] += len(out) - before
 
@@ -956,10 +967,19 @@ class QueryIndex:
             out.update(collection_index.residual)
             hits["residual"] += len(collection_index.residual)
         grid_cells = self._grid_cells
+        # A top-level path of a plain dict is one lookup (the rule
+        # ``matcher._compile_field`` follows); every other shape is walked.
+        plain = type(document) is dict
         for path, path_index in collection_index.paths.items():
-            terminals, exists = resolve_path(document, path)
-            if not exists:
-                continue
+            if plain and "." not in path:
+                value = document.get(path, _MISSING)
+                if value is _MISSING:
+                    continue
+                terminals: List[Any] = [value]
+            else:
+                terminals, exists = resolve_path(document, path)
+                if not exists:
+                    continue
             values: List[Any] = []
             for terminal in terminals:
                 if isinstance(terminal, (list, tuple)):

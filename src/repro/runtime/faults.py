@@ -64,6 +64,9 @@ CRASH = "crash"
 ERROR = "error"
 
 _KINDS = (DROP, DUPLICATE, DELAY, REORDER, CORRUPT, CRASH, ERROR)
+
+#: What a ``corrupt`` fault writes over the field it destroys.
+_CORRUPTED = "\x00corrupted"
 _SCOPES = (CHANNEL, MAILBOX)
 
 
@@ -307,20 +310,27 @@ class FaultInjector:
         return False
 
     def _corrupt(self, payload: Any) -> Any:
-        """Destroy one top-level field of a dict payload (seeded).
+        """Destroy one top-level field of a dict or ``NamedTuple``
+        payload (seeded); the published payload itself is left alone.
 
-        The corruption is wire-safe (encodable by every codec, JSON
-        included) but semantically wrong
+        The corruption is wire-safe (encodable by every codec)
+        but semantically wrong
         — downstream handlers are expected to fail on it, which is what
-        exercises the poisoned-task path.
+        exercises the poisoned-task path.  A ``NamedTuple`` (a write's
+        :class:`~repro.types.AfterImage`) keeps its type: the copy comes
+        from ``_replace``.
         """
         if isinstance(payload, dict) and payload:
             corrupted = dict(payload)
             keys = sorted(corrupted, key=str)
             victim = keys[self._rng.randrange(len(keys))]
-            corrupted[victim] = "\x00corrupted"
+            corrupted[victim] = _CORRUPTED
             return corrupted
-        return "\x00corrupted"
+        fields = getattr(payload, "_fields", None)
+        if isinstance(payload, tuple) and fields:
+            victim = fields[self._rng.randrange(len(fields))]
+            return payload._replace(**{victim: _CORRUPTED})  # type: ignore[attr-defined]
+        return _CORRUPTED
 
     # ------------------------------------------------------------------
     # Introspection

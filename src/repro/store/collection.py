@@ -506,16 +506,8 @@ class Collection:
             after_image=document,
             timestamp=timestamp,
         )
-        return AfterImage(
-            key=key,
-            version=entry.version,
-            kind=kind,
-            document=document,
-            collection=self.name,
-            timestamp=timestamp,
-            store_id=self.oplog.store_id,
-            sequence=entry.sequence,
-        )
+        return AfterImage(key, entry.version, kind, document, self.name,
+                          timestamp, self.oplog.store_id, entry.sequence)
 
     def _publish(self, after: AfterImage) -> AfterImage:
         """Hand *after* to the write listeners as it is; return the
@@ -526,6 +518,4 @@ class Collection:
             listener(after)
         if after.document is None:
             return after
-        return AfterImage(after.key, after.version, after.kind,
-                          deep_copy(after.document), after.collection,
-                          after.timestamp, after.store_id, after.sequence)
+        return after._replace(document=deep_copy(after.document))

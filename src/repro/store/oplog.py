@@ -61,14 +61,9 @@ class OplogEntry(NamedTuple):
     def to_after_image(self) -> AfterImage:
         """The write as an :class:`AfterImage` holding its own copy of
         the document, so the caller may change it."""
-        return AfterImage(
-            key=self.key,
-            version=self.version,
-            kind=self.kind,
-            document=deep_copy(self.after_image),
-            collection=self.collection,
-            timestamp=self.timestamp,
-        )
+        return AfterImage(self.key, self.version, self.kind,
+                          deep_copy(self.after_image), self.collection,
+                          self.timestamp)
 
 
 #: Source of process-unique store ids (0 is reserved for "unstamped").

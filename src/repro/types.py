@@ -50,8 +50,47 @@ class MatchType(enum.Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
-class AfterImage:
+# Value semantics of a NamedTuple whose last field is a trace: equality,
+# hash and repr cover every other field, and an instance never equals a
+# plain tuple or a record of another class.
+
+
+def _value_eq(self: Any, other: object) -> Any:
+    if other.__class__ is self.__class__:
+        return self[:-1] == other[:-1]
+    # Tuple comparison would answer for both operand orders.
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def _value_ne(self: Any, other: object) -> Any:
+    equal = _value_eq(self, other)
+    return equal if equal is NotImplemented else not equal
+
+
+def _value_hash(self: Any) -> int:
+    return hash(self[:-1])
+
+
+def _value_repr(self: Any) -> str:
+    fields = ", ".join(
+        f"{name}={value!r}" for name, value in zip(self._fields, self[:-1])
+    )
+    return f"{type(self).__name__}({fields})"
+
+
+class _AfterImageFields(NamedTuple):
+    key: Any
+    version: int
+    kind: WriteKind
+    document: Optional[Document]
+    collection: str = "default"
+    timestamp: float = 0.0
+    store_id: int = 0
+    sequence: int = 0
+    trace: Optional[Dict[str, Any]] = None
+
+
+class AfterImage(_AfterImageFields):
     """The fully-specified state of an entity after a write.
 
     ``document`` is ``None`` for deletes (the paper: "the after-image of
@@ -62,37 +101,40 @@ class AfterImage:
     the producing store's oplog (0 = unstamped).  A subscribe's read
     watermark compares against them: a write below it is one the
     bootstrap already reflects.
+
+    The one write record from the store to every matching cell, also
+    across the process wire.  A ``NamedTuple`` validated at
+    construction (``_replace`` only derives a copy and skips the
+    check); like :class:`ChangeNotification`, equality, hash and repr
+    ignore the trailing ``trace`` (a sampled write-path trace), and it
+    never equals a plain tuple.
     """
 
-    key: Any
-    version: int
-    kind: WriteKind
-    document: Optional[Document]
-    collection: str = "default"
-    timestamp: float = 0.0
-    store_id: int = 0
-    sequence: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind is WriteKind.DELETE:
-            if self.document is not None:
+    def __new__(cls, key: Any, version: int, kind: WriteKind,
+                document: Optional[Document], collection: str = "default",
+                timestamp: float = 0.0, store_id: int = 0, sequence: int = 0,
+                trace: Optional[Dict[str, Any]] = None) -> "AfterImage":
+        if kind is WriteKind.DELETE:
+            if document is not None:
                 raise ValueError("delete after-image must carry no document")
-        elif self.document is None:
-            raise ValueError(f"{self.kind.value} after-image needs a document")
+        elif document is None:
+            raise ValueError(f"{kind.value} after-image needs a document")
+        return _tuple_new(cls, (key, version, kind, document, collection,
+                                timestamp, store_id, sequence, trace))
 
     @property
     def is_delete(self) -> bool:
         return self.kind is WriteKind.DELETE
 
+    __eq__ = _value_eq
+    __ne__ = _value_ne
+    __hash__ = _value_hash
+    __repr__ = _value_repr
 
-@dataclass(frozen=True)
-class WriteOperation:
-    """A write as submitted to the database (before execution)."""
 
-    kind: WriteKind
-    key: Any
-    document: Optional[Document] = None
-    collection: str = "default"
+_tuple_new = tuple.__new__
 
 
 class ChangeNotification(NamedTuple):
@@ -129,28 +171,10 @@ class ChangeNotification(NamedTuple):
     def is_error(self) -> bool:
         return self.match_type is MatchType.ERROR
 
-    def __eq__(self, other: object) -> Any:
-        if other.__class__ is ChangeNotification:
-            return self[:_COMPARED] == other[:_COMPARED]  # type: ignore[index]
-        # Tuple comparison would answer for both operand orders.
-        return False if isinstance(other, tuple) else NotImplemented
-
-    def __ne__(self, other: object) -> Any:
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    def __hash__(self) -> int:
-        return hash(self[:_COMPARED])
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={value!r}" for name, value in zip(self._fields, self[:_COMPARED])
-        )
-        return f"ChangeNotification({fields})"
-
-
-#: The fields equality, hash and repr cover: all but the trailing trace.
-_COMPARED = len(ChangeNotification._fields) - 1
+    __eq__ = _value_eq
+    __ne__ = _value_ne
+    __hash__ = _value_hash
+    __repr__ = _value_repr
 
 
 @dataclass(frozen=True)

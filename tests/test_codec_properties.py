@@ -6,23 +6,15 @@ codec: the JSON codec must preserve every JSON-representable payload
 exactly, and the binary codec must additionally preserve what JSON
 cannot (non-string map keys, tuples-as-tuples is NOT promised — the
 binary format pickles, so tuples survive too), single-message and
-batch.  A :class:`Broker` on the binary codec must hand every
-subscriber an equal, independent copy with the published container
-types (the default broker passes the published
-object itself; ``tests/test_payload_ownership.py`` pins what that
-asks of publishers and subscribers).
+batch.  The broker calls no codec: it passes the published object
+itself (``tests/test_payload_ownership.py`` pins what that asks of
+publishers and subscribers).
 """
-
-import copy
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.notifications import ChangeEnvelope, QueryChange
-from repro.event.broker import Broker
-from repro.event.codec import JsonCodec, NoopCodec
+from repro.event.codec import JsonCodec
 from repro.event.wire import BinaryCodec
-from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
-from repro.types import MatchType
 
 # JSON-safe scalars: ints bounded to avoid json's float coercion edge
 # cases being conflated with codec bugs; floats without NaN/inf (NaN
@@ -94,14 +86,6 @@ class TestJsonCodecProperties:
         assert codec.decode(codec.encode(payload)) == payload
 
 
-class TestNoopCodecProperties:
-    @given(payload=json_values)
-    @settings(max_examples=20)
-    def test_identity(self, payload):
-        codec = NoopCodec()
-        assert codec.decode(codec.encode(payload)) is payload
-
-
 class TestBinaryCodecProperties:
     @given(payload=binary_only_values)
     @settings(max_examples=60)
@@ -136,111 +120,3 @@ class TestCodecAgreement:
         via_json = json_codec.decode(json_codec.encode(payload))
         via_binary = binary.decode(binary.encode(payload))
         assert via_binary == via_json
-
-
-# ----------------------------------------------------------------------
-# The default broker: what is published is what every subscriber gets
-# ----------------------------------------------------------------------
-
-broker_values = st.recursive(
-    st.one_of(
-        st.none(),
-        st.booleans(),
-        st.integers(),
-        st.floats(allow_nan=False),
-        st.text(max_size=10),
-    ),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.tuples(children, children),
-        st.dictionaries(st.one_of(st.text(max_size=8), st.integers()),
-                        children, max_size=4),
-    ),
-    max_leaves=20,
-)
-
-
-@st.composite
-def change_envelope_payloads(draw):
-    """``ChangeEnvelope.payload()`` as the cluster publishes it: rows
-    that share document slots, rare fields in a trailing dict."""
-    pool = draw(st.lists(
-        st.dictionaries(st.text(min_size=1, max_size=6), json_values,
-                        max_size=4),
-        min_size=1, max_size=3,
-    ))
-    envelope = ChangeEnvelope()
-    for _ in range(draw(st.integers(0, 6))):
-        match_type = draw(st.sampled_from(list(MatchType)))
-        error = match_type is MatchType.ERROR
-        envelope.add(QueryChange(
-            query_id=draw(st.sampled_from(["q1", "q2", "q3"])),
-            match_type=match_type,
-            key=None if error else draw(st.one_of(st.integers(),
-                                                  st.text(max_size=6))),
-            document=None if error else draw(st.sampled_from(pool)),
-            index=draw(st.one_of(st.none(), st.integers(0, 40))),
-            old_index=draw(st.one_of(st.none(), st.integers(0, 40))),
-            error=draw(st.text(max_size=8)) if error else None,
-            timestamp=draw(st.floats(0, 2e9, allow_nan=False)),
-            version=draw(st.integers(0, 2 ** 31)),
-        ))
-    return envelope.payload()
-
-
-def same_types(left, right):
-    """``==`` plus identical container types at every level."""
-    if type(left) is not type(right):
-        return False
-    if isinstance(left, dict):
-        return left.keys() == right.keys() and all(
-            same_types(value, right[key]) for key, value in left.items())
-    if isinstance(left, (list, tuple)):
-        return len(left) == len(right) and all(
-            same_types(a, b) for a, b in zip(left, right))
-    return left == right
-
-
-def deep_mutate(value):
-    """Change every container reachable from *value* in place."""
-    if isinstance(value, dict):
-        for item in list(value.values()):
-            deep_mutate(item)
-        value["\x00mutated"] = True
-    elif isinstance(value, list):
-        for item in value:
-            deep_mutate(item)
-        value.append("\x00mutated")
-    elif isinstance(value, tuple):
-        for item in value:
-            deep_mutate(item)
-
-
-class TestDefaultBrokerFidelity:
-    """The former default, a binary-codec broker, as an explicit choice."""
-
-    @given(payload=st.one_of(broker_values, envelopes,
-                             change_envelope_payloads()))
-    @settings(max_examples=80, deadline=None)
-    def test_subscribers_get_exactly_what_was_published(self, payload):
-        model = InlineExecutionModel(ExecutionConfig(mode="inline"))
-        broker = Broker(codec=BinaryCodec(), execution=model)
-        expected = copy.deepcopy(payload)
-        first, second = [], []
-
-        def mutating(channel, received):
-            first.append(copy.deepcopy(received))
-            deep_mutate(received)
-
-        broker.subscribe("ch", mutating)
-        broker.subscribe("ch", lambda channel, received:
-                         second.append(received))
-        broker.publish("ch", payload)
-        assert broker.drain()
-        broker.close()
-        model.shutdown()
-        # Each subscriber decodes its own copy: the first one's
-        # mutations reach neither the second nor the publisher.
-        assert same_types(first[0], expected)
-        assert same_types(second[0], expected)
-        assert same_types(payload, expected)

@@ -22,6 +22,7 @@ from repro.runtime.faults import (
     FaultPlan,
     FaultRule,
 )
+from repro.types import AfterImage, WriteKind
 
 
 class TestFaultRuleValidation:
@@ -87,6 +88,26 @@ class TestInjectorDecisions:
             k for k in payload if decision.payload[k] != payload[k]
         ]
         assert len(changed) == 1
+
+    def test_corrupt_replaces_one_field_of_a_named_tuple(self):
+        """A write's after-image keeps its type; one field is destroyed
+        on a copy, the same one for the same seed."""
+        payload = AfterImage(1, 2, WriteKind.INSERT, {"_id": 1}, "c",
+                             trace={"id": "t", "spans": []})
+        victims = set()
+        for seed in range(12):
+            plan = FaultPlan(seed=seed).rule("channel", "*", "corrupt")
+            corrupted = plan.build().decide(CHANNEL, "c", payload).payload
+            again = plan.build().decide(CHANNEL, "c", payload).payload
+            assert type(corrupted) is AfterImage
+            assert tuple(again) == tuple(corrupted)
+            changed = [name for name in payload._fields
+                       if getattr(corrupted, name) != getattr(payload, name)]
+            assert len(changed) == 1
+            victims.update(changed)
+        assert payload == AfterImage(1, 2, WriteKind.INSERT, {"_id": 1}, "c")
+        assert payload.trace == {"id": "t", "spans": []}
+        assert len(victims) > 1
 
     def test_error_kind_flags_decision(self):
         plan = FaultPlan().rule("channel", "*", "error")

@@ -28,6 +28,7 @@ from repro.obs.flight import FlightRecorder
 from repro.query.engine import core_id_of
 from repro.runtime.execution import ExecutionConfig, InlineExecutionModel
 from repro.runtime.faults import FaultPlan
+from repro.types import AfterImage, WriteKind
 
 from tests.test_chaos import SteppingClock
 
@@ -200,7 +201,7 @@ class TestGridTasks:
 
     def test_a_write_reaches_every_cell_of_its_column(self):
         cluster, grid = build_grid(query_partitions=3, write_partitions=2)
-        write = {"kind": "write", "key": 42}
+        write = AfterImage(42, 1, WriteKind.INSERT, {"_id": 42})
         grid.intake_write("write", write)
         grid.flush_intake()
         wp = cluster.scheme.write_partition_of(42)

@@ -25,7 +25,6 @@ from repro.core.remote import (
     QueryResolver,
     SortingCellSpec,
     WorkerCell,
-    serialize_after_image,
     serialize_query,
 )
 from repro.core.server import AppServer
@@ -126,7 +125,7 @@ class Grid:
         assert coalesced == wire_coalesced
         # The sorting grid hears the query requests too (second edge
         # out of the intake), then this batch's match events.
-        requests = [t for t in batch if t["kind"] != "write"]
+        requests = [t for t in batch if not isinstance(t, AfterImage)]
         sorted_result = self.sorting.handle_batch(requests + messages)
         assert sorted_result == \
             self.leased_sorting.handle_batch(requests + wire_messages)
@@ -154,8 +153,12 @@ def subscribe_tuple(query, db, versions):
 
 
 def with_trace(tuple_, kind, key):
+    """*tuple_* carrying a fresh trace: a request dict gains the key,
+    an after-image is replaced by a copy with the field set."""
     trace = new_trace("t-1", kind, key, 0.0)
     begin_span(trace, PUBLISH, 0.0)
+    if isinstance(tuple_, AfterImage):
+        return tuple_._replace(trace=trace)
     tuple_["trace"] = trace
     return tuple_
 
@@ -212,12 +215,12 @@ def materialize_batches(plan):
                 kind = WriteKind.INSERT if op == "insert" else WriteKind.UPDATE
                 if not stale:
                     db[key] = document
-            tuple_ = serialize_after_image(AfterImage(
+            tuple_ = AfterImage(
                 key=key, version=version, kind=kind, document=document,
                 collection="items", timestamp=float(version),
-            ))
+            )
             if traced:
-                with_trace(tuple_, "write", key)
+                tuple_ = with_trace(tuple_, "write", key)
             if key in OWN_KEYS:  # else: the database has it, this cell not
                 batch.append(tuple_)
         if batch:
@@ -257,11 +260,11 @@ def test_sorted_and_unsorted_routing_with_traces():
     keys = OWN_KEYS[:2]
 
     def write(key, value, version):
-        tuple_ = serialize_after_image(AfterImage(
+        tuple_ = AfterImage(
             key=key, version=version, kind=WriteKind.INSERT,
             document={"_id": key, "v": value}, collection="items",
             timestamp=1.0,
-        ))
+        )
         return with_trace(tuple_, "write", key)
 
     messages, changes, coalesced, sorted_changes = grid.step([
@@ -287,11 +290,11 @@ def test_coalescing_elides_within_a_batch_only_when_enabled():
         grid.step([subscribe_tuple(QUERIES[0], {}, {})])
         key = OWN_KEYS[0]
         batch = [
-            serialize_after_image(AfterImage(
+            AfterImage(
                 key=key, version=version, kind=WriteKind.UPDATE,
                 document={"_id": key, "v": 10 + version},
                 collection="items", timestamp=0.0,
-            ))
+            )
             for version in (1, 2, 3)
         ]
         _, changes, coalesced, _ = grid.step(batch)
@@ -304,11 +307,11 @@ def test_coalescing_elides_within_a_batch_only_when_enabled():
 
 
 def insert_tuple(key, value, version):
-    return serialize_after_image(AfterImage(
+    return AfterImage(
         key=key, version=version, kind=WriteKind.INSERT,
         document={"_id": key, "v": value}, collection="items",
         timestamp=float(version),
-    ))
+    )
 
 
 class TestCoalescingPrecondition:
@@ -362,11 +365,11 @@ class TestCoalescingPrecondition:
         # (ADD v1), and the live write after it in the batch is v2.
         _, changes, coalesced = cell.handle_batch([
             subscribe_tuple(query, {}, {}),
-            serialize_after_image(AfterImage(
+            AfterImage(
                 key=key, version=2, kind=WriteKind.UPDATE,
                 document={"_id": key, "v": 2}, collection="items",
                 timestamp=2.0,
-            )),
+            ),
         ])
         assert [(c.match_type, c.key, c.version) for c, _ in changes] == [
             (MatchType.ADD, key, 2)
@@ -385,11 +388,11 @@ class TestCoalescingPrecondition:
         cell.handle_batch([subscribe_tuple(query, {}, {})])
         _, changes, coalesced = cell.handle_batch([
             subscribe_tuple(query, {key: {"_id": key, "v": 1}}, {key: 1}),
-            serialize_after_image(AfterImage(
+            AfterImage(
                 key=key, version=2, kind=WriteKind.UPDATE,
                 document={"_id": key, "v": -1}, collection="items",
                 timestamp=2.0,
-            )),
+            ),
         ])
         assert [(c.match_type, c.key, c.version) for c, _ in changes] == [
             (MatchType.ADD, key, 1), (MatchType.REMOVE, key, 2)

@@ -39,7 +39,12 @@ from repro.core.notifications import (
 )
 from repro.core.server import AppServer
 from repro.event.broker import Broker
-from repro.event.channels import notification_channel
+from repro.event.channels import (
+    NOTIFY_PREFIX,
+    QUERY_PREFIX,
+    WRITE_PREFIX,
+    notification_channel,
+)
 from repro.event.codec import JsonCodec
 from repro.obs.telemetry import Telemetry
 from repro.obs.tracing import (
@@ -57,7 +62,7 @@ from repro.runtime.execution import (
 )
 from repro.runtime.faults import FaultPlan
 from repro.store.database import Database
-from repro.types import ChangeNotification, MatchType
+from repro.types import AfterImage, ChangeNotification, MatchType
 
 from tests.conftest import Collector
 from tests.test_chaos import SteppingClock
@@ -468,14 +473,23 @@ class TestClusterEquivalence:
         assert run["transcripts"]["shared"] == run["transcripts"]["low"]
 
 
-def run_codec_scenario(seed, codec=None):
+def run_codec_scenario(seed):
     """Two app servers on a 2x2 grid with slack 1, so deleting from the
     writer's sorted windows forces renewals (which re-run the query on
     the writer's store; the reader, with a store of its own, holds
     unsorted queries only).  Returns every handle's transcript, its
-    result and the pull query it must equal."""
+    result, the pull query it must equal and every ``(channel,
+    payload)`` the broker was handed."""
     model = InlineExecutionModel(ExecutionConfig(mode="inline", seed=seed))
-    broker = Broker(codec=codec, execution=model)
+    broker = Broker(execution=model)
+    published = []
+    publish = broker.publish
+
+    def recording(channel, payload):
+        published.append((channel, payload))
+        publish(channel, payload)
+
+    broker.publish = recording
     config = InvaliDBConfig(
         query_partitions=2, write_partitions=2, retention_seconds=300.0,
         clock=SteppingClock(), default_slack=1, renewal_min_interval=0.0,
@@ -523,6 +537,7 @@ def run_codec_scenario(seed, codec=None):
             "find": find,
             "renewals": (writer.client.renewals_sent
                          + reader.client.renewals_sent),
+            "published": published,
         }
     finally:
         writer.close()
@@ -532,22 +547,36 @@ def run_codec_scenario(seed, codec=None):
         model.shutdown()
 
 
-class TestJsonDebugCodec:
-    def test_json_codec_gives_the_default_codec_transcripts(self):
-        """``Broker(codec=JsonCodec())`` is the opt-in debugging codec:
-        every payload the system publishes must survive it, and it must
-        not change a single notification."""
-        default = run_codec_scenario(5)
-        debug = run_codec_scenario(5, codec=JsonCodec())
-        assert default["renewals"] > 0
-        assert debug["transcripts"] == default["transcripts"]
-        for run in (default, debug):
-            for name in ("top", "page"):
-                assert run["results"][name] == run["find"][name]
-            for name in ("mid", "tagged", "shared"):
-                assert by_id(run["results"][name]) == by_id(
-                    run["find"][name])
-            assert run["transcripts"]["shared"] == run["transcripts"]["mid"]
+def assert_payloads_are_json_safe(published):
+    """The event layer's payloads stay opaque data: every query- and
+    notify-channel payload is JSON-encodable (strictly: string keys
+    only), and every write is an :class:`AfterImage` whose document
+    is.  Returns the channel prefixes seen."""
+    codec = JsonCodec()
+    prefixes = set()
+    for channel, payload in published:
+        prefix = channel.rsplit(":", 1)[0]
+        prefixes.add(prefix)
+        if prefix == WRITE_PREFIX:
+            assert type(payload) is AfterImage
+            codec.encode(payload.document)
+        else:
+            codec.encode(payload)
+    return prefixes
+
+
+class TestJsonSafePayloads:
+    def test_every_published_payload_is_json_safe(self):
+        run = run_codec_scenario(5)
+        assert run["renewals"] > 0
+        assert assert_payloads_are_json_safe(run["published"]) == {
+            WRITE_PREFIX, QUERY_PREFIX, NOTIFY_PREFIX,
+        }
+        for name in ("top", "page"):
+            assert run["results"][name] == run["find"][name]
+        for name in ("mid", "tagged", "shared"):
+            assert by_id(run["results"][name]) == by_id(run["find"][name])
+        assert run["transcripts"]["shared"] == run["transcripts"]["mid"]
 
 
 class TestEnvelopeFaults:

@@ -27,7 +27,7 @@ from repro.core.notifications import (
     bind_to_subscription,
     coalesce_events,
 )
-from repro.core.remote import MatchingCellSpec, serialize_after_image
+from repro.core.remote import MatchingCellSpec
 from repro.query.engine import Query
 from repro.types import AfterImage, ChangeNotification, MatchType, WriteKind
 
@@ -81,10 +81,10 @@ class Store:
             {k: dict(doc) for k, doc in self.documents.items()},
             dict(self.versions),
         ))
-        return serialize_after_image(AfterImage(
+        return AfterImage(
             key=key, version=version, kind=kind, document=document,
             collection="items", timestamp=float(version),
-        ))
+        )
 
     def subscribe(self, query, lag):
         documents, versions = self.history[max(0, len(self.history) - 1 - lag)]

@@ -625,6 +625,25 @@ class TestSLOAccountant:
         assert summary["notifications"] == 5  # aggregate sees them all
         assert len(summary["queries"]) == 2   # but only 2 series minted
 
+    def test_every_read_folds_the_queued_batches(self):
+        """Batches are folded in every ``FOLD_BATCHES``; a registry
+        read or a summary folds the rest first."""
+        import repro.obs.slo as slo_module
+        telemetry, accountant, _ = self.build()
+        batches = slo_module.FOLD_BATCHES + 3
+        for _ in range(batches):
+            accountant.observe(self._change(timestamp=9.9))
+        assert len(accountant._pending) == 3
+        assert telemetry.registry.snapshot()["slo.lag_seconds"]["count"] \
+            == batches
+        assert not accountant._pending
+        accountant.observe(self._change(timestamp=9.0))
+        assert 'slo_breaches_total{query="q1"} 1' in to_prometheus(telemetry)
+        accountant.observe(self._change(timestamp=9.0))
+        summary = accountant.summary()
+        assert (summary["notifications"], summary["breaches"]) == \
+            (batches + 2, 2)
+
     def test_slo_series_flow_to_prometheus(self):
         telemetry, accountant, _ = self.build()
         accountant.observe(self._change(timestamp=9.0))

@@ -4,12 +4,12 @@ A message is a three-byte header (magic, version, flags) and one
 pickle; a batch is that header, the envelope count and one pickle of
 the whole list.  Hypothesis draws write envelopes shaped like the
 benchmark harness's: the after-image of an evaluation document (five
-10-character strings, four ints and a unique int), as
-``serialize_after_image`` builds it from a store's write listener, with
-deletes in between.  The suite checks that a broken frame fails as
+10-character strings, four ints and a unique int), as a store's write
+listener receives it and the grid ships it, with deletes in between.
+The suite checks that a broken frame fails as
 :class:`~repro.errors.CodecError` and as nothing else, that a batch
-decodes in one unpickling call into plain dicts, and that the documents
-of one batch share their field-name strings.
+decodes in one unpickling call back into after-images, and that the
+documents of one batch share their field-name strings.
 """
 
 import string
@@ -17,11 +17,11 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.remote import serialize_after_image
 from repro.errors import CodecError
 from repro.event import wire
 from repro.event.wire import BinaryCodec
 from repro.store.collection import Collection
+from repro.types import AfterImage
 
 FIELD_NAMES = ["_id", "s0", "s1", "s2", "s3", "s4",
                "i0", "i1", "i2", "i3", "random"]
@@ -55,7 +55,7 @@ def write_envelopes(draw, min_size=0, max_size=12):
             collection.delete(key)
         else:
             collection.save(draw(evaluation_documents(key)))
-    return [serialize_after_image(after) for after in images]
+    return images
 
 
 def header_size(frame):
@@ -108,14 +108,14 @@ class TestBrokenFrames:
 class TestBatchDecode:
     @given(envelopes=write_envelopes(min_size=1))
     @settings(max_examples=40, deadline=None)
-    def test_decode_batch_yields_plain_dicts(self, envelopes):
+    def test_decode_batch_yields_after_images(self, envelopes):
         codec = BinaryCodec()
         decoded = codec.decode_batch(codec.encode_batch(envelopes))
         assert decoded == envelopes
         assert type(decoded) is list
         for envelope in decoded:
-            assert type(envelope) is dict
-            assert type(envelope["document"]) in (dict, type(None))
+            assert type(envelope) is AfterImage
+            assert type(envelope.document) in (dict, type(None))
 
     @given(envelopes=write_envelopes(min_size=2))
     @settings(max_examples=40, deadline=None)
@@ -123,7 +123,7 @@ class TestBatchDecode:
                                                              envelopes):
         codec = BinaryCodec()
         decoded = codec.decode_batch(codec.encode_batch(envelopes))
-        documents = [e["document"] for e in decoded if e["document"]]
+        documents = [e.document for e in decoded if e.document]
         names = {}
         for document in documents:
             assert sorted(document) == sorted(FIELD_NAMES)

@@ -1,17 +1,18 @@
 """Wire-format round-trip tests for everything crossing the event layer.
 
 "The event layer ... handles data transmissions with entirely opaque
-payloads" (Section 5.3) — so every message must survive JSON encoding.
+payloads" (Section 5.3) — so every request and notification must
+survive JSON encoding.  A write crosses as its
+:class:`~repro.types.AfterImage` (``tests/test_after_image.py``).
 """
 
 import pytest
 
 from repro.core.cluster import deserialize_query, serialize_query
-from repro.core.remote import deserialize_after_image, serialize_after_image
 from repro.core.notifications import QueryChange
 from repro.event.codec import JsonCodec
 from repro.query.engine import Query
-from repro.types import AfterImage, MatchType, WriteKind
+from repro.types import MatchType
 
 CODEC = JsonCodec()
 
@@ -44,28 +45,6 @@ class TestQuerySerialization:
         query = Query({}, sort=[("a", -1)], limit=1)
         restored = deserialize_query(json_roundtrip(serialize_query(query)))
         assert restored.sort.fields == query.sort.fields
-
-
-class TestAfterImageSerialization:
-    def test_update_roundtrip(self):
-        after = AfterImage(7, 3, WriteKind.UPDATE,
-                           {"_id": 7, "v": [1, {"x": None}]},
-                           collection="c", timestamp=12.5)
-        restored = deserialize_after_image(
-            json_roundtrip(serialize_after_image(after))
-        )
-        assert restored == after
-
-    def test_delete_roundtrip(self):
-        after = AfterImage("key", 9, WriteKind.DELETE, None)
-        restored = deserialize_after_image(
-            json_roundtrip(serialize_after_image(after))
-        )
-        assert restored.is_delete and restored.version == 9
-
-    def test_wire_form_is_tagged_as_write(self):
-        after = AfterImage(1, 1, WriteKind.INSERT, {"_id": 1})
-        assert serialize_after_image(after)["kind"] == "write"
 
 
 class TestChangeSerialization:
