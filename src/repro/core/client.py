@@ -22,7 +22,10 @@ the InvaliDB cluster" (Section 5).  Responsibilities implemented here:
   the cluster has gone silent; both run on the execution model's timer
   heap (under the inline model when ``advance()`` crosses a period);
 * **write forwarding** — push versioned after-images to the cluster on
-  every database write.
+  every database write;
+* **lost publishes** — the event layer is at-most-once: a publish it
+  refuses raises to the caller, and each query the lost message leaves
+  behind gets a resync queued on the timer heap.
 
 The event layer passes payloads by reference (:mod:`repro.event.broker`),
 so the client is where documents are copied for the user: a
@@ -35,9 +38,9 @@ reaching the cluster, the store or another app server.
 
 from __future__ import annotations
 
-import random
 import threading
 import time
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import InvaliDBConfig
@@ -48,12 +51,7 @@ from repro.core.notifications import (
     window_of,
 )
 from repro.core.remote import serialize_query
-from repro.errors import (
-    BrokerClosedError,
-    CircuitOpenError,
-    OperationTimeoutError,
-    SubscriptionError,
-)
+from repro.errors import BrokerClosedError, SubscriptionError
 from repro.event.broker import Broker
 from repro.event.channels import notification_channel, query_channel, write_channel
 from repro.obs.tracing import (
@@ -81,10 +79,6 @@ InitialCallback = Callable[[InitialResult], None]
 ErrorCallback = Callable[[str], None]
 
 _WIRE_SCALARS = (str, int, float, bool, type(None))
-
-#: Retry delays get up to this fraction of themselves
-#: added as seeded random jitter, so synchronized clients spread out.
-_BACKOFF_JITTER = 0.5
 
 
 def _require_wire_safe(value: Any, path: str = "filter") -> None:
@@ -236,7 +230,8 @@ class _QueryEntry:
     lock and sees one consistent set, current or just replaced.
     """
 
-    __slots__ = ("query", "slack", "handles", "joining", "pending_renewal")
+    __slots__ = ("query", "slack", "handles", "joining", "pending_renewal",
+                 "last_renewal")
 
     def __init__(self, query: Query, slack: int):
         self.query = query
@@ -247,85 +242,8 @@ class _QueryEntry:
         self.joining = 0
         #: ``[timer handle, resync]`` of a rate-limited renewal, or None.
         self.pending_renewal: Optional[List[Any]] = None
-
-
-class _RenewalLimiter:
-    """Poll-frequency rate limit for query renewals (Section 5.2)."""
-
-    def __init__(self, min_interval: float):
-        self.min_interval = min_interval
-        self._last: Dict[str, float] = {}
-        self._lock = threading.Lock()
-
-    def allow(self, query_id: str, now: float) -> bool:
-        with self._lock:
-            last = self._last.get(query_id)
-            if last is not None and now - last < self.min_interval:
-                return False
-            self._last[query_id] = now
-            return True
-
-
-class CircuitBreaker:
-    """Trip after consecutive broker failures; probe after a cooldown.
-
-    States: *closed* (normal), *open* (every call rejected until the
-    reset interval elapsed), *half-open* (one probe allowed; success
-    closes, failure re-opens).  An open breaker is the client-side
-    complement of the heartbeat check: heartbeats detect a silent
-    cluster, the breaker detects a broker that fails actively —
-    ``check_heartbeat`` treats both as an outage.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half_open"
-
-    def __init__(self, threshold: int, reset_interval: float):
-        self.threshold = threshold
-        self.reset_interval = reset_interval
-        self.state = self.CLOSED
-        self.consecutive_failures = 0
-        self.trips = 0
-        self.rejections = 0
-        self._opened_at = 0.0
-        self._lock = threading.Lock()
-
-    def allow(self, now: float) -> bool:
-        with self._lock:
-            if self.state == self.CLOSED:
-                return True
-            if self.state == self.OPEN:
-                if now - self._opened_at >= self.reset_interval:
-                    self.state = self.HALF_OPEN
-                    return True
-                self.rejections += 1
-                return False
-            return True  # half-open: let the probe through
-
-    def record_success(self) -> None:
-        with self._lock:
-            self.state = self.CLOSED
-            self.consecutive_failures = 0
-
-    def record_failure(self, now: float) -> None:
-        with self._lock:
-            self.consecutive_failures += 1
-            if (self.state == self.HALF_OPEN
-                    or self.consecutive_failures >= self.threshold):
-                if self.state != self.OPEN:
-                    self.trips += 1
-                self.state = self.OPEN
-                self._opened_at = now
-
-    def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "state": self.state,
-                "consecutive_failures": self.consecutive_failures,
-                "trips": self.trips,
-                "rejections": self.rejections,
-            }
+        #: When the poll-frequency rate limit last let a renewal run.
+        self.last_renewal: Optional[float] = None
 
 
 class InvaliDBClient:
@@ -346,7 +264,6 @@ class InvaliDBClient:
         self._database = database
         #: Live queries by ID; changed only under ``_lock``.
         self._entries: Dict[str, _QueryEntry] = {}
-        self._renewals = _RenewalLimiter(self.config.renewal_min_interval)
         self._ids = IdGenerator(f"sub-{app_server_id}")
         #: Stale rows skipped by handles that were unsubscribed since.
         self._stale_skipped_left = 0
@@ -359,21 +276,11 @@ class InvaliDBClient:
         self._bootstrap_max = 0.0
         self._lock = threading.Lock()
         self.last_heartbeat: Optional[float] = None
-        # -- resilience: retry with backoff + circuit breaker -----------
-        self._breaker = CircuitBreaker(
-            self.config.circuit_breaker_threshold,
-            self.config.circuit_breaker_reset,
-        )
-        self._retry_rng = random.Random(self.config.client_rng_seed)
         self.publishes = 0
-        self.publish_retries = 0
+        #: Publishes the event layer refused (counted under ``_lock``).
         self.publish_failures = 0
-        self.publish_timeouts = 0
         self.renewals_sent = 0
         self.resubscribes = 0
-        #: Backoff seconds accumulated (virtual under the inline model,
-        #: where sleeping would add nothing but wall-clock noise).
-        self.backoff_waited = 0.0
         #: User ``on_change``/``on_error`` callbacks that raised (each
         #: costs only its own handle's delivery, never the envelope).
         self.callback_errors = 0
@@ -456,64 +363,28 @@ class InvaliDBClient:
             }
 
     # ------------------------------------------------------------------
-    # Resilient publishing
+    # Publishing
     # ------------------------------------------------------------------
 
     def _publish(self, channel: str, message: Any,
-                 operation: str = "publish") -> None:
-        """Publish with retry, backoff + jitter, timeout and breaker.
-
-        The event layer is fire-and-forget, so a failed publish is
-        simply retried — at-most-once delivery means the worst case of
-        a retry racing a slow success is a duplicate, which the whole
-        notification path (versioned writes, idempotent client
-        materialization) already absorbs.  Backoff is only slept under
-        the threaded model; the deterministic inline model records it
-        as virtual waiting instead (sleeping there orders nothing).
-        """
-        if not self._breaker.allow(self.config.clock()):
-            raise CircuitOpenError(self._breaker.consecutive_failures)
-        config = self.config
-        deadline = (time.monotonic() + config.publish_timeout
-                    if config.publish_timeout else None)
-        attempt = 0
-        while True:
-            try:
-                self.broker.publish(channel, message)
-            except BrokerClosedError:
-                # Permanent: the broker is gone, retrying cannot help.
+                 lost: Optional[Callable[[], List[str]]] = None) -> None:
+        """Publish once.  The event layer is at-most-once, so a refused
+        publish is counted and re-raised to the caller, never retried.
+        First, each query that *lost* names — the ones the lost message
+        leaves the cluster behind on — gets a resync queued on the
+        timer heap: the renewal path's catch-up delta repairs what the
+        message would have told the cluster.  A closed broker queues
+        nothing; no resync could reach it."""
+        try:
+            self.broker.publish(channel, message)
+        except Exception as exc:
+            with self._lock:
                 self.publish_failures += 1
-                self._breaker.record_failure(config.clock())
-                raise
-            except Exception:
-                self.publish_failures += 1
-                self._breaker.record_failure(config.clock())
-                if attempt >= config.publish_max_retries:
-                    raise
-                if (deadline is not None
-                        and time.monotonic() >= deadline):
-                    self.publish_timeouts += 1
-                    raise OperationTimeoutError(
-                        operation, config.publish_timeout
-                    )
-                delay = min(
-                    config.publish_backoff_base * (2 ** attempt),
-                    config.publish_backoff_max,
-                )
-                delay += self._retry_rng.random() * _BACKOFF_JITTER * delay
-                self.backoff_waited += delay
-                tel = self.telemetry
-                if tel.enabled:
-                    tel.histogram("client.backoff_seconds").record(delay)
-                    tel.counter("client.publish_retries").inc()
-                if not self.broker.execution.deterministic:
-                    time.sleep(delay)
-                attempt += 1
-                self.publish_retries += 1
-                continue
-            self._breaker.record_success()
-            self.publishes += 1
-            return
+            if lost is not None and not isinstance(exc, BrokerClosedError):
+                for query_id in lost():
+                    self._renew_limited(query_id, resync=True, queued=True)
+            raise
+        self.publishes += 1
 
     # ------------------------------------------------------------------
     # Subscription lifecycle
@@ -576,7 +447,13 @@ class InvaliDBClient:
         with self._lock:
             entry.joining -= 1
             entry.handles += (subscription,)
-        self._publish_subscribe(query, bootstrap, versions, watermark, slack)
+        try:
+            self._publish_subscribe(query, bootstrap, versions, watermark,
+                                    slack)
+        except Exception:
+            # The caller never gets this handle: take it back out.
+            self._detach(subscription)
+            raise
         return subscription
 
     def _activate(self, query: Query, slack: int,
@@ -610,7 +487,8 @@ class InvaliDBClient:
         trace = self._start_trace("subscribe", query.query_id)
         if trace is not None:
             message["trace"] = trace
-        self._publish(query_channel(self.tenant), message, "subscribe")
+        self._publish(query_channel(self.tenant), message,
+                      lambda: [query.query_id])
 
     @staticmethod
     def _result_page(query: Query, bootstrap: List[Document]) -> List[Document]:
@@ -625,30 +503,42 @@ class InvaliDBClient:
     def unsubscribe(self, subscription: RealTimeSubscription) -> None:
         """Cancel one subscription; the query is cancelled at the cluster
         once no local subscription uses it."""
-        subscription.closed = True
-        query_id = subscription.query.query_id
-        with self._lock:
-            entry = self._entries.get(query_id)
-            if entry is None or subscription not in entry.handles:
-                return
-            entry.handles = tuple(
-                handle for handle in entry.handles if handle is not subscription
-            )
-            self._stale_skipped_left += subscription.stale_skipped
-            still_used = bool(entry.handles) or entry.joining > 0
-            if not still_used:
-                del self._entries[query_id]
-        if not still_used:
+        entry = self._detach(subscription)
+        if entry is not None:
+            # A lost cancel needs no repair: the query expires by TTL.
             self._publish(
                 query_channel(self.tenant),
                 {
                     "kind": "cancel",
                     "app_server": self.app_server_id,
-                    "query_id": query_id,
+                    "query_id": entry.query.query_id,
                     "query_hash": entry.query.partition_hash,
                 },
-                "cancel",
             )
+
+    def _detach(
+        self, subscription: RealTimeSubscription
+    ) -> Optional[_QueryEntry]:
+        """Close *subscription* and drop it from its query's entry;
+        returns the entry if that left it unused (it is dropped too,
+        with its pending renewal)."""
+        subscription.closed = True
+        query_id = subscription.query.query_id
+        with self._lock:
+            entry = self._entries.get(query_id)
+            if entry is None or subscription not in entry.handles:
+                return None
+            entry.handles = tuple(
+                handle for handle in entry.handles if handle is not subscription
+            )
+            self._stale_skipped_left += subscription.stale_skipped
+            if entry.handles or entry.joining > 0:
+                return None
+            del self._entries[query_id]
+            pending, entry.pending_renewal = entry.pending_renewal, None
+        if pending is not None:
+            pending[0].cancel()
+        return entry
 
     # ------------------------------------------------------------------
     # Notification handling
@@ -729,37 +619,58 @@ class InvaliDBClient:
         """A renewal request arrived: re-bootstrap the query."""
         self._renew_limited(query_id)
 
-    def _renew_limited(self, query_id: str, resync: bool = False) -> None:
+    def _renew_limited(self, query_id: str, resync: bool = False,
+                       queued: bool = False) -> None:
         """:meth:`renew` under the poll-frequency rate limit, which keeps
         the database load "predictable and configurable": a request
         suppressed now runs once the interval elapsed, and a resync
-        wins over a renewal pending for the same query."""
-        entry = self._entries.get(query_id)
-        if entry is None:
-            return
-        if self._renewals.allow(query_id, self.config.clock()):
-            self.renew(query_id, resync)
-            return
+        wins over a renewal pending for the same query.
+
+        A *queued* request — a failed publish's resync — never runs
+        now: it waits the interval, and at least one heartbeat
+        interval, on an ``every`` timer that its first run cancels.
+        The inline model fires such a timer only under ``advance()``,
+        so ``drain()`` still quiesces while a fault outlasts it, and a
+        fault that never clears costs one attempt per period — never
+        a loop, nor (run inside the failing call) a recursion.
+        """
+        config = self.config
+        interval = config.renewal_min_interval
         with self._lock:
-            pending = entry.pending_renewal
-            if pending is not None:
-                pending[1] = pending[1] or resync
+            entry = self._entries.get(query_id)
+            if entry is None:
                 return
-            pending = entry.pending_renewal = [None, resync]
-            # On the broker's execution model's timer heap: wall-clock
-            # under threads, virtual time (fired by drain()) inline.
-            pending[0] = self.broker.execution.call_later(
-                self._renewals.min_interval,
-                lambda: self._renew_later(entry),
-            )
+            now = config.clock()
+            last = entry.last_renewal
+            run_now = not queued and (last is None or now - last >= interval)
+            if run_now:
+                entry.last_renewal = now
+            elif entry.pending_renewal is not None:
+                entry.pending_renewal[1] = entry.pending_renewal[1] or resync
+            else:
+                # On the broker's execution model's timer heap:
+                # wall-clock under threads, virtual time inline.
+                execution = self.broker.execution
+                run_later = partial(self._renew_later, entry)
+                if queued:
+                    timer = execution.every(
+                        max(interval, config.heartbeat_interval), run_later
+                    )
+                else:
+                    timer = execution.call_later(interval, run_later)
+                entry.pending_renewal = [timer, resync]
+        if run_now:
+            self.renew(query_id, resync)
 
     def _renew_later(self, entry: _QueryEntry) -> None:
         query_id = entry.query.query_id
         with self._lock:
-            _, resync = entry.pending_renewal or (None, False)
-            entry.pending_renewal = None
-        self._renewals.allow(query_id, self.config.clock())
-        self.renew(query_id, resync)
+            pending, entry.pending_renewal = entry.pending_renewal, None
+            if pending is None or self._entries.get(query_id) is not entry:
+                return  # cancelled, or the query was dropped since
+            entry.last_renewal = self.config.clock()
+        pending[0].cancel()  # a queued resync's timer repeats otherwise
+        self.renew(query_id, pending[1])
 
     def resubscribe_all(self) -> int:
         """Re-activate every live query with a fresh bootstrap.
@@ -770,13 +681,22 @@ class InvaliDBClient:
         cluster has no memory of the last valid windows, so the client
         itself delivers the catch-up delta from each subscription's
         locally materialized result to the fresh bootstrap —
-        subscribers converge without being torn down.
+        subscribers converge without being torn down.  A refused
+        renewal (its query gets a queued resync) does not stop the
+        others; the first such error is raised at the end.
         """
         with self._lock:
             query_ids = list(self._entries)
+        failure: Optional[Exception] = None
         for query_id in query_ids:
-            self.renew(query_id, resync=True)
+            try:
+                self.renew(query_id, resync=True)
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                failure = failure or exc
+                continue
             self.resubscribes += 1
+        if failure is not None:
+            raise failure
         return len(query_ids)
 
     def _deliver_delta(self, entry: _QueryEntry,
@@ -826,20 +746,27 @@ class InvaliDBClient:
     # ------------------------------------------------------------------
 
     def extend_ttls(self) -> int:
-        """Send a TTL extension for every active query."""
+        """Send a TTL extension for every active query.  A refused one
+        does not stop the others (the next round re-sends it); the
+        first such error is raised at the end."""
         with self._lock:
             queries = [entry.query for entry in self._entries.values()]
+        failure: Optional[Exception] = None
         for query in queries:
-            self._publish(
-                query_channel(self.tenant),
-                {
-                    "kind": "ttl",
-                    "app_server": self.app_server_id,
-                    "query_id": query.query_id,
-                    "query_hash": query.partition_hash,
-                },
-                "ttl",
-            )
+            try:
+                self._publish(
+                    query_channel(self.tenant),
+                    {
+                        "kind": "ttl",
+                        "app_server": self.app_server_id,
+                        "query_id": query.query_id,
+                        "query_hash": query.partition_hash,
+                    },
+                )
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                failure = failure or exc
+        if failure is not None:
+            raise failure
         return len(queries)
 
     def _extend_ttls_tick(self) -> None:
@@ -851,22 +778,14 @@ class InvaliDBClient:
     def check_heartbeat(self, now: Optional[float] = None) -> bool:
         """Terminate all subscriptions when the cluster is unreachable.
 
-        Returns True when the connection is healthy.  Two outage
-        signals feed this check: silence ("In the absence of heartbeat
-        messages, an application server terminates an affected
-        subscription with an error that can be handled by the
-        subscribed clients", Section 5.1) and an *open circuit breaker*
-        — a broker that rejects every publish is just as gone as one
-        that stops heartbeating.  Runs every ``heartbeat_interval``;
-        *now* defaults to the client's own timer clock, the one heartbeat
-        arrivals are recorded on.
+        Returns True when the connection is healthy.  "In the absence
+        of heartbeat messages, an application server terminates an
+        affected subscription with an error that can be handled by the
+        subscribed clients" (Section 5.1).  Runs every
+        ``heartbeat_interval``; *now* defaults to the client's own timer
+        clock, the one heartbeat arrivals are recorded on.
         """
         now = self._now() if now is None else now
-        if self._breaker.state == CircuitBreaker.OPEN:
-            self._terminate_subscriptions(
-                "circuit breaker open: event layer unreachable", now
-            )
-            return False
         if self.last_heartbeat is None:
             return True  # nothing received yet; grace period
         if now - self.last_heartbeat <= self.config.heartbeat_timeout:
@@ -894,11 +813,19 @@ class InvaliDBClient:
     # ------------------------------------------------------------------
 
     def forward_write(self, after: AfterImage) -> None:
-        """Publish one after-image to the cluster's write channel."""
+        """Publish one after-image to the cluster's write channel.  If
+        the publish fails, the store is ahead of the cluster: every
+        query of this app server on the collection gets a resync."""
         trace = self._start_trace("write", after.key)
         if trace is not None:
             after = after._replace(trace=trace)
-        self._publish(write_channel(self.tenant), after, "write")
+        self._publish(write_channel(self.tenant), after,
+                      lambda: self._queries_on(after.collection))
+
+    def _queries_on(self, collection: str) -> List[str]:
+        with self._lock:
+            return [query_id for query_id, entry in self._entries.items()
+                    if entry.query.collection == collection]
 
     def attach(self, collection: Any) -> Callable[[], None]:
         """Forward every write of *collection* automatically."""
@@ -935,7 +862,8 @@ class InvaliDBClient:
                        for entry in self._entries.values())
 
     def stats(self) -> Dict[str, Any]:
-        """Client-side resilience counters (all zero on a clean run)."""
+        """Client-side counters; the failure counters read zero on a
+        clean run."""
         with self._lock:
             stale = self._stale_skipped_left + sum(
                 handle.stale_skipped
@@ -944,13 +872,9 @@ class InvaliDBClient:
             )
         return {
             "publishes": self.publishes,
-            "publish_retries": self.publish_retries,
             "publish_failures": self.publish_failures,
-            "publish_timeouts": self.publish_timeouts,
-            "backoff_waited": round(self.backoff_waited, 6),
             "renewals_sent": self.renewals_sent,
             "resubscribes": self.resubscribes,
             "stale_notifications_skipped": stale,
-            "circuit": self._breaker.stats(),
             "callback_errors": self.callback_errors,
         }

@@ -6,12 +6,13 @@ interval bounding data freshness, and a slack that can be adapted on
 re-execution (Section 5.2, footnote 5).
 
 A field exists where some caller, benchmark or example sets it; values
-nothing ever set (restart backoff growth, retry jitter, the SLO
-objective, the flight ring size) are constants next to their reader,
-and supervised recovery, client retry and the predicate index with its
-spatial and text access paths are not switchable (the index only
-prunes, so turning it off never changed a result; the spatial grid
-resolution is a :class:`~repro.core.filtering.FilteringNode` argument).
+nothing ever set (restart backoff growth, the SLO objective, the flight
+ring size) are constants next to their reader, and supervised recovery
+and the predicate index with its spatial and text access paths are not
+switchable (the index only prunes, so turning it off never changed a
+result; the spatial grid resolution is a
+:class:`~repro.core.filtering.FilteringNode` argument).  The client has
+no failure knobs: a refused publish raises and is repaired by a resync.
 """
 
 from __future__ import annotations
@@ -93,23 +94,6 @@ class InvaliDBConfig:
     #: Consecutive handler errors after which a task counts as poisoned
     #: and is crashed (0 disables — errors are recorded and skipped).
     crash_error_threshold: int = 0
-    #: Client-side resilience: failed publishes are retried with
-    #: exponential backoff + jitter behind a circuit breaker.  Retries
-    #: after the first failed attempt (0 = fail fast).
-    publish_max_retries: int = 4
-    #: Backoff curve: ``base * 2**attempt`` seconds, capped at ``max``,
-    #: plus seeded random jitter.
-    publish_backoff_base: float = 0.05
-    publish_backoff_max: float = 1.0
-    #: Per-operation budget: a publish (including retries) exceeding
-    #: this raises OperationTimeoutError (0 disables).
-    publish_timeout: float = 0.0
-    #: Circuit breaker: open after this many consecutive failures …
-    circuit_breaker_threshold: int = 5
-    #: … and probe again (half-open) after this many seconds.
-    circuit_breaker_reset: float = 2.0
-    #: Seed for client-side retry jitter (None = nondeterministic).
-    client_rng_seed: Optional[int] = None
     #: Observability: ``None``/``False`` = disabled (no-op handles,
     #: near-zero cost), ``True`` = enabled with defaults, a
     #: :class:`~repro.obs.telemetry.TelemetryConfig` for knobs, or an
@@ -184,16 +168,6 @@ class InvaliDBConfig:
             raise ClusterConfigError("supervisor_backoff_base must be > 0")
         if self.crash_error_threshold < 0:
             raise ClusterConfigError("crash_error_threshold must be >= 0")
-        if self.publish_max_retries < 0:
-            raise ClusterConfigError("publish_max_retries must be >= 0")
-        if self.publish_backoff_base <= 0 or self.publish_backoff_max <= 0:
-            raise ClusterConfigError("publish backoff bounds must be > 0")
-        if self.publish_timeout < 0:
-            raise ClusterConfigError("publish_timeout must be >= 0")
-        if self.circuit_breaker_threshold < 1:
-            raise ClusterConfigError("circuit_breaker_threshold must be >= 1")
-        if self.circuit_breaker_reset <= 0:
-            raise ClusterConfigError("circuit_breaker_reset must be > 0")
         if self.slo_latency_target <= 0:
             raise ClusterConfigError("slo_latency_target must be > 0")
         if self.flight_recorder_dir is not None and not isinstance(

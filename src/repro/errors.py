@@ -124,8 +124,8 @@ class QueueOverflowError(ExecutionError):
 class InjectedFaultError(ExecutionError):
     """An operation failed because a fault plan said it must.
 
-    Raised by ``Broker.publish`` on an ``error`` fault — the failure
-    mode that client-side retry and the circuit breaker are built for.
+    Raised by ``Broker.publish`` on an ``error`` fault: the client
+    re-raises it and repairs the loss with a resync.
     """
 
     def __init__(self, scope: str, name: str):
@@ -181,39 +181,6 @@ class QueryMaintenanceError(InvaliDBError):
 
 class ClusterConfigError(InvaliDBError):
     """The cluster configuration is invalid (e.g. zero partitions)."""
-
-
-class HeartbeatTimeoutError(InvaliDBError):
-    """The app server missed cluster heartbeats and terminated a query."""
-
-
-class RenewalRateLimitedError(InvaliDBError):
-    """A query renewal was suppressed by the poll frequency rate limit."""
-
-
-class CircuitOpenError(InvaliDBError):
-    """The client's circuit breaker is open: the broker is presumed down.
-
-    Operations fail fast instead of retrying; the breaker half-opens
-    after its reset timeout and closes again on the first success.
-    """
-
-    def __init__(self, failures: int):
-        super().__init__(
-            f"circuit breaker open after {failures} consecutive broker failures"
-        )
-        self.failures = failures
-
-
-class OperationTimeoutError(InvaliDBError):
-    """A client operation exhausted its per-operation deadline."""
-
-    def __init__(self, operation: str, timeout: float):
-        super().__init__(
-            f"operation {operation!r} timed out after {timeout:.3f}s"
-        )
-        self.operation = operation
-        self.timeout = timeout
 
 
 # ---------------------------------------------------------------------------

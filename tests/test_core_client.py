@@ -12,7 +12,7 @@ from repro.errors import SubscriptionError
 from repro.query.engine import Query
 from repro.types import MatchType
 
-from tests.conftest import settle
+from tests.conftest import FakeClock, settle
 
 
 class TestQueryRegistration:
@@ -173,17 +173,81 @@ class TestHeartbeats:
 
 
 class TestRenewalRateLimit:
-    def test_renewals_are_rate_limited(self, broker, cluster_factory,
-                                       app_server_factory):
-        """The poll frequency rate limit bounds database load from
-        renewals (Section 5.2)."""
-        from repro.core.client import _RenewalLimiter
+    @staticmethod
+    def inline_stack(clock):
+        from repro.core.cluster import InvaliDBCluster
+        from repro.core.server import AppServer
+        from repro.event.broker import Broker
+        from repro.runtime.execution import (
+            ExecutionConfig,
+            InlineExecutionModel,
+        )
 
-        limiter = _RenewalLimiter(min_interval=10.0)
-        assert limiter.allow("q", now=0.0)
-        assert not limiter.allow("q", now=5.0)
-        assert limiter.allow("q", now=10.1)
-        assert limiter.allow("other", now=5.0)  # per-query budgets
+        model = InlineExecutionModel(ExecutionConfig(mode="inline", seed=1))
+        broker = Broker(execution=model)
+        config = InvaliDBConfig(renewal_min_interval=10.0, clock=clock)
+        cluster = InvaliDBCluster(broker, config).start()
+        app = AppServer("app-1", broker, config=config)
+        return broker, cluster, app
+
+    def test_renewals_are_rate_limited(self):
+        """The poll frequency rate limit bounds database load from
+        renewals (Section 5.2): one renewal per query per interval, a
+        suppressed one runs once the interval elapsed."""
+        clock = FakeClock()
+        broker, cluster, app = self.inline_stack(clock)
+        client = app.client
+        try:
+            first = app.subscribe("items", {"v": {"$gte": 0}},
+                                  sort=[("v", -1)], limit=2)
+            other = app.subscribe("items", {"v": {"$lt": 9}},
+                                  sort=[("v", 1)], limit=2)
+            entry = client._entries[first.query.query_id]
+            slack = entry.slack
+            client._handle_maintenance_error(first.query.query_id)
+            assert client.renewals_sent == 1
+            assert entry.last_renewal == clock()
+            clock.advance(5.0)
+            client._handle_maintenance_error(first.query.query_id)
+            assert client.renewals_sent == 1  # suppressed: pending
+            assert entry.pending_renewal is not None
+            client._handle_maintenance_error(other.query.query_id)
+            assert client.renewals_sent == 2  # its own budget
+            assert broker.drain()  # the pending renewal comes due
+            assert client.renewals_sent == 3
+            assert entry.pending_renewal is None
+            assert entry.last_renewal == clock()
+            assert entry.slack > 2 * slack  # grown twice
+        finally:
+            app.close()
+            cluster.stop()
+            broker.close()
+
+    def test_unsubscribe_cancels_the_pending_renewal(self):
+        """A dropped entry takes its renewal timer and its rate-limit
+        budget with it: a same-id re-subscribe starts afresh."""
+        clock = FakeClock()
+        broker, cluster, app = self.inline_stack(clock)
+        client = app.client
+        try:
+            handle = app.subscribe("items", {}, sort=[("v", -1)], limit=2)
+            query_id = handle.query.query_id
+            client._handle_maintenance_error(query_id)
+            client._handle_maintenance_error(query_id)  # pending
+            assert client.renewals_sent == 1
+            client.unsubscribe(handle)
+            again = app.subscribe("items", {}, sort=[("v", -1)], limit=2)
+            slack = client._entries[query_id].slack
+            assert broker.drain()  # the old timer would fire here
+            assert client.renewals_sent == 1
+            assert client._entries[query_id].slack == slack
+            client._handle_maintenance_error(query_id)  # fresh budget
+            assert client.renewals_sent == 2
+            assert again.result() == []
+        finally:
+            app.close()
+            cluster.stop()
+            broker.close()
 
     def test_renew_grows_slack(self, broker, cluster_factory,
                                app_server_factory):

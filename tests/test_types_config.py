@@ -129,7 +129,7 @@ class TestConfigValidation:
             InvaliDBConfig(execution_model="fibers")
 
     def test_removed_matching_gates_are_not_options(self):
-        assert len(fields(InvaliDBConfig)) == 28
+        assert len(fields(InvaliDBConfig)) == 21
         for gate in ("shared_predicate_memo", "shared_query_dag",
                      "incremental_sorting"):
             with pytest.raises(TypeError):
@@ -189,6 +189,11 @@ class TestConfigValidation:
         "supervision", "supervisor_backoff_factor", "supervisor_backoff_max",
         "supervisor_max_restarts", "publish_backoff_jitter", "slo_objective",
         "flight_recorder_capacity", "client_retry", "wire_codec",
+        # The client's retry/breaker path: a failed publish raises and
+        # is repaired by a resync (DESIGN §8).
+        "publish_max_retries", "publish_backoff_base", "publish_backoff_max",
+        "publish_timeout", "circuit_breaker_threshold",
+        "circuit_breaker_reset", "client_rng_seed",
     ])
     def test_fields_no_caller_set_are_not_options(self, name):
         with pytest.raises(TypeError):
