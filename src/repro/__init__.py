@@ -35,7 +35,6 @@ from repro.runtime.execution import (
     ThreadedExecutionModel,
 )
 from repro.runtime.process import ProcessExecutionModel, WorkerPool
-from repro.runtime.queues import BackpressurePolicy
 from repro.store.collection import Collection
 from repro.store.database import Database
 from repro.store.sharding import ShardedCollection
@@ -52,7 +51,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AfterImage",
     "AppServer",
-    "BackpressurePolicy",
     "Broker",
     "ChangeNotification",
     "Collection",

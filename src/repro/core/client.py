@@ -230,13 +230,16 @@ class _QueryEntry:
     lock and sees one consistent set, current or just replaced.
     """
 
-    __slots__ = ("query", "slack", "handles", "joining", "pending_renewal",
-                 "last_renewal")
+    __slots__ = ("query", "slack", "handles", "terminated", "joining",
+                 "pending_renewal", "last_renewal")
 
     def __init__(self, query: Query, slack: int):
         self.query = query
         self.slack = slack
         self.handles: Tuple[RealTimeSubscription, ...] = ()
+        #: Handles a heartbeat timeout closed: they get no changes and
+        #: their query no TTL extensions until ``resubscribe_all``.
+        self.terminated: Tuple[RealTimeSubscription, ...] = ()
         #: Subscribes past their bootstrap read whose handle is not
         #: registered yet: they keep the query alive at the cluster.
         self.joining = 0
@@ -519,20 +522,25 @@ class InvaliDBClient:
     def _detach(
         self, subscription: RealTimeSubscription
     ) -> Optional[_QueryEntry]:
-        """Close *subscription* and drop it from its query's entry;
-        returns the entry if that left it unused (it is dropped too,
-        with its pending renewal)."""
-        subscription.closed = True
+        """Close *subscription* and drop it from its query's entry, live
+        or terminated; returns the entry if that left it unused (it is
+        dropped too, with its pending renewal)."""
         query_id = subscription.query.query_id
         with self._lock:
+            subscription.closed = True
             entry = self._entries.get(query_id)
-            if entry is None or subscription not in entry.handles:
+            if entry is None:
                 return None
-            entry.handles = tuple(
-                handle for handle in entry.handles if handle is not subscription
-            )
+            if subscription in entry.handles:
+                entry.handles = tuple(handle for handle in entry.handles
+                                      if handle is not subscription)
+            elif subscription in entry.terminated:
+                entry.terminated = tuple(handle for handle in entry.terminated
+                                         if handle is not subscription)
+            else:
+                return None
             self._stale_skipped_left += subscription.stale_skipped
-            if entry.handles or entry.joining > 0:
+            if entry.handles or entry.terminated or entry.joining > 0:
                 return None
             del self._entries[query_id]
             pending, entry.pending_renewal = entry.pending_renewal, None
@@ -683,10 +691,16 @@ class InvaliDBClient:
         locally materialized result to the fresh bootstrap —
         subscribers converge without being torn down.  A refused
         renewal (its query gets a queued resync) does not stop the
-        others; the first such error is raised at the end.
+        others; the first such error is raised at the end.  Handles a
+        heartbeat timeout terminated are reopened first.
         """
         with self._lock:
             query_ids = list(self._entries)
+            for entry in self._entries.values():
+                for handle in entry.terminated:
+                    handle.closed = False
+                entry.handles += entry.terminated
+                entry.terminated = ()
         failure: Optional[Exception] = None
         for query_id in query_ids:
             try:
@@ -746,11 +760,12 @@ class InvaliDBClient:
     # ------------------------------------------------------------------
 
     def extend_ttls(self) -> int:
-        """Send a TTL extension for every active query.  A refused one
-        does not stop the others (the next round re-sends it); the
-        first such error is raised at the end."""
+        """Send a TTL extension for every query with a live or joining
+        handle.  A refused one does not stop the others (the next round
+        re-sends it); the first such error is raised at the end."""
         with self._lock:
-            queries = [entry.query for entry in self._entries.values()]
+            queries = [entry.query for entry in self._entries.values()
+                       if entry.handles or entry.joining > 0]
         failure: Optional[Exception] = None
         for query in queries:
             try:
@@ -796,17 +811,24 @@ class InvaliDBClient:
         return False
 
     def _terminate_subscriptions(self, reason: str, now: float) -> None:
+        """Close every live handle, move it to its entry's
+        ``terminated`` and deliver it one ERROR."""
+        terminated: List[Tuple[str, RealTimeSubscription]] = []
         with self._lock:
-            entries = list(self._entries.values())
-        for entry in entries:
-            for subscription in entry.handles:
-                if subscription.closed:
-                    continue
+            for query_id, entry in self._entries.items():
+                for subscription in entry.handles:
+                    subscription.closed = True
+                    terminated.append((query_id, subscription))
+                entry.terminated += entry.handles
+                entry.handles = ()
+        for query_id, subscription in terminated:
+            try:
                 subscription._deliver(bind_to_subscription(
-                    subscription.subscription_id, entry.query.query_id,
+                    subscription.subscription_id, query_id,
                     MatchType.ERROR, error=reason, timestamp=now,
                 ))
-                subscription.closed = True
+            except Exception:  # noqa: BLE001 - user callback
+                self.callback_errors += 1
 
     # ------------------------------------------------------------------
     # Write forwarding
@@ -868,7 +890,7 @@ class InvaliDBClient:
             stale = self._stale_skipped_left + sum(
                 handle.stale_skipped
                 for entry in self._entries.values()
-                for handle in entry.handles
+                for handle in entry.handles + entry.terminated
             )
         return {
             "publishes": self.publishes,

@@ -60,8 +60,9 @@ from repro.runtime.execution import TimerHandle, build_execution_model
 from repro.runtime.process import ProcessExecutionModel
 
 
-#: Fraction of notifications that must arrive within
-#: ``slo_latency_target``; the error budget burn rates divide by is
+#: Fraction of notifications that must arrive within the SLO latency
+#: target (:data:`repro.obs.slo.LATENCY_TARGET`); the error budget burn
+#: rates divide by is
 #: ``1 - _SLO_OBJECTIVE``.
 _SLO_OBJECTIVE = 0.99
 
@@ -114,7 +115,6 @@ class InvaliDBCluster:
             self.slo = SLOAccountant(
                 self.telemetry,
                 self.scheme,
-                latency_target=self.config.slo_latency_target,
                 objective=_SLO_OBJECTIVE,
                 clock=self.config.clock,
             )

@@ -73,8 +73,7 @@ class InvaliDBConfig:
     #: Execution substrate for the matching grid.  ``None`` (default)
     #: shares the broker's execution model, putting the event layer and
     #: the grid on one substrate; set an :class:`ExecutionConfig` to
-    #: give the cluster its own (e.g. bounded queues with a different
-    #: backpressure policy, or a dedicated inline model).
+    #: give the cluster its own (e.g. a dedicated inline model).
     execution: Optional[ExecutionConfig] = None
     #: Shorthand execution gates: ``execution_model`` (``"threaded"``,
     #: ``"inline"`` or ``"process"``) synthesizes an
@@ -102,15 +101,6 @@ class InvaliDBConfig:
     #: its execution model (and the broker's), so the event layer, the
     #: grid stages and subscribed clients all report into one registry.
     telemetry: object = None
-    #: Per-query SLO accounting (active whenever telemetry is enabled):
-    #: a delivered notification whose lag — delivery time minus the
-    #: originating write's client-edge timestamp — exceeds
-    #: ``slo_latency_target`` seconds counts as a breach against the
-    #: objective of :mod:`repro.obs.slo` (99% in target); burn rate is
-    #: the observed breach fraction divided by the error budget
-    #: (1 - objective), so > 1.0 means the budget is being consumed
-    #: faster than allowed.
-    slo_latency_target: float = 0.25
     #: Flight recorder: bounded ring of recent operational events
     #: (task failures, crashes, restarts, worker deaths), always
     #: recorded; dumped as a JSON artifact on worker death or
@@ -168,8 +158,6 @@ class InvaliDBConfig:
             raise ClusterConfigError("supervisor_backoff_base must be > 0")
         if self.crash_error_threshold < 0:
             raise ClusterConfigError("crash_error_threshold must be >= 0")
-        if self.slo_latency_target <= 0:
-            raise ClusterConfigError("slo_latency_target must be > 0")
         if self.flight_recorder_dir is not None and not isinstance(
             self.flight_recorder_dir, str
         ):

@@ -71,7 +71,7 @@ class Grid:
                       for qp in range(scheme.query_partitions)]
         self._columns = [[sorting_nodes + i for i in scheme.column_tasks(wp)]
                          for wp in range(scheme.write_partitions)]
-        #: Intake tuples whose routing raised, plus intake puts that did.
+        #: Intake tuples whose routing raised.
         self.intake_failed = 0
         #: Routed since the last :meth:`flush_intake`.  Only the broker's
         #: one dispatch mailbox fills it, so it needs no lock.
@@ -99,17 +99,10 @@ class Grid:
         for join in filter(None, (getattr(box, "join", None) for box in boxes)):
             join(timeout=max(0.0, deadline - time.monotonic()))
 
-    def _flush(self, out: _Out,
-               on_error: Optional[Callable[[Exception], None]] = None) -> None:
-        """Put *out* downstream: sorting tasks first, then matching cells.
-        With *on_error*, a put that raises costs its task's share only."""
+    def _flush(self, out: _Out) -> None:
+        """Put *out* downstream: sorting tasks first, then matching cells."""
         for rank in sorted(out):
-            try:
-                self._downstream[rank].mailbox.put_many(out[rank])
-            except Exception as exc:  # noqa: BLE001 - one task's put
-                if on_error is None:
-                    raise
-                on_error(exc)
+            self._downstream[rank].mailbox.put_many(out[rank])
 
     def _handler(self, task: _Task):
         """*task*'s mailbox handler: crash faults, the cell, the flush."""
@@ -146,26 +139,24 @@ class Grid:
         """Put what the intake routed, one ``put_many`` per task; the
         broker calls it once per dispatch batch."""
         routed, self._routed = self._routed, {}
-        self._flush(routed, self._intake_failure)
+        self._flush(routed)
 
     def reap(self, cancel: Dict[str, Any]) -> None:
         """Route and put a TTL sweep's cancel now (off the dispatch thread)."""
         out: _Out = {}
         self._intake(self._route_query, cancel, out)
-        self._flush(out, self._intake_failure)
+        self._flush(out)
 
     def _intake(self, route: Callable[[Any, _Out], None],
                 tuple_: Any, out: _Out) -> None:
+        """Route one tuple; a failure is counted and recorded, never
+        raised to the broker, and costs this tuple only."""
         try:
             route(tuple_, out)
         except Exception as exc:  # noqa: BLE001 - costs this tuple only
-            self._intake_failure(exc)
-
-    def _intake_failure(self, exc: Exception) -> None:
-        """Count and record one intake failure (never raised to the broker)."""
-        self.intake_failed += 1
-        self.cluster.flight.record("task-failure", component="intake",
-                                   error=repr(exc))
+            self.intake_failed += 1
+            self.cluster.flight.record("task-failure", component="intake",
+                                       error=repr(exc))
 
     def _route_query(self, tuple_: Dict[str, Any], out: _Out) -> None:
         # ``query_hash`` is the partition hash: every page of a sort

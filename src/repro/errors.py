@@ -107,18 +107,7 @@ class ExecutionError(ReproError):
 
 
 class ExecutionConfigError(ExecutionError):
-    """An :class:`ExecutionConfig` is invalid (bad mode, capacity, ...)."""
-
-
-class QueueOverflowError(ExecutionError):
-    """A bounded queue rejected an item under the ``error`` policy."""
-
-    def __init__(self, name: str, capacity: int):
-        super().__init__(
-            f"queue {name!r} overflowed its capacity of {capacity}"
-        )
-        self.name = name
-        self.capacity = capacity
+    """An :class:`ExecutionConfig` is invalid (bad mode, batch size, ...)."""
 
 
 class InjectedFaultError(ExecutionError):

@@ -16,7 +16,7 @@ Delivery runs on the pluggable execution substrate
 (:mod:`repro.runtime`): under the default threaded model a dedicated
 dispatch mailbox decouples publishers from subscriber callbacks — the
 asynchrony that separates the app server from the InvaliDB cluster —
-with *batched* dequeue and an optional bounded queue with backpressure;
+with *batched* dequeue from an unbounded FIFO;
 under the deterministic inline model delivery happens synchronously
 with virtual-time delays, which makes the paper's two race conditions
 (write-query and write-subscription, Section 5.1) reproducible in tests
@@ -152,8 +152,9 @@ class Broker:
         When a fault injector is attached to the execution model,
         channel-scope faults apply here: ``error`` makes the publish
         itself raise :class:`~repro.errors.InjectedFaultError` (the
-        failure clients must retry), ``drop``/``duplicate``/``delay``/
-        ``corrupt`` act on the in-flight message.
+        refused publish a client counts and repairs by resync),
+        ``drop``/``duplicate``/``delay``/``corrupt`` act on the
+        in-flight message.
         """
         if self._closed:
             raise BrokerClosedError(f"broker {self.name!r} is closed")

@@ -128,15 +128,6 @@ def format_slow_events(telemetry) -> str:
         return "no slow traces recorded\n"
     lines = []
     for event in events:
-        if event.get("kind") == "eviction":
-            # drop_oldest attribution records share the log with slow
-            # traces but carry no spans — render their identity line.
-            lines.append(
-                f"eviction mailbox={event['mailbox']} "
-                f"stage={event['stage']} partition={event['partition']} "
-                f"payload={event['evicted_kind']} key={event.get('key')}"
-            )
-            continue
         spans = " ".join(
             f"{span['name']}={span['seconds'] * 1000:.3f}ms"
             for span in event["spans"]

@@ -12,11 +12,11 @@ passes through (``InvaliDBCluster._deliver_changes``):
 * per-(query, partition) **lag histograms** plus a per-query last-lag
   **gauge** in the shared metrics registry (so the series flow through
   snapshot/Prometheus/inspector like every other metric);
-* **breach counters** against a configurable latency target, and a
-  **burn rate** — observed breach fraction divided by the error budget
-  ``1 - objective`` — per query and cluster-wide.  Burn rate > 1.0
-  means the query is consuming its error budget faster than the SLO
-  allows.
+* **breach counters** against a latency target (:data:`LATENCY_TARGET`
+  seconds), and a **burn rate** — observed breach fraction divided by
+  the error budget ``1 - objective`` — per query and cluster-wide.
+  Burn rate > 1.0 means the query is consuming its error budget faster
+  than the SLO allows.
 
 The accountant also maintains one *unlabeled* aggregate lag histogram,
 the cluster-wide lag distribution.
@@ -55,6 +55,9 @@ MAX_TRACKED_SERIES = 1024
 #: Delivered batches queued before they are folded into the metrics.
 FOLD_BATCHES = 32
 
+#: Seconds of lag beyond which a delivered notification is a breach.
+LATENCY_TARGET = 0.25
+
 
 class SLOAccountant:
     """Folds delivered-notification lag into SLO metrics."""
@@ -63,13 +66,12 @@ class SLOAccountant:
         self,
         telemetry: Any,
         scheme: Any,
-        latency_target: float,
         objective: float,
         clock: Any,
     ):
         self.telemetry = telemetry
         self.scheme = scheme
-        self.latency_target = latency_target
+        self.latency_target = LATENCY_TARGET
         self.objective = objective
         #: Error budget: the tolerated breach fraction.
         self.budget = max(1e-9, 1.0 - objective)

@@ -4,8 +4,7 @@ One abstraction — :class:`ExecutionModel` — runs both of the system's
 asynchronous subsystems:
 
 * :class:`ThreadedExecutionModel` — production-like: one worker thread
-  per mailbox over a bounded queue, batched dequeue/dispatch,
-  configurable backpressure (block / drop_oldest / error), and
+  per mailbox over an unbounded FIFO, batched dequeue/dispatch, and
   condition-variable quiescence for ``drain()``;
 * :class:`InlineExecutionModel` — deterministic: synchronous trampoline
   execution with a seeded scheduler and virtual-time delays, making
@@ -36,11 +35,10 @@ from repro.runtime.faults import (
     FaultPlan,
     FaultRule,
 )
-from repro.runtime.queues import BackpressurePolicy, BoundedQueue
+from repro.runtime.queues import BatchQueue
 
 __all__ = [
-    "BackpressurePolicy",
-    "BoundedQueue",
+    "BatchQueue",
     "ExecutionConfig",
     "ExecutionModel",
     "FaultDecision",

@@ -9,12 +9,11 @@ This module extracts the substrate into a pluggable **ExecutionModel**
 with two implementations:
 
 * :class:`ThreadedExecutionModel` — one worker thread per mailbox over
-  a :class:`~repro.runtime.queues.BoundedQueue`, **batched dequeue**
-  (up to ``max_batch`` items per lock round-trip), configurable
-  backpressure, one timer thread serving a heap of delayed deliveries
-  and timers (``call_later`` / ``every``), and condition-variable
-  quiescence: ``drain()`` blocks on an in-flight counter instead of
-  sleep-polling queue emptiness.
+  a :class:`~repro.runtime.queues.BatchQueue`, **batched dequeue**
+  (up to ``max_batch`` items per lock round-trip), one timer thread
+  serving a heap of delayed deliveries and timers (``call_later`` /
+  ``every``), and condition-variable quiescence: ``drain()`` blocks on
+  an in-flight counter instead of sleep-polling queue emptiness.
 
 * :class:`InlineExecutionModel` — a **deterministic single-threaded**
   model.  ``put`` runs the whole downstream cascade synchronously on
@@ -28,9 +27,9 @@ with two implementations:
 
 Terminology: a **mailbox** is a named FIFO plus a batch handler (a
 broker dispatcher, one grid task).  Both models keep that FIFO in the
-same :class:`~repro.runtime.queues.BoundedQueue` — capacity, overflow
-policy, counters and telemetry sampling exist once; the models differ
-only in who services it.  Work is *pushed*, as the paper's event layer
+same unbounded :class:`~repro.runtime.queues.BatchQueue` — counters
+and telemetry sampling exist once; the models differ only in who
+services it.  Work is *pushed*, as the paper's event layer
 pushes into its ingestion nodes: ``put`` / ``schedule(mailbox, item,
 delay)`` is the only way work enters a model, which is what makes the
 in-flight accounting exact.
@@ -50,13 +49,16 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from repro.errors import ExecutionConfigError
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.runtime.faults import MAILBOX, FaultInjector, FaultPlan
-from repro.runtime.queues import BackpressurePolicy, BoundedQueue
+from repro.runtime.queues import BatchQueue
 
 BatchHandler = Callable[[List[Any]], None]
 
 THREADED = "threaded"
 INLINE = "inline"
 PROCESS = "process"
+
+#: Seconds ``shutdown()`` waits for the workers to exit by default.
+SHUTDOWN_TIMEOUT = 2.0
 
 
 @dataclass
@@ -68,17 +70,11 @@ class ExecutionConfig:
     #: ``"process"`` (threaded substrate + grid cells in worker
     #: processes behind the binary wire).
     mode: str = THREADED
-    #: Per-mailbox queue capacity; ``None`` means unbounded.
-    queue_capacity: Optional[int] = None
-    #: What a full queue does to producers: block / drop_oldest / error.
-    backpressure: Union[str, BackpressurePolicy] = BackpressurePolicy.BLOCK
     #: Maximum items a mailbox handler receives per invocation.
     max_batch: int = 64
     #: Seed for the inline scheduler's service order (None = FIFO by
     #: mailbox creation order).
     seed: Optional[int] = None
-    #: Default worker join patience on shutdown.
-    shutdown_timeout: float = 2.0
     #: Optional fault schedule; the built model starts with its
     #: :class:`~repro.runtime.faults.FaultInjector` attached.
     fault_plan: Optional[FaultPlan] = None
@@ -95,20 +91,8 @@ class ExecutionConfig:
             raise ExecutionConfigError(
                 "worker_processes must be >= 1 or None"
             )
-        if self.queue_capacity is not None and self.queue_capacity < 1:
-            raise ExecutionConfigError(
-                "queue_capacity must be >= 1 or None"
-            )
         if self.max_batch < 1:
             raise ExecutionConfigError("max_batch must be >= 1")
-        try:
-            self.backpressure = BackpressurePolicy.coerce(self.backpressure)
-        except ValueError:
-            raise ExecutionConfigError(
-                f"unknown backpressure policy: {self.backpressure!r}"
-            ) from None
-        if self.shutdown_timeout < 0:
-            raise ExecutionConfigError("shutdown_timeout must be >= 0")
         if self.fault_plan is not None and not isinstance(
             self.fault_plan, FaultPlan
         ):
@@ -132,30 +116,48 @@ class TimerHandle:
         self.cancelled = True
 
 
-class Mailbox(abc.ABC):
-    """A named FIFO with a batch handler, owned by an execution model."""
+class Mailbox:
+    """A named unbounded FIFO with a batch handler, owned by an
+    execution model.  Both models keep the same
+    :class:`~repro.runtime.queues.BatchQueue` (counters, telemetry
+    sampling) and handler bookkeeping; the model decides how work is
+    put, serviced and closed."""
 
-    name: str
+    def __init__(self, model: "ExecutionModel", name: str,
+                 handler: BatchHandler):
+        self.name = name
+        self._model = model
+        self._handler = handler
+        self._queue = BatchQueue()
+        self.handled = 0
+        self.handler_errors = 0
 
-    @abc.abstractmethod
     def put(self, item: Any) -> None:
-        ...
+        self._model._put(self, (item,))
 
-    @abc.abstractmethod
     def put_many(self, items: List[Any]) -> None:
-        ...
+        self._model._put(self, items)
 
-    @abc.abstractmethod
     def close(self, drain: bool = True) -> None:
-        ...
-
-    @abc.abstractmethod
-    def stats(self) -> Dict[str, Any]:
-        ...
+        self._model._close(self, drain)
 
     def bind_telemetry(self, telemetry) -> None:
-        """Attach telemetry handles (depth/dwell/batch/drops); no-op by
-        default so custom mailboxes stay uninstrumented."""
+        """Attach telemetry handles (depth/dwell/batch/drops)."""
+        if not telemetry.enabled:
+            return
+        self._queue.instrument(
+            telemetry.now,
+            telemetry.histogram("mailbox.dwell_seconds", mailbox=self.name),
+            telemetry.histogram("mailbox.batch_size", mailbox=self.name),
+            telemetry.gauge("mailbox.depth", mailbox=self.name),
+            telemetry.counter("mailbox.dropped", mailbox=self.name),
+        )
+
+    def stats(self) -> Dict[str, Any]:
+        snapshot = self._queue.stats()
+        snapshot["handled"] = self.handled
+        snapshot["handler_errors"] = self.handler_errors
+        return snapshot
 
 
 class ExecutionModel(abc.ABC):
@@ -205,14 +207,16 @@ class ExecutionModel(abc.ABC):
             self.fault_injector.bind_telemetry(self.telemetry)
 
     @abc.abstractmethod
-    def mailbox(
-        self,
-        name: str,
-        handler: BatchHandler,
-        capacity: Optional[int] = None,
-        policy: Optional[BackpressurePolicy] = None,
-    ) -> Mailbox:
+    def mailbox(self, name: str, handler: BatchHandler) -> Mailbox:
         """Create a mailbox whose handler receives item *batches*."""
+
+    @abc.abstractmethod
+    def _put(self, box: Mailbox, items: Any) -> None:
+        """Apply mailbox-scope faults to *items*, then enqueue them."""
+
+    @abc.abstractmethod
+    def _close(self, box: Mailbox, drain: bool) -> None:
+        """Close *box*: with *drain*, queued items are still handled."""
 
     @abc.abstractmethod
     def schedule(self, mailbox: Mailbox, item: Any,
@@ -308,128 +312,21 @@ def resolve_execution_model(
     )
 
 
-def _mailbox_labels(name: str) -> Tuple[str, str]:
-    """Split a mailbox name into ``(stage, partition)`` labels.
-
-    Grid mailboxes encode their owner as ``stage[partition]``
-    (``"matching[3]"``); anything else (broker dispatchers) is
-    its own stage with no partition.  Attributing queue drops this way
-    turns "something, somewhere, was shed" into "matching partition 3
-    is the one losing writes".
-    """
-    stage, bracket, rest = name.partition("[")
-    if bracket and rest.endswith("]"):
-        return stage, rest[:-1]
-    return name, "-"
-
-
-def _eviction_logger(telemetry, name: str):
-    """Build a slow-event logger for ``drop_oldest`` evictions, or None.
-
-    Each evicted item becomes one entry in the tracer's slow-event log
-    carrying the owning mailbox/stage/partition and whatever identity
-    the payload exposes — the attribution the satellite task asks for
-    instead of an opaque counter bump.  Returns None when the tracer
-    keeps no slow-event log (tracing disabled).
-    """
-    slow_events = getattr(telemetry.tracer, "slow_events", None)
-    if slow_events is None:
-        return None
-    stage, partition = _mailbox_labels(name)
-    clock = telemetry.now
-
-    def log(evicted: Any) -> None:
-        payload: Any = evicted
-        if (
-            isinstance(evicted, tuple)
-            and len(evicted) == 2
-            and isinstance(evicted[1], dict)
-        ):
-            # Broker mailbox items are (channel, payload) pairs.
-            payload = evicted[1]
-        if isinstance(payload, dict):
-            kind = payload.get("kind", "?")
-            key = payload.get("key")
-        else:
-            kind = type(evicted).__name__
-            key = None
-        slow_events.append({
-            "kind": "eviction",
-            "mailbox": name,
-            "stage": stage,
-            "partition": partition,
-            "evicted_kind": kind,
-            "key": key,
-            "timestamp": clock(),
-        })
-
-    return log
-
-
-class _QueueMailbox(Mailbox):
-    """What both models' mailboxes share: the one FIFO
-    (:class:`BoundedQueue` — capacity, overflow policy, counters,
-    telemetry sampling) and the handler bookkeeping around it."""
-
-    def __init__(self, model: Any, name: str, handler: BatchHandler,
-                 capacity: Optional[int], policy: BackpressurePolicy):
-        self.name = name
-        self._model = model
-        self._handler = handler
-        self._queue = BoundedQueue(capacity=capacity, policy=policy,
-                                   name=name)
-        self.handled = 0
-        self.handler_errors = 0
-        self._drop_counter: Any = None
-
-    def bind_telemetry(self, telemetry) -> None:
-        if not telemetry.enabled:
-            return
-        stage, partition = _mailbox_labels(self.name)
-        self._drop_counter = telemetry.counter(
-            "mailbox.dropped", mailbox=self.name,
-            stage=stage, partition=partition,
-        )
-        self._queue.instrument(
-            telemetry.now,
-            telemetry.histogram("mailbox.dwell_seconds", mailbox=self.name),
-            telemetry.histogram("mailbox.batch_size", mailbox=self.name),
-            telemetry.gauge("mailbox.depth", mailbox=self.name),
-            self._drop_counter,
-            evict_log=_eviction_logger(telemetry, self.name),
-        )
-
-    def stats(self) -> Dict[str, Any]:
-        snapshot = self._queue.stats()
-        snapshot["handled"] = self.handled
-        snapshot["handler_errors"] = self.handler_errors
-        return snapshot
-
-
 # ---------------------------------------------------------------------------
 # Threaded model
 # ---------------------------------------------------------------------------
 
 
-class _ThreadedMailbox(_QueueMailbox):
+class _ThreadedMailbox(Mailbox):
+    """A mailbox serviced by its own worker thread."""
+
     def __init__(self, model: "ThreadedExecutionModel", name: str,
-                 handler: BatchHandler, capacity: Optional[int],
-                 policy: BackpressurePolicy):
-        super().__init__(model, name, handler, capacity, policy)
+                 handler: BatchHandler):
+        super().__init__(model, name, handler)
         self._worker = threading.Thread(
             target=self._run, name=f"{name}-worker", daemon=True
         )
         self._worker.start()
-
-    # -- producer ---------------------------------------------------------
-
-    def put(self, item: Any) -> None:
-        self._model._deliver(self, (item,))
-
-    def put_many(self, items: List[Any]) -> None:
-        self._model._deliver(self, items)
-
-    # -- consumer ---------------------------------------------------------
 
     def _run(self) -> None:
         max_batch = self._model.config.max_batch
@@ -448,13 +345,6 @@ class _ThreadedMailbox(_QueueMailbox):
                 self.handler_errors += 1
             finally:
                 self._model._note_done(len(batch))
-
-    # -- lifecycle --------------------------------------------------------
-
-    def close(self, drain: bool = True) -> None:
-        discarded = self._queue.close(drain=drain)
-        if discarded:
-            self._model._note_done(discarded)
 
     def join(self, timeout: Optional[float] = None) -> None:
         self._worker.join(timeout=timeout)
@@ -479,7 +369,7 @@ class ThreadedExecutionModel(ExecutionModel):
         self._sequence = itertools.count()
         # (due, seq, queue, item) for a delayed delivery (tracked in
         # _pending); (due, seq, None, TimerHandle) for a timer.
-        self._timer_heap: List[Tuple[float, int, Optional[BoundedQueue],
+        self._timer_heap: List[Tuple[float, int, Optional[BatchQueue],
                                      Any]] = []
         self._timer_cv = threading.Condition()
         self._stopping = threading.Event()
@@ -490,8 +380,7 @@ class ThreadedExecutionModel(ExecutionModel):
 
     # -- accounting -------------------------------------------------------
 
-    def _deliver(self, box: "_ThreadedMailbox", items: Any) -> None:
-        """Apply mailbox-scope faults, then enqueue what survives."""
+    def _put(self, box: Mailbox, items: Any) -> None:
         injector = self.fault_injector
         if injector is None:
             self._track_put(box._queue, items)
@@ -511,17 +400,18 @@ class ThreadedExecutionModel(ExecutionModel):
         if immediate:
             self._track_put(box._queue, immediate)
 
-    def _track_put(self, queue: BoundedQueue, items: Any) -> None:
+    def _track_put(self, queue: BatchQueue, items: Any) -> None:
         items = list(items)
         if not items:
             return
         with self._quiet:
             self._pending += len(items)
-        try:
-            discarded = queue.put_many(items)
-        except Exception:
-            self._note_done(len(items))
-            raise
+        discarded = queue.put_many(items)
+        if discarded:
+            self._note_done(discarded)
+
+    def _close(self, box: Mailbox, drain: bool) -> None:
+        discarded = box._queue.close(drain=drain)
         if discarded:
             self._note_done(discarded)
 
@@ -533,14 +423,8 @@ class ThreadedExecutionModel(ExecutionModel):
 
     # -- mailboxes --------------------------------------------------------
 
-    def mailbox(self, name, handler, capacity=None, policy=None):
-        box = _ThreadedMailbox(
-            self, name, handler,
-            capacity=(self.config.queue_capacity
-                      if capacity is None else capacity),
-            policy=(self.config.backpressure if policy is None
-                    else BackpressurePolicy.coerce(policy)),
-        )
+    def mailbox(self, name, handler):
+        box = _ThreadedMailbox(self, name, handler)
         box.bind_telemetry(self.telemetry)
         self._mailboxes.append(box)
         return box
@@ -555,7 +439,7 @@ class ThreadedExecutionModel(ExecutionModel):
             return
         self._schedule_on_queue(mailbox._queue, item, delay)
 
-    def _schedule_on_queue(self, queue: BoundedQueue, item: Any,
+    def _schedule_on_queue(self, queue: BatchQueue, item: Any,
                            delay: float) -> None:
         """Timer-heap delivery straight into *queue* (no fault re-check)."""
         with self._quiet:
@@ -567,7 +451,7 @@ class ThreadedExecutionModel(ExecutionModel):
         # query renewals) must not hold drain() hostage for seconds.
         self._push(time.monotonic() + delay, None, timer)
 
-    def _push(self, due: float, queue: Optional[BoundedQueue],
+    def _push(self, due: float, queue: Optional[BatchQueue],
               payload: Any) -> None:
         with self._timer_cv:
             heapq.heappush(
@@ -621,8 +505,7 @@ class ThreadedExecutionModel(ExecutionModel):
     # -- lifecycle --------------------------------------------------------
 
     def shutdown(self, timeout: Optional[float] = None) -> None:
-        timeout = (self.config.shutdown_timeout
-                   if timeout is None else timeout)
+        timeout = SHUTDOWN_TIMEOUT if timeout is None else timeout
         self._stopping.set()
         with self._timer_cv:
             dropped = sum(1 for entry in self._timer_heap
@@ -658,47 +541,6 @@ class ThreadedExecutionModel(ExecutionModel):
 # ---------------------------------------------------------------------------
 
 
-class _InlineMailbox(_QueueMailbox):
-    def __init__(self, model: "InlineExecutionModel", name: str,
-                 handler: BatchHandler, capacity: Optional[int],
-                 policy: BackpressurePolicy):
-        # ``block`` cannot suspend a single-threaded scheduler, so a
-        # bounded inline mailbox treats it as unbounded (documented).
-        if policy is BackpressurePolicy.BLOCK:
-            capacity = None
-        super().__init__(model, name, handler, capacity, policy)
-        #: Items offered after close (the queue only reports them as
-        #: discarded; here they count as drops).
-        self.dropped_closed = 0
-
-    def put(self, item: Any) -> None:
-        self._model._put(self, (item,))
-
-    def put_many(self, items: List[Any]) -> None:
-        self._model._put(self, items)
-
-    def _enqueue(self, items: Any) -> None:
-        """Append under the model lock (the queue enforces the
-        drop/error policies)."""
-        if self._queue.closed:
-            self.dropped_closed += len(items)
-            if self._drop_counter is not None:
-                self._drop_counter.inc(len(items))
-            return
-        self._queue.put_many(items)
-
-    def close(self, drain: bool = True) -> None:
-        with self._model._lock:
-            if drain:
-                self._model._pump()
-            self._queue.close(drain=False)
-
-    def stats(self) -> Dict[str, Any]:
-        snapshot = super().stats()
-        snapshot["dropped"] += self.dropped_closed
-        return snapshot
-
-
 class InlineExecutionModel(ExecutionModel):
     """Deterministic synchronous execution with virtual-time delays.
 
@@ -720,7 +562,7 @@ class InlineExecutionModel(ExecutionModel):
             config = ExecutionConfig(mode=INLINE)
         super().__init__(config)
         self._lock = threading.RLock()
-        self._mailboxes: List[_InlineMailbox] = []
+        self._mailboxes: List[Mailbox] = []
         self._running = False
         self._vnow = 0.0
         self._sequence = itertools.count()
@@ -753,26 +595,26 @@ class InlineExecutionModel(ExecutionModel):
 
     # -- mailboxes --------------------------------------------------------
 
-    def mailbox(self, name, handler, capacity=None, policy=None):
-        box = _InlineMailbox(
-            self, name, handler,
-            capacity=(self.config.queue_capacity
-                      if capacity is None else capacity),
-            policy=(self.config.backpressure if policy is None
-                    else BackpressurePolicy.coerce(policy)),
-        )
+    def mailbox(self, name, handler):
+        box = Mailbox(self, name, handler)
         box.bind_telemetry(self.telemetry)
         with self._lock:
             self._mailboxes.append(box)
         return box
 
+    def _close(self, box: Mailbox, drain: bool) -> None:
+        with self._lock:
+            if drain:
+                self._pump()
+            box._queue.close(drain=False)
+
     # -- scheduling -------------------------------------------------------
 
-    def _put(self, box: _InlineMailbox, items: Any) -> None:
+    def _put(self, box: Mailbox, items: Any) -> None:
         with self._lock:
             injector = self.fault_injector
             if injector is None:
-                box._enqueue(items)
+                box._queue.put_many(items)
             else:
                 for item in items:
                     decision = injector.decide(MAILBOX, box.name, item)
@@ -790,13 +632,13 @@ class InlineExecutionModel(ExecutionModel):
                                  decision.payload),
                             )
                         else:
-                            box._enqueue((decision.payload,))
+                            box._queue.put(decision.payload)
             if not self._running:
                 self._pump()
 
     def schedule(self, mailbox: Mailbox, item: Any,
                  delay: float = 0.0) -> None:
-        assert isinstance(mailbox, _InlineMailbox)
+        assert isinstance(mailbox, Mailbox)
         if delay <= 0:
             mailbox.put(item)
             return
@@ -844,11 +686,11 @@ class InlineExecutionModel(ExecutionModel):
 
     # -- quiescence: advance virtual time ---------------------------------
 
-    def _release(self, box: Optional[_InlineMailbox], payload: Any) -> None:
+    def _release(self, box: Optional[Mailbox], payload: Any) -> None:
         """Hand over one due delayed entry: enqueue a scheduled item or
         fire a ``call_later`` timer."""
         if box is not None:
-            box._enqueue((payload,))
+            box._queue.put(payload)
         elif not payload.cancelled:
             self._fire(payload)
 

@@ -24,7 +24,8 @@ Fault taxonomy
                grid task before processing the tuple)
 ``error``      the operation raises :class:`~repro.errors.
                InjectedFaultError` at the call site (``Broker.publish``)
-               — this is what exercises client-side retry
+               — this exercises the refused-publish path: the client
+               raises, counts it and queues a resync (DESIGN §8)
 =========  ==============================================================
 
 Rules are **probabilistic** (``probability`` < 1) or **scripted**

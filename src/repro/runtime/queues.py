@@ -1,82 +1,48 @@
-"""Bounded FIFO queues with pluggable backpressure and batched dequeue.
+"""The unbounded FIFO under every mailbox, with batched dequeue.
 
-The seed reproduction ran every asynchronous hand-off over an unbounded
-``queue.Queue`` — nothing limited memory under a write burst, and every
-consumer paid one lock round-trip per tuple.  :class:`BoundedQueue` is
-the shared primitive both the event layer and the matching-grid runtime
-now sit on:
+:class:`BatchQueue` is the shared primitive both the event layer and
+the matching-grid runtime sit on.  It has no capacity: the paper's
+cluster neither sheds nor throttles work inside itself, it scales by
+adding partitions (DESIGN §17).  What it does:
 
-* an optional **capacity** with a configurable overflow policy —
-  ``block`` the producer (classic backpressure), ``drop_oldest``
-  (load-shedding, keeps the freshest data, appropriate for the paper's
-  at-most-once event layer), or ``error`` (fail fast, surfaces
-  saturation to the caller);
 * **batched dequeue** — a consumer takes up to ``max_batch`` items in
   one lock acquisition, which is what lets filtering nodes process
   after-images in chunks instead of one tuple at a time;
-* depth / high-water / drop counters for the ``stats()`` snapshots;
-* optional telemetry (:meth:`BoundedQueue.instrument`): queue-depth
+* depth / high-water / drop counters for the ``stats()`` snapshots
+  (a drop is an item offered to or discarded by a closed queue);
+* optional telemetry (:meth:`BatchQueue.instrument`): queue-depth
   gauge, drop counter, batch-size histogram, and a dwell-time
   histogram.  Telemetry is **sampled** so instrumentation stays off
   the per-item hot path: every 16th enqueued item is stamped with
   ``(append_index, time)`` under the queue's existing lock, and its
-  dwell is recorded when the dequeue (or eviction) side observes the
-  item has left the deque; batch sizes are recorded for 1 in 8
-  batches, phase-locked to the exact ``enqueued``/``batches``
-  counters so deterministic runs sample identical points.  Drop
-  counts stay exact on every operation; the depth gauge refreshes at
-  each sampling point.
+  dwell is recorded when the dequeue side observes the item has left
+  the deque; batch sizes are recorded for 1 in 16 batches,
+  phase-locked to the exact ``enqueued``/``batches`` counters so
+  deterministic runs sample identical points.  Drop counts stay exact
+  on every operation; the depth gauge refreshes at each sampling
+  point.
 """
 
 from __future__ import annotations
 
-import enum
 import threading
 import time
 from collections import deque
 from typing import Any, Deque, Dict, Iterable, List, Optional
 
-from repro.errors import QueueOverflowError
 
+class BatchQueue:
+    """A thread-safe unbounded FIFO with batched dequeue.
 
-class BackpressurePolicy(enum.Enum):
-    """What a full bounded queue does to the producer."""
-
-    BLOCK = "block"
-    DROP_OLDEST = "drop_oldest"
-    ERROR = "error"
-
-    @classmethod
-    def coerce(cls, value: Any) -> "BackpressurePolicy":
-        if isinstance(value, cls):
-            return value
-        return cls(str(value))
-
-
-class BoundedQueue:
-    """A thread-safe FIFO with optional capacity and batched dequeue.
-
-    ``put``/``put_many`` return the number of items *discarded* as a
-    consequence of the call (evictions under ``drop_oldest``, or the
-    offered items themselves when the queue is closed) so callers can
-    keep exact in-flight accounting.
+    ``put``/``put_many`` return the number of items *discarded* by the
+    call (the offered items themselves, counted as drops, when the
+    queue is closed) so callers can keep exact in-flight accounting.
     """
 
-    def __init__(
-        self,
-        capacity: Optional[int] = None,
-        policy: BackpressurePolicy = BackpressurePolicy.BLOCK,
-        name: str = "queue",
-    ):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 or None (unbounded)")
-        self.name = name
-        self.capacity = capacity
-        self.policy = BackpressurePolicy.coerce(policy)
+    def __init__(self):
         self._items: Deque[Any] = deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
         self._closed = False
         # Counters (guarded by _lock).
         self.enqueued = 0
@@ -93,18 +59,13 @@ class BoundedQueue:
         self._batch_hist = None
         self._depth_gauge = None
         self._drop_counter = None
-        self._evict_log = None
 
     def instrument(self, clock, dwell_hist, batch_hist, depth_gauge,
-                   drop_counter, evict_log=None) -> None:
+                   drop_counter) -> None:
         """Attach telemetry handles (idempotent; see module docstring).
 
         Items already queued ride unsampled — stamping starts with the
-        next enqueue.  ``evict_log`` (optional) is called with each
-        item a ``drop_oldest`` overflow evicts, attributing the loss
-        instead of today's opaque counter bump; bulk discards at
-        ``close(drain=False)`` are shutdown, not pressure, and are not
-        logged.
+        next enqueue.
         """
         with self._lock:
             self._tel_clock = clock
@@ -112,54 +73,28 @@ class BoundedQueue:
             self._batch_hist = batch_hist
             self._depth_gauge = depth_gauge
             self._drop_counter = drop_counter
-            self._evict_log = evict_log
             self._stamps = deque()
 
     # ------------------------------------------------------------------
     # Producer side
     # ------------------------------------------------------------------
 
-    def put(self, item: Any, timeout: Optional[float] = None) -> int:
-        return self.put_many((item,), timeout=timeout)
+    def put(self, item: Any) -> int:
+        return self.put_many((item,))
 
-    def put_many(self, items: Iterable[Any],
-                 timeout: Optional[float] = None) -> int:
+    def put_many(self, items: Iterable[Any]) -> int:
         """Enqueue *items* in order; returns the number discarded."""
         items = list(items)
         if not items:
             return 0
-        discarded = 0
-        with self._not_full:
+        with self._lock:
             if self._closed:
+                self.dropped += len(items)
+                if self._drop_counter is not None:
+                    self._drop_counter.inc(len(items))
                 return len(items)
             stamps = self._stamps
             for item in items:
-                if self.capacity is not None:
-                    if self.policy is BackpressurePolicy.BLOCK:
-                        if not self._wait_not_full(timeout):
-                            discarded += 1
-                            continue
-                        if self._closed:
-                            discarded += 1
-                            continue
-                    elif len(self._items) >= self.capacity:
-                        if self.policy is BackpressurePolicy.ERROR:
-                            # The items before the overflow are queued:
-                            # count them and wake their consumer.
-                            self.high_water = max(self.high_water,
-                                                  len(self._items))
-                            self._not_empty.notify()
-                            raise QueueOverflowError(self.name, self.capacity)
-                        evicted = self._items.popleft()  # DROP_OLDEST
-                        if stamps is not None:
-                            removed = self.enqueued - len(self._items)
-                            while stamps and stamps[0][0] <= removed:
-                                stamps.popleft()
-                            self._drop_counter.inc()
-                        if self._evict_log is not None:
-                            self._evict_log(evicted)
-                        self.dropped += 1
-                        discarded += 1
                 self._items.append(item)
                 self.enqueued += 1
                 if stamps is not None and (self.enqueued & 15) == 1:
@@ -167,18 +102,7 @@ class BoundedQueue:
                     self._depth_gauge.set(len(self._items))
             self.high_water = max(self.high_water, len(self._items))
             self._not_empty.notify()
-        return discarded
-
-    def _wait_not_full(self, timeout: Optional[float]) -> bool:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while len(self._items) >= self.capacity and not self._closed:
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-            self._not_full.wait(timeout=remaining)
-        return True
+        return 0
 
     # ------------------------------------------------------------------
     # Consumer side
@@ -227,7 +151,6 @@ class BoundedQueue:
                     self._depth_gauge.set(len(self._items))
                 if (self.batches & 15) == 1:
                     self._batch_hist.record(n)
-            self._not_full.notify_all()
             return batch
 
     # ------------------------------------------------------------------
@@ -255,7 +178,6 @@ class BoundedQueue:
                     if discarded:
                         self._drop_counter.inc(discarded)
             self._not_empty.notify_all()
-            self._not_full.notify_all()
             return discarded
 
     @property
@@ -269,8 +191,6 @@ class BoundedQueue:
         with self._lock:
             return {
                 "depth": len(self._items),
-                "capacity": self.capacity,
-                "policy": self.policy.value,
                 "enqueued": self.enqueued,
                 "dequeued": self.dequeued,
                 "dropped": self.dropped,

@@ -316,52 +316,6 @@ class TestUnderLoad:
         finally:
             broker.close()
 
-    def test_bounded_queue_error_policy_surfaces_saturation(self):
-        from repro.errors import QueueOverflowError
-        from repro.runtime.execution import ExecutionConfig
-
-        broker = Broker(execution=ExecutionConfig(
-            queue_capacity=2, backpressure="error", max_batch=1
-        ))
-        try:
-            gate = threading.Event()
-            broker.subscribe("ch", lambda c, p: gate.wait(timeout=5.0))
-            with pytest.raises(QueueOverflowError):
-                # The dispatcher is stuck on the first message; the
-                # bounded mailbox fills and the publisher fails fast.
-                for value in range(50):
-                    broker.publish("ch", value)
-            gate.set()
-            broker.drain(timeout=5.0)
-        finally:
-            broker.close()
-
-    def test_bounded_queue_drop_oldest_sheds_load(self):
-        from repro.runtime.execution import ExecutionConfig
-
-        broker = Broker(execution=ExecutionConfig(
-            queue_capacity=4, backpressure="drop_oldest", max_batch=1
-        ))
-        try:
-            gate = threading.Event()
-            received = []
-
-            def listener(channel, payload):
-                gate.wait(timeout=5.0)
-                received.append(payload)
-
-            broker.subscribe("ch", listener)
-            for value in range(50):
-                broker.publish("ch", value)
-            gate.set()
-            assert broker.drain(timeout=5.0)
-            # Load was shed, the freshest messages survived.
-            assert broker.stats["dropped"] > 0
-            assert len(received) < 50
-            assert received[-1] == 49
-        finally:
-            broker.close()
-
 
 class TestConcurrency:
     def test_concurrent_publishers_keep_all_messages(self, broker):

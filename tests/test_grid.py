@@ -238,24 +238,6 @@ class TestGridTasks:
         assert event["component"] == "intake"
         assert event["error"] == "ValueError('bad tuple')"
 
-    def test_a_failing_put_costs_only_its_task(self):
-        cluster, grid = build_grid(query_partitions=2, write_partitions=2)
-        box = cluster._execution.boxes["matching[0]"]
-
-        def refuse(items):
-            raise OverflowError("full")
-
-        box.put_many = refuse
-        grid.intake_query("query", subscribe("q", 0))  # row 0: matching[0] and [1]
-        grid.flush_intake()
-        assert [name for name, _ in puts(cluster)] == [
-            "sorting[0]", "matching[1]",
-        ]
-        assert grid.stats()["intake_failed"] == 1
-        [event] = cluster.flight.events()
-        assert event["component"] == "intake"
-        assert event["error"] == "OverflowError('full')"
-
     def test_failing_batch_is_isolated_per_cell(self):
         cluster, grid = build_grid()
         cell = cluster.cells[("matching", 0)]

@@ -131,6 +131,54 @@ def test_inline_heartbeat_outage_errors_every_handle_once(seed, skew):
         stack.close()
 
 
+def test_terminated_handles_stop_receiving_and_extending():
+    """A handle the heartbeat check terminated gets no more changes, and
+    its query gets no more TTL extensions, until ``resubscribe_all``."""
+    stack = InlineStack(seed=1)
+    app, client = stack.app, stack.app.client
+    try:
+        handle = app.subscribe("items", {"v": {"$gte": 0}})
+        stack.model.advance(INTERVAL)  # one heartbeat arrives
+        assert client.extend_ttls() == 1
+        assert not client.check_heartbeat(
+            now=client.last_heartbeat + TIMEOUT + 1)
+        assert handle.closed
+        count = handle.change_count
+        app.insert("items", {"_id": 1, "v": 1})
+        assert stack.broker.drain()
+        assert handle.change_count == count
+        assert client.extend_ttls() == 0
+        # Resubscribing reopens the handle with its catch-up delta.
+        client.resubscribe_all()
+        assert stack.broker.drain()
+        assert not handle.closed
+        assert handle.result() == app.find("items", {"v": {"$gte": 0}})
+        assert client.extend_ttls() == 1
+    finally:
+        stack.close()
+
+
+def test_unsubscribing_terminated_handles_cancels_their_query():
+    stack = InlineStack(seed=2)
+    app, client = stack.app, stack.app.client
+    try:
+        first = app.subscribe("items", {"v": 1})
+        second = app.subscribe("items", {"v": 1})
+        stack.model.advance(INTERVAL)
+        assert not client.check_heartbeat(
+            now=client.last_heartbeat + TIMEOUT + 1)
+        app.unsubscribe(first)
+        assert stack.broker.drain()
+        assert len(stack.cluster.active_query_ids()) == 1
+        app.unsubscribe(second)  # the last handle: the query is cancelled
+        assert stack.broker.drain()
+        assert stack.cluster.active_query_ids() == []
+        assert client.stats()["stale_notifications_skipped"] == 0
+        assert client._entries == {}
+    finally:
+        stack.close()
+
+
 @pytest.mark.parametrize("skew", [-10.0, 10.0])
 def test_threaded_heartbeat_freshness_ignores_cluster_clock_skew(skew):
     model = ThreadedExecutionModel()

@@ -571,7 +571,7 @@ class TestSLOAccountant:
         telemetry = Telemetry(TelemetryConfig())
         state = {"now": now}
         accountant = SLOAccountant(
-            telemetry, _StaticScheme(), latency_target=0.25,
+            telemetry, _StaticScheme(),
             objective=objective, clock=lambda: state["now"],
         )
         return telemetry, accountant, state

@@ -1,6 +1,6 @@
 """Unit tests for the execution substrate: queues, models, scheduling.
 
-The bounded-queue tests exercise the shared FIFO primitive directly;
+The queue tests exercise the shared FIFO primitive directly;
 the model tests cover the threaded model's condition-variable
 quiescence and the inline model's reproducible scheduling and
 virtual-time delays.
@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.errors import ExecutionConfigError, QueueOverflowError
+from repro.errors import ExecutionConfigError
 from repro.runtime.execution import (
     ExecutionConfig,
     InlineExecutionModel,
@@ -19,12 +19,14 @@ from repro.runtime.execution import (
     build_execution_model,
     resolve_execution_model,
 )
-from repro.runtime.queues import BackpressurePolicy, BoundedQueue
+from repro.runtime.queues import BatchQueue
 
 
 class TestBoundedQueue:
+    """The one mailbox FIFO, :class:`BatchQueue`: unbounded."""
+
     def test_fifo_order_and_batched_dequeue(self):
-        queue = BoundedQueue()
+        queue = BatchQueue()
         queue.put_many(range(10))
         assert queue.get_batch(4) == [0, 1, 2, 3]
         assert queue.get_batch(100) == [4, 5, 6, 7, 8, 9]
@@ -34,60 +36,24 @@ class TestBoundedQueue:
         assert stats["high_water"] == 10
 
     def test_get_batch_never_waits_to_fill(self):
-        queue = BoundedQueue()
+        queue = BatchQueue()
         queue.put(1)
         # One item available: the consumer gets it immediately even
         # though max_batch is larger.
         assert queue.get_batch(64, timeout=0.01) == [1]
         assert queue.get_batch(64, timeout=0.01) == []
 
-    def test_block_policy_applies_backpressure(self):
-        queue = BoundedQueue(capacity=2, policy=BackpressurePolicy.BLOCK)
-        queue.put_many([1, 2])
-        released = threading.Event()
-
-        def producer():
-            queue.put(3)  # blocks until the consumer makes room
-            released.set()
-
-        thread = threading.Thread(target=producer, daemon=True)
-        thread.start()
-        assert not released.wait(timeout=0.1)
-        assert queue.get_batch(1) == [1]
-        assert released.wait(timeout=2.0)
-        assert queue.get_batch(10) == [2, 3]
-
-    def test_drop_oldest_policy_sheds_load(self):
-        queue = BoundedQueue(capacity=2,
-                             policy=BackpressurePolicy.DROP_OLDEST)
-        discarded = queue.put_many([1, 2, 3, 4])
-        assert discarded == 2
-        assert queue.get_batch(10) == [3, 4]
-        assert queue.stats()["dropped"] == 2
-
-    def test_error_policy_fails_fast(self):
-        queue = BoundedQueue(capacity=1, policy=BackpressurePolicy.ERROR)
-        queue.put(1)
-        with pytest.raises(QueueOverflowError):
-            queue.put(2)
-        # An overflow part-way through a batch still accounts for the
-        # items queued before it.
-        queue = BoundedQueue(capacity=2, policy=BackpressurePolicy.ERROR)
-        with pytest.raises(QueueOverflowError):
-            queue.put_many([1, 2, 3])
-        assert queue.stats()["high_water"] == 2
-        assert queue.get_batch(10, timeout=0) == [1, 2]
-
     def test_put_on_closed_queue_discards(self):
-        queue = BoundedQueue()
+        queue = BatchQueue()
         queue.put(1)
         queue.close(drain=True)
         assert queue.put(2) == 1  # reported as discarded
+        assert queue.stats()["dropped"] == 1
         assert queue.get_batch(10) == [1]  # drained items still served
         assert queue.get_batch(10) is None  # then the exit signal
 
     def test_close_without_drain_discards_queued_items(self):
-        queue = BoundedQueue()
+        queue = BatchQueue()
         queue.put_many([1, 2, 3])
         assert queue.close(drain=False) == 3
         assert queue.get_batch(10) is None
@@ -100,15 +66,7 @@ class TestExecutionConfig:
 
     def test_rejects_bad_capacity_and_batch(self):
         with pytest.raises(ExecutionConfigError):
-            ExecutionConfig(queue_capacity=0)
-        with pytest.raises(ExecutionConfigError):
             ExecutionConfig(max_batch=0)
-
-    def test_coerces_backpressure_strings(self):
-        config = ExecutionConfig(backpressure="drop_oldest")
-        assert config.backpressure is BackpressurePolicy.DROP_OLDEST
-        with pytest.raises(ExecutionConfigError):
-            ExecutionConfig(backpressure="yolo")
 
     def test_build_and_resolve(self):
         assert isinstance(
@@ -435,39 +393,25 @@ class TestInlineModel:
         assert model.drain()
         assert seen == ["first", "second"]
 
-    def test_drop_oldest_policy_inline(self):
-        """put_many enqueues the whole batch before the trampoline runs,
-        so a bounded inline mailbox really does shed load."""
-        model = InlineExecutionModel()
-        held = []
-        shed = model.mailbox("shed", held.extend, capacity=2,
-                             policy="drop_oldest")
-        shed.put_many([1, 2, 3, 4])
-        assert held == [3, 4]
-        assert shed.stats()["dropped"] == 2
-
-    def test_error_policy_inline_fails_fast(self):
-        model = InlineExecutionModel()
-        strict = model.mailbox("strict", lambda batch: None, capacity=1,
-                               policy="error")
-        with pytest.raises(QueueOverflowError):
-            strict.put_many(["a", "b"])
-
     def test_overflow_inside_handler_is_contained(self):
-        """An ERROR-policy overflow raised *inside* a handler counts as
-        a handler error instead of killing the scheduler — mirroring
-        the threaded model's containment."""
+        """A handler that raises counts as a handler error instead of
+        killing the scheduler — mirroring the threaded model's
+        containment — and the work it queued before raising still
+        runs."""
         model = InlineExecutionModel()
-        strict = model.mailbox("strict", lambda batch: None, capacity=1,
-                               policy="error")
+        seen = []
+        after = model.mailbox("after", seen.extend)
 
-        def overfill(batch):
-            strict.put("a")
-            strict.put("b")  # overflows while "a" is still queued
+        def fail(batch):
+            after.put("queued before the raise")
+            raise OverflowError("handler failed")
 
-        entry = model.mailbox("entry", overfill)
+        entry = model.mailbox("entry", fail)
         entry.put("go")  # must not raise
         assert entry.stats()["handler_errors"] == 1
+        assert seen == ["queued before the raise"]
+        entry.put("again")  # the scheduler still serves the mailbox
+        assert entry.stats()["handler_errors"] == 2
 
     def test_stats_snapshot_shape(self):
         model = InlineExecutionModel(ExecutionConfig(mode="inline", seed=1))

@@ -129,7 +129,7 @@ class TestConfigValidation:
             InvaliDBConfig(execution_model="fibers")
 
     def test_removed_matching_gates_are_not_options(self):
-        assert len(fields(InvaliDBConfig)) == 21
+        assert len(fields(InvaliDBConfig)) == 20
         for gate in ("shared_predicate_memo", "shared_query_dag",
                      "incremental_sorting"):
             with pytest.raises(TypeError):
@@ -194,13 +194,24 @@ class TestConfigValidation:
         "publish_max_retries", "publish_backoff_base", "publish_backoff_max",
         "publish_timeout", "circuit_breaker_threshold",
         "circuit_breaker_reset", "client_rng_seed",
+        # The SLO target is a constant of repro.obs.slo.
+        "slo_latency_target",
     ])
     def test_fields_no_caller_set_are_not_options(self, name):
         with pytest.raises(TypeError):
             InvaliDBConfig(**{name: 1})
 
+    @pytest.mark.parametrize("name", [
+        "queue_capacity", "backpressure", "shutdown_timeout",
+    ])
+    def test_removed_queue_bounds_are_not_options(self, name):
+        """A mailbox is an unbounded FIFO: memory is bounded by
+        partitioning, as in the paper, not by shedding or blocking."""
+        with pytest.raises(TypeError):
+            ExecutionConfig(**{name: 1})
+
     def test_substrate_hooks_no_caller_used_are_gone(self):
-        assert len(fields(ExecutionConfig)) == 8
+        assert len(fields(ExecutionConfig)) == 5
         with pytest.raises(TypeError):
             ExecutionConfig(wire_codec="binary")
         broker = Broker(execution=InlineExecutionModel())
